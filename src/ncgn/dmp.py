@@ -1,12 +1,15 @@
-"""Dynamic message passing network and its fixed-structure baselines.
+"""Dynamic message passing (DMP) network layers.
 
-One forward pass: look up (r_t, s_t) from the schedule, lift node inputs,
-then for each layer coarsen the graph to s_t voxel clusters, message pass
-over a kNN graph with k = r_t on the coarse nodes, and gate the result back
-onto the original nodes; a final projection produces the per-node output.
+``DmpModel.forward_core`` runs one pass over a prebuilt coarse
+``Structure``: lift node inputs, then for each layer coarsen node vectors
+onto their clusters, message pass over the coarse edges, and gate the
+result back onto the nodes; a final projection gives the per-node output.
 
-Baselines reuse the identical layer stack with one-to-one clusters and a
-fixed edge builder, so DMP with singleton clusters reproduces them exactly.
+The structure is built by ``engine.merged_forward``, the package's one
+forward path: DMP takes s_t voxel clusters and a kNN graph with k = r_t
+from the noise schedule, the fixed-structure baselines take one-to-one
+clusters and a fixed edge builder, so DMP with singleton clusters
+reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -16,19 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .graphs import (
-    CoarseAssignment,
-    GeometricGraph,
-    build_fully_connected_edges,
-    build_knn_edges,
-    build_long_short_edges,
-    identity_assignment,
-    voxel_coarsen,
-)
-from .schedule import ScheduleSpec, eval_schedule
+from .graphs import GeometricGraph
 from .tensor import Tensor, concat, segment_softmax, segment_sum
-
-BASELINE_KINDS = ("knn_fixed", "fully_connected", "long_short", "random_pred")
 
 
 def node_input(graph: GeometricGraph, t: float) -> np.ndarray:
@@ -49,25 +41,6 @@ class Structure:
     coarse_positions: np.ndarray  # s' x d
     coarse_inputs: np.ndarray     # s' x d_in, member means of node inputs
     edges: np.ndarray             # coarse (source, target) pairs
-
-
-def _segment_mean_np(values, seg, nseg):
-    out = np.zeros((nseg, values.shape[1]))
-    np.add.at(out, seg, values)
-    counts = np.bincount(seg, minlength=nseg).astype(np.float64)
-    return out / np.maximum(counts, 1.0)[:, None]
-
-
-def build_structure(graph: GeometricGraph, inputs: np.ndarray, s_t: int, r_t: int,
-                    assignment: CoarseAssignment | None = None,
-                    edges: np.ndarray | None = None) -> Structure:
-    if assignment is None:
-        assignment = voxel_coarsen(graph, s_t)
-    nclusters = assignment.n_clusters
-    if edges is None:
-        edges = build_knn_edges(assignment.coarse_positions, r_t)
-    coarse_inputs = _segment_mean_np(inputs, assignment.cluster_of, nclusters)
-    return Structure(assignment.cluster_of, assignment.coarse_positions, coarse_inputs, edges)
 
 
 class GcnConv(nn.Module):
@@ -209,40 +182,6 @@ class DmpModel(nn.Module):
             h_coarse = block.mp(h_coarse, structure.edges)
             h = block.uncoarsen(h, h_coarse, rel, dist, cluster_of)
         return self.project(h)
-
-
-def dmp_forward(model: DmpModel, graph: GeometricGraph, t: float,
-                spec: ScheduleSpec, stats: dict | None = None) -> Tensor:
-    """Full DMP pass on a single graph; output rows follow the input nodes."""
-    if graph.n_nodes < 1:
-        raise ValueError("empty graph")
-    r_t, s_t = eval_schedule(spec, t, graph.n_nodes)
-    inputs = node_input(graph, t)
-    structure = build_structure(graph, inputs, s_t, r_t)
-    if stats is not None:
-        stats["r_t"], stats["s_t"] = r_t, s_t
-        stats["edges"] = int(structure.edges.shape[0])
-    return model.forward_core(inputs, graph.positions, structure)
-
-
-def baseline_forward(model: DmpModel, graph: GeometricGraph, t: float,
-                     kind: str, k: int = 8, seed: int = 0) -> Tensor:
-    """Same layer stack at full resolution with a fixed edge builder."""
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    if kind == "random_pred":
-        rng = np.random.default_rng(seed)
-        return Tensor(rng.standard_normal((graph.n_nodes, model.odim)))
-    if kind == "knn_fixed":
-        edges = build_knn_edges(graph.positions, k)
-    elif kind == "fully_connected":
-        edges = build_fully_connected_edges(graph.n_nodes)
-    else:
-        edges = build_long_short_edges(graph.positions, k, seed)
-    inputs = node_input(graph, t)
-    structure = build_structure(graph, inputs, graph.n_nodes, k,
-                                assignment=identity_assignment(graph), edges=edges)
-    return model.forward_core(inputs, graph.positions, structure)
 
 
 class FlatGat(nn.Module):

@@ -17,14 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .dmp import (
-    BASELINE_KINDS,
-    DmpModel,
-    FlatGat,
-    Structure,
-    _segment_mean_np,
-    node_input,
-)
+from .dmp import DmpModel, FlatGat, Structure, node_input
 from .graphs import (
     GeometricGraph,
     build_fully_connected_edges,
@@ -37,7 +30,8 @@ from .schedule import ScheduleSpec, default_bounds, eval_schedule
 from .tensor import Tensor
 from .transport import PointCloud, gw_entropic, w2_exact
 
-METHODS = ("dmp",) + BASELINE_KINDS
+BASELINES = ("knn_fixed", "fully_connected", "long_short")
+METHODS = ("dmp",) + BASELINES + ("random_pred",)
 
 
 def n_workers():
@@ -124,7 +118,9 @@ def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
 
 class StructureCache:
     """Voxel assignments and edge lists keyed by position bytes, so fixed
-    positions (the transcriptomics grids) are only clustered once."""
+    positions (the transcriptomics grids) are only clustered once. ``dmp``
+    builds the noise-scheduled coarse structure, ``baseline`` the
+    one-to-one clusters and fixed edges of the BASELINES methods."""
 
     def __init__(self):
         self._store = {}
@@ -132,14 +128,15 @@ class StructureCache:
     def dmp(self, positions, s_t, r_t):
         key = (positions.tobytes(), s_t, r_t)
         if key not in self._store:
-            holder = GeometricGraph(np.zeros((positions.shape[0], 0)), positions,
-                                    np.zeros((0, 2), dtype=np.intp))
-            asg = voxel_coarsen(holder, s_t)
+            asg = voxel_coarsen(positions, s_t)
             edges = build_knn_edges(asg.coarse_positions, r_t)
             self._store[key] = (asg.cluster_of, asg.coarse_positions, edges)
         return self._store[key]
 
     def baseline(self, positions, method, k, seed):
+        if method not in BASELINES:
+            raise ValueError(f"no fixed structure for method {method!r}; "
+                             f"expected one of {BASELINES}")
         key = (positions.tobytes(), method, k)
         if key not in self._store:
             n = positions.shape[0]
@@ -161,9 +158,17 @@ def _slice_structure(positions, t, config: TrainConfig, cache: StructureCache):
     return cache.baseline(positions, config.method, config.knn_k, config.seed)
 
 
+def _segment_mean(values, seg, nseg):
+    out = np.zeros((nseg, values.shape[1]))
+    np.add.at(out, seg, values)
+    counts = np.bincount(seg, minlength=nseg).astype(np.float64)
+    return out / np.maximum(counts, 1.0)[:, None]
+
+
 def merged_forward(model: DmpModel, parts, config: TrainConfig,
                    cache: StructureCache) -> Tensor:
-    """One forward pass over a disjoint union.
+    """One forward pass over a disjoint union; the package's only forward
+    path (a single graph is a batch of one).
 
     ``parts``: list of (positions, inputs, t) per graph. Cluster ids and
     coarse edges are offset so graphs never exchange messages.
@@ -176,7 +181,7 @@ def merged_forward(model: DmpModel, parts, config: TrainConfig,
         nclusters = c_pos.shape[0]
         cluster_of.append(c_of + offset)
         coarse_pos.append(c_pos)
-        coarse_in.append(_segment_mean_np(inputs, c_of, nclusters))
+        coarse_in.append(_segment_mean(inputs, c_of, nclusters))
         if c_edges.size:
             edges.append(c_edges + offset)
         pos_all.append(positions)
@@ -204,6 +209,9 @@ def train(graphs, config: TrainConfig, loss_path=None):
     """
     if not graphs:
         raise ValueError("empty dataset")
+    if config.method == "random_pred":
+        raise ValueError("method 'random_pred' is model-free: draw its samples "
+                         "with random_generations instead of training")
     graphs = [_strip(g, config.task) for g in graphs]
     spec = config.interpolant_spec()
     model = build_model(graphs[0], config)
@@ -503,9 +511,7 @@ def attention_study(model: FlatGat, graphs, bins=10,
 
 
 def _pooled_coarse(positions, n_clusters, pooling):
-    holder = GeometricGraph(np.zeros((positions.shape[0], 0)), positions,
-                            np.zeros((0, 2), dtype=np.intp))
-    asg = voxel_coarsen(holder, n_clusters)
+    asg = voxel_coarsen(positions, n_clusters)
     if pooling == "mean":
         return asg.coarse_positions
     if pooling != "max":

@@ -51,11 +51,10 @@ class GeometricGraph:
 
 @dataclass
 class CoarseAssignment:
-    """Node -> cluster map plus cluster means; s' realized clusters."""
+    """Node -> cluster map plus cluster mean positions; s' realized clusters."""
 
     cluster_of: np.ndarray
     coarse_positions: np.ndarray
-    coarse_features: np.ndarray
 
     @property
     def n_clusters(self):
@@ -116,17 +115,18 @@ def build_long_short_edges(positions, k, seed):
     return np.concatenate(edges, axis=0).astype(np.intp)
 
 
-def voxel_coarsen(graph: GeometricGraph, s: int) -> CoarseAssignment:
-    """Axis-aligned voxel clustering into at most ``s`` clusters.
+def voxel_coarsen(positions: np.ndarray, s: int) -> CoarseAssignment:
+    """Axis-aligned voxel clustering of N x d ``positions`` into at most ``s``
+    clusters.
 
     Each dimension's [min, max] range is split into ceil(s^(1/d)) equal
     half-open bins (last bin closed); empty voxels are dropped, so the
-    realized cluster count can be below ``s``. Cluster position/feature are
-    the member means.
+    realized cluster count can be below ``s``. Cluster positions are the
+    member means.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    pos = graph.positions
+    pos = np.asarray(positions, dtype=np.float64)
     n, d = pos.shape
     p = int(np.ceil(s ** (1.0 / d) - 1e-9))
     p = max(p, 1)
@@ -144,20 +144,7 @@ def voxel_coarsen(graph: GeometricGraph, s: int) -> CoarseAssignment:
     coarse_pos = np.zeros((sprime, d))
     np.add.at(coarse_pos, cluster_of, pos)
     coarse_pos /= counts[:, None]
-    f = graph.features.shape[1]
-    coarse_feat = np.zeros((sprime, f))
-    if f:
-        np.add.at(coarse_feat, cluster_of, graph.features)
-        coarse_feat /= counts[:, None]
-    return CoarseAssignment(cluster_of, coarse_pos, coarse_feat)
-
-
-def identity_assignment(graph: GeometricGraph) -> CoarseAssignment:
-    """One-to-one clusters: every node is its own coarse node."""
-    n = graph.n_nodes
-    return CoarseAssignment(
-        np.arange(n, dtype=np.intp), graph.positions.copy(), graph.features.copy()
-    )
+    return CoarseAssignment(cluster_of, coarse_pos)
 
 
 # ----------------------------------------------------------------------

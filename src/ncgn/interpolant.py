@@ -110,7 +110,8 @@ def generate(field, prior_graph: GeometricGraph, spec: InterpolantSpec,
     component (features or positions). cfm uses explicit Euler with step
     1/nfes; ddpm runs ancestral sampling over the spec's diffusion steps
     interpreting the field output as predicted noise. ``callback(graph, t)``
-    runs after every step (used for conditioning clamps).
+    runs after every step (used for conditioning clamps). A non-finite state
+    after any step raises RuntimeError naming the step and the t it reached.
     """
     if nfes < 1:
         raise ValueError("nfes must be >= 1")
@@ -125,6 +126,11 @@ def generate(field, prior_graph: GeometricGraph, spec: InterpolantSpec,
         else:
             graph.positions = z
 
+    def check_finite(step, t):
+        if not np.isfinite(current()).all():
+            raise RuntimeError(f"non-finite state after sampling step {step} "
+                               f"(t={t:.6g}); the field diverged")
+
     if spec.kind == "cfm":
         dt = 1.0 / nfes
         for i in range(nfes):
@@ -133,6 +139,7 @@ def generate(field, prior_graph: GeometricGraph, spec: InterpolantSpec,
             if v.shape != current().shape:
                 raise ValueError("field returned wrong shape")
             assign(current() + dt * v)
+            check_finite(i, t + dt)
             if callback is not None:
                 callback(graph, t + dt)
         return graph
@@ -155,7 +162,9 @@ def generate(field, prior_graph: GeometricGraph, spec: InterpolantSpec,
         z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
         if k > 1:
             z = z + np.sqrt(beta) * rng.standard_normal(z.shape)
+        t_next = 1.0 - (k - 1) / spec.steps
         assign(z)
+        check_finite(spec.steps - k, t_next)
         if callback is not None:
-            callback(graph, 1.0 - (k - 1) / spec.steps)
+            callback(graph, t_next)
     return graph

@@ -10,23 +10,30 @@ from .tensor import Tensor, concat
 
 
 class Module:
-    """Base class: parameters are discovered recursively by attribute walk."""
+    """Base class: parameters, buffers and submodules are found by one
+    recursive attribute walk."""
 
-    def named_parameters(self, prefix=""):
-        out = []
+    def walk(self, prefix=""):
+        """(key, value) for every attribute and list/tuple item, depth first in
+        attribute order; a submodule is yielded just before its own members."""
         for name, val in vars(self).items():
             key = f"{prefix}{name}"
-            if isinstance(val, Tensor) and val.requires_grad:
-                out.append((key, val))
-            elif isinstance(val, Module):
-                out.extend(val.named_parameters(prefix=f"{key}."))
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        out.extend(item.named_parameters(prefix=f"{key}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out.append((f"{key}.{i}", item))
-        return out
+            if isinstance(val, (list, tuple)):
+                pairs = [(f"{key}.{i}", item) for i, item in enumerate(val)]
+            else:
+                pairs = [(key, val)]
+            for k, item in pairs:
+                yield k, item
+                if isinstance(item, Module):
+                    yield from item.walk(prefix=f"{k}.")
+
+    def modules(self):
+        """This module and every nested submodule."""
+        return [self] + [v for _, v in self.walk() if isinstance(v, Module)]
+
+    def named_parameters(self):
+        return [(k, v) for k, v in self.walk()
+                if isinstance(v, Tensor) and v.requires_grad]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -36,42 +43,24 @@ class Module:
             p.zero_grad()
 
     def state_arrays(self):
-        """All persistent arrays (parameters plus buffers such as running stats)."""
-        out = dict(self.named_parameters())
-        for name, buf in self.named_buffers():
-            out[name] = buf
-        return out
-
-    def named_buffers(self, prefix=""):
-        out = []
-        for name, val in vars(self).items():
-            key = f"{prefix}{name}"
-            if isinstance(val, Module):
-                out.extend(val.named_buffers(prefix=f"{key}."))
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        out.extend(item.named_buffers(prefix=f"{key}.{i}."))
-            elif isinstance(val, Tensor) and not val.requires_grad and name.startswith("running_"):
-                out.append((key, val))
+        """All persistent arrays: every parameter, then every ``running_*``
+        buffer (running statistics), each group in walk order."""
+        members = list(self.walk())
+        out = {k: v for k, v in members if isinstance(v, Tensor) and v.requires_grad}
+        out.update((k, v) for k, v in members
+                   if isinstance(v, Tensor) and not v.requires_grad
+                   and k.rsplit(".", 1)[-1].startswith("running_"))
         return out
 
     def train(self):
-        self._set_mode(True)
+        for m in self.modules():
+            if hasattr(m, "training"):
+                m.training = True
 
     def eval(self):
-        self._set_mode(False)
-
-    def _set_mode(self, training):
-        for val in vars(self).values():
-            if isinstance(val, Module):
-                val._set_mode(training)
-            elif isinstance(val, (list, tuple)):
-                for item in val:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
-        if hasattr(self, "training"):
-            self.training = training
+        for m in self.modules():
+            if hasattr(m, "training"):
+                m.training = False
 
 
 class Linear(Module):
@@ -239,27 +228,28 @@ def load_checkpoint(path):
 
 
 def load_into(module: Module, arrays):
+    """Copy checkpoint ``arrays`` into ``module``'s state arrays.
+
+    Names must match in both directions and shapes exactly; everything is
+    checked before anything is written, so a bad checkpoint leaves the
+    module untouched.
+    """
     state = module.state_arrays()
-    for name, arr in arrays.items():
+    for name in arrays:
         if name not in state:
             raise KeyError(f"unknown parameter {name!r}")
-        state[name].data[:] = arr.reshape(state[name].data.shape)
-    for bn in _batch_norms(module):
-        bn._initialized = True
-
-
-def _batch_norms(module):
-    out = []
-    for val in vars(module).values():
-        if isinstance(val, BatchNorm):
-            out.append(val)
-        elif isinstance(val, Module):
-            out.extend(_batch_norms(val))
-        elif isinstance(val, (list, tuple)):
-            for item in val:
-                if isinstance(item, Module):
-                    out.extend(_batch_norms(item))
-    return out
+    missing = [name for name in state if name not in arrays]
+    if missing:
+        raise KeyError(f"checkpoint lacks {', '.join(map(repr, missing))}")
+    for name, arr in arrays.items():
+        if np.shape(arr) != state[name].data.shape:
+            raise ValueError(f"shape mismatch for {name!r}: checkpoint "
+                             f"{np.shape(arr)}, module {state[name].data.shape}")
+    for name, arr in arrays.items():
+        state[name].data[:] = arr
+    for m in module.modules():
+        if isinstance(m, BatchNorm):
+            m._initialized = True
 
 
 __all__ = [

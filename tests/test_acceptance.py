@@ -16,16 +16,15 @@ import numpy as np
 import pytest
 
 from ncgn import theory
-from ncgn.dmp import DmpModel, baseline_forward, dmp_forward
+from ncgn.dmp import DmpModel, node_input
+from ncgn.engine import StructureCache, TrainConfig, merged_forward
 from ncgn.graphs import (
     GeometricGraph,
     build_knn_edges,
     build_long_short_edges,
     build_fully_connected_edges,
-    identity_assignment,
     voxel_coarsen,
 )
-from ncgn.dmp import build_structure, node_input
 from ncgn.reaction_diffusion import RdParams, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, ScheduleSpec, default_bounds, eval_schedule
 from ncgn.tensor import grad
@@ -50,6 +49,24 @@ def random_graph(n, d=2, f=3, seed=0):
     return GeometricGraph(rng.standard_normal((n, f)),
                           rng.standard_normal((n, d)),
                           np.zeros((0, 2), dtype=np.intp))
+
+
+def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):
+    """Batch-of-one merged_forward, the pass training and sampling run."""
+    config = TrainConfig(method=method, knn_k=k, seed=seed)
+    return merged_forward(model, [(g.positions, node_input(g, t), t)], config,
+                          StructureCache() if cache is None else cache)
+
+
+class SingletonCache(StructureCache):
+    """Hands the DMP path one-to-one clusters and a fixed edge list."""
+
+    def __init__(self, edges):
+        super().__init__()
+        self.edges = edges
+
+    def dmp(self, positions, s_t, r_t):
+        return np.arange(positions.shape[0], dtype=np.intp), positions, self.edges
 
 
 # criterion 1: optimal aggregation radius reproduction
@@ -91,11 +108,10 @@ def test_full_gradient_suite(mp_kind):
     g = random_graph(12, seed=0)
     model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=0, norm=False)
-    spec = default_bounds(12)
     target = np.random.default_rng(1).standard_normal((12, 3))
 
     def loss_value():
-        out = dmp_forward(model, g, 0.5, spec)
+        out = forward(model, g, 0.5)
         return ((out - target) ** 2).mean()
 
     params = model.parameters()
@@ -131,12 +147,8 @@ def test_identity_reduction(mp_kind):
             ("fully_connected", build_fully_connected_edges(8)),
             ("long_short", build_long_short_edges(g.positions, 3, seed)),
         ):
-            base = baseline_forward(model, g, 0.3, kind, k=3, seed=seed).data
-            inputs = node_input(g, 0.3)
-            structure = build_structure(g, inputs, 8, 3,
-                                        assignment=identity_assignment(g),
-                                        edges=edges)
-            ours = model.forward_core(inputs, g.positions, structure).data
+            base = forward(model, g, 0.3, kind, k=3, seed=seed).data
+            ours = forward(model, g, 0.3, cache=SingletonCache(edges)).data
             np.testing.assert_allclose(ours, base, atol=1e-9)
 
 
@@ -148,7 +160,7 @@ def test_linear_complexity_invariant():
         worst = 0
         for t in np.linspace(0.0, 1.0, 101):
             r_t, s_t = eval_schedule(spec, float(t), n)
-            asg = voxel_coarsen(g, s_t)
+            asg = voxel_coarsen(g.positions, s_t)
             edges = build_knn_edges(asg.coarse_positions, r_t)
             worst = max(worst, edges.shape[0])
         assert worst <= 1.25 * spec.r1 * n

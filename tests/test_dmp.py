@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
-from ncgn.dmp import (
-    BASELINE_KINDS,
-    DmpModel,
-    FlatGat,
-    GatConv,
-    GcnConv,
-    baseline_forward,
-    build_structure,
-    dmp_forward,
-    node_input,
-)
+from ncgn.dmp import DmpModel, FlatGat, GatConv, GcnConv, node_input
+from ncgn.engine import StructureCache, TrainConfig, merged_forward
 from ncgn.graphs import GeometricGraph, build_fully_connected_edges
-from ncgn.nn import Linear
-from ncgn.schedule import ScheduleSpec, default_bounds
 from ncgn.tensor import Tensor, grad
 
 
@@ -23,6 +12,38 @@ def random_graph(n, d=2, f=3, seed=0):
     return GeometricGraph(rng.standard_normal((n, f)),
                           rng.standard_normal((n, d)),
                           np.zeros((0, 2), dtype=np.intp))
+
+
+def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):
+    """Batch-of-one merged_forward, the pass training and sampling run."""
+    config = TrainConfig(method=method, knn_k=k, seed=seed)
+    return merged_forward(model, [(g.positions, node_input(g, t), t)], config,
+                          StructureCache() if cache is None else cache)
+
+
+class RecordingCache(StructureCache):
+    """Records the schedule point merged_forward asks the DMP cache for and
+    the number of coarse edges (messages per layer) it gets back."""
+
+    def __init__(self):
+        super().__init__()
+        self.stats = []
+
+    def dmp(self, positions, s_t, r_t):
+        cluster_of, coarse_positions, edges = super().dmp(positions, s_t, r_t)
+        self.stats.append({"s_t": s_t, "r_t": r_t, "edges": int(edges.shape[0])})
+        return cluster_of, coarse_positions, edges
+
+
+class SingletonCache(StructureCache):
+    """Hands the DMP path one-to-one clusters and a fixed edge list."""
+
+    def __init__(self, edges):
+        super().__init__()
+        self.edges = edges
+
+    def dmp(self, positions, s_t, r_t):
+        return np.arange(positions.shape[0], dtype=np.intp), positions, self.edges
 
 
 def test_node_input_width_and_t_column():
@@ -86,11 +107,10 @@ def test_finite_difference_gradients(mp_kind):
     g = random_graph(12, seed=4)
     model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=0, norm=False)
-    spec = default_bounds(12)
     target = np.random.default_rng(5).standard_normal((12, 3))
 
     def loss_value():
-        out = dmp_forward(model, g, 0.5, spec)
+        out = forward(model, g, 0.5)
         return ((out - target) ** 2).mean()
 
     params = model.parameters()
@@ -115,26 +135,21 @@ def test_finite_difference_gradients(mp_kind):
 @pytest.mark.parametrize("kind", ["knn_fixed", "fully_connected", "long_short"])
 def test_identity_reduction_matches_baselines(mp_kind, kind):
     # singleton clusters + the baseline's own edges reproduce it exactly
-    from ncgn.graphs import (build_knn_edges, build_long_short_edges,
-                             identity_assignment)
+    from ncgn.graphs import build_knn_edges, build_long_short_edges
 
     for seed in range(10):
         g = random_graph(9, seed=seed)
         model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2,
                          mp_kind=mp_kind, seed=seed)
         model.eval()
-        base = baseline_forward(model, g, 0.3, kind, k=3, seed=seed).data
+        base = forward(model, g, 0.3, kind, k=3, seed=seed).data
         if kind == "knn_fixed":
             edges = build_knn_edges(g.positions, 3)
         elif kind == "fully_connected":
             edges = build_fully_connected_edges(9)
         else:
             edges = build_long_short_edges(g.positions, 3, seed)
-        inputs = node_input(g, 0.3)
-        structure = build_structure(g, inputs, 9, 3,
-                                    assignment=identity_assignment(g),
-                                    edges=edges)
-        ours = model.forward_core(inputs, g.positions, structure).data
+        ours = forward(model, g, 0.3, cache=SingletonCache(edges)).data
         np.testing.assert_allclose(ours, base, atol=1e-9)
 
 
@@ -142,27 +157,9 @@ def test_knn_saturated_equals_fully_connected():
     g = random_graph(7, seed=11)
     model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2, seed=1)
     model.eval()
-    a = baseline_forward(model, g, 0.5, "knn_fixed", k=6).data
-    b = baseline_forward(model, g, 0.5, "fully_connected").data
+    a = forward(model, g, 0.5, "knn_fixed", k=6).data
+    b = forward(model, g, 0.5, "fully_connected").data
     np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_random_pred_reproducible_and_model_free():
-    g = random_graph(5, seed=12)
-    model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=1, seed=0)
-    a = baseline_forward(model, g, 0.1, "random_pred", seed=9).data
-    b = baseline_forward(model, g, 0.9, "random_pred", seed=9).data
-    np.testing.assert_array_equal(a, b)
-    assert a.shape == (5, 3)
-    c = baseline_forward(model, g, 0.1, "random_pred", seed=10).data
-    assert not np.array_equal(a, c)
-
-
-def test_unknown_baseline_rejected():
-    g = random_graph(4)
-    model = DmpModel(d_in=6, d=2, odim=1, hdim=8, layers=1)
-    with pytest.raises(ValueError):
-        baseline_forward(model, g, 0.5, "mlp")
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
@@ -174,9 +171,8 @@ def test_permutation_equivariance(mp_kind):
     model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=2)
     model.eval()
-    spec = default_bounds(10)
-    out = dmp_forward(model, g, 0.4, spec).data
-    out_p = dmp_forward(model, gp, 0.4, spec).data
+    out = forward(model, g, 0.4).data
+    out_p = forward(model, gp, 0.4).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
@@ -186,11 +182,11 @@ def test_message_count_stays_linear():
         g = random_graph(n, seed=n)
         model = DmpModel(d_in=6, d=2, odim=1, hdim=8, layers=1, seed=0)
         model.eval()
-        spec = default_bounds(n)
         per_t = []
         for t in (0.0, 0.5, 1.0):
-            stats = {}
-            dmp_forward(model, g, t, spec, stats=stats)
+            cache = RecordingCache()
+            forward(model, g, t, cache=cache)
+            stats, = cache.stats
             per_t.append(stats["edges"])
         spec_counts[n] = max(per_t)
     # quadrupling N should grow the max per-layer message count about 4x
@@ -202,10 +198,10 @@ def test_dmp_stats_follow_schedule():
     g = random_graph(64, seed=15)
     model = DmpModel(d_in=6, d=2, odim=1, hdim=8, layers=1, seed=0)
     model.eval()
-    spec = default_bounds(64)
-    lo, hi = {}, {}
-    dmp_forward(model, g, 0.0, spec, stats=lo)
-    dmp_forward(model, g, 1.0, spec, stats=hi)
+    lo_cache, hi_cache = RecordingCache(), RecordingCache()
+    forward(model, g, 0.0, cache=lo_cache)
+    forward(model, g, 1.0, cache=hi_cache)
+    (lo,), (hi,) = lo_cache.stats, hi_cache.stats
     assert lo["s_t"] < hi["s_t"] and lo["r_t"] >= hi["r_t"]
     assert hi["s_t"] == 64
 

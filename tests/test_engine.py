@@ -177,6 +177,22 @@ def test_random_generations_contract():
         assert got.features.shape == g.features.shape
         np.testing.assert_array_equal(got.positions, g.positions)
         assert not np.array_equal(got.features, g.features)
+    again = random_generations(graphs, "features", seed=0)
+    other = random_generations(graphs, "features", seed=1)
+    for got, same, different in zip(out, again, other):
+        np.testing.assert_array_equal(got.features, same.features)
+        assert not np.array_equal(got.features, different.features)
+
+
+def test_random_pred_is_model_free():
+    graphs = rd_graphs(2)
+    config = TrainConfig(method="random_pred", epochs=1, batch=2,
+                         warmup_epochs=0)
+    with pytest.raises(ValueError, match="random_generations"):
+        train(graphs, config)
+    positions = np.random.default_rng(0).standard_normal((10, 2))
+    with pytest.raises(ValueError, match="random_pred"):
+        StructureCache().baseline(positions, "random_pred", 3, 0)
 
 
 def test_evaluate_w2_same_files_zero():

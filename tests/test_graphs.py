@@ -9,7 +9,6 @@ from ncgn.graphs import (
     build_knn_edges,
     build_long_short_edges,
     build_radius_edges,
-    identity_assignment,
     load_graph,
     save_graph,
     voxel_coarsen,
@@ -96,8 +95,7 @@ def test_fully_connected_edges():
 
 def test_voxel_unit_square_identity():
     pos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    g = GeometricGraph(np.zeros((4, 0)), pos, np.zeros((0, 2), dtype=np.intp))
-    asg = voxel_coarsen(g, 4)
+    asg = voxel_coarsen(pos, 4)
     assert asg.n_clusters == 4
     order = np.argsort([tuple(p) for p in asg.coarse_positions])
     np.testing.assert_allclose(asg.coarse_positions[order],
@@ -106,7 +104,7 @@ def test_voxel_unit_square_identity():
 
 def test_voxel_single_cluster_is_centroid():
     g = random_graph(17, seed=5)
-    asg = voxel_coarsen(g, 1)
+    asg = voxel_coarsen(g.positions, 1)
     assert asg.n_clusters == 1
     np.testing.assert_allclose(asg.coarse_positions[0],
                                g.positions.mean(axis=0), atol=1e-12)
@@ -114,15 +112,14 @@ def test_voxel_single_cluster_is_centroid():
 
 def test_voxel_1d_two_bins():
     pos = np.array([[0.0], [0.1], [0.9], [1.0]])
-    g = GeometricGraph(np.zeros((4, 0)), pos, np.zeros((0, 2), dtype=np.intp))
-    asg = voxel_coarsen(g, 2)
+    asg = voxel_coarsen(pos, 2)
     assert asg.n_clusters == 2
     np.testing.assert_allclose(sorted(asg.coarse_positions.ravel()), [0.05, 0.95])
 
 
 def test_voxel_member_means_and_counts():
     g = random_graph(40, seed=6)
-    asg = voxel_coarsen(g, 9)
+    asg = voxel_coarsen(g.positions, 9)
     counts = np.bincount(asg.cluster_of, minlength=asg.n_clusters)
     assert counts.sum() == 40 and (counts > 0).all()
     for c in range(asg.n_clusters):
@@ -133,22 +130,14 @@ def test_voxel_member_means_and_counts():
 
 def test_voxel_large_s_gives_singletons():
     g = random_graph(12, seed=7)
-    asg = voxel_coarsen(g, 12**3)
+    asg = voxel_coarsen(g.positions, 12**3)
     assert asg.n_clusters == 12
 
 
 def test_voxel_degenerate_dimension():
     pos = np.column_stack([np.linspace(0, 1, 6), np.zeros(6)])
-    g = GeometricGraph(np.zeros((6, 0)), pos, np.zeros((0, 2), dtype=np.intp))
-    asg = voxel_coarsen(g, 4)  # flat dim contributes a single bin
+    asg = voxel_coarsen(pos, 4)  # flat dim contributes a single bin
     assert 1 <= asg.n_clusters <= 4
-
-
-def test_identity_assignment():
-    g = random_graph(9, seed=8)
-    asg = identity_assignment(g)
-    np.testing.assert_array_equal(asg.cluster_of, np.arange(9))
-    np.testing.assert_array_equal(asg.coarse_positions, g.positions)
 
 
 def test_graph_validation():
@@ -189,7 +178,7 @@ def test_load_bad_row_reports_line(tmp_path):
 @given(n=st.integers(2, 25), s=st.integers(1, 30), seed=st.integers(0, 10))
 def test_voxel_properties(n, s, seed):
     g = random_graph(n, seed=seed)
-    asg = voxel_coarsen(g, s)
+    asg = voxel_coarsen(g.positions, s)
     assert 1 <= asg.n_clusters <= max(1, min(s, n) * 4)  # p^d can overshoot s
     assert asg.cluster_of.shape == (n,)
     assert set(asg.cluster_of) == set(range(asg.n_clusters))

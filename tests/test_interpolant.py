@@ -141,6 +141,20 @@ def test_ddpm_generation_runs_and_is_seeded():
     assert out1.features.shape == g.features.shape
 
 
+def test_generate_rejects_non_finite_state():
+    def diverging(graph, t):
+        return np.full_like(graph.features, np.nan if t >= 0.5 else 1.0)
+
+    g = make_graph(seed=6)
+    with pytest.raises(RuntimeError, match=r"step 2 \(t=0\.75\)"):
+        generate(diverging, g, InterpolantSpec(kind="cfm"), nfes=4)
+    with pytest.raises(RuntimeError, match=r"step 0 \(t=0\.1\)"):
+        generate(lambda graph, t: np.full_like(graph.positions, np.inf), g,
+                 InterpolantSpec(kind="ddpm", steps=10), nfes=1, task="positions")
+    with pytest.raises(RuntimeError, match=r"step 5 \(t=0\.6\)"):
+        generate(diverging, g, InterpolantSpec(kind="ddpm", steps=10), nfes=1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         InterpolantSpec(kind="flow")

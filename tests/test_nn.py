@@ -122,6 +122,87 @@ def test_checkpoint_manifest_lists_shapes(tmp_path):
 
 
 def test_load_into_rejects_unknown_name():
-    lin = nn.Linear(2, 2, np.random.default_rng(0))
-    with pytest.raises(KeyError):
-        nn.load_into(lin, {"nope": np.zeros((2, 2))})
+    # every case must raise before any array is written
+    lin = nn.Linear(2, 3, np.random.default_rng(0))
+    before = {k: t.data.copy() for k, t in lin.state_arrays().items()}
+    weight, bias = np.ones((2, 3)), np.ones(3)
+    cases = [
+        ({"nope": np.zeros((2, 2))}, KeyError, "nope"),
+        ({"weight": weight, "bias": bias, "nope": np.zeros(1)}, KeyError, "nope"),
+        ({"bias": bias}, KeyError, "weight"),  # missing key
+        ({"weight": weight.T, "bias": bias}, ValueError,
+         r"'weight'.*\(3, 2\).*\(2, 3\)"),  # transposed, same size
+        ({"weight": weight, "bias": np.ones(4)}, ValueError,
+         r"'bias'.*\(4,\).*\(3,\)"),  # size mismatch after a good array
+    ]
+    for arrays, error, match in cases:
+        with pytest.raises(error, match=match):
+            nn.load_into(lin, arrays)
+        for k, t in lin.state_arrays().items():
+            np.testing.assert_array_equal(t.data, before[k])
+
+
+def _mlp_keys(prefix, n_linear):
+    """Parameter and buffer names of a normed MLP with ``n_linear`` layers."""
+    params = [f"{prefix}.layers.{i}.{w}" for i in range(n_linear)
+              for w in ("weight", "bias")]
+    params += [f"{prefix}.norms.{i}.{w}" for i in range(n_linear - 1)
+               for w in ("gamma", "beta")]
+    buffers = [f"{prefix}.norms.{i}.{w}" for i in range(n_linear - 1)
+               for w in ("running_mean", "running_var")]
+    return params, buffers
+
+
+def _gat_dmp_keys(layers):
+    """State-array names of a normed GAT DmpModel in checkpoint order."""
+    parts = [_mlp_keys("lift", 3), _mlp_keys("lift_coarse", 3)]
+    for b in range(layers):
+        blk = f"blocks.{b}"
+        for msg in ("coarsen_msg", "uncoarsen_msg"):
+            linears = [f"{blk}.{msg}.{n}.{w}" for n in ("lin_pair", "lin_rel", "lin_dist")
+                       for w in ("weight", "bias")]
+            mlp_params, mlp_buffers = _mlp_keys(f"{blk}.{msg}.mlp", 2)
+            parts.append((linears + mlp_params, mlp_buffers))
+            if msg == "coarsen_msg":
+                parts.append(([f"{blk}.mp.lin_s.weight", f"{blk}.mp.lin_s.bias",
+                               f"{blk}.mp.lin_t.weight", f"{blk}.mp.lin_t.bias",
+                               f"{blk}.mp.att_s", f"{blk}.mp.att_t"], []))
+        parts.append(([f"{blk}.gate.weight", f"{blk}.gate.bias"], []))
+        parts.append(_mlp_keys(f"{blk}.combine", 2))
+    parts.append(_mlp_keys("project", 3))
+    return [k for p, _ in parts for k in p] + [k for _, b in parts for k in b]
+
+
+def _resolve(module, dotted):
+    obj = module
+    for part in dotted.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
+
+
+def test_module_walk_order_modes_and_load():
+    from ncgn.dmp import DmpModel
+
+    model = DmpModel(d_in=5, d=2, odim=2, hdim=4, layers=2, mp_kind="gat",
+                     seed=0, norm=True)
+    expected = _gat_dmp_keys(2)
+    # checkpoint files are written in this order, so it must never change
+    assert list(model.state_arrays()) == expected
+    assert [k for k, _ in model.named_parameters()] == [
+        k for k in expected if ".running_" not in k]
+    norms = [_resolve(model, k[: -len(".running_mean")])
+             for k in expected if k.endswith(".running_mean")]
+    assert all(isinstance(bn, nn.BatchNorm) for bn in norms)
+    assert "blocks.1.uncoarsen_msg.mlp.norms.0.running_mean" in expected
+    model.eval()
+    assert not any(bn.training for bn in norms)
+    model.train()
+    assert all(bn.training for bn in norms)
+    fresh = DmpModel(d_in=5, d=2, odim=2, hdim=4, layers=2, mp_kind="gat",
+                     seed=1, norm=True)
+    assert not any(bn._initialized for bn in fresh.modules()
+                   if isinstance(bn, nn.BatchNorm))
+    nn.load_into(fresh, {k: t.data for k, t in model.state_arrays().items()})
+    fresh_norms = [_resolve(fresh, k[: -len(".running_mean")])
+                   for k in expected if k.endswith(".running_mean")]
+    assert all(bn._initialized for bn in fresh_norms)
