@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ncgn.dmp import DmpModel, FlatGat, GatConv, GcnConv, node_input
-from ncgn.engine import StructureCache, TrainConfig, merged_forward
+from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
+                         random_generations)
 from ncgn.graphs import GeometricGraph, build_fully_connected_edges
 from ncgn.tensor import Tensor, grad
 
@@ -160,6 +161,30 @@ def test_knn_saturated_equals_fully_connected():
     a = forward(model, g, 0.5, "knn_fixed", k=6).data
     b = forward(model, g, 0.5, "fully_connected").data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_random_pred_reproducible_and_model_free():
+    # random_pred samples come from random_generations alone: same seed,
+    # same draw; new seed, new draw; no model pass accepts the method
+    g = random_graph(5, seed=12)
+    a = random_generations([g], "features", seed=9)[0]
+    b = random_generations([g], "features", seed=9)[0]
+    np.testing.assert_array_equal(a.features, b.features)
+    assert a.features.shape == (5, 3)
+    np.testing.assert_array_equal(a.positions, g.positions)
+    c = random_generations([g], "features", seed=10)[0]
+    assert not np.array_equal(a.features, c.features)
+    model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=1, seed=0)
+    with pytest.raises(ValueError):
+        forward(model, g, 0.1, "random_pred")
+
+
+def test_unknown_baseline_rejected():
+    g = random_graph(4)
+    with pytest.raises(ValueError):
+        TrainConfig(method="mlp")
+    with pytest.raises(ValueError):
+        StructureCache().baseline(g.positions, "mlp", 3, 0)
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
