@@ -19,17 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .graphs import GeometricGraph
 from .tensor import Tensor, concat, segment_softmax, segment_sum
 
 
-def node_input(graph: GeometricGraph, t: float) -> np.ndarray:
-    """Rows of [features || positions || t]; d_in = f + d + 1."""
+def node_input(features: np.ndarray, positions: np.ndarray,
+               t: float) -> np.ndarray:
+    """Rows of [features || positions || t] for N x f ``features`` (f may
+    be 0) and N x d ``positions``; d_in = f + d + 1."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    n = graph.n_nodes
-    tcol = np.full((n, 1), float(t))
-    return np.concatenate([graph.features, graph.positions, tcol], axis=1)
+    tcol = np.full((positions.shape[0], 1), float(t))
+    return np.concatenate([features, positions, tcol], axis=1)
 
 
 @dataclass

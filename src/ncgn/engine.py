@@ -6,6 +6,11 @@ lists) are offset so one forward pass covers the whole batch. Each graph
 keeps its own noise level t during training; sampling shares t across the
 batch, which makes the per-graph structures reusable across integration
 steps when positions are fixed.
+
+Training and sampling carry the generated component (features or positions)
+as a plain array; ``_part`` pairs it with the template's fixed component to
+make a ``merged_forward`` input, and ``sample`` wraps the result back into
+``GeometricGraph``s only at the end.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .transport import PointCloud, gw_entropic, w2_exact
 
 BASELINES = ("knn_fixed", "fully_connected", "long_short")
 METHODS = ("dmp",) + BASELINES + ("random_pred",)
+SAMPLE_BATCH = 64  # templates integrated together as one merged state
 
 
 def n_workers():
@@ -96,9 +102,7 @@ class ConditionMask:
 def _strip(graph: GeometricGraph, task) -> GeometricGraph:
     """Position-generation models see no features (they would leak the target)."""
     if task == "positions" and graph.n_features:
-        return GeometricGraph(
-            np.zeros((graph.n_nodes, 0)), graph.positions, graph.edges
-        )
+        return GeometricGraph(np.zeros((graph.n_nodes, 0)), graph.positions)
     return graph
 
 
@@ -120,34 +124,47 @@ class StructureCache:
     """Voxel assignments and edge lists keyed by position bytes, so fixed
     positions (the transcriptomics grids) are only clustered once. ``dmp``
     builds the noise-scheduled coarse structure, ``baseline`` the
-    one-to-one clusters and fixed edges of the BASELINES methods."""
+    one-to-one clusters and fixed edges of the BASELINES methods.
 
-    def __init__(self):
+    With ``keep=False`` nothing is stored and every lookup builds afresh;
+    ``train`` and ``sample`` use it for the positions task, whose noised
+    positions never recur."""
+
+    def __init__(self, keep=True):
+        self.keep = keep
         self._store = {}
+
+    def __len__(self):
+        return len(self._store)
+
+    def _put(self, key, value):
+        if self.keep:
+            self._store[key] = value
+        return value
 
     def dmp(self, positions, s_t, r_t):
         key = (positions.tobytes(), s_t, r_t)
-        if key not in self._store:
-            asg = voxel_coarsen(positions, s_t)
-            edges = build_knn_edges(asg.coarse_positions, r_t)
-            self._store[key] = (asg.cluster_of, asg.coarse_positions, edges)
-        return self._store[key]
+        if key in self._store:
+            return self._store[key]
+        asg = voxel_coarsen(positions, s_t)
+        edges = build_knn_edges(asg.coarse_positions, r_t)
+        return self._put(key, (asg.cluster_of, asg.coarse_positions, edges))
 
     def baseline(self, positions, method, k, seed):
         if method not in BASELINES:
             raise ValueError(f"no fixed structure for method {method!r}; "
                              f"expected one of {BASELINES}")
         key = (positions.tobytes(), method, k)
-        if key not in self._store:
-            n = positions.shape[0]
-            if method == "knn_fixed":
-                edges = build_knn_edges(positions, k)
-            elif method == "fully_connected":
-                edges = build_fully_connected_edges(n)
-            else:
-                edges = build_long_short_edges(positions, k, seed)
-            self._store[key] = (np.arange(n, dtype=np.intp), positions, edges)
-        return self._store[key]
+        if key in self._store:
+            return self._store[key]
+        n = positions.shape[0]
+        if method == "knn_fixed":
+            edges = build_knn_edges(positions, k)
+        elif method == "fully_connected":
+            edges = build_fully_connected_edges(n)
+        else:
+            edges = build_long_short_edges(positions, k, seed)
+        return self._put(key, (np.arange(n, dtype=np.intp), positions, edges))
 
 
 def _slice_structure(positions, t, config: TrainConfig, cache: StructureCache):
@@ -201,6 +218,21 @@ def _component(graph, task):
     return graph.positions if task == "positions" else graph.features
 
 
+def _with_component(template, z, task):
+    """Copy of ``template`` with its generated component set to ``z``."""
+    if task == "positions":
+        return GeometricGraph(template.features.copy(), z)
+    return GeometricGraph(z, template.positions.copy())
+
+
+def _part(template, z, t, task):
+    """``merged_forward`` part for a (stripped) template whose generated
+    component is replaced by the N x odim array ``z``."""
+    if task == "positions":
+        return z, node_input(template.features, z, t), t
+    return template.positions, node_input(z, template.positions, t), t
+
+
 def train(graphs, config: TrainConfig, loss_path=None):
     """Flow-matching / diffusion regression over a graph dataset.
 
@@ -217,7 +249,7 @@ def train(graphs, config: TrainConfig, loss_path=None):
     model = build_model(graphs[0], config)
     opt = nn.Adam(model.parameters(), lr=config.lr)
     ema = nn.EMA(model, config.ema_decay)
-    cache = StructureCache()
+    cache = StructureCache(keep=config.task == "features")
     rng = np.random.default_rng(config.seed)
     rows = []
     step = 0
@@ -234,14 +266,9 @@ def train(graphs, config: TrainConfig, loss_path=None):
                 z1 = _component(g, config.task)
                 z0 = rng.standard_normal(z1.shape)
                 z_t = interpolate(z0, z1, t, spec, noise_seed)
-                target = regression_target(z0, z1, z_t, t, spec, seed=noise_seed)
-                noised = g.copy()
-                if config.task == "positions":
-                    noised.positions = z_t
-                else:
-                    noised.features = z_t
-                parts.append((noised.positions, node_input(noised, t), t))
-                targets.append(target)
+                targets.append(regression_target(z0, z1, z_t, t, spec,
+                                                 seed=noise_seed))
+                parts.append(_part(g, z_t, t, config.task))
             pred = merged_forward(model, parts, config, cache)
             diff = pred - Tensor(np.concatenate(targets))
             loss = (diff * diff).mean()
@@ -260,87 +287,71 @@ def train(graphs, config: TrainConfig, loss_path=None):
 
 
 def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
-           nfes=None, seed=0, batch=64):
+           nfes=None, seed=0):
     """Generate one graph per template.
 
     Templates provide node counts and the fixed component (positions for the
-    feature task). ``mask`` is a per-template list of ConditionMask (or None
-    entries); known channels are re-clamped after every integration step onto
-    the straight path (1 - t) * z0 + t * value, which lands exactly on the
-    conditioning values at t = 1.
+    feature task). Up to SAMPLE_BATCH templates are integrated together as
+    one merged N x odim state. ``mask`` is a per-template list of
+    ConditionMask (or None entries); known channels are re-clamped after
+    every integration step onto the straight path (1 - t) * z0 + t * value,
+    which lands exactly on the conditioning values at t = 1. The model is in
+    eval mode while sampling and back in train mode afterwards, also when
+    sampling raises.
     """
     nfes = config.nfes if nfes is None else nfes
     templates = [_strip(g, config.task) for g in templates]
     if mask is not None and len(mask) != len(templates):
         raise ValueError("need one mask entry per template")
-    model.eval()
     spec = config.interpolant_spec()
-    cache = StructureCache()
+    cache = StructureCache(keep=config.task == "features")
     rng = np.random.default_rng(seed)
+    odim = model.odim
     out = []
-    for start in range(0, len(templates), batch):
-        chunk = templates[start:start + batch]
-        masks = mask[start:start + batch] if mask is not None else [None] * len(chunk)
-        sizes = [g.n_nodes for g in chunk]
-        splits = np.cumsum(sizes)[:-1]
-        merged = GeometricGraph(
-            np.concatenate([g.features for g in chunk]),
-            np.concatenate([g.positions for g in chunk]),
-            np.zeros((0, 2), dtype=np.intp),
-        )
-        odim = model.odim
-        z0 = rng.standard_normal((merged.n_nodes, odim))
-        known = np.zeros((merged.n_nodes, odim), dtype=bool)
-        values = np.zeros((merged.n_nodes, odim))
-        for m, lo, hi in zip(masks, np.r_[0, splits], np.r_[splits, merged.n_nodes]):
-            if m is None:
-                continue
-            if m.known.shape != (hi - lo, odim):
-                raise ValueError("mask shape mismatch")
-            known[lo:hi] = m.known
-            values[lo:hi] = m.values
-        if config.task == "positions":
-            merged.positions = z0.copy()
-        else:
-            merged.features = z0.copy()
+    model.eval()
+    try:
+        for start in range(0, len(templates), SAMPLE_BATCH):
+            chunk = templates[start:start + SAMPLE_BATCH]
+            masks = (mask[start:start + SAMPLE_BATCH] if mask is not None
+                     else [None] * len(chunk))
+            bounds = np.cumsum([0] + [g.n_nodes for g in chunk])
+            spans = list(zip(bounds[:-1], bounds[1:]))
+            z0 = rng.standard_normal((bounds[-1], odim))
+            known = np.zeros(z0.shape, dtype=bool)
+            values = np.zeros(z0.shape)
+            for m, (lo, hi) in zip(masks, spans):
+                if m is None:
+                    continue
+                if m.known.shape != (hi - lo, odim):
+                    raise ValueError("mask shape mismatch")
+                known[lo:hi] = m.known
+                values[lo:hi] = m.values
 
-        def field(graph, t):
-            parts = []
-            for lo, hi in zip(np.r_[0, splits], np.r_[splits, graph.n_nodes]):
-                sub = GeometricGraph(graph.features[lo:hi], graph.positions[lo:hi],
-                                     np.zeros((0, 2), dtype=np.intp))
-                parts.append((sub.positions, node_input(sub, t), t))
-            return merged_forward(model, parts, config, cache).data
+            def field(z, t):
+                parts = [_part(g, z[lo:hi], t, config.task)
+                         for g, (lo, hi) in zip(chunk, spans)]
+                return merged_forward(model, parts, config, cache).data
 
-        def clamp(graph, t):
-            if not known.any():
-                return
-            comp = _component(graph, config.task)
-            comp[known] = (1.0 - t) * z0[known] + t * values[known]
+            def clamp(z, t):
+                if known.any():
+                    z[known] = (1.0 - t) * z0[known] + t * values[known]
 
-        clamp(merged, 0.0)
-        result = generate(field, merged, spec, nfes, task=config.task,
-                          seed=int(rng.integers(2**32)), callback=clamp)
-        for lo, hi in zip(np.r_[0, splits], np.r_[splits, merged.n_nodes]):
-            out.append(GeometricGraph(result.features[lo:hi].copy(),
-                                      result.positions[lo:hi].copy(),
-                                      np.zeros((0, 2), dtype=np.intp)))
-    model.train()
+            prior = z0.copy()
+            clamp(prior, 0.0)
+            z = generate(field, prior, spec, nfes,
+                         seed=int(rng.integers(2**32)), callback=clamp)
+            out.extend(_with_component(g, z[lo:hi].copy(), config.task)
+                       for g, (lo, hi) in zip(chunk, spans))
+    finally:
+        model.train()
     return out
 
 
 def random_generations(templates, task, seed=0):
     """Standard-normal predictions in place of the generated component."""
     rng = np.random.default_rng(seed)
-    out = []
-    for g in templates:
-        g = g.copy()
-        if task == "positions":
-            g.positions = rng.standard_normal(g.positions.shape)
-        else:
-            g.features = rng.standard_normal(g.features.shape)
-        out.append(g)
-    return out
+    return [_with_component(g, rng.standard_normal(_component(g, task).shape),
+                            task) for g in templates]
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +467,8 @@ def train_flat_gat(graphs, epochs=50, batch=32, lr=1e-4, hdim=32, seed=0,
                 z0 = rng.standard_normal(g.positions.shape)
                 z_t = interpolate(z0, g.positions, t, spec,
                                   int(rng.integers(2**32)))
-                noised = GeometricGraph(g.features, z_t, g.edges)
                 edges = build_fully_connected_edges(g.n_nodes)
-                pred = model(node_input(noised, t), edges)
+                pred = model(node_input(g.features, z_t, t), edges)
                 diff = pred - Tensor(g.positions - z0)
                 losses.append((diff * diff).mean())
             loss = losses[0]
@@ -488,9 +498,8 @@ def attention_study(model: FlatGat, graphs, bins=10,
         for g in graphs:
             z0 = rng.standard_normal(g.positions.shape)
             z_t = interpolate(z0, g.positions, t, spec, int(rng.integers(2**32)))
-            noised = GeometricGraph(g.features, z_t, g.edges)
             edges = build_fully_connected_edges(g.n_nodes)
-            alpha = model.attention(node_input(noised, t), edges)
+            alpha = model.attention(node_input(g.features, z_t, t), edges)
             rel = z_t[edges[:, 0]] - z_t[edges[:, 1]]
             dists = np.sqrt(np.einsum("ij,ij->i", rel, rel))
             collected[t][0].append(dists)

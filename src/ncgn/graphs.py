@@ -6,18 +6,17 @@ All builders are brute force O(N^2); node counts stay in the thousands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class GeometricGraph:
-    """Node features (N x f, f may be 0), positions (N x d) and edge list."""
+    """Node features (N x f, f may be 0) and positions (N x d)."""
 
     features: np.ndarray
     positions: np.ndarray
-    edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.intp))
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -27,9 +26,6 @@ class GeometricGraph:
         if self.features is None:
             self.features = np.zeros((n, 0))
         self.features = np.asarray(self.features, dtype=np.float64).reshape(n, -1)
-        self.edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
-            raise ValueError("edge endpoint out of range")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
 
@@ -44,9 +40,6 @@ class GeometricGraph:
     @property
     def dim(self):
         return self.positions.shape[1]
-
-    def copy(self):
-        return GeometricGraph(self.features.copy(), self.positions.copy(), self.edges.copy())
 
 
 @dataclass
@@ -83,15 +76,6 @@ def build_knn_edges(positions, k):
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     targets = np.repeat(np.arange(n), k)
     return np.stack([order.ravel(), targets], axis=1).astype(np.intp)
-
-
-def build_radius_edges(positions, radius):
-    """Directed edges between all ordered pairs within ``radius``, no self loops."""
-    positions = np.asarray(positions, dtype=np.float64)
-    d2 = _pairwise_sq_dists(positions)
-    np.fill_diagonal(d2, np.inf)
-    src, tgt = np.nonzero(d2 <= radius * radius)
-    return np.stack([src, tgt], axis=1).astype(np.intp)
 
 
 def build_fully_connected_edges(n):
@@ -148,8 +132,8 @@ def voxel_coarsen(positions: np.ndarray, s: int) -> CoarseAssignment:
 
 
 # ----------------------------------------------------------------------
-# text format: header "N d f", then N lines of d positions + f features,
-# then an optional "E" line followed by "source target" pairs.
+# text format: header "N d f", then exactly N lines of d positions + f
+# features.
 
 
 def save_graph(path, graph: GeometricGraph):
@@ -159,10 +143,6 @@ def save_graph(path, graph: GeometricGraph):
         for i in range(n):
             vals = list(graph.positions[i]) + list(graph.features[i])
             fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
-        if graph.edges.size:
-            fh.write("E\n")
-            for s, t in graph.edges:
-                fh.write(f"{s} {t}\n")
 
 
 def load_graph(path) -> GeometricGraph:
@@ -172,6 +152,11 @@ def load_graph(path) -> GeometricGraph:
     if len(header) != 3:
         raise ValueError(f"line 1: expected header 'N d f', got {lines[0]!r}")
     n, d, f = (int(x) for x in header)
+    if len(lines) - 1 < n:
+        raise ValueError(f"header declares {n} node rows, found {len(lines) - 1}")
+    if len(lines) - 1 > n:
+        raise ValueError(f"line {n + 2}: expected end of file after {n} node "
+                         f"rows, got {lines[n + 1]!r}")
     pos = np.zeros((n, d))
     feat = np.zeros((n, f))
     for i in range(n):
@@ -180,12 +165,4 @@ def load_graph(path) -> GeometricGraph:
             raise ValueError(f"line {i + 2}: expected {d + f} values, got {len(vals)}")
         pos[i] = vals[:d]
         feat[i] = vals[d:]
-    edges = []
-    idx = 1 + n
-    if idx < len(lines) and lines[idx] == "E":
-        for j, ln in enumerate(lines[idx + 1:]):
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {idx + j + 2}: expected 'source target'")
-            edges.append((int(parts[0]), int(parts[1])))
-    return GeometricGraph(feat, pos, np.asarray(edges, dtype=np.intp).reshape(-1, 2))
+    return GeometricGraph(feat, pos)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GeometricGraph
-
 
 @dataclass
 class InterpolantSpec:
@@ -102,47 +100,40 @@ def regression_target(z0, z1, z_t, t, spec: InterpolantSpec, seed=None):
     return _noise(z1.shape, seed)
 
 
-def generate(field, prior_graph: GeometricGraph, spec: InterpolantSpec,
-             nfes: int, task="features", seed=0, callback=None):
-    """Integrate the learned field from prior to data.
+def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
+             callback=None):
+    """Integrate the learned field from prior to data; returns the N x odim
+    state at t = 1.
 
-    ``field(graph, t)`` returns an N x odim array for the generated
-    component (features or positions). cfm uses explicit Euler with step
-    1/nfes; ddpm runs ancestral sampling over the spec's diffusion steps
-    interpreting the field output as predicted noise. ``callback(graph, t)``
-    runs after every step (used for conditioning clamps). A non-finite state
-    after any step raises RuntimeError naming the step and the t it reached.
+    ``field(z, t)`` returns an array shaped like the state ``z``. cfm uses
+    explicit Euler with step 1/nfes from ``z0``; ddpm runs ancestral sampling
+    over the spec's diffusion steps from a fresh standard-normal draw,
+    interpreting the field output as predicted noise. ``callback(z, t)`` runs
+    after every step and may edit ``z`` in place (conditioning clamps). A
+    non-finite state after any step raises RuntimeError naming the step and
+    the t it reached.
     """
     if nfes < 1:
         raise ValueError("nfes must be >= 1")
-    graph = prior_graph.copy()
+    z = np.array(z0, dtype=np.float64)
 
-    def current():
-        return graph.features if task == "features" else graph.positions
-
-    def assign(z):
-        if task == "features":
-            graph.features = z
-        else:
-            graph.positions = z
-
-    def check_finite(step, t):
-        if not np.isfinite(current()).all():
+    def after_step(z, step, t):
+        if not np.isfinite(z).all():
             raise RuntimeError(f"non-finite state after sampling step {step} "
                                f"(t={t:.6g}); the field diverged")
+        if callback is not None:
+            callback(z, t)
+        return z
 
     if spec.kind == "cfm":
         dt = 1.0 / nfes
         for i in range(nfes):
             t = i * dt
-            v = np.asarray(field(graph, t))
-            if v.shape != current().shape:
+            v = np.asarray(field(z, t))
+            if v.shape != z.shape:
                 raise ValueError("field returned wrong shape")
-            assign(current() + dt * v)
-            check_finite(i, t + dt)
-            if callback is not None:
-                callback(graph, t + dt)
-        return graph
+            z = after_step(z + dt * v, i, t + dt)
+        return z
 
     if spec.kind != "ddpm":
         raise ValueError("generation is defined for cfm and ddpm")
@@ -151,20 +142,15 @@ def generate(field, prior_graph: GeometricGraph, spec: InterpolantSpec,
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(current().shape)
-    assign(z)
+    z = rng.standard_normal(z.shape)
     for k in range(spec.steps, 0, -1):
         t = 1.0 - k / spec.steps
-        eps_pred = np.asarray(field(graph, t))
+        eps_pred = np.asarray(field(z, t))
         if eps_pred.shape != z.shape:
             raise ValueError("field returned wrong shape")
         beta, alpha, ab = betas[k - 1], alphas[k - 1], alpha_bars[k - 1]
         z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
         if k > 1:
             z = z + np.sqrt(beta) * rng.standard_normal(z.shape)
-        t_next = 1.0 - (k - 1) / spec.steps
-        assign(z)
-        check_finite(spec.steps - k, t_next)
-        if callback is not None:
-            callback(graph, t_next)
-    return graph
+        z = after_step(z, spec.steps - k, 1.0 - (k - 1) / spec.steps)
+    return z

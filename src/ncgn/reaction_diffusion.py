@@ -152,7 +152,7 @@ def build_spatiotemporal_graph(trajectory, n_space, n_time,
     s_coord = s_idx / max(l - 1, 1) - 0.5
     tt, ss = np.meshgrid(t_coord, s_coord, indexing="ij")
     positions = np.column_stack([tt.ravel(), ss.ravel()])
-    return GeometricGraph(feats, positions, np.zeros((0, 2), dtype=np.intp))
+    return GeometricGraph(feats, positions)
 
 
 def denormalize_features(features, bounds) -> np.ndarray:

@@ -133,4 +133,4 @@ def make_shape(spec: ShapeSpec) -> GeometricGraph:
     rng = np.random.default_rng(spec.seed)
     positions = _SAMPLERS[spec.kind](spec.n_points, rng)
     features = positions - positions.mean(axis=0)
-    return GeometricGraph(features, positions, np.zeros((0, 2), dtype=np.intp))
+    return GeometricGraph(features, positions)

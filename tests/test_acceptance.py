@@ -47,14 +47,14 @@ def read_rows(relpath):
 def random_graph(n, d=2, f=3, seed=0):
     rng = np.random.default_rng(seed)
     return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)),
-                          np.zeros((0, 2), dtype=np.intp))
+                          rng.standard_normal((n, d)))
 
 
 def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):
     """Batch-of-one merged_forward, the pass training and sampling run."""
     config = TrainConfig(method=method, knn_k=k, seed=seed)
-    return merged_forward(model, [(g.positions, node_input(g, t), t)], config,
+    part = (g.positions, node_input(g.features, g.positions, t), t)
+    return merged_forward(model, [part], config,
                           StructureCache() if cache is None else cache)
 
 

@@ -11,14 +11,14 @@ from ncgn.tensor import Tensor, grad
 def random_graph(n, d=2, f=3, seed=0):
     rng = np.random.default_rng(seed)
     return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)),
-                          np.zeros((0, 2), dtype=np.intp))
+                          rng.standard_normal((n, d)))
 
 
 def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):
     """Batch-of-one merged_forward, the pass training and sampling run."""
     config = TrainConfig(method=method, knn_k=k, seed=seed)
-    return merged_forward(model, [(g.positions, node_input(g, t), t)], config,
+    part = (g.positions, node_input(g.features, g.positions, t), t)
+    return merged_forward(model, [part], config,
                           StructureCache() if cache is None else cache)
 
 
@@ -49,15 +49,15 @@ class SingletonCache(StructureCache):
 
 def test_node_input_width_and_t_column():
     g = random_graph(6, d=2, f=3)
-    x = node_input(g, 0.25)
+    x = node_input(g.features, g.positions, 0.25)
     assert x.shape == (6, 6)
     np.testing.assert_array_equal(x[:, -1], 0.25)
     np.testing.assert_array_equal(x[:, :3], g.features)
     np.testing.assert_array_equal(x[:, 3:5], g.positions)
     g2 = random_graph(4, d=3, f=2)
-    assert node_input(g2, 0.0).shape == (4, 6)
+    assert node_input(g2.features, g2.positions, 0.0).shape == (4, 6)
     with pytest.raises(ValueError):
-        node_input(g, 1.5)
+        node_input(g.features, g.positions, 1.5)
 
 
 def test_gcn_hand_example():
@@ -191,8 +191,7 @@ def test_unknown_baseline_rejected():
 def test_permutation_equivariance(mp_kind):
     g = random_graph(10, seed=13)
     perm = np.random.default_rng(14).permutation(10)
-    gp = GeometricGraph(g.features[perm], g.positions[perm],
-                        np.zeros((0, 2), dtype=np.intp))
+    gp = GeometricGraph(g.features[perm], g.positions[perm])
     model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=2)
     model.eval()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncgn import engine, nn
 from ncgn.dataset import generate_shape_dataset
 from ncgn.engine import (
     ConditionMask,
@@ -111,6 +112,56 @@ def test_sample_shapes_and_determinism():
         assert a.features.shape == g.features.shape
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.positions, g.positions)
+
+
+def test_sample_restores_train_mode_when_it_raises():
+    graphs = rd_graphs(1)
+    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1)
+    model, _, _ = train(graphs, config)
+    for p in model.parameters():
+        p.data[...] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite state"):
+        sample(model, graphs, config, nfes=2)
+    norms = [m for m in model.modules() if isinstance(m, nn.BatchNorm)]
+    assert norms and all(m.training for m in norms)
+
+
+def test_positions_task_train_and_sample(monkeypatch):
+    made = []
+
+    class RecordingCache(StructureCache):
+        """Records every cache train and sample make and the lookups on it."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.lookups = 0
+            made.append(self)
+
+        def dmp(self, positions, s_t, r_t):
+            self.lookups += 1
+            return super().dmp(positions, s_t, r_t)
+
+    monkeypatch.setattr(engine, "StructureCache", RecordingCache)
+    shapes = generate_shape_dataset(n_train=8, n_test=2, n_points=24, seed=0)
+    config = TrainConfig(task="positions", mp_kind="gat", epochs=3, batch=4,
+                         warmup_epochs=1, hdim=8, layers=1, seed=2)
+    runs = []
+    for _ in range(2):
+        model, _, rows = train(shapes.train, config)
+        runs.append(([r[2] for r in rows],
+                     sample(model, shapes.test, config, nfes=4, seed=5)))
+    (loss_a, out_a), (loss_b, out_b) = runs
+    assert loss_a == loss_b
+    assert len(out_a) == len(shapes.test)
+    for a, b, g in zip(out_a, out_b, shapes.test):
+        np.testing.assert_array_equal(a.positions, b.positions)
+        assert a.positions.shape == g.positions.shape
+        assert a.features.shape == (g.n_nodes, 0)
+        assert np.isfinite(a.positions).all()
+        assert np.abs(a.positions - g.positions).max() > 0.1
+    # noised positions never recur, so no structure is stored
+    assert len(made) == 4
+    assert all(c.lookups > 0 and len(c) == 0 for c in made)
 
 
 def test_full_mask_returns_exact_values():

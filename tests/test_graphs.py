@@ -8,7 +8,6 @@ from ncgn.graphs import (
     build_fully_connected_edges,
     build_knn_edges,
     build_long_short_edges,
-    build_radius_edges,
     load_graph,
     save_graph,
     voxel_coarsen,
@@ -18,8 +17,7 @@ from ncgn.graphs import (
 def random_graph(n, d=3, f=2, seed=0):
     rng = np.random.default_rng(seed)
     return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)),
-                          np.zeros((0, 2), dtype=np.intp))
+                          rng.standard_normal((n, d)))
 
 
 def edge_set(edges):
@@ -82,13 +80,6 @@ def test_long_short_saturates():
     assert edge_set(edges) == {(s, t) for s in range(5) for t in range(5) if s != t}
 
 
-def test_radius_edges_line():
-    pos = np.array([[0.0], [1.0], [3.0]])
-    assert edge_set(build_radius_edges(pos, 1.5)) == {(0, 1), (1, 0)}
-    assert build_radius_edges(pos, 0.5).size == 0
-    assert len(edge_set(build_radius_edges(pos, 10.0))) == 6
-
-
 def test_fully_connected_edges():
     assert len(build_fully_connected_edges(4)) == 12
 
@@ -142,22 +133,18 @@ def test_voxel_degenerate_dimension():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        GeometricGraph(np.zeros((3, 1)), np.zeros((2, 2)),
-                       np.zeros((0, 2), dtype=np.intp))
+        GeometricGraph(np.zeros((3, 1)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        GeometricGraph(np.zeros((2, 1)), np.zeros((2, 2)),
-                       np.array([[0, 5]]))
+        GeometricGraph(np.zeros((2, 1)), np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 def test_save_load_roundtrip(tmp_path):
     g = random_graph(7, seed=9)
-    g.edges = build_knn_edges(g.positions, 2)
     path = tmp_path / "g.graph"
     save_graph(path, g)
     back = load_graph(path)
     np.testing.assert_array_equal(back.positions, g.positions)
     np.testing.assert_array_equal(back.features, g.features)
-    np.testing.assert_array_equal(back.edges, g.edges)
 
 
 def test_load_bad_header_names_expectation(tmp_path):
@@ -182,3 +169,15 @@ def test_voxel_properties(n, s, seed):
     assert 1 <= asg.n_clusters <= max(1, min(s, n) * 4)  # p^d can overshoot s
     assert asg.cluster_of.shape == (n,)
     assert set(asg.cluster_of) == set(range(asg.n_clusters))
+
+
+def test_load_row_count_checked_both_ways(tmp_path):
+    path = tmp_path / "short.graph"
+    path.write_text("3 2 0\n1.0 2.0\n")
+    with pytest.raises(ValueError, match="3 node rows, found 1"):
+        load_graph(path)
+    # an edge section after the rows is no longer part of the format
+    path = tmp_path / "long.graph"
+    path.write_text("1 2 0\n1.0 2.0\nE\n0 0\n")
+    with pytest.raises(ValueError, match="line 3.*'E'"):
+        load_graph(path)

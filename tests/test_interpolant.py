@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ncgn.graphs import GeometricGraph
 from ncgn.interpolant import (
     InterpolantSpec,
     generate,
@@ -10,11 +9,8 @@ from ncgn.interpolant import (
 )
 
 
-def make_graph(n=5, f=2, d=2, seed=0):
-    rng = np.random.default_rng(seed)
-    return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)),
-                          np.zeros((0, 2), dtype=np.intp))
+def make_state(n=5, f=2, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, f))
 
 
 def test_cfm_endpoints_small_sigma():
@@ -87,28 +83,26 @@ def test_ddpm_marginal_variance():
 
 def test_generate_zero_field_returns_prior():
     spec = InterpolantSpec(kind="cfm")
-    g = make_graph()
-    out = generate(lambda graph, t: np.zeros_like(graph.features), g, spec,
-                   nfes=10)
-    np.testing.assert_array_equal(out.features, g.features)
+    z0 = make_state()
+    out = generate(lambda z, t: np.zeros_like(z), z0, spec, nfes=10)
+    np.testing.assert_array_equal(out, z0)
 
 
 def test_generate_constant_field_exact():
     spec = InterpolantSpec(kind="cfm")
-    g = make_graph(seed=1)
+    z0 = make_state(seed=1)
     c = 2.5
-    out = generate(lambda graph, t: np.full_like(graph.features, c), g, spec,
-                   nfes=7)
-    np.testing.assert_allclose(out.features, g.features + c, atol=1e-12)
+    out = generate(lambda z, t: np.full_like(z, c), z0, spec, nfes=7)
+    np.testing.assert_allclose(out, z0 + c, atol=1e-12)
 
 
 def test_generate_linear_field_euler_convergence():
     spec = InterpolantSpec(kind="cfm")
-    g = make_graph(seed=2)
+    z0 = make_state(seed=2)
     errs = []
     for nfes in (10, 20, 40, 80):
-        out = generate(lambda graph, t: -graph.features, g, spec, nfes=nfes)
-        errs.append(np.abs(out.features - np.exp(-1.0) * g.features).max())
+        out = generate(lambda z, t: -z, z0, spec, nfes=nfes)
+        errs.append(np.abs(out - np.exp(-1.0) * z0).max())
     assert errs[-1] < errs[0]
     # error roughly halves with each doubling (first-order method)
     assert errs[-1] < 0.2 * errs[0]
@@ -116,43 +110,32 @@ def test_generate_linear_field_euler_convergence():
 
 def test_generate_wrong_shape_rejected():
     spec = InterpolantSpec(kind="cfm")
-    g = make_graph()
+    z0 = make_state()
     with pytest.raises(ValueError):
-        generate(lambda graph, t: np.zeros((1, 1)), g, spec, nfes=2)
-
-
-def test_generate_positions_task():
-    spec = InterpolantSpec(kind="cfm")
-    g = make_graph(seed=3)
-    out = generate(lambda graph, t: np.ones_like(graph.positions), g, spec,
-                   nfes=4, task="positions")
-    np.testing.assert_allclose(out.positions, g.positions + 1.0, atol=1e-12)
-    np.testing.assert_array_equal(out.features, g.features)
+        generate(lambda z, t: np.zeros((1, 1)), z0, spec, nfes=2)
 
 
 def test_ddpm_generation_runs_and_is_seeded():
     spec = InterpolantSpec(kind="ddpm", steps=25)
-    g = make_graph(seed=4)
-    out1 = generate(lambda graph, t: np.zeros_like(graph.features), g, spec,
-                    nfes=1, seed=5)
-    out2 = generate(lambda graph, t: np.zeros_like(graph.features), g, spec,
-                    nfes=1, seed=5)
-    np.testing.assert_array_equal(out1.features, out2.features)
-    assert out1.features.shape == g.features.shape
+    z0 = make_state(seed=4)
+    out1 = generate(lambda z, t: np.zeros_like(z), z0, spec, nfes=1, seed=5)
+    out2 = generate(lambda z, t: np.zeros_like(z), z0, spec, nfes=1, seed=5)
+    np.testing.assert_array_equal(out1, out2)
+    assert out1.shape == z0.shape
 
 
 def test_generate_rejects_non_finite_state():
-    def diverging(graph, t):
-        return np.full_like(graph.features, np.nan if t >= 0.5 else 1.0)
+    def diverging(z, t):
+        return np.full_like(z, np.nan if t >= 0.5 else 1.0)
 
-    g = make_graph(seed=6)
+    z0 = make_state(seed=6)
     with pytest.raises(RuntimeError, match=r"step 2 \(t=0\.75\)"):
-        generate(diverging, g, InterpolantSpec(kind="cfm"), nfes=4)
+        generate(diverging, z0, InterpolantSpec(kind="cfm"), nfes=4)
     with pytest.raises(RuntimeError, match=r"step 0 \(t=0\.1\)"):
-        generate(lambda graph, t: np.full_like(graph.positions, np.inf), g,
-                 InterpolantSpec(kind="ddpm", steps=10), nfes=1, task="positions")
+        generate(lambda z, t: np.full_like(z, np.inf), z0,
+                 InterpolantSpec(kind="ddpm", steps=10), nfes=1)
     with pytest.raises(RuntimeError, match=r"step 5 \(t=0\.6\)"):
-        generate(diverging, g, InterpolantSpec(kind="ddpm", steps=10), nfes=1)
+        generate(diverging, z0, InterpolantSpec(kind="ddpm", steps=10), nfes=1)
 
 
 def test_spec_validation():
