@@ -1,0 +1,57 @@
+#!/bin/sh
+# Small seeded CLI sequence whose outputs pin the pipeline's numerics:
+# datasets, the GW and attention studies, and train/sample/eval for cfm,
+# ddpm, a masked task, two sampling chunks, GAT on positions, knn_fixed and
+# random_pred. Every file it writes is deterministic, so two source trees
+# that compute the same numbers give byte-identical output directories.
+#
+# Usage: scripts/seeded_outputs.sh SRC_DIR OUT_DIR
+# SRC_DIR is the directory holding the ncgn package (a checkout's src/).
+# Compare two trees with
+#   scripts/seeded_outputs.sh old/src /tmp/old
+#   scripts/seeded_outputs.sh new/src /tmp/new
+#   diff -r -x config.resolved /tmp/old /tmp/new
+# config.resolved is excluded because it records the output paths.
+set -e
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC_DIR OUT_DIR" >&2
+    exit 2
+fi
+SRC=$(cd "$1" && pwd)
+OUT=$2
+mkdir -p "$OUT"
+
+ncgn() {
+    PYTHONPATH="$SRC" "${PYTHON:-python3}" -m ncgn.cli "$@" >/dev/null
+}
+
+ncgn make-shapes out_dir="$OUT/shapes" n_train=4 n_test=2 n_points=16 seed=0
+ncgn simulate-data out_dir="$OUT/data" n_train=4 n_test=2 seed=0
+ncgn gw-study out_dir="$OUT/gw" dataset="$OUT/shapes" n_shapes=2 n_seeds=1 \
+    gw.iters=5 seed=3
+ncgn attention-study out_dir="$OUT/att" dataset="$OUT/shapes" \
+    attention.epochs=1 attention.bins=4 seed=3
+
+COMMON="epochs=1 batch=2 warmup_epochs=0 hdim=8 layers=1 nfes=2 seed=3"
+
+# run NAME DATASET [key=value ...]: train, sample and eval into OUT/NAME
+run() {
+    name=$1
+    data=$2
+    shift 2
+    ncgn train out_dir="$OUT/$name" dataset="$OUT/$data" $COMMON "$@"
+    ncgn sample out_dir="$OUT/$name" dataset="$OUT/$data" $COMMON "$@"
+    ncgn eval out_dir="$OUT/$name" dataset="$OUT/$data" $COMMON "$@"
+}
+
+run cfm data
+run ddpm data interpolant.kind=ddpm
+run masked data mask_task=temporal_trajectory
+run chunks data n_samples=70
+run positions_gat shapes task=positions mp_kind=gat
+run knn_fixed data method=knn_fixed
+
+# random_pred is model-free: no train step
+ncgn sample out_dir="$OUT/random_pred" dataset="$OUT/data" method=random_pred seed=3
+ncgn eval out_dir="$OUT/random_pred" dataset="$OUT/data" method=random_pred seed=3

@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .interpolant import InterpolantSpec, generate, interpolate, regression_target
 from .schedule import ScheduleSpec, default_bounds, eval_schedule
-from .tensor import Tensor
+from .tensor import Tensor, _scatter_add
 from .transport import PointCloud, gw_entropic, w2_exact
 
 BASELINES = ("knn_fixed", "fully_connected", "long_short")
@@ -176,8 +176,7 @@ def _slice_structure(positions, t, config: TrainConfig, cache: StructureCache):
 
 
 def _segment_mean(values, seg, nseg):
-    out = np.zeros((nseg, values.shape[1]))
-    np.add.at(out, seg, values)
+    out = _scatter_add(seg, nseg, values)
     counts = np.bincount(seg, minlength=nseg).astype(np.float64)
     return out / np.maximum(counts, 1.0)[:, None]
 
@@ -190,28 +189,28 @@ def merged_forward(model: DmpModel, parts, config: TrainConfig,
     ``parts``: list of (positions, inputs, t) per graph. Cluster ids and
     coarse edges are offset so graphs never exchange messages.
     """
-    cluster_of, coarse_pos, coarse_in, edges = [], [], [], []
+    cluster_of, coarse_pos, edges = [], [], []
     pos_all, in_all = [], []
     offset = 0
     for positions, inputs, t in parts:
         c_of, c_pos, c_edges = _slice_structure(positions, t, config, cache)
-        nclusters = c_pos.shape[0]
         cluster_of.append(c_of + offset)
         coarse_pos.append(c_pos)
-        coarse_in.append(_segment_mean(inputs, c_of, nclusters))
         if c_edges.size:
             edges.append(c_edges + offset)
         pos_all.append(positions)
         in_all.append(inputs)
-        offset += nclusters
+        offset += c_pos.shape[0]
+    # one mean over the whole batch: offset ids keep graphs apart, and each
+    # cluster still sums its own rows in order
+    inputs, cluster_of = np.concatenate(in_all), np.concatenate(cluster_of)
     structure = Structure(
-        np.concatenate(cluster_of),
+        cluster_of,
         np.concatenate(coarse_pos),
-        np.concatenate(coarse_in),
+        _segment_mean(inputs, cluster_of, offset),
         np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.intp),
     )
-    return model.forward_core(np.concatenate(in_all), np.concatenate(pos_all),
-                              structure)
+    return model.forward_core(inputs, np.concatenate(pos_all), structure)
 
 
 def _component(graph, task):

@@ -148,6 +148,8 @@ def save_graph(path, graph: GeometricGraph):
 def load_graph(path) -> GeometricGraph:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected header 'N d f'")
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"line 1: expected header 'N d f', got {lines[0]!r}")

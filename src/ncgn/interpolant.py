@@ -107,11 +107,12 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
 
     ``field(z, t)`` returns an array shaped like the state ``z``. cfm uses
     explicit Euler with step 1/nfes from ``z0``; ddpm runs ancestral sampling
-    over the spec's diffusion steps from a fresh standard-normal draw,
-    interpreting the field output as predicted noise. ``callback(z, t)`` runs
-    after every step and may edit ``z`` in place (conditioning clamps). A
-    non-finite state after any step raises RuntimeError naming the step and
-    the t it reached.
+    over ``nfes`` of the spec's diffusion steps (respaced as in Nichol &
+    Dhariwal 2021; ``nfes`` may not exceed ``spec.steps``) from a fresh
+    standard-normal draw, interpreting the field output as predicted noise.
+    ``callback(z, t)`` runs after every step and may edit ``z`` in place
+    (conditioning clamps). A non-finite state after any step raises
+    RuntimeError naming the step and the t it reached.
     """
     if nfes < 1:
         raise ValueError("nfes must be >= 1")
@@ -138,19 +139,25 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
     if spec.kind != "ddpm":
         raise ValueError("generation is defined for cfm and ddpm")
 
-    betas = spec.betas()
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
+    if nfes > spec.steps:
+        raise ValueError(f"ddpm takes at most spec.steps={spec.steps} nfes, "
+                         f"got {nfes}")
+    # respaced ancestral sampling: visit diffusion steps k_0 > ... > k_nfes = 0
+    # and treat each jump as one step with alpha = ab(k_i) / ab(k_{i+1})
+    alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - spec.betas())])
+    ks = [round(spec.steps * (nfes - i) / nfes) for i in range(nfes + 1)]
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(z.shape)
-    for k in range(spec.steps, 0, -1):
-        t = 1.0 - k / spec.steps
-        eps_pred = np.asarray(field(z, t))
+    for i in range(nfes):
+        k, k_next = ks[i], ks[i + 1]
+        eps_pred = np.asarray(field(z, 1.0 - k / spec.steps))
         if eps_pred.shape != z.shape:
             raise ValueError("field returned wrong shape")
-        beta, alpha, ab = betas[k - 1], alphas[k - 1], alpha_bars[k - 1]
+        ab = alpha_bars[k]
+        alpha = ab / alpha_bars[k_next]
+        beta = 1.0 - alpha
         z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
-        if k > 1:
+        if k_next > 0:
             z = z + np.sqrt(beta) * rng.standard_normal(z.shape)
-        z = after_step(z, spec.steps - k, 1.0 - (k - 1) / spec.steps)
+        z = after_step(z, i, 1.0 - k_next / spec.steps)
     return z

@@ -4,6 +4,13 @@ Arrays are float64 throughout. Each Tensor op records its parents and a
 closure that pushes the upstream gradient back onto them; ``backward`` walks
 the recorded graph in reverse topological order. Broadcasting follows numpy
 rules (2-D needs only), with gradients summed back over broadcast axes.
+
+Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
+sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
+per segment and unit weights. Each row adds its entries in index order from
+0.0: the same float additions as ``numpy.add.at``, in a fraction of its
+time, so results are byte-identical to the ``numpy.add.at`` form. Ids
+outside ``[0, n)`` raise ValueError instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -29,6 +36,32 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _check_ids(ids, n):
+    """Raise ValueError naming the first id outside ``[0, n)``."""
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        flat = ids.ravel()
+        bad = flat[np.argmax((flat < 0) | (flat >= n))]
+        raise ValueError(f"id {bad} outside [0, {n})")
+
+
+def _scatter_add(ids, n, values):
+    """``out[i]`` = sum of ``values[j]`` over ``ids[j] == i``, for ``n`` rows.
+
+    ``ids`` is 1-D with one entry per leading row of ``values``. The stable
+    argsort keeps each segment's entries in index order, which makes the
+    sums equal ``numpy.add.at``'s bit for bit.
+    """
+    from scipy import sparse
+
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    incidence = sparse.csr_array(
+        (np.ones(ids.size), np.argsort(ids, kind="stable"), indptr),
+        shape=(n, ids.size))
+    tail = values.shape[1:]
+    return (incidence @ values.reshape(ids.size, math.prod(tail))).reshape((n,) + tail)
 
 
 class Tensor:
@@ -186,11 +219,8 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def bwd(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.data.shape).copy())
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(gg, self.data.shape))
 
         return Tensor(out_data, _parents=(self,), _backward=bwd)
 
@@ -210,12 +240,12 @@ class Tensor:
     def gather_rows(self, idx):
         """Select rows by integer index; duplicates scatter-add on backward."""
         idx = np.asarray(idx, dtype=np.intp)
+        n, tail = self.data.shape[0], self.data.shape[1:]
+        _check_ids(idx, n)
         out_data = self.data[idx]
 
         def bwd(g):
-            acc = np.zeros_like(self.data)
-            np.add.at(acc, idx, g)
-            self._accum(acc)
+            self._accum(_scatter_add(idx.ravel(), n, g.reshape((idx.size,) + tail)))
 
         return Tensor(out_data, _parents=(self,), _backward=bwd)
 
@@ -298,11 +328,10 @@ def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:
     """Sum rows of ``values`` into ``num_segments`` buckets."""
     values = Tensor._lift(values)
     seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape[0] != values.data.shape[0]:
-        raise ValueError("segment_ids must have one entry per row")
-    out_shape = (num_segments,) + values.data.shape[1:]
-    out_data = np.zeros(out_shape)
-    np.add.at(out_data, seg, values.data)
+    if seg.ndim != 1 or seg.shape[0] != values.data.shape[0]:
+        raise ValueError("segment_ids must be 1-D with one entry per row")
+    _check_ids(seg, num_segments)
+    out_data = _scatter_add(seg, num_segments, values.data)
 
     def bwd(g):
         values._accum(g[seg])
@@ -326,17 +355,16 @@ def segment_softmax(logits: Tensor, segment_ids) -> Tensor:
     if seg.size == 0:
         raise ValueError("empty segment list")
     nseg = int(seg.max()) + 1
+    _check_ids(seg, nseg)
     # stabilize with a per-segment max
     seg_max = np.full(nseg, -np.inf)
     np.maximum.at(seg_max, seg, logits.data)
     shifted = np.exp(logits.data - seg_max[seg])
-    denom = np.zeros(nseg)
-    np.add.at(denom, seg, shifted)
+    denom = _scatter_add(seg, nseg, shifted)
     out_data = shifted / denom[seg]
 
     def bwd(g):
-        dot = np.zeros(nseg)
-        np.add.at(dot, seg, g * out_data)
+        dot = _scatter_add(seg, nseg, g * out_data)
         logits._accum(out_data * (g - dot[seg]))
 
     return Tensor(out_data, _parents=(logits,), _backward=bwd)

@@ -181,3 +181,10 @@ def test_load_row_count_checked_both_ways(tmp_path):
     path.write_text("1 2 0\n1.0 2.0\nE\n0 0\n")
     with pytest.raises(ValueError, match="line 3.*'E'"):
         load_graph(path)
+
+
+def test_load_empty_file_names_path(tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.graph: empty file"):
+        load_graph(path)

@@ -122,6 +122,10 @@ def test_ddpm_generation_runs_and_is_seeded():
     out2 = generate(lambda z, t: np.zeros_like(z), z0, spec, nfes=1, seed=5)
     np.testing.assert_array_equal(out1, out2)
     assert out1.shape == z0.shape
+    out3 = generate(lambda z, t: 0.1 * z, z0, spec, nfes=5, seed=5)
+    assert np.isfinite(out3).all()
+    np.testing.assert_array_equal(
+        out3, generate(lambda z, t: 0.1 * z, z0, spec, nfes=5, seed=5))
 
 
 def test_generate_rejects_non_finite_state():
@@ -133,9 +137,46 @@ def test_generate_rejects_non_finite_state():
         generate(diverging, z0, InterpolantSpec(kind="cfm"), nfes=4)
     with pytest.raises(RuntimeError, match=r"step 0 \(t=0\.1\)"):
         generate(lambda z, t: np.full_like(z, np.inf), z0,
-                 InterpolantSpec(kind="ddpm", steps=10), nfes=1)
+                 InterpolantSpec(kind="ddpm", steps=10), nfes=10)
     with pytest.raises(RuntimeError, match=r"step 5 \(t=0\.6\)"):
-        generate(diverging, z0, InterpolantSpec(kind="ddpm", steps=10), nfes=1)
+        generate(diverging, z0, InterpolantSpec(kind="ddpm", steps=10), nfes=10)
+
+
+def _ddpm_every_step(field, z0, spec, seed):
+    """Ancestral sampling over every diffusion step: the reference that
+    respaced sampling must reproduce at nfes == spec.steps."""
+    betas = spec.betas()
+    alphas = 1.0 - betas
+    alpha_bars = np.cumprod(alphas)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(np.shape(z0))
+    for k in range(spec.steps, 0, -1):
+        eps_pred = field(z, 1.0 - k / spec.steps)
+        beta, alpha, ab = betas[k - 1], alphas[k - 1], alpha_bars[k - 1]
+        z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
+        if k > 1:
+            z = z + np.sqrt(beta) * rng.standard_normal(z.shape)
+    return z
+
+
+def test_ddpm_takes_nfes_steps():
+    spec = InterpolantSpec(kind="ddpm")
+    z0 = make_state(seed=7)
+    for nfes in (1, 7, 250, spec.steps):
+        seen = []
+
+        def field(z, t):
+            seen.append(t)
+            return 0.5 * np.tanh(z) + t
+
+        out = generate(field, z0, spec, nfes=nfes, seed=3)
+        assert len(seen) == nfes
+        assert seen[0] == 0.0 and all(b > a for a, b in zip(seen, seen[1:]))
+        assert np.isfinite(out).all()
+    ref = _ddpm_every_step(lambda z, t: 0.5 * np.tanh(z) + t, z0, spec, seed=3)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    with pytest.raises(ValueError, match="at most"):
+        generate(field, z0, spec, nfes=spec.steps + 1)
 
 
 def test_spec_validation():

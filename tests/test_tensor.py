@@ -202,3 +202,37 @@ def test_segment_sum_matches_bincount(ids):
     expect = np.zeros(4)
     np.add.at(expect, seg, vals.ravel())
     np.testing.assert_allclose(out.data.ravel(), expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_ids=st.integers(0, 40), n_seg=st.integers(1, 8), width=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scatters_match_add_at_bytes(n_ids, n_seg, width, seed):
+    # random floats over many magnitudes make every change of summation
+    # order visible; unsorted ids leave some segments empty; width 0 is 1-D
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, n_seg, n_ids)
+    shape = (n_ids,) if width == 0 else (n_ids, width)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    expect = np.zeros((n_seg,) + shape[1:])
+    np.add.at(expect, ids, vals)
+    np.testing.assert_array_equal(segment_sum(Tensor(vals), ids, n_seg).data, expect)
+
+    src = Tensor(rng.standard_normal((n_seg,) + shape[1:]), requires_grad=True)
+    out = src.gather_rows(ids)
+    (out * vals).sum().backward()
+    np.testing.assert_array_equal(src.grad, expect)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_ids_rejected(bad):
+    ids = np.array([0, 2, bad, -2])
+    match = rf"id {bad} outside \[0, 3\)"
+    with pytest.raises(ValueError, match=match):
+        segment_sum(Tensor(np.ones((4, 2))), ids, 3)
+    with pytest.raises(ValueError, match=match):
+        Tensor(np.ones((3, 2))).gather_rows(ids)
+    with pytest.raises(ValueError, match=r"id -1 outside \[0, 3\)"):
+        segment_softmax(Tensor(np.ones(4)), np.array([0, 2, -1, 1]))
