@@ -17,9 +17,9 @@ for METHOD in dmp knn_fixed; do
     OUT="$WORK/$METHOD"
     ncgn train out_dir="$OUT" dataset="$DATA" method="$METHOD" \
         epochs=100 batch=128 hdim=32 layers=3 seed=0
-    ncgn sample out_dir="$OUT" dataset="$DATA" method="$METHOD" \
-        epochs=100 batch=128 hdim=32 layers=3 seed=0
-    ncgn eval out_dir="$OUT" dataset="$DATA" method="$METHOD" seed=0
+    # sample and eval read the model keys from $OUT/ema.ckpt.config
+    ncgn sample out_dir="$OUT" dataset="$DATA" seed=0
+    ncgn eval out_dir="$OUT" dataset="$DATA" seed=0
 done
 
 OUT="$WORK/random_pred"

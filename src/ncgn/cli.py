@@ -6,6 +6,12 @@ Commands: simulate-data, make-shapes, train, sample, eval, theory,
 attention-study, gw-study, ablate-depth. Every numeric artifact is CSV under
 ``out_dir``; each run echoes its resolved configuration to
 ``out_dir/config.resolved``. NCGN_THREADS caps worker counts.
+
+``train`` records its train keys beside each checkpoint as
+``<ckpt>.config``. ``sample`` and ``eval`` take every train key except the
+sampling inputs ``nfes`` and ``seed`` from the record of ``checkpoint=`` (or
+``out_dir/ema.ckpt``) when that checkpoint exists; a given key that differs
+from the record is rejected by name.
 """
 
 from __future__ import annotations
@@ -17,7 +23,13 @@ import sys
 import numpy as np
 
 from . import nn, theory
-from .config import ConfigError, parse_config, write_resolved
+from .config import (
+    TRAIN_KEYS,
+    ConfigError,
+    parse_config,
+    read_config_file,
+    write_resolved,
+)
 from .dataset import (
     generate_rd_dataset,
     generate_shape_dataset,
@@ -42,27 +54,34 @@ from .graphs import load_graph, save_graph
 
 COMMANDS = ("simulate-data", "make-shapes", "train", "sample", "eval",
             "theory", "attention-study", "gw-study", "ablate-depth")
+SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
 
 
 def _train_config(config):
-    return TrainConfig(
-        task=config["task"],
-        method=config["method"],
-        mp_kind=config["mp_kind"],
-        interpolant=config["interpolant.kind"],
-        schedule_kind=config["schedule.kind"],
-        epochs=config["epochs"],
-        batch=config["batch"],
-        lr=config["lr"],
-        warmup_epochs=config["warmup_epochs"],
-        ema_decay=config["ema_decay"],
-        hdim=config["hdim"],
-        layers=config["layers"],
-        knn_k=config["knn_k"],
-        nfes=config["nfes"],
-        sigma_min=config["interpolant.sigma_min"],
-        seed=config["seed"],
-    )
+    return TrainConfig(**{field: config[key] for field, key in TRAIN_KEYS.items()})
+
+
+def _checkpoint_path(config):
+    return config["checkpoint"] or os.path.join(config["out_dir"], "ema.ckpt")
+
+
+def _with_checkpoint_keys(config, args):
+    """Re-resolve ``args`` on top of the train keys recorded beside the
+    checkpoint, if there is one, and reject given keys that differ."""
+    path = _checkpoint_path(config)
+    if not os.path.exists(path):
+        return config
+    record_path = path + ".config"
+    if not os.path.exists(record_path):
+        raise FileNotFoundError(f"checkpoint has no config record: {record_path}")
+    record = {k: v for k, v in read_config_file(record_path).items()
+              if k not in SAMPLING_KEYS}
+    config = parse_config(args.config, args.overrides, record)
+    for key, value in record.items():
+        if config[key] != value:
+            raise ConfigError(f"key {key!r}: given {config[key]!r}, but "
+                              f"{path} was trained with {value!r}")
+    return config
 
 
 def _require_dataset(config):
@@ -77,7 +96,7 @@ def _require_dataset(config):
 def _load_model(config, template):
     cfg = _train_config(config)
     model = build_model(template, cfg)
-    path = config["checkpoint"] or os.path.join(config["out_dir"], "ema.ckpt")
+    path = _checkpoint_path(config)
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     nn.load_into(model, nn.load_checkpoint(path))
@@ -108,16 +127,19 @@ def cmd_train(config):
     out = config["out_dir"]
     model, ema, rows = train(ds.train, cfg,
                              loss_path=os.path.join(out, "loss.csv"))
-    nn.save_checkpoint(os.path.join(out, "model.ckpt"), model.state_arrays())
-    shadow_model = build_model(ds.train[0], cfg)
-    ema.copy_to(shadow_model)
-    nn.save_checkpoint(os.path.join(out, "ema.ckpt"), shadow_model.state_arrays())
+    record = {key: config[key] for key in TRAIN_KEYS.values()}
+    for name, arrays in (("model.ckpt", model.state_arrays()),
+                         ("ema.ckpt", ema.shadow)):
+        nn.save_checkpoint(os.path.join(out, name), arrays)
+        write_resolved(record, os.path.join(out, name + ".config"))
     return f"final loss {rows[-1][2]:.6f} over {len(rows)} steps"
 
 
 def cmd_sample(config):
     ds = _require_dataset(config)
     templates = ds.test
+    if config["n_samples"] < 0:
+        raise ConfigError(f"n_samples must be >= 0, got {config['n_samples']}")
     if config["n_samples"]:
         reps = -(-config["n_samples"] // len(templates))
         templates = (templates * reps)[: config["n_samples"]]
@@ -145,6 +167,9 @@ def cmd_eval(config):
     if not os.path.isdir(sample_dir):
         raise FileNotFoundError(f"samples directory not found: {sample_dir}")
     names = sorted(n for n in os.listdir(sample_dir) if n.endswith(".graph"))
+    if not names:
+        raise FileNotFoundError(f"samples directory holds no .graph files: "
+                                f"{sample_dir}")
     generated = [load_graph(os.path.join(sample_dir, n)) for n in names]
     result = evaluate_w2(generated, ds.test, config["task"],
                          seed=config["seed"])
@@ -243,10 +268,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config, args.overrides)
-        write_resolved(config, config["out_dir"])
+        if args.command in ("sample", "eval"):
+            config = _with_checkpoint_keys(config, args)
+        write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
         summary = HANDLERS[args.command](config)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
-        print(f"ncgn {args.command}: {exc}", file=sys.stderr)
+    except (ConfigError, FileNotFoundError, KeyError, ValueError,
+            RuntimeError) as exc:
+        # str() of a KeyError quotes its message; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"ncgn {args.command}: {message}", file=sys.stderr)
         return 1
     print(f"ncgn {args.command}: {summary}")
     return 0

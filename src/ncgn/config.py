@@ -5,30 +5,30 @@ namespace modules (``schedule.kind``, ``interpolant.kind``). Precedence:
 command-line overrides > file > defaults. Unknown keys are rejected by name,
 and the resolved configuration is echoed to ``out_dir/config.resolved`` so a
 run can be reproduced from its own artifact.
+
+The train keys and their defaults are the fields of ``engine.TrainConfig``;
+``TRAIN_KEYS`` maps each field to its key. Training writes those keys beside
+every checkpoint as ``<ckpt>.config``, in the same format, so ``sample`` and
+``eval`` read the model keys from the checkpoint instead of repeating them.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
+
+from .engine import TrainConfig
+
+_NAMESPACED = {
+    "interpolant": "interpolant.kind",
+    "sigma_min": "interpolant.sigma_min",
+    "schedule_kind": "schedule.kind",
+}
+TRAIN_KEYS = {f.name: _NAMESPACED.get(f.name, f.name) for f in fields(TrainConfig)}
 
 DEFAULTS = {
     "out_dir": "out",
-    "seed": 0,
-    "task": "features",
-    "method": "dmp",
-    "mp_kind": "gcn",
-    "epochs": 300,
-    "batch": 128,
-    "lr": 1e-3,
-    "warmup_epochs": 10,
-    "ema_decay": 0.95,
-    "hdim": 32,
-    "layers": 3,
-    "knn_k": 8,
-    "nfes": 200,
-    "interpolant.kind": "cfm",
-    "interpolant.sigma_min": 1e-3,
-    "schedule.kind": "exponential",
+    **{TRAIN_KEYS[f.name]: f.default for f in fields(TrainConfig)},
     "dataset": "",
     "checkpoint": "",
     "n_train": 2000,
@@ -99,9 +99,10 @@ def read_config_file(path):
     return _parse_pairs(pairs, path)
 
 
-def parse_config(path=None, overrides=()):
-    """Resolve defaults <- config file <- key=value override strings."""
-    config = dict(DEFAULTS)
+def parse_config(path=None, overrides=(), record=None):
+    """Resolve defaults <- checkpoint ``record`` <- config file <- key=value
+    override strings."""
+    config = {**DEFAULTS, **(record or {})}
     if path:
         config.update(read_config_file(path))
     pairs = []
@@ -114,9 +115,10 @@ def parse_config(path=None, overrides=()):
     return config
 
 
-def write_resolved(config, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "config.resolved")
+def write_resolved(config, path):
+    """Write ``config`` to ``path`` as sorted ``key = value`` lines, in the
+    format ``read_config_file`` reads back."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         for key in sorted(config):
             val = config[key]

@@ -42,10 +42,14 @@ SAMPLE_BATCH = 64  # templates integrated together as one merged state
 
 def n_workers():
     """Worker cap from the NCGN_THREADS environment variable (default 1)."""
+    raw = os.environ.get("NCGN_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("NCGN_THREADS", "1")))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ValueError(f"NCGN_THREADS must be a positive integer, got {raw!r}")
+    return value
 
 
 @dataclass

@@ -38,10 +38,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def state_arrays(self):
         """All persistent arrays: every parameter, then every ``running_*``
         buffer (running statistics), each group in walk order."""

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -59,10 +60,10 @@ def test_unknown_and_duplicate_keys_rejected(tmp_path):
 def test_resolved_round_trip_idempotent(tmp_path):
     config = parse_config(None, ["schedule.kind=linear", "lr=0.005",
                                  f"out_dir={tmp_path}"])
-    path = write_resolved(config, str(tmp_path))
+    path = write_resolved(config, str(tmp_path / "config.resolved"))
     again = parse_config(path)
     assert again == config
-    path2 = write_resolved(again, str(tmp_path / "second"))
+    path2 = write_resolved(again, str(tmp_path / "second" / "config.resolved"))
     assert open(path).read() == open(path2).read()
 
 
@@ -143,13 +144,16 @@ def test_simulate_sample_eval_pipeline(tmp_path, capsys):
     assert "(pool smaller than subsample)" in capsys.readouterr().out
 
 
-def test_sample_random_pred_needs_no_checkpoint(tmp_path):
+def test_sample_random_pred_needs_no_checkpoint(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
     work = tmp_path / "work"
     assert run(work, "sample", f"dataset={data}", "method=random_pred",
                "n_samples=3") == 0
     assert len(os.listdir(work / "samples")) == 3
+    assert run(work, "sample", f"dataset={data}", "method=random_pred",
+               "n_samples=-3") == 1
+    assert "n_samples" in capsys.readouterr().err
 
 
 def test_sample_without_checkpoint_exits_one(tmp_path, capsys):
@@ -201,3 +205,74 @@ def test_ablate_depth_command(tmp_path):
     lines = (work / "depth.csv").read_text().strip().split("\n")
     assert lines[0] == "layers,w2_mean,w2_std"
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
+
+
+# ------------------------------------------------- checkpoint config record
+
+MODEL_KEYS = ("method=knn_fixed", "interpolant.kind=ddpm", "mp_kind=gat",
+              "hdim=8", "layers=1", "epochs=1", "batch=2", "warmup_epochs=0")
+
+
+@pytest.fixture(scope="module")
+def gat_run(tmp_path_factory):
+    """A dataset and a knn_fixed/ddpm/GAT run trained on it."""
+    root = tmp_path_factory.mktemp("gat_run")
+    data, work = root / "data", root / "work"
+    assert run(data, "simulate-data", "n_train=3", "n_test=2") == 0
+    assert run(work, "train", f"dataset={data}", *MODEL_KEYS, "seed=3") == 0
+    return data, work
+
+
+def test_sample_and_eval_read_model_keys_from_checkpoint(gat_run, tmp_path):
+    data, work = gat_run
+    assert (work / "ema.ckpt.config").exists()
+    assert (work / "model.ckpt.config").exists()
+    assert run(work, "sample", f"dataset={data}", "nfes=2", "seed=3") == 0
+    given = tmp_path / "given"
+    assert run(given, "sample", f"dataset={data}", f"checkpoint={work}/ema.ckpt",
+               *MODEL_KEYS, "nfes=2", "seed=3") == 0
+    names = sorted(os.listdir(work / "samples"))
+    assert names == sorted(os.listdir(given / "samples"))
+    for name in names:
+        assert ((work / "samples" / name).read_bytes()
+                == (given / "samples" / name).read_bytes())
+
+    assert run(work, "eval", f"dataset={data}", "seed=3") == 0
+    row = (work / "metrics.csv").read_text().strip().split("\n")[1]
+    assert row.startswith("features,knn_fixed,gat,")
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_conflicting_model_key_exits_one(gat_run, command, capsys):
+    data, work = gat_run
+    assert run(work, command, f"dataset={data}", "method=dmp") == 1
+    err = capsys.readouterr().err
+    assert "method" in err and "dmp" in err and "knn_fixed" in err
+
+
+def test_checkpoint_without_record_exits_one(gat_run, tmp_path, capsys):
+    data, work = gat_run
+    for name in ("ema.ckpt", "ema.ckpt.manifest"):
+        shutil.copy(work / name, tmp_path / name)
+    ckpt = tmp_path / "ema.ckpt"
+    assert run(tmp_path, "sample", f"dataset={data}", f"checkpoint={ckpt}") == 1
+    assert f"{ckpt}.config" in capsys.readouterr().err
+
+
+def test_checkpoint_that_does_not_fit_exits_one(gat_run, tmp_path, capsys):
+    data, work = gat_run
+    for name in ("ema.ckpt", "ema.ckpt.manifest"):
+        shutil.copy(work / name, tmp_path / name)
+    record = read_config_file(str(work / "ema.ckpt.config"))
+    write_resolved({**record, "mp_kind": "gcn"}, str(tmp_path / "ema.ckpt.config"))
+    assert run(tmp_path, "sample", f"dataset={data}", "nfes=2") == 1
+    assert "unknown parameter 'blocks." in capsys.readouterr().err
+
+
+def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):
+    data, _ = gat_run
+    work = tmp_path / "work"
+    (work / "samples").mkdir(parents=True)
+    assert run(work, "eval", f"dataset={data}") == 1
+    err = capsys.readouterr().err
+    assert str(work / "samples") in err and ".graph" in err

@@ -288,6 +288,15 @@ def test_evaluate_w2_threaded_matches_serial(monkeypatch):
     assert serial["values"] == threaded["values"]
 
 
+@pytest.mark.parametrize("value", ["abc", "-4", "0", ""])
+def test_bad_thread_count_rejected(monkeypatch, value):
+    monkeypatch.setenv("NCGN_THREADS", value)
+    with pytest.raises(ValueError, match=f"NCGN_THREADS.*{value!r}"):
+        engine.n_workers()
+    monkeypatch.delenv("NCGN_THREADS")
+    assert engine.n_workers() == 1
+
+
 def test_attention_rows_normalized():
     shapes = generate_shape_dataset(n_train=6, n_test=2, n_points=24,
                                     seed=0).train
