@@ -11,7 +11,8 @@ attention-study, gw-study, ablate-depth. Every numeric artifact is CSV under
 ``<ckpt>.config``. ``sample`` and ``eval`` take every train key except the
 sampling inputs ``nfes`` and ``seed`` from the record of ``checkpoint=`` (or
 ``out_dir/ema.ckpt``) when that checkpoint exists; a given key that differs
-from the record is rejected by name.
+from the record is rejected by name. ``seed=`` seeds the sampler, while the
+model samples on the structure draws of its recorded train seed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .dataset import (
     load_dataset,
     save_dataset,
 )
+from .dmp import FlatGat
 from .engine import (
     TrainConfig,
     ablate_depth,
@@ -43,11 +46,11 @@ from .engine import (
     build_model,
     evaluate_w2,
     gw_study,
+    model_dims,
     random_generations,
     sample,
     task_mask,
     train,
-    train_flat_gat,
     write_csv,
 )
 from .graphs import load_graph, save_graph
@@ -94,11 +97,15 @@ def _require_dataset(config):
 
 
 def _load_model(config, template):
-    cfg = _train_config(config)
-    model = build_model(template, cfg)
+    """Model and train config of the checkpoint. The config's ``seed`` is
+    the recorded train seed, which fixes structure draws such as the
+    ``long_short`` edges; the command-line ``seed`` only seeds the sampler."""
     path = _checkpoint_path(config)
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
+    train_seed = read_config_file(path + ".config")["seed"]
+    cfg = replace(_train_config(config), seed=train_seed)
+    model = build_model(template, cfg)
     nn.load_into(model, nn.load_checkpoint(path))
     return model, cfg
 
@@ -207,9 +214,13 @@ def cmd_theory(config):
 
 def cmd_attention_study(config):
     ds = _require_dataset(config)
-    model = train_flat_gat(ds.train, epochs=config["attention.epochs"],
-                           hdim=config["hdim"], lr=config["lr"],
-                           seed=config["seed"])
+    cfg = TrainConfig(task="positions", method="fully_connected",
+                      epochs=config["attention.epochs"], batch=32,
+                      lr=config["lr"], warmup_epochs=0, hdim=config["hdim"],
+                      seed=config["seed"])
+    d_in, odim = model_dims(ds.train[0], cfg.task)
+    model, _, _ = train(ds.train, cfg,
+                        model=FlatGat(d_in, odim, hdim=cfg.hdim, seed=cfg.seed))
     rows = attention_study(model, ds.test, bins=config["attention.bins"],
                            seed=config["seed"])
     write_csv(os.path.join(config["out_dir"], "attention.csv"),

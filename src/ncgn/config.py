@@ -57,10 +57,6 @@ class ConfigError(ValueError):
 
 def _convert(key, raw):
     default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if raw not in ("true", "false"):
-            raise ConfigError(f"key {key!r}: expected true/false, got {raw!r}")
-        return raw == "true"
     if isinstance(default, int):
         try:
             return int(raw)
@@ -121,8 +117,5 @@ def write_resolved(config, path):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         for key in sorted(config):
-            val = config[key]
-            if isinstance(val, bool):
-                val = "true" if val else "false"
-            fh.write(f"{key} = {val}\n")
+            fh.write(f"{key} = {config[key]}\n")
     return path

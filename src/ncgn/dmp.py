@@ -9,7 +9,10 @@ The structure is built by ``engine.merged_forward``, the package's one
 forward path: DMP takes s_t voxel clusters and a kNN graph with k = r_t
 from the noise schedule, the fixed-structure baselines take one-to-one
 clusters and a fixed edge builder, so DMP with singleton clusters
-reproduces them exactly.
+reproduces them exactly. ``FlatGat``, the attention study's single GAT
+layer, has a ``forward_core`` of the same signature, so it also runs
+through ``merged_forward`` (with the ``fully_connected`` structure) and
+trains through ``engine.train``.
 """
 
 from __future__ import annotations
@@ -185,7 +188,9 @@ class DmpModel(nn.Module):
 
 
 class FlatGat(nn.Module):
-    """Single fully connected attention layer used for the noise-vs-range study."""
+    """Single attention layer used for the noise-vs-range study; trained
+    with the ``fully_connected`` method, whose one-to-one clusters make its
+    structure edges all node pairs."""
 
     def __init__(self, d_in, odim, hdim=32, seed=0):
         rng = np.random.default_rng(seed)
@@ -193,8 +198,12 @@ class FlatGat(nn.Module):
         self.conv = GatConv(hdim, rng)
         self.project = nn.Linear(hdim, odim, rng)
 
-    def __call__(self, inputs: np.ndarray, edges: np.ndarray) -> Tensor:
-        return self.project(self.conv(self.lift(Tensor(inputs)), edges))
+    def forward_core(self, inputs: np.ndarray, positions: np.ndarray,
+                     structure: Structure) -> Tensor:
+        """Lift, attend over ``structure.edges`` (node ids under one-to-one
+        clusters), project; ``positions`` is unused."""
+        return self.project(self.conv(self.lift(Tensor(inputs)),
+                                      structure.edges))
 
     def attention(self, inputs: np.ndarray, edges: np.ndarray) -> np.ndarray:
         return self.conv.attention(self.lift(Tensor(inputs)), edges)

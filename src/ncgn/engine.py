@@ -11,6 +11,11 @@ Training and sampling carry the generated component (features or positions)
 as a plain array; ``_part`` pairs it with the template's fixed component to
 make a ``merged_forward`` input, and ``sample`` wraps the result back into
 ``GeometricGraph``s only at the end.
+
+``train`` is the one training loop. It builds a ``DmpModel`` unless given
+a model; the attention study passes a ``FlatGat``, which ``merged_forward``
+runs on the ``fully_connected`` structure (one-to-one clusters, all-pairs
+edges).
 """
 
 from __future__ import annotations
@@ -185,13 +190,15 @@ def _segment_mean(values, seg, nseg):
     return out / np.maximum(counts, 1.0)[:, None]
 
 
-def merged_forward(model: DmpModel, parts, config: TrainConfig,
+def merged_forward(model, parts, config: TrainConfig,
                    cache: StructureCache) -> Tensor:
     """One forward pass over a disjoint union; the package's only forward
     path (a single graph is a batch of one).
 
-    ``parts``: list of (positions, inputs, t) per graph. Cluster ids and
-    coarse edges are offset so graphs never exchange messages.
+    ``model``: a ``DmpModel`` or ``FlatGat``, run through its
+    ``forward_core``. ``parts``: list of (positions, inputs, t) per graph.
+    Cluster ids and coarse edges are offset so graphs never exchange
+    messages.
     """
     cluster_of, coarse_pos, edges = [], [], []
     pos_all, in_all = [], []
@@ -236,11 +243,13 @@ def _part(template, z, t, task):
     return template.positions, node_input(z, template.positions, t), t
 
 
-def train(graphs, config: TrainConfig, loss_path=None):
+def train(graphs, config: TrainConfig, loss_path=None, model=None):
     """Flow-matching / diffusion regression over a graph dataset.
 
-    Returns (model, ema, loss_rows) with loss_rows of (epoch, step, loss, lr);
-    ``loss_path`` additionally writes them as CSV.
+    Trains ``model`` (any module with a ``forward_core``) in place, or a
+    fresh ``build_model`` when it is None. Returns (model, ema, loss_rows)
+    with loss_rows of (epoch, step, loss, lr); ``loss_path`` additionally
+    writes them as CSV.
     """
     if not graphs:
         raise ValueError("empty dataset")
@@ -249,7 +258,8 @@ def train(graphs, config: TrainConfig, loss_path=None):
                          "with random_generations instead of training")
     graphs = [_strip(g, config.task) for g in graphs]
     spec = config.interpolant_spec()
-    model = build_model(graphs[0], config)
+    if model is None:
+        model = build_model(graphs[0], config)
     opt = nn.Adam(model.parameters(), lr=config.lr)
     ema = nn.EMA(model, config.ema_decay)
     cache = StructureCache(keep=config.task == "features")
@@ -449,42 +459,6 @@ def task_mask(graph: GeometricGraph, name, gene=1,
 # studies
 
 
-def train_flat_gat(graphs, epochs=50, batch=32, lr=1e-4, hdim=32, seed=0,
-                   sigma_min=1e-3):
-    """Train the single-layer fully connected attention model to regress the
-    position flow field; used by the attention study."""
-    graphs = [_strip(g, "positions") for g in graphs]
-    d_in, odim = model_dims(graphs[0], "positions")
-    model = FlatGat(d_in, odim, hdim=hdim, seed=seed)
-    opt = nn.Adam(model.parameters(), lr=lr)
-    spec = InterpolantSpec(kind="cfm", sigma_min=sigma_min)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(len(graphs))
-        for start in range(0, len(order), batch):
-            losses = []
-            opt.zero_grad()
-            for i in order[start:start + batch]:
-                g = graphs[i]
-                t = float(rng.uniform())
-                z0 = rng.standard_normal(g.positions.shape)
-                z_t = interpolate(z0, g.positions, t, spec,
-                                  int(rng.integers(2**32)))
-                edges = build_fully_connected_edges(g.n_nodes)
-                pred = model(node_input(g.features, z_t, t), edges)
-                diff = pred - Tensor(g.positions - z0)
-                losses.append((diff * diff).mean())
-            loss = losses[0]
-            for extra in losses[1:]:
-                loss = loss + extra
-            loss = loss * (1.0 / len(losses))
-            if not np.isfinite(float(loss.data)):
-                raise RuntimeError("non-finite flat-gat loss")
-            loss.backward()
-            opt.step()
-    return model
-
-
 def attention_study(model: FlatGat, graphs, bins=10,
                     t_buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
                     sigma_min=1e-3, seed=0, max_graphs=20):
@@ -534,19 +508,16 @@ def _pooled_coarse(positions, n_clusters, pooling):
 
 
 def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
-             cluster_grid=(4, 8, 16, 32, 64), pooling="mean",
-             noise_target="positions", n_shapes=20, n_seeds=3,
-             sigma_max=1.0, eps=0.05, iters=50, seed=0):
+             cluster_grid=(4, 8, 16, 32, 64), pooling="mean", n_shapes=20,
+             n_seeds=3, sigma_max=1.0, eps=0.05, iters=50, seed=0):
     """Gromov-Wasserstein between coarse-grained noised shapes and originals.
 
-    For every noise level t (variance-exploding noise on the chosen
-    component) and cluster count, voxel-coarsens the noised cloud, pools per
-    flag, and averages gw_entropic against the clean cloud over shapes and
-    noise seeds. Returns (rows, argmin_rows) with rows (t, clusters, gw_mean)
+    For every noise level t (variance-exploding noise on the positions) and
+    cluster count, voxel-coarsens the noised cloud, pools per flag, and
+    averages gw_entropic against the clean cloud over shapes and noise
+    seeds. Returns (rows, argmin_rows) with rows (t, clusters, gw_mean)
     and argmin_rows (t, argmin_clusters).
     """
-    if noise_target != "positions":
-        raise ValueError("the study coarse-grains positions")
     graphs = graphs[:n_shapes]
     spec = InterpolantSpec(kind="ve", sigma_max=sigma_max)
     rows = []

@@ -27,9 +27,6 @@ class ScheduleSpec:
     s0: int = 1
     s1: int = 1
     budget_mode: bool = False
-    exp_rate: float = DEFAULT_EXP_RATE
-    log_rate: float = DEFAULT_LOG_RATE
-    relu_knee: float = DEFAULT_RELU_KNEE
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -45,13 +42,13 @@ def progress(spec: ScheduleSpec, t: float) -> float:
     if spec.kind == "linear":
         return t
     if spec.kind == "exponential":
-        a = spec.exp_rate
+        a = DEFAULT_EXP_RATE
         return (math.exp(a * t) - 1.0) / (math.exp(a) - 1.0)
     if spec.kind == "logarithm":
-        a = spec.log_rate
+        a = DEFAULT_LOG_RATE
         return math.log1p(a * t) / math.log1p(a)
     # relu: flat until the knee, then linear up to 1
-    knee = spec.relu_knee
+    knee = DEFAULT_RELU_KNEE
     return max(0.0, t - knee) / (1.0 - knee)
 
 
@@ -82,7 +79,7 @@ def eval_schedule(spec: ScheduleSpec, t: float, n_nodes: int):
     return r_t, s_t
 
 
-def default_bounds(n_nodes: int, kind: str = "exponential", **kwargs) -> ScheduleSpec:
+def default_bounds(n_nodes: int, kind: str = "exponential") -> ScheduleSpec:
     """Boundary conditions giving linear message passing cost.
 
     Sparse full resolution at t=1 (r1 = ceil(N^(1/3)), s1 = N) and a fully
@@ -94,6 +91,5 @@ def default_bounds(n_nodes: int, kind: str = "exponential", **kwargs) -> Schedul
     r1 = math.ceil(n_nodes ** (1.0 / 3.0) - 1e-9)
     s1 = n_nodes
     s0 = math.ceil(math.sqrt(r1 * n_nodes) - 1e-9)
-    return ScheduleSpec(
-        kind=kind, r0=s0, r1=r1, s0=s0, s1=s1, budget_mode=True, **kwargs
-    )
+    return ScheduleSpec(kind=kind, r0=s0, r1=r1, s0=s0, s1=s1,
+                        budget_mode=True)

@@ -252,30 +252,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # elementwise nonlinearities
 
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def bwd(g):
-            self._accum(g * out_data)
-
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
-
-    def log(self):
-        out_data = np.log(self.data)
-
-        def bwd(g):
-            self._accum(g / self.data)
-
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def bwd(g):
-            self._accum(g * 0.5 / out_data)
-
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
-
     def sigmoid(self):
         from scipy.special import expit
 

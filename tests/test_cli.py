@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from ncgn import engine
 from ncgn.cli import main
 from ncgn.config import (
     ConfigError,
@@ -12,6 +13,7 @@ from ncgn.config import (
     read_config_file,
     write_resolved,
 )
+from ncgn.graphs import build_long_short_edges
 
 
 def run(tmp_path, command, *overrides, config=None):
@@ -276,3 +278,24 @@ def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):
     assert run(work, "eval", f"dataset={data}") == 1
     err = capsys.readouterr().err
     assert str(work / "samples") in err and ".graph" in err
+
+
+def test_long_short_samples_on_its_train_seed_edges(tmp_path, monkeypatch):
+    """``seed=`` on sample seeds the sampler only: the long_short edges are
+    drawn from the seed the checkpoint was trained with."""
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
+    seeds = []
+
+    def recording(positions, k, seed):
+        seeds.append(seed)
+        return build_long_short_edges(positions, k, seed)
+
+    monkeypatch.setattr(engine, "build_long_short_edges", recording)
+    keys = ("method=long_short", "epochs=1", "batch=2", "warmup_epochs=0",
+            "hdim=8", "layers=1", "nfes=2")
+    assert run(work, "train", f"dataset={data}", *keys, "seed=3") == 0
+    assert seeds and set(seeds) == {3}
+    seeds.clear()
+    assert run(work, "sample", f"dataset={data}", *keys, "seed=4") == 0
+    assert seeds and set(seeds) == {3}

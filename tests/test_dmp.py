@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncgn.dmp import DmpModel, FlatGat, GatConv, GcnConv, node_input
+from ncgn.dmp import DmpModel, FlatGat, GatConv, GcnConv, Structure, node_input
 from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
                          random_generations)
 from ncgn.graphs import GeometricGraph, build_fully_connected_edges
@@ -233,9 +233,11 @@ def test_dmp_stats_follow_schedule():
 def test_flat_gat_shapes_and_attention():
     rng = np.random.default_rng(16)
     inputs = rng.standard_normal((6, 5))
+    positions = rng.standard_normal((6, 2))
     edges = build_fully_connected_edges(6)
     net = FlatGat(d_in=5, odim=2, hdim=8, seed=0)
-    out = net(inputs, edges)
+    structure = Structure(np.arange(6), positions, inputs, edges)
+    out = net.forward_core(inputs, positions, structure)
     assert out.data.shape == (6, 2)
     alpha = net.attention(inputs, edges)
     assert alpha.shape == (edges.shape[0],)

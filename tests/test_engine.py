@@ -3,6 +3,7 @@ import pytest
 
 from ncgn import engine, nn
 from ncgn.dataset import generate_shape_dataset
+from ncgn.dmp import FlatGat, node_input
 from ncgn.engine import (
     ConditionMask,
     StructureCache,
@@ -12,11 +13,13 @@ from ncgn.engine import (
     random_generations,
     sample,
     task_mask,
-    train,
-    train_flat_gat,
     gw_study,
+    merged_forward,
+    model_dims,
+    train,
 )
 from ncgn.graphs import GeometricGraph
+from ncgn.interpolant import interpolate
 from ncgn.reaction_diffusion import RdParams, build_spatiotemporal_graph, simulate_rd
 from ncgn.transport import PointCloud, w2_exact
 
@@ -300,7 +303,11 @@ def test_bad_thread_count_rejected(monkeypatch, value):
 def test_attention_rows_normalized():
     shapes = generate_shape_dataset(n_train=6, n_test=2, n_points=24,
                                     seed=0).train
-    model = train_flat_gat(shapes, epochs=2, batch=4, seed=0)
+    config = TrainConfig(task="positions", method="fully_connected",
+                         epochs=2, batch=4, lr=1e-4, warmup_epochs=0,
+                         hdim=32, seed=0)
+    d_in, odim = model_dims(shapes[0], "positions")
+    model, _, _ = train(shapes, config, model=FlatGat(d_in, odim, seed=0))
     rows = attention_study(model, shapes, bins=5, t_buckets=(0.2, 0.8),
                            max_graphs=4)
     assert len(rows) == 10
@@ -322,9 +329,32 @@ def test_gw_study_zero_noise_anchor():
     assert full_res[0] <= 1e-4
 
 
-def test_gw_study_rejects_feature_target():
-    with pytest.raises(ValueError):
-        gw_study([], noise_target="features")
+def test_flat_gat_merged_loss_equals_per_graph_mean():
+    """The first train step's loss over a merged FlatGat batch equals the
+    mean of the per-graph losses on train's own draws; it differs when the
+    merged edges are not offset per graph."""
+    shapes = generate_shape_dataset(n_train=5, n_test=1, n_points=12,
+                                    seed=2).train
+    config = TrainConfig(task="positions", method="fully_connected",
+                         epochs=1, batch=4, lr=1e-4, warmup_epochs=0,
+                         hdim=8, seed=7)
+    d_in, odim = model_dims(shapes[0], "positions")
+    _, _, rows = train(shapes, config,
+                       model=FlatGat(d_in, odim, hdim=8, seed=7))
+    reference = FlatGat(d_in, odim, hdim=8, seed=7)
+    spec = config.interpolant_spec()
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    for i in rng.permutation(len(shapes))[:config.batch]:
+        z1 = shapes[i].positions
+        t = float(rng.uniform())
+        noise_seed = int(rng.integers(2**32))
+        z0 = rng.standard_normal(z1.shape)
+        z_t = interpolate(z0, z1, t, spec, noise_seed)
+        part = (z_t, node_input(np.zeros((len(z1), 0)), z_t, t), t)
+        pred = merged_forward(reference, [part], config, StructureCache()).data
+        losses.append(np.mean((pred - (z1 - z0)) ** 2))
+    assert rows[0][2] == pytest.approx(np.mean(losses), rel=1e-12, abs=0)
 
 
 def test_structure_cache_reuses_entries():

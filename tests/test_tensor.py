@@ -46,9 +46,6 @@ def check_op(build, shape, seed=0, tol=1e-6):
     lambda t: (t / 2.5).sum(),
     lambda t: (t**3).sum(),
     lambda t: (-t).sum(),
-    lambda t: t.exp().sum(),
-    lambda t: (t * t + 1.0).log().sum(),
-    lambda t: (t * t + 0.5).sqrt().sum(),
     lambda t: t.sigmoid().sum(),
     lambda t: t.gelu().sum(),
     lambda t: t.reshape(-1).sum(),
