@@ -1,9 +1,10 @@
 #!/bin/sh
 # Small seeded CLI sequence whose outputs pin the pipeline's numerics:
 # datasets, the GW and attention studies, and train/sample/eval for cfm,
-# ddpm, a masked task, two sampling chunks, GAT on positions, knn_fixed and
-# random_pred. Every file it writes is deterministic, so two source trees
-# that compute the same numbers give byte-identical output directories.
+# ddpm, a masked task, two sampling chunks, GAT on positions, knn_fixed,
+# long_short and random_pred. Every file it writes is deterministic, so two
+# source trees that compute the same numbers give byte-identical output
+# directories.
 #
 # Usage: scripts/seeded_outputs.sh SRC_DIR OUT_DIR
 # SRC_DIR is the directory holding the ncgn package (a checkout's src/).
@@ -51,6 +52,7 @@ run masked data mask_task=temporal_trajectory
 run chunks data n_samples=70
 run positions_gat shapes task=positions mp_kind=gat
 run knn_fixed data method=knn_fixed
+run long_short data method=long_short
 
 # random_pred is model-free: no train step
 ncgn sample out_dir="$OUT/random_pred" dataset="$OUT/data" method=random_pred seed=3

@@ -147,6 +147,12 @@ def cmd_sample(config):
     templates = ds.test
     if config["n_samples"] < 0:
         raise ConfigError(f"n_samples must be >= 0, got {config['n_samples']}")
+    if config["mask_task"] and config["task"] == "positions":
+        raise ConfigError(f"mask_task={config['mask_task']!r} conditions "
+                          f"features; it cannot be used with task=positions")
+    if not templates:
+        raise ValueError(f"{config['dataset']}: the test split is empty, so "
+                         f"there are no templates to sample")
     if config["n_samples"]:
         reps = -(-config["n_samples"] // len(templates))
         templates = (templates * reps)[: config["n_samples"]]

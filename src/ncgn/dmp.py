@@ -1,18 +1,22 @@
 """Dynamic message passing (DMP) network layers.
 
 ``DmpModel.forward_core`` runs one pass over a prebuilt coarse
-``Structure``: lift node inputs, then for each layer coarsen node vectors
-onto their clusters, message pass over the coarse edges, and gate the
-result back onto the nodes; a final projection gives the per-node output.
+``Structure``: lift node inputs and their cluster member means (pooled
+here, with one ``bincount`` per forward), then for each layer coarsen node
+vectors onto their clusters, message pass over the coarse edges, and gate
+the result back onto the nodes; a final projection gives the per-node
+output.
 
-The structure is built by ``engine.merged_forward``, the package's one
-forward path: DMP takes s_t voxel clusters and a kNN graph with k = r_t
-from the noise schedule, the fixed-structure baselines take one-to-one
-clusters and a fixed edge builder, so DMP with singleton clusters
-reproduces them exactly. ``FlatGat``, the attention study's single GAT
-layer, has a ``forward_core`` of the same signature, so it also runs
-through ``merged_forward`` (with the ``fully_connected`` structure) and
-trains through ``engine.train``.
+``Structure`` is the one coarse-structure type: ``engine.StructureCache``
+builds one per graph and ``engine.merged_forward``, the package's one
+forward path, concatenates them with offset ids. DMP takes s_t voxel
+clusters and a kNN graph with k = r_t from the noise schedule, the
+fixed-structure baselines take one-to-one clusters and a fixed edge
+builder, so DMP with singleton clusters reproduces them exactly.
+``FlatGat``, the attention study's single GAT layer, has a
+``forward_core`` of the same signature, so it also runs through
+``merged_forward`` (with the ``fully_connected`` structure) and trains
+through ``engine.train``.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ def node_input(features: np.ndarray, positions: np.ndarray,
 
 @dataclass
 class Structure:
-    """Precomputed coarse structure for one forward pass (possibly a merged
-    batch of disjoint graphs with offset cluster ids)."""
+    """Coarse structure of one graph, or of a merged batch of disjoint
+    graphs with offset cluster ids."""
 
     cluster_of: np.ndarray        # node -> coarse node
     coarse_positions: np.ndarray  # s' x d
-    coarse_inputs: np.ndarray     # s' x d_in, member means of node inputs
     edges: np.ndarray             # coarse (source, target) pairs
 
 
@@ -156,10 +159,6 @@ class DmpModel(nn.Module):
         if layers < 1:
             raise ValueError("need at least one layer")
         rng = np.random.default_rng(seed)
-        self.mp_kind = mp_kind
-        self.hdim = hdim
-        self.d = d
-        self.d_in = d_in
         self.odim = odim
         self.lift = nn.MLP([d_in, hdim, hdim, hdim], rng, norm=norm)
         self.lift_coarse = nn.MLP([d_in, hdim, hdim, hdim], rng, norm=norm)
@@ -171,16 +170,18 @@ class DmpModel(nn.Module):
         """Shared forward over a prebuilt coarse structure."""
         cluster_of = structure.cluster_of
         nclusters = structure.coarse_positions.shape[0]
+        counts = np.maximum(np.bincount(cluster_of, minlength=nclusters),
+                            1.0)[:, None]
         rel = structure.coarse_positions[cluster_of] - positions
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
         h = self.lift(Tensor(inputs))
-        h_coarse = self.lift_coarse(Tensor(structure.coarse_inputs))
+        # layer 0 lifts the member means of the inputs; later layers re-seed
+        # coarse vectors from the current node state
+        h_coarse = self.lift_coarse(
+            segment_sum(Tensor(inputs), cluster_of, nclusters) / counts)
         for k, block in enumerate(self.blocks):
             if k > 0:
-                # later layers re-seed coarse vectors from the current node state
-                h_coarse = segment_sum(h, cluster_of, nclusters) * (
-                    1.0 / np.maximum(np.bincount(cluster_of, minlength=nclusters), 1.0)
-                )[:, None]
+                h_coarse = segment_sum(h, cluster_of, nclusters) * (1.0 / counts)
             h_coarse = block.coarsen(h, h_coarse, rel, dist, cluster_of, nclusters)
             h_coarse = block.mp(h_coarse, structure.edges)
             h = block.uncoarsen(h, h_coarse, rel, dist, cluster_of)

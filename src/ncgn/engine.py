@@ -1,11 +1,13 @@
 """Training, sampling, evaluation, and the empirical studies.
 
 Batches are merged disjoint unions: node inputs of every graph in the batch
-are concatenated and the coarse structures (cluster ids, coarse nodes, edge
-lists) are offset so one forward pass covers the whole batch. Each graph
-keeps its own noise level t during training; sampling shares t across the
-batch, which makes the per-graph structures reusable across integration
-steps when positions are fixed.
+are concatenated, and so are the per-graph ``Structure``s (cluster ids,
+coarse positions, edge lists) with offset ids, so one forward pass covers
+the whole batch. The engine builds only this geometry; the model's
+``forward_core`` pools its own coarse inputs. Each graph keeps its own noise
+level t during training; sampling shares t across the batch, which makes
+the per-graph structures reusable across integration steps when positions
+are fixed.
 
 Training and sampling carry the generated component (features or positions)
 as a plain array; ``_part`` pairs it with the template's fixed component to
@@ -37,7 +39,7 @@ from .graphs import (
 )
 from .interpolant import InterpolantSpec, generate, interpolate, regression_target
 from .schedule import ScheduleSpec, default_bounds, eval_schedule
-from .tensor import Tensor, _scatter_add
+from .tensor import Tensor
 from .transport import PointCloud, gw_entropic, w2_exact
 
 BASELINES = ("knn_fixed", "fully_connected", "long_short")
@@ -81,6 +83,9 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.interpolant not in ("cfm", "ddpm"):
+            raise ValueError(f"interpolant {self.interpolant!r} cannot be "
+                             f"sampled; expected 'cfm' or 'ddpm'")
         if min(self.epochs, self.batch, self.hdim, self.layers, self.nfes) < 1:
             raise ValueError("epochs, batch, hdim, layers, nfes must be positive")
         if self.lr <= 0 or not 0.0 <= self.ema_decay < 1.0:
@@ -130,10 +135,10 @@ def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
 
 
 class StructureCache:
-    """Voxel assignments and edge lists keyed by position bytes, so fixed
-    positions (the transcriptomics grids) are only clustered once. ``dmp``
-    builds the noise-scheduled coarse structure, ``baseline`` the
-    one-to-one clusters and fixed edges of the BASELINES methods.
+    """Per-graph ``Structure``s keyed by position bytes, so fixed positions
+    (the transcriptomics grids) are only clustered once. ``dmp`` builds the
+    noise-scheduled coarse structure, ``baseline`` the one-to-one clusters
+    and fixed edges of the BASELINES methods.
 
     With ``keep=False`` nothing is stored and every lookup builds afresh;
     ``train`` and ``sample`` use it for the positions task, whose noised
@@ -155,9 +160,9 @@ class StructureCache:
         key = (positions.tobytes(), s_t, r_t)
         if key in self._store:
             return self._store[key]
-        asg = voxel_coarsen(positions, s_t)
-        edges = build_knn_edges(asg.coarse_positions, r_t)
-        return self._put(key, (asg.cluster_of, asg.coarse_positions, edges))
+        cluster_of, coarse_positions = voxel_coarsen(positions, s_t)
+        edges = build_knn_edges(coarse_positions, r_t)
+        return self._put(key, Structure(cluster_of, coarse_positions, edges))
 
     def baseline(self, positions, method, k, seed):
         if method not in BASELINES:
@@ -173,7 +178,8 @@ class StructureCache:
             edges = build_fully_connected_edges(n)
         else:
             edges = build_long_short_edges(positions, k, seed)
-        return self._put(key, (np.arange(n, dtype=np.intp), positions, edges))
+        return self._put(key, Structure(np.arange(n, dtype=np.intp), positions,
+                                        edges))
 
 
 def _slice_structure(positions, t, config: TrainConfig, cache: StructureCache):
@@ -182,12 +188,6 @@ def _slice_structure(positions, t, config: TrainConfig, cache: StructureCache):
         r_t, s_t = eval_schedule(default_bounds(n, config.schedule_kind), t, n)
         return cache.dmp(positions, s_t, r_t)
     return cache.baseline(positions, config.method, config.knn_k, config.seed)
-
-
-def _segment_mean(values, seg, nseg):
-    out = _scatter_add(seg, nseg, values)
-    counts = np.bincount(seg, minlength=nseg).astype(np.float64)
-    return out / np.maximum(counts, 1.0)[:, None]
 
 
 def merged_forward(model, parts, config: TrainConfig,
@@ -201,27 +201,22 @@ def merged_forward(model, parts, config: TrainConfig,
     messages.
     """
     cluster_of, coarse_pos, edges = [], [], []
-    pos_all, in_all = [], []
     offset = 0
-    for positions, inputs, t in parts:
-        c_of, c_pos, c_edges = _slice_structure(positions, t, config, cache)
-        cluster_of.append(c_of + offset)
-        coarse_pos.append(c_pos)
-        if c_edges.size:
-            edges.append(c_edges + offset)
-        pos_all.append(positions)
-        in_all.append(inputs)
-        offset += c_pos.shape[0]
-    # one mean over the whole batch: offset ids keep graphs apart, and each
-    # cluster still sums its own rows in order
-    inputs, cluster_of = np.concatenate(in_all), np.concatenate(cluster_of)
+    for positions, _, t in parts:
+        part = _slice_structure(positions, t, config, cache)
+        cluster_of.append(part.cluster_of + offset)
+        coarse_pos.append(part.coarse_positions)
+        if part.edges.size:
+            edges.append(part.edges + offset)
+        offset += part.coarse_positions.shape[0]
     structure = Structure(
-        cluster_of,
+        np.concatenate(cluster_of),
         np.concatenate(coarse_pos),
-        _segment_mean(inputs, cluster_of, offset),
         np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.intp),
     )
-    return model.forward_core(inputs, np.concatenate(pos_all), structure)
+    pos_all, in_all, _ = zip(*parts)
+    return model.forward_core(np.concatenate(in_all), np.concatenate(pos_all),
+                              structure)
 
 
 def _component(graph, task):
@@ -461,14 +456,14 @@ def task_mask(graph: GeometricGraph, name, gene=1,
 
 def attention_study(model: FlatGat, graphs, bins=10,
                     t_buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-                    sigma_min=1e-3, seed=0, max_graphs=20):
+                    seed=0, max_graphs=20):
     """Attention mass vs pair distance per noise bucket.
 
     Rows (t_bucket, bin_lo, bin_hi, weight) with each bucket's weights
     normalized to sum 1; bin edges are global across buckets.
     """
     graphs = [_strip(g, "positions") for g in graphs[:max_graphs]]
-    spec = InterpolantSpec(kind="cfm", sigma_min=sigma_min)
+    spec = InterpolantSpec(kind="cfm")
     rng = np.random.default_rng(seed)
     collected = {t: ([], []) for t in t_buckets}
     for t in t_buckets:
@@ -497,19 +492,19 @@ def attention_study(model: FlatGat, graphs, bins=10,
 
 
 def _pooled_coarse(positions, n_clusters, pooling):
-    asg = voxel_coarsen(positions, n_clusters)
+    cluster_of, coarse_positions = voxel_coarsen(positions, n_clusters)
     if pooling == "mean":
-        return asg.coarse_positions
+        return coarse_positions
     if pooling != "max":
         raise ValueError(f"unknown pooling {pooling!r}")
-    out = np.full((asg.n_clusters, positions.shape[1]), -np.inf)
-    np.maximum.at(out, asg.cluster_of, positions)
+    out = np.full(coarse_positions.shape, -np.inf)
+    np.maximum.at(out, cluster_of, positions)
     return out
 
 
 def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
              cluster_grid=(4, 8, 16, 32, 64), pooling="mean", n_shapes=20,
-             n_seeds=3, sigma_max=1.0, eps=0.05, iters=50, seed=0):
+             n_seeds=3, eps=0.05, iters=50, seed=0):
     """Gromov-Wasserstein between coarse-grained noised shapes and originals.
 
     For every noise level t (variance-exploding noise on the positions) and
@@ -519,7 +514,7 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
     and argmin_rows (t, argmin_clusters).
     """
     graphs = graphs[:n_shapes]
-    spec = InterpolantSpec(kind="ve", sigma_max=sigma_max)
+    spec = InterpolantSpec(kind="ve")
     rows = []
     argmin_rows = []
     for t in noise_grid:

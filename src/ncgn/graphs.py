@@ -2,6 +2,9 @@
 
 Edges are directed (source, target) pairs with target-side aggregation.
 All builders are brute force O(N^2); node counts stay in the thousands.
+``voxel_coarsen`` returns plain arrays (cluster ids, cluster mean
+positions); ``engine.StructureCache`` pairs them with coarse edges into a
+``dmp.Structure``.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import _scatter_add
 
 
 @dataclass
@@ -40,18 +45,6 @@ class GeometricGraph:
     @property
     def dim(self):
         return self.positions.shape[1]
-
-
-@dataclass
-class CoarseAssignment:
-    """Node -> cluster map plus cluster mean positions; s' realized clusters."""
-
-    cluster_of: np.ndarray
-    coarse_positions: np.ndarray
-
-    @property
-    def n_clusters(self):
-        return self.coarse_positions.shape[0]
 
 
 def _pairwise_sq_dists(positions):
@@ -99,14 +92,14 @@ def build_long_short_edges(positions, k, seed):
     return np.concatenate(edges, axis=0).astype(np.intp)
 
 
-def voxel_coarsen(positions: np.ndarray, s: int) -> CoarseAssignment:
+def voxel_coarsen(positions: np.ndarray, s: int):
     """Axis-aligned voxel clustering of N x d ``positions`` into at most ``s``
-    clusters.
+    clusters; returns (cluster_of, coarse_positions), the node -> cluster
+    map and the s' x d cluster member means.
 
     Each dimension's [min, max] range is split into ceil(s^(1/d)) equal
     half-open bins (last bin closed); empty voxels are dropped, so the
-    realized cluster count can be below ``s``. Cluster positions are the
-    member means.
+    realized cluster count s' can be below ``s``.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -125,10 +118,7 @@ def voxel_coarsen(positions: np.ndarray, s: int) -> CoarseAssignment:
     uniq, cluster_of = np.unique(flat, return_inverse=True)
     sprime = uniq.size
     counts = np.bincount(cluster_of, minlength=sprime).astype(np.float64)
-    coarse_pos = np.zeros((sprime, d))
-    np.add.at(coarse_pos, cluster_of, pos)
-    coarse_pos /= counts[:, None]
-    return CoarseAssignment(cluster_of, coarse_pos)
+    return cluster_of, _scatter_add(cluster_of, sprime, pos) / counts[:, None]
 
 
 # ----------------------------------------------------------------------

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA_MIN, BETA_MAX = 1e-4, 0.02  # ddpm's linear beta range
+SIGMA_MAX = 1.0  # ve noise scale at t = 0
+
 
 @dataclass
 class InterpolantSpec:
     kind: str = "cfm"
     sigma_min: float = 1e-3
     steps: int = 1000
-    beta_min: float = 1e-4
-    beta_max: float = 0.02
-    sigma_max: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("cfm", "ddpm", "ve"):
@@ -34,11 +34,9 @@ class InterpolantSpec:
             raise ValueError("sigma_min must be positive")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.beta_max <= self.beta_min:
-            raise ValueError("beta range must be increasing")
 
     def betas(self):
-        return np.linspace(self.beta_min, self.beta_max, self.steps)
+        return np.linspace(BETA_MIN, BETA_MAX, self.steps)
 
     def alpha_bar(self, t):
         """Cumulative signal retention at noise level t; alpha_bar(1) = 1."""
@@ -52,7 +50,7 @@ class InterpolantSpec:
         if self.kind == "cfm":
             return self.sigma_min
         if self.kind == "ve":
-            return self.sigma_max * (1.0 - t)
+            return SIGMA_MAX * (1.0 - t)
         ab = self.alpha_bar(t)
         return float(np.sqrt(1.0 - ab))
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from ncgn import theory
-from ncgn.dmp import DmpModel, node_input
+from ncgn.dmp import DmpModel, Structure, node_input
 from ncgn.engine import StructureCache, TrainConfig, merged_forward
 from ncgn.graphs import (
     GeometricGraph,
@@ -66,7 +66,8 @@ class SingletonCache(StructureCache):
         self.edges = edges
 
     def dmp(self, positions, s_t, r_t):
-        return np.arange(positions.shape[0], dtype=np.intp), positions, self.edges
+        return Structure(np.arange(positions.shape[0], dtype=np.intp),
+                         positions, self.edges)
 
 
 # criterion 1: optimal aggregation radius reproduction
@@ -160,8 +161,8 @@ def test_linear_complexity_invariant():
         worst = 0
         for t in np.linspace(0.0, 1.0, 101):
             r_t, s_t = eval_schedule(spec, float(t), n)
-            asg = voxel_coarsen(g.positions, s_t)
-            edges = build_knn_edges(asg.coarse_positions, r_t)
+            _, coarse = voxel_coarsen(g.positions, s_t)
+            edges = build_knn_edges(coarse, r_t)
             worst = max(worst, edges.shape[0])
         assert worst <= 1.25 * spec.r1 * n
 

@@ -166,6 +166,37 @@ def test_sample_without_checkpoint_exits_one(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+TINY_TRAIN = ("epochs=1", "batch=2", "warmup_epochs=0", "hdim=8", "layers=1",
+              "nfes=2")
+
+
+def test_masked_sampling_on_positions_task_exits_one(tmp_path, capsys):
+    # task masks describe the features task; on positions they would clamp
+    # rows onto the template's features
+    data, work = tmp_path / "shapes", tmp_path / "work"
+    assert run(data, "make-shapes", "n_train=2", "n_test=1",
+               "n_points=16") == 0
+    assert run(work, "train", f"dataset={data}", "task=positions",
+               *TINY_TRAIN) == 0
+    assert run(work, "sample", f"dataset={data}",
+               "mask_task=temporal_trajectory") == 1
+    err = capsys.readouterr().err
+    assert "mask_task" in err and "task=positions" in err
+    assert not (work / "samples").exists()
+
+
+@pytest.mark.parametrize("n_samples", ["n_samples=3", "n_samples=0"])
+def test_sample_empty_test_split_exits_one(tmp_path, capsys, n_samples):
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=0") == 0
+    assert run(work, "train", f"dataset={data}", *TINY_TRAIN) == 0
+    capsys.readouterr()
+    assert run(work, "sample", f"dataset={data}", n_samples) == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "test split is empty" in err
+    assert not (work / "samples").exists()
+
+
 def test_make_shapes_and_gw_study(tmp_path):
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", "n_train=4", "n_test=2",

@@ -31,9 +31,10 @@ class RecordingCache(StructureCache):
         self.stats = []
 
     def dmp(self, positions, s_t, r_t):
-        cluster_of, coarse_positions, edges = super().dmp(positions, s_t, r_t)
-        self.stats.append({"s_t": s_t, "r_t": r_t, "edges": int(edges.shape[0])})
-        return cluster_of, coarse_positions, edges
+        structure = super().dmp(positions, s_t, r_t)
+        self.stats.append({"s_t": s_t, "r_t": r_t,
+                           "edges": int(structure.edges.shape[0])})
+        return structure
 
 
 class SingletonCache(StructureCache):
@@ -44,7 +45,8 @@ class SingletonCache(StructureCache):
         self.edges = edges
 
     def dmp(self, positions, s_t, r_t):
-        return np.arange(positions.shape[0], dtype=np.intp), positions, self.edges
+        return Structure(np.arange(positions.shape[0], dtype=np.intp),
+                         positions, self.edges)
 
 
 def test_node_input_width_and_t_column():
@@ -154,6 +156,27 @@ def test_identity_reduction_matches_baselines(mp_kind, kind):
         np.testing.assert_allclose(ours, base, atol=1e-9)
 
 
+@pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
+@pytest.mark.parametrize("method", ["dmp", "knn_fixed", "long_short"])
+def test_merged_forward_equals_batches_of_one(mp_kind, method):
+    # offset cluster ids and edges keep the merged graphs apart, so one
+    # merged pass gives each graph's batch-of-one rows. GCN rows match bit
+    # for bit; GAT's N x 1 score products (a BLAS gemv) round by row offset
+    graphs = [random_graph(n, seed=20 + n) for n in (9, 14, 23)]
+    ts = (0.2, 0.55, 0.9)
+    config = TrainConfig(method=method, mp_kind=mp_kind, knn_k=3, seed=4)
+    model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
+                     mp_kind=mp_kind, seed=5)
+    model.eval()
+    parts = [(g.positions, node_input(g.features, g.positions, t), t)
+             for g, t in zip(graphs, ts)]
+    merged = merged_forward(model, parts, config, StructureCache()).data
+    single = np.concatenate([
+        merged_forward(model, [part], config, StructureCache()).data
+        for part in parts])
+    np.testing.assert_allclose(merged, single, rtol=1e-12, atol=0)
+
+
 def test_knn_saturated_equals_fully_connected():
     g = random_graph(7, seed=11)
     model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2, seed=1)
@@ -236,7 +259,7 @@ def test_flat_gat_shapes_and_attention():
     positions = rng.standard_normal((6, 2))
     edges = build_fully_connected_edges(6)
     net = FlatGat(d_in=5, odim=2, hdim=8, seed=0)
-    structure = Structure(np.arange(6), positions, inputs, edges)
+    structure = Structure(np.arange(6), positions, edges)
     out = net.forward_core(inputs, positions, structure)
     assert out.data.shape == (6, 2)
     alpha = net.attention(inputs, edges)

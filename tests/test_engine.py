@@ -49,6 +49,8 @@ def test_config_validation():
         TrainConfig(epochs=2, warmup_epochs=5)
     with pytest.raises(ValueError):
         TrainConfig(ema_decay=1.0)
+    with pytest.raises(ValueError, match="'ve'"):
+        TrainConfig(interpolant="ve")  # trains, but has no sampler
 
 
 def test_condition_mask_validation():

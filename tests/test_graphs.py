@@ -86,49 +86,49 @@ def test_fully_connected_edges():
 
 def test_voxel_unit_square_identity():
     pos = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    asg = voxel_coarsen(pos, 4)
-    assert asg.n_clusters == 4
-    order = np.argsort([tuple(p) for p in asg.coarse_positions])
-    np.testing.assert_allclose(asg.coarse_positions[order],
+    cluster_of, coarse = voxel_coarsen(pos, 4)
+    assert len(coarse) == 4
+    order = np.argsort([tuple(p) for p in coarse])
+    np.testing.assert_allclose(coarse[order],
                                pos[np.argsort([tuple(p) for p in pos])])
 
 
 def test_voxel_single_cluster_is_centroid():
     g = random_graph(17, seed=5)
-    asg = voxel_coarsen(g.positions, 1)
-    assert asg.n_clusters == 1
-    np.testing.assert_allclose(asg.coarse_positions[0],
+    cluster_of, coarse = voxel_coarsen(g.positions, 1)
+    assert len(coarse) == 1
+    np.testing.assert_allclose(coarse[0],
                                g.positions.mean(axis=0), atol=1e-12)
 
 
 def test_voxel_1d_two_bins():
     pos = np.array([[0.0], [0.1], [0.9], [1.0]])
-    asg = voxel_coarsen(pos, 2)
-    assert asg.n_clusters == 2
-    np.testing.assert_allclose(sorted(asg.coarse_positions.ravel()), [0.05, 0.95])
+    cluster_of, coarse = voxel_coarsen(pos, 2)
+    assert len(coarse) == 2
+    np.testing.assert_allclose(sorted(coarse.ravel()), [0.05, 0.95])
 
 
 def test_voxel_member_means_and_counts():
     g = random_graph(40, seed=6)
-    asg = voxel_coarsen(g.positions, 9)
-    counts = np.bincount(asg.cluster_of, minlength=asg.n_clusters)
+    cluster_of, coarse = voxel_coarsen(g.positions, 9)
+    counts = np.bincount(cluster_of, minlength=len(coarse))
     assert counts.sum() == 40 and (counts > 0).all()
-    for c in range(asg.n_clusters):
-        members = g.positions[asg.cluster_of == c]
-        np.testing.assert_allclose(asg.coarse_positions[c],
+    for c in range(len(coarse)):
+        members = g.positions[cluster_of == c]
+        np.testing.assert_allclose(coarse[c],
                                    members.mean(axis=0), atol=1e-12)
 
 
 def test_voxel_large_s_gives_singletons():
     g = random_graph(12, seed=7)
-    asg = voxel_coarsen(g.positions, 12**3)
-    assert asg.n_clusters == 12
+    cluster_of, coarse = voxel_coarsen(g.positions, 12**3)
+    assert len(coarse) == 12
 
 
 def test_voxel_degenerate_dimension():
     pos = np.column_stack([np.linspace(0, 1, 6), np.zeros(6)])
-    asg = voxel_coarsen(pos, 4)  # flat dim contributes a single bin
-    assert 1 <= asg.n_clusters <= 4
+    cluster_of, coarse = voxel_coarsen(pos, 4)  # flat dim contributes a single bin
+    assert 1 <= len(coarse) <= 4
 
 
 def test_graph_validation():
@@ -165,10 +165,10 @@ def test_load_bad_row_reports_line(tmp_path):
 @given(n=st.integers(2, 25), s=st.integers(1, 30), seed=st.integers(0, 10))
 def test_voxel_properties(n, s, seed):
     g = random_graph(n, seed=seed)
-    asg = voxel_coarsen(g.positions, s)
-    assert 1 <= asg.n_clusters <= max(1, min(s, n) * 4)  # p^d can overshoot s
-    assert asg.cluster_of.shape == (n,)
-    assert set(asg.cluster_of) == set(range(asg.n_clusters))
+    cluster_of, coarse = voxel_coarsen(g.positions, s)
+    assert 1 <= len(coarse) <= max(1, min(s, n) * 4)  # p^d can overshoot s
+    assert cluster_of.shape == (n,)
+    assert set(cluster_of) == set(range(len(coarse)))
 
 
 def test_load_row_count_checked_both_ways(tmp_path):

@@ -184,5 +184,3 @@ def test_spec_validation():
         InterpolantSpec(kind="flow")
     with pytest.raises(ValueError):
         InterpolantSpec(sigma_min=0.0)
-    with pytest.raises(ValueError):
-        InterpolantSpec(beta_min=0.5, beta_max=0.1)
