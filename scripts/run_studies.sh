@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerate the noise-vs-structure study artifacts on the synthetic shape
-# corpus: the Gromov-Wasserstein coarsening study (~10 min) and the
-# attention-vs-distance study (~2 min).
+# corpus: the Gromov-Wasserstein coarsening study (95 s on a 2-vCPU host)
+# and the attention-vs-distance study (~2 min).
 #
 # Usage: scripts/run_studies.sh [WORKDIR]
 # Copies the CSVs into artifacts/ when run from the repo root.

@@ -158,13 +158,14 @@ def cmd_sample(config):
         templates = (templates * reps)[: config["n_samples"]]
     out = config["out_dir"]
     cfg = _train_config(config)
+    mask = None
+    if config["mask_task"]:
+        mask = [task_mask(g, config["mask_task"]) for g in templates]
     if config["method"] == "random_pred":
-        generated = random_generations(templates, cfg.task, seed=config["seed"])
+        generated = random_generations(templates, cfg.task, mask=mask,
+                                       seed=config["seed"])
     else:
         model, cfg = _load_model(config, ds.train[0])
-        mask = None
-        if config["mask_task"]:
-            mask = [task_mask(g, config["mask_task"]) for g in templates]
         generated = sample(model, templates, cfg, mask=mask,
                            seed=config["seed"])
     sample_dir = os.path.join(out, "samples")

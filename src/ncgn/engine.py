@@ -355,11 +355,24 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
     return out
 
 
-def random_generations(templates, task, seed=0):
-    """Standard-normal predictions in place of the generated component."""
+def random_generations(templates, task, seed=0, mask=None):
+    """Standard-normal predictions in place of the generated component.
+
+    ``mask`` is a per-template list of ConditionMask (or None entries), as
+    for ``sample``; known channels take their conditioning values.
+    """
+    if mask is not None and len(mask) != len(templates):
+        raise ValueError("need one mask entry per template")
     rng = np.random.default_rng(seed)
-    return [_with_component(g, rng.standard_normal(_component(g, task).shape),
-                            task) for g in templates]
+    out = []
+    for g, m in zip(templates, mask or [None] * len(templates)):
+        z = rng.standard_normal(_component(g, task).shape)
+        if m is not None:
+            if m.known.shape != z.shape:
+                raise ValueError("mask shape mismatch")
+            z[m.known] = m.values[m.known]
+        out.append(_with_component(g, z, task))
+    return out
 
 
 # ----------------------------------------------------------------------

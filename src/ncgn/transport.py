@@ -1,5 +1,9 @@
 """Optimal transport metrics: exact 2-Wasserstein between equal-size point
-clouds and entropic Gromov-Wasserstein between metric-measure clouds."""
+clouds and entropic Gromov-Wasserstein between metric-measure clouds.
+
+Each GW step solves an entropic transport problem with Sinkhorn iterations
+in the scaling domain (matrix-vector products on a row-stabilised kernel);
+the log-domain loop is kept as the fallback for kernels that underflow."""
 
 from __future__ import annotations
 
@@ -55,9 +59,12 @@ def _logsumexp(mat, axis):
     return out
 
 
-def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=1e-9, f=None, g=None):
+def _sinkhorn_log_domain(cost, p, q, eps, max_iter=2000, tol=1e-9, f=None,
+                         g=None):
     """Log-domain Sinkhorn; returns log of the coupling with marginals (p, q)
-    plus the dual potentials (for warm starts)."""
+    plus the dual potentials (for warm starts). Slower, but stable where the
+    kernel underflows: the fallback of ``_sinkhorn_log`` and the reference
+    it is tested against."""
     f = np.zeros(len(p)) if f is None else f
     g = np.zeros(len(q)) if g is None else g
     logp, logq = np.log(p), np.log(q)
@@ -71,6 +78,46 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=1e-9, f=None, g=None):
     return log_t, f, g
 
 
+def _positive_finite(x):
+    return bool(np.all((x > 0) & (x < np.inf)))
+
+
+def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=1e-9, f=None, g=None):
+    """Sinkhorn in the scaling domain; same contract as
+    ``_sinkhorn_log_domain``: the log coupling with marginals (p, q) and the
+    dual potentials.
+
+    The warm-start potentials and each row's maximum are absorbed into the
+    kernel K = exp((f + g - cost) / eps - shift), so every row of K holds a 1
+    and the iterations u = p / Kv, v = q / K'u are two matrix-vector
+    products (Cuturi 2013; absorption as in Schmitzer 2019). The row
+    marginal is tested every 10th iteration. If a scaling turns zero or
+    non-finite (a column of K underflowed), the log-domain loop reruns from
+    the same warm start.
+    """
+    f0 = np.zeros(len(p)) if f is None else f
+    g0 = np.zeros(len(q)) if g is None else g
+    log_k = (f0[:, None] + g0[None, :] - cost) / eps
+    shift = log_k.max(axis=1)
+    k = np.exp(log_k - shift[:, None])
+    k_t = np.ascontiguousarray(k.T)
+    v = np.ones(len(q))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            u = p / (k @ v)
+            v = q / (k_t @ u)
+            if it % 10 == 0 or it == max_iter:
+                if not (_positive_finite(u) and _positive_finite(v)):
+                    return _sinkhorn_log_domain(cost, p, q, eps, max_iter, tol,
+                                                f=f, g=g)
+                if np.abs(u * (k @ v) - p).max() < tol:
+                    break
+    f_new = f0 + eps * (np.log(u) - shift)
+    g_new = g0 + eps * np.log(v)
+    log_t = (f_new[:, None] + g_new[None, :] - cost) / eps
+    return log_t, f_new, g_new
+
+
 def _gw_cost_gradient(c1, c2, coupling, p, q):
     const = (c1**2 @ p)[:, None] + (c2**2 @ q)[None, :]
     return const - 2.0 * c1 @ coupling @ c2
@@ -82,14 +129,22 @@ def gw_entropic(a: PointCloud, b: PointCloud, eps=0.05, iters=50,
 
     Proximal-point mirror descent: each outer iteration linearizes the
     quartic objective at the current coupling and takes an entropic
-    KL-prox step around it (log-domain Sinkhorn), so the effective blur
-    anneals away over iterations. The regularization strength applies on
-    distance matrices rescaled to max 1; the returned objective is always
-    evaluated on the raw distances. The initial coupling carries a tiny
-    fixed perturbation to break exactly symmetric stationary points.
+    KL-prox step around it (scaling-domain Sinkhorn, log-domain where the
+    kernel underflows), so the effective blur anneals away over iterations.
+    The regularization strength applies on distance matrices rescaled to
+    max 1; the returned objective is always evaluated on the raw distances.
+    The initial coupling carries a tiny fixed perturbation to break exactly
+    symmetric stationary points. Weights must be positive.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+    for name, cloud in (("a", a), ("b", b)):
+        zero = np.flatnonzero(cloud.weights == 0)
+        if zero.size:
+            raise ValueError(f"{name}.weights[{zero[0]}] is 0; gw_entropic "
+                             f"needs positive weights")
     m, n = a.points.shape[0], b.points.shape[0]
     if max(m, n) > 512:
         raise ValueError("cloud too large for the entropic solver")

@@ -13,7 +13,7 @@ from ncgn.config import (
     read_config_file,
     write_resolved,
 )
-from ncgn.graphs import build_long_short_edges
+from ncgn.graphs import build_long_short_edges, load_graph
 
 
 def run(tmp_path, command, *overrides, config=None):
@@ -156,6 +156,21 @@ def test_sample_random_pred_needs_no_checkpoint(tmp_path, capsys):
     assert run(work, "sample", f"dataset={data}", "method=random_pred",
                "n_samples=-3") == 1
     assert "n_samples" in capsys.readouterr().err
+
+
+def test_random_pred_clamps_masked_channels(tmp_path):
+    # gene_knockout clamps gene 1 to -0.5 on every node; the random baseline
+    # of a conditional task is conditioned the same way
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
+    assert run(work, "sample", f"dataset={data}", "method=random_pred",
+               "mask_task=gene_knockout") == 0
+    names = sorted(os.listdir(work / "samples"))
+    assert len(names) == 2
+    for name in names:
+        g = load_graph(str(work / "samples" / name))
+        assert np.all(g.features[:, 1] == -0.5)
+        assert np.all(g.features[:, [0, 2]] != -0.5)
 
 
 def test_sample_without_checkpoint_exits_one(tmp_path, capsys):

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from ncgn import dataset, transport
+from ncgn.interpolant import InterpolantSpec, interpolate
 from ncgn.transport import GwResult, PointCloud, gw_entropic, w2_exact
 
 
@@ -122,8 +124,19 @@ def test_gw_size_guard():
     big = cloud(np.zeros((513, 2)))
     with pytest.raises(ValueError):
         gw_entropic(big, big)
+    small = cloud(np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        gw_entropic(cloud(np.zeros((4, 2))), cloud(np.zeros((4, 2))), eps=0.0)
+        gw_entropic(small, small, eps=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        gw_entropic(small, small, eps=float("nan"))
+    for iters in (0, -3):
+        with pytest.raises(ValueError, match="iters"):
+            gw_entropic(small, small, iters=iters)
+    holey = PointCloud(np.arange(8.0).reshape(4, 2), [0.5, 0.0, 0.25, 0.25])
+    with pytest.raises(ValueError, match=r"b\.weights\[1\]"):
+        gw_entropic(small, holey)
+    with pytest.raises(ValueError, match=r"a\.weights\[1\]"):
+        gw_entropic(holey, small)
 
 
 def test_gw_deterministic():
@@ -131,3 +144,94 @@ def test_gw_deterministic():
     a = cloud(rng.standard_normal((12, 3)))
     b = cloud(rng.standard_normal((12, 3)))
     assert gw_entropic(a, b) == gw_entropic(a, b)
+
+
+# ---------------------------------------------------------------- Sinkhorn
+
+
+def study_sinkhorn_calls():
+    """The (args, kwargs) of the first three Sinkhorn solves of a 64-point
+    study cell: a shape noised at t = 0.5 against its clean cloud, eps 0.05
+    (one cold start, then two warm starts)."""
+    g = dataset.generate_shape_dataset(n_train=1, n_test=0, n_points=64,
+                                       seed=0).train[0]
+    noised = interpolate(np.zeros_like(g.positions), g.positions, 0.5,
+                         InterpolantSpec(kind="ve"), 0)
+    calls = []
+    solve = transport._sinkhorn_log
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    transport._sinkhorn_log = record
+    try:
+        gw_entropic(cloud(noised), cloud(g.positions), eps=0.05, iters=3)
+    finally:
+        transport._sinkhorn_log = solve
+    return calls
+
+
+def normal_cost(eps, offset=0.0):
+    # seed 1 converges to tol within 5000 iterations at eps 0.01; most
+    # standard-normal costs need far more at that eps
+    cost = np.random.default_rng(1).standard_normal((30, 40)) + offset
+    return (cost, np.full(30, 1 / 30), np.full(40, 1 / 40), eps), {
+        "max_iter": 5000}
+
+
+reference_sinkhorn = transport._sinkhorn_log_domain
+
+
+def count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reference_sinkhorn(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_sinkhorn_log_domain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["study", "normal", "offset"])
+def test_sinkhorn_matches_log_domain(case, monkeypatch):
+    # measured coupling deviation from the log-domain loop: at most 3.1e-12
+    # on the study calls, 1.9e-11 on the normal cost; both loops stop once
+    # the row marginal is within tol, at different iterations. "offset"
+    # lowers the normal cost by 10: exp(-cost / eps) reaches e^1200, so only
+    # the row shift keeps the kernel finite
+    calls = {"study": study_sinkhorn_calls,
+             "normal": lambda: [normal_cost(0.01)],
+             "offset": lambda: [normal_cost(0.01, offset=-10.0)]}[case]()
+    atol = {"study": 1e-10, "normal": 1e-9, "offset": 1e-9}[case]
+    fallbacks = count_fallbacks(monkeypatch)
+    for args, kwargs in calls:
+        cost, p, q, eps = args
+        log_t, f, g = transport._sinkhorn_log(*args, **kwargs)
+        assert fallbacks == []
+        ref, _, _ = reference_sinkhorn(*args, **kwargs)
+        coupling = np.exp(log_t)
+        assert np.abs(coupling.sum(axis=1) - p).max() < 1e-9
+        assert np.abs(coupling.sum(axis=0) - q).max() < 1e-9
+        np.testing.assert_allclose(coupling, np.exp(ref), rtol=0, atol=atol)
+        np.testing.assert_allclose(log_t, (f[:, None] + g[None, :] - cost) / eps,
+                                   rtol=0, atol=1e-12)
+
+
+def test_sinkhorn_falls_back_where_kernel_underflows(monkeypatch):
+    # at eps 1e-3 whole columns of the row-stabilised kernel underflow to 0;
+    # at eps 0.01 the same cost stays on the scaling path
+    fallbacks = count_fallbacks(monkeypatch)
+    args, kwargs = normal_cost(0.01)
+    log_t, _, _ = transport._sinkhorn_log(*args, **kwargs)
+    assert fallbacks == []
+    ref, _, _ = reference_sinkhorn(*args, **kwargs)
+    np.testing.assert_allclose(np.exp(log_t), np.exp(ref), rtol=0, atol=1e-9)
+
+    args, kwargs = normal_cost(1e-3)
+    out = transport._sinkhorn_log(*args, **kwargs)
+    assert len(fallbacks) == 1
+    ref = reference_sinkhorn(*args, **kwargs)
+    for got, want in zip(out, ref):
+        np.testing.assert_array_equal(got, want)
