@@ -1,8 +1,8 @@
 """How much structure survives noise?
 
-Adds variance-exploding noise to synthetic shape point clouds, coarse-grains
-them to different cluster counts, and measures Gromov-Wasserstein distance
-back to the clean shapes. At low noise, fine resolution wins; as noise grows,
+Adds Gaussian noise of scale 1 - t to synthetic shape point clouds,
+coarse-grains them to different cluster counts, and measures
+Gromov-Wasserstein distance back to the clean shapes. At low noise, fine resolution wins; as noise grows,
 aggressive coarsening denoises better and the optimal cluster count drops.
 
 Desk-scale version of the full study (scripts/run_studies.sh); ~1 minute.

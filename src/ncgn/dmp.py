@@ -57,9 +57,6 @@ class GcnConv(nn.Module):
 
     def __call__(self, h: Tensor, edges: np.ndarray) -> Tensor:
         nseg = h.data.shape[0]
-        if edges.size == 0:
-            agg = Tensor(np.zeros_like(h.data), _parents=(), _backward=None)
-            return self.lin(agg)
         src, tgt = edges[:, 0], edges[:, 1]
         summed = segment_sum(h.gather_rows(src), tgt, nseg)
         deg = np.bincount(tgt, minlength=nseg).astype(np.float64)
@@ -82,12 +79,11 @@ class GatConv(nn.Module):
         n = h.data.shape[0]
         vals_s = self.lin_s(h)
         vals_t = self.lin_t(h)
-        score_s = (vals_s @ self.att_s).reshape(n)
-        score_t = (vals_t @ self.att_t).reshape(n)
-        if edges.size:
-            src, tgt = edges[:, 0], edges[:, 1]
-        else:
-            src = tgt = np.zeros(0, dtype=np.intp)
+        # row-wise sums rather than an N x 1 matmul, whose BLAS rounding
+        # depends on the row's offset in a merged batch
+        score_s = (vals_s * self.att_s.reshape(1, -1)).sum(axis=1)
+        score_t = (vals_t * self.att_t.reshape(1, -1)).sum(axis=1)
+        src, tgt = edges[:, 0], edges[:, 1]
         self_ids = np.arange(n, dtype=np.intp)
         seg = np.concatenate([tgt, self_ids])
         logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),

@@ -38,7 +38,7 @@ from .graphs import (
     voxel_coarsen,
 )
 from .interpolant import InterpolantSpec, generate, interpolate, regression_target
-from .schedule import ScheduleSpec, default_bounds, eval_schedule
+from .schedule import default_bounds, eval_schedule
 from .tensor import Tensor
 from .transport import PointCloud, gw_entropic, w2_exact
 
@@ -83,9 +83,7 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.interpolant not in ("cfm", "ddpm"):
-            raise ValueError(f"interpolant {self.interpolant!r} cannot be "
-                             f"sampled; expected 'cfm' or 'ddpm'")
+        self.interpolant_spec()
         if min(self.epochs, self.batch, self.hdim, self.layers, self.nfes) < 1:
             raise ValueError("epochs, batch, hdim, layers, nfes must be positive")
         if self.lr <= 0 or not 0.0 <= self.ema_decay < 1.0:
@@ -113,23 +111,17 @@ class ConditionMask:
             raise ValueError("known values must be finite where masked")
 
 
-def _strip(graph: GeometricGraph, task) -> GeometricGraph:
-    """Position-generation models see no features (they would leak the target)."""
-    if task == "positions" and graph.n_features:
-        return GeometricGraph(np.zeros((graph.n_nodes, 0)), graph.positions)
-    return graph
-
-
 def model_dims(graph: GeometricGraph, task):
-    g = _strip(graph, task)
-    d_in = g.n_features + g.dim + 1
-    odim = g.dim if task == "positions" else g.n_features
-    return d_in, odim
+    """(d_in, odim); position-generation models see no features (they
+    would leak the target)."""
+    if task == "positions":
+        return graph.dim + 1, graph.dim
+    return graph.n_features + graph.dim + 1, graph.n_features
 
 
 def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
     d_in, odim = model_dims(graph, config.task)
-    return DmpModel(d_in, _strip(graph, config.task).dim, odim,
+    return DmpModel(d_in, graph.dim, odim,
                     hdim=config.hdim, layers=config.layers,
                     mp_kind=config.mp_kind, seed=config.seed, norm=True)
 
@@ -206,14 +198,10 @@ def merged_forward(model, parts, config: TrainConfig,
         part = _slice_structure(positions, t, config, cache)
         cluster_of.append(part.cluster_of + offset)
         coarse_pos.append(part.coarse_positions)
-        if part.edges.size:
-            edges.append(part.edges + offset)
+        edges.append(part.edges + offset)
         offset += part.coarse_positions.shape[0]
-    structure = Structure(
-        np.concatenate(cluster_of),
-        np.concatenate(coarse_pos),
-        np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.intp),
-    )
+    structure = Structure(np.concatenate(cluster_of), np.concatenate(coarse_pos),
+                          np.concatenate(edges))
     pos_all, in_all, _ = zip(*parts)
     return model.forward_core(np.concatenate(in_all), np.concatenate(pos_all),
                               structure)
@@ -224,17 +212,18 @@ def _component(graph, task):
 
 
 def _with_component(template, z, task):
-    """Copy of ``template`` with its generated component set to ``z``."""
+    """Copy of ``template`` with its generated component set to ``z``;
+    generated positions come with no features."""
     if task == "positions":
-        return GeometricGraph(template.features.copy(), z)
+        return GeometricGraph(None, z)
     return GeometricGraph(z, template.positions.copy())
 
 
 def _part(template, z, t, task):
-    """``merged_forward`` part for a (stripped) template whose generated
-    component is replaced by the N x odim array ``z``."""
+    """``merged_forward`` part for a template whose generated component is
+    replaced by the N x odim array ``z``; position parts carry no features."""
     if task == "positions":
-        return z, node_input(template.features, z, t), t
+        return z, node_input(np.zeros((z.shape[0], 0)), z, t), t
     return template.positions, node_input(z, template.positions, t), t
 
 
@@ -251,7 +240,6 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
     if config.method == "random_pred":
         raise ValueError("method 'random_pred' is model-free: draw its samples "
                          "with random_generations instead of training")
-    graphs = [_strip(g, config.task) for g in graphs]
     spec = config.interpolant_spec()
     if model is None:
         model = build_model(graphs[0], config)
@@ -308,7 +296,6 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
     sampling raises.
     """
     nfes = config.nfes if nfes is None else nfes
-    templates = [_strip(g, config.task) for g in templates]
     if mask is not None and len(mask) != len(templates):
         raise ValueError("need one mask entry per template")
     spec = config.interpolant_spec()
@@ -475,7 +462,7 @@ def attention_study(model: FlatGat, graphs, bins=10,
     Rows (t_bucket, bin_lo, bin_hi, weight) with each bucket's weights
     normalized to sum 1; bin edges are global across buckets.
     """
-    graphs = [_strip(g, "positions") for g in graphs[:max_graphs]]
+    graphs = graphs[:max_graphs]
     spec = InterpolantSpec(kind="cfm")
     rng = np.random.default_rng(seed)
     collected = {t: ([], []) for t in t_buckets}
@@ -484,7 +471,8 @@ def attention_study(model: FlatGat, graphs, bins=10,
             z0 = rng.standard_normal(g.positions.shape)
             z_t = interpolate(z0, g.positions, t, spec, int(rng.integers(2**32)))
             edges = build_fully_connected_edges(g.n_nodes)
-            alpha = model.attention(node_input(g.features, z_t, t), edges)
+            _, inputs, _ = _part(g, z_t, t, "positions")
+            alpha = model.attention(inputs, edges)
             rel = z_t[edges[:, 0]] - z_t[edges[:, 1]]
             dists = np.sqrt(np.einsum("ij,ij->i", rel, rel))
             collected[t][0].append(dists)
@@ -520,14 +508,13 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
              n_seeds=3, eps=0.05, iters=50, seed=0):
     """Gromov-Wasserstein between coarse-grained noised shapes and originals.
 
-    For every noise level t (variance-exploding noise on the positions) and
-    cluster count, voxel-coarsens the noised cloud, pools per flag, and
-    averages gw_entropic against the clean cloud over shapes and noise
-    seeds. Returns (rows, argmin_rows) with rows (t, clusters, gw_mean)
+    For every noise level t (Gaussian noise of scale 1 - t on the
+    positions) and cluster count, voxel-coarsens the noised cloud, pools per
+    flag, and averages gw_entropic against the clean cloud over shapes and
+    noise seeds. Returns (rows, argmin_rows) with rows (t, clusters, gw_mean)
     and argmin_rows (t, argmin_clusters).
     """
     graphs = graphs[:n_shapes]
-    spec = InterpolantSpec(kind="ve")
     rows = []
     argmin_rows = []
     for t in noise_grid:
@@ -538,8 +525,8 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
                 clean = PointCloud(g.positions)
                 for s in range(n_seeds):
                     noise_seed = seed + 1000 * gi + s
-                    noised = interpolate(np.zeros_like(g.positions), g.positions,
-                                         t, spec, noise_seed)
+                    noised = g.positions + (1.0 - t) * np.random.default_rng(
+                        noise_seed).standard_normal(g.positions.shape)
                     coarse = _pooled_coarse(noised, c, pooling)
                     vals.append(gw_entropic(PointCloud(coarse), clean,
                                             eps=eps, iters=iters))

@@ -1,12 +1,11 @@
 """Noising processes: what gets interpolated, regressed against, and how
 samples are drawn back out.
 
-Three kinds:
+Two kinds:
   cfm  - straight-path conditional flow matching with a small sigma_min,
          sampled with explicit Euler from t=0 to t=1.
-  ddpm - variance-preserving diffusion with a linear beta range and
-         epsilon-prediction, sampled ancestrally.
-  ve   - variance-exploding noise, used for the noise-vs-structure studies.
+  ddpm - variance-preserving diffusion over DDPM_STEPS steps with a linear
+         beta range and epsilon-prediction, sampled ancestrally.
 
 t=1 is always the data end, t=0 the noise end.
 """
@@ -18,45 +17,30 @@ from dataclasses import dataclass
 import numpy as np
 
 BETA_MIN, BETA_MAX = 1e-4, 0.02  # ddpm's linear beta range
-SIGMA_MAX = 1.0  # ve noise scale at t = 0
+DDPM_STEPS = 1000  # ddpm's diffusion steps
 
 
 @dataclass
 class InterpolantSpec:
     kind: str = "cfm"
     sigma_min: float = 1e-3
-    steps: int = 1000
 
     def __post_init__(self):
-        if self.kind not in ("cfm", "ddpm", "ve"):
-            raise ValueError(f"unknown interpolant kind {self.kind!r}")
+        if self.kind not in ("cfm", "ddpm"):
+            raise ValueError(f"unknown interpolant kind {self.kind!r}; "
+                             f"expected 'cfm' or 'ddpm'")
         if self.sigma_min <= 0:
             raise ValueError("sigma_min must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
 
     def betas(self):
-        return np.linspace(BETA_MIN, BETA_MAX, self.steps)
+        return np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS)
 
     def alpha_bar(self, t):
         """Cumulative signal retention at noise level t; alpha_bar(1) = 1."""
-        k = int(round((1.0 - t) * self.steps))
+        k = int(round((1.0 - t) * DDPM_STEPS))
         if k == 0:
             return 1.0
         return float(np.prod(1.0 - self.betas()[:k]))
-
-    def sigma_t(self, t):
-        """Noise standard deviation at level t."""
-        if self.kind == "cfm":
-            return self.sigma_min
-        if self.kind == "ve":
-            return SIGMA_MAX * (1.0 - t)
-        ab = self.alpha_bar(t)
-        return float(np.sqrt(1.0 - ab))
-
-    def snr(self, t, data_var=1.0):
-        s = self.sigma_t(t)
-        return data_var / max(s * s, 1e-300)
 
 
 def _noise(shape, seed):
@@ -74,8 +58,6 @@ def interpolate(z0, z1, t, spec: InterpolantSpec, seed):
     eps = _noise(z1.shape, seed)
     if spec.kind == "cfm":
         return (1.0 - t) * z0 + t * z1 + spec.sigma_min * eps
-    if spec.kind == "ve":
-        return z1 + spec.sigma_t(t) * eps
     ab = spec.alpha_bar(t)
     return np.sqrt(ab) * z1 + np.sqrt(1.0 - ab) * eps
 
@@ -90,9 +72,6 @@ def regression_target(z0, z1, z_t, t, spec: InterpolantSpec, seed=None):
     z1 = np.asarray(z1, dtype=np.float64)
     if spec.kind == "cfm":
         return z1 - z0
-    if spec.kind == "ve":
-        s = max(spec.sigma_t(t), 1e-8)
-        return (z1 - np.asarray(z_t)) / s
     if seed is None:
         raise ValueError("ddpm target requires the interpolate seed")
     return _noise(z1.shape, seed)
@@ -105,8 +84,8 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
 
     ``field(z, t)`` returns an array shaped like the state ``z``. cfm uses
     explicit Euler with step 1/nfes from ``z0``; ddpm runs ancestral sampling
-    over ``nfes`` of the spec's diffusion steps (respaced as in Nichol &
-    Dhariwal 2021; ``nfes`` may not exceed ``spec.steps``) from a fresh
+    over ``nfes`` of the DDPM_STEPS diffusion steps (respaced as in Nichol &
+    Dhariwal 2021; ``nfes`` may not exceed DDPM_STEPS) from a fresh
     standard-normal draw, interpreting the field output as predicted noise.
     ``callback(z, t)`` runs after every step and may edit ``z`` in place
     (conditioning clamps). A non-finite state after any step raises
@@ -134,21 +113,18 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
             z = after_step(z + dt * v, i, t + dt)
         return z
 
-    if spec.kind != "ddpm":
-        raise ValueError("generation is defined for cfm and ddpm")
-
-    if nfes > spec.steps:
-        raise ValueError(f"ddpm takes at most spec.steps={spec.steps} nfes, "
+    if nfes > DDPM_STEPS:
+        raise ValueError(f"ddpm takes at most DDPM_STEPS={DDPM_STEPS} nfes, "
                          f"got {nfes}")
     # respaced ancestral sampling: visit diffusion steps k_0 > ... > k_nfes = 0
     # and treat each jump as one step with alpha = ab(k_i) / ab(k_{i+1})
     alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - spec.betas())])
-    ks = [round(spec.steps * (nfes - i) / nfes) for i in range(nfes + 1)]
+    ks = [round(DDPM_STEPS * (nfes - i) / nfes) for i in range(nfes + 1)]
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(z.shape)
     for i in range(nfes):
         k, k_next = ks[i], ks[i + 1]
-        eps_pred = np.asarray(field(z, 1.0 - k / spec.steps))
+        eps_pred = np.asarray(field(z, 1.0 - k / DDPM_STEPS))
         if eps_pred.shape != z.shape:
             raise ValueError("field returned wrong shape")
         ab = alpha_bars[k]
@@ -157,5 +133,5 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
         z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
         if k_next > 0:
             z = z + np.sqrt(beta) * rng.standard_normal(z.shape)
-        z = after_step(z, i, 1.0 - k_next / spec.steps)
+        z = after_step(z, i, 1.0 - k_next / DDPM_STEPS)
     return z

@@ -124,7 +124,7 @@ def mi_gaussian_oracle(r, snr, rho=default_correlation, m=200):
     var_x = 1.0
     cov_xy = dx * np.sum(rho(0.0, eta))
     rho_jk = rho(eta[:, None], eta[None, :])
-    noise_var = 1.0 / snr / dx  # white noise: variance sigma_t^2 * 2r in the sum
+    noise_var = 1.0 / snr / dx  # white noise: variance sigma(t)^2 * 2r in the sum
     var_y = dx * dx * (np.sum(rho_jk) + m * noise_var)
     det = var_x * var_y - cov_xy**2
     return 0.5 * np.log(var_x * var_y / det)

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+SINKHORN_TOL = 1e-9  # row-marginal error at which a Sinkhorn solve stops
+
 
 @dataclass
 class PointCloud:
@@ -48,6 +50,9 @@ def w2_exact(a: PointCloud, b: PointCloud) -> float:
 
 @dataclass
 class GwResult:
+    """``converged``: the outer loop met its tolerance and every inner
+    Sinkhorn solve met SINKHORN_TOL on the row marginal."""
+
     value: float
     coupling: np.ndarray
     converged: bool
@@ -59,8 +64,8 @@ def _logsumexp(mat, axis):
     return out
 
 
-def _sinkhorn_log_domain(cost, p, q, eps, max_iter=2000, tol=1e-9, f=None,
-                         g=None):
+def _sinkhorn_log_domain(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL,
+                         f=None, g=None):
     """Log-domain Sinkhorn; returns log of the coupling with marginals (p, q)
     plus the dual potentials (for warm starts). Slower, but stable where the
     kernel underflows: the fallback of ``_sinkhorn_log`` and the reference
@@ -82,7 +87,8 @@ def _positive_finite(x):
     return bool(np.all((x > 0) & (x < np.inf)))
 
 
-def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=1e-9, f=None, g=None):
+def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
+                  g=None):
     """Sinkhorn in the scaling domain; same contract as
     ``_sinkhorn_log_domain``: the log coupling with marginals (p, q) and the
     dual potentials.
@@ -157,14 +163,17 @@ def gw_entropic(a: PointCloud, b: PointCloud, eps=0.05, iters=50,
     log_t = np.log(np.outer(p, q)) + 1e-4 * rng.standard_normal((m, n))
     coupling = np.exp(log_t)
     converged = False
+    inner_converged = True
     f = g = None
     for _ in range(iters):
         grad = _gw_cost_gradient(c1, c2, coupling, p, q)
         log_t, f, g = _sinkhorn_log(grad - eps * log_t, p, q, eps, f=f, g=g)
         new = np.exp(log_t)
+        # a solve that stopped at max_iter leaves the row marginal off
+        inner_converged &= bool(np.abs(new.sum(axis=1) - p).max() < SINKHORN_TOL)
         if np.abs(new - coupling).max() < 1e-10:
             coupling = new
-            converged = True
+            converged = inner_converged
             break
         coupling = new
     grad_raw = _gw_cost_gradient(c1_raw, c2_raw, coupling, p, q)

@@ -1,0 +1,56 @@
+"""The benchmark in perfbench/ reaches into ncgn by attribute name: its
+tracer rebinds public functions and methods, and its workloads patch six
+call boundaries. A rename in src/ would only surface when the benchmark
+runs; these tests make it fail here instead."""
+
+import ast
+import functools
+import importlib.util
+from pathlib import Path
+
+import ncgn
+import ncgn.engine  # noqa: F401  loads every module the benchmark touches
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_patches():
+    """(owner, attribute) of every burst_before / time_calls probe in
+    workloads.py, e.g. ("nn.Adam", "step")."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    return [(ast.unparse(node.args[0]), node.args[1].value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("burst_before", "time_calls")]
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = load_tracing()
+    traced = [(module, attr) for module, attr, _ in tracing.FUNCTIONS]
+    originals = {key: getattr(getattr(ncgn, key[0].split(".")[1]), key[1])
+                 for key in traced}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (module, attr), fn in originals.items():
+            assert getattr(getattr(ncgn, module.split(".")[1]), attr) is not fn
+    finally:
+        tracer.uninstall()
+    for (module, attr), fn in originals.items():
+        assert getattr(getattr(ncgn, module.split(".")[1]), attr) is fn
+
+
+def test_workload_patch_targets_exist():
+    patches = workload_patches()
+    assert len(patches) == 6
+    for owner, attr in patches:
+        obj = functools.reduce(getattr, owner.split("."), ncgn)
+        assert attr in vars(obj), f"workloads.py patches {owner}.{attr}"

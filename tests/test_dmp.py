@@ -105,6 +105,21 @@ def test_gat_single_node_self_attention():
     np.testing.assert_allclose(out.data, conv.lin_s(h).data, atol=1e-12)
 
 
+def test_gcn_no_edges_forward_and_backward():
+    # no in-neighbors: every node aggregates a zero mean, so the output is
+    # the bias alone and only the bias receives gradient
+    rng = np.random.default_rng(3)
+    conv = GcnConv(3, rng)
+    conv.lin.bias.data[:] = [0.5, -1.0, 2.0]
+    h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    out = conv(h, np.zeros((0, 2), dtype=np.intp))
+    np.testing.assert_array_equal(out.data, np.tile(conv.lin.bias.data, (4, 1)))
+    grads = grad(out.sum(), [h, conv.lin.weight, conv.lin.bias])
+    np.testing.assert_array_equal(grads[id(h)].data, 0.0)
+    np.testing.assert_array_equal(grads[id(conv.lin.weight)].data, 0.0)
+    np.testing.assert_array_equal(grads[id(conv.lin.bias)].data, [4.0] * 3)
+
+
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
 def test_finite_difference_gradients(mp_kind):
     g = random_graph(12, seed=4)
@@ -160,8 +175,7 @@ def test_identity_reduction_matches_baselines(mp_kind, kind):
 @pytest.mark.parametrize("method", ["dmp", "knn_fixed", "long_short"])
 def test_merged_forward_equals_batches_of_one(mp_kind, method):
     # offset cluster ids and edges keep the merged graphs apart, so one
-    # merged pass gives each graph's batch-of-one rows. GCN rows match bit
-    # for bit; GAT's N x 1 score products (a BLAS gemv) round by row offset
+    # merged pass gives each graph's batch-of-one rows, bit for bit
     graphs = [random_graph(n, seed=20 + n) for n in (9, 14, 23)]
     ts = (0.2, 0.55, 0.9)
     config = TrainConfig(method=method, mp_kind=mp_kind, knn_k=3, seed=4)
@@ -174,7 +188,7 @@ def test_merged_forward_equals_batches_of_one(mp_kind, method):
     single = np.concatenate([
         merged_forward(model, [part], config, StructureCache()).data
         for part in parts])
-    np.testing.assert_allclose(merged, single, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(merged, single)
 
 
 def test_knn_saturated_equals_fully_connected():

@@ -50,7 +50,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(ema_decay=1.0)
     with pytest.raises(ValueError, match="'ve'"):
-        TrainConfig(interpolant="ve")  # trains, but has no sampler
+        TrainConfig(interpolant="ve")  # not a kind that trains and samples
+    with pytest.raises(ValueError, match="sigma_min"):
+        TrainConfig(sigma_min=0.0)
 
 
 def test_condition_mask_validation():
@@ -167,6 +169,26 @@ def test_positions_task_train_and_sample(monkeypatch):
     # noised positions never recur, so no structure is stored
     assert len(made) == 4
     assert all(c.lookups > 0 and len(c) == 0 for c in made)
+
+
+def test_positions_task_ignores_template_features():
+    # position models never see features (they would leak the target), and
+    # generated positions, sampled or random, come back without them
+    graphs = rd_graphs(2)
+    bare = [GeometricGraph(None, g.positions) for g in graphs]
+    assert graphs[0].n_features > 0
+    assert model_dims(graphs[0], "positions") == (3, 2)
+    config = TrainConfig(task="positions", epochs=2, batch=2, warmup_epochs=0,
+                         hdim=8, layers=1, seed=3)
+    model, _, rows = train(graphs, config)
+    assert rows == train(bare, config)[2]
+    out = sample(model, graphs, config, nfes=2, seed=1)
+    for a, b in zip(out, sample(model, bare, config, nfes=2, seed=1)):
+        np.testing.assert_array_equal(a.positions, b.positions)
+    for got, g in zip(out + random_generations(graphs, "positions", seed=0),
+                      graphs + graphs):
+        assert got.features.shape == (g.n_nodes, 0)
+        assert got.positions.shape == g.positions.shape
 
 
 def test_full_mask_returns_exact_values():

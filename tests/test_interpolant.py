@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncgn.interpolant import (
+    DDPM_STEPS,
     InterpolantSpec,
     generate,
     interpolate,
@@ -65,11 +66,14 @@ def test_interpolate_bit_reproducible():
     assert not np.array_equal(a, interpolate(z0, z1, 0.7, spec, 43))
 
 
-def test_snr_monotone_for_ve_and_ddpm():
-    for kind in ("ve", "ddpm"):
-        spec = InterpolantSpec(kind=kind)
-        snrs = [spec.snr(t) for t in np.linspace(0.01, 0.99, 25)]
-        assert all(b >= a for a, b in zip(snrs, snrs[1:]))
+def test_ddpm_alpha_bar_monotone():
+    # signal retention (and so the SNR alpha_bar / (1 - alpha_bar)) grows
+    # towards the data end
+    spec = InterpolantSpec(kind="ddpm")
+    retention = [spec.alpha_bar(t) for t in np.linspace(0.01, 0.99, 25)]
+    assert all(b >= a for a, b in zip(retention, retention[1:]))
+    assert 0.0 < retention[0] and retention[-1] < 1.0
+    assert spec.alpha_bar(1.0) == 1.0
 
 
 def test_ddpm_marginal_variance():
@@ -116,7 +120,7 @@ def test_generate_wrong_shape_rejected():
 
 
 def test_ddpm_generation_runs_and_is_seeded():
-    spec = InterpolantSpec(kind="ddpm", steps=25)
+    spec = InterpolantSpec(kind="ddpm")
     z0 = make_state(seed=4)
     out1 = generate(lambda z, t: np.zeros_like(z), z0, spec, nfes=1, seed=5)
     out2 = generate(lambda z, t: np.zeros_like(z), z0, spec, nfes=1, seed=5)
@@ -137,21 +141,21 @@ def test_generate_rejects_non_finite_state():
         generate(diverging, z0, InterpolantSpec(kind="cfm"), nfes=4)
     with pytest.raises(RuntimeError, match=r"step 0 \(t=0\.1\)"):
         generate(lambda z, t: np.full_like(z, np.inf), z0,
-                 InterpolantSpec(kind="ddpm", steps=10), nfes=10)
+                 InterpolantSpec(kind="ddpm"), nfes=10)
     with pytest.raises(RuntimeError, match=r"step 5 \(t=0\.6\)"):
-        generate(diverging, z0, InterpolantSpec(kind="ddpm", steps=10), nfes=10)
+        generate(diverging, z0, InterpolantSpec(kind="ddpm"), nfes=10)
 
 
 def _ddpm_every_step(field, z0, spec, seed):
     """Ancestral sampling over every diffusion step: the reference that
-    respaced sampling must reproduce at nfes == spec.steps."""
+    respaced sampling must reproduce at nfes == DDPM_STEPS."""
     betas = spec.betas()
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(np.shape(z0))
-    for k in range(spec.steps, 0, -1):
-        eps_pred = field(z, 1.0 - k / spec.steps)
+    for k in range(DDPM_STEPS, 0, -1):
+        eps_pred = field(z, 1.0 - k / DDPM_STEPS)
         beta, alpha, ab = betas[k - 1], alphas[k - 1], alpha_bars[k - 1]
         z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
         if k > 1:
@@ -162,7 +166,7 @@ def _ddpm_every_step(field, z0, spec, seed):
 def test_ddpm_takes_nfes_steps():
     spec = InterpolantSpec(kind="ddpm")
     z0 = make_state(seed=7)
-    for nfes in (1, 7, 250, spec.steps):
+    for nfes in (1, 7, 250, DDPM_STEPS):
         seen = []
 
         def field(z, t):
@@ -176,11 +180,13 @@ def test_ddpm_takes_nfes_steps():
     ref = _ddpm_every_step(lambda z, t: 0.5 * np.tanh(z) + t, z0, spec, seed=3)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     with pytest.raises(ValueError, match="at most"):
-        generate(field, z0, spec, nfes=spec.steps + 1)
+        generate(field, z0, spec, nfes=DDPM_STEPS + 1)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         InterpolantSpec(kind="flow")
+    with pytest.raises(ValueError, match="'ve'"):
+        InterpolantSpec(kind="ve")  # noises positions, but has no sampler
     with pytest.raises(ValueError):
         InterpolantSpec(sigma_min=0.0)

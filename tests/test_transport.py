@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ncgn import dataset, transport
-from ncgn.interpolant import InterpolantSpec, interpolate
 from ncgn.transport import GwResult, PointCloud, gw_entropic, w2_exact
 
 
@@ -120,6 +119,25 @@ def test_gw_details_and_convergence_flag():
     np.testing.assert_allclose(res.coupling.sum(axis=1), a.weights, atol=1e-6)
 
 
+def test_gw_converged_needs_every_inner_solve(monkeypatch):
+    # the outer loop meets its tolerance after a few steps either way; with
+    # one Sinkhorn iteration per solve the early row marginals stay off
+    a, b = cloud([[0.0], [1.0]]), cloud([[0.0], [2.0]])
+    assert gw_entropic(a, b, eps=0.005, iters=500, return_details=True).converged
+    solve = transport._sinkhorn_log
+    calls = []
+
+    def capped(*args, **kwargs):
+        out = solve(*args, **dict(kwargs, max_iter=1))
+        calls.append(np.abs(np.exp(out[0]).sum(axis=1) - args[1]).max())
+        return out
+
+    monkeypatch.setattr(transport, "_sinkhorn_log", capped)
+    res = gw_entropic(a, b, eps=0.005, iters=500, return_details=True)
+    assert len(calls) < 500 and max(calls) > transport.SINKHORN_TOL
+    assert not res.converged
+
+
 def test_gw_size_guard():
     big = cloud(np.zeros((513, 2)))
     with pytest.raises(ValueError):
@@ -155,8 +173,8 @@ def study_sinkhorn_calls():
     (one cold start, then two warm starts)."""
     g = dataset.generate_shape_dataset(n_train=1, n_test=0, n_points=64,
                                        seed=0).train[0]
-    noised = interpolate(np.zeros_like(g.positions), g.positions, 0.5,
-                         InterpolantSpec(kind="ve"), 0)
+    noised = g.positions + 0.5 * np.random.default_rng(0).standard_normal(
+        g.positions.shape)
     calls = []
     solve = transport._sinkhorn_log
 
