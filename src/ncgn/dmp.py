@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .tensor import Tensor, concat, segment_softmax, segment_sum
+from .tensor import Tensor, concat, linear, no_grad, segment_softmax, segment_sum
 
 
 def node_input(features: np.ndarray, positions: np.ndarray,
@@ -106,7 +106,13 @@ class GatConv(nn.Module):
 
 class _PointMessage(nn.Module):
     """Shared form of the coarsen/uncoarsen message: three linear encodings
-    (vector pair, position offset, distance) fed to an MLP."""
+    (node/cluster vector pair, position offset, distance) fed to an MLP.
+
+    ``lin_pair`` maps the 2h-wide pair [coarse || node] (``coarse_first``)
+    or [node || coarse]. Its coarse half runs on the coarse rows and is
+    gathered onto the nodes afterwards, which equals gathering first and
+    multiplying the concatenated pair up to summation order.
+    """
 
     def __init__(self, hdim, d, rng, norm):
         self.lin_pair = nn.Linear(2 * hdim, hdim, rng)
@@ -114,8 +120,14 @@ class _PointMessage(nn.Module):
         self.lin_dist = nn.Linear(1, hdim, rng)
         self.mlp = nn.MLP([3 * hdim, hdim, hdim], rng, norm=norm)
 
-    def __call__(self, h_a: Tensor, h_b: Tensor, rel: np.ndarray, dist: np.ndarray) -> Tensor:
-        pair = self.lin_pair(concat([h_a, h_b], axis=1))
+    def __call__(self, h: Tensor, h_coarse: Tensor, cluster_of: np.ndarray,
+                 coarse_first: bool, rel: np.ndarray, dist: np.ndarray) -> Tensor:
+        hdim = h.data.shape[1]
+        first, second = np.arange(hdim), np.arange(hdim, 2 * hdim)
+        coarse_rows, node_rows = (first, second) if coarse_first else (second, first)
+        weight = self.lin_pair.weight
+        pair = (linear(h, weight.gather_rows(node_rows), self.lin_pair.bias)
+                + (h_coarse @ weight.gather_rows(coarse_rows)).gather_rows(cluster_of))
         enc = concat([pair, self.lin_rel(Tensor(rel)), self.lin_dist(Tensor(dist))], axis=1)
         return self.mlp(enc)
 
@@ -134,11 +146,11 @@ class DmpLayer(nn.Module):
         self.combine = nn.MLP([hdim, hdim, hdim], rng, norm=norm)
 
     def coarsen(self, h: Tensor, h_coarse: Tensor, rel, dist, cluster_of, nclusters) -> Tensor:
-        msg = self.coarsen_msg(h_coarse.gather_rows(cluster_of), h, rel, dist)
+        msg = self.coarsen_msg(h, h_coarse, cluster_of, True, rel, dist)
         return segment_sum(msg, cluster_of, nclusters)
 
     def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist, cluster_of) -> Tensor:
-        spread = self.uncoarsen_msg(h, h_coarse.gather_rows(cluster_of), -rel, dist)
+        spread = self.uncoarsen_msg(h, h_coarse, cluster_of, False, -rel, dist)
         lam = self.gate(concat([h, spread], axis=1)).sigmoid()
         return self.combine(lam * h + (1.0 - lam) * spread)
 
@@ -203,4 +215,5 @@ class FlatGat(nn.Module):
                                       structure.edges))
 
     def attention(self, inputs: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        return self.conv.attention(self.lift(Tensor(inputs)), edges)
+        with no_grad():
+            return self.conv.attention(self.lift(Tensor(inputs)), edges)

@@ -39,7 +39,7 @@ from .graphs import (
 )
 from .interpolant import InterpolantSpec, generate, interpolate, regression_target
 from .schedule import default_bounds, eval_schedule
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .transport import PointCloud, gw_entropic, w2_exact
 
 BASELINES = ("knn_fixed", "fully_connected", "long_short")
@@ -262,8 +262,7 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
                 z1 = _component(g, config.task)
                 z0 = rng.standard_normal(z1.shape)
                 z_t = interpolate(z0, z1, t, spec, noise_seed)
-                targets.append(regression_target(z0, z1, z_t, t, spec,
-                                                 seed=noise_seed))
+                targets.append(regression_target(z0, z1, spec, seed=noise_seed))
                 parts.append(_part(g, z_t, t, config.task))
             pred = merged_forward(model, parts, config, cache)
             diff = pred - Tensor(np.concatenate(targets))
@@ -325,7 +324,8 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
             def field(z, t):
                 parts = [_part(g, z[lo:hi], t, config.task)
                          for g, (lo, hi) in zip(chunk, spans)]
-                return merged_forward(model, parts, config, cache).data
+                with no_grad():
+                    return merged_forward(model, parts, config, cache).data
 
             def clamp(z, t):
                 if known.any():

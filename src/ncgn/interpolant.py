@@ -62,8 +62,9 @@ def interpolate(z0, z1, t, spec: InterpolantSpec, seed):
     return np.sqrt(ab) * z1 + np.sqrt(1.0 - ab) * eps
 
 
-def regression_target(z0, z1, z_t, t, spec: InterpolantSpec, seed=None):
-    """The vector the network regresses against at noise level t.
+def regression_target(z0, z1, spec: InterpolantSpec, seed=None):
+    """The vector the network regresses against for prior draw z0 and data
+    z1; neither kind depends on the noise level.
 
     For ddpm this is the noise draw itself, so the same seed used in
     ``interpolate`` must be passed back in.

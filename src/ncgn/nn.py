@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 
-from .tensor import Tensor, concat
+from .tensor import Tensor, batch_norm, concat, linear
 
 
 class Module:
@@ -66,7 +66,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return linear(x, self.weight, self.bias)
 
 
 class BatchNorm(Module):
@@ -93,10 +93,7 @@ class BatchNorm(Module):
         if self.training:
             if x.data.shape[0] < 1:
                 raise ValueError("batch norm needs at least one row in train mode")
-            mu = x.mean(axis=0, keepdims=True)
-            var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
-            xhat = (x - mu) / ((var + self.eps) ** 0.5)
-            m, v = mu.data.ravel(), var.data.ravel()
+            out, m, v = batch_norm(x, self.gamma, self.beta, self.eps)
             if not self._initialized:
                 self.running_mean.data[:] = m
                 self.running_var.data[:] = v
@@ -106,10 +103,10 @@ class BatchNorm(Module):
                 self.running_mean.data += self.momentum * m
                 self.running_var.data *= 1.0 - self.momentum
                 self.running_var.data += self.momentum * v
-        else:
-            xhat = (x - self.running_mean.data[None, :]) / np.sqrt(
-                self.running_var.data[None, :] + self.eps
-            )
+            return out
+        xhat = (x - self.running_mean.data[None, :]) / np.sqrt(
+            self.running_var.data[None, :] + self.eps
+        )
         return xhat * self.gamma + self.beta
 
 

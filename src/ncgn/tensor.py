@@ -4,6 +4,17 @@ Arrays are float64 throughout. Each Tensor op records its parents and a
 closure that pushes the upstream gradient back onto them; ``backward`` walks
 the recorded graph in reverse topological order. Broadcasting follows numpy
 rules (2-D needs only), with gradients summed back over broadcast axes.
+``backward`` frees each interior gradient as soon as its closure has run:
+afterwards only leaves (tensors built with ``requires_grad=True``) and the
+root hold a ``grad``. Inside ``with no_grad():`` ops record no parents and
+no closures, so inference builds no graph.
+
+Two fused ops stand in for the node-level layers: ``linear`` is
+``x @ weight + bias`` as one node, with the same float operations forward
+and backward as the matmul-then-add pair, and ``batch_norm`` is train-mode
+batch normalization as one node with the analytic backward of Ioffe &
+Szegedy (2015); its forward repeats the composed form's operations, so its
+output is the same bytes.
 
 Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
 sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
@@ -15,7 +26,9 @@ outside ``[0, n)`` raise ValueError instead of wrapping around.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -64,13 +77,34 @@ def _scatter_add(ids, n, values):
     return (incidence @ values.reshape(ids.size, math.prod(tail))).reshape((n,) + tail)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops in the body record no graph (this thread only); leaves built
+    with ``requires_grad=True`` keep the flag. The previous mode comes
+    back when the body exits, also by an exception."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad or (
+            _grad_mode.enabled and any(p.requires_grad for p in _parents))
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -110,6 +144,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     def zero_grad(self):
         self.grad = None
@@ -300,6 +336,55 @@ def concat(tensors, axis=1):
     return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` as one node, for N x d_in ``x``, d_in x d_out
+    ``weight`` and length-d_out ``bias``. Forward and backward are the same
+    float operations as the matmul-then-add pair."""
+    out_data = x.data @ weight.data + bias.data
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accum(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accum(x.data.T @ g)
+        if bias.requires_grad:
+            bias._accum(g.sum(axis=0))
+
+    return Tensor(out_data, _parents=(x, weight, bias), _backward=bwd)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
+    """Train-mode batch normalization of the N x C ``x`` over its rows, as
+    one node. Returns (output, batch mean, biased batch variance), the last
+    two as length-C arrays.
+
+    The forward is the composed ``(x - mu) / (var + eps) ** 0.5 * gamma +
+    beta`` operation for operation. The backward is the closed form
+    ``dx = (gg - mean(gg) - xhat * mean(gg * xhat)) / std`` with
+    ``gg = g * gamma``, ``dgamma = sum(g * xhat)`` and ``dbeta = sum(g)``.
+    """
+    inv_n = 1.0 / x.data.shape[0]
+    mu = x.data.sum(axis=0, keepdims=True) * inv_n
+    centered = x.data - mu
+    var = (centered**2).sum(axis=0, keepdims=True) * inv_n
+    std = (var + eps) ** 0.5
+    xhat = centered / std
+    out_data = xhat * gamma.data + beta.data
+
+    def bwd(g):
+        if gamma.requires_grad:
+            gamma._accum((g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            beta._accum(g.sum(axis=0))
+        if x.requires_grad:
+            gg = g * gamma.data
+            x._accum((gg - gg.sum(axis=0) * inv_n
+                      - xhat * ((gg * xhat).sum(axis=0) * inv_n)) / std)
+
+    out = Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd)
+    return out, mu.ravel(), var.ravel()
+
+
 def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:
     """Sum rows of ``values`` into ``num_segments`` buckets."""
     values = Tensor._lift(values)
@@ -351,11 +436,16 @@ def grad(output: Tensor, params):
 
     Returns a dict keyed by id(param). Params left untouched by the graph
     get a zero gradient only if they fed the output; a param that is not on
-    the recorded graph at all is an error.
+    the recorded graph at all is an error, and so is an interior tensor
+    (one an op produced), whose gradient ``backward`` frees.
     """
     params = list(params)
     if output.data.size != 1:
         raise ValueError("output must be scalar")
+    for i, p in enumerate(params):
+        if p._backward is not None:
+            raise ValueError(f"params[{i}] is an interior tensor; gradients "
+                             f"are kept only for leaves")
     reachable = set()
     stack = [output]
     while stack:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ncgn.dmp import DmpModel, FlatGat, GatConv, GcnConv, Structure, node_input
+from ncgn.dmp import (DmpModel, FlatGat, GatConv, GcnConv, Structure,
+                      _PointMessage, node_input)
 from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
                          random_generations)
 from ncgn.graphs import GeometricGraph, build_fully_connected_edges
-from ncgn.tensor import Tensor, grad
+from ncgn.tensor import Tensor, concat, grad
 
 
 def random_graph(n, d=2, f=3, seed=0):
@@ -265,6 +266,46 @@ def test_dmp_stats_follow_schedule():
     (lo,), (hi,) = lo_cache.stats, hi_cache.stats
     assert lo["s_t"] < hi["s_t"] and lo["r_t"] >= hi["r_t"]
     assert hi["s_t"] == 64
+
+
+def concat_message(msg, h, h_coarse, cluster_of, coarse_first, rel, dist):
+    """The point message with ``lin_pair`` applied to the gathered,
+    concatenated pair: the reference for the coarse-row split."""
+    gathered = h_coarse.gather_rows(cluster_of)
+    pair = msg.lin_pair(concat([gathered, h] if coarse_first else [h, gathered],
+                               axis=1))
+    enc = concat([pair, msg.lin_rel(Tensor(rel)), msg.lin_dist(Tensor(dist))],
+                 axis=1)
+    return msg.mlp(enc)
+
+
+@pytest.mark.parametrize("coarse_first", [True, False])  # coarsen, uncoarsen
+def test_split_lin_pair_matches_concat(coarse_first):
+    rng = np.random.default_rng(17)
+    n, nclusters, hdim = 300, 40, 8
+    msg = _PointMessage(hdim, 2, rng, norm=True)
+    h0 = rng.standard_normal((n, hdim))
+    coarse0 = rng.standard_normal((nclusters, hdim))
+    cluster_of = rng.integers(0, nclusters, n)
+    rel = rng.standard_normal((n, 2))
+    dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
+    upstream = rng.standard_normal((n, hdim))
+    results = []
+    for build in (msg, lambda *args: concat_message(msg, *args)):
+        h = Tensor(h0.copy(), requires_grad=True)
+        h_coarse = Tensor(coarse0.copy(), requires_grad=True)
+        out = build(h, h_coarse, cluster_of, coarse_first, rel, dist)
+        params = [h, h_coarse] + msg.parameters()
+        grads = grad((out * upstream).sum(), params)
+        results.append((out.data, [grads[id(p)].data for p in params]))
+    (out, grads), (ref_out, ref_grads) = results
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_out).max())
+    # the biases feeding a batch norm have a true gradient of zero, so
+    # gradients are held to the largest gradient entry, not their own
+    scale = max(np.abs(g).max() for g in ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_flat_gat_shapes_and_attention():

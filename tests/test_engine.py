@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,17 @@ def test_sample_shapes_and_determinism():
         assert a.features.shape == g.features.shape
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.positions, g.positions)
+
+
+def test_sample_without_graph_matches_recorded_graph(monkeypatch):
+    graphs = rd_graphs(2)
+    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1)
+    model, _, _ = train(graphs, config)
+    fast = sample(model, graphs, config, nfes=3, seed=5)
+    monkeypatch.setattr(engine, "no_grad", contextlib.nullcontext)
+    recorded = sample(model, graphs, config, nfes=3, seed=5)
+    for a, b in zip(fast, recorded):
+        np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_sample_restores_train_mode_when_it_raises():

@@ -5,6 +5,13 @@ from ncgn import nn
 from ncgn.tensor import Tensor, grad
 
 
+def assert_close_to_max(actual, reference, rtol=1e-12):
+    """Every entry within ``rtol`` of the reference's largest magnitude;
+    entries that cancel to near zero have no meaningful relative error."""
+    np.testing.assert_allclose(actual, reference, rtol=rtol,
+                               atol=rtol * np.abs(reference).max())
+
+
 def test_grad_square():
     x = Tensor(np.array([3.0]), requires_grad=True)
     g = grad((x * x).sum(), [x])
@@ -65,6 +72,59 @@ def test_batch_norm_running_stats_momentum():
     assert bn.running_mean.data[0] == 1.0
     bn(Tensor(np.array([[4.0], [4.0]])))
     np.testing.assert_allclose(bn.running_mean.data, [0.9 * 1.0 + 0.1 * 4.0])
+
+
+def composed_batch_norm(x, gamma, beta, eps):
+    """Train-mode batch norm built from elementary ops: the reference the
+    fused op is checked against."""
+    mu = x.mean(axis=0, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
+    return (x - mu) / ((var + eps) ** 0.5) * gamma + beta
+
+
+def test_fused_batch_norm_matches_composed():
+    rng = np.random.default_rng(5)
+    x0 = 3.0 * rng.standard_normal((12800, 32)) + 1.0
+    gamma0, beta0 = rng.standard_normal(32), rng.standard_normal(32)
+    upstream = rng.standard_normal(x0.shape)
+    results = []
+    for fused in (True, False):
+        bn = nn.BatchNorm(32)
+        bn.gamma.data[:], bn.beta.data[:] = gamma0, beta0
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = bn(x) if fused else composed_batch_norm(x, bn.gamma, bn.beta, bn.eps)
+        (out * upstream).sum().backward()
+        results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad))
+    (out, dx, dgamma, dbeta), (ref, ref_dx, ref_dgamma, ref_dbeta) = results
+    np.testing.assert_array_equal(out, ref)
+    assert_close_to_max(dx, ref_dx)
+    assert_close_to_max(dgamma, ref_dgamma)
+    assert_close_to_max(dbeta, ref_dbeta)
+
+
+def test_fused_batch_norm_finite_difference_with_constant_channel():
+    rng = np.random.default_rng(6)
+    x0 = rng.standard_normal((6, 3))
+    x0[:, 1] = 0.7  # zero batch variance: normalized by sqrt(eps) alone
+    upstream = rng.standard_normal(x0.shape)
+    bn = nn.BatchNorm(3)
+    bn.gamma.data[:] = [1.5, -0.5, 2.0]
+    bn.beta.data[:] = [0.1, 0.2, -0.3]
+    x = Tensor(x0.copy(), requires_grad=True)
+    grads = grad((bn(x) * upstream).sum(), [x, bn.gamma, bn.beta])
+    h = 1e-6
+    for t in (x, bn.gamma, bn.beta):
+        flat = t.data.ravel()
+        gflat = grads[id(t)].data.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = float((bn(Tensor(x.data)) * upstream).sum().data)
+            flat[i] = orig - h
+            lo = float((bn(Tensor(x.data)) * upstream).sum().data)
+            flat[i] = orig
+            fd = (hi - lo) / (2 * h)
+            assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_batch_norm_rejects_empty():

@@ -1,0 +1,49 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from ncgn import nn
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "seeded_diff.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("seeded_diff", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_tree(root, loss, weight, note="run"):
+    (root / "run").mkdir(parents=True)
+    (root / "run" / "loss.csv").write_text(f"step,loss\n0,{loss!r}\n1,4.0\n")
+    (root / "run" / "a.graph").write_text("1 1 1\n0.5 2.0\n")
+    nn.save_checkpoint(root / "run" / "model.ckpt", {"w": np.array([weight, 2.0])})
+    (root / "run" / "config.resolved").write_text(f"out_dir={root}\n")
+    (root / "run" / "notes.txt").write_text(note)
+
+
+def test_reports_numeric_deviation_relative_to_largest(tmp_path, capsys):
+    write_tree(tmp_path / "old", 1.0, 1.0)
+    write_tree(tmp_path / "new", 1.0 + 4e-12, 1.0)
+    assert load_script().main(["seeded_diff", str(tmp_path / "old"),
+                               str(tmp_path / "new")]) == 0
+    out = capsys.readouterr().out
+    assert "run/loss.csv: max abs 4.000e-12, relative to largest 1.000e-12" in out
+    assert "model.ckpt" not in out and "config.resolved" not in out
+    assert "4 of 5 files byte-identical" in out
+
+
+def test_fails_on_one_sided_or_non_numeric_difference(tmp_path, capsys):
+    write_tree(tmp_path / "old", 1.0, 1.0)
+    write_tree(tmp_path / "new", 1.0, 1.5, note="other")
+    (tmp_path / "new" / "run" / "extra.csv").write_text("x\n1\n")
+    (tmp_path / "new" / "run" / "a.graph").write_text("1 1 0\n0.5\n")
+    assert load_script().main(["seeded_diff", str(tmp_path / "old"),
+                               str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out
+    assert "run/extra.csv: only in NEW" in out
+    assert "run/notes.txt: differs" in out
+    assert "run/a.graph: layout differs" in out
+    assert "run/model.ckpt: max abs 5.000e-01" in out

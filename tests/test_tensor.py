@@ -8,6 +8,8 @@ from ncgn.tensor import (
     _unbroadcast,
     concat,
     grad,
+    linear,
+    no_grad,
     segment_softmax,
     segment_sum,
 )
@@ -168,6 +170,52 @@ def test_grad_helper_rejects_unreachable():
         grad(out, [b])
     g = grad(out, [a])
     np.testing.assert_array_equal(g[id(a)].data, 2.0 * np.ones(3))
+
+
+def test_grad_helper_rejects_interior_tensor():
+    a = Tensor(np.ones(3), requires_grad=True)
+    h = a * 2
+    out = (h * h).sum()
+    with pytest.raises(ValueError, match=r"params\[1\] is an interior tensor"):
+        grad(out, [a, h])
+
+
+def test_backward_frees_interior_grads_and_keeps_leaves():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = a * 3.0
+    out = (h * h).sum()
+    out.backward()
+    assert h.grad is None
+    np.testing.assert_array_equal(a.grad, 18.0 * a.data)
+    np.testing.assert_array_equal(out.grad, 1.0)
+
+
+def test_linear_equals_matmul_add_bytes():
+    rng = np.random.default_rng(4)
+    x0, w0, b0 = (rng.standard_normal((7, 5)), rng.standard_normal((5, 3)),
+                  rng.standard_normal(3))
+    upstream = rng.standard_normal((7, 3))
+    results = []
+    for fused in (True, False):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out = linear(x, w, b) if fused else x @ w + b
+        (out * upstream).sum().backward()
+        results.append((out.data, x.grad, w.grad, b.grad))
+    for fused, composed in zip(*results):
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_no_grad_records_no_graph_and_restores_after_raise():
+    leaf = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            out = leaf * 2.0
+            assert not out.requires_grad and out._parents == ()
+            assert out._backward is None
+            assert Tensor(np.ones(2), requires_grad=True).requires_grad
+            raise RuntimeError("body failed")
+    out = leaf * 2.0
+    assert out.requires_grad and out._parents
 
 
 def test_diamond_graph_accumulates_once():
