@@ -6,10 +6,13 @@ Usage: python3 scripts/seeded_diff.py OLD NEW
 Prints one line per file that differs: for numeric files (``.csv``,
 ``.graph``, ``.ckpt``) the largest absolute deviation and that deviation
 relative to the file's largest magnitude; for any other file "differs".
-``config.resolved`` is skipped, since it records the output paths.
-Exits 1 when a file exists on one side only, a non-numeric file or token
-differs, or the two sides of a numeric file differ in layout (token count,
-checkpoint names or shapes); exits 0 when every difference is numeric.
+Checkpoints are compared array by array, by name: the deviation covers the
+arrays both sides share, and arrays present on one side only (or with
+other shapes) are listed by name. ``config.resolved`` is skipped, since it
+records the output paths. Exits 1 when a file exists on one side only, a
+non-numeric file or token differs, or the two sides of a numeric file
+differ in layout (token count, checkpoint names, shapes or order); exits 0
+when every difference is numeric.
 """
 
 from __future__ import annotations
@@ -44,24 +47,46 @@ def text_values(path):
     return np.array([num for num in numbers if num is not None]), words
 
 
-def checkpoint_values(path):
-    arrays = load_checkpoint(path)
-    layout = [(name, arr.shape) for name, arr in arrays.items()]
-    values = [arr.ravel() for arr in arrays.values()]
-    return (np.concatenate(values) if values else np.zeros(0)), layout
+def text_pair(old, new):
+    """Token-by-token values of two text files and their layout
+    differences; no values when the layouts differ."""
+    (a, words_a), (b, words_b) = text_values(old), text_values(new)
+    if words_a != words_b or a.shape != b.shape:
+        return None, None, ["tokens"]
+    return a, b, []
+
+
+def checkpoint_pair(old, new):
+    """Values of the arrays two checkpoints share (same name and shape),
+    flattened in OLD's order, and the layout differences by array name."""
+    a, b = load_checkpoint(old), load_checkpoint(new)
+    shared = [n for n in a if n in b and a[n].shape == b[n].shape]
+    layout = [f"only in {side}: {', '.join(map(repr, names))}"
+              for side, names in (("OLD", [n for n in a if n not in b]),
+                                  ("NEW", [n for n in b if n not in a])) if names]
+    layout += [f"shape of {n!r}: {a[n].shape} in OLD, {b[n].shape} in NEW"
+               for n in a if n in b and a[n].shape != b[n].shape]
+    if not layout and list(a) != list(b):
+        layout.append("array order")
+
+    def flat(arrays):
+        return np.concatenate([arrays[n].ravel() for n in shared] + [np.zeros(0)])
+
+    return flat(a), flat(b), layout
 
 
 def compare(old, new):
-    """(max abs deviation, that deviation relative to the largest
-    magnitude) of two numeric files; ValueError when their layouts
-    differ."""
-    read = checkpoint_values if old.suffix == ".ckpt" else text_values
-    (a, layout_a), (b, layout_b) = read(old), read(new)
-    if layout_a != layout_b or a.shape != b.shape:
-        raise ValueError("layout differs")
+    """((max abs deviation, that deviation relative to the largest
+    magnitude) or None, layout differences) of two numeric files.
+    Checkpoints are matched by array name, so their deviation covers the
+    arrays both sides share."""
+    pair = checkpoint_pair if old.suffix == ".ckpt" else text_pair
+    a, b, layout = pair(old, new)
+    if a is None or a.size == 0:
+        return None, layout
     dev = float(np.max(np.abs(a - b)))
     scale = float(max(np.abs(a).max(), np.abs(b).max()))
-    return dev, dev / scale
+    return (dev, dev / scale if scale else 0.0), layout
 
 
 def main(argv):
@@ -88,13 +113,14 @@ def main(argv):
             print(f"{rel}: differs")
             failed = True
             continue
-        try:
-            dev, rel_dev = compare(old, new)
-        except ValueError as exc:
-            print(f"{rel}: {exc}")
+        deviation, layout = compare(old, new)
+        if deviation is not None:
+            shared = " over the shared arrays" if layout else ""
+            print(f"{rel}: max abs {deviation[0]:.3e}, relative to largest "
+                  f"{deviation[1]:.3e}{shared}")
+        for note in layout:
+            print(f"{rel}: layout differs: {note}")
             failed = True
-            continue
-        print(f"{rel}: max abs {dev:.3e}, relative to largest {rel_dev:.3e}")
     print(f"{same} of {len(files[0] | files[1])} files byte-identical")
     return 1 if failed else 0
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .tensor import Tensor, concat, linear, no_grad, segment_softmax, segment_sum
+from .tensor import Tensor, concat, no_grad, segment_softmax, segment_sum
 
 
 def node_input(features: np.ndarray, positions: np.ndarray,
@@ -50,10 +50,12 @@ class Structure:
 
 
 class GcnConv(nn.Module):
-    """Mean aggregation over in-neighbors followed by a shared linear map."""
+    """Mean aggregation over in-neighbors followed by a shared bias-free
+    linear map (its output reaches a batch norm only through linear maps);
+    a node with no in-neighbors gets zeros."""
 
     def __init__(self, hdim, rng):
-        self.lin = nn.Linear(hdim, hdim, rng)
+        self.lin = nn.Linear(hdim, hdim, rng, bias=False)
 
     def __call__(self, h: Tensor, edges: np.ndarray) -> Tensor:
         nseg = h.data.shape[0]
@@ -105,8 +107,10 @@ class GatConv(nn.Module):
 
 
 class _PointMessage(nn.Module):
-    """Shared form of the coarsen/uncoarsen message: three linear encodings
-    (node/cluster vector pair, position offset, distance) fed to an MLP.
+    """Shared form of the coarsen/uncoarsen message: three bias-free linear
+    encodings (node/cluster vector pair, position offset, distance) fed to
+    an MLP. Their sum feeds the MLP's first batch norm, which would cancel
+    any bias.
 
     ``lin_pair`` maps the 2h-wide pair [coarse || node] (``coarse_first``)
     or [node || coarse]. Its coarse half runs on the coarse rows and is
@@ -114,11 +118,11 @@ class _PointMessage(nn.Module):
     multiplying the concatenated pair up to summation order.
     """
 
-    def __init__(self, hdim, d, rng, norm):
-        self.lin_pair = nn.Linear(2 * hdim, hdim, rng)
-        self.lin_rel = nn.Linear(d, hdim, rng)
-        self.lin_dist = nn.Linear(1, hdim, rng)
-        self.mlp = nn.MLP([3 * hdim, hdim, hdim], rng, norm=norm)
+    def __init__(self, hdim, d, rng):
+        self.lin_pair = nn.Linear(2 * hdim, hdim, rng, bias=False)
+        self.lin_rel = nn.Linear(d, hdim, rng, bias=False)
+        self.lin_dist = nn.Linear(1, hdim, rng, bias=False)
+        self.mlp = nn.MLP([3 * hdim, hdim, hdim], rng)
 
     def __call__(self, h: Tensor, h_coarse: Tensor, cluster_of: np.ndarray,
                  coarse_first: bool, rel: np.ndarray, dist: np.ndarray) -> Tensor:
@@ -126,24 +130,28 @@ class _PointMessage(nn.Module):
         first, second = np.arange(hdim), np.arange(hdim, 2 * hdim)
         coarse_rows, node_rows = (first, second) if coarse_first else (second, first)
         weight = self.lin_pair.weight
-        pair = (linear(h, weight.gather_rows(node_rows), self.lin_pair.bias)
+        pair = (h @ weight.gather_rows(node_rows)
                 + (h_coarse @ weight.gather_rows(coarse_rows)).gather_rows(cluster_of))
         enc = concat([pair, self.lin_rel(Tensor(rel)), self.lin_dist(Tensor(dist))], axis=1)
         return self.mlp(enc)
 
 
 class DmpLayer(nn.Module):
-    def __init__(self, hdim, d, mp_kind, rng, norm):
-        self.coarsen_msg = _PointMessage(hdim, d, rng, norm)
+    """One coarsen / message pass / uncoarsen block. ``out_bias=False``
+    drops the bias of ``combine``'s last layer, for the final block, whose
+    output feeds the projection's batch norm through a linear map."""
+
+    def __init__(self, hdim, d, mp_kind, rng, out_bias):
+        self.coarsen_msg = _PointMessage(hdim, d, rng)
         if mp_kind == "gcn":
             self.mp = GcnConv(hdim, rng)
         elif mp_kind == "gat":
             self.mp = GatConv(hdim, rng)
         else:
             raise ValueError(f"unknown mp_kind {mp_kind!r}")
-        self.uncoarsen_msg = _PointMessage(hdim, d, rng, norm)
+        self.uncoarsen_msg = _PointMessage(hdim, d, rng)
         self.gate = nn.Linear(2 * hdim, hdim, rng)
-        self.combine = nn.MLP([hdim, hdim, hdim], rng, norm=norm)
+        self.combine = nn.MLP([hdim, hdim, hdim], rng, bias=out_bias)
 
     def coarsen(self, h: Tensor, h_coarse: Tensor, rel, dist, cluster_of, nclusters) -> Tensor:
         msg = self.coarsen_msg(h, h_coarse, cluster_of, True, rel, dist)
@@ -163,15 +171,17 @@ class DmpModel(nn.Module):
     """
 
     def __init__(self, d_in, d, odim, hdim=64, layers=3, mp_kind="gcn",
-                 seed=0, norm=True):
+                 seed=0):
         if layers < 1:
             raise ValueError("need at least one layer")
         rng = np.random.default_rng(seed)
         self.odim = odim
-        self.lift = nn.MLP([d_in, hdim, hdim, hdim], rng, norm=norm)
-        self.lift_coarse = nn.MLP([d_in, hdim, hdim, hdim], rng, norm=norm)
-        self.blocks = [DmpLayer(hdim, d, mp_kind, rng, norm=norm) for _ in range(layers)]
-        self.project = nn.MLP([hdim, hdim, hdim, odim], rng, norm=norm)
+        self.lift = nn.MLP([d_in, hdim, hdim, hdim], rng)
+        # lift_coarse feeds only the coarsen message's lin_pair
+        self.lift_coarse = nn.MLP([d_in, hdim, hdim, hdim], rng, bias=False)
+        self.blocks = [DmpLayer(hdim, d, mp_kind, rng, out_bias=k < layers - 1)
+                       for k in range(layers)]
+        self.project = nn.MLP([hdim, hdim, hdim, odim], rng)
 
     def forward_core(self, inputs: np.ndarray, positions: np.ndarray,
                      structure: Structure) -> Tensor:

@@ -123,7 +123,7 @@ def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
     d_in, odim = model_dims(graph, config.task)
     return DmpModel(d_in, graph.dim, odim,
                     hdim=config.hdim, layers=config.layers,
-                    mp_kind=config.mp_kind, seed=config.seed, norm=True)
+                    mp_kind=config.mp_kind, seed=config.seed)
 
 
 class StructureCache:

@@ -6,7 +6,10 @@ import struct
 
 import numpy as np
 
-from .tensor import Tensor, batch_norm, concat, linear
+from .tensor import Tensor, batch_norm, linear
+
+BN_EPS = 1e-5  # variance floor of every batch norm
+BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
 
 
 class Module:
@@ -60,10 +63,14 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, d_in, d_out, rng):
+    """``x @ weight + bias``; with ``bias=False``, ``x @ weight`` and no
+    ``bias`` parameter. The bias starts at zero and draws nothing from
+    ``rng``."""
+
+    def __init__(self, d_in, d_out, rng, bias=True):
         scale = np.sqrt(2.0 / (d_in + d_out))
         self.weight = Tensor(rng.normal(0.0, scale, size=(d_in, d_out)), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -74,12 +81,10 @@ class BatchNorm(Module):
 
     The first training batch seeds the running statistics directly, so a
     single train step followed by eval reproduces that batch's stats;
-    subsequent batches blend with momentum 0.1.
+    subsequent batches blend with momentum ``BN_MOMENTUM``.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = Tensor(np.zeros(channels))
@@ -93,43 +98,42 @@ class BatchNorm(Module):
         if self.training:
             if x.data.shape[0] < 1:
                 raise ValueError("batch norm needs at least one row in train mode")
-            out, m, v = batch_norm(x, self.gamma, self.beta, self.eps)
+            out, m, v = batch_norm(x, self.gamma, self.beta, BN_EPS)
             if not self._initialized:
                 self.running_mean.data[:] = m
                 self.running_var.data[:] = v
                 self._initialized = True
             else:
-                self.running_mean.data *= 1.0 - self.momentum
-                self.running_mean.data += self.momentum * m
-                self.running_var.data *= 1.0 - self.momentum
-                self.running_var.data += self.momentum * v
+                self.running_mean.data *= 1.0 - BN_MOMENTUM
+                self.running_mean.data += BN_MOMENTUM * m
+                self.running_var.data *= 1.0 - BN_MOMENTUM
+                self.running_var.data += BN_MOMENTUM * v
             return out
         xhat = (x - self.running_mean.data[None, :]) / np.sqrt(
-            self.running_var.data[None, :] + self.eps
+            self.running_var.data[None, :] + BN_EPS
         )
         return xhat * self.gamma + self.beta
 
 
 class MLP(Module):
-    """GELU MLP over a list of layer widths, e.g. [d_in, h, h, d_out].
+    """MLP over a list of layer widths, e.g. [d_in, h, h, d_out].
 
-    Hidden layers get batch norm when ``norm`` is on; the final linear is
-    always bare.
+    Each hidden layer is Linear -> BatchNorm -> GELU, with a bias-free
+    Linear: the norm subtracts the batch mean, which would cancel a bias.
+    The final Linear is bare; ``bias=False`` drops its bias too, for an MLP
+    whose output reaches a batch norm only through linear maps.
     """
 
-    def __init__(self, widths, rng, norm=False):
-        self.layers = [Linear(a, b, rng) for a, b in zip(widths[:-1], widths[1:])]
-        self.norms = [BatchNorm(b) for b in widths[1:-1]] if norm else []
+    def __init__(self, widths, rng, bias=True):
+        last = len(widths) - 2
+        self.layers = [Linear(a, b, rng, bias=bias and i == last)
+                       for i, (a, b) in enumerate(zip(widths[:-1], widths[1:]))]
+        self.norms = [BatchNorm(b) for b in widths[1:-1]]
 
     def __call__(self, x: Tensor) -> Tensor:
-        last = len(self.layers) - 1
-        for i, lin in enumerate(self.layers):
-            x = lin(x)
-            if i < last:
-                if self.norms:
-                    x = self.norms[i](x)
-                x = x.gelu()
-        return x
+        for lin, norm in zip(self.layers, self.norms):
+            x = norm(lin(x)).gelu()
+        return self.layers[-1](x)
 
 
 class Adam:
@@ -225,12 +229,16 @@ def load_into(module: Module, arrays):
 
     Names must match in both directions and shapes exactly; everything is
     checked before anything is written, so a bad checkpoint leaves the
-    module untouched.
+    module untouched. A checkpoint with arrays the module lacks (such as
+    the ``.bias`` of a layer that feeds a batch norm, which older layouts
+    kept) has another layout: the model must be retrained.
     """
     state = module.state_arrays()
-    for name in arrays:
-        if name not in state:
-            raise KeyError(f"unknown parameter {name!r}")
+    unknown = [name for name in arrays if name not in state]
+    if unknown:
+        raise KeyError(f"checkpoint layout differs from the model's "
+                       f"(unknown parameter {unknown[0]!r}); the model must "
+                       f"be retrained")
     missing = [name for name in state if name not in arrays]
     if missing:
         raise KeyError(f"checkpoint lacks {', '.join(map(repr, missing))}")
@@ -252,7 +260,6 @@ __all__ = [
     "MLP",
     "Adam",
     "EMA",
-    "concat",
     "save_checkpoint",
     "load_checkpoint",
     "load_into",

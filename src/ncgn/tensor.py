@@ -10,11 +10,11 @@ root hold a ``grad``. Inside ``with no_grad():`` ops record no parents and
 no closures, so inference builds no graph.
 
 Two fused ops stand in for the node-level layers: ``linear`` is
-``x @ weight + bias`` as one node, with the same float operations forward
-and backward as the matmul-then-add pair, and ``batch_norm`` is train-mode
-batch normalization as one node with the analytic backward of Ioffe &
-Szegedy (2015); its forward repeats the composed form's operations, so its
-output is the same bytes.
+``x @ weight + bias`` (or ``x @ weight``, without a bias) as one node, with
+the same float operations forward and backward as the composed form, and
+``batch_norm`` is train-mode batch normalization as one node with the
+analytic backward of Ioffe & Szegedy (2015); its forward repeats the
+composed form's operations, so its output is the same bytes.
 
 Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
 sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
@@ -336,21 +336,25 @@ def concat(tensors, axis=1):
     return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     """``x @ weight + bias`` as one node, for N x d_in ``x``, d_in x d_out
-    ``weight`` and length-d_out ``bias``. Forward and backward are the same
-    float operations as the matmul-then-add pair."""
-    out_data = x.data @ weight.data + bias.data
+    ``weight`` and length-d_out ``bias``; ``bias=None`` gives ``x @ weight``.
+    Forward and backward are the same float operations as the composed
+    matmul (and add)."""
+    out_data = x.data @ weight.data
+    if bias is not None:
+        out_data += bias.data
 
     def bwd(g):
         if x.requires_grad:
             x._accum(g @ weight.data.T)
         if weight.requires_grad:
             weight._accum(x.data.T @ g)
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=0))
 
-    return Tensor(out_data, _parents=(x, weight, bias), _backward=bwd)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor(out_data, _parents=parents, _backward=bwd)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):

@@ -108,7 +108,7 @@ def test_sq_distance_arbitration():
 def test_full_gradient_suite(mp_kind):
     g = random_graph(12, seed=0)
     model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
-                     mp_kind=mp_kind, seed=0, norm=False)
+                     mp_kind=mp_kind, seed=0)
     target = np.random.default_rng(1).standard_normal((12, 3))
 
     def loss_value():

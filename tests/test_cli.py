@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ncgn import engine
+from ncgn import cli, engine, nn
 from ncgn.cli import main
 from ncgn.config import (
     ConfigError,
@@ -315,6 +315,37 @@ def test_checkpoint_that_does_not_fit_exits_one(gat_run, tmp_path, capsys):
     write_resolved({**record, "mp_kind": "gcn"}, str(tmp_path / "ema.ckpt.config"))
     assert run(tmp_path, "sample", f"dataset={data}", "nfes=2") == 1
     assert "unknown parameter 'blocks." in capsys.readouterr().err
+
+
+def test_old_layout_checkpoint_exits_one(gat_run, tmp_path, capsys, monkeypatch):
+    # a checkpoint that still holds a bias beside every bias-free weight
+    # (layers that feed a batch norm) is rejected before any array is
+    # copied into the model
+    data, work = gat_run
+    arrays = nn.load_checkpoint(work / "ema.ckpt")
+    old = {}
+    for name, arr in arrays.items():
+        old[name] = arr
+        bias = name[: -len("weight")] + "bias"
+        if name.endswith(".weight") and bias not in arrays:
+            old[bias] = np.zeros(arr.shape[-1])
+    nn.save_checkpoint(tmp_path / "ema.ckpt", old)
+    shutil.copy(work / "ema.ckpt.config", tmp_path / "ema.ckpt.config")
+    built = []
+
+    def build_model(*args):
+        built.append((args, engine.build_model(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cli, "build_model", build_model)
+    assert run(tmp_path, "sample", f"dataset={data}", "nfes=2") == 1
+    err = capsys.readouterr().err
+    assert ("checkpoint layout differs from the model's (unknown parameter "
+            "'lift.layers.0.bias'); the model must be retrained") in err
+    (args, model), = built
+    fresh = engine.build_model(*args).state_arrays()
+    for name, t in model.state_arrays().items():
+        np.testing.assert_array_equal(t.data, fresh[name].data)
 
 
 def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):

@@ -64,14 +64,16 @@ def test_node_input_width_and_t_column():
 
 
 def test_gcn_hand_example():
-    # two nodes, one edge 0 -> 1, identity-like check through the linear map
+    # two nodes, one edge 0 -> 1: node 1 gets node 0's vector through the
+    # bias-free linear map, node 0 (no in-neighbors) gets zeros
     rng = np.random.default_rng(0)
     conv = GcnConv(2, rng)
+    assert conv.lin.bias is None
     h = Tensor(np.array([[1.0, 2.0], [5.0, 5.0]]))
     out = conv(h, np.array([[0, 1]]))
-    w, b = conv.lin.weight.data, conv.lin.bias.data
-    expected = np.vstack([np.zeros(2) @ w + b, h.data[0] @ w + b])
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    np.testing.assert_array_equal(out.data[0], 0.0)
+    np.testing.assert_allclose(out.data[1], h.data[0] @ conv.lin.weight.data,
+                               atol=1e-12)
 
 
 def test_gcn_mean_aggregation():
@@ -79,8 +81,9 @@ def test_gcn_mean_aggregation():
     conv = GcnConv(2, rng)
     h = Tensor(np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]]))
     out = conv(h, np.array([[0, 2], [1, 2]]))
-    w, b = conv.lin.weight.data, conv.lin.bias.data
-    np.testing.assert_allclose(out.data[2], np.array([1.0, 2.0]) @ w + b,
+    np.testing.assert_array_equal(out.data[:2], 0.0)
+    np.testing.assert_allclose(out.data[2],
+                               np.array([1.0, 2.0]) @ conv.lin.weight.data,
                                atol=1e-12)
 
 
@@ -107,25 +110,25 @@ def test_gat_single_node_self_attention():
 
 
 def test_gcn_no_edges_forward_and_backward():
-    # no in-neighbors: every node aggregates a zero mean, so the output is
-    # the bias alone and only the bias receives gradient
+    # no in-neighbors: every node aggregates a zero mean and the linear map
+    # has no bias, so the output and every gradient are exactly zero
     rng = np.random.default_rng(3)
     conv = GcnConv(3, rng)
-    conv.lin.bias.data[:] = [0.5, -1.0, 2.0]
+    assert [k for k, _ in conv.named_parameters()] == ["lin.weight"]
     h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     out = conv(h, np.zeros((0, 2), dtype=np.intp))
-    np.testing.assert_array_equal(out.data, np.tile(conv.lin.bias.data, (4, 1)))
-    grads = grad(out.sum(), [h, conv.lin.weight, conv.lin.bias])
-    np.testing.assert_array_equal(grads[id(h)].data, 0.0)
-    np.testing.assert_array_equal(grads[id(conv.lin.weight)].data, 0.0)
-    np.testing.assert_array_equal(grads[id(conv.lin.bias)].data, [4.0] * 3)
+    np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+    grads = grad(out.sum(), [h, conv.lin.weight])
+    np.testing.assert_array_equal(grads[id(h)].data, np.zeros((4, 3)))
+    np.testing.assert_array_equal(grads[id(conv.lin.weight)].data,
+                                  np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
 def test_finite_difference_gradients(mp_kind):
     g = random_graph(12, seed=4)
     model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
-                     mp_kind=mp_kind, seed=0, norm=False)
+                     mp_kind=mp_kind, seed=0)
     target = np.random.default_rng(5).standard_normal((12, 3))
 
     def loss_value():
@@ -283,7 +286,7 @@ def concat_message(msg, h, h_coarse, cluster_of, coarse_first, rel, dist):
 def test_split_lin_pair_matches_concat(coarse_first):
     rng = np.random.default_rng(17)
     n, nclusters, hdim = 300, 40, 8
-    msg = _PointMessage(hdim, 2, rng, norm=True)
+    msg = _PointMessage(hdim, 2, rng)
     h0 = rng.standard_normal((n, hdim))
     coarse0 = rng.standard_normal((nclusters, hdim))
     cluster_of = rng.integers(0, nclusters, n)
@@ -301,11 +304,34 @@ def test_split_lin_pair_matches_concat(coarse_first):
     (out, grads), (ref_out, ref_grads) = results
     np.testing.assert_allclose(out, ref_out, rtol=1e-12,
                                atol=1e-12 * np.abs(ref_out).max())
-    # the biases feeding a batch norm have a true gradient of zero, so
-    # gradients are held to the largest gradient entry, not their own
-    scale = max(np.abs(g).max() for g in ref_grads)
     for g, ref in zip(grads, ref_grads):
-        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(g, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["gcn", "gat", "flat_gat"])
+def test_every_parameter_gets_a_gradient(name):
+    # a parameter whose output reaches a train-mode batch norm only through
+    # linear maps (a bias there) is cancelled by the norm's mean: its
+    # gradient is roundoff, near 1e-16 of the largest entry
+    rng = np.random.default_rng(18)
+    graphs = [random_graph(n, seed=n) for n in (40, 57, 73)]
+    ts = (0.05, 0.5, 0.95)
+    if name == "flat_gat":
+        model, method = FlatGat(d_in=6, odim=3, hdim=32, seed=0), "fully_connected"
+    else:
+        model, method = DmpModel(d_in=6, d=2, odim=3, hdim=32, layers=3,
+                                 mp_kind=name, seed=0), "dmp"
+    config = TrainConfig(method=method, seed=0)
+    parts = [(g.positions, node_input(g.features, g.positions, t), t)
+             for g, t in zip(graphs, ts)]
+    out = merged_forward(model, parts, config, StructureCache())
+    target = rng.standard_normal(out.data.shape)
+    named = model.named_parameters()
+    grads = grad(((out - target) ** 2).mean(), [p for _, p in named])
+    peak = {k: np.abs(grads[id(p)].data).max() for k, p in named}
+    largest = max(peak.values())
+    assert [k for k, v in peak.items() if v <= 1e-8 * largest] == []
 
 
 def test_flat_gat_shapes_and_attention():

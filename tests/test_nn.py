@@ -26,7 +26,7 @@ def test_gelu_grad_at_zero_exact():
 
 def test_mlp_finite_difference():
     rng = np.random.default_rng(0)
-    mlp = nn.MLP([4, 8, 1], rng, norm=False)
+    mlp = nn.MLP([4, 8, 1], rng)
     x = rng.standard_normal((5, 4))
     params = mlp.parameters()
     loss = (mlp(Tensor(x)) ** 2).mean()
@@ -53,13 +53,13 @@ def test_batch_norm_constant_channel():
 
 
 def test_batch_norm_two_values():
-    bn = nn.BatchNorm(1, eps=1e-12)
+    bn = nn.BatchNorm(1)
     out = bn(Tensor(np.array([[0.0], [2.0]])))
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-5)
 
 
 def test_batch_norm_eval_after_one_step():
-    bn = nn.BatchNorm(1, eps=1e-12)
+    bn = nn.BatchNorm(1)
     bn(Tensor(np.array([[0.0], [2.0]])))  # seeds running stats
     bn.eval()
     out = bn(Tensor(np.array([[1.0]])))
@@ -92,7 +92,7 @@ def test_fused_batch_norm_matches_composed():
         bn = nn.BatchNorm(32)
         bn.gamma.data[:], bn.beta.data[:] = gamma0, beta0
         x = Tensor(x0.copy(), requires_grad=True)
-        out = bn(x) if fused else composed_batch_norm(x, bn.gamma, bn.beta, bn.eps)
+        out = bn(x) if fused else composed_batch_norm(x, bn.gamma, bn.beta, nn.BN_EPS)
         (out * upstream).sum().backward()
         results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad))
     (out, dx, dgamma, dbeta), (ref, ref_dx, ref_dgamma, ref_dbeta) = results
@@ -158,14 +158,14 @@ def test_ema_update_formula():
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(2)
-    mlp = nn.MLP([3, 4, 2], rng, norm=True)
+    mlp = nn.MLP([3, 4, 2], rng)
     mlp(Tensor(rng.standard_normal((6, 3))))  # touch batch norm stats
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(path, mlp.state_arrays())
     loaded = nn.load_checkpoint(path)
     for name, t in mlp.state_arrays().items():
         np.testing.assert_array_equal(loaded[name], t.data)
-    other = nn.MLP([3, 4, 2], np.random.default_rng(99), norm=True)
+    other = nn.MLP([3, 4, 2], np.random.default_rng(99))
     nn.load_into(other, loaded)
     x = rng.standard_normal((5, 3))
     other.eval(), mlp.eval()
@@ -187,7 +187,8 @@ def test_load_into_rejects_unknown_name():
     before = {k: t.data.copy() for k, t in lin.state_arrays().items()}
     weight, bias = np.ones((2, 3)), np.ones(3)
     cases = [
-        ({"nope": np.zeros((2, 2))}, KeyError, "nope"),
+        ({"nope": np.zeros((2, 2))}, KeyError,
+         "layout differs from the model's.*'nope'.*must be retrained"),
         ({"weight": weight, "bias": bias, "nope": np.zeros(1)}, KeyError, "nope"),
         ({"bias": bias}, KeyError, "weight"),  # missing key
         ({"weight": weight.T, "bias": bias}, ValueError,
@@ -202,10 +203,12 @@ def test_load_into_rejects_unknown_name():
             np.testing.assert_array_equal(t.data, before[k])
 
 
-def _mlp_keys(prefix, n_linear):
-    """Parameter and buffer names of a normed MLP with ``n_linear`` layers."""
-    params = [f"{prefix}.layers.{i}.{w}" for i in range(n_linear)
-              for w in ("weight", "bias")]
+def _mlp_keys(prefix, n_linear, bias=True):
+    """Parameter and buffer names of an MLP with ``n_linear`` layers: only
+    the last layer can carry a bias."""
+    params = [f"{prefix}.layers.{i}.weight" for i in range(n_linear)]
+    if bias:
+        params.append(f"{prefix}.layers.{n_linear - 1}.bias")
     params += [f"{prefix}.norms.{i}.{w}" for i in range(n_linear - 1)
                for w in ("gamma", "beta")]
     buffers = [f"{prefix}.norms.{i}.{w}" for i in range(n_linear - 1)
@@ -214,13 +217,13 @@ def _mlp_keys(prefix, n_linear):
 
 
 def _gat_dmp_keys(layers):
-    """State-array names of a normed GAT DmpModel in checkpoint order."""
-    parts = [_mlp_keys("lift", 3), _mlp_keys("lift_coarse", 3)]
+    """State-array names of a GAT DmpModel in checkpoint order."""
+    parts = [_mlp_keys("lift", 3), _mlp_keys("lift_coarse", 3, bias=False)]
     for b in range(layers):
         blk = f"blocks.{b}"
         for msg in ("coarsen_msg", "uncoarsen_msg"):
-            linears = [f"{blk}.{msg}.{n}.{w}" for n in ("lin_pair", "lin_rel", "lin_dist")
-                       for w in ("weight", "bias")]
+            linears = [f"{blk}.{msg}.{n}.weight"
+                       for n in ("lin_pair", "lin_rel", "lin_dist")]
             mlp_params, mlp_buffers = _mlp_keys(f"{blk}.{msg}.mlp", 2)
             parts.append((linears + mlp_params, mlp_buffers))
             if msg == "coarsen_msg":
@@ -228,7 +231,7 @@ def _gat_dmp_keys(layers):
                                f"{blk}.mp.lin_t.weight", f"{blk}.mp.lin_t.bias",
                                f"{blk}.mp.att_s", f"{blk}.mp.att_t"], []))
         parts.append(([f"{blk}.gate.weight", f"{blk}.gate.bias"], []))
-        parts.append(_mlp_keys(f"{blk}.combine", 2))
+        parts.append(_mlp_keys(f"{blk}.combine", 2, bias=b < layers - 1))
     parts.append(_mlp_keys("project", 3))
     return [k for p, _ in parts for k in p] + [k for _, b in parts for k in b]
 
@@ -244,7 +247,7 @@ def test_module_walk_order_modes_and_load():
     from ncgn.dmp import DmpModel
 
     model = DmpModel(d_in=5, d=2, odim=2, hdim=4, layers=2, mp_kind="gat",
-                     seed=0, norm=True)
+                     seed=0)
     expected = _gat_dmp_keys(2)
     # checkpoint files are written in this order, so it must never change
     assert list(model.state_arrays()) == expected
@@ -259,7 +262,7 @@ def test_module_walk_order_modes_and_load():
     model.train()
     assert all(bn.training for bn in norms)
     fresh = DmpModel(d_in=5, d=2, odim=2, hdim=4, layers=2, mp_kind="gat",
-                     seed=1, norm=True)
+                     seed=1)
     assert not any(bn._initialized for bn in fresh.modules()
                    if isinstance(bn, nn.BatchNorm))
     nn.load_into(fresh, {k: t.data for k, t in model.state_arrays().items()})

@@ -47,3 +47,21 @@ def test_fails_on_one_sided_or_non_numeric_difference(tmp_path, capsys):
     assert "run/notes.txt: differs" in out
     assert "run/a.graph: layout differs" in out
     assert "run/model.ckpt: max abs 5.000e-01" in out
+
+
+def test_checkpoints_compared_by_name_when_an_array_is_dropped(tmp_path, capsys):
+    # the deviation covers the shared arrays; the dropped one is named
+    for side, extra in (("old", {"b.bias": np.array([1e-10])}), ("new", {})):
+        root = tmp_path / side
+        root.mkdir()
+        weight = 2.0 if side == "old" else 2.0 + 3e-12
+        nn.save_checkpoint(root / "model.ckpt",
+                           {"a.weight": np.array([weight, -4.0]), **extra,
+                            "b.weight": np.array([[1.0]])})
+    assert load_script().main(["seeded_diff", str(tmp_path / "old"),
+                               str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out
+    assert ("model.ckpt: max abs 3.000e-12, relative to largest 7.500e-13 "
+            "over the shared arrays") in out
+    assert "model.ckpt: layout differs: only in OLD: 'b.bias'" in out
+    assert "only in NEW" not in out

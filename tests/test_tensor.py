@@ -205,6 +205,20 @@ def test_linear_equals_matmul_add_bytes():
         np.testing.assert_array_equal(fused, composed)
 
 
+def test_linear_without_bias_equals_matmul_bytes():
+    rng = np.random.default_rng(5)
+    x0, w0 = rng.standard_normal((7, 5)), rng.standard_normal((5, 3))
+    upstream = rng.standard_normal((7, 3))
+    results = []
+    for fused in (True, False):
+        x, w = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0))
+        out = linear(x, w, None) if fused else x @ w
+        (out * upstream).sum().backward()
+        results.append((out.data, x.grad, w.grad))
+    for fused, composed in zip(*results):
+        np.testing.assert_array_equal(fused, composed)
+
+
 def test_no_grad_records_no_graph_and_restores_after_raise():
     leaf = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(RuntimeError):
