@@ -58,6 +58,7 @@ from .graphs import load_graph, save_graph
 COMMANDS = ("simulate-data", "make-shapes", "train", "sample", "eval",
             "theory", "attention-study", "gw-study", "ablate-depth")
 SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
+THEORY_SNRS = np.logspace(np.log10(0.25), np.log10(16.0), 12)  # radius sweep
 
 
 def _train_config(config):
@@ -77,8 +78,12 @@ def _with_checkpoint_keys(config, args):
     record_path = path + ".config"
     if not os.path.exists(record_path):
         raise FileNotFoundError(f"checkpoint has no config record: {record_path}")
-    record = {k: v for k, v in read_config_file(record_path).items()
-              if k not in SAMPLING_KEYS}
+    try:
+        record = read_config_file(record_path)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}: {path} was written by another version of "
+                          f"ncgn; the model must be retrained") from None
+    record = {k: v for k, v in record.items() if k not in SAMPLING_KEYS}
     config = parse_config(args.config, args.overrides, record)
     for key, value in record.items():
         if config[key] != value:
@@ -197,10 +202,7 @@ def cmd_eval(config):
 
 
 def cmd_theory(config):
-    snrs = np.logspace(np.log10(config["theory.snr_lo"]),
-                       np.log10(config["theory.snr_hi"]),
-                       config["theory.n_snrs"])
-    rows = theory.radius_sweep(snrs)
+    rows = theory.radius_sweep(THEORY_SNRS)
     out = config["out_dir"]
     write_csv(os.path.join(out, "theory.csv"), ("snr", "r_star", "mi"), rows)
     grid = [0.0, 0.25, 0.5, 0.75, 0.99]
@@ -238,8 +240,7 @@ def cmd_attention_study(config):
 def cmd_gw_study(config):
     ds = _require_dataset(config)
     rows, argmin_rows = gw_study(
-        ds.train, pooling=config["gw.pooling"], n_shapes=config["n_shapes"],
-        n_seeds=config["n_seeds"], eps=config["gw.eps"],
+        ds.train, n_shapes=config["n_shapes"], n_seeds=config["n_seeds"],
         iters=config["gw.iters"], seed=config["seed"],
     )
     out = config["out_dir"]

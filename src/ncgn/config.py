@@ -21,7 +21,6 @@ from .engine import TrainConfig
 
 _NAMESPACED = {
     "interpolant": "interpolant.kind",
-    "sigma_min": "interpolant.sigma_min",
     "schedule_kind": "schedule.kind",
 }
 TRAIN_KEYS = {f.name: _NAMESPACED.get(f.name, f.name) for f in fields(TrainConfig)}
@@ -39,14 +38,9 @@ DEFAULTS = {
     "convention": "damped",
     "mask_task": "",
     "n_samples": 0,
-    "gw.eps": 0.05,
     "gw.iters": 50,
-    "gw.pooling": "mean",
     "attention.bins": 10,
     "attention.epochs": 50,
-    "theory.snr_lo": 0.25,
-    "theory.snr_hi": 16.0,
-    "theory.n_snrs": 12,
     "depths": "2 4 8 16",
 }
 

@@ -70,12 +70,10 @@ class TrainConfig:
     batch: int = 128
     lr: float = 1e-3
     warmup_epochs: int = 10
-    ema_decay: float = 0.95
     hdim: int = 32
     layers: int = 3
     knn_k: int = 8
     nfes: int = 200
-    sigma_min: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -86,13 +84,13 @@ class TrainConfig:
         self.interpolant_spec()
         if min(self.epochs, self.batch, self.hdim, self.layers, self.nfes) < 1:
             raise ValueError("epochs, batch, hdim, layers, nfes must be positive")
-        if self.lr <= 0 or not 0.0 <= self.ema_decay < 1.0:
-            raise ValueError("bad lr or ema_decay")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("need 0 <= warmup_epochs <= epochs")
 
     def interpolant_spec(self):
-        return InterpolantSpec(kind=self.interpolant, sigma_min=self.sigma_min)
+        return InterpolantSpec(kind=self.interpolant)
 
 
 @dataclass
@@ -244,7 +242,7 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
     if model is None:
         model = build_model(graphs[0], config)
     opt = nn.Adam(model.parameters(), lr=config.lr)
-    ema = nn.EMA(model, config.ema_decay)
+    ema = nn.EMA(model)
     cache = StructureCache(keep=config.task == "features")
     rng = np.random.default_rng(config.seed)
     rows = []
@@ -492,27 +490,16 @@ def attention_study(model: FlatGat, graphs, bins=10,
     return rows
 
 
-def _pooled_coarse(positions, n_clusters, pooling):
-    cluster_of, coarse_positions = voxel_coarsen(positions, n_clusters)
-    if pooling == "mean":
-        return coarse_positions
-    if pooling != "max":
-        raise ValueError(f"unknown pooling {pooling!r}")
-    out = np.full(coarse_positions.shape, -np.inf)
-    np.maximum.at(out, cluster_of, positions)
-    return out
-
-
 def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
-             cluster_grid=(4, 8, 16, 32, 64), pooling="mean", n_shapes=20,
+             cluster_grid=(4, 8, 16, 32, 64), n_shapes=20,
              n_seeds=3, eps=0.05, iters=50, seed=0):
     """Gromov-Wasserstein between coarse-grained noised shapes and originals.
 
     For every noise level t (Gaussian noise of scale 1 - t on the
-    positions) and cluster count, voxel-coarsens the noised cloud, pools per
-    flag, and averages gw_entropic against the clean cloud over shapes and
-    noise seeds. Returns (rows, argmin_rows) with rows (t, clusters, gw_mean)
-    and argmin_rows (t, argmin_clusters).
+    positions) and cluster count, voxel-coarsens the noised cloud to its
+    cluster means and averages gw_entropic against the clean cloud over
+    shapes and noise seeds. Returns (rows, argmin_rows) with rows
+    (t, clusters, gw_mean) and argmin_rows (t, argmin_clusters).
     """
     graphs = graphs[:n_shapes]
     rows = []
@@ -527,7 +514,7 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
                     noise_seed = seed + 1000 * gi + s
                     noised = g.positions + (1.0 - t) * np.random.default_rng(
                         noise_seed).standard_normal(g.positions.shape)
-                    coarse = _pooled_coarse(noised, c, pooling)
+                    _, coarse = voxel_coarsen(noised, c)
                     vals.append(gw_entropic(PointCloud(coarse), clean,
                                             eps=eps, iters=iters))
             mean = float(np.mean(vals))

@@ -2,8 +2,8 @@
 samples are drawn back out.
 
 Two kinds:
-  cfm  - straight-path conditional flow matching with a small sigma_min,
-         sampled with explicit Euler from t=0 to t=1.
+  cfm  - straight-path conditional flow matching with a constant noise
+         floor SIGMA_MIN, sampled with explicit Euler from t=0 to t=1.
   ddpm - variance-preserving diffusion over DDPM_STEPS steps with a linear
          beta range and epsilon-prediction, sampled ancestrally.
 
@@ -18,19 +18,17 @@ import numpy as np
 
 BETA_MIN, BETA_MAX = 1e-4, 0.02  # ddpm's linear beta range
 DDPM_STEPS = 1000  # ddpm's diffusion steps
+SIGMA_MIN = 1e-3  # cfm's noise scale along the whole path
 
 
 @dataclass
 class InterpolantSpec:
     kind: str = "cfm"
-    sigma_min: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ("cfm", "ddpm"):
             raise ValueError(f"unknown interpolant kind {self.kind!r}; "
                              f"expected 'cfm' or 'ddpm'")
-        if self.sigma_min <= 0:
-            raise ValueError("sigma_min must be positive")
 
     def betas(self):
         return np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS)
@@ -57,7 +55,7 @@ def interpolate(z0, z1, t, spec: InterpolantSpec, seed):
         raise ValueError("t must lie in [0, 1]")
     eps = _noise(z1.shape, seed)
     if spec.kind == "cfm":
-        return (1.0 - t) * z0 + t * z1 + spec.sigma_min * eps
+        return (1.0 - t) * z0 + t * z1 + SIGMA_MIN * eps
     ab = spec.alpha_bar(t)
     return np.sqrt(ab) * z1 + np.sqrt(1.0 - ab) * eps
 

@@ -10,6 +10,9 @@ from .tensor import Tensor, batch_norm, linear
 
 BN_EPS = 1e-5  # variance floor of every batch norm
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
+ADAM_BETAS = (0.9, 0.999)  # Adam's first and second moment decay rates
+ADAM_EPS = 1e-8  # Adam's denominator floor
+EMA_DECAY = 0.95  # weight of the old shadow in each EMA update
 
 
 class Module:
@@ -137,28 +140,27 @@ class MLP(Module):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
+        b1, b2 = ADAM_BETAS
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            mhat = m / (1.0 - self.b1**self.t)
-            vhat = v / (1.0 - self.b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1**self.t)
+            vhat = v / (1.0 - b2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params:
@@ -166,17 +168,17 @@ class Adam:
 
 
 class EMA:
-    """Exponential moving average of a module's state arrays."""
+    """Exponential moving average of a module's state arrays, with decay
+    ``EMA_DECAY``."""
 
-    def __init__(self, module: Module, decay=0.95):
-        self.decay = decay
+    def __init__(self, module: Module):
         self.shadow = {k: t.data.copy() for k, t in module.state_arrays().items()}
 
     def update(self, module: Module):
         for k, t in module.state_arrays().items():
             s = self.shadow[k]
-            s *= self.decay
-            s += (1.0 - self.decay) * t.data
+            s *= EMA_DECAY
+            s += (1.0 - EMA_DECAY) * t.data
 
     def copy_to(self, module: Module):
         for k, t in module.state_arrays().items():

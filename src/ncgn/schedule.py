@@ -3,8 +3,8 @@
 A schedule maps noise level t in [0, 1] (t=0 high noise, t=1 none) to the
 neighbor count r_t and coarse node count s_t. All shapes share the same
 contract: s interpolates from s0 up to s1 through a progress curve g, and
-in budget mode r is derived from the r_t * s_t ~ r1 * N work budget so the
-per-layer message count stays linear in N.
+r is derived from the r_t * s_t ~ r1 * N work budget (the paper's DMP rule)
+so the per-layer message count stays linear in N.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ DEFAULT_RELU_KNEE = 0.5
 @dataclass
 class ScheduleSpec:
     kind: str = "exponential"
-    r0: int = 1
     r1: int = 1
     s0: int = 1
     s1: int = 1
-    budget_mode: bool = False
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (self.r0 >= self.r1 >= 1):
-            raise ValueError("need r0 >= r1 >= 1")
+        if self.r1 < 1:
+            raise ValueError("need r1 >= 1")
         if not (self.s1 >= self.s0 >= 1):
             raise ValueError("need s1 >= s0 >= 1")
 
@@ -59,22 +57,20 @@ def _round_half_up(x: float) -> int:
 def eval_schedule(spec: ScheduleSpec, t: float, n_nodes: int):
     """Return (r_t, s_t) for noise level t over an N-node graph.
 
-    r_t is capped at s0 - 1: a node cannot have more neighbors than there
-    are other coarse nodes, and since s_t >= s0 this constant cap keeps r_t
-    monotone (a cap of s_t - 1 would track the growing s curve). Specs with
-    r0 = s0 therefore realize "fully connected" at the high-noise end.
+    s_t follows the progress curve from s0 to s1, and r_t is the budget
+    rule clamp(round(r1 * N / s_t), r1, s0 - 1). The cap s0 - 1 holds
+    because a node cannot have more neighbors than there are other coarse
+    nodes, and since s_t >= s0 this constant cap keeps r_t monotone (a cap
+    of s_t - 1 would track the growing s curve). ``default_bounds`` sets
+    s0 = ceil(sqrt(r1 * N)), so at t = 0 r_t is s0 - 1 or s0 - 2: the
+    coarse graph is fully connected, or one neighbor short of it.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     g = progress(spec, t)
     s_t = _round_half_up(spec.s0 + (spec.s1 - spec.s0) * g)
     s_t = min(max(s_t, spec.s0), spec.s1)
-    if spec.budget_mode:
-        r_t = _round_half_up(spec.r1 * n_nodes / s_t)
-        r_t = max(r_t, spec.r1)
-    else:
-        r_t = _round_half_up(spec.r0 + (spec.r1 - spec.r0) * g)
-        r_t = min(max(r_t, spec.r1), spec.r0)
+    r_t = max(_round_half_up(spec.r1 * n_nodes / s_t), spec.r1)
     r_t = max(min(r_t, spec.s0 - 1), 1)
     return r_t, s_t
 
@@ -82,14 +78,13 @@ def eval_schedule(spec: ScheduleSpec, t: float, n_nodes: int):
 def default_bounds(n_nodes: int, kind: str = "exponential") -> ScheduleSpec:
     """Boundary conditions giving linear message passing cost.
 
-    Sparse full resolution at t=1 (r1 = ceil(N^(1/3)), s1 = N) and a fully
-    connected coarse graph of s0 = ceil(sqrt(r1*N)) nodes at t=0, so
-    r_t * s_t stays near r1 * N throughout.
+    Sparse full resolution at t=1 (r1 = ceil(N^(1/3)), s1 = N) and a
+    (nearly) fully connected coarse graph of s0 = ceil(sqrt(r1*N)) nodes at
+    t=0, so r_t * s_t stays near r1 * N throughout.
     """
     if n_nodes < 2:
         raise ValueError("need at least two nodes")
     r1 = math.ceil(n_nodes ** (1.0 / 3.0) - 1e-9)
     s1 = n_nodes
     s0 = math.ceil(math.sqrt(r1 * n_nodes) - 1e-9)
-    return ScheduleSpec(kind=kind, r0=s0, r1=r1, s0=s0, s1=s1,
-                        budget_mode=True)
+    return ScheduleSpec(kind=kind, r1=r1, s0=s0, s1=s1)

@@ -39,9 +39,15 @@ class PointCloud:
 
 def w2_exact(a: PointCloud, b: PointCloud) -> float:
     """Exact 2-Wasserstein distance between equal-size uniform clouds via
-    linear assignment on the squared-distance cost matrix."""
+    linear assignment on the squared-distance cost matrix. A cloud with
+    non-uniform weights raises ValueError: an assignment moves equal mass."""
     if a.points.shape[0] != b.points.shape[0]:
         raise ValueError("clouds must have equal sizes")
+    for name, cloud in (("a", a), ("b", b)):
+        if np.ptp(cloud.weights) > 1e-12:
+            raise ValueError(f"w2_exact needs uniform weights; cloud {name!r} "
+                             f"has weights from {cloud.weights.min():.6g} to "
+                             f"{cloud.weights.max():.6g}")
     m = a.points.shape[0]
     cost = cdist(a.points, b.points, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)

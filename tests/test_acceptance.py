@@ -26,7 +26,7 @@ from ncgn.graphs import (
     voxel_coarsen,
 )
 from ncgn.reaction_diffusion import RdParams, simulate_rd
-from ncgn.schedule import SCHEDULE_KINDS, ScheduleSpec, default_bounds, eval_schedule
+from ncgn.schedule import SCHEDULE_KINDS, default_bounds, eval_schedule
 from ncgn.tensor import grad
 from ncgn.transport import PointCloud, gw_entropic, w2_exact
 
@@ -171,17 +171,14 @@ def test_linear_complexity_invariant():
 def test_scheduler_suite():
     n = 400
     for kind in SCHEDULE_KINDS:
-        for budget in (False, True):
-            base = default_bounds(n, kind)
-            spec = base if budget else ScheduleSpec(
-                kind=kind, r0=base.r0, r1=base.r1, s0=base.s0, s1=base.s1)
-            grid = np.linspace(0.0, 1.0, 1001)
-            rs, ss = zip(*(eval_schedule(spec, float(t), n) for t in grid))
-            assert ss[0] == spec.s0 and ss[-1] == spec.s1
-            assert rs[-1] == spec.r1
-            assert rs[0] >= rs[-1] and rs[0] >= spec.s0 - 1
-            assert all(b <= a for a, b in zip(rs, rs[1:]))
-            assert all(b >= a for a, b in zip(ss, ss[1:]))
+        spec = default_bounds(n, kind)
+        grid = np.linspace(0.0, 1.0, 1001)
+        rs, ss = zip(*(eval_schedule(spec, float(t), n) for t in grid))
+        assert ss[0] == spec.s0 and ss[-1] == spec.s1
+        assert rs[-1] == spec.r1
+        assert rs[0] >= rs[-1] and rs[0] >= spec.s0 - 1
+        assert all(b <= a for a, b in zip(rs, rs[1:]))
+        assert all(b >= a for a, b in zip(ss, ss[1:]))
 
 
 # criterion 7: transport oracles

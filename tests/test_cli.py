@@ -1,12 +1,16 @@
+import ast
 import os
 import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncgn import cli, engine, nn
+from ncgn import cli, engine, interpolant, nn
 from ncgn.cli import main
 from ncgn.config import (
+    TRAIN_KEYS,
     ConfigError,
     DEFAULTS,
     parse_config,
@@ -29,11 +33,38 @@ def run(tmp_path, command, *overrides, config=None):
 def test_default_training_hyperparameters():
     assert DEFAULTS["epochs"] == 300
     assert DEFAULTS["batch"] == 128
-    assert DEFAULTS["ema_decay"] == 0.95
+    assert nn.EMA_DECAY == 0.95
     assert DEFAULTS["lr"] == 1e-3
     assert DEFAULTS["nfes"] == 200
-    assert DEFAULTS["interpolant.sigma_min"] == 1e-3
+    assert interpolant.SIGMA_MIN == 1e-3
     assert DEFAULTS["warmup_epochs"] == 10
+
+
+def test_every_config_key_is_read():
+    # a train key reaches the code as a TrainConfig field, read off a
+    # ``config``/``cfg`` or in a TrainConfig method other than its
+    # validation; every other key as config["<key>"] in cli.py
+    reads = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "TrainConfig":
+                methods = [n for n in node.body
+                           if getattr(n, "name", None) != "__post_init__"]
+                reads |= {a.attr for m in methods for a in ast.walk(m)
+                          if isinstance(a, ast.Attribute)
+                          and getattr(a.value, "id", None) == "self"}
+            if (isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) in ("config", "cfg")):
+                reads.add(node.attr)
+    train_fields = {f.name for f in fields(engine.TrainConfig)}
+    assert set(TRAIN_KEYS) == train_fields
+    assert train_fields - reads == set()
+    subscripts = {node.slice.value
+                  for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                  if isinstance(node, ast.Subscript)
+                  and getattr(node.value, "id", None) == "config"
+                  and isinstance(node.slice, ast.Constant)}
+    assert set(DEFAULTS) - set(TRAIN_KEYS.values()) - subscripts == set()
 
 
 def test_precedence_override_beats_file(tmp_path):
@@ -346,6 +377,23 @@ def test_old_layout_checkpoint_exits_one(gat_run, tmp_path, capsys, monkeypatch)
     fresh = engine.build_model(*args).state_arrays()
     for name, t in model.state_arrays().items():
         np.testing.assert_array_equal(t.data, fresh[name].data)
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_old_record_keys_exit_one(gat_run, tmp_path, capsys, command):
+    # records written while ema_decay and interpolant.sigma_min were keys
+    data, work = gat_run
+    for name in ("ema.ckpt", "ema.ckpt.manifest"):
+        shutil.copy(work / name, tmp_path / name)
+    record = (work / "ema.ckpt.config").read_text()
+    (tmp_path / "ema.ckpt.config").write_text(
+        record + "ema_decay = 0.95\ninterpolant.sigma_min = 0.001\n")
+    assert run(tmp_path, command, f"dataset={data}", "nfes=2") == 1
+    err = capsys.readouterr().err
+    assert f"unknown config key 'ema_decay' ({tmp_path}/ema.ckpt.config)" in err
+    assert ("was written by another version of ncgn; the model must be "
+            "retrained") in err
+    assert not (tmp_path / "samples").exists()
 
 
 def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):

@@ -11,6 +11,7 @@ from ncgn.engine import (
     StructureCache,
     TrainConfig,
     attention_study,
+    build_model,
     evaluate_w2,
     random_generations,
     sample,
@@ -49,12 +50,10 @@ def test_config_validation():
         TrainConfig(method="transformer")
     with pytest.raises(ValueError):
         TrainConfig(epochs=2, warmup_epochs=5)
-    with pytest.raises(ValueError):
-        TrainConfig(ema_decay=1.0)
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="'ve'"):
         TrainConfig(interpolant="ve")  # not a kind that trains and samples
-    with pytest.raises(ValueError, match="sigma_min"):
-        TrainConfig(sigma_min=0.0)
 
 
 def test_condition_mask_validation():
@@ -102,12 +101,16 @@ def test_training_writes_loss_csv(tmp_path):
 def test_ema_tracks_training():
     graphs = rd_graphs(2)
     config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8,
-                         layers=1, ema_decay=0.95)
-    model, ema, _ = train(graphs, config)
-    # shadow stays between the init and the final weights, never equal to
-    # the live weights after a single step unless the update was zero
+                         layers=1)
+    init = {k: t.data.copy()
+            for k, t in build_model(graphs[0], config).state_arrays().items()}
+    model, ema, rows = train(graphs, config)
+    assert len(rows) == 1
+    # one update blends the initial weights into the trained ones at EMA_DECAY
     for name, t in model.state_arrays().items():
-        assert ema.shadow[name].shape == t.data.shape
+        expected = init[name] * nn.EMA_DECAY
+        expected += (1.0 - nn.EMA_DECAY) * t.data
+        np.testing.assert_array_equal(ema.shadow[name], expected)
 
 
 def test_sample_shapes_and_determinism():

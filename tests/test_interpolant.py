@@ -3,6 +3,7 @@ import pytest
 
 from ncgn.interpolant import (
     DDPM_STEPS,
+    SIGMA_MIN,
     InterpolantSpec,
     generate,
     interpolate,
@@ -15,11 +16,12 @@ def make_state(n=5, f=2, seed=0):
 
 
 def test_cfm_endpoints_small_sigma():
-    spec = InterpolantSpec(kind="cfm", sigma_min=1e-12)
+    spec = InterpolantSpec(kind="cfm")
     z0, z1 = np.full((3, 2), -1.0), np.ones((3, 2))
-    np.testing.assert_allclose(interpolate(z0, z1, 0.0, spec, 0), z0, atol=1e-10)
-    np.testing.assert_allclose(interpolate(z0, z1, 1.0, spec, 0), z1, atol=1e-10)
-    np.testing.assert_allclose(interpolate(z0, z1, 0.5, spec, 0), 0.0, atol=1e-10)
+    eps = np.random.default_rng(0).standard_normal(z1.shape)
+    for t in (0.0, 0.5, 1.0):
+        np.testing.assert_array_equal(interpolate(z0, z1, t, spec, 0),
+                                      (1.0 - t) * z0 + t * z1 + SIGMA_MIN * eps)
 
 
 def test_ddpm_no_noise_endpoint():
@@ -186,5 +188,3 @@ def test_spec_validation():
         InterpolantSpec(kind="flow")
     with pytest.raises(ValueError, match="'ve'"):
         InterpolantSpec(kind="ve")  # noises positions, but has no sampler
-    with pytest.raises(ValueError):
-        InterpolantSpec(sigma_min=0.0)

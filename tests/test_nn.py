@@ -136,6 +136,7 @@ def test_batch_norm_rejects_empty():
 def test_adam_matches_reference_step():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = nn.Adam([p], lr=0.1)
+    assert (nn.ADAM_BETAS, nn.ADAM_EPS) == ((0.9, 0.999), 1e-8)
     p.grad = np.array([0.5])
     opt.step()
     # bias-corrected first step moves by exactly lr * sign(grad)
@@ -146,7 +147,8 @@ def test_adam_matches_reference_step():
 def test_ema_update_formula():
     rng = np.random.default_rng(1)
     lin = nn.Linear(3, 2, rng)
-    ema = nn.EMA(lin, decay=0.95)
+    ema = nn.EMA(lin)
+    assert nn.EMA_DECAY == 0.95
     before = {k: v.copy() for k, v in ema.shadow.items()}
     for t in lin.parameters():
         t.data += 1.0

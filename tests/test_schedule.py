@@ -12,35 +12,36 @@ from ncgn.schedule import (
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_progress_endpoints(kind):
-    spec = ScheduleSpec(kind=kind, r0=4, r1=2, s0=4, s1=16)
+    spec = ScheduleSpec(kind=kind, r1=2, s0=4, s1=16)
     assert progress(spec, 0.0) == 0.0
     assert abs(progress(spec, 1.0) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_boundary_satisfaction_exact(kind):
-    spec = ScheduleSpec(kind=kind, r0=20, r1=3, s0=20, s1=100)
-    assert eval_schedule(spec, 0.0, 100) == (19, 20)  # r capped at s_t - 1
-    assert eval_schedule(spec, 1.0, 100) == (3, 100)
+    spec = ScheduleSpec(kind=kind, r1=4, s0=20, s1=100)
+    assert eval_schedule(spec, 0.0, 100) == (19, 20)  # 4 * 100 / 20 capped at s0 - 1
+    assert eval_schedule(spec, 1.0, 100) == (4, 100)
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
-@pytest.mark.parametrize("budget", [False, True])
-def test_monotone_on_dense_grid(kind, budget):
+@pytest.mark.parametrize("capped", [False, True])
+def test_monotone_on_dense_grid(kind, capped):
+    # capped: the default bounds, where the s0 - 1 cap binds near t = 0;
+    # otherwise a spec whose budget r1 * N / s_t stays below the cap
     n = 400
-    spec = default_bounds(n, kind)
-    if not budget:
-        spec = ScheduleSpec(kind=kind, r0=spec.r0, r1=spec.r1,
-                            s0=spec.s0, s1=spec.s1, budget_mode=False)
+    spec = default_bounds(n, kind) if capped else ScheduleSpec(
+        kind=kind, r1=2, s0=40, s1=n)
     grid = np.linspace(0.0, 1.0, 1001)
     rs, ss = zip(*(eval_schedule(spec, t, n) for t in grid))
-    assert all(r1 <= r0 for r0, r1 in zip(rs, rs[1:]))  # r non-increasing in t
-    assert all(s1 >= s0 for s0, s1 in zip(ss, ss[1:]))  # s non-decreasing in t
+    assert (max(rs) == spec.s0 - 1) == capped
+    assert all(b <= a for a, b in zip(rs, rs[1:]))  # r non-increasing in t
+    assert all(b >= a for a, b in zip(ss, ss[1:]))  # s non-decreasing in t
 
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_budget_product_bounded(kind):
-    spec = ScheduleSpec(kind=kind, r0=20, r1=4, s0=20, s1=100, budget_mode=True)
+    spec = ScheduleSpec(kind=kind, r1=4, s0=20, s1=100)
     for t in np.linspace(0, 1, 101):
         r_t, s_t = eval_schedule(spec, t, 100)
         assert r_t * s_t <= 1.25 * 4 * 100
@@ -48,24 +49,26 @@ def test_budget_product_bounded(kind):
 
 def test_default_bounds_n100():
     spec = default_bounds(100)
-    assert (spec.r1, spec.s1, spec.s0, spec.r0) == (5, 100, 23, 23)
-    assert spec.budget_mode
+    assert (spec.r1, spec.s1, spec.s0) == (5, 100, 23)
+    assert eval_schedule(spec, 0.0, 100) == (22, 23)  # fully connected
 
 
 def test_default_bounds_n8():
     spec = default_bounds(8)
-    assert (spec.r1, spec.s1, spec.s0, spec.r0) == (2, 8, 4, 4)
+    assert (spec.r1, spec.s1, spec.s0) == (2, 8, 4)
+    assert eval_schedule(spec, 0.0, 8) == (3, 4)
 
 
 def test_default_bounds_products_close():
+    # the t = 0 message count r_0 * s0 is near the t = 1 count r1 * s1
     for n in (8, 64, 100, 500, 1000):
         spec = default_bounds(n)
-        assert abs(spec.r0 * spec.s0 - spec.r1 * spec.s1) <= 0.6 * spec.r1 * spec.s1
+        r_0, s_0 = eval_schedule(spec, 0.0, n)
+        assert abs(r_0 * s_0 - spec.r1 * spec.s1) <= 0.6 * spec.r1 * spec.s1
 
 
 def test_r_capped_below_s():
-    spec = ScheduleSpec(kind="linear", r0=10, r1=10, s0=10, s1=10,
-                        budget_mode=True)
+    spec = ScheduleSpec(kind="linear", r1=10, s0=10, s1=10)
     r_t, s_t = eval_schedule(spec, 0.5, 1000)
     assert r_t == s_t - 1 == 9
 
@@ -78,9 +81,9 @@ def test_t_out_of_range():
 
 def test_invalid_spec_rejected():
     with pytest.raises(ValueError):
-        ScheduleSpec(kind="linear", r0=1, r1=2, s0=1, s1=4)
+        ScheduleSpec(kind="linear", r1=0, s0=1, s1=4)
     with pytest.raises(ValueError):
-        ScheduleSpec(kind="linear", r0=2, r1=1, s0=4, s1=1)
+        ScheduleSpec(kind="linear", r1=1, s0=4, s1=1)
     with pytest.raises(ValueError):
         ScheduleSpec(kind="quadratic")
 

@@ -65,3 +65,38 @@ def test_checkpoints_compared_by_name_when_an_array_is_dropped(tmp_path, capsys)
             "over the shared arrays") in out
     assert "model.ckpt: layout differs: only in OLD: 'b.bias'" in out
     assert "only in NEW" not in out
+
+
+def test_records_compared_key_by_key(tmp_path, capsys):
+    for side, extra in (("old", "ema_decay = 0.95\nlr = 0.001\n"),
+                        ("new", "lr = 0.01\nnfes = 2\n")):
+        root = tmp_path / side
+        root.mkdir()
+        (root / "ema.ckpt.config").write_text("epochs = 1\n" + extra)
+    assert load_script().main(["seeded_diff", str(tmp_path / "old"),
+                               str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["ema.ckpt.config: only in OLD: ema_decay = 0.95",
+                   "ema.ckpt.config: only in NEW: nfes = 2",
+                   "ema.ckpt.config: value of 'lr': 0.001 in OLD, 0.01 in NEW",
+                   "0 of 1 files byte-identical"]
+
+
+def test_checkpoint_and_manifest_reported_once(tmp_path, capsys):
+    # a renamed array leaves the .ckpt bytes alone and changes only the
+    # manifest; it shows as one layout difference under the .ckpt path
+    for side, name in (("old", "a.bias"), ("new", "a.shift")):
+        root = tmp_path / side
+        root.mkdir()
+        nn.save_checkpoint(root / "model.ckpt",
+                           {"a.weight": np.array([1.0, 2.0]), name: np.array([3.0])})
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert (old / "model.ckpt").read_bytes() == (new / "model.ckpt").read_bytes()
+    assert load_script().main(["seeded_diff", str(old), str(new)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "model.ckpt: max abs 0.000e+00, relative to largest 0.000e+00 over the "
+        "shared arrays",
+        "model.ckpt: layout differs: only in OLD: 'a.bias'",
+        "model.ckpt: layout differs: only in NEW: 'a.shift'",
+        "1 of 2 files byte-identical"]

@@ -59,6 +59,17 @@ def test_w2_size_mismatch():
         w2_exact(cloud(np.zeros((3, 2))), cloud(np.zeros((4, 2))))
 
 
+def test_w2_rejects_non_uniform_weights():
+    pts = np.zeros((2, 1))
+    weighted = PointCloud(pts, np.array([0.25, 0.75]))
+    with pytest.raises(ValueError, match="cloud 'b'.*0.25 to 0.75"):
+        w2_exact(cloud(pts), weighted)
+    with pytest.raises(ValueError, match="cloud 'a'"):
+        w2_exact(weighted, cloud(pts))
+    uniform = PointCloud(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+    assert w2_exact(uniform, cloud([[1.0], [0.0]])) == 0.0
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 1)), np.array([0.7, 0.7]))
