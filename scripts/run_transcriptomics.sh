@@ -17,7 +17,7 @@ for METHOD in dmp knn_fixed; do
     OUT="$WORK/$METHOD"
     ncgn train out_dir="$OUT" dataset="$DATA" method="$METHOD" \
         epochs=100 batch=128 hdim=32 layers=3 seed=0
-    # sample and eval read the model keys from $OUT/ema.ckpt.config
+    # sample and eval read the model keys from the record in $OUT/ema.ckpt
     ncgn sample out_dir="$OUT" dataset="$DATA" seed=0
     ncgn eval out_dir="$OUT" dataset="$DATA" seed=0
 done

@@ -5,18 +5,16 @@ Usage: python3 scripts/seeded_diff.py OLD NEW
 
 Prints a line per difference of each file that differs: for numeric files
 (``.csv``, ``.graph``, ``.ckpt``) the largest absolute deviation and that
-deviation relative to the file's largest magnitude; for records
-(``key = value`` ``.config`` files, ``key: value`` ``.manifest`` files) the
-keys on one side only and the keys whose values differ; for any other file
-"differs". A checkpoint and its ``.manifest`` sidecar, which names its
-arrays, are one unit: when either differs, the checkpoint is compared array
-by array, by name, and reported under the ``.ckpt`` path. The deviation
-covers the arrays both sides share, and arrays present on one side only
-(or with other shapes) are listed by name. ``config.resolved`` is skipped,
-since it records the output paths. Exits 1 when a file exists on one side
-only, a non-numeric file or token differs, or the two sides of a numeric
-file differ in layout (token count, checkpoint names, shapes or order);
-exits 0 when every difference is numeric.
+deviation relative to the file's largest magnitude; for any other file
+"differs". Checkpoints are compared array by array, by name: the deviation
+covers the arrays both sides share, arrays present on one side only (or
+with other shapes) are listed by name, and the train records are compared
+key by key (the keys on one side only and the keys whose values differ).
+``config.resolved`` is skipped, since it records the output paths. Exits 1
+when a file exists on one side only, a non-numeric file or token differs,
+the two sides of a numeric file differ in layout (token count, checkpoint
+names, shapes or order) or two checkpoint records differ; exits 0 when
+every difference is numeric.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ncgn.nn import load_checkpoint  # noqa: E402
 
 SKIP = {"config.resolved"}
-RECORD_SEPARATORS = {".config": "=", ".manifest": ":"}  # key-value records
 SEPARATORS = re.compile(r"[,\s]+")
 
 
@@ -53,18 +50,32 @@ def text_values(path):
 
 
 def text_pair(old, new):
-    """Token-by-token values of two text files and their layout
-    differences; no values when the layouts differ."""
+    """Token-by-token values of two text files (none when the layouts
+    differ), their layout differences and, as they hold no record, no
+    record differences."""
     (a, words_a), (b, words_b) = text_values(old), text_values(new)
     if words_a != words_b or a.shape != b.shape:
-        return None, None, ["tokens"]
-    return a, b, []
+        return None, None, ["tokens"], []
+    return a, b, [], []
+
+
+def record_notes(a, b):
+    """Key-by-key differences of two checkpoint records: the keys on one
+    side only and the keys whose values differ."""
+    notes = [f"only in {side}: " + ", ".join(f"{k} = {d[k]}" for k in keys)
+             for side, d, keys in (("OLD", a, [k for k in a if k not in b]),
+                                   ("NEW", b, [k for k in b if k not in a]))
+             if keys]
+    notes += [f"value of {k!r}: {a[k]} in OLD, {b[k]} in NEW"
+              for k in a if k in b and a[k] != b[k]]
+    return notes
 
 
 def checkpoint_pair(old, new):
     """Values of the arrays two checkpoints share (same name and shape),
-    flattened in OLD's order, and the layout differences by array name."""
-    a, b = load_checkpoint(old), load_checkpoint(new)
+    flattened in OLD's order, the layout differences by array name and the
+    record differences."""
+    (a, record_a), (b, record_b) = load_checkpoint(old), load_checkpoint(new)
     shared = [n for n in a if n in b and a[n].shape == b[n].shape]
     layout = [f"only in {side}: {', '.join(map(repr, names))}"
               for side, names in (("OLD", [n for n in a if n not in b]),
@@ -77,57 +88,25 @@ def checkpoint_pair(old, new):
     def flat(arrays):
         return np.concatenate([arrays[n].ravel() for n in shared] + [np.zeros(0)])
 
-    return flat(a), flat(b), layout
-
-
-def manifest_of(rel):
-    """The sidecar that names a checkpoint's arrays."""
-    return rel.with_name(rel.name + ".manifest")
-
-
-def record_values(path, sep):
-    """The ``key <sep> value`` lines of a record as a dict; None when a line
-    has no separator."""
-    values = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        if sep not in line:
-            return None
-        key, value = (part.strip() for part in line.split(sep, 1))
-        values[key] = value
-    return values
-
-
-def record_notes(old, new):
-    """Key-by-key differences of two records: the keys on one side only and
-    the keys whose values differ."""
-    sep = RECORD_SEPARATORS[old.suffix]
-    a, b = record_values(old, sep), record_values(new, sep)
-    if a is None or b is None:
-        return ["differs"]
-    pair = "{} = {}" if sep == "=" else "{}: {}"
-    notes = [f"only in {side}: " + ", ".join(pair.format(k, d[k]) for k in keys)
-             for side, d, keys in (("OLD", a, [k for k in a if k not in b]),
-                                   ("NEW", b, [k for k in b if k not in a]))
-             if keys]
-    notes += [f"value of {k!r}: {a[k]} in OLD, {b[k]} in NEW"
-              for k in a if k in b and a[k] != b[k]]
-    return notes or ["differs in key order or formatting only"]
+    return flat(a), flat(b), layout, record_notes(record_a, record_b)
 
 
 def compare(old, new):
-    """((max abs deviation, that deviation relative to the largest
-    magnitude) or None, layout differences) of two numeric files.
-    Checkpoints are matched by array name, so their deviation covers the
-    arrays both sides share."""
+    """The deviation of two numeric files, "max abs X, relative to largest
+    Y" (None when they share no values), and notes on their layout and
+    record differences. Checkpoints are matched by array name, so their
+    deviation covers the arrays both sides share."""
     pair = checkpoint_pair if old.suffix == ".ckpt" else text_pair
-    a, b, layout = pair(old, new)
+    a, b, layout, records = pair(old, new)
+    notes = ([f"layout differs: {note}" for note in layout]
+             + [f"record differs: {note}" for note in records])
     if a is None or a.size == 0:
-        return None, layout
+        return None, notes
     dev = float(np.max(np.abs(a - b)))
     scale = float(max(np.abs(a).max(), np.abs(b).max()))
-    return (dev, dev / scale if scale else 0.0), layout
+    shared = " over the shared arrays" if layout else ""
+    return (f"max abs {dev:.3e}, relative to largest "
+            f"{dev / scale if scale else 0.0:.3e}{shared}"), notes
 
 
 def main(argv):
@@ -139,8 +118,6 @@ def main(argv):
               if p.is_file() and p.name not in SKIP}
              for root in (old_root, new_root)]
     both = files[0] & files[1]
-    checkpoints = {rel for rel in both
-                   if rel.suffix == ".ckpt" and manifest_of(rel) in both}
     failed = False
     same = 0
     for rel in sorted(files[0] | files[1]):
@@ -150,24 +127,13 @@ def main(argv):
             failed = True
             continue
         old, new = old_root / rel, new_root / rel
-        identical = old.read_bytes() == new.read_bytes()
-        same += identical
-        if rel.suffix == ".manifest" and rel.with_suffix("") in checkpoints:
-            continue  # reported under its checkpoint
-        if rel in checkpoints:
-            identical &= (old_root / manifest_of(rel)).read_bytes() == \
-                (new_root / manifest_of(rel)).read_bytes()
-        if identical:
+        if old.read_bytes() == new.read_bytes():
+            same += 1
             continue
-        if rel.suffix in RECORD_SEPARATORS:
-            notes = record_notes(old, new)
-        elif rel in checkpoints or rel.suffix in (".csv", ".graph"):
-            deviation, layout = compare(old, new)
+        if rel.suffix in (".ckpt", ".csv", ".graph"):
+            deviation, notes = compare(old, new)
             if deviation is not None:
-                shared = " over the shared arrays" if layout else ""
-                print(f"{rel}: max abs {deviation[0]:.3e}, relative to largest "
-                      f"{deviation[1]:.3e}{shared}")
-            notes = [f"layout differs: {note}" for note in layout]
+                print(f"{rel}: {deviation}")
         else:
             notes = ["differs"]
         for note in notes:

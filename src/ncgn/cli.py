@@ -7,12 +7,13 @@ attention-study, gw-study, ablate-depth. Every numeric artifact is CSV under
 ``out_dir``; each run echoes its resolved configuration to
 ``out_dir/config.resolved``. NCGN_THREADS caps worker counts.
 
-``train`` records its train keys beside each checkpoint as
-``<ckpt>.config``. ``sample`` and ``eval`` take every train key except the
-sampling inputs ``nfes`` and ``seed`` from the record of ``checkpoint=`` (or
-``out_dir/ema.ckpt``) when that checkpoint exists; a given key that differs
-from the record is rejected by name. ``seed=`` seeds the sampler, while the
-model samples on the structure draws of its recorded train seed.
+``train`` writes ``model.ckpt`` and ``ema.ckpt``, each holding its arrays
+and the train keys as its record. ``sample`` and ``eval`` read the checkpoint
+``checkpoint=`` (or ``out_dir/ema.ckpt``) once, when it exists, and take every
+train key except the sampling inputs ``nfes`` and ``seed`` from its record; a
+given key that differs from the record is rejected by name. ``seed=`` seeds
+the sampler, while the model samples on the structure draws of its recorded
+train seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .config import (
     TRAIN_KEYS,
     ConfigError,
     parse_config,
-    read_config_file,
+    parse_pairs,
     write_resolved,
 )
 from .dataset import (
@@ -69,27 +70,27 @@ def _checkpoint_path(config):
     return config["checkpoint"] or os.path.join(config["out_dir"], "ema.ckpt")
 
 
-def _with_checkpoint_keys(config, args):
-    """Re-resolve ``args`` on top of the train keys recorded beside the
-    checkpoint, if there is one, and reject given keys that differ."""
+def _with_checkpoint(config, args):
+    """Read the checkpoint, if there is one, re-resolve ``args`` on top of
+    its record and reject given keys that differ. Returns the config and
+    the checkpoint's arrays and train seed (None without a checkpoint)."""
     path = _checkpoint_path(config)
     if not os.path.exists(path):
-        return config
-    record_path = path + ".config"
-    if not os.path.exists(record_path):
-        raise FileNotFoundError(f"checkpoint has no config record: {record_path}")
+        return config, None
+    arrays, record = nn.load_checkpoint(path)
     try:
-        record = read_config_file(record_path)
+        record = parse_pairs(record.items(), path)
     except ConfigError as exc:
         raise ConfigError(f"{exc}: {path} was written by another version of "
                           f"ncgn; the model must be retrained") from None
+    train_seed = record["seed"]
     record = {k: v for k, v in record.items() if k not in SAMPLING_KEYS}
     config = parse_config(args.config, args.overrides, record)
     for key, value in record.items():
         if config[key] != value:
             raise ConfigError(f"key {key!r}: given {config[key]!r}, but "
                               f"{path} was trained with {value!r}")
-    return config
+    return config, (arrays, train_seed)
 
 
 def _require_dataset(config):
@@ -101,17 +102,17 @@ def _require_dataset(config):
     return load_dataset(path)
 
 
-def _load_model(config, template):
-    """Model and train config of the checkpoint. The config's ``seed`` is
-    the recorded train seed, which fixes structure draws such as the
-    ``long_short`` edges; the command-line ``seed`` only seeds the sampler."""
-    path = _checkpoint_path(config)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    train_seed = read_config_file(path + ".config")["seed"]
+def _load_model(config, template, checkpoint):
+    """Model and train config of the checkpoint's arrays and train seed.
+    The config's ``seed`` is the recorded train seed, which fixes structure
+    draws such as the ``long_short`` edges; the command-line ``seed`` only
+    seeds the sampler."""
+    if checkpoint is None:
+        raise FileNotFoundError(f"checkpoint not found: {_checkpoint_path(config)}")
+    arrays, train_seed = checkpoint
     cfg = replace(_train_config(config), seed=train_seed)
     model = build_model(template, cfg)
-    nn.load_into(model, nn.load_checkpoint(path))
+    nn.load_into(model, arrays)
     return model, cfg
 
 
@@ -142,12 +143,11 @@ def cmd_train(config):
     record = {key: config[key] for key in TRAIN_KEYS.values()}
     for name, arrays in (("model.ckpt", model.state_arrays()),
                          ("ema.ckpt", ema.shadow)):
-        nn.save_checkpoint(os.path.join(out, name), arrays)
-        write_resolved(record, os.path.join(out, name + ".config"))
+        nn.save_checkpoint(os.path.join(out, name), arrays, record)
     return f"final loss {rows[-1][2]:.6f} over {len(rows)} steps"
 
 
-def cmd_sample(config):
+def cmd_sample(config, checkpoint):
     ds = _require_dataset(config)
     templates = ds.test
     if config["n_samples"] < 0:
@@ -170,7 +170,7 @@ def cmd_sample(config):
         generated = random_generations(templates, cfg.task, mask=mask,
                                        seed=config["seed"])
     else:
-        model, cfg = _load_model(config, ds.train[0])
+        model, cfg = _load_model(config, ds.train[0], checkpoint)
         generated = sample(model, templates, cfg, mask=mask,
                            seed=config["seed"])
     sample_dir = os.path.join(out, "samples")
@@ -286,11 +286,13 @@ def main(argv=None):
     parser.add_argument("overrides", nargs="*", help="key=value overrides")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config, args.overrides)
+        config, checkpoint = parse_config(args.config, args.overrides), None
         if args.command in ("sample", "eval"):
-            config = _with_checkpoint_keys(config, args)
+            config, checkpoint = _with_checkpoint(config, args)
         write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
-        summary = HANDLERS[args.command](config)
+        handler = HANDLERS[args.command]
+        summary = (handler(config, checkpoint) if args.command == "sample"
+                   else handler(config))
     except (ConfigError, FileNotFoundError, KeyError, ValueError,
             RuntimeError) as exc:
         # str() of a KeyError quotes its message; print the message itself

@@ -7,9 +7,10 @@ and the resolved configuration is echoed to ``out_dir/config.resolved`` so a
 run can be reproduced from its own artifact.
 
 The train keys and their defaults are the fields of ``engine.TrainConfig``;
-``TRAIN_KEYS`` maps each field to its key. Training writes those keys beside
-every checkpoint as ``<ckpt>.config``, in the same format, so ``sample`` and
-``eval`` read the model keys from the checkpoint instead of repeating them.
+``TRAIN_KEYS`` maps each field to its key. Training records those keys in
+every checkpoint's header, and ``sample`` and ``eval`` convert and check the
+record with ``parse_pairs``, so they read the model keys from the checkpoint
+instead of repeating them.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def _convert(key, raw):
     return raw
 
 
-def _parse_pairs(pairs, source):
+def parse_pairs(pairs, source):
+    """Convert (key, raw string) pairs to typed values; an unknown or
+    repeated key raises ConfigError naming ``source``."""
     seen = {}
     for key, raw in pairs:
         if key not in DEFAULTS:
@@ -86,7 +89,7 @@ def read_config_file(path):
                 raise ConfigError(f"{path} line {ln_no}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
             pairs.append((key, raw))
-    return _parse_pairs(pairs, path)
+    return parse_pairs(pairs, path)
 
 
 def parse_config(path=None, overrides=(), record=None):
@@ -101,7 +104,7 @@ def parse_config(path=None, overrides=(), record=None):
             raise ConfigError(f"override {item!r}: expected key=value")
         key, raw = (part.strip() for part in item.split("=", 1))
         pairs.append((key, raw))
-    config.update(_parse_pairs(pairs, "command line"))
+    config.update(parse_pairs(pairs, "command line"))
     return config
 
 

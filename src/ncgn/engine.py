@@ -413,10 +413,6 @@ def write_csv(path, header, rows):
 # conditional task masks (features task; positions are always observed)
 
 
-TASK_NAMES = ("temporal_trajectory", "temporal_interpolation",
-              "gene_imputation", "spatial_imputation", "gene_knockout")
-
-
 def task_mask(graph: GeometricGraph, name, gene=1,
               knockout_value=-0.5) -> ConditionMask:
     """Conditioning pattern for the named transcriptomics task.

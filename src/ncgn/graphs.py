@@ -136,25 +136,33 @@ def save_graph(path, graph: GeometricGraph):
 
 
 def load_graph(path) -> GeometricGraph:
+    """Read a ``save_graph`` file; every error names ``path``."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file, expected header 'N d f'")
     header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"line 1: expected header 'N d f', got {lines[0]!r}")
+    if len(header) != 3 or not all(x.isdigit() for x in header):
+        raise ValueError(f"{path} line 1: expected header 'N d f' of three "
+                         f"counts, got {lines[0]!r}")
     n, d, f = (int(x) for x in header)
     if len(lines) - 1 < n:
-        raise ValueError(f"header declares {n} node rows, found {len(lines) - 1}")
+        raise ValueError(f"{path}: header declares {n} node rows, found "
+                         f"{len(lines) - 1}")
     if len(lines) - 1 > n:
-        raise ValueError(f"line {n + 2}: expected end of file after {n} node "
-                         f"rows, got {lines[n + 1]!r}")
+        raise ValueError(f"{path} line {n + 2}: expected end of file after {n} "
+                         f"node rows, got {lines[n + 1]!r}")
     pos = np.zeros((n, d))
     feat = np.zeros((n, f))
     for i in range(n):
-        vals = [float(x) for x in lines[1 + i].split()]
+        try:
+            vals = [float(x) for x in lines[1 + i].split()]
+        except ValueError:
+            raise ValueError(f"{path} line {i + 2}: expected numbers, got "
+                             f"{lines[1 + i]!r}") from None
         if len(vals) != d + f:
-            raise ValueError(f"line {i + 2}: expected {d + f} values, got {len(vals)}")
+            raise ValueError(f"{path} line {i + 2}: expected {d + f} values, "
+                             f"got {len(vals)}")
         pos[i] = vals[:d]
         feat[i] = vals[d:]
     return GeometricGraph(feat, pos)

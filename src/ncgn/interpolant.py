@@ -19,6 +19,9 @@ import numpy as np
 BETA_MIN, BETA_MAX = 1e-4, 0.02  # ddpm's linear beta range
 DDPM_STEPS = 1000  # ddpm's diffusion steps
 SIGMA_MIN = 1e-3  # cfm's noise scale along the whole path
+# ddpm's signal retention after k diffusion steps, k = 0 .. DDPM_STEPS
+ALPHA_BARS = np.concatenate(
+    [[1.0], np.cumprod(1.0 - np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS))])
 
 
 @dataclass
@@ -30,15 +33,9 @@ class InterpolantSpec:
             raise ValueError(f"unknown interpolant kind {self.kind!r}; "
                              f"expected 'cfm' or 'ddpm'")
 
-    def betas(self):
-        return np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS)
-
     def alpha_bar(self, t):
         """Cumulative signal retention at noise level t; alpha_bar(1) = 1."""
-        k = int(round((1.0 - t) * DDPM_STEPS))
-        if k == 0:
-            return 1.0
-        return float(np.prod(1.0 - self.betas()[:k]))
+        return float(ALPHA_BARS[int(round((1.0 - t) * DDPM_STEPS))])
 
 
 def _noise(shape, seed):
@@ -117,7 +114,6 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
                          f"got {nfes}")
     # respaced ancestral sampling: visit diffusion steps k_0 > ... > k_nfes = 0
     # and treat each jump as one step with alpha = ab(k_i) / ab(k_{i+1})
-    alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - spec.betas())])
     ks = [round(DDPM_STEPS * (nfes - i) / nfes) for i in range(nfes + 1)]
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(z.shape)
@@ -126,8 +122,8 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
         eps_pred = np.asarray(field(z, 1.0 - k / DDPM_STEPS))
         if eps_pred.shape != z.shape:
             raise ValueError("field returned wrong shape")
-        ab = alpha_bars[k]
-        alpha = ab / alpha_bars[k_next]
+        ab = ALPHA_BARS[k]
+        alpha = ab / ALPHA_BARS[k_next]
         beta = 1.0 - alpha
         z = (z - beta / np.sqrt(1.0 - ab) * eps_pred) / np.sqrt(alpha)
         if k_next > 0:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import struct
+import math
+import re
 
 import numpy as np
 
@@ -186,44 +187,66 @@ class EMA:
 
 
 # ----------------------------------------------------------------------
-# checkpoint format: one binary file of little-endian float64 arrays, each
-# preceded by a shape header (uint32 ndim, uint32 dims), in manifest order;
-# the sidecar <path>.manifest lists "name: d0xd1" per line.
+# checkpoint format, known to this module only: one file. A text header holds
+# the format line, the train record as "key = value" lines, one "name: d0xd1"
+# line per array and an empty line; the arrays follow as little-endian
+# float64, in header order.
+
+CHECKPOINT_FORMAT = "ncgn checkpoint 1"  # first line of every checkpoint
+_ARRAY_LINE = re.compile(r"(\S+): ((?:\d+x)*\d+)?")
 
 
-def save_checkpoint(path, arrays):
-    """``arrays``: mapping name -> numpy array (or Tensor)."""
-    names = list(arrays.keys())
+def save_checkpoint(path, arrays, record):
+    """Write ``arrays`` (name -> numpy array or Tensor) and the train
+    ``record`` (key -> value) to ``path``."""
+    data = {name: np.asarray(arr.data if isinstance(arr, Tensor) else arr, dtype="<f8")
+            for name, arr in arrays.items()}
+    header = [CHECKPOINT_FORMAT]
+    header += [f"{key} = {value}" for key, value in record.items()]
+    header += [f"{name}: {'x'.join(map(str, a.shape))}" for name, a in data.items()]
     with open(path, "wb") as fh:
-        for name in names:
-            arr = arrays[name]
-            data = np.asarray(arr.data if isinstance(arr, Tensor) else arr, dtype="<f8")
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
-    with open(str(path) + ".manifest", "w") as fh:
-        for name in names:
-            arr = arrays[name]
-            data = np.asarray(arr.data if isinstance(arr, Tensor) else arr)
-            fh.write(f"{name}: {'x'.join(str(s) for s in data.shape)}\n")
+        fh.write(("\n".join(header) + "\n\n").encode())
+        for a in data.values():
+            fh.write(a.tobytes())
 
 
 def load_checkpoint(path):
-    names = []
-    with open(str(path) + ".manifest") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                names.append(line.split(":")[0].strip())
-    out = {}
+    """``(arrays, record)`` of a file written by ``save_checkpoint``; the
+    record's values are strings. Raises ValueError naming ``path`` for a
+    file without the format line (another version's checkpoint), a payload
+    shorter than the header declares, or bytes after the last array."""
     with open(path, "rb") as fh:
-        for name in names:
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-            out[name] = data.astype(np.float64)
-    return out
+        blob = fh.read()
+    head, _, payload = blob.partition(b"\n\n")
+    lines = head.decode("utf-8", "replace").split("\n")
+    if lines[0] != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: no {CHECKPOINT_FORMAT!r} line; it was written "
+                         f"by another version of ncgn or is not a checkpoint, so "
+                         f"the model must be retrained")
+    arrays, record, offset = {}, {}, 0
+    for ln_no, line in enumerate(lines[1:], start=2):
+        key, eq, value = line.partition(" = ")
+        if eq:
+            record[key] = value
+            continue
+        match = _ARRAY_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"{path} header line {ln_no}: expected 'key = value' "
+                             f"or 'name: d0xd1', got {line!r}")
+        name, dims = match.groups()
+        shape = tuple(int(d) for d in dims.split("x")) if dims else ()
+        size = 8 * math.prod(shape)
+        if offset + size > len(payload):
+            raise ValueError(f"{path}: truncated at array {name!r}: the header "
+                             f"declares at least {offset + size} payload bytes, "
+                             f"the file holds {len(payload)}")
+        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(
+            shape).astype(np.float64)
+        offset += size
+    if offset != len(payload):
+        raise ValueError(f"{path}: {len(payload) - offset} trailing bytes after "
+                         f"the {len(arrays)} arrays the header declares")
+    return arrays, record
 
 
 def load_into(module: Module, arrays):

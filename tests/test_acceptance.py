@@ -270,9 +270,14 @@ def test_reaction_diffusion_validity():
 
 # criterion 12: byte-identical CSVs for seeded CLI runs
 def test_cli_reproducibility(tmp_path):
+    # the subprocess imports the same ncgn package as this process
+    src = os.path.dirname(os.path.dirname(theory.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def cli(*args):
         out = subprocess.run([sys.executable, "-m", "ncgn.cli", *args],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr
         return out.stdout
 

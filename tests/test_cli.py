@@ -1,6 +1,6 @@
 import ast
 import os
-import shutil
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -302,10 +302,38 @@ def gat_run(tmp_path_factory):
     return data, work
 
 
+def test_train_writes_one_file_per_checkpoint(gat_run):
+    data, work = gat_run
+    assert sorted(os.listdir(work)) == ["config.resolved", "ema.ckpt",
+                                        "loss.csv", "model.ckpt"]
+    resolved = read_config_file(str(work / "config.resolved"))
+    for name in ("ema.ckpt", "model.ckpt"):
+        _, record = nn.load_checkpoint(work / name)
+        assert record == {key: str(resolved[key]) for key in TRAIN_KEYS.values()}
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_checkpoint_is_read_once(gat_run, tmp_path, monkeypatch, command):
+    data, work = gat_run
+    reads, load = [], nn.load_checkpoint
+
+    def load_checkpoint(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli.nn, "load_checkpoint", load_checkpoint)
+    out = tmp_path / "out"
+    if command == "eval":
+        assert run(out, "sample", f"dataset={data}", "method=random_pred",
+                   "n_samples=2") == 0
+        reads.clear()
+    assert run(out, command, f"dataset={data}", f"checkpoint={work}/ema.ckpt",
+               "nfes=2") == 0
+    assert reads == [f"{work}/ema.ckpt"]
+
+
 def test_sample_and_eval_read_model_keys_from_checkpoint(gat_run, tmp_path):
     data, work = gat_run
-    assert (work / "ema.ckpt.config").exists()
-    assert (work / "model.ckpt.config").exists()
     assert run(work, "sample", f"dataset={data}", "nfes=2", "seed=3") == 0
     given = tmp_path / "given"
     assert run(given, "sample", f"dataset={data}", f"checkpoint={work}/ema.ckpt",
@@ -329,21 +357,31 @@ def test_conflicting_model_key_exits_one(gat_run, command, capsys):
     assert "method" in err and "dmp" in err and "knn_fixed" in err
 
 
-def test_checkpoint_without_record_exits_one(gat_run, tmp_path, capsys):
+def test_damaged_or_foreign_checkpoint_exits_one(gat_run, tmp_path, capsys):
+    # a truncated file, trailing bytes and a checkpoint in the layout used
+    # before the record and the names moved into the file (binary arrays,
+    # names and record in sidecars) each name the path
     data, work = gat_run
-    for name in ("ema.ckpt", "ema.ckpt.manifest"):
-        shutil.copy(work / name, tmp_path / name)
+    blob = (work / "ema.ckpt").read_bytes()
+    arrays, _ = nn.load_checkpoint(work / "ema.ckpt")
+    old = b"".join(struct.pack(f"<{1 + a.ndim}I", a.ndim, *a.shape) + a.tobytes()
+                   for a in arrays.values())
     ckpt = tmp_path / "ema.ckpt"
-    assert run(tmp_path, "sample", f"dataset={data}", f"checkpoint={ckpt}") == 1
-    assert f"{ckpt}.config" in capsys.readouterr().err
+    for damaged, message in ((blob[:-1], "truncated"),
+                             (blob + b"\n", "1 trailing bytes"),
+                             (old, "must be retrained")):
+        ckpt.write_bytes(damaged)
+        for command in ("sample", "eval"):
+            assert run(tmp_path, command, f"dataset={data}", "nfes=2") == 1
+            err = capsys.readouterr().err
+            assert f"{ckpt}: " in err and message in err
+        assert not (tmp_path / "samples").exists()
 
 
 def test_checkpoint_that_does_not_fit_exits_one(gat_run, tmp_path, capsys):
     data, work = gat_run
-    for name in ("ema.ckpt", "ema.ckpt.manifest"):
-        shutil.copy(work / name, tmp_path / name)
-    record = read_config_file(str(work / "ema.ckpt.config"))
-    write_resolved({**record, "mp_kind": "gcn"}, str(tmp_path / "ema.ckpt.config"))
+    arrays, record = nn.load_checkpoint(work / "ema.ckpt")
+    nn.save_checkpoint(tmp_path / "ema.ckpt", arrays, {**record, "mp_kind": "gcn"})
     assert run(tmp_path, "sample", f"dataset={data}", "nfes=2") == 1
     assert "unknown parameter 'blocks." in capsys.readouterr().err
 
@@ -353,15 +391,14 @@ def test_old_layout_checkpoint_exits_one(gat_run, tmp_path, capsys, monkeypatch)
     # (layers that feed a batch norm) is rejected before any array is
     # copied into the model
     data, work = gat_run
-    arrays = nn.load_checkpoint(work / "ema.ckpt")
+    arrays, record = nn.load_checkpoint(work / "ema.ckpt")
     old = {}
     for name, arr in arrays.items():
         old[name] = arr
         bias = name[: -len("weight")] + "bias"
         if name.endswith(".weight") and bias not in arrays:
             old[bias] = np.zeros(arr.shape[-1])
-    nn.save_checkpoint(tmp_path / "ema.ckpt", old)
-    shutil.copy(work / "ema.ckpt.config", tmp_path / "ema.ckpt.config")
+    nn.save_checkpoint(tmp_path / "ema.ckpt", old, record)
     built = []
 
     def build_model(*args):
@@ -383,14 +420,13 @@ def test_old_layout_checkpoint_exits_one(gat_run, tmp_path, capsys, monkeypatch)
 def test_old_record_keys_exit_one(gat_run, tmp_path, capsys, command):
     # records written while ema_decay and interpolant.sigma_min were keys
     data, work = gat_run
-    for name in ("ema.ckpt", "ema.ckpt.manifest"):
-        shutil.copy(work / name, tmp_path / name)
-    record = (work / "ema.ckpt.config").read_text()
-    (tmp_path / "ema.ckpt.config").write_text(
-        record + "ema_decay = 0.95\ninterpolant.sigma_min = 0.001\n")
+    arrays, record = nn.load_checkpoint(work / "ema.ckpt")
+    nn.save_checkpoint(tmp_path / "ema.ckpt", arrays,
+                       {**record, "ema_decay": 0.95,
+                        "interpolant.sigma_min": 0.001})
     assert run(tmp_path, command, f"dataset={data}", "nfes=2") == 1
     err = capsys.readouterr().err
-    assert f"unknown config key 'ema_decay' ({tmp_path}/ema.ckpt.config)" in err
+    assert f"unknown config key 'ema_decay' ({tmp_path}/ema.ckpt)" in err
     assert ("was written by another version of ncgn; the model must be "
             "retrained") in err
     assert not (tmp_path / "samples").exists()

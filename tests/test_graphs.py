@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,17 +149,27 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.features, g.features)
 
 
+def raises_naming(path, message):
+    """pytest.raises for a ValueError that starts with ``path``, then
+    matches the regex ``message``."""
+    return pytest.raises(ValueError, match=re.escape(str(path)) + message)
+
+
 def test_load_bad_header_names_expectation(tmp_path):
     path = tmp_path / "bad.graph"
-    path.write_text("3 2\n")
-    with pytest.raises(ValueError, match="N d f"):
-        load_graph(path)
+    for header in ("3 2", "3 2 x", "3 -2 0"):
+        path.write_text(header + "\n")
+        with raises_naming(path, " line 1: .*N d f"):
+            load_graph(path)
 
 
 def test_load_bad_row_reports_line(tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("1 2 0\n1.0\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with raises_naming(path, " line 2: expected 2 values"):
+        load_graph(path)
+    path.write_text("2 2 0\n1.0 2.0\n1.0 nope\n")
+    with raises_naming(path, " line 3: expected numbers, got '1.0 nope'"):
         load_graph(path)
 
 
@@ -174,17 +186,17 @@ def test_voxel_properties(n, s, seed):
 def test_load_row_count_checked_both_ways(tmp_path):
     path = tmp_path / "short.graph"
     path.write_text("3 2 0\n1.0 2.0\n")
-    with pytest.raises(ValueError, match="3 node rows, found 1"):
+    with raises_naming(path, ": header declares 3 node rows, found 1"):
         load_graph(path)
     # an edge section after the rows is no longer part of the format
     path = tmp_path / "long.graph"
     path.write_text("1 2 0\n1.0 2.0\nE\n0 0\n")
-    with pytest.raises(ValueError, match="line 3.*'E'"):
+    with raises_naming(path, " line 3: .*'E'"):
         load_graph(path)
 
 
 def test_load_empty_file_names_path(tmp_path):
     path = tmp_path / "empty.graph"
     path.write_text("")
-    with pytest.raises(ValueError, match="empty.graph: empty file"):
+    with raises_naming(path, ": empty file"):
         load_graph(path)

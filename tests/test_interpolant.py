@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from ncgn.interpolant import (
+    ALPHA_BARS,
+    BETA_MAX,
+    BETA_MIN,
     DDPM_STEPS,
     SIGMA_MIN,
     InterpolantSpec,
@@ -76,6 +79,17 @@ def test_ddpm_alpha_bar_monotone():
     assert spec.alpha_bar(1.0) == 1.0
 
 
+def test_alpha_bar_table_is_the_product_of_retentions():
+    # the table behind alpha_bar and generate: the product of 1 - beta over
+    # the first k diffusion steps, and exactly 1 before any step
+    spec = InterpolantSpec(kind="ddpm")
+    retain = 1.0 - np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS)
+    assert ALPHA_BARS.shape == (DDPM_STEPS + 1,) and ALPHA_BARS[0] == 1.0
+    for k in (1, 2, 10, 500, DDPM_STEPS):
+        np.testing.assert_allclose(ALPHA_BARS[k], np.prod(retain[:k]), rtol=1e-13)
+        assert spec.alpha_bar(1.0 - k / DDPM_STEPS) == ALPHA_BARS[k]
+
+
 def test_ddpm_marginal_variance():
     spec = InterpolantSpec(kind="ddpm")
     t = 0.5
@@ -146,10 +160,10 @@ def test_generate_rejects_non_finite_state():
         generate(diverging, z0, InterpolantSpec(kind="ddpm"), nfes=10)
 
 
-def _ddpm_every_step(field, z0, spec, seed):
+def _ddpm_every_step(field, z0, seed):
     """Ancestral sampling over every diffusion step: the reference that
     respaced sampling must reproduce at nfes == DDPM_STEPS."""
-    betas = spec.betas()
+    betas = np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     rng = np.random.default_rng(seed)
@@ -177,7 +191,7 @@ def test_ddpm_takes_nfes_steps():
         assert len(seen) == nfes
         assert seen[0] == 0.0 and all(b > a for a, b in zip(seen, seen[1:]))
         assert np.isfinite(out).all()
-    ref = _ddpm_every_step(lambda z, t: 0.5 * np.tanh(z) + t, z0, spec, seed=3)
+    ref = _ddpm_every_step(lambda z, t: 0.5 * np.tanh(z) + t, z0, seed=3)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     with pytest.raises(ValueError, match="at most"):
         generate(field, z0, spec, nfes=DDPM_STEPS + 1)

@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -163,8 +166,10 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     mlp = nn.MLP([3, 4, 2], rng)
     mlp(Tensor(rng.standard_normal((6, 3))))  # touch batch norm stats
     path = tmp_path / "model.ckpt"
-    nn.save_checkpoint(path, mlp.state_arrays())
-    loaded = nn.load_checkpoint(path)
+    nn.save_checkpoint(path, mlp.state_arrays(), {"seed": 3, "lr": 0.001})
+    loaded, record = nn.load_checkpoint(path)
+    assert record == {"seed": "3", "lr": "0.001"}
+    assert list(loaded) == list(mlp.state_arrays())
     for name, t in mlp.state_arrays().items():
         np.testing.assert_array_equal(loaded[name], t.data)
     other = nn.MLP([3, 4, 2], np.random.default_rng(99))
@@ -174,13 +179,39 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(other(Tensor(x)).data, mlp(Tensor(x)).data)
 
 
-def test_checkpoint_manifest_lists_shapes(tmp_path):
+def test_checkpoint_is_one_self_describing_file(tmp_path):
     rng = np.random.default_rng(3)
     lin = nn.Linear(3, 2, rng)
     path = tmp_path / "lin.ckpt"
-    nn.save_checkpoint(path, lin.state_arrays())
-    manifest = (tmp_path / "lin.ckpt.manifest").read_text()
-    assert "3x2" in manifest
+    arrays = {**lin.state_arrays(), "scalar": np.array(-0.0)}
+    nn.save_checkpoint(path, arrays, {"epochs": 1})
+    assert os.listdir(tmp_path) == ["lin.ckpt"]
+    head, payload = path.read_bytes().split(b"\n\n", 1)
+    assert head.decode().split("\n") == [nn.CHECKPOINT_FORMAT, "epochs = 1",
+                                         "weight: 3x2", "bias: 2", "scalar: "]
+    assert payload == b"".join(np.asarray(a.data if isinstance(a, Tensor) else a,
+                                          dtype="<f8").tobytes()
+                               for a in arrays.values())
+    loaded, _ = nn.load_checkpoint(path)
+    assert loaded["scalar"].shape == () and np.signbit(loaded["scalar"])
+
+
+def test_damaged_or_foreign_checkpoint_names_path(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(path, {"w": np.ones((2, 3))}, {"seed": 0})
+    blob = path.read_bytes()
+    # the layout written before checkpoints carried a header: uint32 ndim,
+    # uint32 dims, then the float64 data (names in a separate file)
+    old = struct.pack("<3I", 2, 2, 3) + np.ones((2, 3)).tobytes()
+    cases = [(blob[:-8], "truncated at array 'w'"),
+             (blob + b"\0", "1 trailing bytes"),
+             (old, "another version of ncgn"),
+             (b"", "another version of ncgn")]
+    for data, match in cases:
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match) as info:
+            nn.load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 def test_load_into_rejects_unknown_name():

@@ -19,7 +19,8 @@ def write_tree(root, loss, weight, note="run"):
     (root / "run").mkdir(parents=True)
     (root / "run" / "loss.csv").write_text(f"step,loss\n0,{loss!r}\n1,4.0\n")
     (root / "run" / "a.graph").write_text("1 1 1\n0.5 2.0\n")
-    nn.save_checkpoint(root / "run" / "model.ckpt", {"w": np.array([weight, 2.0])})
+    nn.save_checkpoint(root / "run" / "model.ckpt", {"w": np.array([weight, 2.0])},
+                       {"seed": 3})
     (root / "run" / "config.resolved").write_text(f"out_dir={root}\n")
     (root / "run" / "notes.txt").write_text(note)
 
@@ -32,7 +33,7 @@ def test_reports_numeric_deviation_relative_to_largest(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "run/loss.csv: max abs 4.000e-12, relative to largest 1.000e-12" in out
     assert "model.ckpt" not in out and "config.resolved" not in out
-    assert "4 of 5 files byte-identical" in out
+    assert "3 of 4 files byte-identical" in out
 
 
 def test_fails_on_one_sided_or_non_numeric_difference(tmp_path, capsys):
@@ -57,7 +58,7 @@ def test_checkpoints_compared_by_name_when_an_array_is_dropped(tmp_path, capsys)
         weight = 2.0 if side == "old" else 2.0 + 3e-12
         nn.save_checkpoint(root / "model.ckpt",
                            {"a.weight": np.array([weight, -4.0]), **extra,
-                            "b.weight": np.array([[1.0]])})
+                            "b.weight": np.array([[1.0]])}, {"seed": 3})
     assert load_script().main(["seeded_diff", str(tmp_path / "old"),
                                str(tmp_path / "new")]) == 1
     out = capsys.readouterr().out
@@ -68,30 +69,33 @@ def test_checkpoints_compared_by_name_when_an_array_is_dropped(tmp_path, capsys)
 
 
 def test_records_compared_key_by_key(tmp_path, capsys):
-    for side, extra in (("old", "ema_decay = 0.95\nlr = 0.001\n"),
-                        ("new", "lr = 0.01\nnfes = 2\n")):
+    # the train record is part of the checkpoint, so a record difference
+    # shows under the .ckpt path even when every array is equal
+    for side, record in (("old", {"epochs": 1, "ema_decay": 0.95, "lr": 0.001}),
+                         ("new", {"epochs": 1, "lr": 0.01, "nfes": 2})):
         root = tmp_path / side
         root.mkdir()
-        (root / "ema.ckpt.config").write_text("epochs = 1\n" + extra)
+        nn.save_checkpoint(root / "ema.ckpt", {"w": np.array([1.0])}, record)
     assert load_script().main(["seeded_diff", str(tmp_path / "old"),
                                str(tmp_path / "new")]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out == ["ema.ckpt.config: only in OLD: ema_decay = 0.95",
-                   "ema.ckpt.config: only in NEW: nfes = 2",
-                   "ema.ckpt.config: value of 'lr': 0.001 in OLD, 0.01 in NEW",
-                   "0 of 1 files byte-identical"]
+    assert out == [
+        "ema.ckpt: max abs 0.000e+00, relative to largest 0.000e+00",
+        "ema.ckpt: record differs: only in OLD: ema_decay = 0.95",
+        "ema.ckpt: record differs: only in NEW: nfes = 2",
+        "ema.ckpt: record differs: value of 'lr': 0.001 in OLD, 0.01 in NEW",
+        "0 of 1 files byte-identical"]
 
 
-def test_checkpoint_and_manifest_reported_once(tmp_path, capsys):
-    # a renamed array leaves the .ckpt bytes alone and changes only the
-    # manifest; it shows as one layout difference under the .ckpt path
+def test_renamed_array_is_a_layout_difference(tmp_path, capsys):
+    # a renamed array keeps its bytes; it shows by name under the .ckpt path
     for side, name in (("old", "a.bias"), ("new", "a.shift")):
         root = tmp_path / side
         root.mkdir()
         nn.save_checkpoint(root / "model.ckpt",
-                           {"a.weight": np.array([1.0, 2.0]), name: np.array([3.0])})
+                           {"a.weight": np.array([1.0, 2.0]), name: np.array([3.0])},
+                           {"seed": 3})
     old, new = tmp_path / "old", tmp_path / "new"
-    assert (old / "model.ckpt").read_bytes() == (new / "model.ckpt").read_bytes()
     assert load_script().main(["seeded_diff", str(old), str(new)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [
@@ -99,4 +103,4 @@ def test_checkpoint_and_manifest_reported_once(tmp_path, capsys):
         "shared arrays",
         "model.ckpt: layout differs: only in OLD: 'a.bias'",
         "model.ckpt: layout differs: only in NEW: 'a.shift'",
-        "1 of 2 files byte-identical"]
+        "0 of 1 files byte-identical"]
