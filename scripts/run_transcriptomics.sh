@@ -3,6 +3,10 @@
 # 2000 train / 400 test simulated graphs, DMP vs knn_fixed vs random
 # generations, unconditional sampling, pooled-subsample W2.
 #
+# The simulate-data step alone (2,400 trajectories) took 471 s with one
+# simulate_rd call per trajectory and 63 s with the batched simulator
+# (128 trajectories per call), on a 2-vCPU Xeon; its output is identical.
+#
 # Usage: scripts/run_transcriptomics.sh [WORKDIR]
 # Writes metrics.csv per method under WORKDIR and copies the three metric
 # files into artifacts/transcriptomics/ when run from the repo root.

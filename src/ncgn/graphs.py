@@ -136,32 +136,36 @@ def save_graph(path, graph: GeometricGraph):
 
 
 def load_graph(path) -> GeometricGraph:
-    """Read a ``save_graph`` file; every error names ``path``."""
+    """Read a ``save_graph`` file; every error names ``path`` and the line's
+    number in the file, blank lines included."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
+                 if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file, expected header 'N d f'")
-    header = lines[0].split()
+    header_no, header_line = lines[0]
+    header = header_line.split()
     if len(header) != 3 or not all(x.isdigit() for x in header):
-        raise ValueError(f"{path} line 1: expected header 'N d f' of three "
-                         f"counts, got {lines[0]!r}")
+        raise ValueError(f"{path} line {header_no}: expected header 'N d f' of "
+                         f"three counts, got {header_line!r}")
     n, d, f = (int(x) for x in header)
     if len(lines) - 1 < n:
         raise ValueError(f"{path}: header declares {n} node rows, found "
                          f"{len(lines) - 1}")
     if len(lines) - 1 > n:
-        raise ValueError(f"{path} line {n + 2}: expected end of file after {n} "
-                         f"node rows, got {lines[n + 1]!r}")
+        no, line = lines[n + 1]
+        raise ValueError(f"{path} line {no}: expected end of file after {n} "
+                         f"node rows, got {line!r}")
     pos = np.zeros((n, d))
     feat = np.zeros((n, f))
-    for i in range(n):
+    for i, (no, line) in enumerate(lines[1:]):
         try:
-            vals = [float(x) for x in lines[1 + i].split()]
+            vals = [float(x) for x in line.split()]
         except ValueError:
-            raise ValueError(f"{path} line {i + 2}: expected numbers, got "
-                             f"{lines[1 + i]!r}") from None
+            raise ValueError(f"{path} line {no}: expected numbers, got "
+                             f"{line!r}") from None
         if len(vals) != d + f:
-            raise ValueError(f"{path} line {i + 2}: expected {d + f} values, "
+            raise ValueError(f"{path} line {no}: expected {d + f} values, "
                              f"got {len(vals)}")
         pos[i] = vals[:d]
         feat[i] = vals[d:]

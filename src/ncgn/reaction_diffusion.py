@@ -5,6 +5,12 @@ The system lives on a 1-D line of l points (dx = 1) and is stepped with
 explicit Euler. Only bmp and wnt diffuse. Gene channel order throughout is
 (bmp, sox, wnt).
 
+``simulate_rd`` steps a batch of B trajectories at once as (B, l) arrays,
+one per gene, so numpy's per-call cost is paid once per step for the whole
+batch; one seed is a batch of one. Each row is byte-identical to its seed
+simulated alone. A diverging row stops the batch with an error naming its
+seed and step.
+
 Two sign conventions are exposed because the reference signed regulation
 coefficients make the bmp/wnt self-terms anti-damping when substituted
 literally: ``printed`` uses the coefficients exactly as given, ``damped``
@@ -52,38 +58,81 @@ class RdParams:
             raise ValueError(f"dt must lie in (0, {bound}] for stability")
         if self.snapshots < 2:
             raise ValueError("need at least 2 snapshots")
+        # each snapshot must record a distinct step, the initial state included
+        if self.snapshots > self.n_steps + 1:
+            raise ValueError(f"{self.snapshots} snapshots need at least "
+                             f"{self.snapshots - 1} Euler steps; t_end / dt "
+                             f"gives {self.n_steps}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
 
-def laplacian_1d(u):
-    """Second difference with zero-flux (reflecting) boundaries; sums to 0."""
-    padded = np.pad(u, 1, mode="edge")
-    return padded[:-2] - 2.0 * u + padded[2:]
+def laplacian_1d(padded):
+    """Second difference along the last axis of the interior of ``padded``,
+    whose first and last entries there are ghost cells. Ghost cells that
+    repeat the edge values give zero-flux (reflecting) boundaries, and the
+    result then sums to 0 along that axis."""
+    return padded[..., :-2] - 2.0 * padded[..., 1:-1] + padded[..., 2:]
 
 
-def simulate_rd(params: RdParams, seed: int = 0,
-                init=None, alpha=None) -> np.ndarray:
-    """Integrate the system and return a (snapshots, l, 3) trajectory.
+def _as_rows(x, l):
+    """``x`` as a B x l x 3 float array; an l x 3 one becomes one row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape == (l, 3):
+        return x[None]
+    if x.ndim != 3 or x.shape[1:] != (l, 3):
+        raise ValueError("init and alpha must be l x 3 or B x l x 3")
+    return x
 
-    Initial concentrations and the constant production fields alpha are
-    drawn i.i.d. uniform from alpha_range per point per gene unless given
-    explicitly (both l x 3).
+
+def simulate_rd(params: RdParams, seed=0, init=None, alpha=None) -> np.ndarray:
+    """Integrate the system for one trajectory or a batch of them.
+
+    An int ``seed`` gives one (snapshots, l, 3) trajectory. A 1-D sequence
+    of B seeds gives (B, snapshots, l, 3), and row b is byte for byte
+    ``simulate_rd(params, seed=seeds[b])``: all rows step together as
+    (B, l) arrays with the same float operations as one row alone.
+
+    Each seed's own generator draws the initial concentrations and then the
+    constant production fields alpha, i.i.d. uniform from alpha_range per
+    point per gene, unless they are given explicitly. Given ones are l x 3,
+    shared by every row, or B x l x 3, which also makes the result batched.
+
+    After every step, a row with a non-finite value or one above
+    ``DIVERGENCE_LIMIT`` in magnitude raises ``RuntimeError``. It names the
+    lowest such row (by its seed, or by its row index when init and alpha
+    were both given), the step, the limit and the sign convention.
     """
-    rng = np.random.default_rng(seed)
+    single = np.ndim(seed) == 0 and np.ndim(init) < 3 and np.ndim(alpha) < 3
+    seeds = np.atleast_1d(seed)
+    if seeds.ndim != 1 or seeds.size == 0:
+        raise ValueError("seed must be an int or a non-empty 1-D sequence "
+                         "of ints")
+    by_seed = init is None or alpha is None
     lo, hi = params.alpha_range
+    rngs = [np.random.default_rng(s) for s in seeds]
     if init is None:
-        init = rng.uniform(lo, hi, size=(params.l, 3))
+        init = [rng.uniform(lo, hi, size=(params.l, 3)) for rng in rngs]
     if alpha is None:
-        alpha = rng.uniform(lo, hi, size=(params.l, 3))
-    init = np.asarray(init, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if init.shape != (params.l, 3) or alpha.shape != (params.l, 3):
-        raise ValueError("init and alpha must be l x 3")
+        alpha = [rng.uniform(lo, hi, size=(params.l, 3)) for rng in rngs]
+    init, alpha = _as_rows(init, params.l), _as_rows(alpha, params.l)
+    rows = np.broadcast_shapes(seeds.shape, init.shape[:1], alpha.shape[:1])[0]
+    seeds = np.broadcast_to(seeds, rows)
 
-    n_steps = int(round(params.t_end / params.dt))
+    n_steps = params.n_steps
     record_at = np.round(np.linspace(0, n_steps, params.snapshots)).astype(int)
-    traj = np.empty((params.snapshots, params.l, 3))
-    bmp, sox, wnt = init[:, 0].copy(), init[:, 1].copy(), init[:, 2].copy()
-    a_bmp, a_sox, a_wnt = alpha[:, 0], alpha[:, 1], alpha[:, 2]
+    traj = np.empty((rows, params.snapshots, params.l, 3))
+    # gene g's (B, l) plane is state[g], the interior of padded[g]; the ghost
+    # cells at both ends are refreshed before every step
+    padded = np.empty((3, rows, params.l + 2))
+    state = padded[..., 1:-1]
+    state[...] = np.moveaxis(init, -1, 0)
+    bmp, sox, wnt = state
+    rate = np.empty(state.shape)
+    a_bmp, a_sox, a_wnt = np.array(np.broadcast_to(np.moveaxis(alpha, -1, 0),
+                                                   state.shape))
     # damped: force the self-terms -k5*bmp, -k9*wnt into decay
     k5 = abs(params.k5) if params.sign_convention == "damped" else params.k5
     k9 = abs(params.k9) if params.sign_convention == "damped" else params.k9
@@ -91,24 +140,28 @@ def simulate_rd(params: RdParams, seed: int = 0,
     rec = 0
     for step in range(n_steps + 1):
         while rec < params.snapshots and record_at[rec] == step:
-            traj[rec] = np.column_stack([bmp, sox, wnt])
+            traj[:, rec] = np.moveaxis(state, 0, -1)
             rec += 1
         if step == n_steps:
             break
-        d_sox = a_sox + params.k2 * bmp - params.k3 * wnt - sox**3
-        d_bmp = a_bmp - params.k4 * sox - k5 * bmp + params.d_b * laplacian_1d(bmp)
-        d_wnt = a_wnt - params.k7 * sox - k9 * wnt + params.d_w * laplacian_1d(wnt)
-        bmp = bmp + params.dt * d_bmp
-        sox = sox + params.dt * d_sox
-        wnt = wnt + params.dt * d_wnt
-        peak = max(np.abs(bmp).max(), np.abs(sox).max(), np.abs(wnt).max())
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+        padded[..., 0], padded[..., -1] = state[..., 0], state[..., -1]
+        rate[0] = (a_bmp - params.k4 * sox - k5 * bmp
+                   + params.d_b * laplacian_1d(padded[0]))
+        rate[1] = a_sox + params.k2 * bmp - params.k3 * wnt - sox**3
+        rate[2] = (a_wnt - params.k7 * sox - k9 * wnt
+                   + params.d_w * laplacian_1d(padded[2]))
+        state += params.dt * rate
+        # `not <=` also catches NaN
+        if not np.abs(state).max() <= DIVERGENCE_LIMIT:
+            peak = np.abs(state).max(axis=(0, 2))
+            row = int(np.flatnonzero(~(peak <= DIVERGENCE_LIMIT))[0])
+            name = f"seed {seeds[row]}" if by_seed else f"row {row}"
             raise RuntimeError(
-                f"simulation diverged at step {step + 1} "
+                f"simulation of {name} diverged at step {step + 1} "
                 f"(|field| > {DIVERGENCE_LIMIT:g}) under the "
                 f"{params.sign_convention!r} sign convention"
             )
-    return traj
+    return traj[0] if single else traj
 
 
 def _even_indices(count, available):

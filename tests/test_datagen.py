@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from ncgn import dataset
 from ncgn.dataset import (
     Dataset,
     dataset_bounds,
@@ -78,8 +81,10 @@ def small_params(**kw):
 
 
 def test_laplacian_conserves_mass():
-    u = np.random.default_rng(0).standard_normal(50)
-    assert abs(laplacian_1d(u).sum()) < 1e-9
+    u = np.random.default_rng(0).standard_normal((2, 50))
+    lap = laplacian_1d(np.pad(u, [(0, 0), (1, 1)], mode="edge"))
+    assert lap.shape == (2, 50)
+    np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-9)
 
 
 def test_zero_state_is_fixed_point():
@@ -134,6 +139,118 @@ def test_simulation_deterministic_per_seed():
                               simulate_rd(params, seed=4))
 
 
+def serial_rd(params, init, alpha):
+    """The one-trajectory Euler loop the batched simulator replaced, as the
+    reference it must match byte for byte."""
+    def lap(u):
+        padded = np.pad(u, 1, mode="edge")
+        return padded[:-2] - 2.0 * u + padded[2:]
+
+    n_steps = int(round(params.t_end / params.dt))
+    record_at = np.round(np.linspace(0, n_steps, params.snapshots)).astype(int)
+    k5 = abs(params.k5) if params.sign_convention == "damped" else params.k5
+    k9 = abs(params.k9) if params.sign_convention == "damped" else params.k9
+    bmp, sox, wnt = np.array(init.T)
+    a_bmp, a_sox, a_wnt = alpha.T
+    traj = []
+    for step in range(n_steps + 1):
+        traj += [np.column_stack([bmp, sox, wnt])] * int(np.sum(record_at == step))
+        d_sox = a_sox + params.k2 * bmp - params.k3 * wnt - sox**3
+        d_bmp = a_bmp - params.k4 * sox - k5 * bmp + params.d_b * lap(bmp)
+        d_wnt = a_wnt - params.k7 * sox - k9 * wnt + params.d_w * lap(wnt)
+        bmp, sox, wnt = (bmp + params.dt * d_bmp, sox + params.dt * d_sox,
+                         wnt + params.dt * d_wnt)
+    return np.array(traj)
+
+
+def seed_draws(params, seed):
+    """(init, alpha) as the seed's generator draws them."""
+    rng = np.random.default_rng(seed)
+    init = rng.uniform(*params.alpha_range, size=(params.l, 3))
+    alpha = rng.uniform(*params.alpha_range, size=(params.l, 3))
+    return init, alpha
+
+
+@pytest.mark.parametrize("params", [
+    small_params(),
+    small_params(sign_convention="printed", t_end=5.0, snapshots=11),
+], ids=["damped", "printed"])
+def test_batch_of_seeds_matches_serial(params):
+    seeds = [3, 0, 7, 11]
+    batch = simulate_rd(params, seed=seeds)
+    assert batch.shape == (4, params.snapshots, params.l, 3)
+    for row, seed in zip(batch, seeds):
+        single = simulate_rd(params, seed=seed)
+        assert single.shape == (params.snapshots, params.l, 3)
+        assert row.tobytes() == single.tobytes()
+        assert row.tobytes() == serial_rd(params, *seed_draws(params, seed)).tobytes()
+    assert simulate_rd(params, seed=[5]).shape == (1, params.snapshots, params.l, 3)
+    for bad in ([], [[1, 2]]):
+        with pytest.raises(ValueError, match="non-empty 1-D sequence"):
+            simulate_rd(params, seed=bad)
+
+
+def test_batch_of_explicit_inputs_matches_serial():
+    params = small_params()
+    rng = np.random.default_rng(2)
+    inits = rng.uniform(-0.5, 0.5, size=(3, params.l, 3))
+    alphas = rng.uniform(-0.05, 0.05, size=(3, params.l, 3))
+    batch = simulate_rd(params, init=inits, alpha=alphas)
+    shared = simulate_rd(params, init=inits, alpha=alphas[1])
+    assert batch.shape == shared.shape == (3, params.snapshots, params.l, 3)
+    for b in range(3):
+        ref = serial_rd(params, inits[b], alphas[b]).tobytes()
+        assert batch[b].tobytes() == ref
+        assert simulate_rd(params, init=inits[b], alpha=alphas[b]).tobytes() == ref
+        assert shared[b].tobytes() == serial_rd(params, inits[b], alphas[1]).tobytes()
+    with pytest.raises(ValueError, match="B x l x 3"):
+        simulate_rd(params, init=inits[:, :-1], alpha=alphas)
+
+
+def test_divergence_names_the_diverging_seed_and_its_step():
+    params = small_params()
+    seeds = [4, 9, 6]
+    alphas = np.zeros((3, params.l, 3))
+    alphas[1, params.l // 2, 1] = 3000.0  # sox overshoots, then explodes
+    with pytest.raises(RuntimeError) as serial:
+        simulate_rd(params, seed=9, alpha=alphas[1])
+    step = re.search(r"step (\d+)", str(serial.value)).group(1)
+    assert int(step) > 1
+    with pytest.raises(RuntimeError,
+                       match=f"seed 9 diverged at step {step} .*'damped'"):
+        simulate_rd(params, seed=seeds, alpha=alphas)
+    # with both inputs given there is no seed: the row index is named
+    inits = np.zeros((3, params.l, 3))
+    with pytest.raises(RuntimeError, match=f"row 1 diverged at step {step} "):
+        simulate_rd(params, init=inits, alpha=alphas)
+
+
+def test_dataset_chunks_match_per_seed_serial(monkeypatch):
+    params = small_params()
+
+    def per_seed(params, seed):
+        return np.stack([simulate_rd(params, seed=int(s)) for s in seed])
+
+    monkeypatch.setattr(dataset, "simulate_rd", per_seed)
+    ref = generate_rd_dataset(n_train=3, n_test=2, seed=5, params=params)
+
+    calls = []
+
+    def counted(params, seed):
+        calls.append(list(seed))
+        return simulate_rd(params, seed=seed)
+
+    monkeypatch.setattr(dataset, "simulate_rd", counted)
+    monkeypatch.setattr(dataset, "RD_CHUNK", 2)
+    ds = generate_rd_dataset(n_train=3, n_test=2, seed=5, params=params)
+    assert calls == [[5, 6], [7, 8], [9]]
+    assert ds.manifest == ref.manifest
+    assert [g.features.shape for g in ds.train + ds.test] == [(100, 3)] * 3 + [(96, 3)] * 2
+    for g, r in zip(ds.train + ds.test, ref.train + ref.test, strict=True):
+        assert g.features.tobytes() == r.features.tobytes()
+        assert g.positions.tobytes() == r.positions.tobytes()
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         RdParams(sign_convention="absolute")
@@ -141,6 +258,10 @@ def test_params_validation():
         RdParams(dt=0.5, d_w=2.5)  # violates explicit stability bound
     with pytest.raises(ValueError):
         RdParams(l=2)
+    # 4 Euler steps record at most 5 distinct snapshots
+    assert RdParams(l=10, t_end=0.2, snapshots=5).n_steps == 4
+    with pytest.raises(ValueError, match="10 snapshots need at least 9"):
+        RdParams(l=10, t_end=0.2, snapshots=10)
 
 
 # ---------------------------------------------------- graph construction

@@ -29,11 +29,9 @@ from ncgn.transport import PointCloud, w2_exact
 
 def rd_graphs(count, n_space=6, n_time=6, seed=0):
     params = RdParams(l=40, t_end=10.0, snapshots=21, sign_convention="damped")
-    out = []
-    for i in range(count):
-        traj = simulate_rd(params, seed=seed + i)
-        out.append(build_spatiotemporal_graph(traj, n_space, n_time))
-    return out
+    trajectories = simulate_rd(params, seed=range(seed, seed + count))
+    return [build_spatiotemporal_graph(traj, n_space, n_time)
+            for traj in trajectories]
 
 
 def overfit_config(**kw):

@@ -171,6 +171,13 @@ def test_load_bad_row_reports_line(tmp_path):
     path.write_text("2 2 0\n1.0 2.0\n1.0 nope\n")
     with raises_naming(path, " line 3: expected numbers, got '1.0 nope'"):
         load_graph(path)
+    # blank lines are skipped but still counted
+    path.write_text("1 2 0\n\n1.0\n")
+    with raises_naming(path, " line 3: expected 2 values"):
+        load_graph(path)
+    path.write_text("\n1 2 0\n1.0 2.0\n\nE\n")
+    with raises_naming(path, " line 5: .*'E'"):
+        load_graph(path)
 
 
 @settings(max_examples=25, deadline=None)
