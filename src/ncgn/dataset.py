@@ -71,6 +71,12 @@ def load_dataset(path) -> Dataset:
     return Dataset(splits[0], splits[1], manifest)
 
 
+def _check_counts(n_train, n_test):
+    if min(n_train, n_test) < 0 or n_train + n_test == 0:
+        raise ValueError(f"need n_train >= 0 and n_test >= 0 with at least one "
+                         f"graph, got n_train={n_train}, n_test={n_test}")
+
+
 def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
                         sign_convention="damped", params: RdParams | None = None,
                         train_shape=(10, 10), test_shape=(8, 12)) -> Dataset:
@@ -82,6 +88,7 @@ def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
     test_shape, per the two discretizations. Feature normalization constants
     are global over every subsampled node of both splits.
     """
+    _check_counts(n_train, n_test)
     if params is None:
         params = RdParams(sign_convention=sign_convention)
     total = n_train + n_test
@@ -119,6 +126,8 @@ def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
 def generate_shape_dataset(n_train=500, n_test=100, n_points=64,
                            seed=0) -> Dataset:
     """Surface point clouds cycling through the five shape kinds."""
+    _check_counts(n_train, n_test)
+
     def build(count, offset):
         graphs = []
         for i in range(count):

@@ -10,9 +10,10 @@ output.
 ``Structure`` is the one coarse-structure type: ``engine.StructureCache``
 builds one per graph and ``engine.merged_forward``, the package's one
 forward path, concatenates them with offset ids. DMP takes s_t voxel
-clusters and a kNN graph with k = r_t from the noise schedule, the
-fixed-structure baselines take one-to-one clusters and a fixed edge
-builder, so DMP with singleton clusters reproduces them exactly.
+clusters and a kNN graph with k = r_t, where (r_t, s_t) is the schedule
+point ``schedule.eval_schedule(kind, t, N)``; the fixed-structure baselines
+take one-to-one clusters and a fixed edge builder, so DMP with singleton
+clusters reproduces them exactly.
 ``FlatGat``, the attention study's single GAT layer, has a
 ``forward_core`` of the same signature, so it also runs through
 ``merged_forward`` (with the ``fully_connected`` structure) and trains
@@ -27,6 +28,8 @@ import numpy as np
 
 from . import nn
 from .tensor import Tensor, concat, no_grad, segment_softmax, segment_sum
+
+MP_KINDS = ("gcn", "gat")
 
 
 def node_input(features: np.ndarray, positions: np.ndarray,
@@ -143,12 +146,9 @@ class DmpLayer(nn.Module):
 
     def __init__(self, hdim, d, mp_kind, rng, out_bias):
         self.coarsen_msg = _PointMessage(hdim, d, rng)
-        if mp_kind == "gcn":
-            self.mp = GcnConv(hdim, rng)
-        elif mp_kind == "gat":
-            self.mp = GatConv(hdim, rng)
-        else:
+        if mp_kind not in MP_KINDS:
             raise ValueError(f"unknown mp_kind {mp_kind!r}")
+        self.mp = (GcnConv if mp_kind == "gcn" else GatConv)(hdim, rng)
         self.uncoarsen_msg = _PointMessage(hdim, d, rng)
         self.gate = nn.Linear(2 * hdim, hdim, rng)
         self.combine = nn.MLP([hdim, hdim, hdim], rng, bias=out_bias)

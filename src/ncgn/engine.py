@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .dmp import DmpModel, FlatGat, Structure, node_input
+from .dmp import MP_KINDS, DmpModel, FlatGat, Structure, node_input
 from .graphs import (
     GeometricGraph,
     build_fully_connected_edges,
@@ -38,7 +38,7 @@ from .graphs import (
     voxel_coarsen,
 )
 from .interpolant import InterpolantSpec, generate, interpolate, regression_target
-from .schedule import default_bounds, eval_schedule
+from .schedule import SCHEDULE_KINDS, eval_schedule
 from .tensor import Tensor, no_grad
 from .transport import PointCloud, gw_entropic, w2_exact
 
@@ -81,6 +81,12 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.mp_kind not in MP_KINDS:
+            raise ValueError(f"unknown mp_kind {self.mp_kind!r}")
+        if self.schedule_kind not in SCHEDULE_KINDS:
+            raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         self.interpolant_spec()
         if min(self.epochs, self.batch, self.hdim, self.layers, self.nfes) < 1:
             raise ValueError("epochs, batch, hdim, layers, nfes must be positive")
@@ -125,24 +131,31 @@ def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
 
 
 class StructureCache:
-    """Per-graph ``Structure``s keyed by position bytes, so fixed positions
-    (the transcriptomics grids) are only clustered once. ``dmp`` builds the
-    noise-scheduled coarse structure, ``baseline`` the one-to-one clusters
-    and fixed edges of the BASELINES methods.
+    """The one place a graph's ``Structure`` is decided: the run's
+    ``TrainConfig``, the positions and t fix it. ``cache(positions, t)``
+    asks ``dmp`` for voxel clusters and coarse kNN edges at
+    ``eval_schedule(schedule_kind, t, N)``, or ``baseline`` for the
+    one-to-one clusters and fixed edges of the BASELINES methods. Entries
+    are keyed by position bytes and stored only in the features task, whose
+    fixed positions (the transcriptomics grids) are clustered once; the
+    positions task's noised positions never recur."""
 
-    With ``keep=False`` nothing is stored and every lookup builds afresh;
-    ``train`` and ``sample`` use it for the positions task, whose noised
-    positions never recur."""
-
-    def __init__(self, keep=True):
-        self.keep = keep
+    def __init__(self, config: TrainConfig):
+        self.config = config
         self._store = {}
 
     def __len__(self):
         return len(self._store)
 
+    def __call__(self, positions, t):
+        config = self.config
+        if config.method != "dmp":
+            return self.baseline(positions)
+        r_t, s_t = eval_schedule(config.schedule_kind, t, positions.shape[0])
+        return self.dmp(positions, s_t, r_t)
+
     def _put(self, key, value):
-        if self.keep:
+        if self.config.task == "features":
             self._store[key] = value
         return value
 
@@ -154,46 +167,38 @@ class StructureCache:
         edges = build_knn_edges(coarse_positions, r_t)
         return self._put(key, Structure(cluster_of, coarse_positions, edges))
 
-    def baseline(self, positions, method, k, seed):
-        if method not in BASELINES:
-            raise ValueError(f"no fixed structure for method {method!r}; "
+    def baseline(self, positions):
+        config = self.config
+        if config.method not in BASELINES:
+            raise ValueError(f"no fixed structure for method {config.method!r}; "
                              f"expected one of {BASELINES}")
-        key = (positions.tobytes(), method, k)
+        key = positions.tobytes()
         if key in self._store:
             return self._store[key]
         n = positions.shape[0]
-        if method == "knn_fixed":
-            edges = build_knn_edges(positions, k)
-        elif method == "fully_connected":
+        if config.method == "knn_fixed":
+            edges = build_knn_edges(positions, config.knn_k)
+        elif config.method == "fully_connected":
             edges = build_fully_connected_edges(n)
         else:
-            edges = build_long_short_edges(positions, k, seed)
+            edges = build_long_short_edges(positions, config.knn_k, config.seed)
         return self._put(key, Structure(np.arange(n, dtype=np.intp), positions,
                                         edges))
 
 
-def _slice_structure(positions, t, config: TrainConfig, cache: StructureCache):
-    n = positions.shape[0]
-    if config.method == "dmp":
-        r_t, s_t = eval_schedule(default_bounds(n, config.schedule_kind), t, n)
-        return cache.dmp(positions, s_t, r_t)
-    return cache.baseline(positions, config.method, config.knn_k, config.seed)
-
-
-def merged_forward(model, parts, config: TrainConfig,
-                   cache: StructureCache) -> Tensor:
+def merged_forward(model, parts, cache: StructureCache) -> Tensor:
     """One forward pass over a disjoint union; the package's only forward
     path (a single graph is a batch of one).
 
     ``model``: a ``DmpModel`` or ``FlatGat``, run through its
-    ``forward_core``. ``parts``: list of (positions, inputs, t) per graph.
-    Cluster ids and coarse edges are offset so graphs never exchange
-    messages.
+    ``forward_core``. ``parts``: list of (positions, inputs, t) per graph;
+    ``cache`` gives each graph's ``Structure``. Cluster ids and coarse
+    edges are offset so graphs never exchange messages.
     """
     cluster_of, coarse_pos, edges = [], [], []
     offset = 0
     for positions, _, t in parts:
-        part = _slice_structure(positions, t, config, cache)
+        part = cache(positions, t)
         cluster_of.append(part.cluster_of + offset)
         coarse_pos.append(part.coarse_positions)
         edges.append(part.edges + offset)
@@ -243,7 +248,7 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
         model = build_model(graphs[0], config)
     opt = nn.Adam(model.parameters(), lr=config.lr)
     ema = nn.EMA(model)
-    cache = StructureCache(keep=config.task == "features")
+    cache = StructureCache(config)
     rng = np.random.default_rng(config.seed)
     rows = []
     step = 0
@@ -262,7 +267,7 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
                 z_t = interpolate(z0, z1, t, spec, noise_seed)
                 targets.append(regression_target(z0, z1, spec, seed=noise_seed))
                 parts.append(_part(g, z_t, t, config.task))
-            pred = merged_forward(model, parts, config, cache)
+            pred = merged_forward(model, parts, cache)
             diff = pred - Tensor(np.concatenate(targets))
             loss = (diff * diff).mean()
             value = float(loss.data)
@@ -296,7 +301,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
     if mask is not None and len(mask) != len(templates):
         raise ValueError("need one mask entry per template")
     spec = config.interpolant_spec()
-    cache = StructureCache(keep=config.task == "features")
+    cache = StructureCache(config)
     rng = np.random.default_rng(seed)
     odim = model.odim
     out = []
@@ -323,7 +328,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
                 parts = [_part(g, z[lo:hi], t, config.task)
                          for g, (lo, hi) in zip(chunk, spans)]
                 with no_grad():
-                    return merged_forward(model, parts, config, cache).data
+                    return merged_forward(model, parts, cache).data
 
             def clamp(z, t):
                 if known.any():

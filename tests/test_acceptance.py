@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from ncgn import theory
-from ncgn.dmp import DmpModel, Structure, node_input
-from ncgn.engine import StructureCache, TrainConfig, merged_forward
+from ncgn.dmp import DmpModel
 from ncgn.graphs import (
-    GeometricGraph,
     build_knn_edges,
     build_long_short_edges,
     build_fully_connected_edges,
@@ -29,6 +27,7 @@ from ncgn.reaction_diffusion import RdParams, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, default_bounds, eval_schedule
 from ncgn.tensor import grad
 from ncgn.transport import PointCloud, gw_entropic, w2_exact
+from structure_helpers import SingletonCache, forward, random_graph
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "artifacts")
 
@@ -42,32 +41,6 @@ def read_rows(relpath):
         )
     with open(path) as fh:
         return list(csv.DictReader(fh))
-
-
-def random_graph(n, d=2, f=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)))
-
-
-def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):
-    """Batch-of-one merged_forward, the pass training and sampling run."""
-    config = TrainConfig(method=method, knn_k=k, seed=seed)
-    part = (g.positions, node_input(g.features, g.positions, t), t)
-    return merged_forward(model, [part], config,
-                          StructureCache() if cache is None else cache)
-
-
-class SingletonCache(StructureCache):
-    """Hands the DMP path one-to-one clusters and a fixed edge list."""
-
-    def __init__(self, edges):
-        super().__init__()
-        self.edges = edges
-
-    def dmp(self, positions, s_t, r_t):
-        return Structure(np.arange(positions.shape[0], dtype=np.intp),
-                         positions, self.edges)
 
 
 # criterion 1: optimal aggregation radius reproduction
@@ -157,26 +130,26 @@ def test_identity_reduction(mp_kind):
 def test_linear_complexity_invariant():
     for n in (64, 400, 1000):
         g = random_graph(n, seed=n)
-        spec = default_bounds(n)
+        r1, _, _ = default_bounds(n)
         worst = 0
         for t in np.linspace(0.0, 1.0, 101):
-            r_t, s_t = eval_schedule(spec, float(t), n)
+            r_t, s_t = eval_schedule("exponential", float(t), n)
             _, coarse = voxel_coarsen(g.positions, s_t)
             edges = build_knn_edges(coarse, r_t)
             worst = max(worst, edges.shape[0])
-        assert worst <= 1.25 * spec.r1 * n
+        assert worst <= 1.25 * r1 * n
 
 
 # criterion 6: scheduler boundary and monotonicity over all four kinds
 def test_scheduler_suite():
     n = 400
+    r1, s0, s1 = default_bounds(n)
     for kind in SCHEDULE_KINDS:
-        spec = default_bounds(n, kind)
         grid = np.linspace(0.0, 1.0, 1001)
-        rs, ss = zip(*(eval_schedule(spec, float(t), n) for t in grid))
-        assert ss[0] == spec.s0 and ss[-1] == spec.s1
-        assert rs[-1] == spec.r1
-        assert rs[0] >= rs[-1] and rs[0] >= spec.s0 - 1
+        rs, ss = zip(*(eval_schedule(kind, float(t), n) for t in grid))
+        assert ss[0] == s0 and ss[-1] == s1
+        assert rs[-1] == r1
+        assert rs[0] >= rs[-1] and rs[0] >= s0 - 1
         assert all(b <= a for a, b in zip(rs, rs[1:]))
         assert all(b >= a for a, b in zip(ss, ss[1:]))
 

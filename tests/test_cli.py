@@ -204,6 +204,19 @@ def test_random_pred_clamps_masked_channels(tmp_path):
         assert np.all(g.features[:, [0, 2]] != -0.5)
 
 
+def test_unknown_schedule_kind_exits_one(tmp_path, capsys):
+    # the baselines never evaluate the schedule, so only the config check
+    # keeps a bad kind out of their checkpoints
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
+    for method in ("dmp", "knn_fixed"):
+        assert run(work, "train", f"dataset={data}", f"method={method}",
+                   "schedule.kind=quadratic", "epochs=1", "hdim=8",
+                   "layers=1") == 1
+        assert "'quadratic'" in capsys.readouterr().err
+    assert not (work / "ema.ckpt").exists()
+
+
 def test_sample_without_checkpoint_exits_one(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
@@ -241,6 +254,18 @@ def test_sample_empty_test_split_exits_one(tmp_path, capsys, n_samples):
     err = capsys.readouterr().err
     assert str(data) in err and "test split is empty" in err
     assert not (work / "samples").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate-data", "make-shapes"])
+@pytest.mark.parametrize("counts", [("0", "0"), ("-1", "2")])
+def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
+    # an empty dataset has nothing to normalize, and a negative count would
+    # silently shorten a split while the manifest records it as given
+    n_train, n_test = counts
+    assert run(tmp_path, command, f"n_train={n_train}", f"n_test={n_test}") == 1
+    err = capsys.readouterr().err
+    assert f"n_train={n_train}, n_test={n_test}" in err
+    assert not (tmp_path / "manifest").exists()
 
 
 def test_make_shapes_and_gw_study(tmp_path):

@@ -7,47 +7,8 @@ from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
                          random_generations)
 from ncgn.graphs import GeometricGraph, build_fully_connected_edges
 from ncgn.tensor import Tensor, concat, grad
-
-
-def random_graph(n, d=2, f=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)))
-
-
-def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):
-    """Batch-of-one merged_forward, the pass training and sampling run."""
-    config = TrainConfig(method=method, knn_k=k, seed=seed)
-    part = (g.positions, node_input(g.features, g.positions, t), t)
-    return merged_forward(model, [part], config,
-                          StructureCache() if cache is None else cache)
-
-
-class RecordingCache(StructureCache):
-    """Records the schedule point merged_forward asks the DMP cache for and
-    the number of coarse edges (messages per layer) it gets back."""
-
-    def __init__(self):
-        super().__init__()
-        self.stats = []
-
-    def dmp(self, positions, s_t, r_t):
-        structure = super().dmp(positions, s_t, r_t)
-        self.stats.append({"s_t": s_t, "r_t": r_t,
-                           "edges": int(structure.edges.shape[0])})
-        return structure
-
-
-class SingletonCache(StructureCache):
-    """Hands the DMP path one-to-one clusters and a fixed edge list."""
-
-    def __init__(self, edges):
-        super().__init__()
-        self.edges = edges
-
-    def dmp(self, positions, s_t, r_t):
-        return Structure(np.arange(positions.shape[0], dtype=np.intp),
-                         positions, self.edges)
+from structure_helpers import (RecordingCache, SingletonCache, forward,
+                               random_graph)
 
 
 def test_node_input_width_and_t_column():
@@ -188,9 +149,9 @@ def test_merged_forward_equals_batches_of_one(mp_kind, method):
     model.eval()
     parts = [(g.positions, node_input(g.features, g.positions, t), t)
              for g, t in zip(graphs, ts)]
-    merged = merged_forward(model, parts, config, StructureCache()).data
+    merged = merged_forward(model, parts, StructureCache(config)).data
     single = np.concatenate([
-        merged_forward(model, [part], config, StructureCache()).data
+        merged_forward(model, [part], StructureCache(config)).data
         for part in parts])
     np.testing.assert_array_equal(merged, single)
 
@@ -224,8 +185,9 @@ def test_unknown_baseline_rejected():
     g = random_graph(4)
     with pytest.raises(ValueError):
         TrainConfig(method="mlp")
-    with pytest.raises(ValueError):
-        StructureCache().baseline(g.positions, "mlp", 3, 0)
+    for method in ("dmp", "random_pred"):
+        with pytest.raises(ValueError, match=method):
+            StructureCache(TrainConfig(method=method)).baseline(g.positions)
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
@@ -325,7 +287,7 @@ def test_every_parameter_gets_a_gradient(name):
     config = TrainConfig(method=method, seed=0)
     parts = [(g.positions, node_input(g.features, g.positions, t), t)
              for g, t in zip(graphs, ts)]
-    out = merged_forward(model, parts, config, StructureCache())
+    out = merged_forward(model, parts, StructureCache(config))
     target = rng.standard_normal(out.data.shape)
     named = model.named_parameters()
     grads = grad(((out - target) ** 2).mean(), [p for _, p in named])

@@ -21,10 +21,17 @@ from ncgn.engine import (
     model_dims,
     train,
 )
-from ncgn.graphs import GeometricGraph
+from ncgn.graphs import (
+    GeometricGraph,
+    build_fully_connected_edges,
+    build_knn_edges,
+    build_long_short_edges,
+)
 from ncgn.interpolant import interpolate
 from ncgn.reaction_diffusion import RdParams, build_spatiotemporal_graph, simulate_rd
+from ncgn.schedule import SCHEDULE_KINDS, eval_schedule
 from ncgn.transport import PointCloud, w2_exact
+from structure_helpers import RecordingCache
 
 
 def rd_graphs(count, n_space=6, n_time=6, seed=0):
@@ -52,6 +59,17 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="'ve'"):
         TrainConfig(interpolant="ve")  # not a kind that trains and samples
+    # every setting the structure cache reads is checked up front, so a
+    # bad one can neither train on zero edges nor reach a checkpoint
+    with pytest.raises(ValueError, match="'quadratic'"):
+        TrainConfig(schedule_kind="quadratic")
+    with pytest.raises(ValueError, match="'quadratic'"):
+        TrainConfig(method="knn_fixed", schedule_kind="quadratic")
+    with pytest.raises(ValueError, match="'mlp'"):
+        TrainConfig(mp_kind="mlp")
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"knn_k must be >= 1, got {k}"):
+            TrainConfig(method="knn_fixed", knn_k=k)
 
 
 def test_condition_mask_validation():
@@ -150,19 +168,11 @@ def test_sample_restores_train_mode_when_it_raises():
 def test_positions_task_train_and_sample(monkeypatch):
     made = []
 
-    class RecordingCache(StructureCache):
-        """Records every cache train and sample make and the lookups on it."""
+    def make(config):
+        made.append(RecordingCache(config))
+        return made[-1]
 
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.lookups = 0
-            made.append(self)
-
-        def dmp(self, positions, s_t, r_t):
-            self.lookups += 1
-            return super().dmp(positions, s_t, r_t)
-
-    monkeypatch.setattr(engine, "StructureCache", RecordingCache)
+    monkeypatch.setattr(engine, "StructureCache", make)
     shapes = generate_shape_dataset(n_train=8, n_test=2, n_points=24, seed=0)
     config = TrainConfig(task="positions", mp_kind="gat", epochs=3, batch=4,
                          warmup_epochs=1, hdim=8, layers=1, seed=2)
@@ -182,7 +192,7 @@ def test_positions_task_train_and_sample(monkeypatch):
         assert np.abs(a.positions - g.positions).max() > 0.1
     # noised positions never recur, so no structure is stored
     assert len(made) == 4
-    assert all(c.lookups > 0 and len(c) == 0 for c in made)
+    assert all(c.config is config and c.stats and len(c) == 0 for c in made)
 
 
 def test_positions_task_ignores_template_features():
@@ -284,7 +294,7 @@ def test_random_pred_is_model_free():
         train(graphs, config)
     positions = np.random.default_rng(0).standard_normal((10, 2))
     with pytest.raises(ValueError, match="random_pred"):
-        StructureCache().baseline(positions, "random_pred", 3, 0)
+        StructureCache(config).baseline(positions)
 
 
 def test_evaluate_w2_same_files_zero():
@@ -390,17 +400,41 @@ def test_flat_gat_merged_loss_equals_per_graph_mean():
         z0 = rng.standard_normal(z1.shape)
         z_t = interpolate(z0, z1, t, spec, noise_seed)
         part = (z_t, node_input(np.zeros((len(z1), 0)), z_t, t), t)
-        pred = merged_forward(reference, [part], config, StructureCache()).data
+        pred = merged_forward(reference, [part], StructureCache(config)).data
         losses.append(np.mean((pred - (z1 - z0)) ** 2))
     assert rows[0][2] == pytest.approx(np.mean(losses), rel=1e-12, abs=0)
 
 
 def test_structure_cache_reuses_entries():
+    # the features task's positions are fixed grids, so each lookup is
+    # built once; the positions task's never recur, so nothing is stored
     g = rd_graphs(1)[0]
-    cache = StructureCache()
-    a = cache.dmp(g.positions, 8, 3)
-    b = cache.dmp(g.positions, 8, 3)
-    assert a is b
-    c = cache.baseline(g.positions, "knn_fixed", 4, 0)
-    d = cache.baseline(g.positions, "knn_fixed", 4, 0)
-    assert c is d
+    for method in ("dmp", "knn_fixed"):
+        cache = StructureCache(TrainConfig(method=method, knn_k=4))
+        a = cache(g.positions, 0.3)
+        assert cache(g.positions, 0.3) is a and len(cache) == 1
+        fresh = StructureCache(TrainConfig(task="positions", method=method))
+        b = fresh(g.positions, 0.3)
+        assert fresh(g.positions, 0.3) is not b and len(fresh) == 0
+        np.testing.assert_array_equal(b.edges, fresh(g.positions, 0.3).edges)
+
+
+def test_structure_cache_follows_config():
+    # the config alone decides a graph's structure: DMP asks for the
+    # schedule point of (kind, t, N), baselines read knn_k and seed
+    positions = np.random.default_rng(2).standard_normal((40, 2))
+    for kind in SCHEDULE_KINDS:
+        cache = RecordingCache(TrainConfig(schedule_kind=kind))
+        for t in (0.0, 0.35, 1.0):
+            cache(positions, t)
+        assert [(st["r_t"], st["s_t"]) for st in cache.stats] == [
+            eval_schedule(kind, t, 40) for t in (0.0, 0.35, 1.0)]
+    for method, edges in (
+        ("knn_fixed", build_knn_edges(positions, 5)),
+        ("fully_connected", build_fully_connected_edges(40)),
+        ("long_short", build_long_short_edges(positions, 5, 9)),
+    ):
+        config = TrainConfig(method=method, knn_k=5, seed=9)
+        structure = StructureCache(config)(positions, 0.35)
+        np.testing.assert_array_equal(structure.edges, edges)
+        np.testing.assert_array_equal(structure.cluster_of, np.arange(40))
