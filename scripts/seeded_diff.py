@@ -4,12 +4,15 @@
 Usage: python3 scripts/seeded_diff.py OLD NEW
 
 Prints a line per difference of each file that differs: for numeric files
-(``.csv``, ``.graph``, ``.ckpt``) the largest absolute deviation and that
-deviation relative to the file's largest magnitude; for any other file
-"differs". Checkpoints are compared array by array, by name: the deviation
-covers the arrays both sides share, arrays present on one side only (or
-with other shapes) are listed by name, and the train records are compared
-key by key (the keys on one side only and the keys whose values differ).
+(``.csv``, ``.graph``, ``.ckpt`` and dataset ``manifest`` files) the largest
+absolute deviation and that deviation relative to the file's largest
+magnitude; for any other file "differs". Text files are compared token by
+token: numbers by value, other tokens (CSV column names, manifest keys and
+words) as words. Checkpoints are compared array by array, by name: the
+deviation covers the arrays both sides share, arrays present on one side
+only (or with other shapes) are listed by name, and the train records are
+compared key by key (the keys on one side only and the keys whose values
+differ).
 ``config.resolved`` is skipped, since it records the output paths. Exits 1
 when a file exists on one side only, a non-numeric file or token differs,
 the two sides of a numeric file differ in layout (token count, checkpoint
@@ -41,8 +44,9 @@ def _float(token):
 
 
 def text_values(path):
-    """The numbers of a CSV or ``.graph`` file, plus its non-numeric
-    tokens (the header, the CSV column names) in order."""
+    """The numbers of a CSV, ``.graph`` or ``manifest`` file, plus its
+    non-numeric tokens (the header, the CSV column names, the manifest keys
+    and words) in order."""
     tokens = SEPARATORS.split(path.read_text().strip())
     numbers = [_float(tok) for tok in tokens]
     words = [tok for tok, num in zip(tokens, numbers) if num is None]
@@ -130,7 +134,7 @@ def main(argv):
         if old.read_bytes() == new.read_bytes():
             same += 1
             continue
-        if rel.suffix in (".ckpt", ".csv", ".graph"):
+        if rel.suffix in (".ckpt", ".csv", ".graph") or rel.name == "manifest":
             deviation, notes = compare(old, new)
             if deviation is not None:
                 print(f"{rel}: {deviation}")

@@ -13,7 +13,11 @@
 #   scripts/seeded_outputs.sh old/src /tmp/old
 #   scripts/seeded_outputs.sh new/src /tmp/new
 #   diff -r -x config.resolved /tmp/old /tmp/new
-# config.resolved is excluded because it records the output paths.
+# config.resolved is excluded because it records the output paths. Where
+# numbers are expected to move, compare by value instead:
+#   python3 scripts/seeded_diff.py /tmp/old /tmp/new
+# prints each differing file's largest deviation, and exits 0 when every
+# difference is numeric.
 set -e
 
 if [ $# -ne 2 ]; then

@@ -1,8 +1,10 @@
 """Dataset generation and on-disk layout.
 
 A dataset directory holds `train/*.graph`, `test/*.graph`, and a plain-text
-`manifest` of `key: value` lines recording counts, the normalization
-constants, the seed, and (for reaction-diffusion data) the sign convention.
+`manifest` of `key: value` lines recording counts, the seed and the feature
+bounds. For reaction-diffusion data those are the raw per-gene min and max
+the features were scaled with, and the manifest also records the grid
+shapes and the sign convention.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import os
 
 import numpy as np
 
-from .graphs import GeometricGraph, load_graph, save_graph
+from .graphs import load_graph, save_graph
 from .reaction_diffusion import (
     RdParams,
     build_spatiotemporal_graph,
@@ -24,6 +26,11 @@ from .shapes import SHAPE_KINDS, ShapeSpec, make_shape
 # once per step for the whole chunk. 128 rows hold 37 MB of trajectory at
 # the default schedule; 256 rows were no faster per trajectory.
 RD_CHUNK = 128
+
+# (n_space, n_time) grids of the train and test graphs: the two
+# discretizations of the transcriptomics benchmark
+TRAIN_SHAPE = (10, 10)
+TEST_SHAPE = (8, 12)
 
 
 class Dataset:
@@ -78,15 +85,18 @@ def _check_counts(n_train, n_test):
 
 
 def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
-                        sign_convention="damped", params: RdParams | None = None,
-                        train_shape=(10, 10), test_shape=(8, 12)) -> Dataset:
+                        sign_convention="damped",
+                        params: RdParams | None = None) -> Dataset:
     """Simulate reaction-diffusion trajectories and cut them into graphs.
 
     Trajectory i uses seed ``seed + i`` and the first n_train form the
     train split; ``simulate_rd`` runs ``RD_CHUNK`` of them per call. Train
-    graphs use train_shape = (n_space, n_time) nodes, test graphs
-    test_shape, per the two discretizations. Feature normalization constants
-    are global over every subsampled node of both splits.
+    graphs use ``TRAIN_SHAPE`` = (n_space, n_time) nodes, test graphs
+    ``TEST_SHAPE``, per the two discretizations. This is the one place RD
+    features are scaled: each gene's raw value x becomes
+    ``(x - lo) / (hi - lo) - 0.5`` in one pass, with lo and hi the gene's
+    min and max over every subsampled node of both splits (a constant gene
+    divides by 1 instead). The manifest records lo and hi.
     """
     _check_counts(n_train, n_test)
     if params is None:
@@ -97,24 +107,19 @@ def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
         stop = min(start + RD_CHUNK, total)
         trajectories = simulate_rd(params, seed=range(seed + start, seed + stop))
         for i, traj in enumerate(trajectories, start):
-            n_space, n_time = train_shape if i < n_train else test_shape
-            graphs.append(
-                build_spatiotemporal_graph(traj, n_space, n_time,
-                                           bounds=np.array([[0.0, 1.0]] * 3))
-            )
-    # graphs above carry raw gene values shifted by -0.5; undo the shift and
-    # rescale with the dataset-global per-gene bounds
-    all_feats = np.concatenate([g.features + 0.5 for g in graphs])
+            n_space, n_time = TRAIN_SHAPE if i < n_train else TEST_SHAPE
+            graphs.append(build_spatiotemporal_graph(traj, n_space, n_time))
+    all_feats = np.concatenate([g.features for g in graphs])
     lo, hi = all_feats.min(axis=0), all_feats.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     for g in graphs:
-        g.features = (g.features + 0.5 - lo) / span - 0.5
+        g.features = (g.features - lo) / span - 0.5
     manifest = {
         "kind": "reaction-diffusion",
         "n_train": str(n_train),
         "n_test": str(n_test),
-        "train_shape": f"{train_shape[0]} {train_shape[1]}",
-        "test_shape": f"{test_shape[0]} {test_shape[1]}",
+        "train_shape": f"{TRAIN_SHAPE[0]} {TRAIN_SHAPE[1]}",
+        "test_shape": f"{TEST_SHAPE[0]} {TEST_SHAPE[1]}",
         "seed": str(seed),
         "convention": params.sign_convention,
         "feature_min": " ".join(repr(float(v)) for v in lo),
@@ -145,10 +150,3 @@ def generate_shape_dataset(n_train=500, n_test=100, n_points=64,
         "feature_max": "0.5 0.5 0.5",
     }
     return Dataset(build(n_train, 0), build(n_test, n_train), manifest)
-
-
-def dataset_bounds(manifest) -> np.ndarray:
-    """Per-channel (min, max) recorded in a manifest; 3 x 2."""
-    lo = np.array([float(v) for v in manifest["feature_min"].split()])
-    hi = np.array([float(v) for v in manifest["feature_max"].split()])
-    return np.column_stack([lo, hi])

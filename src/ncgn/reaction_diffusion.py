@@ -147,7 +147,9 @@ def simulate_rd(params: RdParams, seed=0, init=None, alpha=None) -> np.ndarray:
         padded[..., 0], padded[..., -1] = state[..., 0], state[..., -1]
         rate[0] = (a_bmp - params.k4 * sox - k5 * bmp
                    + params.d_b * laplacian_1d(padded[0]))
-        rate[1] = a_sox + params.k2 * bmp - params.k3 * wnt - sox**3
+        # the cube as a product: numpy's power takes a slow per-element
+        # path for negative bases (about 60x slower on a (128, 100) array)
+        rate[1] = a_sox + params.k2 * bmp - params.k3 * wnt - sox * sox * sox
         rate[2] = (a_wnt - params.k7 * sox - k9 * wnt
                    + params.d_w * laplacian_1d(padded[2]))
         state += params.dt * rate
@@ -170,46 +172,20 @@ def _even_indices(count, available):
     return np.round(np.linspace(0, available - 1, count)).astype(int)
 
 
-def _minmax_normalize(x, lo, hi):
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (x - lo) / safe - 0.5
-    return np.where(span == 0.0, 0.0, out)
-
-
-def feature_bounds(trajectory) -> np.ndarray:
-    """Per-gene (min, max) over a trajectory or stack of them; 3 x 2."""
-    flat = np.asarray(trajectory).reshape(-1, 3)
-    return np.column_stack([flat.min(axis=0), flat.max(axis=0)])
-
-
-def build_spatiotemporal_graph(trajectory, n_space, n_time,
-                               bounds=None) -> GeometricGraph:
+def build_spatiotemporal_graph(trajectory, n_space, n_time) -> GeometricGraph:
     """Evenly subsample a trajectory into a graph of n_space * n_time cells.
 
     Positions are (time, space) scaled to [-0.5, 0.5]; features are the three
-    gene values min-max scaled to [-0.5, 0.5] using ``bounds`` (3 x 2 per-gene
-    min/max, dataset-global when given; defaults to this trajectory's own).
+    raw gene values at each subsampled cell, unscaled (``generate_rd_dataset``
+    scales them with bounds over the whole dataset).
     """
     trajectory = np.asarray(trajectory, dtype=np.float64)
     n_snap, l, _ = trajectory.shape
     t_idx = _even_indices(n_time, n_snap)
     s_idx = _even_indices(n_space, l)
-    if bounds is None:
-        bounds = feature_bounds(trajectory)
-    bounds = np.asarray(bounds, dtype=np.float64)
-
-    sub = trajectory[np.ix_(t_idx, s_idx)]          # n_time x n_space x 3
-    feats = _minmax_normalize(sub.reshape(-1, 3), bounds[:, 0], bounds[:, 1])
+    feats = trajectory[np.ix_(t_idx, s_idx)].reshape(-1, 3)
     t_coord = t_idx / max(n_snap - 1, 1) - 0.5
     s_coord = s_idx / max(l - 1, 1) - 0.5
     tt, ss = np.meshgrid(t_coord, s_coord, indexing="ij")
     positions = np.column_stack([tt.ravel(), ss.ravel()])
     return GeometricGraph(feats, positions)
-
-
-def denormalize_features(features, bounds) -> np.ndarray:
-    """Invert the [-0.5, 0.5] min-max scaling; exact where max > min."""
-    bounds = np.asarray(bounds, dtype=np.float64)
-    span = bounds[:, 1] - bounds[:, 0]
-    return (np.asarray(features) + 0.5) * span + bounds[:, 0]

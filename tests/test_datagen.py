@@ -5,8 +5,8 @@ import pytest
 
 from ncgn import dataset
 from ncgn.dataset import (
-    Dataset,
-    dataset_bounds,
+    TEST_SHAPE,
+    TRAIN_SHAPE,
     generate_rd_dataset,
     generate_shape_dataset,
     load_dataset,
@@ -16,8 +16,6 @@ from ncgn.reaction_diffusion import (
     GENES,
     RdParams,
     build_spatiotemporal_graph,
-    denormalize_features,
-    feature_bounds,
     laplacian_1d,
     simulate_rd,
 )
@@ -155,7 +153,7 @@ def serial_rd(params, init, alpha):
     traj = []
     for step in range(n_steps + 1):
         traj += [np.column_stack([bmp, sox, wnt])] * int(np.sum(record_at == step))
-        d_sox = a_sox + params.k2 * bmp - params.k3 * wnt - sox**3
+        d_sox = a_sox + params.k2 * bmp - params.k3 * wnt - sox * sox * sox
         d_bmp = a_bmp - params.k4 * sox - k5 * bmp + params.d_b * lap(bmp)
         d_wnt = a_wnt - params.k7 * sox - k9 * wnt + params.d_w * lap(wnt)
         bmp, sox, wnt = (bmp + params.dt * d_bmp, sox + params.dt * d_sox,
@@ -266,6 +264,13 @@ def test_params_validation():
 
 # ---------------------------------------------------- graph construction
 
+def subsampled(traj, n_space, n_time):
+    """The raw gene values at the even (time, space) subsample, row-major."""
+    t_idx = np.round(np.linspace(0, traj.shape[0] - 1, n_time)).astype(int)
+    s_idx = np.round(np.linspace(0, traj.shape[1] - 1, n_space)).astype(int)
+    return traj[np.ix_(t_idx, s_idx)].reshape(-1, 3)
+
+
 def test_spatiotemporal_graph_shapes():
     traj = simulate_rd(small_params(), seed=5)
     g10 = build_spatiotemporal_graph(traj, 10, 10)
@@ -273,19 +278,24 @@ def test_spatiotemporal_graph_shapes():
     g812 = build_spatiotemporal_graph(traj, 8, 12)
     assert g812.n_nodes == 96
     assert g10.positions.min() >= -0.5 and g10.positions.max() <= 0.5
-    assert g10.features.min() >= -0.5 - 1e-12
-    assert g10.features.max() <= 0.5 + 1e-12
+    # features are the subsampled trajectory values themselves, unscaled
+    assert g10.features.tobytes() == subsampled(traj, 10, 10).tobytes()
+    assert g812.features.tobytes() == subsampled(traj, 8, 12).tobytes()
 
 
-def test_normalization_round_trip():
-    traj = simulate_rd(small_params(), seed=6)
-    bounds = feature_bounds(traj)
-    g = build_spatiotemporal_graph(traj, 10, 10, bounds=bounds)
-    back = denormalize_features(g.features, bounds)
-    t_idx = np.round(np.linspace(0, traj.shape[0] - 1, 10)).astype(int)
-    s_idx = np.round(np.linspace(0, traj.shape[1] - 1, 10)).astype(int)
-    sub = traj[np.ix_(t_idx, s_idx)].reshape(-1, 3)
-    np.testing.assert_allclose(back, sub, atol=1e-12)
+def test_rd_dataset_scales_raw_values_once():
+    params = small_params()
+    ds = generate_rd_dataset(n_train=3, n_test=2, seed=4, params=params)
+    trajectories = simulate_rd(params, seed=range(4, 9))
+    raw = [subsampled(traj, *(TRAIN_SHAPE if i < 3 else TEST_SHAPE))
+           for i, traj in enumerate(trajectories)]
+    stacked = np.concatenate(raw)
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    for key, bound in (("feature_min", lo), ("feature_max", hi)):
+        recorded = np.array(ds.manifest[key].split(), dtype=np.float64)
+        assert recorded.tobytes() == bound.tobytes()
+    for g, x in zip(ds.train + ds.test, raw, strict=True):
+        assert g.features.tobytes() == ((x - lo) / (hi - lo) - 0.5).tobytes()
 
 
 def test_subsample_count_validation():
@@ -305,8 +315,6 @@ def test_rd_dataset_and_roundtrip(tmp_path):
     feats = np.concatenate([g.features for g in ds.train + ds.test])
     np.testing.assert_allclose(feats.min(axis=0), -0.5, atol=1e-12)
     np.testing.assert_allclose(feats.max(axis=0), 0.5, atol=1e-12)
-    bounds = dataset_bounds(ds.manifest)
-    assert bounds.shape == (3, 2)
     assert ds.manifest["convention"] == "damped"
 
     save_dataset(tmp_path / "ds", ds)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,11 @@ def test_finite_difference_gradients(mp_kind):
 @pytest.mark.parametrize("kind", ["knn_fixed", "fully_connected", "long_short"])
 def test_identity_reduction_matches_baselines(mp_kind, kind):
     # singleton clusters + the baseline's own edges reproduce it exactly
+    # (acceptance criterion 4)
     from ncgn.graphs import build_knn_edges, build_long_short_edges
 
-    for seed in range(10):
-        g = random_graph(9, seed=seed)
+    for n, seed in itertools.product((8, 9), range(10)):
+        g = random_graph(n, seed=seed)
         model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2,
                          mp_kind=mp_kind, seed=seed)
         model.eval()
@@ -129,7 +132,7 @@ def test_identity_reduction_matches_baselines(mp_kind, kind):
         if kind == "knn_fixed":
             edges = build_knn_edges(g.positions, 3)
         elif kind == "fully_connected":
-            edges = build_fully_connected_edges(9)
+            edges = build_fully_connected_edges(n)
         else:
             edges = build_long_short_edges(g.positions, 3, seed)
         ours = forward(model, g, 0.3, cache=SingletonCache(edges)).data

@@ -37,8 +37,14 @@ from structure_helpers import RecordingCache
 def rd_graphs(count, n_space=6, n_time=6, seed=0):
     params = RdParams(l=40, t_end=10.0, snapshots=21, sign_convention="damped")
     trajectories = simulate_rd(params, seed=range(seed, seed + count))
-    return [build_spatiotemporal_graph(traj, n_space, n_time)
-            for traj in trajectories]
+    graphs = []
+    for traj in trajectories:
+        # min-max scaled to [-0.5, 0.5] by each trajectory's own bounds
+        g = build_spatiotemporal_graph(traj, n_space, n_time)
+        lo, hi = traj.min(axis=(0, 1)), traj.max(axis=(0, 1))
+        g.features = (g.features - lo) / (hi - lo) - 0.5
+        graphs.append(g)
+    return graphs
 
 
 def overfit_config(**kw):

@@ -104,3 +104,25 @@ def test_renamed_array_is_a_layout_difference(tmp_path, capsys):
         "model.ckpt: layout differs: only in OLD: 'a.bias'",
         "model.ckpt: layout differs: only in NEW: 'a.shift'",
         "0 of 1 files byte-identical"]
+
+
+def test_manifest_compared_token_by_token(tmp_path, capsys):
+    # feature bounds that move in the last bit are a numeric deviation; a
+    # changed key or word is a layout difference
+    lo = 0.0123
+    next_up = float(np.nextafter(lo, 1.0))
+    for side, bound, convention in (("old", lo, "damped"),
+                                    ("new", next_up, "damped"),
+                                    ("other", lo, "printed")):
+        root = tmp_path / side / "data"
+        root.mkdir(parents=True)
+        (root / "manifest").write_text(
+            f"kind: reaction-diffusion\nn_train: 4\nconvention: {convention}\n"
+            f"feature_min: {bound!r} -0.05\nfeature_max: 0.06 0.07\n")
+    old = str(tmp_path / "old")
+    assert load_script().main(["seeded_diff", old, str(tmp_path / "new")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["data/manifest: max abs 1.735e-18, relative to largest "
+                   "4.337e-19", "0 of 1 files byte-identical"]
+    assert load_script().main(["seeded_diff", old, str(tmp_path / "other")]) == 1
+    assert "data/manifest: layout differs: tokens" in capsys.readouterr().out
