@@ -7,17 +7,20 @@ Prints a line per difference of each file that differs: for numeric files
 (``.csv``, ``.graph``, ``.ckpt`` and dataset ``manifest`` files) the largest
 absolute deviation and that deviation relative to the file's largest
 magnitude; for any other file "differs". Text files are compared token by
-token: numbers by value, other tokens (CSV column names, manifest keys and
-words) as words. Checkpoints are compared array by array, by name: the
-deviation covers the arrays both sides share, arrays present on one side
-only (or with other shapes) are listed by name, and the train records are
-compared key by key (the keys on one side only and the keys whose values
-differ).
+token: float tokens (the ones ``repr(float)`` writes, with a ".", an
+exponent, "inf" or "nan") by value, and integer tokens (a ``.graph``
+header's counts, a manifest's seed, CSV step columns) and words (CSV column
+names, manifest keys) exactly. So a text file's largest magnitude is its
+largest float, never a count. Checkpoints are compared array by array, by
+name: the deviation covers the arrays both sides share, arrays present on
+one side only (or with other shapes) are listed by name, and the train
+records are compared key by key (the keys on one side only and the keys
+whose values differ).
 ``config.resolved`` is skipped, since it records the output paths. Exits 1
-when a file exists on one side only, a non-numeric file or token differs,
-the two sides of a numeric file differ in layout (token count, checkpoint
-names, shapes or order) or two checkpoint records differ; exits 0 when
-every difference is numeric.
+when a file exists on one side only, a non-numeric file, a word or an
+integer token differs, the two sides of a numeric file differ in layout
+(token count, checkpoint names, shapes or order) or two checkpoint records
+differ; exits 0 when every difference is in float values.
 """
 
 from __future__ import annotations
@@ -43,24 +46,43 @@ def _float(token):
         return None
 
 
+def _int(token):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def text_values(path):
-    """The numbers of a CSV, ``.graph`` or ``manifest`` file, plus its
-    non-numeric tokens (the header, the CSV column names, the manifest keys
-    and words) in order."""
-    tokens = SEPARATORS.split(path.read_text().strip())
-    numbers = [_float(tok) for tok in tokens]
-    words = [tok for tok, num in zip(tokens, numbers) if num is None]
-    return np.array([num for num in numbers if num is not None]), words
+    """The float tokens of a CSV, ``.graph`` or ``manifest`` file, and its
+    layout: every token in order, integers as ints, words as strings and
+    each float as None."""
+    floats, layout = [], []
+    for tok in SEPARATORS.split(path.read_text().strip()):
+        num = _int(tok)
+        if num is None and _float(tok) is not None:
+            floats.append(float(tok))
+            layout.append(None)
+        else:
+            layout.append(tok if num is None else num)
+    return np.array(floats), layout
 
 
 def text_pair(old, new):
-    """Token-by-token values of two text files (none when the layouts
+    """Token-by-token float values of two text files (none when the layouts
     differ), their layout differences and, as they hold no record, no
-    record differences."""
-    (a, words_a), (b, words_b) = text_values(old), text_values(new)
-    if words_a != words_b or a.shape != b.shape:
-        return None, None, ["tokens"], []
-    return a, b, [], []
+    record differences. A layout that differs in integers only is reported
+    by its first differing integer."""
+    (a, layout_a), (b, layout_b) = text_values(old), text_values(new)
+    if layout_a == layout_b:
+        return a, b, [], []
+    diffs = [(x, y) for x, y in zip(layout_a, layout_b) if x != y]
+    if len(layout_a) == len(layout_b) and all(
+            isinstance(x, int) and isinstance(y, int) for x, y in diffs):
+        x, y = diffs[0]
+        return None, None, [f"integers differ at {len(diffs)} token(s), "
+                            f"first {x} in OLD, {y} in NEW"], []
+    return None, None, ["tokens"], []
 
 
 def record_notes(a, b):

@@ -19,7 +19,7 @@ from .reaction_diffusion import (
     build_spatiotemporal_graph,
     simulate_rd,
 )
-from .shapes import SHAPE_KINDS, ShapeSpec, make_shape
+from .shapes import SHAPE_KINDS, make_shape
 
 # Trajectories per simulate_rd call in generate_rd_dataset. The simulator
 # steps a chunk as (chunk, l) arrays, so numpy's per-call overhead is paid
@@ -137,7 +137,7 @@ def generate_shape_dataset(n_train=500, n_test=100, n_points=64,
         graphs = []
         for i in range(count):
             kind = SHAPE_KINDS[i % len(SHAPE_KINDS)]
-            graphs.append(make_shape(ShapeSpec(kind, n_points, seed + offset + i)))
+            graphs.append(make_shape(kind, n_points, seed + offset + i))
         return graphs
 
     manifest = {

@@ -37,10 +37,11 @@ from .graphs import (
     build_long_short_edges,
     voxel_coarsen,
 )
-from .interpolant import InterpolantSpec, generate, interpolate, regression_target
+from .interpolant import KINDS as INTERPOLANT_KINDS
+from .interpolant import generate, interpolate, regression_target
 from .schedule import SCHEDULE_KINDS, eval_schedule
 from .tensor import Tensor, no_grad
-from .transport import PointCloud, gw_entropic, w2_exact
+from .transport import gw_entropic, w2_exact
 
 BASELINES = ("knn_fixed", "fully_connected", "long_short")
 METHODS = ("dmp",) + BASELINES + ("random_pred",)
@@ -87,16 +88,14 @@ class TrainConfig:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        self.interpolant_spec()
+        if self.interpolant not in INTERPOLANT_KINDS:
+            raise ValueError(f"unknown interpolant kind {self.interpolant!r}")
         if min(self.epochs, self.batch, self.hdim, self.layers, self.nfes) < 1:
             raise ValueError("epochs, batch, hdim, layers, nfes must be positive")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("need 0 <= warmup_epochs <= epochs")
-
-    def interpolant_spec(self):
-        return InterpolantSpec(kind=self.interpolant)
 
 
 @dataclass
@@ -243,7 +242,6 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
     if config.method == "random_pred":
         raise ValueError("method 'random_pred' is model-free: draw its samples "
                          "with random_generations instead of training")
-    spec = config.interpolant_spec()
     if model is None:
         model = build_model(graphs[0], config)
     opt = nn.Adam(model.parameters(), lr=config.lr)
@@ -264,8 +262,9 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
                 noise_seed = int(rng.integers(2**32))
                 z1 = _component(g, config.task)
                 z0 = rng.standard_normal(z1.shape)
-                z_t = interpolate(z0, z1, t, spec, noise_seed)
-                targets.append(regression_target(z0, z1, spec, seed=noise_seed))
+                z_t = interpolate(z0, z1, t, config.interpolant, noise_seed)
+                targets.append(regression_target(z0, z1, config.interpolant,
+                                                 seed=noise_seed))
                 parts.append(_part(g, z_t, t, config.task))
             pred = merged_forward(model, parts, cache)
             diff = pred - Tensor(np.concatenate(targets))
@@ -284,6 +283,21 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
     return model, ema, rows
 
 
+def _check_masks(mask, shapes):
+    """Check a per-template mask list (or None) against the templates'
+    generated-component shapes: one entry per template, each None or of
+    its template's shape."""
+    if mask is None:
+        return
+    if len(mask) != len(shapes):
+        raise ValueError(f"need one mask entry per template: got {len(mask)} "
+                         f"for {len(shapes)} templates")
+    for i, (m, shape) in enumerate(zip(mask, shapes)):
+        if m is not None and m.known.shape != shape:
+            raise ValueError(f"mask for template {i}: expected shape {shape}, "
+                             f"got {m.known.shape}")
+
+
 def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
            nfes=None, seed=0):
     """Generate one graph per template.
@@ -298,9 +312,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
     sampling raises.
     """
     nfes = config.nfes if nfes is None else nfes
-    if mask is not None and len(mask) != len(templates):
-        raise ValueError("need one mask entry per template")
-    spec = config.interpolant_spec()
+    _check_masks(mask, [(g.n_nodes, model.odim) for g in templates])
     cache = StructureCache(config)
     rng = np.random.default_rng(seed)
     odim = model.odim
@@ -319,8 +331,6 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
             for m, (lo, hi) in zip(masks, spans):
                 if m is None:
                     continue
-                if m.known.shape != (hi - lo, odim):
-                    raise ValueError("mask shape mismatch")
                 known[lo:hi] = m.known
                 values[lo:hi] = m.values
 
@@ -336,7 +346,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
 
             prior = z0.copy()
             clamp(prior, 0.0)
-            z = generate(field, prior, spec, nfes,
+            z = generate(field, prior, config.interpolant, nfes,
                          seed=int(rng.integers(2**32)), callback=clamp)
             out.extend(_with_component(g, z[lo:hi].copy(), config.task)
                        for g, (lo, hi) in zip(chunk, spans))
@@ -351,15 +361,12 @@ def random_generations(templates, task, seed=0, mask=None):
     ``mask`` is a per-template list of ConditionMask (or None entries), as
     for ``sample``; known channels take their conditioning values.
     """
-    if mask is not None and len(mask) != len(templates):
-        raise ValueError("need one mask entry per template")
+    _check_masks(mask, [_component(g, task).shape for g in templates])
     rng = np.random.default_rng(seed)
     out = []
     for g, m in zip(templates, mask or [None] * len(templates)):
         z = rng.standard_normal(_component(g, task).shape)
         if m is not None:
-            if m.known.shape != z.shape:
-                raise ValueError("mask shape mismatch")
             z[m.known] = m.values[m.known]
         out.append(_with_component(g, z, task))
     return out
@@ -394,7 +401,7 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
         rng = np.random.default_rng(seed + i)
         a = gen[rng.choice(len(gen), size=m, replace=False)]
         b = ref[rng.choice(len(ref), size=m, replace=False)]
-        return w2_exact(PointCloud(a), PointCloud(b))
+        return w2_exact(a, b)
 
     workers = min(n_workers(), replicates)
     if workers > 1:
@@ -462,13 +469,12 @@ def attention_study(model: FlatGat, graphs, bins=10,
     normalized to sum 1; bin edges are global across buckets.
     """
     graphs = graphs[:max_graphs]
-    spec = InterpolantSpec(kind="cfm")
     rng = np.random.default_rng(seed)
     collected = {t: ([], []) for t in t_buckets}
     for t in t_buckets:
         for g in graphs:
             z0 = rng.standard_normal(g.positions.shape)
-            z_t = interpolate(z0, g.positions, t, spec, int(rng.integers(2**32)))
+            z_t = interpolate(z0, g.positions, t, "cfm", int(rng.integers(2**32)))
             edges = build_fully_connected_edges(g.n_nodes)
             _, inputs, _ = _part(g, z_t, t, "positions")
             alpha = model.attention(inputs, edges)
@@ -510,13 +516,12 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
         for c in cluster_grid:
             vals = []
             for gi, g in enumerate(graphs):
-                clean = PointCloud(g.positions)
                 for s in range(n_seeds):
                     noise_seed = seed + 1000 * gi + s
                     noised = g.positions + (1.0 - t) * np.random.default_rng(
                         noise_seed).standard_normal(g.positions.shape)
                     _, coarse = voxel_coarsen(noised, c)
-                    vals.append(gw_entropic(PointCloud(coarse), clean,
+                    vals.append(gw_entropic(coarse, g.positions,
                                             eps=eps, iters=iters))
             mean = float(np.mean(vals))
             means.append(mean)

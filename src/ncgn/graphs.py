@@ -93,13 +93,14 @@ def build_long_short_edges(positions, k, seed):
 
 
 def voxel_coarsen(positions: np.ndarray, s: int):
-    """Axis-aligned voxel clustering of N x d ``positions`` into at most ``s``
-    clusters; returns (cluster_of, coarse_positions), the node -> cluster
-    map and the s' x d cluster member means.
+    """Axis-aligned voxel clustering of N x d ``positions`` for a target of
+    ``s`` clusters; returns (cluster_of, coarse_positions), the node ->
+    cluster map and the s' x d cluster member means.
 
-    Each dimension's [min, max] range is split into ceil(s^(1/d)) equal
-    half-open bins (last bin closed); empty voxels are dropped, so the
-    realized cluster count s' can be below ``s``.
+    Each dimension's [min, max] range is split into p = ceil(s^(1/d)) equal
+    half-open bins (last bin closed); empty voxels are dropped. So s' is at
+    most min(N, p^d), which can exceed ``s`` when s is not a d-th power: for
+    s = 32 in 3-D, p = 4 and s' can reach 64.
     """
     if s < 1:
         raise ValueError("s must be positive")

@@ -1,7 +1,8 @@
 """Noising processes: what gets interpolated, regressed against, and how
 samples are drawn back out.
 
-Two kinds:
+Two kinds, passed to every function as one of the strings in KINDS (any
+other kind raises ValueError):
   cfm  - straight-path conditional flow matching with a constant noise
          floor SIGMA_MIN, sampled with explicit Euler from t=0 to t=1.
   ddpm - variance-preserving diffusion over DDPM_STEPS steps with a linear
@@ -12,10 +13,9 @@ t=1 is always the data end, t=0 the noise end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+KINDS = ("cfm", "ddpm")
 BETA_MIN, BETA_MAX = 1e-4, 0.02  # ddpm's linear beta range
 DDPM_STEPS = 1000  # ddpm's diffusion steps
 SIGMA_MIN = 1e-3  # cfm's noise scale along the whole path
@@ -24,26 +24,24 @@ ALPHA_BARS = np.concatenate(
     [[1.0], np.cumprod(1.0 - np.linspace(BETA_MIN, BETA_MAX, DDPM_STEPS))])
 
 
-@dataclass
-class InterpolantSpec:
-    kind: str = "cfm"
+def alpha_bar(t):
+    """ddpm's cumulative signal retention at noise level t; alpha_bar(1) = 1."""
+    return float(ALPHA_BARS[int(round((1.0 - t) * DDPM_STEPS))])
 
-    def __post_init__(self):
-        if self.kind not in ("cfm", "ddpm"):
-            raise ValueError(f"unknown interpolant kind {self.kind!r}; "
-                             f"expected 'cfm' or 'ddpm'")
 
-    def alpha_bar(self, t):
-        """Cumulative signal retention at noise level t; alpha_bar(1) = 1."""
-        return float(ALPHA_BARS[int(round((1.0 - t) * DDPM_STEPS))])
+def _check_kind(kind):
+    if kind not in KINDS:
+        raise ValueError(f"unknown interpolant kind {kind!r}; expected one of "
+                         f"{', '.join(map(repr, KINDS))}")
 
 
 def _noise(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def interpolate(z0, z1, t, spec: InterpolantSpec, seed):
+def interpolate(z0, z1, t, kind, seed):
     """Draw the noised sample z_t between prior draw z0 and data z1."""
+    _check_kind(kind)
     z0 = np.asarray(z0, dtype=np.float64)
     z1 = np.asarray(z1, dtype=np.float64)
     if z0.shape != z1.shape:
@@ -51,30 +49,30 @@ def interpolate(z0, z1, t, spec: InterpolantSpec, seed):
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     eps = _noise(z1.shape, seed)
-    if spec.kind == "cfm":
+    if kind == "cfm":
         return (1.0 - t) * z0 + t * z1 + SIGMA_MIN * eps
-    ab = spec.alpha_bar(t)
+    ab = alpha_bar(t)
     return np.sqrt(ab) * z1 + np.sqrt(1.0 - ab) * eps
 
 
-def regression_target(z0, z1, spec: InterpolantSpec, seed=None):
+def regression_target(z0, z1, kind, seed=None):
     """The vector the network regresses against for prior draw z0 and data
     z1; neither kind depends on the noise level.
 
     For ddpm this is the noise draw itself, so the same seed used in
     ``interpolate`` must be passed back in.
     """
+    _check_kind(kind)
     z0 = np.asarray(z0, dtype=np.float64)
     z1 = np.asarray(z1, dtype=np.float64)
-    if spec.kind == "cfm":
+    if kind == "cfm":
         return z1 - z0
     if seed is None:
         raise ValueError("ddpm target requires the interpolate seed")
     return _noise(z1.shape, seed)
 
 
-def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
-             callback=None):
+def generate(field, z0, kind, nfes: int, seed=0, callback=None):
     """Integrate the learned field from prior to data; returns the N x odim
     state at t = 1.
 
@@ -87,6 +85,7 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
     (conditioning clamps). A non-finite state after any step raises
     RuntimeError naming the step and the t it reached.
     """
+    _check_kind(kind)
     if nfes < 1:
         raise ValueError("nfes must be >= 1")
     z = np.array(z0, dtype=np.float64)
@@ -99,7 +98,7 @@ def generate(field, z0, spec: InterpolantSpec, nfes: int, seed=0,
             callback(z, t)
         return z
 
-    if spec.kind == "cfm":
+    if kind == "cfm":
         dt = 1.0 / nfes
         for i in range(nfes):
             t = i * dt

@@ -8,8 +8,6 @@ to zero exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import GeometricGraph
@@ -18,19 +16,6 @@ SHAPE_KINDS = ("sphere", "cube", "prism", "cylinder", "torus")
 
 TORUS_MAJOR = 0.35
 TORUS_MINOR = 0.15
-
-
-@dataclass
-class ShapeSpec:
-    kind: str
-    n_points: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SHAPE_KINDS:
-            raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.n_points < 4:
-            raise ValueError("need at least 4 points")
 
 
 def _sphere(n, rng):
@@ -127,10 +112,15 @@ _SAMPLERS = {
 }
 
 
-def make_shape(spec: ShapeSpec) -> GeometricGraph:
-    """Sample a surface point cloud; features are displacements from the
-    empirical centroid of the sample."""
-    rng = np.random.default_rng(spec.seed)
-    positions = _SAMPLERS[spec.kind](spec.n_points, rng)
+def make_shape(kind, n_points, seed=0) -> GeometricGraph:
+    """Sample ``n_points`` >= 4 points of the surface ``kind`` (one of
+    SHAPE_KINDS); features are displacements from the empirical centroid of
+    the sample."""
+    if kind not in SHAPE_KINDS:
+        raise ValueError(f"unknown shape kind {kind!r}")
+    if n_points < 4:
+        raise ValueError("need at least 4 points")
+    rng = np.random.default_rng(seed)
+    positions = _SAMPLERS[kind](n_points, rng)
     features = positions - positions.mean(axis=0)
     return GeometricGraph(features, positions)

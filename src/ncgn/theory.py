@@ -111,25 +111,6 @@ def optimal_radius(c, lo=1e-4, hi=1.0, tol=1e-8):
     return 0.5 * (lo + hi)
 
 
-def mi_gaussian_oracle(r, snr, rho=default_correlation, m=200):
-    """Joint-Gaussian oracle for the covariance assembly.
-
-    Discretizes the aggregation interval into m midpoint nodes, builds the
-    (m+1)-dimensional covariance of (x_i, x(eta_1), ..., x(eta_m)) with
-    white measurement noise of variance 1/(snr * dx) per node, and reads the
-    mutual information off the Gaussian entropy of the blocks.
-    """
-    dx = 2.0 * r / m
-    eta = -r + dx * (np.arange(m) + 0.5)
-    var_x = 1.0
-    cov_xy = dx * np.sum(rho(0.0, eta))
-    rho_jk = rho(eta[:, None], eta[None, :])
-    noise_var = 1.0 / snr / dx  # white noise: variance sigma(t)^2 * 2r in the sum
-    var_y = dx * dx * (np.sum(rho_jk) + m * noise_var)
-    det = var_x * var_y - cov_xy**2
-    return 0.5 * np.log(var_x * var_y / det)
-
-
 def expected_sq_distance(t, gamma, rho_val):
     """Expected squared distance between two positionally-noised nodes.
 

@@ -1,5 +1,6 @@
-"""Optimal transport metrics: exact 2-Wasserstein between equal-size point
-clouds and entropic Gromov-Wasserstein between metric-measure clouds.
+"""Optimal transport metrics on point clouds given as plain m x q arrays,
+each point of weight 1/m: exact 2-Wasserstein between equal-size clouds and
+entropic Gromov-Wasserstein between clouds of any sizes and dimensions.
 
 Each GW step solves an entropic transport problem with Sinkhorn iterations
 in the scaling domain (matrix-vector products on a row-stabilised kernel);
@@ -16,40 +17,14 @@ from scipy.spatial.distance import cdist
 SINKHORN_TOL = 1e-9  # row-marginal error at which a Sinkhorn solve stops
 
 
-@dataclass
-class PointCloud:
-    points: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 2:
-            raise ValueError("points must be m x q")
-        m = self.points.shape[0]
-        if self.weights is None:
-            self.weights = np.full(m, 1.0 / m)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (m,) or np.any(self.weights < 0):
-                raise ValueError("weights must be a nonnegative length-m vector")
-            s = self.weights.sum()
-            if abs(s - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
-
-
-def w2_exact(a: PointCloud, b: PointCloud) -> float:
-    """Exact 2-Wasserstein distance between equal-size uniform clouds via
-    linear assignment on the squared-distance cost matrix. A cloud with
-    non-uniform weights raises ValueError: an assignment moves equal mass."""
-    if a.points.shape[0] != b.points.shape[0]:
+def w2_exact(a, b) -> float:
+    """Exact 2-Wasserstein distance between two equal-size m x q point
+    clouds of uniform weight, via linear assignment on the squared-distance
+    cost matrix."""
+    if a.shape[0] != b.shape[0]:
         raise ValueError("clouds must have equal sizes")
-    for name, cloud in (("a", a), ("b", b)):
-        if np.ptp(cloud.weights) > 1e-12:
-            raise ValueError(f"w2_exact needs uniform weights; cloud {name!r} "
-                             f"has weights from {cloud.weights.min():.6g} to "
-                             f"{cloud.weights.max():.6g}")
-    m = a.points.shape[0]
-    cost = cdist(a.points, b.points, metric="sqeuclidean")
+    m = a.shape[0]
+    cost = cdist(a, b, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].sum() / m))
 
@@ -135,9 +110,9 @@ def _gw_cost_gradient(c1, c2, coupling, p, q):
     return const - 2.0 * c1 @ coupling @ c2
 
 
-def gw_entropic(a: PointCloud, b: PointCloud, eps=0.05, iters=50,
-                return_details=False):
-    """Squared-loss entropic Gromov-Wasserstein objective.
+def gw_entropic(a, b, eps=0.05, iters=50, return_details=False):
+    """Squared-loss entropic Gromov-Wasserstein objective between an m x q
+    and an n x q' point cloud, each of uniform weight.
 
     Proximal-point mirror descent: each outer iteration linearizes the
     quartic objective at the current coupling and takes an entropic
@@ -146,23 +121,18 @@ def gw_entropic(a: PointCloud, b: PointCloud, eps=0.05, iters=50,
     The regularization strength applies on distance matrices rescaled to
     max 1; the returned objective is always evaluated on the raw distances.
     The initial coupling carries a tiny fixed perturbation to break exactly
-    symmetric stationary points. Weights must be positive.
+    symmetric stationary points.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    for name, cloud in (("a", a), ("b", b)):
-        zero = np.flatnonzero(cloud.weights == 0)
-        if zero.size:
-            raise ValueError(f"{name}.weights[{zero[0]}] is 0; gw_entropic "
-                             f"needs positive weights")
-    m, n = a.points.shape[0], b.points.shape[0]
+    m, n = a.shape[0], b.shape[0]
     if max(m, n) > 512:
         raise ValueError("cloud too large for the entropic solver")
-    p, q = a.weights, b.weights
-    c1_raw = cdist(a.points, a.points)
-    c2_raw = cdist(b.points, b.points)
+    p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    c1_raw = cdist(a, a)
+    c2_raw = cdist(b, b)
     scale = max(c1_raw.max(), c2_raw.max(), 1e-12)
     c1, c2 = c1_raw / scale, c2_raw / scale
     rng = np.random.default_rng(0)

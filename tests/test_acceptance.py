@@ -21,7 +21,7 @@ from ncgn.graphs import build_knn_edges, voxel_coarsen
 from ncgn.reaction_diffusion import RdParams, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, default_bounds, eval_schedule
 from ncgn.tensor import grad
-from ncgn.transport import PointCloud, gw_entropic, w2_exact
+from ncgn.transport import gw_entropic, w2_exact
 from structure_helpers import forward, random_graph
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "artifacts")
@@ -144,19 +144,17 @@ def test_transport_oracles():
         b = rng.standard_normal((m, 2))
         best = min(np.sum((a - b[list(perm)]) ** 2)
                    for perm in itertools.permutations(range(m)))
-        assert w2_exact(PointCloud(a), PointCloud(b)) == pytest.approx(
+        assert w2_exact(a, b) == pytest.approx(
             np.sqrt(best / m), abs=1e-12)
 
     pts = rng.standard_normal((64, 2))
     th = 0.9
     rot = pts @ np.array([[np.cos(th), -np.sin(th)],
                           [np.sin(th), np.cos(th)]]).T
-    assert gw_entropic(PointCloud(pts), PointCloud(rot),
-                       eps=0.002, iters=1000) <= 1e-6
+    assert gw_entropic(pts, rot, eps=0.002, iters=1000) <= 1e-6
 
     eps = 0.005
-    val = gw_entropic(PointCloud(np.array([[0.0], [1.0]])),
-                      PointCloud(np.array([[0.0], [2.0]])),
+    val = gw_entropic(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]]),
                       eps=eps, iters=500)
     assert abs(val - 0.5) <= 10 * eps
 

@@ -19,14 +19,14 @@ from ncgn.reaction_diffusion import (
     laplacian_1d,
     simulate_rd,
 )
-from ncgn.shapes import SHAPE_KINDS, ShapeSpec, make_shape
+from ncgn.shapes import SHAPE_KINDS, make_shape
 
 
 # ---------------------------------------------------------------- shapes
 
 @pytest.mark.parametrize("kind", SHAPE_KINDS)
 def test_shape_fits_unit_box_and_centered_features(kind):
-    g = make_shape(ShapeSpec(kind, 256, seed=1))
+    g = make_shape(kind, 256, seed=1)
     assert g.positions.shape == (256, 3)
     assert np.abs(g.positions).max() <= 0.5 + 1e-12
     np.testing.assert_allclose(g.features.sum(axis=0), 0.0, atol=1e-10)
@@ -35,13 +35,13 @@ def test_shape_fits_unit_box_and_centered_features(kind):
 
 
 def test_sphere_radius_exact():
-    g = make_shape(ShapeSpec("sphere", 128, seed=2))
+    g = make_shape("sphere", 128, seed=2)
     radii = np.linalg.norm(g.positions, axis=1)
     np.testing.assert_allclose(radii, 0.5, atol=1e-12)
 
 
 def test_cube_points_on_faces():
-    g = make_shape(ShapeSpec("cube", 200, seed=3))
+    g = make_shape("cube", 200, seed=3)
     on_face = np.isclose(np.abs(g.positions), 0.5).any(axis=1)
     assert on_face.all()
 
@@ -49,25 +49,25 @@ def test_cube_points_on_faces():
 def test_torus_on_surface():
     from ncgn.shapes import TORUS_MAJOR, TORUS_MINOR
 
-    g = make_shape(ShapeSpec("torus", 100, seed=4))
+    g = make_shape("torus", 100, seed=4)
     ring = np.hypot(g.positions[:, 0], g.positions[:, 1])
     tube = np.hypot(ring - TORUS_MAJOR, g.positions[:, 2])
     np.testing.assert_allclose(tube, TORUS_MINOR, atol=1e-10)
 
 
 def test_shape_determinism_and_seed_variation():
-    a = make_shape(ShapeSpec("prism", 50, seed=5))
-    b = make_shape(ShapeSpec("prism", 50, seed=5))
-    c = make_shape(ShapeSpec("prism", 50, seed=6))
+    a = make_shape("prism", 50, seed=5)
+    b = make_shape("prism", 50, seed=5)
+    c = make_shape("prism", 50, seed=6)
     np.testing.assert_array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
 
 
 def test_shape_spec_validation():
-    with pytest.raises(ValueError):
-        ShapeSpec("cone", 10)
-    with pytest.raises(ValueError):
-        ShapeSpec("cube", 3)
+    with pytest.raises(ValueError, match="'cone'"):
+        make_shape("cone", 10)
+    with pytest.raises(ValueError, match="at least 4"):
+        make_shape("cube", 3)
 
 
 # ------------------------------------------------------ reaction-diffusion

@@ -30,7 +30,7 @@ from ncgn.graphs import (
 from ncgn.interpolant import interpolate
 from ncgn.reaction_diffusion import RdParams, build_spatiotemporal_graph, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, eval_schedule
-from ncgn.transport import PointCloud, w2_exact
+from ncgn.transport import w2_exact
 from structure_helpers import RecordingCache
 
 
@@ -245,14 +245,20 @@ def test_temporal_trajectory_mask_clamps_first_timepoint():
 
 
 def test_mask_shape_mismatch_rejected():
-    graphs = rd_graphs(1)
-    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1)
+    # sample and random_generations check masks the same way, and the
+    # error names the template, the expected shape and the shape given
+    graphs = rd_graphs(2)
+    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1)
     model, _, _ = train(graphs, config)
     bad = ConditionMask(np.ones((2, 3), dtype=bool), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        sample(model, graphs, config, mask=[bad], nfes=2)
-    with pytest.raises(ValueError):
-        sample(model, graphs, config, mask=[], nfes=2)
+    runs = (lambda mask: sample(model, graphs, config, mask=mask, nfes=2),
+            lambda mask: random_generations(graphs, "features", mask=mask))
+    for run in runs:
+        with pytest.raises(ValueError, match=r"mask for template 1: expected "
+                           r"shape \(36, 3\), got \(2, 3\)"):
+            run([None, bad])
+        with pytest.raises(ValueError, match="got 1 for 2 templates"):
+            run([None])
 
 
 def test_task_mask_patterns():
@@ -331,7 +337,7 @@ def test_evaluate_w2_matches_independent_protocol():
         rng = np.random.default_rng(3 + i)
         a = gp[rng.choice(len(gp), size=64, replace=False)]
         b = rp[rng.choice(len(rp), size=64, replace=False)]
-        vals.append(w2_exact(PointCloud(a), PointCloud(b)))
+        vals.append(w2_exact(a, b))
     assert res["mean"] == pytest.approx(float(np.mean(vals)), rel=1e-12)
     assert res["std"] == pytest.approx(float(np.std(vals)), rel=1e-12)
 
@@ -396,7 +402,6 @@ def test_flat_gat_merged_loss_equals_per_graph_mean():
     _, _, rows = train(shapes, config,
                        model=FlatGat(d_in, odim, hdim=8, seed=7))
     reference = FlatGat(d_in, odim, hdim=8, seed=7)
-    spec = config.interpolant_spec()
     rng = np.random.default_rng(config.seed)
     losses = []
     for i in rng.permutation(len(shapes))[:config.batch]:
@@ -404,7 +409,7 @@ def test_flat_gat_merged_loss_equals_per_graph_mean():
         t = float(rng.uniform())
         noise_seed = int(rng.integers(2**32))
         z0 = rng.standard_normal(z1.shape)
-        z_t = interpolate(z0, z1, t, spec, noise_seed)
+        z_t = interpolate(z0, z1, t, config.interpolant, noise_seed)
         part = (z_t, node_input(np.zeros((len(z1), 0)), z_t, t), t)
         pred = merged_forward(reference, [part], StructureCache(config)).data
         losses.append(np.mean((pred - (z1 - z0)) ** 2))

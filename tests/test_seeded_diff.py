@@ -107,8 +107,9 @@ def test_renamed_array_is_a_layout_difference(tmp_path, capsys):
 
 
 def test_manifest_compared_token_by_token(tmp_path, capsys):
-    # feature bounds that move in the last bit are a numeric deviation; a
-    # changed key or word is a layout difference
+    # feature bounds that move in the last bit are a numeric deviation,
+    # relative to the largest bound (0.07), not to n_train; a changed key or
+    # word is a layout difference
     lo = 0.0123
     next_up = float(np.nextafter(lo, 1.0))
     for side, bound, convention in (("old", lo, "damped"),
@@ -123,6 +124,30 @@ def test_manifest_compared_token_by_token(tmp_path, capsys):
     assert load_script().main(["seeded_diff", old, str(tmp_path / "new")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["data/manifest: max abs 1.735e-18, relative to largest "
-                   "4.337e-19", "0 of 1 files byte-identical"]
+                   "2.478e-17", "0 of 1 files byte-identical"]
     assert load_script().main(["seeded_diff", old, str(tmp_path / "other")]) == 1
     assert "data/manifest: layout differs: tokens" in capsys.readouterr().out
+
+
+def write_graph(root, count, last):
+    # a .graph header "N F D", then N rows of D position and F feature values
+    root.mkdir(parents=True)
+    rows = "".join(f"{i / 200!r} 0.5\n" for i in range(99))
+    (root / "g.graph").write_text(f"{count} 1 1\n{rows}0.495 {last!r}\n")
+
+
+def test_scale_and_integers_come_from_the_tokens_not_the_counts(tmp_path, capsys):
+    # the header's node count (100) is no data: the deviation is relative to
+    # the largest float, 0.5, and a changed count is a layout difference
+    write_graph(tmp_path / "old", 100, 0.5)
+    write_graph(tmp_path / "new", 100, 0.5 + 1e-12)
+    write_graph(tmp_path / "recount", 101, 0.5)
+    old = str(tmp_path / "old")
+    assert load_script().main(["seeded_diff", old, str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "g.graph: max abs 1.000e-12, relative to largest 2.000e-12",
+        "0 of 1 files byte-identical"]
+    assert load_script().main(["seeded_diff", old, str(tmp_path / "recount")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "g.graph: layout differs: integers differ at 1 token(s), first 100 in "
+        "OLD, 101 in NEW", "0 of 1 files byte-identical"]

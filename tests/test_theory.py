@@ -7,7 +7,6 @@ from ncgn.theory import (
     expected_sq_distance,
     kappa_closed,
     mc_sq_distance,
-    mi_gaussian_oracle,
     mutual_information_numeric,
     optimal_radius,
     radius_sweep,
@@ -32,6 +31,25 @@ def test_mi_vanishes_as_r_to_zero():
     mis = [mutual_information_numeric(r, 1.0) for r in (0.1, 0.01, 0.001)]
     assert mis[0] > mis[1] > mis[2] > 0
     assert mis[2] < 1e-3
+
+
+def mi_gaussian_oracle(r, snr, rho=default_correlation, m=200):
+    """Joint-Gaussian oracle for the covariance assembly.
+
+    Discretizes the aggregation interval into m midpoint nodes, builds the
+    (m+1)-dimensional covariance of (x_i, x(eta_1), ..., x(eta_m)) with
+    white measurement noise of variance 1/(snr * dx) per node, and reads the
+    mutual information off the Gaussian entropy of the blocks.
+    """
+    dx = 2.0 * r / m
+    eta = -r + dx * (np.arange(m) + 0.5)
+    var_x = 1.0
+    cov_xy = dx * np.sum(rho(0.0, eta))
+    rho_jk = rho(eta[:, None], eta[None, :])
+    noise_var = 1.0 / snr / dx  # white noise: variance sigma(t)^2 * 2r in the sum
+    var_y = dx * dx * (np.sum(rho_jk) + m * noise_var)
+    det = var_x * var_y - cov_xy**2
+    return 0.5 * np.log(var_x * var_y / det)
 
 
 def test_mi_covariance_matches_gaussian_oracle():

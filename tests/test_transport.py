@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ncgn import dataset, transport
-from ncgn.transport import GwResult, PointCloud, gw_entropic, w2_exact
+from ncgn.transport import GwResult, gw_entropic, w2_exact
 
 
 def cloud(arr):
-    return PointCloud(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 def rotate(points, theta):
@@ -59,24 +59,13 @@ def test_w2_size_mismatch():
         w2_exact(cloud(np.zeros((3, 2))), cloud(np.zeros((4, 2))))
 
 
-def test_w2_rejects_non_uniform_weights():
-    pts = np.zeros((2, 1))
-    weighted = PointCloud(pts, np.array([0.25, 0.75]))
-    with pytest.raises(ValueError, match="cloud 'b'.*0.25 to 0.75"):
-        w2_exact(cloud(pts), weighted)
-    with pytest.raises(ValueError, match="cloud 'a'"):
-        w2_exact(weighted, cloud(pts))
-    uniform = PointCloud(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-    assert w2_exact(uniform, cloud([[1.0], [0.0]])) == 0.0
-
-
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((2, 1)), np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((2, 1)), np.array([-0.5, 1.5]))
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros(4))
+def test_points_must_be_m_by_q():
+    flat, ok = np.zeros(4), np.zeros((4, 1))
+    for a, b in ((flat, ok), (ok, flat)):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            w2_exact(a, b)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            gw_entropic(a, b)
 
 
 def test_gw_self_distance_near_zero():
@@ -127,7 +116,7 @@ def test_gw_details_and_convergence_flag():
     assert isinstance(res, GwResult)
     assert not res.converged
     np.testing.assert_allclose(res.coupling.sum(), 1.0, atol=1e-6)
-    np.testing.assert_allclose(res.coupling.sum(axis=1), a.weights, atol=1e-6)
+    np.testing.assert_allclose(res.coupling.sum(axis=1), 0.1, atol=1e-6)
 
 
 def test_gw_converged_needs_every_inner_solve(monkeypatch):
@@ -161,11 +150,6 @@ def test_gw_size_guard():
     for iters in (0, -3):
         with pytest.raises(ValueError, match="iters"):
             gw_entropic(small, small, iters=iters)
-    holey = PointCloud(np.arange(8.0).reshape(4, 2), [0.5, 0.0, 0.25, 0.25])
-    with pytest.raises(ValueError, match=r"b\.weights\[1\]"):
-        gw_entropic(small, holey)
-    with pytest.raises(ValueError, match=r"a\.weights\[1\]"):
-        gw_entropic(holey, small)
 
 
 def test_gw_deterministic():
