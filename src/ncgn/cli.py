@@ -3,9 +3,9 @@
     ncgn <command> [--config FILE] [key=value ...]
 
 Commands: simulate-data, make-shapes, train, sample, eval, theory,
-attention-study, gw-study, ablate-depth. Every numeric artifact is CSV under
-``out_dir``; each run echoes its resolved configuration to
-``out_dir/config.resolved``. NCGN_THREADS caps worker counts.
+attention-study, gw-study. Every numeric artifact is CSV under ``out_dir``;
+each run echoes its resolved configuration to ``out_dir/config.resolved``.
+NCGN_THREADS caps worker counts.
 
 ``train`` writes ``model.ckpt`` and ``ema.ckpt``, each holding its arrays
 and the train keys as its record. ``sample`` and ``eval`` read the checkpoint
@@ -42,7 +42,6 @@ from .dataset import (
 from .dmp import FlatGat
 from .engine import (
     TrainConfig,
-    ablate_depth,
     attention_study,
     build_model,
     evaluate_w2,
@@ -56,8 +55,6 @@ from .engine import (
 )
 from .graphs import load_graph, save_graph
 
-COMMANDS = ("simulate-data", "make-shapes", "train", "sample", "eval",
-            "theory", "attention-study", "gw-study", "ablate-depth")
 SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
 THEORY_SNRS = np.logspace(np.log10(0.25), np.log10(16.0), 12)  # radius sweep
 
@@ -251,18 +248,6 @@ def cmd_gw_study(config):
     return f"argmin clusters by noise level: {argmins}"
 
 
-def cmd_ablate_depth(config):
-    ds = _require_dataset(config)
-    depths = tuple(int(x) for x in config["depths"].split())
-    cfg = _train_config(config)
-    rows = ablate_depth(ds.train, ds.test, cfg, depths=depths,
-                        seed=config["seed"])
-    write_csv(os.path.join(config["out_dir"], "depth.csv"),
-              ("layers", "w2_mean", "w2_std"), rows)
-    best = min(rows, key=lambda r: r[1])
-    return f"best depth {best[0]} at w2 {best[1]:.6f}"
-
-
 HANDLERS = {
     "simulate-data": cmd_simulate_data,
     "make-shapes": cmd_make_shapes,
@@ -272,7 +257,6 @@ HANDLERS = {
     "theory": cmd_theory,
     "attention-study": cmd_attention_study,
     "gw-study": cmd_gw_study,
-    "ablate-depth": cmd_ablate_depth,
 }
 
 
@@ -281,7 +265,7 @@ def main(argv=None):
         prog="ncgn", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(HANDLERS))
     parser.add_argument("--config", default=None, help="key = value file")
     parser.add_argument("overrides", nargs="*", help="key=value overrides")
     args = parser.parse_args(argv)

@@ -42,7 +42,6 @@ DEFAULTS = {
     "gw.iters": 50,
     "attention.bins": 10,
     "attention.epochs": 50,
-    "depths": "2 4 8 16",
 }
 
 

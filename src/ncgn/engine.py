@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,22 +96,6 @@ class TrainConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("need 0 <= warmup_epochs <= epochs")
-
-
-@dataclass
-class ConditionMask:
-    """Per-node, per-channel known indicator with the known values."""
-
-    known: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.known = np.asarray(self.known, dtype=bool)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.known.shape != self.values.shape:
-            raise ValueError("known and values must have the same shape")
-        if not np.isfinite(self.values[self.known]).all():
-            raise ValueError("known values must be finite where masked")
 
 
 def model_dims(graph: GeometricGraph, task):
@@ -285,33 +269,48 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
 
 def _check_masks(mask, shapes):
     """Check a per-template mask list (or None) against the templates'
-    generated-component shapes: one entry per template, each None or of
-    its template's shape."""
+    generated-component shapes: one entry per template, each None or a
+    (known, values) pair of arrays of its template's shape whose known
+    values are finite. Errors name the template index."""
     if mask is None:
         return
     if len(mask) != len(shapes):
         raise ValueError(f"need one mask entry per template: got {len(mask)} "
                          f"for {len(shapes)} templates")
     for i, (m, shape) in enumerate(zip(mask, shapes)):
-        if m is not None and m.known.shape != shape:
+        if m is None:
+            continue
+        known = np.asarray(m[0], dtype=bool)
+        values = np.asarray(m[1], dtype=float)
+        if known.shape != shape:
             raise ValueError(f"mask for template {i}: expected shape {shape}, "
-                             f"got {m.known.shape}")
+                             f"got {known.shape}")
+        if values.shape != shape:
+            raise ValueError(f"mask for template {i}: values have shape "
+                             f"{values.shape}, known has {shape}")
+        if not np.isfinite(values[known]).all():
+            raise ValueError(f"mask for template {i}: known values must be "
+                             f"finite")
 
 
-def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
-           nfes=None, seed=0):
-    """Generate one graph per template.
+def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
+    """Generate one graph per template with ``config.nfes`` integration steps.
 
     Templates provide node counts and the fixed component (positions for the
     feature task). Up to SAMPLE_BATCH templates are integrated together as
     one merged N x odim state. ``mask`` is a per-template list of
-    ConditionMask (or None entries); known channels are re-clamped after
-    every integration step onto the straight path (1 - t) * z0 + t * value,
-    which lands exactly on the conditioning values at t = 1. The model is in
-    eval mode while sampling and back in train mode afterwards, also when
-    sampling raises.
+    ``(known, values)`` array pairs (or None entries), as ``task_mask``
+    returns; known channels are re-clamped after every integration step
+    onto the cfm straight path (1 - t) * z0 + t * value, which lands exactly
+    on the conditioning values at t = 1. ddpm trains on another path, so a
+    mask with ``config.interpolant`` other than cfm raises ValueError. The
+    model is in eval mode while sampling and back in train mode afterwards,
+    also when sampling raises.
     """
-    nfes = config.nfes if nfes is None else nfes
+    if config.interpolant != "cfm" and any(m is not None for m in mask or ()):
+        raise ValueError(f"conditional sampling clamps known channels onto the "
+                         f"cfm path; interpolant {config.interpolant!r} cannot "
+                         f"be masked")
     _check_masks(mask, [(g.n_nodes, model.odim) for g in templates])
     cache = StructureCache(config)
     rng = np.random.default_rng(seed)
@@ -329,10 +328,8 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
             known = np.zeros(z0.shape, dtype=bool)
             values = np.zeros(z0.shape)
             for m, (lo, hi) in zip(masks, spans):
-                if m is None:
-                    continue
-                known[lo:hi] = m.known
-                values[lo:hi] = m.values
+                if m is not None:
+                    known[lo:hi], values[lo:hi] = m
 
             def field(z, t):
                 parts = [_part(g, z[lo:hi], t, config.task)
@@ -344,9 +341,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
                 if known.any():
                     z[known] = (1.0 - t) * z0[known] + t * values[known]
 
-            prior = z0.copy()
-            clamp(prior, 0.0)
-            z = generate(field, prior, config.interpolant, nfes,
+            z = generate(field, z0, config.interpolant, config.nfes,
                          seed=int(rng.integers(2**32)), callback=clamp)
             out.extend(_with_component(g, z[lo:hi].copy(), config.task)
                        for g, (lo, hi) in zip(chunk, spans))
@@ -358,8 +353,9 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None,
 def random_generations(templates, task, seed=0, mask=None):
     """Standard-normal predictions in place of the generated component.
 
-    ``mask`` is a per-template list of ConditionMask (or None entries), as
-    for ``sample``; known channels take their conditioning values.
+    ``mask`` is a per-template list of ``(known, values)`` array pairs (or
+    None entries), as for ``sample``; known channels take their
+    conditioning values.
     """
     _check_masks(mask, [_component(g, task).shape for g in templates])
     rng = np.random.default_rng(seed)
@@ -367,7 +363,7 @@ def random_generations(templates, task, seed=0, mask=None):
     for g, m in zip(templates, mask or [None] * len(templates)):
         z = rng.standard_normal(_component(g, task).shape)
         if m is not None:
-            z[m.known] = m.values[m.known]
+            z = np.where(m[0], m[1], z)
         out.append(_with_component(g, z, task))
     return out
 
@@ -425,9 +421,9 @@ def write_csv(path, header, rows):
 # conditional task masks (features task; positions are always observed)
 
 
-def task_mask(graph: GeometricGraph, name, gene=1,
-              knockout_value=-0.5) -> ConditionMask:
-    """Conditioning pattern for the named transcriptomics task.
+def task_mask(graph: GeometricGraph, name, gene=1, knockout_value=-0.5):
+    """Conditioning pattern for the named transcriptomics task: a
+    ``(known, values)`` pair of N x F arrays, ``known`` boolean.
 
     Positions are (time, space); the first coordinate orders timepoints.
     gene_knockout clamps one gene to ``knockout_value`` everywhere and
@@ -453,7 +449,7 @@ def task_mask(graph: GeometricGraph, name, gene=1,
         values[:, gene] = knockout_value
     else:
         raise ValueError(f"unknown task name {name!r}")
-    return ConditionMask(known, values)
+    return known, values
 
 
 # ----------------------------------------------------------------------
@@ -529,16 +525,3 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
         argmin_rows.append((float(t), int(cluster_grid[int(np.argmin(means))])))
     return rows, argmin_rows
 
-
-def ablate_depth(train_graphs, test_graphs, config: TrainConfig,
-                 depths=(2, 4, 8, 16), seed=0):
-    """Config sweep over layer counts; rows (layers, w2_mean, w2_std)."""
-    rows = []
-    for k in depths:
-        cfg = replace(config, layers=k)
-        model, ema, _ = train(train_graphs, cfg)
-        ema.copy_to(model)
-        generated = sample(model, test_graphs, cfg, seed=seed)
-        result = evaluate_w2(generated, test_graphs, cfg.task, seed=seed)
-        rows.append((int(k), result["mean"], result["std"]))
-    return rows

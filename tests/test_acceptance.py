@@ -17,6 +17,7 @@ import pytest
 
 from ncgn import theory
 from ncgn.dmp import DmpModel
+from ncgn.engine import StructureCache, TrainConfig
 from ncgn.graphs import build_knn_edges, voxel_coarsen
 from ncgn.reaction_diffusion import RdParams, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, default_bounds, eval_schedule
@@ -78,9 +79,10 @@ def test_full_gradient_suite(mp_kind):
     model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=0)
     target = np.random.default_rng(1).standard_normal((12, 3))
+    cache = StructureCache(TrainConfig())  # fixed positions: built once
 
     def loss_value():
-        out = forward(model, g, 0.5)
+        out = forward(model, g, 0.5, cache=cache)
         return ((out - target) ** 2).mean()
 
     params = model.parameters()

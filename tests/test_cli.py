@@ -244,6 +244,18 @@ def test_masked_sampling_on_positions_task_exits_one(tmp_path, capsys):
     assert not (work / "samples").exists()
 
 
+def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
+    # conditioning clamps onto the cfm path, which ddpm does not train on
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
+    assert run(work, "train", f"dataset={data}", "interpolant.kind=ddpm",
+               *TINY_TRAIN) == 0
+    assert run(work, "sample", f"dataset={data}",
+               "mask_task=temporal_trajectory") == 1
+    assert "interpolant 'ddpm' cannot be masked" in capsys.readouterr().err
+    assert not (work / "samples").exists()
+
+
 @pytest.mark.parametrize("n_samples", ["n_samples=3", "n_samples=0"])
 def test_sample_empty_test_split_exits_one(tmp_path, capsys, n_samples):
     data, work = tmp_path / "data", tmp_path / "work"
@@ -297,18 +309,6 @@ def test_attention_study_command(tmp_path):
         weights = [float(l.split(",")[3]) for l in lines[1:]
                    if l.split(",")[0] == t]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ablate_depth_command(tmp_path):
-    data = tmp_path / "data"
-    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
-    work = tmp_path / "work"
-    assert run(work, "ablate-depth", f"dataset={data}", "depths=1 2",
-               "epochs=1", "batch=2", "warmup_epochs=0", "hdim=8",
-               "nfes=2") == 0
-    lines = (work / "depth.csv").read_text().strip().split("\n")
-    assert lines[0] == "layers,w2_mean,w2_std"
-    assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]
 
 
 # ------------------------------------------------- checkpoint config record

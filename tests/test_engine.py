@@ -7,7 +7,6 @@ from ncgn import engine, nn
 from ncgn.dataset import generate_shape_dataset
 from ncgn.dmp import FlatGat, node_input
 from ncgn.engine import (
-    ConditionMask,
     StructureCache,
     TrainConfig,
     attention_study,
@@ -78,13 +77,6 @@ def test_config_validation():
             TrainConfig(method="knn_fixed", knn_k=k)
 
 
-def test_condition_mask_validation():
-    with pytest.raises(ValueError):
-        ConditionMask(np.ones((2, 2), dtype=bool), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        ConditionMask(np.ones((1, 1), dtype=bool), np.array([[np.nan]]))
-
-
 def test_training_loss_decreases_on_tiny_dataset():
     graphs = rd_graphs(8)
     config = overfit_config()
@@ -137,10 +129,11 @@ def test_ema_tracks_training():
 
 def test_sample_shapes_and_determinism():
     graphs = rd_graphs(3)
-    config = TrainConfig(epochs=1, batch=4, warmup_epochs=0, hdim=8, layers=1)
+    config = TrainConfig(epochs=1, batch=4, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=5)
     model, _, _ = train(graphs, config)
-    out_a = sample(model, graphs, config, nfes=5, seed=11)
-    out_b = sample(model, graphs, config, nfes=5, seed=11)
+    out_a = sample(model, graphs, config, seed=11)
+    out_b = sample(model, graphs, config, seed=11)
     assert len(out_a) == 3
     for a, b, g in zip(out_a, out_b, graphs):
         assert a.features.shape == g.features.shape
@@ -150,23 +143,25 @@ def test_sample_shapes_and_determinism():
 
 def test_sample_without_graph_matches_recorded_graph(monkeypatch):
     graphs = rd_graphs(2)
-    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1)
+    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=3)
     model, _, _ = train(graphs, config)
-    fast = sample(model, graphs, config, nfes=3, seed=5)
+    fast = sample(model, graphs, config, seed=5)
     monkeypatch.setattr(engine, "no_grad", contextlib.nullcontext)
-    recorded = sample(model, graphs, config, nfes=3, seed=5)
+    recorded = sample(model, graphs, config, seed=5)
     for a, b in zip(fast, recorded):
         np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_sample_restores_train_mode_when_it_raises():
     graphs = rd_graphs(1)
-    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1)
+    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=2)
     model, _, _ = train(graphs, config)
     for p in model.parameters():
         p.data[...] = np.nan
     with pytest.raises(RuntimeError, match="non-finite state"):
-        sample(model, graphs, config, nfes=2)
+        sample(model, graphs, config)
     norms = [m for m in model.modules() if isinstance(m, nn.BatchNorm)]
     assert norms and all(m.training for m in norms)
 
@@ -181,12 +176,12 @@ def test_positions_task_train_and_sample(monkeypatch):
     monkeypatch.setattr(engine, "StructureCache", make)
     shapes = generate_shape_dataset(n_train=8, n_test=2, n_points=24, seed=0)
     config = TrainConfig(task="positions", mp_kind="gat", epochs=3, batch=4,
-                         warmup_epochs=1, hdim=8, layers=1, seed=2)
+                         warmup_epochs=1, hdim=8, layers=1, nfes=4, seed=2)
     runs = []
     for _ in range(2):
         model, _, rows = train(shapes.train, config)
         runs.append(([r[2] for r in rows],
-                     sample(model, shapes.test, config, nfes=4, seed=5)))
+                     sample(model, shapes.test, config, seed=5)))
     (loss_a, out_a), (loss_b, out_b) = runs
     assert loss_a == loss_b
     assert len(out_a) == len(shapes.test)
@@ -209,11 +204,11 @@ def test_positions_task_ignores_template_features():
     assert graphs[0].n_features > 0
     assert model_dims(graphs[0], "positions") == (3, 2)
     config = TrainConfig(task="positions", epochs=2, batch=2, warmup_epochs=0,
-                         hdim=8, layers=1, seed=3)
+                         hdim=8, layers=1, nfes=2, seed=3)
     model, _, rows = train(graphs, config)
     assert rows == train(bare, config)[2]
-    out = sample(model, graphs, config, nfes=2, seed=1)
-    for a, b in zip(out, sample(model, bare, config, nfes=2, seed=1)):
+    out = sample(model, graphs, config, seed=1)
+    for a, b in zip(out, sample(model, bare, config, seed=1)):
         np.testing.assert_array_equal(a.positions, b.positions)
     for got, g in zip(out + random_generations(graphs, "positions", seed=0),
                       graphs + graphs):
@@ -223,11 +218,12 @@ def test_positions_task_ignores_template_features():
 
 def test_full_mask_returns_exact_values():
     graphs = rd_graphs(2)
-    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1)
+    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=4)
     model, _, _ = train(graphs, config)
-    masks = [ConditionMask(np.ones_like(g.features, dtype=bool),
-                           g.features.copy()) for g in graphs]
-    out = sample(model, graphs, config, mask=masks, nfes=4, seed=0)
+    masks = [(np.ones_like(g.features, dtype=bool), g.features.copy())
+             for g in graphs]
+    out = sample(model, graphs, config, mask=masks, seed=0)
     for got, g in zip(out, graphs):
         np.testing.assert_array_equal(got.features, g.features)
 
@@ -235,49 +231,82 @@ def test_full_mask_returns_exact_values():
 def test_temporal_trajectory_mask_clamps_first_timepoint():
     graphs = rd_graphs(1)
     g = graphs[0]
-    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1)
+    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=4)
     model, _, _ = train(graphs, config)
     m = task_mask(g, "temporal_trajectory")
-    out = sample(model, [g], config, mask=[m], nfes=4, seed=1)[0]
+    out = sample(model, [g], config, mask=[m], seed=1)[0]
     first = g.positions[:, 0] == g.positions[:, 0].min()
     np.testing.assert_array_equal(out.features[first], g.features[first])
     assert not np.allclose(out.features[~first], g.features[~first])
 
 
 def test_mask_shape_mismatch_rejected():
-    # sample and random_generations check masks the same way, and the
-    # error names the template, the expected shape and the shape given
+    # sample and random_generations check masks the same way, before any
+    # sampling, and each error names the template
     graphs = rd_graphs(2)
-    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1)
+    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=2)
     model, _, _ = train(graphs, config)
-    bad = ConditionMask(np.ones((2, 3), dtype=bool), np.zeros((2, 3)))
-    runs = (lambda mask: sample(model, graphs, config, mask=mask, nfes=2),
+    known = np.ones((36, 3), dtype=bool)
+    nan_values = np.zeros((36, 3))
+    nan_values[4, 1] = np.nan
+    cases = [
+        ((np.ones((2, 3), dtype=bool), np.zeros((2, 3))),
+         r"mask for template 1: expected shape \(36, 3\), got \(2, 3\)"),
+        ((known, np.zeros((3, 2))),
+         r"mask for template 1: values have shape \(3, 2\), known has "
+         r"\(36, 3\)"),
+        ((known, nan_values),
+         "mask for template 1: known values must be finite"),
+    ]
+    runs = (lambda mask: sample(model, graphs, config, mask=mask),
             lambda mask: random_generations(graphs, "features", mask=mask))
     for run in runs:
-        with pytest.raises(ValueError, match=r"mask for template 1: expected "
-                           r"shape \(36, 3\), got \(2, 3\)"):
-            run([None, bad])
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run([None, bad])
         with pytest.raises(ValueError, match="got 1 for 2 templates"):
             run([None])
+    # an unknown channel may hold anything; only known values are checked
+    nan_values[...] = np.nan
+    known[...] = False
+    out = random_generations(graphs, "features", mask=[None, (known, nan_values)])
+    assert np.isfinite(out[1].features).all()
+
+
+def test_masked_sampling_requires_cfm():
+    # the clamp follows the cfm path, which ddpm's noising does not match
+    graphs = rd_graphs(1)
+    config = TrainConfig(interpolant="ddpm", epochs=1, batch=1,
+                         warmup_epochs=0, hdim=8, layers=1, nfes=2)
+    model, _, _ = train(graphs, config)
+    mask = [task_mask(graphs[0], "temporal_trajectory")]
+    with pytest.raises(ValueError, match="interpolant 'ddpm' cannot be masked"):
+        sample(model, graphs, config, mask=mask)
+    # an all-None mask conditions nothing, so it samples as no mask does
+    for a, b in zip(sample(model, graphs, config, mask=[None], seed=2),
+                    sample(model, graphs, config, seed=2)):
+        np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_task_mask_patterns():
     g = rd_graphs(1)[0]
     times = g.positions[:, 0]
-    m = task_mask(g, "temporal_interpolation")
+    known, _ = task_mask(g, "temporal_interpolation")
     expect = (times == times.min()) | (times == times.max())
-    np.testing.assert_array_equal(m.known.any(axis=1), expect)
+    np.testing.assert_array_equal(known.any(axis=1), expect)
 
-    m = task_mask(g, "gene_imputation", gene=2)
-    assert m.known[:, [0, 1]].all() and not m.known[:, 2].any()
+    known, _ = task_mask(g, "gene_imputation", gene=2)
+    assert known[:, [0, 1]].all() and not known[:, 2].any()
 
-    m = task_mask(g, "spatial_imputation")
-    frac_unknown = 1.0 - m.known.any(axis=1).mean()
+    known, _ = task_mask(g, "spatial_imputation")
+    frac_unknown = 1.0 - known.any(axis=1).mean()
     assert 0.2 < frac_unknown < 0.5  # middle third of space withheld
 
-    m = task_mask(g, "gene_knockout", gene=0, knockout_value=-0.5)
-    assert m.known[:, 0].all() and not m.known[:, 1:].any()
-    np.testing.assert_array_equal(m.values[:, 0], -0.5)
+    known, values = task_mask(g, "gene_knockout", gene=0, knockout_value=-0.5)
+    assert known[:, 0].all() and not known[:, 1:].any()
+    np.testing.assert_array_equal(values[:, 0], -0.5)
 
     with pytest.raises(ValueError):
         task_mask(g, "extrapolation")
