@@ -275,6 +275,21 @@ def test_mask_shape_mismatch_rejected():
     assert np.isfinite(out[1].features).all()
 
 
+def test_condition_mask_validation():
+    # a (known, values) pair needs values of known's shape and finite values
+    # wherever known is set; checked without a model
+    g = rd_graphs(1)[0]
+    shape = g.features.shape
+    known = np.ones(shape, dtype=bool)
+    with pytest.raises(ValueError, match="values have shape"):
+        random_generations([g], "features",
+                           mask=[(known, np.zeros((shape[0] + 1, shape[1])))])
+    values = np.zeros(shape)
+    values[0, 0] = np.nan
+    with pytest.raises(ValueError, match="known values must be finite"):
+        random_generations([g], "features", mask=[(known, values)])
+
+
 def test_masked_sampling_requires_cfm():
     # the clamp follows the cfm path, which ddpm's noising does not match
     graphs = rd_graphs(1)
