@@ -219,6 +219,9 @@ def cmd_theory(config):
 
 
 def cmd_attention_study(config):
+    if config["attention.bins"] < 1:
+        raise ConfigError(f"attention.bins must be >= 1, got "
+                          f"{config['attention.bins']}")
     ds = _require_dataset(config)
     cfg = TrainConfig(task="positions", method="fully_connected",
                       epochs=config["attention.epochs"], batch=32,

@@ -1,10 +1,10 @@
 """Dataset generation and on-disk layout.
 
 A dataset directory holds `train/*.graph`, `test/*.graph`, and a plain-text
-`manifest` of `key: value` lines recording counts, the seed and the feature
-bounds. For reaction-diffusion data those are the raw per-gene min and max
-the features were scaled with, and the manifest also records the grid
-shapes and the sign convention.
+`manifest` of `key: value` lines recording counts and the seed. Only
+reaction-diffusion data records feature bounds: the raw per-gene min and max
+its features were scaled with, next to the grid shapes and the sign
+convention. Shape features are unscaled centroid offsets and record none.
 """
 
 from __future__ import annotations
@@ -146,7 +146,5 @@ def generate_shape_dataset(n_train=500, n_test=100, n_points=64,
         "n_test": str(n_test),
         "n_points": str(n_points),
         "seed": str(seed),
-        "feature_min": "-0.5 -0.5 -0.5",
-        "feature_max": "0.5 0.5 0.5",
     }
     return Dataset(build(n_train, 0), build(n_test, n_train), manifest)

@@ -387,7 +387,8 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
     Pools every node of every graph on each side, draws ``replicates``
     independent subsamples of ``subsample`` points per side, and reports the
     mean and standard deviation of w2_exact. Pools smaller than the
-    subsample are used whole, flagged via ``warned``.
+    subsample are used whole, flagged via ``warned``. Replicates run on
+    ``min(n_workers(), replicates)`` threads; the values do not depend on it.
     """
     gen, ref = _pool(generated, task), _pool(reference, task)
     m = min(subsample, len(gen), len(ref))
@@ -399,12 +400,8 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
         b = ref[rng.choice(len(ref), size=m, replace=False)]
         return w2_exact(a, b)
 
-    workers = min(n_workers(), replicates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(one, range(replicates)))
-    else:
-        vals = [one(i) for i in range(replicates)]
+    with ThreadPoolExecutor(max_workers=min(n_workers(), replicates)) as pool:
+        vals = list(pool.map(one, range(replicates)))
     return {"mean": float(np.mean(vals)), "std": float(np.std(vals)),
             "warned": warned, "values": vals}
 
@@ -504,7 +501,10 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
     shapes and noise seeds. Returns (rows, argmin_rows) with rows
     (t, clusters, gw_mean) and argmin_rows (t, argmin_clusters).
     """
-    graphs = graphs[:n_shapes]
+    graphs = graphs[:max(n_shapes, 0)]
+    if not graphs or n_seeds < 1:
+        raise ValueError(f"gw_study needs a (shape, seed) pair, got {len(graphs)} "
+                         f"shapes (n_shapes={n_shapes}) and n_seeds={n_seeds}")
     rows = []
     argmin_rows = []
     for t in noise_grid:

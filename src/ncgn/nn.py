@@ -165,7 +165,7 @@ class Adam:
 
     def zero_grad(self):
         for p in self.params:
-            p.zero_grad()
+            p.grad = None
 
 
 class EMA:

@@ -1,8 +1,10 @@
 """Dense-tensor reverse-mode autodiff engine.
 
 Arrays are float64 throughout. Each Tensor op records its parents and a
-closure that pushes the upstream gradient back onto them; ``backward`` walks
-the recorded graph in reverse topological order. Broadcasting follows numpy
+closure that pushes the upstream gradient back onto them. ``backward``, the
+one way to take gradients, walks the recorded graph in reverse topological
+order and adds onto each leaf's ``grad``: set it to None first, then read
+it; a leaf the loss does not reach keeps None. Broadcasting follows numpy
 rules (2-D needs only), with gradients summed back over broadcast axes.
 ``backward`` frees each interior gradient as soon as its closure has run:
 afterwards only leaves (tensors built with ``requires_grad=True``) and the
@@ -108,14 +110,6 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -147,9 +141,6 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accum(self, g):
         if self.grad is None:
             self.grad = g.copy()
@@ -176,12 +167,6 @@ class Tensor:
         return Tensor(out_data, _parents=(self, other), _backward=bwd)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        def bwd(g):
-            self._accum(-g)
-
-        return Tensor(-self.data, _parents=(self,), _backward=bwd)
 
     def __sub__(self, other):
         other = Tensor._lift(other)
@@ -434,34 +419,3 @@ def segment_softmax(logits: Tensor, segment_ids) -> Tensor:
 
     return Tensor(out_data, _parents=(logits,), _backward=bwd)
 
-
-def grad(output: Tensor, params):
-    """Gradients of a scalar ``output`` with respect to each param tensor.
-
-    Returns a dict keyed by id(param). Params left untouched by the graph
-    get a zero gradient only if they fed the output; a param that is not on
-    the recorded graph at all is an error, and so is an interior tensor
-    (one an op produced), whose gradient ``backward`` frees.
-    """
-    params = list(params)
-    if output.data.size != 1:
-        raise ValueError("output must be scalar")
-    for i, p in enumerate(params):
-        if p._backward is not None:
-            raise ValueError(f"params[{i}] is an interior tensor; gradients "
-                             f"are kept only for leaves")
-    reachable = set()
-    stack = [output]
-    while stack:
-        node = stack.pop()
-        if id(node) in reachable:
-            continue
-        reachable.add(id(node))
-        stack.extend(node._parents)
-    for p in params:
-        if id(p) not in reachable:
-            raise ValueError("param is not on the computation graph")
-    for p in params:
-        p.zero_grad()
-    output.backward()
-    return {id(p): Tensor(p.grad if p.grad is not None else np.zeros_like(p.data)) for p in params}

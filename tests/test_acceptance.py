@@ -21,7 +21,6 @@ from ncgn.engine import StructureCache, TrainConfig
 from ncgn.graphs import build_knn_edges, voxel_coarsen
 from ncgn.reaction_diffusion import RdParams, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, default_bounds, eval_schedule
-from ncgn.tensor import grad
 from ncgn.transport import gw_entropic, w2_exact
 from structure_helpers import forward, random_graph
 
@@ -86,12 +85,12 @@ def test_full_gradient_suite(mp_kind):
         return ((out - target) ** 2).mean()
 
     params = model.parameters()
-    grads = grad(loss_value(), params)
+    loss_value().backward()
     h = 1e-5
     bad = 0
     for p in params:
         flat = p.data.ravel()
-        gflat = grads[id(p)].data.ravel()
+        gflat = p.grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h

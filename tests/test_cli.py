@@ -295,6 +295,25 @@ def test_make_shapes_and_gw_study(tmp_path):
     assert len(argmin) == 6
 
 
+@pytest.mark.parametrize("n_train, n_shapes, n_seeds, shapes", [
+    (4, 0, 1, 0), (4, -1, 1, 0), (4, 2, 0, 2),
+    (0, 2, 1, 0),  # an empty train split
+])
+def test_gw_study_with_nothing_to_solve_exits_one(tmp_path, capsys, n_train,
+                                                  n_shapes, n_seeds, shapes):
+    # no (shape, seed) pair: there is no GW mean to write or minimize, and a
+    # negative n_shapes must not drop shapes from the end of the split
+    data = tmp_path / "shapes"
+    assert run(data, "make-shapes", f"n_train={n_train}", "n_test=2",
+               "n_points=16") == 0
+    work = tmp_path / "work"
+    assert run(work, "gw-study", f"dataset={data}", f"n_shapes={n_shapes}",
+               f"n_seeds={n_seeds}") == 1
+    assert (f"got {shapes} shapes (n_shapes={n_shapes}) and n_seeds={n_seeds}"
+            in capsys.readouterr().err)
+    assert not (work / "gw.csv").exists()
+
+
 def test_attention_study_command(tmp_path):
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", "n_train=4", "n_test=2",
@@ -309,6 +328,23 @@ def test_attention_study_command(tmp_path):
         weights = [float(l.split(",")[3]) for l in lines[1:]
                    if l.split(",")[0] == t]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_attention_study_rejects_bins_before_training(tmp_path, capsys,
+                                                      monkeypatch, bins):
+    data = tmp_path / "shapes"
+    assert run(data, "make-shapes", "n_train=4", "n_test=2",
+               "n_points=16") == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("attention-study trained before checking bins")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    work = tmp_path / "work"
+    assert run(work, "attention-study", f"dataset={data}",
+               f"attention.bins={bins}") == 1
+    assert f"attention.bins must be >= 1, got {bins}" in capsys.readouterr().err
 
 
 # ------------------------------------------------- checkpoint config record

@@ -335,6 +335,8 @@ def test_shape_dataset_cycles_kinds(tmp_path):
     back = load_dataset(tmp_path / "shapes")
     np.testing.assert_array_equal(back.train[3].positions,
                                   ds.train[3].positions)
+    # shape features are unscaled centroid offsets: no bounds are recorded
+    assert [k for k in back.manifest if k.startswith("feature_")] == []
 
 
 def test_manifest_bad_line_reports_location(tmp_path):

@@ -8,7 +8,7 @@ from ncgn.dmp import (DmpModel, FlatGat, GatConv, GcnConv, Structure,
 from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
                          random_generations)
 from ncgn.graphs import GeometricGraph, build_fully_connected_edges
-from ncgn.tensor import Tensor, concat, grad
+from ncgn.tensor import Tensor, concat
 from structure_helpers import (RecordingCache, SingletonCache, forward,
                                random_graph)
 
@@ -81,10 +81,9 @@ def test_gcn_no_edges_forward_and_backward():
     h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     out = conv(h, np.zeros((0, 2), dtype=np.intp))
     np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
-    grads = grad(out.sum(), [h, conv.lin.weight])
-    np.testing.assert_array_equal(grads[id(h)].data, np.zeros((4, 3)))
-    np.testing.assert_array_equal(grads[id(conv.lin.weight)].data,
-                                  np.zeros((3, 3)))
+    out.sum().backward()
+    np.testing.assert_array_equal(h.grad, np.zeros((4, 3)))
+    np.testing.assert_array_equal(conv.lin.weight.grad, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
@@ -235,8 +234,10 @@ def test_split_lin_pair_matches_concat(coarse_first):
         h_coarse = Tensor(coarse0.copy(), requires_grad=True)
         out = build(h, h_coarse, cluster_of, coarse_first, rel, dist)
         params = [h, h_coarse] + msg.parameters()
-        grads = grad((out * upstream).sum(), params)
-        results.append((out.data, [grads[id(p)].data for p in params]))
+        for p in params:
+            p.grad = None
+        (out * upstream).sum().backward()
+        results.append((out.data, [p.grad for p in params]))
     (out, grads), (ref_out, ref_grads) = results
     np.testing.assert_allclose(out, ref_out, rtol=1e-12,
                                atol=1e-12 * np.abs(ref_out).max())
@@ -264,8 +265,8 @@ def test_every_parameter_gets_a_gradient(name):
     out = merged_forward(model, parts, StructureCache(config))
     target = rng.standard_normal(out.data.shape)
     named = model.named_parameters()
-    grads = grad(((out - target) ** 2).mean(), [p for _, p in named])
-    peak = {k: np.abs(grads[id(p)].data).max() for k, p in named}
+    ((out - target) ** 2).mean().backward()
+    peak = {k: np.abs(p.grad).max() for k, p in named}
     largest = max(peak.values())
     assert [k for k, v in peak.items() if v <= 1e-8 * largest] == []
 

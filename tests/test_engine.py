@@ -389,6 +389,7 @@ def test_evaluate_w2_matches_independent_protocol():
 def test_evaluate_w2_threaded_matches_serial(monkeypatch):
     gen = rd_graphs(2, seed=0)
     ref = rd_graphs(2, seed=5)
+    monkeypatch.setenv("NCGN_THREADS", "1")
     serial = evaluate_w2(gen, ref, "features", replicates=4, subsample=32)
     monkeypatch.setenv("NCGN_THREADS", "4")
     threaded = evaluate_w2(gen, ref, "features", replicates=4, subsample=32)

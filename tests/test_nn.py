@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import Tensor, grad
+from ncgn.tensor import Tensor
 
 
 def assert_close_to_max(actual, reference, rtol=1e-12):
@@ -13,12 +13,6 @@ def assert_close_to_max(actual, reference, rtol=1e-12):
     entries that cancel to near zero have no meaningful relative error."""
     np.testing.assert_allclose(actual, reference, rtol=rtol,
                                atol=rtol * np.abs(reference).max())
-
-
-def test_grad_square():
-    x = Tensor(np.array([3.0]), requires_grad=True)
-    g = grad((x * x).sum(), [x])
-    np.testing.assert_allclose(g[id(x)].data, [6.0])
 
 
 def test_gelu_grad_at_zero_exact():
@@ -32,12 +26,11 @@ def test_mlp_finite_difference():
     mlp = nn.MLP([4, 8, 1], rng)
     x = rng.standard_normal((5, 4))
     params = mlp.parameters()
-    loss = (mlp(Tensor(x)) ** 2).mean()
-    grads = grad(loss, params)
+    (mlp(Tensor(x)) ** 2).mean().backward()
     h = 1e-4
     for p in params:
         flat = p.data.ravel()
-        gflat = grads[id(p)].data.ravel()
+        gflat = p.grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -114,11 +107,11 @@ def test_fused_batch_norm_finite_difference_with_constant_channel():
     bn.gamma.data[:] = [1.5, -0.5, 2.0]
     bn.beta.data[:] = [0.1, 0.2, -0.3]
     x = Tensor(x0.copy(), requires_grad=True)
-    grads = grad((bn(x) * upstream).sum(), [x, bn.gamma, bn.beta])
+    (bn(x) * upstream).sum().backward()
     h = 1e-6
     for t in (x, bn.gamma, bn.beta):
         flat = t.data.ravel()
-        gflat = grads[id(t)].data.ravel()
+        gflat = t.grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
