@@ -51,12 +51,19 @@ from .engine import (
     sample,
     task_mask,
     train,
-    write_csv,
 )
 from .graphs import load_graph, save_graph
 
 SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
 THEORY_SNRS = np.logspace(np.log10(0.25), np.log10(16.0), 12)  # radius sweep
+
+
+def write_csv(path, header, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
 
 
 def _train_config(config):
@@ -90,13 +97,19 @@ def _with_checkpoint(config, args):
     return config, (arrays, train_seed)
 
 
-def _require_dataset(config):
+def _require_dataset(config, *splits):
+    """The dataset at ``dataset=``; each split named in ``splits`` must hold
+    at least one graph."""
     path = config["dataset"]
     if not path:
         raise ConfigError("this command needs dataset=<path>")
     if not os.path.isdir(path):
         raise FileNotFoundError(f"dataset directory not found: {path}")
-    return load_dataset(path)
+    ds = load_dataset(path)
+    for split in splits:
+        if not getattr(ds, split):
+            raise ValueError(f"{path}: the {split} split is empty")
+    return ds
 
 
 def _load_model(config, template, checkpoint):
@@ -135,8 +148,9 @@ def cmd_train(config):
     ds = _require_dataset(config)
     cfg = _train_config(config)
     out = config["out_dir"]
-    model, ema, rows = train(ds.train, cfg,
-                             loss_path=os.path.join(out, "loss.csv"))
+    model, ema, rows = train(ds.train, cfg)
+    write_csv(os.path.join(out, "loss.csv"), ("epoch", "step", "loss", "lr"),
+              rows)
     record = {key: config[key] for key in TRAIN_KEYS.values()}
     for name, arrays in (("model.ckpt", model.state_arrays()),
                          ("ema.ckpt", ema.shadow)):
@@ -145,16 +159,13 @@ def cmd_train(config):
 
 
 def cmd_sample(config, checkpoint):
-    ds = _require_dataset(config)
+    ds = _require_dataset(config, "test")
     templates = ds.test
     if config["n_samples"] < 0:
         raise ConfigError(f"n_samples must be >= 0, got {config['n_samples']}")
     if config["mask_task"] and config["task"] == "positions":
         raise ConfigError(f"mask_task={config['mask_task']!r} conditions "
                           f"features; it cannot be used with task=positions")
-    if not templates:
-        raise ValueError(f"{config['dataset']}: the test split is empty, so "
-                         f"there are no templates to sample")
     if config["n_samples"]:
         reps = -(-config["n_samples"] // len(templates))
         templates = (templates * reps)[: config["n_samples"]]
@@ -178,7 +189,7 @@ def cmd_sample(config, checkpoint):
 
 
 def cmd_eval(config):
-    ds = _require_dataset(config)
+    ds = _require_dataset(config, "test")
     sample_dir = os.path.join(config["out_dir"], "samples")
     if not os.path.isdir(sample_dir):
         raise FileNotFoundError(f"samples directory not found: {sample_dir}")
@@ -222,7 +233,7 @@ def cmd_attention_study(config):
     if config["attention.bins"] < 1:
         raise ConfigError(f"attention.bins must be >= 1, got "
                           f"{config['attention.bins']}")
-    ds = _require_dataset(config)
+    ds = _require_dataset(config, "train", "test")
     cfg = TrainConfig(task="positions", method="fully_connected",
                       epochs=config["attention.epochs"], batch=32,
                       lr=config["lr"], warmup_epochs=0, hdim=config["hdim"],

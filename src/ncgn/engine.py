@@ -10,9 +10,9 @@ the per-graph structures reusable across integration steps when positions
 are fixed.
 
 Training and sampling carry the generated component (features or positions)
-as a plain array; ``_part`` pairs it with the template's fixed component to
-make a ``merged_forward`` input, and ``sample`` wraps the result back into
-``GeometricGraph``s only at the end.
+as a plain array; ``_fields`` joins it to a template, both for the
+``merged_forward`` inputs and for the output ``GeometricGraph``s. Masks
+reach ``generate``, which owns the cfm clamp, as ``(known, values)`` arrays.
 
 ``train`` is the one training loop. It builds a ``DmpModel`` unless given
 a model; the attention study passes a ``FlatGat``, which ``merged_forward``
@@ -99,11 +99,11 @@ class TrainConfig:
 
 
 def model_dims(graph: GeometricGraph, task):
-    """(d_in, odim); position-generation models see no features (they
-    would leak the target)."""
-    if task == "positions":
-        return graph.dim + 1, graph.dim
-    return graph.n_features + graph.dim + 1, graph.n_features
+    """(d_in, odim): the ``node_input`` width of ``graph``'s ``_fields``,
+    and the width of its generated component."""
+    z = _component(graph, task)
+    features, positions = _fields(graph, z, task)
+    return features.shape[1] + positions.shape[1] + 1, z.shape[1]
 
 
 def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
@@ -197,29 +197,28 @@ def _component(graph, task):
     return graph.positions if task == "positions" else graph.features
 
 
-def _with_component(template, z, task):
-    """Copy of ``template`` with its generated component set to ``z``;
-    generated positions come with no features."""
+def _fields(template, z, task):
+    """(features, positions) of ``template`` with its generated component
+    replaced by the N x odim array ``z``. Generated positions come with no
+    features: a position model that saw them would see the target."""
     if task == "positions":
-        return GeometricGraph(None, z)
-    return GeometricGraph(z, template.positions.copy())
+        return np.zeros((z.shape[0], 0)), z
+    return z, template.positions
 
 
 def _part(template, z, t, task):
-    """``merged_forward`` part for a template whose generated component is
-    replaced by the N x odim array ``z``; position parts carry no features."""
-    if task == "positions":
-        return z, node_input(np.zeros((z.shape[0], 0)), z, t), t
-    return template.positions, node_input(z, template.positions, t), t
+    """``merged_forward`` part for ``template`` with its generated component
+    replaced by ``z``."""
+    features, positions = _fields(template, z, task)
+    return positions, node_input(features, positions, t), t
 
 
-def train(graphs, config: TrainConfig, loss_path=None, model=None):
+def train(graphs, config: TrainConfig, model=None):
     """Flow-matching / diffusion regression over a graph dataset.
 
     Trains ``model`` (any module with a ``forward_core``) in place, or a
     fresh ``build_model`` when it is None. Returns (model, ema, loss_rows)
-    with loss_rows of (epoch, step, loss, lr); ``loss_path`` additionally
-    writes them as CSV.
+    with loss_rows of (epoch, step, loss, lr).
     """
     if not graphs:
         raise ValueError("empty dataset")
@@ -262,23 +261,23 @@ def train(graphs, config: TrainConfig, loss_path=None, model=None):
             ema.update(model)
             rows.append((epoch, step, value, lr))
             step += 1
-    if loss_path is not None:
-        write_csv(loss_path, ("epoch", "step", "loss", "lr"), rows)
     return model, ema, rows
 
 
-def _check_masks(mask, shapes):
-    """Check a per-template mask list (or None) against the templates'
-    generated-component shapes: one entry per template, each None or a
-    (known, values) pair of arrays of its template's shape whose known
-    values are finite. Errors name the template index."""
+def _masks(mask, shapes):
+    """One ``(known, values)`` pair per template from a per-template mask
+    list (or None) and the templates' generated-component shapes. An entry
+    is None (nothing known) or a pair of arrays of its template's shape with
+    finite known values. Errors name the template index."""
     if mask is None:
-        return
+        mask = [None] * len(shapes)
     if len(mask) != len(shapes):
         raise ValueError(f"need one mask entry per template: got {len(mask)} "
                          f"for {len(shapes)} templates")
+    pairs = []
     for i, (m, shape) in enumerate(zip(mask, shapes)):
         if m is None:
+            pairs.append((np.zeros(shape, dtype=bool), np.zeros(shape)))
             continue
         known = np.asarray(m[0], dtype=bool)
         values = np.asarray(m[1], dtype=float)
@@ -291,6 +290,8 @@ def _check_masks(mask, shapes):
         if not np.isfinite(values[known]).all():
             raise ValueError(f"mask for template {i}: known values must be "
                              f"finite")
+        pairs.append((known, values))
+    return pairs
 
 
 def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
@@ -300,18 +301,14 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
     feature task). Up to SAMPLE_BATCH templates are integrated together as
     one merged N x odim state. ``mask`` is a per-template list of
     ``(known, values)`` array pairs (or None entries), as ``task_mask``
-    returns; known channels are re-clamped after every integration step
-    onto the cfm straight path (1 - t) * z0 + t * value, which lands exactly
-    on the conditioning values at t = 1. ddpm trains on another path, so a
-    mask with ``config.interpolant`` other than cfm raises ValueError. The
-    model is in eval mode while sampling and back in train mode afterwards,
-    also when sampling raises.
+    returns; when any entry is given, each merged state's pairs go to
+    ``generate``, which clamps the known channels onto the cfm path and
+    raises ValueError for any other ``config.interpolant``. The model is in
+    eval mode while sampling and back in train mode afterwards, also when
+    sampling raises.
     """
-    if config.interpolant != "cfm" and any(m is not None for m in mask or ()):
-        raise ValueError(f"conditional sampling clamps known channels onto the "
-                         f"cfm path; interpolant {config.interpolant!r} cannot "
-                         f"be masked")
-    _check_masks(mask, [(g.n_nodes, model.odim) for g in templates])
+    pairs = _masks(mask, [(g.n_nodes, model.odim) for g in templates])
+    masked = any(m is not None for m in mask or ())
     cache = StructureCache(config)
     rng = np.random.default_rng(seed)
     odim = model.odim
@@ -320,16 +317,11 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
     try:
         for start in range(0, len(templates), SAMPLE_BATCH):
             chunk = templates[start:start + SAMPLE_BATCH]
-            masks = (mask[start:start + SAMPLE_BATCH] if mask is not None
-                     else [None] * len(chunk))
             bounds = np.cumsum([0] + [g.n_nodes for g in chunk])
             spans = list(zip(bounds[:-1], bounds[1:]))
             z0 = rng.standard_normal((bounds[-1], odim))
-            known = np.zeros(z0.shape, dtype=bool)
-            values = np.zeros(z0.shape)
-            for m, (lo, hi) in zip(masks, spans):
-                if m is not None:
-                    known[lo:hi], values[lo:hi] = m
+            known, values = map(np.concatenate,
+                                zip(*pairs[start:start + SAMPLE_BATCH]))
 
             def field(z, t):
                 parts = [_part(g, z[lo:hi], t, config.task)
@@ -337,13 +329,11 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
                 with no_grad():
                     return merged_forward(model, parts, cache).data
 
-            def clamp(z, t):
-                if known.any():
-                    z[known] = (1.0 - t) * z0[known] + t * values[known]
-
             z = generate(field, z0, config.interpolant, config.nfes,
-                         seed=int(rng.integers(2**32)), callback=clamp)
-            out.extend(_with_component(g, z[lo:hi].copy(), config.task)
+                         seed=int(rng.integers(2**32)),
+                         mask=(known, values) if masked else None)
+            out.extend(GeometricGraph(*(a.copy() for a in
+                                        _fields(g, z[lo:hi], config.task)))
                        for g, (lo, hi) in zip(chunk, spans))
     finally:
         model.train()
@@ -357,14 +347,12 @@ def random_generations(templates, task, seed=0, mask=None):
     None entries), as for ``sample``; known channels take their
     conditioning values.
     """
-    _check_masks(mask, [_component(g, task).shape for g in templates])
+    pairs = _masks(mask, [_component(g, task).shape for g in templates])
     rng = np.random.default_rng(seed)
     out = []
-    for g, m in zip(templates, mask or [None] * len(templates)):
-        z = rng.standard_normal(_component(g, task).shape)
-        if m is not None:
-            z = np.where(m[0], m[1], z)
-        out.append(_with_component(g, z, task))
+    for g, (known, values) in zip(templates, pairs):
+        z = np.where(known, values, rng.standard_normal(known.shape))
+        out.append(GeometricGraph(*(a.copy() for a in _fields(g, z, task))))
     return out
 
 
@@ -373,11 +361,9 @@ def random_generations(templates, task, seed=0, mask=None):
 
 
 def _pool(graphs, task):
-    if task == "positions":
-        return np.concatenate([g.positions for g in graphs])
-    return np.concatenate(
-        [np.concatenate([g.positions, g.features], axis=1) for g in graphs]
-    )
+    """Each node's positions, then its generated features, as one row."""
+    fields = [_fields(g, _component(g, task), task) for g in graphs]
+    return np.concatenate([np.concatenate([p, f], axis=1) for f, p in fields])
 
 
 def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
@@ -404,14 +390,6 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
         vals = list(pool.map(one, range(replicates)))
     return {"mean": float(np.mean(vals)), "std": float(np.std(vals)),
             "warned": warned, "values": vals}
-
-
-def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                             for v in row) + "\n")
 
 
 # ----------------------------------------------------------------------

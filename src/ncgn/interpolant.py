@@ -72,7 +72,7 @@ def regression_target(z0, z1, kind, seed=None):
     return _noise(z1.shape, seed)
 
 
-def generate(field, z0, kind, nfes: int, seed=0, callback=None):
+def generate(field, z0, kind, nfes: int, seed=0, mask=None):
     """Integrate the learned field from prior to data; returns the N x odim
     state at t = 1.
 
@@ -81,21 +81,28 @@ def generate(field, z0, kind, nfes: int, seed=0, callback=None):
     over ``nfes`` of the DDPM_STEPS diffusion steps (respaced as in Nichol &
     Dhariwal 2021; ``nfes`` may not exceed DDPM_STEPS) from a fresh
     standard-normal draw, interpreting the field output as predicted noise.
-    ``callback(z, t)`` runs after every step and may edit ``z`` in place
-    (conditioning clamps). A non-finite state after any step raises
-    RuntimeError naming the step and the t it reached.
+    ``mask``, a ``(known, values)`` pair shaped like ``z0`` with boolean
+    ``known``, clamps the known entries onto the cfm path (1 - t) * z0 +
+    t * values after every step; ddpm trains on another path, so only cfm
+    can be masked. A non-finite state after any step raises RuntimeError
+    naming the step and the t it reached.
     """
     _check_kind(kind)
     if nfes < 1:
         raise ValueError("nfes must be >= 1")
-    z = np.array(z0, dtype=np.float64)
+    if mask is not None and kind != "cfm":
+        raise ValueError(f"conditional sampling clamps known channels onto the "
+                         f"cfm path; interpolant {kind!r} cannot be masked")
+    z0 = np.asarray(z0, dtype=np.float64)
+    z = z0.copy()
 
     def after_step(z, step, t):
         if not np.isfinite(z).all():
             raise RuntimeError(f"non-finite state after sampling step {step} "
                                f"(t={t:.6g}); the field diverged")
-        if callback is not None:
-            callback(z, t)
+        if mask is not None:
+            known, values = mask
+            z[known] = (1.0 - t) * z0[known] + t * values[known]
         return z
 
     if kind == "cfm":

@@ -17,7 +17,8 @@ from ncgn.config import (
     read_config_file,
     write_resolved,
 )
-from ncgn.graphs import build_long_short_edges, load_graph
+from ncgn.dataset import load_dataset
+from ncgn.graphs import build_long_short_edges, load_graph, save_graph
 
 
 def run(tmp_path, command, *overrides, config=None):
@@ -177,6 +178,21 @@ def test_simulate_sample_eval_pipeline(tmp_path, capsys):
     assert "(pool smaller than subsample)" in capsys.readouterr().out
 
 
+def test_training_writes_loss_csv(tmp_path, capsys):
+    # one loss.csv row per optimizer step: two epochs of one batch
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
+    assert run(work, "train", f"dataset={data}", "epochs=2", "batch=2",
+               "warmup_epochs=1", "hdim=8", "layers=1") == 0
+    assert "over 2 steps" in capsys.readouterr().out
+    lines = (work / "loss.csv").read_text().strip().split("\n")
+    assert lines[0] == "epoch,step,loss,lr"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("1", "1")]
+    # lr during warmup epoch 0 is lr/warmup
+    assert float(rows[0][3]) == pytest.approx(DEFAULTS["lr"] / 1)
+
+
 def test_sample_random_pred_needs_no_checkpoint(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
@@ -268,6 +284,20 @@ def test_sample_empty_test_split_exits_one(tmp_path, capsys, n_samples):
     assert not (work / "samples").exists()
 
 
+def test_eval_empty_test_split_exits_one(tmp_path, capsys):
+    # an empty reference pool has nothing to compare the samples with
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=3", "n_test=0") == 0
+    (work / "samples").mkdir(parents=True)
+    save_graph(str(work / "samples" / "00000.graph"),
+               load_dataset(str(data)).train[0])
+    capsys.readouterr()
+    assert run(work, "eval", f"dataset={data}") == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "test split is empty" in err
+    assert not (work / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate-data", "make-shapes"])
 @pytest.mark.parametrize("counts", [("0", "0"), ("-1", "2")])
 def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
@@ -345,6 +375,31 @@ def test_attention_study_rejects_bins_before_training(tmp_path, capsys,
     assert run(work, "attention-study", f"dataset={data}",
                f"attention.bins={bins}") == 1
     assert f"attention.bins must be >= 1, got {bins}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_train, n_test, split", [
+    (0, 2, "train"), (4, 0, "test"),
+])
+def test_attention_study_with_an_empty_split_exits_one(tmp_path, capsys,
+                                                       monkeypatch, n_train,
+                                                       n_test, split):
+    # both splits are checked before training: the model trains on one and
+    # is studied on the other
+    data = tmp_path / "shapes"
+    assert run(data, "make-shapes", f"n_train={n_train}", f"n_test={n_test}",
+               "n_points=16") == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("attention-study trained before checking splits")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    work = tmp_path / "work"
+    assert run(work, "attention-study", f"dataset={data}",
+               "attention.epochs=1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ncgn attention-study: ")
+    assert str(data) in err and f"the {split} split is empty" in err
+    assert not (work / "attention.csv").exists()
 
 
 # ------------------------------------------------- checkpoint config record

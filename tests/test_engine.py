@@ -99,19 +99,6 @@ def test_training_reproducible():
     assert [r[2] for r in rows_a] == [r[2] for r in rows_b]
 
 
-def test_training_writes_loss_csv(tmp_path):
-    graphs = rd_graphs(2)
-    config = TrainConfig(epochs=2, batch=2, warmup_epochs=1, hdim=8,
-                         layers=1)
-    path = tmp_path / "loss.csv"
-    _, _, rows = train(graphs, config, loss_path=path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "epoch,step,loss,lr"
-    assert len(lines) == len(rows) + 1
-    # lr during warmup epoch 0 is lr/warmup
-    assert float(lines[1].split(",")[3]) == pytest.approx(config.lr / 1)
-
-
 def test_ema_tracks_training():
     graphs = rd_graphs(2)
     config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8,

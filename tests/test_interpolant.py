@@ -195,3 +195,52 @@ def test_unknown_kind_rejected_and_named():
             regression_target(z, z, kind, seed=0)
         with pytest.raises(ValueError, match=f"'{kind}'"):
             generate(lambda z, t: z, z, kind, nfes=2)
+
+
+def _mask_pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=shape) < 0.5, rng.standard_normal(shape)
+
+
+def test_generate_mask_lands_known_entries_on_values():
+    z0 = make_state(n=6, f=3, seed=8)
+    known, values = _mask_pair(z0.shape, seed=9)
+    out = generate(lambda z, t: 0.3 * z + t, z0, "cfm", nfes=5,
+                   mask=(known, values))
+    np.testing.assert_array_equal(out[known], values[known])
+    assert not np.allclose(out[~known], values[~known])
+
+
+def test_generate_mask_leaves_unknown_entries_alone():
+    # a field that ignores z moves every entry on its own, so clamping the
+    # known ones cannot reach the others
+    z0 = make_state(n=6, f=3, seed=10)
+    known, values = _mask_pair(z0.shape, seed=11)
+
+    def field(z, t):
+        return np.full_like(z, np.sin(3.0 * t) - 0.2)
+
+    masked = generate(field, z0, "cfm", nfes=5, mask=(known, values))
+    bare = generate(field, z0, "cfm", nfes=5)
+    assert masked[~known].tobytes() == bare[~known].tobytes()
+
+
+def test_generate_mask_with_nothing_known_changes_nothing():
+    z0 = make_state(n=6, f=3, seed=12)
+    nothing = (np.zeros(z0.shape, dtype=bool), np.zeros(z0.shape))
+    field = lambda z, t: 0.5 * np.tanh(z) + t  # noqa: E731
+    assert (generate(field, z0, "cfm", nfes=5, mask=nothing).tobytes()
+            == generate(field, z0, "cfm", nfes=5).tobytes())
+
+
+def test_generate_mask_rejects_ddpm_before_the_field_runs():
+    # the clamp follows the cfm path, which ddpm's noising does not match
+    z0 = make_state(seed=13)
+
+    def field(z, t):
+        raise AssertionError("the field ran before the mask was rejected")
+
+    for mask in (_mask_pair(z0.shape, seed=14),
+                 (np.zeros(z0.shape, dtype=bool), np.zeros(z0.shape))):
+        with pytest.raises(ValueError, match="interpolant 'ddpm' cannot be masked"):
+            generate(field, z0, "ddpm", nfes=3, mask=mask)
