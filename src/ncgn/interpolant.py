@@ -83,8 +83,9 @@ def generate(field, z0, kind, nfes: int, seed=0, mask=None):
     standard-normal draw, interpreting the field output as predicted noise.
     ``mask``, a ``(known, values)`` pair shaped like ``z0`` with boolean
     ``known``, clamps the known entries onto the cfm path (1 - t) * z0 +
-    t * values after every step; ddpm trains on another path, so only cfm
-    can be masked. A non-finite state after any step raises RuntimeError
+    t * values after every step, at the step's end time (i + 1) / nfes, so
+    the last step lands exactly on ``values``; ddpm trains on another path,
+    so only cfm can be masked. A non-finite state after any step raises RuntimeError
     naming the step and the t it reached.
     """
     _check_kind(kind)
@@ -112,7 +113,7 @@ def generate(field, z0, kind, nfes: int, seed=0, mask=None):
             v = np.asarray(field(z, t))
             if v.shape != z.shape:
                 raise ValueError("field returned wrong shape")
-            z = after_step(z + dt * v, i, t + dt)
+            z = after_step(z + dt * v, i, (i + 1) / nfes)
         return z
 
     if nfes > DDPM_STEPS:

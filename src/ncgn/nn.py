@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 
-from .tensor import Tensor, batch_norm, linear
+from .tensor import Tensor, batch_norm, hidden_layer, linear
 
 BN_EPS = 1e-5  # variance floor of every batch norm
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
@@ -85,7 +85,8 @@ class BatchNorm(Module):
 
     The first training batch seeds the running statistics directly, so a
     single train step followed by eval reproduces that batch's stats;
-    subsequent batches blend with momentum ``BN_MOMENTUM``.
+    subsequent batches blend with momentum ``BN_MOMENTUM``. Eval mode
+    normalizes with the running statistics.
     """
 
     def __init__(self, channels):
@@ -97,34 +98,44 @@ class BatchNorm(Module):
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
+        return self._apply(batch_norm, x)
+
+    def hidden(self, x: Tensor, weight: Tensor) -> Tensor:
+        """``gelu(self(x @ weight))`` as one node (``tensor.hidden_layer``)."""
+        return self._apply(hidden_layer, x, weight)
+
+    def _apply(self, op, x, *weight):
+        """``op(x, *weight, gamma, beta, eps)`` over the running statistics
+        in eval mode; in train mode over the batch's, which it then folds
+        into the running ones."""
         if x.data.ndim != 2:
             raise ValueError("batch norm expects nodes x channels")
-        if self.training:
-            if x.data.shape[0] < 1:
-                raise ValueError("batch norm needs at least one row in train mode")
-            out, m, v = batch_norm(x, self.gamma, self.beta, BN_EPS)
-            if not self._initialized:
-                self.running_mean.data[:] = m
-                self.running_var.data[:] = v
-                self._initialized = True
-            else:
-                self.running_mean.data *= 1.0 - BN_MOMENTUM
-                self.running_mean.data += BN_MOMENTUM * m
-                self.running_var.data *= 1.0 - BN_MOMENTUM
-                self.running_var.data += BN_MOMENTUM * v
-            return out
-        xhat = (x - self.running_mean.data[None, :]) / np.sqrt(
-            self.running_var.data[None, :] + BN_EPS
-        )
-        return xhat * self.gamma + self.beta
+        if not self.training:
+            stats = (self.running_mean.data, self.running_var.data)
+            return op(x, *weight, self.gamma, self.beta, BN_EPS, stats)[0]
+        if x.data.shape[0] < 1:
+            raise ValueError("batch norm needs at least one row in train mode")
+        out, m, v = op(x, *weight, self.gamma, self.beta, BN_EPS)
+        if not self._initialized:
+            self.running_mean.data[:] = m
+            self.running_var.data[:] = v
+            self._initialized = True
+        else:
+            self.running_mean.data *= 1.0 - BN_MOMENTUM
+            self.running_mean.data += BN_MOMENTUM * m
+            self.running_var.data *= 1.0 - BN_MOMENTUM
+            self.running_var.data += BN_MOMENTUM * v
+        return out
 
 
 class MLP(Module):
     """MLP over a list of layer widths, e.g. [d_in, h, h, d_out].
 
-    Each hidden layer is Linear -> BatchNorm -> GELU, with a bias-free
-    Linear: the norm subtracts the batch mean, which would cancel a bias.
-    The final Linear is bare; ``bias=False`` drops its bias too, for an MLP
+    Each hidden layer is Linear -> BatchNorm -> GELU, run as one graph node
+    (``BatchNorm.hidden``, the fused ``tensor.hidden_layer``) in train and
+    eval mode alike; its Linear only holds the weight. That Linear has no
+    bias: the norm subtracts the batch mean, which would cancel it. The
+    final Linear is bare; ``bias=False`` drops its bias too, for an MLP
     whose output reaches a batch norm only through linear maps.
     """
 
@@ -136,7 +147,7 @@ class MLP(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         for lin, norm in zip(self.layers, self.norms):
-            x = norm(lin(x)).gelu()
+            x = norm.hidden(x, lin.weight)
         return self.layers[-1](x)
 
 

@@ -6,17 +6,34 @@ one way to take gradients, walks the recorded graph in reverse topological
 order and adds onto each leaf's ``grad``: set it to None first, then read
 it; a leaf the loss does not reach keeps None. Broadcasting follows numpy
 rules (2-D needs only), with gradients summed back over broadcast axes.
-``backward`` frees each interior gradient as soon as its closure has run:
-afterwards only leaves (tensors built with ``requires_grad=True``) and the
-root hold a ``grad``. Inside ``with no_grad():`` ops record no parents and
-no closures, so inference builds no graph.
+Inside ``with no_grad():`` ops record no parents and no closures, so
+inference builds no graph.
 
-Two fused ops stand in for the node-level layers: ``linear`` is
-``x @ weight + bias`` (or ``x @ weight``, without a bias) as one node, with
-the same float operations forward and backward as the composed form, and
-``batch_norm`` is train-mode batch normalization as one node with the
-analytic backward of Ioffe & Szegedy (2015); its forward repeats the
-composed form's operations, so its output is the same bytes.
+``backward`` releases the graph as it walks it. Once a node's closure has
+run, the node drops its gradient (unless it is the root), its closure and
+its parents, so each forward array is freed as soon as the last node that
+needs it is done: a train step never holds two graphs at once. A graph runs
+backward once; a second ``backward`` through it raises RuntimeError.
+Afterwards only leaves (tensors built with ``requires_grad=True``) and the
+root hold a ``grad``.
+
+The first ``backward`` of a process also asks glibc to keep freed pages
+(``_keep_freed_pages``): arrays up to 32 MiB come from the heap instead of
+fresh mappings, and the heap is never trimmed. Otherwise every step would
+return its released graph to the kernel and fault the same pages back in
+on the next forward. Processes that take no gradient keep the default
+allocator.
+
+Three fused ops stand in for the node-level layers, one node each.
+``linear`` is ``x @ weight + bias`` (or ``x @ weight``, without a bias),
+with the same float operations forward and backward as the composed form.
+``batch_norm`` is batch normalization; its forward repeats the composed
+form's operations, so its output is the same bytes, and over batch
+statistics its backward is the closed form of Ioffe & Szegedy (2015).
+``hidden_layer`` is an MLP hidden layer, ``gelu(batch_norm(x @ weight))``:
+it runs that three-op chain's float operations in order, forward and
+backward, so every result is the chain's bytes, but keeps only the
+normalized input, the Gaussian CDF and its output for the backward.
 
 Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
 sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
@@ -29,6 +46,7 @@ outside ``[0, n)`` raise ValueError instead of wrapping around.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 import threading
 
@@ -79,6 +97,35 @@ def _scatter_add(ids, n, values):
     return (incidence @ values.reshape(ids.size, math.prod(tail))).reshape((n,) + tail)
 
 
+# glibc mallopt parameters: serve arrays up to 32 MiB from the heap, never
+# trim it. 32 MiB is the largest mmap threshold glibc accepts on 64-bit.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_pages_kept = False
+
+
+def _keep_freed_pages():
+    """Once per process, ask glibc to keep the pages a released graph
+    frees, so the next forward reuses them instead of faulting fresh ones
+    in. Does nothing without a libc that has ``mallopt``."""
+    global _pages_kept
+    if _pages_kept:
+        return
+    _pages_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+
+
+def _released(g):
+    raise RuntimeError("backward() through a graph that was freed by an "
+                       "earlier backward(); run the forward again")
+
+
 class _GradMode(threading.local):
     enabled = True
 
@@ -100,7 +147,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -134,10 +182,14 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
+        _keep_freed_pages()
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # consume the list so a released node has no reference left
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node._backward, node._parents = _released, ()
                 if node is not self:
                     node.grad = None
 
@@ -342,36 +394,96 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     return Tensor(out_data, _parents=parents, _backward=bwd)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
-    """Train-mode batch normalization of the N x C ``x`` over its rows, as
-    one node. Returns (output, batch mean, biased batch variance), the last
-    two as length-C arrays.
-
-    The forward is the composed ``(x - mu) / (var + eps) ** 0.5 * gamma +
-    beta`` operation for operation. The backward is the closed form
-    ``dx = (gg - mean(gg) - xhat * mean(gg * xhat)) / std`` with
-    ``gg = g * gamma``, ``dgamma = sum(g * xhat)`` and ``dbeta = sum(g)``.
-    """
-    inv_n = 1.0 / x.data.shape[0]
-    mu = x.data.sum(axis=0, keepdims=True) * inv_n
-    centered = x.data - mu
+def _normalize(h, eps, stats):
+    """``(xhat, std, mean, var)`` for the N x C array ``h``: normalized over
+    its rows with their mean and biased variance, or with ``stats``, a
+    ``(mean, var)`` pair of length-C arrays, when given. ``std`` is 1 x C."""
+    if stats is not None:
+        mean, var = stats
+        std = np.sqrt(var[None, :] + eps)
+        return (h - mean[None, :]) / std, std, mean, var
+    inv_n = 1.0 / h.shape[0]
+    mu = h.sum(axis=0, keepdims=True) * inv_n
+    centered = h - mu
     var = (centered**2).sum(axis=0, keepdims=True) * inv_n
     std = (var + eps) ** 0.5
-    xhat = centered / std
+    return centered / std, std, mu.ravel(), var.ravel()
+
+
+def _normalize_backward(g, xhat, std, gamma, beta, batch_stats, wants_input):
+    """Push the gradient ``g`` of ``xhat * gamma + beta`` onto ``gamma`` and
+    ``beta``; return the gradient of the normalized input when
+    ``wants_input``, else None. Over batch statistics it is the closed form
+    ``(gg - mean(gg) - xhat * mean(gg * xhat)) / std`` with ``gg = g *
+    gamma``; with fixed statistics it is ``gg / std``."""
+    if gamma.requires_grad:
+        gamma._accum((g * xhat).sum(axis=0))
+    if beta.requires_grad:
+        beta._accum(g.sum(axis=0))
+    if not wants_input:
+        return None
+    gg = g * gamma.data
+    if not batch_stats:
+        return gg / std
+    inv_n = 1.0 / g.shape[0]
+    return (gg - gg.sum(axis=0) * inv_n
+            - xhat * ((gg * xhat).sum(axis=0) * inv_n)) / std
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
+    """Batch normalization ``(x - mean) / (var + eps) ** 0.5 * gamma + beta``
+    of the N x C ``x`` as one node. The statistics are those of ``x``'s rows
+    (train mode), or ``stats``, a ``(mean, var)`` pair of length-C arrays
+    (eval mode with running statistics). Returns (output, mean, var), the
+    last two as length-C arrays.
+
+    The forward is the composed form operation for operation. Over batch
+    statistics the backward is the closed form of ``_normalize_backward``.
+    """
+    xhat, std, mean, var = _normalize(x.data, eps, stats)
     out_data = xhat * gamma.data + beta.data
 
     def bwd(g):
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=0))
-        if beta.requires_grad:
-            beta._accum(g.sum(axis=0))
-        if x.requires_grad:
-            gg = g * gamma.data
-            x._accum((gg - gg.sum(axis=0) * inv_n
-                      - xhat * ((gg * xhat).sum(axis=0) * inv_n)) / std)
+        dx = _normalize_backward(g, xhat, std, gamma, beta, stats is None,
+                                 x.requires_grad)
+        if dx is not None:
+            x._accum(dx)
 
     out = Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd)
-    return out, mu.ravel(), var.ravel()
+    return out, mean, var
+
+
+def hidden_layer(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
+                 eps: float, stats=None):
+    """An MLP hidden layer, ``gelu(batch_norm(x @ weight))``, as one node;
+    ``stats`` and the return value are those of ``batch_norm``.
+
+    Forward and backward run the float operations of ``linear(x, weight,
+    None)``, ``batch_norm`` and ``Tensor.gelu`` in the same order, so every
+    result is the bytes of that chain. The node keeps the
+    normalized ``xhat``, the Gaussian CDF and its output; the backward
+    recomputes the pre-activation ``xhat * gamma + beta``.
+    """
+    from scipy.special import erf
+
+    xhat, std, mean, var = _normalize(x.data @ weight.data, eps, stats)
+    pre = xhat * gamma.data + beta.data
+    phi = 0.5 * (1.0 + erf(pre / SQRT2))
+    out_data = pre * phi
+
+    def bwd(g):
+        pre = xhat * gamma.data + beta.data
+        pdf = INV_SQRT_2PI * np.exp(-0.5 * pre**2)
+        dh = _normalize_backward(g * (phi + pre * pdf), xhat, std, gamma, beta,
+                                 stats is None,
+                                 x.requires_grad or weight.requires_grad)
+        if x.requires_grad:
+            x._accum(dh @ weight.data.T)
+        if weight.requires_grad:
+            weight._accum(x.data.T @ dh)
+
+    out = Tensor(out_data, _parents=(x, weight, gamma, beta), _backward=bwd)
+    return out, mean, var
 
 
 def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:

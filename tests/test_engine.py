@@ -1,9 +1,12 @@
 import contextlib
+import ctypes
+import types
+import weakref
 
 import numpy as np
 import pytest
 
-from ncgn import engine, nn
+from ncgn import engine, nn, tensor
 from ncgn.dataset import generate_shape_dataset
 from ncgn.dmp import FlatGat, node_input
 from ncgn.engine import (
@@ -112,6 +115,64 @@ def test_ema_tracks_training():
         expected = init[name] * nn.EMA_DECAY
         expected += (1.0 - nn.EMA_DECAY) * t.data
         np.testing.assert_array_equal(ema.shadow[name], expected)
+
+
+def test_no_tape_outlives_a_train_step(monkeypatch):
+    # every tensor of step k's graph but the parameters is gone by the time
+    # step k + 1's forward starts: backward released the graph as it ran
+    forward = engine.merged_forward
+    live_at_start, tapes = [], []
+
+    def recording(*args):
+        live_at_start.append(sum(ref() is not None for ref in tapes))
+        tapes.clear()
+        pred = forward(*args)
+        stack, seen = list(pred._parents), set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or (node.requires_grad and node._backward is None):
+                continue
+            seen.add(id(node))
+            tapes.append(weakref.ref(node))
+            stack.extend(node._parents)
+        return pred
+
+    monkeypatch.setattr(engine, "merged_forward", recording)
+    train(rd_graphs(4), TrainConfig(epochs=2, batch=2, warmup_epochs=1, hdim=8,
+                                    layers=2))
+    assert len(live_at_start) == 4 and len(tapes) > 50
+    assert live_at_start == [0, 0, 0, 0]
+
+
+def fake_libc(monkeypatch, libc):
+    """Make ``ctypes.CDLL(None)`` return ``libc`` and mark this process as
+    having taken no gradient yet."""
+    real = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs:
+                        libc if name is None else real(name, *args, **kwargs))
+    monkeypatch.setattr(tensor, "_pages_kept", False)
+
+
+def test_freed_pages_kept_once_and_only_by_gradient_processes(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    fake_libc(monkeypatch, types.SimpleNamespace(mallopt=mallopt))
+    graphs = rd_graphs(2)
+    config = TrainConfig(epochs=2, batch=2, warmup_epochs=1, hdim=8, layers=1,
+                         nfes=3)
+    sample(build_model(graphs[0], config), graphs, config)
+    shapes = generate_shape_dataset(n_train=1, n_test=1, n_points=16, seed=0).train
+    gw_study(shapes, noise_grid=(0.5,), cluster_grid=(4,), n_shapes=1, n_seeds=1,
+             iters=5)
+    assert calls == [] and not tensor._pages_kept
+    _, _, rows = train(graphs, config)
+    assert len(rows) == 2
+    # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off: once per process
+    assert calls == [(-3, 32 << 20), (-1, -1)]
 
 
 def test_sample_shapes_and_determinism():

@@ -211,6 +211,18 @@ def test_generate_mask_lands_known_entries_on_values():
     assert not np.allclose(out[~known], values[~known])
 
 
+def test_generate_mask_ends_exactly_on_values_for_any_nfes():
+    # the last step ends at (nfes) / nfes == 1.0, not at a sum of 1/nfes
+    # steps, which for nfes=6 is 0.9999999999999999 and leaves a trace of z0
+    z0 = make_state(n=6, f=3, seed=15)
+    values = make_state(n=6, f=3, seed=16)
+    everything = np.ones(z0.shape, dtype=bool)
+    for nfes in (6, 7, 49):
+        out = generate(lambda z, t: z - t, z0, "cfm", nfes=nfes,
+                       mask=(everything, values))
+        assert out.tobytes() == values.tobytes(), nfes
+
+
 def test_generate_mask_leaves_unknown_entries_alone():
     # a field that ignores z moves every entry on its own, so clamping the
     # known ones cannot reach the others

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import Tensor
+from ncgn.tensor import Tensor, batch_norm, hidden_layer, linear
 
 
 def assert_close_to_max(actual, reference, rtol=1e-12):
@@ -121,6 +121,98 @@ def test_fused_batch_norm_finite_difference_with_constant_channel():
             flat[i] = orig
             fd = (hi - lo) / (2 * h)
             assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def _hidden_layer_inputs(rng, n, d_in, channels):
+    return (rng.standard_normal((n, d_in)) + 0.5, rng.standard_normal((d_in, channels)),
+            rng.standard_normal(channels), rng.standard_normal(channels),
+            rng.standard_normal((n, channels)))
+
+
+def _hidden_layer_results(layer, arrays, upstream):
+    """Output and x, weight, gamma, beta gradients of ``layer`` as bytes."""
+    x, weight, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+    out = layer(x, weight, gamma, beta)
+    (out * upstream).sum().backward()
+    return [t.tobytes() for t in (out.data, x.grad, weight.grad, gamma.grad, beta.grad)]
+
+
+def test_hidden_layer_train_mode_matches_chain_bytes():
+    # the chain MLP ran per hidden layer before the fused op: bias-free
+    # linear, batch norm, gelu
+    rng = np.random.default_rng(7)
+    *arrays, upstream = _hidden_layer_inputs(rng, 12800, 16, 32)
+    fused = _hidden_layer_results(
+        lambda x, w, g, b: hidden_layer(x, w, g, b, nn.BN_EPS)[0], arrays, upstream)
+    chain = _hidden_layer_results(
+        lambda x, w, g, b: batch_norm(linear(x, w, None), g, b, nn.BN_EPS)[0].gelu(),
+        arrays, upstream)
+    assert fused == chain
+    # against elementary ops: the same output, gamma and beta bytes; the
+    # closed-form x and weight gradients agree to rounding
+    composed = _hidden_layer_results(
+        lambda x, w, g, b: composed_batch_norm(x @ w, g, b, nn.BN_EPS).gelu(),
+        arrays, upstream)
+    assert [fused[i] == composed[i] for i in (0, 3, 4)] == [True] * 3
+    for i in (1, 2):
+        assert_close_to_max(np.frombuffer(fused[i]), np.frombuffer(composed[i]))
+
+
+def test_hidden_layer_eval_mode_matches_composed_bytes():
+    rng = np.random.default_rng(8)
+    *arrays, upstream = _hidden_layer_inputs(rng, 500, 16, 32)
+    stats = (rng.standard_normal(32), rng.uniform(0.5, 2.0, 32))
+
+    def composed(x, weight, gamma, beta):
+        mean, var = stats
+        return ((x @ weight - mean[None, :]) / np.sqrt(var[None, :] + nn.BN_EPS)
+                * gamma + beta).gelu()
+
+    fused = _hidden_layer_results(
+        lambda x, w, g, b: hidden_layer(x, w, g, b, nn.BN_EPS, stats)[0],
+        arrays, upstream)
+    assert fused == _hidden_layer_results(composed, arrays, upstream)
+
+
+def test_hidden_layer_finite_difference_with_constant_channel():
+    rng = np.random.default_rng(9)
+    x0 = rng.standard_normal((6, 4))
+    w0 = rng.standard_normal((4, 3))
+    w0[:, 1] = 0.0  # zero batch variance: normalized by sqrt(eps) alone
+    x0[:, 0] = 1.0  # a constant input column too
+    upstream = rng.standard_normal((6, 3))
+    tensors = [Tensor(a, requires_grad=True)
+               for a in (x0, w0, np.array([1.5, -0.5, 2.0]), np.array([0.1, 0.2, -0.3]))]
+
+    def loss():
+        return (hidden_layer(*tensors, nn.BN_EPS)[0] * upstream).sum()
+
+    loss().backward()
+    h = 1e-6
+    for t in tensors:
+        flat, gflat = t.data.ravel(), t.grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = float(loss().data)
+            flat[i] = orig - h
+            lo = float(loss().data)
+            flat[i] = orig
+            fd = (hi - lo) / (2 * h)
+            assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_mlp_runs_each_hidden_layer_as_one_node():
+    rng = np.random.default_rng(10)
+    mlp = nn.MLP([4, 8, 8, 2], rng)
+    x = Tensor(rng.standard_normal((5, 4)))
+    for mode in (mlp.train, mlp.eval):
+        mode()
+        out = mlp(x)
+        hidden = out._parents[0]  # the last linear's input
+        assert [p.data.shape for p in hidden._parents] == [(5, 8), (8, 8), (8,), (8,)]
+        assert hidden._parents[1] is mlp.layers[1].weight
+        assert hidden._parents[0]._parents[0] is x
 
 
 def test_batch_norm_rejects_empty():

@@ -1,8 +1,12 @@
+import ctypes
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncgn import tensor
 from ncgn.tensor import (
     Tensor,
     _unbroadcast,
@@ -168,6 +172,48 @@ def test_backward_frees_interior_grads_and_keeps_leaves():
     assert h.grad is None
     np.testing.assert_array_equal(a.grad, 18.0 * a.data)
     np.testing.assert_array_equal(out.grad, 1.0)
+
+
+def test_second_backward_through_a_released_graph_raises():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = a * 3.0
+    out = (h * h).sum()
+    out.backward()
+    with pytest.raises(RuntimeError, match="freed by an earlier backward"):
+        out.backward()
+    # a new root over the released part of the graph cannot reach a either
+    with pytest.raises(RuntimeError, match="freed by an earlier backward"):
+        (h * 2.0).sum().backward()
+    np.testing.assert_array_equal(a.grad, [18.0, 36.0])
+
+
+def test_backward_releases_each_node_of_the_graph():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = a * 3.0
+    interior = weakref.ref(h)
+    out = (h.sigmoid() * h).sum()
+    del h
+    assert interior() is not None  # the root's graph holds it
+    out.backward()
+    assert interior() is None
+    assert out._parents == () and a._parents == ()
+
+
+@pytest.mark.parametrize("libc", [object(), OSError])
+def test_backward_without_mallopt_keeps_the_default_allocator(monkeypatch, libc):
+    # a libc without mallopt, or none at all: backward runs as before
+
+    def cdll(name, *args, **kwargs):
+        if isinstance(libc, type):
+            raise libc("no libc")
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(tensor, "_pages_kept", False)
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    (a * a).sum().backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 4.0])
+    assert tensor._pages_kept
 
 
 def test_linear_equals_matmul_add_bytes():
