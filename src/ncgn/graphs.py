@@ -18,7 +18,8 @@ from .tensor import _scatter_add
 
 @dataclass
 class GeometricGraph:
-    """Node features (N x f, f may be 0) and positions (N x d)."""
+    """Node features (N x f, f may be 0) and positions (N x d), both
+    finite."""
 
     features: np.ndarray
     positions: np.ndarray
@@ -33,6 +34,8 @@ class GeometricGraph:
         self.features = np.asarray(self.features, dtype=np.float64).reshape(n, -1)
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("features must be finite")
 
     @property
     def n_nodes(self):
@@ -168,6 +171,9 @@ def load_graph(path) -> GeometricGraph:
         if len(vals) != d + f:
             raise ValueError(f"{path} line {no}: expected {d + f} values, "
                              f"got {len(vals)}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path} line {no}: expected finite values, got "
+                             f"{line!r}")
         pos[i] = vals[:d]
         feat[i] = vals[d:]
     return GeometricGraph(feat, pos)

@@ -1,21 +1,35 @@
 """Dense-tensor reverse-mode autodiff engine.
 
-Arrays are float64 throughout. Each Tensor op records its parents and a
-closure that pushes the upstream gradient back onto them. ``backward``, the
-one way to take gradients, walks the recorded graph in reverse topological
-order and adds onto each leaf's ``grad``: set it to None first, then read
-it; a leaf the loss does not reach keeps None. Broadcasting follows numpy
-rules (2-D needs only), with gradients summed back over broadcast axes.
-Inside ``with no_grad():`` ops record no parents and no closures, so
-inference builds no graph.
+Arrays are float64 throughout. A ``Tensor`` is a value (``data``) and, when
+it requires grad, a graph node (``_Node``): its gradient, the nodes of the
+op inputs that require grad, and a closure that pushes the upstream
+gradient back onto them. Leaves built with ``requires_grad=True`` get a
+node with neither; a tensor that requires no grad has no node at all.
+``backward``, the one way to take gradients, walks the nodes in reverse
+topological order and adds onto each leaf's ``grad``: set it to None
+first, then read it; a leaf the loss does not reach keeps None.
+Broadcasting follows numpy rules (2-D needs only), with gradients summed
+back over broadcast axes. Inside ``with no_grad():`` ops build no nodes,
+so inference builds no graph.
+
+Each closure captures only the arrays and shapes its backward reads, never
+a ``Tensor``: ``*``, ``/``, ``@`` and ``linear`` keep only the operands
+their gradients read, ``hidden_layer`` its input, weight, normalized input
+and Gaussian CDF, while ``+``, ``-``, ``concat``, ``gather_rows``,
+``segment_sum``, ``reshape`` and ``sum`` keep no input array. So an
+interior value is freed as soon as the forward code drops its tensor,
+unless a later op's backward reads it; the graph holds nodes, not values.
 
 ``backward`` releases the graph as it walks it. Once a node's closure has
-run, the node drops its gradient (unless it is the root), its closure and
-its parents, so each forward array is freed as soon as the last node that
-needs it is done: a train step never holds two graphs at once. A graph runs
-backward once; a second ``backward`` through it raises RuntimeError.
-Afterwards only leaves (tensors built with ``requires_grad=True``) and the
-root hold a ``grad``.
+run, the node drops its gradient (unless it is the root), its closure (and
+with it the arrays it saved) and its parents: a train step never holds two
+graphs at once. A graph runs backward once; a second ``backward`` through
+it raises RuntimeError. Afterwards only leaves and the root hold a
+``grad``. A node keeps the first gradient it receives without a copy when
+the closure built that array for it alone (a product, matmul, scatter,
+gather or reduction); a gradient passed through unchanged (``+``, the left
+side of ``-``, ``reshape``, ``sum``, ``concat``) is copied, since other
+nodes may hold the same array.
 
 The first ``backward`` of a process also asks glibc to keep freed pages
 (``_keep_freed_pages``): arrays up to 32 MiB come from the heap instead of
@@ -32,8 +46,8 @@ form's operations, so its output is the same bytes, and over batch
 statistics its backward is the closed form of Ioffe & Szegedy (2015).
 ``hidden_layer`` is an MLP hidden layer, ``gelu(batch_norm(x @ weight))``:
 it runs that three-op chain's float operations in order, forward and
-backward, so every result is the chain's bytes, but keeps only the
-normalized input, the Gaussian CDF and its output for the backward.
+backward, so every result is the chain's bytes, but keeps neither the
+pre-activation nor the output.
 
 Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
 sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
@@ -59,7 +73,8 @@ LEAKY_SLOPE = 0.2  # conventional GAT negative slope
 
 
 def _unbroadcast(grad, shape):
-    """Sum ``grad`` back down to ``shape`` after a broadcast op."""
+    """Sum ``grad`` back down to ``shape`` after a broadcast op. Returns
+    ``grad`` itself when it already has that shape, else a new array."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -135,9 +150,9 @@ _grad_mode = _GradMode()
 
 @contextlib.contextmanager
 def no_grad():
-    """Ops in the body record no graph (this thread only); leaves built
-    with ``requires_grad=True`` keep the flag. The previous mode comes
-    back when the body exits, also by an exception."""
+    """Ops in the body build no graph nodes (this thread only); leaves
+    built with ``requires_grad=True`` keep their node. The previous mode
+    comes back when the body exits, also by an exception."""
     previous = _grad_mode.enabled
     _grad_mode.enabled = False
     try:
@@ -146,20 +161,76 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "__weakref__")
+class _Node:
+    """A graph node: the gradient ``backward`` accumulates, the nodes of
+    the op's inputs that require grad (``parents``) and the closure that
+    pushes a gradient onto them (``backward``). A leaf has neither."""
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+    __slots__ = ("grad", "parents", "backward", "__weakref__")
+
+    def __init__(self, parents=(), backward=None):
         self.grad = None
-        self.requires_grad = requires_grad or (
-            _grad_mode.enabled and any(p.requires_grad for p in _parents))
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self.parents = parents
+        self.backward = backward
+
+    def accum(self, g, fresh=False):
+        """Add ``g`` onto the gradient. ``fresh`` says the caller built
+        ``g`` for this node alone, so a first gradient is kept as it is;
+        otherwise it is copied, as other nodes may hold ``g`` too."""
+        if self.grad is None:
+            self.grad = g if fresh else g.copy()
+        else:
+            self.grad += g
+
+    def pass_through(self, g, shape):
+        """Accumulate the upstream ``g``, summed down to ``shape``."""
+        summed = _unbroadcast(g, shape)
+        self.accum(summed, fresh=summed is not g)
+
+
+def _result(data, parents, backward):
+    """The Tensor of an op's output ``data``. It gets a node with the
+    closure ``backward`` when grad mode is on and some input requires grad;
+    ``parents`` holds the inputs' nodes, None for an input without one."""
+    out = Tensor(data)
+    if _grad_mode.enabled:
+        nodes = tuple(p for p in parents if p is not None)
+        if nodes:
+            out._node = _Node(nodes, backward)
+    return out
+
+
+class Tensor:
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self._node = _Node() if requires_grad else None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
+    @property
+    def _backward(self):
+        """The node's closure, None without a node; settable, so a tracer
+        can wrap it."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure):
+        self._node.backward = closure
 
     # ------------------------------------------------------------------
     # backward machinery
@@ -167,9 +238,12 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
+        root = self._node
+        if root is None:
+            raise RuntimeError("backward() of a tensor that requires no grad")
         topo = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -179,25 +253,19 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+            for p in node.parents:
+                if id(p) not in seen:
                     stack.append((p, False))
         _keep_freed_pages()
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         # consume the list so a released node has no reference left
         while topo:
             node = topo.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node._backward, node._parents = _released, ()
-                if node is not self:
+            if node.backward is not None:
+                node.backward(node.grad)
+                node.backward, node.parents = _released, ()
+                if node is not root:
                     node.grad = None
-
-    def _accum(self, g):
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -208,119 +276,127 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._lift(other)
-        out_data = self.data + other.data
+        a, b = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
 
         def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
+            if a is not None:
+                a.pass_through(g, sa)
+            if b is not None:
+                b.pass_through(g, sb)
 
-        return Tensor(out_data, _parents=(self, other), _backward=bwd)
+        return _result(self.data + other.data, (a, b), bwd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = Tensor._lift(other)
-        out_data = self.data - other.data
+        a, b = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
 
         def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(-g, other.data.shape))
+            if a is not None:
+                a.pass_through(g, sa)
+            if b is not None:
+                b.accum(_unbroadcast(-g, sb), fresh=True)
 
-        return Tensor(out_data, _parents=(self, other), _backward=bwd)
+        return _result(self.data - other.data, (a, b), bwd)
 
     def __rsub__(self, other):
         return Tensor._lift(other) - self
 
     def __mul__(self, other):
         other = Tensor._lift(other)
-        out_data = self.data * other.data
+        a, b = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
+        # each operand is kept only for the other side's gradient
+        x = self.data if b is not None else None
+        y = other.data if a is not None else None
 
         def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
+            if a is not None:
+                a.accum(_unbroadcast(g * y, sa), fresh=True)
+            if b is not None:
+                b.accum(_unbroadcast(g * x, sb), fresh=True)
 
-        return Tensor(out_data, _parents=(self, other), _backward=bwd)
+        return _result(self.data * other.data, (a, b), bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._lift(other)
-        out_data = self.data / other.data
+        a, b = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
+        x, y = (self.data if b is not None else None), other.data
 
         def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(
-                    _unbroadcast(-g * self.data / other.data**2, other.data.shape)
-                )
+            if a is not None:
+                a.accum(_unbroadcast(g / y, sa), fresh=True)
+            if b is not None:
+                b.accum(_unbroadcast(-g * x / y**2, sb), fresh=True)
 
-        return Tensor(out_data, _parents=(self, other), _backward=bwd)
+        return _result(self.data / other.data, (a, b), bwd)
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents supported")
-        out_data = self.data**p
+        a, x = self._node, self.data
 
         def bwd(g):
-            self._accum(g * p * self.data ** (p - 1))
+            a.accum(g * p * x ** (p - 1), fresh=True)
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(x**p, (a,), bwd)
 
     def __matmul__(self, other):
         other = Tensor._lift(other)
-        out_data = self.data @ other.data
+        a, b = self._node, other._node
+        x = self.data if b is not None else None
+        y = other.data if a is not None else None
 
         def bwd(g):
-            if self.requires_grad:
-                self._accum(g @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ g)
+            if a is not None:
+                a.accum(g @ y.T, fresh=True)
+            if b is not None:
+                b.accum(x.T @ g, fresh=True)
 
-        return Tensor(out_data, _parents=(self, other), _backward=bwd)
+        return _result(self.data @ other.data, (a, b), bwd)
 
     # ------------------------------------------------------------------
     # reductions and reshaping
 
     def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        a, shape = self._node, self.data.shape
 
         def bwd(g):
             gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(gg, self.data.shape))
+            a.accum(np.broadcast_to(gg, shape))
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(self.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
-        out_data = self.data.reshape(*shape)
-        old = self.data.shape
+        a, old = self._node, self.data.shape
 
         def bwd(g):
-            self._accum(g.reshape(old))
+            a.accum(g.reshape(old))
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(self.data.reshape(*shape), (a,), bwd)
 
     def gather_rows(self, idx):
         """Select rows by integer index; duplicates scatter-add on backward."""
         idx = np.asarray(idx, dtype=np.intp)
+        a = self._node
         n, tail = self.data.shape[0], self.data.shape[1:]
         _check_ids(idx, n)
-        out_data = self.data[idx]
 
         def bwd(g):
-            self._accum(_scatter_add(idx.ravel(), n, g.reshape((idx.size,) + tail)))
+            a.accum(_scatter_add(idx.ravel(), n, g.reshape((idx.size,) + tail)),
+                    fresh=True)
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(self.data[idx], (a,), bwd)
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
@@ -328,49 +404,47 @@ class Tensor:
     def sigmoid(self):
         from scipy.special import expit
 
-        out_data = expit(self.data)
+        a, out_data = self._node, expit(self.data)
 
         def bwd(g):
-            self._accum(g * out_data * (1.0 - out_data))
+            a.accum(g * out_data * (1.0 - out_data), fresh=True)
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(out_data, (a,), bwd)
 
     def gelu(self):
         # exact Gaussian-CDF form; derivative at 0 is exactly 0.5
         from scipy.special import erf
 
-        phi = 0.5 * (1.0 + erf(self.data / SQRT2))
-        out_data = self.data * phi
+        a, x = self._node, self.data
+        phi = 0.5 * (1.0 + erf(x / SQRT2))
 
         def bwd(g):
-            pdf = INV_SQRT_2PI * np.exp(-0.5 * self.data**2)
-            self._accum(g * (phi + self.data * pdf))
+            pdf = INV_SQRT_2PI * np.exp(-0.5 * x**2)
+            a.accum(g * (phi + x * pdf), fresh=True)
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(x * phi, (a,), bwd)
 
     def leaky_relu(self, slope=LEAKY_SLOPE):
-        pos = self.data >= 0
-        out_data = np.where(pos, self.data, slope * self.data)
+        a, pos = self._node, self.data >= 0
 
         def bwd(g):
-            self._accum(g * np.where(pos, 1.0, slope))
+            a.accum(g * np.where(pos, 1.0, slope), fresh=True)
 
-        return Tensor(out_data, _parents=(self,), _backward=bwd)
+        return _result(np.where(pos, self.data, slope * self.data), (a,), bwd)
 
 
 def concat(tensors, axis=1):
     tensors = [Tensor._lift(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [t._node for t in tensors]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, p in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(p)
+        for node, part in zip(nodes, np.split(g, splits, axis=axis)):
+            if node is not None:
+                node.accum(part)
 
-    return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
+    return _result(np.concatenate([t.data for t in tensors], axis=axis),
+                   nodes, bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
@@ -381,17 +455,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     out_data = x.data @ weight.data
     if bias is not None:
         out_data += bias.data
+    xn, wn = x._node, weight._node
+    bn = None if bias is None else bias._node
+    xd = x.data if wn is not None else None
+    wd = weight.data if xn is not None else None
 
     def bwd(g):
-        if x.requires_grad:
-            x._accum(g @ weight.data.T)
-        if weight.requires_grad:
-            weight._accum(x.data.T @ g)
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=0))
+        if xn is not None:
+            xn.accum(g @ wd.T, fresh=True)
+        if wn is not None:
+            wn.accum(xd.T @ g, fresh=True)
+        if bn is not None:
+            bn.accum(g.sum(axis=0), fresh=True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor(out_data, _parents=parents, _backward=bwd)
+    return _result(out_data, (xn, wn, bn), bwd)
 
 
 def _normalize(h, eps, stats):
@@ -410,19 +487,21 @@ def _normalize(h, eps, stats):
     return centered / std, std, mu.ravel(), var.ravel()
 
 
-def _normalize_backward(g, xhat, std, gamma, beta, batch_stats, wants_input):
-    """Push the gradient ``g`` of ``xhat * gamma + beta`` onto ``gamma`` and
-    ``beta``; return the gradient of the normalized input when
-    ``wants_input``, else None. Over batch statistics it is the closed form
-    ``(gg - mean(gg) - xhat * mean(gg * xhat)) / std`` with ``gg = g *
-    gamma``; with fixed statistics it is ``gg / std``."""
-    if gamma.requires_grad:
-        gamma._accum((g * xhat).sum(axis=0))
-    if beta.requires_grad:
-        beta._accum(g.sum(axis=0))
+def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
+                        batch_stats, wants_input):
+    """Push the gradient ``g`` of ``xhat * gamma + beta`` onto the nodes of
+    ``gamma`` (the array) and ``beta`` (None for no grad); return the
+    gradient of the normalized input when ``wants_input``, else None. Over
+    batch statistics it is the closed form ``(gg - mean(gg) - xhat *
+    mean(gg * xhat)) / std`` with ``gg = g * gamma``; with fixed statistics
+    it is ``gg / std``."""
+    if gamma_node is not None:
+        gamma_node.accum((g * xhat).sum(axis=0), fresh=True)
+    if beta_node is not None:
+        beta_node.accum(g.sum(axis=0), fresh=True)
     if not wants_input:
         return None
-    gg = g * gamma.data
+    gg = g * gamma
     if not batch_stats:
         return gg / std
     inv_n = 1.0 / g.shape[0]
@@ -442,15 +521,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
     """
     xhat, std, mean, var = _normalize(x.data, eps, stats)
     out_data = xhat * gamma.data + beta.data
+    xn, gn, bn = x._node, gamma._node, beta._node
+    gd, batch_stats = gamma.data, stats is None
 
     def bwd(g):
-        dx = _normalize_backward(g, xhat, std, gamma, beta, stats is None,
-                                 x.requires_grad)
+        dx = _normalize_backward(g, xhat, std, gd, gn, bn, batch_stats,
+                                 xn is not None)
         if dx is not None:
-            x._accum(dx)
+            xn.accum(dx, fresh=True)
 
-    out = Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd)
-    return out, mean, var
+    return _result(out_data, (xn, gn, bn), bwd), mean, var
 
 
 def hidden_layer(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
@@ -460,30 +540,30 @@ def hidden_layer(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
 
     Forward and backward run the float operations of ``linear(x, weight,
     None)``, ``batch_norm`` and ``Tensor.gelu`` in the same order, so every
-    result is the bytes of that chain. The node keeps the
-    normalized ``xhat``, the Gaussian CDF and its output; the backward
-    recomputes the pre-activation ``xhat * gamma + beta``.
+    result is the bytes of that chain. The node keeps ``x``, ``weight``,
+    the normalized ``xhat`` and the Gaussian CDF; the backward recomputes
+    the pre-activation ``xhat * gamma + beta``.
     """
     from scipy.special import erf
 
-    xhat, std, mean, var = _normalize(x.data @ weight.data, eps, stats)
-    pre = xhat * gamma.data + beta.data
+    xn, wn, gn, bn = x._node, weight._node, gamma._node, beta._node
+    xd, wd, gd, bd = x.data, weight.data, gamma.data, beta.data
+    xhat, std, mean, var = _normalize(xd @ wd, eps, stats)
+    pre = xhat * gd + bd
     phi = 0.5 * (1.0 + erf(pre / SQRT2))
-    out_data = pre * phi
+    batch_stats = stats is None
 
     def bwd(g):
-        pre = xhat * gamma.data + beta.data
+        pre = xhat * gd + bd
         pdf = INV_SQRT_2PI * np.exp(-0.5 * pre**2)
-        dh = _normalize_backward(g * (phi + pre * pdf), xhat, std, gamma, beta,
-                                 stats is None,
-                                 x.requires_grad or weight.requires_grad)
-        if x.requires_grad:
-            x._accum(dh @ weight.data.T)
-        if weight.requires_grad:
-            weight._accum(x.data.T @ dh)
+        dh = _normalize_backward(g * (phi + pre * pdf), xhat, std, gd, gn, bn,
+                                 batch_stats, xn is not None or wn is not None)
+        if xn is not None:
+            xn.accum(dh @ wd.T, fresh=True)
+        if wn is not None:
+            wn.accum(xd.T @ dh, fresh=True)
 
-    out = Tensor(out_data, _parents=(x, weight, gamma, beta), _backward=bwd)
-    return out, mean, var
+    return _result(pre * phi, (xn, wn, gn, bn), bwd), mean, var
 
 
 def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:
@@ -493,12 +573,12 @@ def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:
     if seg.ndim != 1 or seg.shape[0] != values.data.shape[0]:
         raise ValueError("segment_ids must be 1-D with one entry per row")
     _check_ids(seg, num_segments)
-    out_data = _scatter_add(seg, num_segments, values.data)
+    a = values._node
 
     def bwd(g):
-        values._accum(g[seg])
+        a.accum(g[seg], fresh=True)
 
-    return Tensor(out_data, _parents=(values,), _backward=bwd)
+    return _result(_scatter_add(seg, num_segments, values.data), (a,), bwd)
 
 
 def segment_softmax(logits: Tensor, segment_ids) -> Tensor:
@@ -524,10 +604,10 @@ def segment_softmax(logits: Tensor, segment_ids) -> Tensor:
     shifted = np.exp(logits.data - seg_max[seg])
     denom = _scatter_add(seg, nseg, shifted)
     out_data = shifted / denom[seg]
+    a = logits._node
 
     def bwd(g):
         dot = _scatter_add(seg, nseg, g * out_data)
-        logits._accum(out_data * (g - dot[seg]))
+        a.accum(out_data * (g - dot[seg]), fresh=True)
 
-    return Tensor(out_data, _parents=(logits,), _backward=bwd)
-
+    return _result(out_data, (a,), bwd)

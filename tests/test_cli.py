@@ -557,6 +557,19 @@ def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):
     assert str(work / "samples") in err and ".graph" in err
 
 
+def test_eval_of_a_non_finite_sample_names_its_file(gat_run, tmp_path, capsys):
+    data, _ = gat_run
+    work = tmp_path / "work"
+    assert run(work, "sample", f"dataset={data}", "method=random_pred") == 0
+    path = work / "samples" / "00001.graph"
+    lines = path.read_text().split("\n")
+    lines[2] = " ".join(["nan"] + lines[2].split()[1:])
+    path.write_text("\n".join(lines))
+    assert run(work, "eval", f"dataset={data}", "method=random_pred") == 1
+    err = capsys.readouterr().err
+    assert f"ncgn eval: {path} line 3: expected finite values, got 'nan " in err
+
+
 def test_long_short_samples_on_its_train_seed_edges(tmp_path, monkeypatch):
     """``seed=`` on sample seeds the sampler only: the long_short edges are
     drawn from the seed the checkpoint was trained with."""

@@ -1,8 +1,10 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from ncgn import dmp
 from ncgn.dmp import (DmpModel, FlatGat, GatConv, GcnConv, Structure,
                       _PointMessage, node_input)
 from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
@@ -244,6 +246,39 @@ def test_split_lin_pair_matches_concat(coarse_first):
     for g, ref in zip(grads, ref_grads):
         np.testing.assert_allclose(g, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("coarse_first", [True, False])  # coarsen, uncoarsen
+def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
+    # no backward reads the two matmul products, the pair sum or the two
+    # position encodings, so their arrays are gone when the call returns,
+    # while the returned message's graph is still alive
+    rng = np.random.default_rng(19)
+    n, nclusters, hdim = 30, 6, 4
+    msg = _PointMessage(hdim, 2, rng)
+    values = []
+    matmul, concat_values = Tensor.__matmul__, dmp.concat
+
+    def recording_matmul(a, b):
+        out = matmul(a, b)
+        values.append(weakref.ref(out.data))
+        return out
+
+    def recording_concat(tensors, axis=1):
+        values.extend(weakref.ref(t.data) for t in tensors)
+        return concat_values(tensors, axis=axis)
+
+    monkeypatch.setattr(Tensor, "__matmul__", recording_matmul)
+    monkeypatch.setattr(dmp, "concat", recording_concat)
+    h = Tensor(rng.standard_normal((n, hdim)), requires_grad=True)
+    h_coarse = Tensor(rng.standard_normal((nclusters, hdim)), requires_grad=True)
+    rel = rng.standard_normal((n, 2))
+    dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
+    out = msg(h, h_coarse, rng.integers(0, nclusters, n), coarse_first, rel, dist)
+    assert len(values) == 5
+    assert [value() for value in values] == [None] * 5
+    out.sum().backward()
+    assert h.grad.shape == (n, hdim) and h_coarse.grad.shape == (nclusters, hdim)
 
 
 @pytest.mark.parametrize("name", ["gcn", "gat", "flat_gat"])

@@ -118,7 +118,7 @@ def test_ema_tracks_training():
 
 
 def test_no_tape_outlives_a_train_step(monkeypatch):
-    # every tensor of step k's graph but the parameters is gone by the time
+    # every node of step k's graph but the parameters' is gone by the time
     # step k + 1's forward starts: backward released the graph as it ran
     forward = engine.merged_forward
     live_at_start, tapes = [], []
@@ -127,14 +127,14 @@ def test_no_tape_outlives_a_train_step(monkeypatch):
         live_at_start.append(sum(ref() is not None for ref in tapes))
         tapes.clear()
         pred = forward(*args)
-        stack, seen = list(pred._parents), set()
+        stack, seen = list(pred._node.parents), set()
         while stack:
             node = stack.pop()
-            if id(node) in seen or (node.requires_grad and node._backward is None):
+            if id(node) in seen or node.backward is None:
                 continue
             seen.add(id(node))
             tapes.append(weakref.ref(node))
-            stack.extend(node._parents)
+            stack.extend(node.parents)
         return pred
 
     monkeypatch.setattr(engine, "merged_forward", recording)

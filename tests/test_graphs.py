@@ -136,8 +136,11 @@ def test_voxel_degenerate_dimension():
 def test_graph_validation():
     with pytest.raises(ValueError):
         GeometricGraph(np.zeros((3, 1)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positions must be finite"):
         GeometricGraph(np.zeros((2, 1)), np.array([[0.0, np.nan], [0.0, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="features must be finite"):
+            GeometricGraph(np.array([[0.0], [bad]]), np.zeros((2, 2)))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -178,6 +181,11 @@ def test_load_bad_row_reports_line(tmp_path):
     path.write_text("\n1 2 0\n1.0 2.0\n\nE\n")
     with raises_naming(path, " line 5: .*'E'"):
         load_graph(path)
+    # non-finite positions and features are named by line too
+    for row in ("nan 2.0 0.5", "1.0 2.0 inf", "1.0 2.0 -Infinity"):
+        path.write_text(f"2 2 1\n1.0 2.0 0.5\n{row}\n")
+        with raises_naming(path, f" line 3: expected finite values, got '{row}'"):
+            load_graph(path)
 
 
 @settings(max_examples=25, deadline=None)

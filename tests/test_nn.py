@@ -205,14 +205,16 @@ def test_hidden_layer_finite_difference_with_constant_channel():
 def test_mlp_runs_each_hidden_layer_as_one_node():
     rng = np.random.default_rng(10)
     mlp = nn.MLP([4, 8, 8, 2], rng)
-    x = Tensor(rng.standard_normal((5, 4)))
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     for mode in (mlp.train, mlp.eval):
         mode()
         out = mlp(x)
-        hidden = out._parents[0]  # the last linear's input
-        assert [p.data.shape for p in hidden._parents] == [(5, 8), (8, 8), (8,), (8,)]
-        assert hidden._parents[1] is mlp.layers[1].weight
-        assert hidden._parents[0]._parents[0] is x
+        second = out._node.parents[0]  # the last linear's input
+        first = second.parents[0]
+        for k, node, inp in ((1, second, first), (0, first, x._node)):
+            norm = mlp.norms[k]
+            assert node.parents == (inp, mlp.layers[k].weight._node,
+                                    norm.gamma._node, norm.beta._node)
 
 
 def test_batch_norm_rejects_empty():

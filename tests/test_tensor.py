@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from ncgn.tensor import (
     Tensor,
     _unbroadcast,
     concat,
+    hidden_layer,
     linear,
     no_grad,
     segment_softmax,
@@ -190,13 +192,72 @@ def test_second_backward_through_a_released_graph_raises():
 def test_backward_releases_each_node_of_the_graph():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     h = a * 3.0
-    interior = weakref.ref(h)
+    interior = weakref.ref(h._node)
     out = (h.sigmoid() * h).sum()
     del h
     assert interior() is not None  # the root's graph holds it
     out.backward()
     assert interior() is None
-    assert out._parents == () and a._parents == ()
+    assert out._node.parents == () and a._node.parents == ()
+
+
+def _hidden(x, weight):
+    gamma, beta = (Tensor(v, requires_grad=True) for v in (np.ones(3), np.zeros(3)))
+    return hidden_layer(x, weight, gamma, beta, 1e-5)[0]
+
+
+# op name -> (op on two 3 x 3 leaves, whether it keeps the first one's array)
+SAVED_INPUTS = {
+    "+": (lambda a, b: a + b, False),
+    "-": (lambda a, b: a - b, False),
+    "concat": (lambda a, b: concat([a, b]), False),
+    "gather_rows": (lambda a, b: a.gather_rows([2, 0, 2]), False),
+    "segment_sum": (lambda a, b: segment_sum(a, [1, 0, 1], 2), False),
+    "reshape": (lambda a, b: a.reshape(-1), False),
+    "sum": (lambda a, b: a.sum(axis=0), False),
+    "*": (lambda a, b: a * b, True),
+    "/": (lambda a, b: a / b, True),
+    "@": (lambda a, b: a @ b, True),
+    "linear": (lambda a, b: linear(a, b, None), True),
+    "hidden_layer": (_hidden, True),
+}
+
+
+@pytest.mark.parametrize("name", list(SAVED_INPUTS))
+def test_op_keeps_an_input_array_only_for_its_backward(name):
+    # the graph holds an input's value only when the op's backward reads it
+    op, keeps = SAVED_INPUTS[name]
+    rng = np.random.default_rng(7)
+    a, b = (Tensor(rng.standard_normal((3, 3)) + 2.0, requires_grad=True)
+            for _ in range(2))
+    value, leaf = weakref.ref(a.data), a._node
+    root = op(a, b).sum()
+    del a
+    assert (value() is not None) == keeps
+    root.backward()
+    assert value() is None
+    assert leaf.grad.shape == (3, 3)
+
+
+def test_pass_through_gradients_are_copied():
+    # +, -, reshape, sum and concat pass the upstream array or views of it
+    # on: each leaf gets its own writable copy
+    a, b, e, d = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(4))
+    c = Tensor(np.ones(6), requires_grad=True)
+    root = concat([a + b - e, c.reshape(2, 3), d.sum(axis=0, keepdims=True)],
+                  axis=0).sum()
+    root.backward()
+    grads = [root.grad] + [t.grad for t in (a, b, c, d, e)]
+    for t, expect in ((a, 1.0), (b, 1.0), (c, 1.0), (d, 1.0), (e, -1.0)):
+        np.testing.assert_array_equal(t.grad, np.full(t.data.shape, expect))
+        assert t.grad.flags.writeable
+    for g, other in itertools.combinations(grads, 2):
+        assert not np.shares_memory(g, other)
+
+
+def test_backward_of_a_tensor_without_grad_raises():
+    with pytest.raises(RuntimeError, match="requires no grad"):
+        (Tensor(np.ones(2)) * 2.0).sum().backward()
 
 
 @pytest.mark.parametrize("libc", [object(), OSError])
@@ -250,12 +311,12 @@ def test_no_grad_records_no_graph_and_restores_after_raise():
     with pytest.raises(RuntimeError):
         with no_grad():
             out = leaf * 2.0
-            assert not out.requires_grad and out._parents == ()
+            assert not out.requires_grad and out._node is None
             assert out._backward is None
             assert Tensor(np.ones(2), requires_grad=True).requires_grad
             raise RuntimeError("body failed")
     out = leaf * 2.0
-    assert out.requires_grad and out._parents
+    assert out.requires_grad and out._node.parents == (leaf._node,)
 
 
 def test_diamond_graph_accumulates_once():
