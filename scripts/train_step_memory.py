@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Time and size the train steps of the benchmark shape.
+"""Time and size the train steps of a benchmark shape.
 
-Usage: PYTHONPATH=src python3 scripts/train_step_memory.py [STEPS] [SEED]
+Usage: PYTHONPATH=src python3 scripts/train_step_memory.py [rd|shapes] [STEPS] [SEED]
 
-Trains a GCN DMP on features (cfm, batch 128 of 10x10 reaction-diffusion
-grids, hdim 32, 3 layers) for STEPS steps (default 8, seed 0). Per step it
-prints the wall time in milliseconds, the minor page faults the step took
-(the ``ru_minflt`` delta) and the process's peak resident set so far
-(``ru_maxrss``), then the last loss as ``float.hex``, so two source trees
-that compute the same numbers print the same last line. A step runs from
-the end of the previous step's EMA update (or the call to ``train``) to
-the end of its own. Only this process's own resource usage is read.
+With ``rd`` (the default) it trains a GCN DMP on features (cfm, batch
+128 of 10x10 reaction-diffusion grids, hdim 32, 3 layers), the train
+shape of the benchmark's ``rd_features`` workload. With ``shapes`` it trains a GAT DMP
+on positions (cfm, batch 32 of 256-point shapes, hdim 32, 3 layers), the
+train shape of ``shapes_positions``. It runs STEPS steps (default 8,
+seed 0). Per step it prints the wall time in milliseconds, the minor page
+faults the step took (the ``ru_minflt`` delta) and the process's peak
+resident set so far (``ru_maxrss``), then the last loss as ``float.hex``,
+so two source trees that compute the same numbers print the same last
+line. A step runs from the end of the previous step's EMA update (or the
+call to ``train``) to the end of its own. Only this process's own
+resource usage is read.
 
 After the timed steps it reports the autodiff tape of one more step (a
 fresh one-step ``train`` on the first batch) run under ``tracemalloc``:
@@ -18,10 +22,13 @@ the MB allocated in that step and still live when ``backward`` starts,
 which is the forward's graph with the arrays it saved, and the peak MB
 during ``backward``. Both count only what the step allocated (MB are
 2**20 bytes), and ``tracemalloc`` slows the step, so it is not timed.
+Then it lists the 8 source lines that allocated the most of what is live
+when ``backward`` starts (``tracemalloc`` statistics by line).
 """
 
 from __future__ import annotations
 
+import os
 import resource
 import sys
 import tracemalloc
@@ -30,7 +37,30 @@ from time import perf_counter
 from ncgn import dataset, engine, nn
 from ncgn.tensor import Tensor
 
-BATCH = 128  # graphs per step, as in the benchmark's rd_features workload
+TOP_LINES = 8  # allocating lines listed in the tape report
+
+
+def rd_shape(steps, seed):
+    """Train graphs and config of the ``rd_features`` train shape."""
+    batch = 128
+    ds = dataset.generate_rd_dataset(n_train=4, n_test=1, seed=seed,
+                                     sign_convention="damped")
+    graphs = ds.train * (-(-batch * steps // len(ds.train)))
+    config = engine.TrainConfig(task="features", method="dmp", mp_kind="gcn",
+                                interpolant="cfm", epochs=1, warmup_epochs=1,
+                                batch=batch, hdim=32, layers=3, seed=seed)
+    return graphs[:batch * steps], config
+
+
+def shapes_shape(steps, seed):
+    """Train graphs and config of the ``shapes_positions`` train shape."""
+    batch = 32
+    ds = dataset.generate_shape_dataset(n_train=batch * steps, n_test=1,
+                                        n_points=256, seed=seed)
+    config = engine.TrainConfig(task="positions", method="dmp", mp_kind="gat",
+                                interpolant="cfm", epochs=1, warmup_epochs=1,
+                                batch=batch, hdim=32, layers=3, seed=seed)
+    return ds.train, config
 
 
 def usage():
@@ -38,13 +68,15 @@ def usage():
     return perf_counter(), ru.ru_minflt, ru.ru_maxrss / 1024.0
 
 
-def tape_mb(graphs, config):
-    """(MB live when ``backward`` starts, peak MB during it) for one train
-    step on ``graphs``, counting what the step allocated."""
-    backward, marks = Tensor.backward, []
+def tape_report(graphs, config):
+    """(MB live when ``backward`` starts, peak MB during it, the top
+    allocating lines of what is live then) for one train step on
+    ``graphs``, counting what the step allocated."""
+    backward, marks, top = Tensor.backward, [], []
 
     def measuring(root):
         marks.append(tracemalloc.get_traced_memory()[0])
+        top.extend(tracemalloc.take_snapshot().statistics("lineno")[:TOP_LINES])
         tracemalloc.reset_peak()
         backward(root)
         marks.append(tracemalloc.get_traced_memory()[1])
@@ -56,16 +88,11 @@ def tape_mb(graphs, config):
     finally:
         tracemalloc.stop()
         Tensor.backward = backward
-    return marks[0] / 2**20, marks[1] / 2**20
+    return marks[0] / 2**20, marks[1] / 2**20, top
 
 
-def main(steps=8, seed=0):
-    ds = dataset.generate_rd_dataset(n_train=4, n_test=1, seed=seed,
-                                     sign_convention="damped")
-    graphs = ds.train * (-(-BATCH * steps // len(ds.train)))
-    config = engine.TrainConfig(task="features", method="dmp", mp_kind="gcn",
-                                interpolant="cfm", epochs=1, warmup_epochs=1,
-                                batch=BATCH, hdim=32, layers=3, seed=seed)
+def main(shape="rd", steps=8, seed=0):
+    graphs, config = (shapes_shape if shape == "shapes" else rd_shape)(steps, seed)
     marks = [usage()]
     update = nn.EMA.update
 
@@ -75,16 +102,23 @@ def main(steps=8, seed=0):
 
     nn.EMA.update = marking
     try:
-        _, _, rows = engine.train(graphs[:BATCH * steps], config)
+        _, _, rows = engine.train(graphs, config)
     finally:
         nn.EMA.update = update
     print("step  ms  minflt  maxrss_mb")
     for k, ((t0, f0, _), (t1, f1, rss)) in enumerate(zip(marks, marks[1:])):
         print(f"{k}  {1e3 * (t1 - t0):.1f}  {f1 - f0}  {rss:.1f}")
     print(f"last loss {float(rows[-1][2]).hex()}")
-    live, peak = tape_mb(graphs[:BATCH], config)
+    live, peak, top = tape_report(graphs[:config.batch], config)
     print(f"tape live after forward {live:.1f} MB, backward peak {peak:.1f} MB")
+    print(f"top {TOP_LINES} allocating lines live after forward (MB, blocks, line):")
+    for stat in top:
+        frame = stat.traceback[0]
+        where = f"{os.path.relpath(frame.filename)}:{frame.lineno}"
+        print(f"  {stat.size / 2**20:.1f}  {stat.count}  {where}")
 
 
 if __name__ == "__main__":
-    main(*(int(a) for a in sys.argv[1:3]))
+    args = sys.argv[1:]
+    shape = args.pop(0) if args and args[0] in ("rd", "shapes") else "rd"
+    main(shape, *(int(a) for a in args[:2]))

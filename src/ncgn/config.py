@@ -3,8 +3,8 @@
 Files are line-oriented ``key = value`` text with ``#`` comments; dotted keys
 namespace modules (``schedule.kind``, ``interpolant.kind``). Precedence:
 command-line overrides > file > defaults. Unknown keys are rejected by name,
-and the resolved configuration is echoed to ``out_dir/config.resolved`` so a
-run can be reproduced from its own artifact.
+as is a negative ``seed``, and the resolved configuration is echoed to
+``out_dir/config.resolved`` so a run can be reproduced from its own artifact.
 
 The train keys and their defaults are the fields of ``engine.TrainConfig``;
 ``TRAIN_KEYS`` maps each field to its key. Training records those keys in
@@ -53,9 +53,13 @@ def _convert(key, raw):
     default = DEFAULTS[key]
     if isinstance(default, int):
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected integer, got {raw!r}") from None
+        if key == "seed" and value < 0:
+            raise ConfigError(f"key 'seed': expected a non-negative integer "
+                              f"(it seeds numpy), got {raw!r}")
+        return value
     if isinstance(default, float):
         try:
             return float(raw)

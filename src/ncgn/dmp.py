@@ -119,6 +119,14 @@ class _PointMessage(nn.Module):
     or [node || coarse]. Its coarse half runs on the coarse rows and is
     gathered onto the nodes afterwards, which equals gathering first and
     multiplying the concatenated pair up to summation order.
+
+    The encodings are the MLP's input blocks, so the MLP runs as one graph
+    node (``tensor.mlp``): the pair encoding is a tensor block, and the
+    position and distance encodings are ``(rel, lin_rel.weight)`` and
+    ``(dist, lin_dist.weight)`` pairs. The node keeps the pair encoding,
+    ``rel`` and ``dist``, not the two position encodings or the N x 3h
+    concatenation; its backward rebuilds those. ``lin_rel`` and
+    ``lin_dist`` only hold their weights.
     """
 
     def __init__(self, hdim, d, rng):
@@ -135,8 +143,8 @@ class _PointMessage(nn.Module):
         weight = self.lin_pair.weight
         pair = (h @ weight.gather_rows(node_rows)
                 + (h_coarse @ weight.gather_rows(coarse_rows)).gather_rows(cluster_of))
-        enc = concat([pair, self.lin_rel(Tensor(rel)), self.lin_dist(Tensor(dist))], axis=1)
-        return self.mlp(enc)
+        return self.mlp([pair, (rel, self.lin_rel.weight),
+                         (dist, self.lin_dist.weight)])
 
 
 class DmpLayer(nn.Module):
@@ -159,7 +167,7 @@ class DmpLayer(nn.Module):
 
     def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist, cluster_of) -> Tensor:
         spread = self.uncoarsen_msg(h, h_coarse, cluster_of, False, -rel, dist)
-        lam = self.gate(concat([h, spread], axis=1)).sigmoid()
+        lam = self.gate([h, spread]).sigmoid()
         return self.combine(lam * h + (1.0 - lam) * spread)
 
 

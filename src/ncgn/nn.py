@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 
-from .tensor import Tensor, batch_norm, hidden_layer, linear
+from .tensor import Tensor, batch_norm, mlp
 
 BN_EPS = 1e-5  # variance floor of every batch norm
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
@@ -66,18 +66,25 @@ class Module:
                 m.training = False
 
 
+def _blocks(x):
+    """``x`` as a list of ``tensor.mlp`` input blocks: a list is the blocks
+    whose column concatenation is the input, a Tensor is the one block."""
+    return x if isinstance(x, list) else [x]
+
+
 class Linear(Module):
     """``x @ weight + bias``; with ``bias=False``, ``x @ weight`` and no
     ``bias`` parameter. The bias starts at zero and draws nothing from
-    ``rng``."""
+    ``rng``. ``x`` is a Tensor or a list of ``tensor.mlp`` blocks; it runs
+    as ``tensor.mlp`` with no hidden layers."""
 
     def __init__(self, d_in, d_out, rng, bias=True):
         scale = np.sqrt(2.0 / (d_in + d_out))
         self.weight = Tensor(rng.normal(0.0, scale, size=(d_in, d_out)), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
+    def __call__(self, x) -> Tensor:
+        return mlp(_blocks(x), [], self.weight, self.bias, BN_EPS)[0]
 
 
 class BatchNorm(Module):
@@ -98,45 +105,44 @@ class BatchNorm(Module):
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self._apply(batch_norm, x)
-
-    def hidden(self, x: Tensor, weight: Tensor) -> Tensor:
-        """``gelu(self(x @ weight))`` as one node (``tensor.hidden_layer``)."""
-        return self._apply(hidden_layer, x, weight)
-
-    def _apply(self, op, x, *weight):
-        """``op(x, *weight, gamma, beta, eps)`` over the running statistics
-        in eval mode; in train mode over the batch's, which it then folds
-        into the running ones."""
         if x.data.ndim != 2:
             raise ValueError("batch norm expects nodes x channels")
-        if not self.training:
-            stats = (self.running_mean.data, self.running_var.data)
-            return op(x, *weight, self.gamma, self.beta, BN_EPS, stats)[0]
-        if x.data.shape[0] < 1:
-            raise ValueError("batch norm needs at least one row in train mode")
-        out, m, v = op(x, *weight, self.gamma, self.beta, BN_EPS)
+        out, mean, var = batch_norm(x, self.gamma, self.beta, BN_EPS, self.stats())
+        if self.training:
+            self.fold(mean, var)
+        return out
+
+    def stats(self):
+        """None in train mode (normalize over the batch's rows), else the
+        running ``(mean, var)`` arrays."""
+        if self.training:
+            return None
+        return self.running_mean.data, self.running_var.data
+
+    def fold(self, mean, var):
+        """Fold a train batch's ``mean`` and ``var`` into the running
+        statistics."""
         if not self._initialized:
-            self.running_mean.data[:] = m
-            self.running_var.data[:] = v
+            self.running_mean.data[:] = mean
+            self.running_var.data[:] = var
             self._initialized = True
         else:
             self.running_mean.data *= 1.0 - BN_MOMENTUM
-            self.running_mean.data += BN_MOMENTUM * m
+            self.running_mean.data += BN_MOMENTUM * mean
             self.running_var.data *= 1.0 - BN_MOMENTUM
-            self.running_var.data += BN_MOMENTUM * v
-        return out
+            self.running_var.data += BN_MOMENTUM * var
 
 
 class MLP(Module):
     """MLP over a list of layer widths, e.g. [d_in, h, h, d_out].
 
-    Each hidden layer is Linear -> BatchNorm -> GELU, run as one graph node
-    (``BatchNorm.hidden``, the fused ``tensor.hidden_layer``) in train and
-    eval mode alike; its Linear only holds the weight. That Linear has no
-    bias: the norm subtracts the batch mean, which would cancel it. The
-    final Linear is bare; ``bias=False`` drops its bias too, for an MLP
-    whose output reaches a batch norm only through linear maps.
+    Each hidden layer is Linear -> BatchNorm -> GELU, and the whole MLP
+    runs as one graph node (``tensor.mlp``) in train and eval mode alike;
+    its Linears and BatchNorms only hold parameters and running statistics.
+    A hidden Linear has no bias: the norm subtracts the batch mean, which
+    would cancel it. The final Linear is bare; ``bias=False`` drops its
+    bias too, for an MLP whose output reaches a batch norm only through
+    linear maps. ``x`` is a Tensor or a list of ``tensor.mlp`` blocks.
     """
 
     def __init__(self, widths, rng, bias=True):
@@ -145,10 +151,16 @@ class MLP(Module):
                        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:]))]
         self.norms = [BatchNorm(b) for b in widths[1:-1]]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        for lin, norm in zip(self.layers, self.norms):
-            x = norm.hidden(x, lin.weight)
-        return self.layers[-1](x)
+    def __call__(self, x) -> Tensor:
+        hidden = [(lin.weight, norm.gamma, norm.beta)
+                  for lin, norm in zip(self.layers, self.norms)]
+        last = self.layers[-1]
+        out, moments = mlp(_blocks(x), hidden, last.weight, last.bias, BN_EPS,
+                           [norm.stats() for norm in self.norms])
+        for norm, (mean, var) in zip(self.norms, moments):
+            if norm.training:
+                norm.fold(mean, var)
+        return out
 
 
 class Adam:

@@ -13,9 +13,8 @@ back over broadcast axes. Inside ``with no_grad():`` ops build no nodes,
 so inference builds no graph.
 
 Each closure captures only the arrays and shapes its backward reads, never
-a ``Tensor``: ``*``, ``/``, ``@`` and ``linear`` keep only the operands
-their gradients read, ``hidden_layer`` its input, weight, normalized input
-and Gaussian CDF, while ``+``, ``-``, ``concat``, ``gather_rows``,
+a ``Tensor``: ``*``, ``/`` and ``@`` keep only the operands their
+gradients read, while ``+``, ``-``, ``concat``, ``gather_rows``,
 ``segment_sum``, ``reshape`` and ``sum`` keep no input array. So an
 interior value is freed as soon as the forward code drops its tensor,
 unless a later op's backward reads it; the graph holds nodes, not values.
@@ -38,16 +37,19 @@ return its released graph to the kernel and fault the same pages back in
 on the next forward. Processes that take no gradient keep the default
 allocator.
 
-Three fused ops stand in for the node-level layers, one node each.
-``linear`` is ``x @ weight + bias`` (or ``x @ weight``, without a bias),
-with the same float operations forward and backward as the composed form.
-``batch_norm`` is batch normalization; its forward repeats the composed
-form's operations, so its output is the same bytes, and over batch
-statistics its backward is the closed form of Ioffe & Szegedy (2015).
-``hidden_layer`` is an MLP hidden layer, ``gelu(batch_norm(x @ weight))``:
-it runs that three-op chain's float operations in order, forward and
-backward, so every result is the chain's bytes, but keeps neither the
-pre-activation nor the output.
+Two fused ops stand in for the node-level layers, one node each.
+``batch_norm`` is a standalone batch normalization; its forward repeats
+the composed form's operations, so its output is the same bytes, and over
+batch statistics its backward is the closed form of Ioffe & Szegedy
+(2015). ``mlp`` runs a whole MLP: every hidden layer
+``gelu(batch_norm(x @ w))``, then the output linear ``x @ weight + bias``;
+an MLP with no hidden layer is a linear map. It runs the float operations
+of that per-layer chain in order, forward and backward, so every result
+is the chain's bytes. It keeps the input blocks' arrays and each hidden
+layer's normalized input and Gaussian CDF; its backward rebuilds the
+concatenated input, the pair encodings and every hidden output (recompute
+as in Chen et al. 2016, from what batch norm keeps anyway as in Rota Bulò
+et al. 2018).
 
 Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
 sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
@@ -447,30 +449,6 @@ def concat(tensors, axis=1):
                    nodes, bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """``x @ weight + bias`` as one node, for N x d_in ``x``, d_in x d_out
-    ``weight`` and length-d_out ``bias``; ``bias=None`` gives ``x @ weight``.
-    Forward and backward are the same float operations as the composed
-    matmul (and add)."""
-    out_data = x.data @ weight.data
-    if bias is not None:
-        out_data += bias.data
-    xn, wn = x._node, weight._node
-    bn = None if bias is None else bias._node
-    xd = x.data if wn is not None else None
-    wd = weight.data if xn is not None else None
-
-    def bwd(g):
-        if xn is not None:
-            xn.accum(g @ wd.T, fresh=True)
-        if wn is not None:
-            wn.accum(xd.T @ g, fresh=True)
-        if bn is not None:
-            bn.accum(g.sum(axis=0), fresh=True)
-
-    return _result(out_data, (xn, wn, bn), bwd)
-
-
 def _normalize(h, eps, stats):
     """``(xhat, std, mean, var)`` for the N x C array ``h``: normalized over
     its rows with their mean and biased variance, or with ``stats``, a
@@ -479,6 +457,8 @@ def _normalize(h, eps, stats):
         mean, var = stats
         std = np.sqrt(var[None, :] + eps)
         return (h - mean[None, :]) / std, std, mean, var
+    if h.shape[0] < 1:
+        raise ValueError("batch norm needs at least one row in train mode")
     inv_n = 1.0 / h.shape[0]
     mu = h.sum(axis=0, keepdims=True) * inv_n
     centered = h - mu
@@ -488,25 +468,32 @@ def _normalize(h, eps, stats):
 
 
 def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
-                        batch_stats, wants_input):
+                        batch_stats, wants_input, out=None):
     """Push the gradient ``g`` of ``xhat * gamma + beta`` onto the nodes of
     ``gamma`` (the array) and ``beta`` (None for no grad); return the
     gradient of the normalized input when ``wants_input``, else None. Over
     batch statistics it is the closed form ``(gg - mean(gg) - xhat *
     mean(gg * xhat)) / std`` with ``gg = g * gamma``; with fixed statistics
-    it is ``gg / std``."""
+    it is ``gg / std``. The result is written into ``out`` when given (it
+    may be ``g`` itself), else into a new array."""
+    prod = None
     if gamma_node is not None:
-        gamma_node.accum((g * xhat).sum(axis=0), fresh=True)
+        prod = g * xhat
+        gamma_node.accum(prod.sum(axis=0), fresh=True)
     if beta_node is not None:
         beta_node.accum(g.sum(axis=0), fresh=True)
     if not wants_input:
         return None
-    gg = g * gamma
-    if not batch_stats:
-        return gg / std
-    inv_n = 1.0 / g.shape[0]
-    return (gg - gg.sum(axis=0) * inv_n
-            - xhat * ((gg * xhat).sum(axis=0) * inv_n)) / std
+    gg = np.multiply(g, gamma, out=out)
+    if batch_stats:
+        inv_n = 1.0 / g.shape[0]
+        mean_gg = gg.sum(axis=0) * inv_n
+        prod = np.multiply(gg, xhat, out=prod)
+        np.multiply(xhat, prod.sum(axis=0) * inv_n, out=prod)
+        gg -= mean_gg
+        gg -= prod
+    gg /= std
+    return gg
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
@@ -533,37 +520,134 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
     return _result(out_data, (xn, gn, bn), bwd), mean, var
 
 
-def hidden_layer(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
-                 eps: float, stats=None):
-    """An MLP hidden layer, ``gelu(batch_norm(x @ weight))``, as one node;
-    ``stats`` and the return value are those of ``batch_norm``.
+def _mlp_input(parts):
+    """The column concatenation of ``parts``, ``(array, weight)`` pairs that
+    stand for ``array @ weight``, or for ``array`` when ``weight`` is None.
+    A lone array is returned as it is."""
+    arrays = [a if w is None else a @ w for a, w in parts]
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
 
-    Forward and backward run the float operations of ``linear(x, weight,
-    None)``, ``batch_norm`` and ``Tensor.gelu`` in the same order, so every
-    result is the bytes of that chain. The node keeps ``x``, ``weight``,
-    the normalized ``xhat`` and the Gaussian CDF; the backward recomputes
-    the pre-activation ``xhat * gamma + beta``.
-    """
+
+def _hidden_forward(x, w, gamma, beta, eps, stats):
+    """One MLP hidden layer on arrays: ``(out, xhat, std, phi, mean, var)``,
+    where ``xhat, std, mean, var = _normalize(x @ w, eps, stats)``, ``phi``
+    is the Gaussian CDF of the pre-activation ``xhat * gamma + beta`` and
+    ``out`` is its GELU, the pre-activation times ``phi``."""
     from scipy.special import erf
 
-    xn, wn, gn, bn = x._node, weight._node, gamma._node, beta._node
-    xd, wd, gd, bd = x.data, weight.data, gamma.data, beta.data
-    xhat, std, mean, var = _normalize(xd @ wd, eps, stats)
-    pre = xhat * gd + bd
-    phi = 0.5 * (1.0 + erf(pre / SQRT2))
-    batch_stats = stats is None
+    xhat, std, mean, var = _normalize(x @ w, eps, stats)
+    pre = xhat * gamma
+    pre += beta
+    phi = pre / SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return np.multiply(pre, phi, out=pre), xhat, std, phi, mean, var
+
+
+def _hidden_backward(g, pre, xhat, std, phi, batch_stats, gamma, gamma_node,
+                     beta_node):
+    """Push the gradient ``g`` of a hidden layer's output onto the nodes of
+    ``gamma`` and ``beta`` and return that of its ``x @ w``: GELU's
+    derivative ``phi + pre * pdf`` at the pre-activation ``pre``, then
+    ``_normalize_backward``. The elementwise steps share one array."""
+    dpre = np.square(pre)
+    dpre *= -0.5
+    np.exp(dpre, out=dpre)
+    dpre *= INV_SQRT_2PI
+    dpre *= pre
+    dpre += phi
+    dpre *= g
+    return _normalize_backward(dpre, xhat, std, gamma, gamma_node, beta_node,
+                               batch_stats, True, out=dpre)
+
+
+def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
+        stats=None):
+    """A whole MLP as one node: one hidden layer ``gelu(batch_norm(x @ w))``
+    per ``(w, gamma, beta)`` triple of ``hidden``, then the output linear
+    ``x @ weight + bias`` (``x @ weight`` for ``bias=None``). Returns
+    ``(out, moments)``, ``moments`` holding each hidden layer's ``(mean,
+    var)`` as length-C arrays.
+
+    The input is the column concatenation of ``blocks``. A block is a
+    Tensor, or an ``(array, w)`` pair of a constant array and a Tensor that
+    stands for ``array @ w``. ``stats`` gives each hidden layer's
+    normalization statistics: None (or a None entry) normalizes over the
+    batch's rows, a ``(mean, var)`` pair of length-C arrays uses those
+    (eval mode with running statistics).
+
+    Forward and backward run the float operations of the composed chain
+    (``concat`` of the blocks, then per hidden layer the matmul,
+    ``batch_norm`` and ``Tensor.gelu``, then the matmul and bias add) in the
+    same order, so every result is that chain's bytes. The node keeps the
+    blocks' arrays and each hidden layer's ``xhat``, ``std`` and Gaussian
+    CDF; its backward rebuilds the concatenated input, the pair products
+    and each hidden output (from its pre-activation ``xhat * gamma +
+    beta``, which that layer's backward reads anyway).
+    """
+    parts = [(b.data, None) if isinstance(b, Tensor)
+             else (np.asarray(b[0], dtype=np.float64), b[1].data) for b in blocks]
+    block_nodes = [b._node if isinstance(b, Tensor) else b[1]._node for b in blocks]
+    x = _mlp_input(parts)
+    saved, moments = [], []
+    for k, (w, gamma, beta) in enumerate(hidden):
+        layer_stats = None if stats is None else stats[k]
+        x, xhat, std, phi, mean, var = _hidden_forward(
+            x, w.data, gamma.data, beta.data, eps, layer_stats)
+        saved.append((xhat, std, phi, layer_stats is None))
+        moments.append((mean, var))
+    out_data = x @ weight.data
+    if bias is not None:
+        out_data += bias.data
+    del x
+
+    layers = [(w.data, w._node) for w, _, _ in hidden] + [(weight.data, weight._node)]
+    norms = [(gamma.data, beta.data, gamma._node, beta._node)
+             for _, gamma, beta in hidden]
+    bias_node = None if bias is None else bias._node
+    blocks_want_grad = any(n is not None for n in block_nodes)
+    splits = np.cumsum([a.shape[1] if w is None else w.shape[1]
+                        for a, w in parts])[:-1]
 
     def bwd(g):
-        pre = xhat * gd + bd
-        pdf = INV_SQRT_2PI * np.exp(-0.5 * pre**2)
-        dh = _normalize_backward(g * (phi + pre * pdf), xhat, std, gd, gn, bn,
-                                 batch_stats, xn is not None or wn is not None)
-        if xn is not None:
-            xn.accum(dh @ wd.T, fresh=True)
-        if wn is not None:
-            wn.accum(xd.T @ dh, fresh=True)
+        if bias_node is not None:
+            bias_node.accum(g.sum(axis=0), fresh=True)
+        dh, pre = g, None
+        for j in range(len(norms), -1, -1):
+            w, w_node = layers[j]
+            if j < len(norms):
+                gamma, _, gamma_node, beta_node = norms[j]
+                dh = _hidden_backward(dh, pre, *saved[j], gamma, gamma_node,
+                                      beta_node)
+            # the layer's input: the hidden output below, rebuilt from its
+            # pre-activation (which that layer's backward reads next), or
+            # the concatenated blocks
+            if j:
+                xhat, _, phi, _ = saved[j - 1]
+                gamma, beta = norms[j - 1][:2]
+                pre = xhat * gamma
+                pre += beta
+                x = pre * phi
+            else:
+                x = _mlp_input(parts)
+            if w_node is not None:
+                w_node.accum(x.T @ dh, fresh=True)
+            del x
+            if not (j or blocks_want_grad):
+                return
+            dh = dh @ w.T
+        pieces = np.split(dh, splits, axis=1) if len(parts) > 1 else [dh]
+        for node, (a, w), piece in zip(block_nodes, parts, pieces):
+            if node is None:
+                continue
+            if w is None:
+                node.accum(piece, fresh=len(parts) == 1)
+            else:
+                node.accum(a.T @ piece, fresh=True)
 
-    return _result(pre * phi, (xn, wn, gn, bn), bwd), mean, var
+    parents = block_nodes + [t._node for triple in hidden for t in triple]
+    return _result(out_data, parents + [weight._node, bias_node], bwd), moments
 
 
 def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:

@@ -310,6 +310,15 @@ def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
     assert not (tmp_path / "manifest").exists()
 
 
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
+    # numpy rejects a negative seed without naming the key; config names it
+    # before anything is written
+    assert run(tmp_path, command, "seed=-1") == 1
+    assert "key 'seed': expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "config.resolved").exists()
+
+
 def test_make_shapes_and_gw_study(tmp_path):
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", "n_train=4", "n_test=2",

@@ -250,34 +250,40 @@ def test_split_lin_pair_matches_concat(coarse_first):
 
 @pytest.mark.parametrize("coarse_first", [True, False])  # coarsen, uncoarsen
 def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
-    # no backward reads the two matmul products, the pair sum or the two
-    # position encodings, so their arrays are gone when the call returns,
-    # while the returned message's graph is still alive
+    # no backward reads the two matmul products, the two position encodings
+    # or the MLP's concatenated input, so their arrays are gone when the call
+    # returns; the pair sum lives on as the MLP's first block until backward
     rng = np.random.default_rng(19)
     n, nclusters, hdim = 30, 6, 4
     msg = _PointMessage(hdim, 2, rng)
-    values = []
-    matmul, concat_values = Tensor.__matmul__, dmp.concat
+    values, pairs = [], []
+    matmul, concatenate = Tensor.__matmul__, np.concatenate
 
     def recording_matmul(a, b):
         out = matmul(a, b)
         values.append(weakref.ref(out.data))
         return out
 
-    def recording_concat(tensors, axis=1):
-        values.extend(weakref.ref(t.data) for t in tensors)
-        return concat_values(tensors, axis=axis)
+    def recording_concatenate(arrays, axis=0):
+        out = concatenate(arrays, axis=axis)
+        pairs.append(weakref.ref(arrays[0]))
+        values.extend([weakref.ref(a) for a in arrays[1:]] + [weakref.ref(out)])
+        return out
 
-    monkeypatch.setattr(Tensor, "__matmul__", recording_matmul)
-    monkeypatch.setattr(dmp, "concat", recording_concat)
     h = Tensor(rng.standard_normal((n, hdim)), requires_grad=True)
     h_coarse = Tensor(rng.standard_normal((nclusters, hdim)), requires_grad=True)
     rel = rng.standard_normal((n, 2))
     dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
-    out = msg(h, h_coarse, rng.integers(0, nclusters, n), coarse_first, rel, dist)
-    assert len(values) == 5
+    cluster_of = rng.integers(0, nclusters, n)
+    monkeypatch.setattr(Tensor, "__matmul__", recording_matmul)
+    monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    out = msg(h, h_coarse, cluster_of, coarse_first, rel, dist)
+    monkeypatch.undo()
+    assert len(values) == 5 and len(pairs) == 1
     assert [value() for value in values] == [None] * 5
+    assert pairs[0]() is not None
     out.sum().backward()
+    assert pairs[0]() is None
     assert h.grad.shape == (n, hdim) and h_coarse.grad.shape == (nclusters, hdim)
 
 

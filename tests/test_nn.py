@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import Tensor, batch_norm, hidden_layer, linear
+from ncgn.tensor import Tensor, batch_norm, concat, mlp
 
 
 def assert_close_to_max(actual, reference, rtol=1e-12):
@@ -123,69 +123,131 @@ def test_fused_batch_norm_finite_difference_with_constant_channel():
             assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def _hidden_layer_inputs(rng, n, d_in, channels):
-    return (rng.standard_normal((n, d_in)) + 0.5, rng.standard_normal((d_in, channels)),
-            rng.standard_normal(channels), rng.standard_normal(channels),
-            rng.standard_normal((n, channels)))
+def _mlp_inputs(rng, n, widths):
+    """Input, hidden ``(weight, gamma, beta)`` triples, output weight and
+    bias of an MLP over ``widths``, and an upstream gradient."""
+    hidden = [(rng.standard_normal((a, b)), rng.standard_normal(b),
+               rng.standard_normal(b)) for a, b in zip(widths[:-2], widths[1:-1])]
+    return (rng.standard_normal((n, widths[0])) + 0.5, hidden,
+            rng.standard_normal(widths[-2:]), rng.standard_normal(widths[-1]),
+            rng.standard_normal((n, widths[-1])))
 
 
-def _hidden_layer_results(layer, arrays, upstream):
-    """Output and x, weight, gamma, beta gradients of ``layer`` as bytes."""
-    x, weight, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-    out = layer(x, weight, gamma, beta)
+def _mlp_results(build, x0, hidden0, weight0, bias0, upstream):
+    """Output and the gradients of ``x`` and every parameter of ``build(x,
+    hidden, weight, bias)`` as bytes."""
+    x, weight, bias = (Tensor(a.copy(), requires_grad=True)
+                       for a in (x0, weight0, bias0))
+    hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
+              for triple in hidden0]
+    out = build(x, hidden, weight, bias)
     (out * upstream).sum().backward()
-    return [t.tobytes() for t in (out.data, x.grad, weight.grad, gamma.grad, beta.grad)]
+    tensors = [x] + [t for triple in hidden for t in triple] + [weight, bias]
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in tensors]
+
+
+def chain(x, hidden, weight, bias, stats=None):
+    """The ops an MLP ran per layer before it was one node: per hidden layer
+    a bias-free matmul, batch norm and gelu, then a matmul and bias add."""
+    for k, (w, gamma, beta) in enumerate(hidden):
+        layer_stats = None if stats is None else stats[k]
+        x = batch_norm(x @ w, gamma, beta, nn.BN_EPS, layer_stats)[0].gelu()
+    return x @ weight + bias
+
+
+def _fused(stats=None):
+    return lambda x, hidden, w, b: mlp([x], hidden, w, b, nn.BN_EPS, stats)[0]
 
 
 def test_hidden_layer_train_mode_matches_chain_bytes():
-    # the chain MLP ran per hidden layer before the fused op: bias-free
-    # linear, batch norm, gelu
+    # one and two hidden layers; no hidden layer is test_tensor's linear
     rng = np.random.default_rng(7)
-    *arrays, upstream = _hidden_layer_inputs(rng, 12800, 16, 32)
-    fused = _hidden_layer_results(
-        lambda x, w, g, b: hidden_layer(x, w, g, b, nn.BN_EPS)[0], arrays, upstream)
-    chain = _hidden_layer_results(
-        lambda x, w, g, b: batch_norm(linear(x, w, None), g, b, nn.BN_EPS)[0].gelu(),
-        arrays, upstream)
-    assert fused == chain
-    # against elementary ops: the same output, gamma and beta bytes; the
-    # closed-form x and weight gradients agree to rounding
-    composed = _hidden_layer_results(
-        lambda x, w, g, b: composed_batch_norm(x @ w, g, b, nn.BN_EPS).gelu(),
-        arrays, upstream)
-    assert [fused[i] == composed[i] for i in (0, 3, 4)] == [True] * 3
+    for widths in ([16, 32, 24, 8], [16, 32, 8]):
+        *arrays, upstream = _mlp_inputs(rng, 12800, widths)
+        fused = _mlp_results(_fused(), *arrays, upstream)
+        assert fused == _mlp_results(chain, *arrays, upstream)
+    # one hidden layer against elementary ops: the same output, gamma, beta
+    # and output-layer bytes; the closed-form x and weight gradients agree
+    # to rounding
+    composed = _mlp_results(
+        lambda x, hidden, w, b: composed_batch_norm(
+            x @ hidden[0][0], *hidden[0][1:], nn.BN_EPS).gelu() @ w + b,
+        *arrays, upstream)
+    assert [fused[i] == composed[i] for i in (0, 3, 4, 5, 6)] == [True] * 5
     for i in (1, 2):
         assert_close_to_max(np.frombuffer(fused[i]), np.frombuffer(composed[i]))
 
 
 def test_hidden_layer_eval_mode_matches_composed_bytes():
     rng = np.random.default_rng(8)
-    *arrays, upstream = _hidden_layer_inputs(rng, 500, 16, 32)
-    stats = (rng.standard_normal(32), rng.uniform(0.5, 2.0, 32))
+    for widths in ([16, 32, 8], [16, 32, 24, 8]):
+        *arrays, upstream = _mlp_inputs(rng, 500, widths)
+        stats = [(rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
+                 for c in widths[1:-1]]
 
-    def composed(x, weight, gamma, beta):
-        mean, var = stats
-        return ((x @ weight - mean[None, :]) / np.sqrt(var[None, :] + nn.BN_EPS)
-                * gamma + beta).gelu()
+        def composed(x, hidden, weight, bias):
+            for (w, gamma, beta), (mean, var) in zip(hidden, stats):
+                x = ((x @ w - mean[None, :]) / np.sqrt(var[None, :] + nn.BN_EPS)
+                     * gamma + beta).gelu()
+            return x @ weight + bias
 
-    fused = _hidden_layer_results(
-        lambda x, w, g, b: hidden_layer(x, w, g, b, nn.BN_EPS, stats)[0],
-        arrays, upstream)
-    assert fused == _hidden_layer_results(composed, arrays, upstream)
+        fused = _mlp_results(_fused(stats), *arrays, upstream)
+        assert fused == _mlp_results(composed, *arrays, upstream)
+        assert fused == _mlp_results(
+            lambda *args: chain(*args, stats=stats), *arrays, upstream)
+
+
+@pytest.mark.parametrize("eval_mode", [False, True])
+def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
+    # [pair, (rel, w_rel), (dist, w_dist)] runs as concat([pair, rel @ w_rel,
+    # dist @ w_dist]) byte for byte, forward and every gradient
+    rng = np.random.default_rng(12)
+    n, h = 300, 8
+    rel, dist = rng.standard_normal((n, 2)), rng.uniform(size=(n, 1))
+    pair0, w_rel0, w_dist0 = (rng.standard_normal(shape)
+                              for shape in ((n, h), (2, h), (1, h)))
+    _, hidden0, weight0, bias0, upstream = _mlp_inputs(rng, n, [3 * h, h, h, h])
+    stats = [(rng.standard_normal(h), rng.uniform(0.5, 2.0, h))
+             for _ in hidden0] if eval_mode else None
+    results = []
+    for fused in (True, False):
+        pair, w_rel, w_dist, weight, bias = (
+            Tensor(a.copy(), requires_grad=True)
+            for a in (pair0, w_rel0, w_dist0, weight0, bias0))
+        hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
+                  for triple in hidden0]
+        if fused:
+            out = mlp([pair, (rel, w_rel), (dist, w_dist)], hidden, weight, bias,
+                      nn.BN_EPS, stats)[0]
+        else:
+            out = chain(concat([pair, Tensor(rel) @ w_rel, Tensor(dist) @ w_dist]),
+                        hidden, weight, bias, stats)
+        (out * upstream).sum().backward()
+        tensors = [pair, w_rel, w_dist, weight, bias] + [t for triple in hidden
+                                                         for t in triple]
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+    assert results[0] == results[1]
 
 
 def test_hidden_layer_finite_difference_with_constant_channel():
     rng = np.random.default_rng(9)
     x0 = rng.standard_normal((6, 4))
-    w0 = rng.standard_normal((4, 3))
-    w0[:, 1] = 0.0  # zero batch variance: normalized by sqrt(eps) alone
     x0[:, 0] = 1.0  # a constant input column too
-    upstream = rng.standard_normal((6, 3))
-    tensors = [Tensor(a, requires_grad=True)
-               for a in (x0, w0, np.array([1.5, -0.5, 2.0]), np.array([0.1, 0.2, -0.3]))]
+    pair = rng.standard_normal((6, 2))
+    w0 = rng.standard_normal((6, 3))
+    w0[:, 1] = 0.0  # zero batch variance: normalized by sqrt(eps) alone
+    upstream = rng.standard_normal((6, 2))
+    x, pair_weight, w, gamma, beta, w1, gamma1, beta1, weight, bias = tensors = [
+        Tensor(a, requires_grad=True)
+        for a in (x0, rng.standard_normal((2, 2)), w0, np.array([1.5, -0.5, 2.0]),
+                  np.array([0.1, 0.2, -0.3]), rng.standard_normal((3, 3)),
+                  rng.standard_normal(3), rng.standard_normal(3),
+                  rng.standard_normal((3, 2)), rng.standard_normal(2))]
 
     def loss():
-        return (hidden_layer(*tensors, nn.BN_EPS)[0] * upstream).sum()
+        out = mlp([x, (pair, pair_weight)], [(w, gamma, beta), (w1, gamma1, beta1)],
+                  weight, bias, nn.BN_EPS)[0]
+        return (out * upstream).sum()
 
     loss().backward()
     h = 1e-6
@@ -202,19 +264,22 @@ def test_hidden_layer_finite_difference_with_constant_channel():
             assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def test_mlp_runs_each_hidden_layer_as_one_node():
+def test_mlp_runs_as_one_node():
+    # the node's parents: the input blocks' nodes (a pair's weight), then
+    # each hidden layer's weight, gamma and beta, then the output weight and
+    # bias
     rng = np.random.default_rng(10)
-    mlp = nn.MLP([4, 8, 8, 2], rng)
+    net = nn.MLP([6, 8, 8, 2], rng)
     x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-    for mode in (mlp.train, mlp.eval):
+    pair_weight = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    params = [t for lin, norm in zip(net.layers, net.norms)
+              for t in (lin.weight, norm.gamma, norm.beta)]
+    params += [net.layers[-1].weight, net.layers[-1].bias]
+    for mode in (net.train, net.eval):
         mode()
-        out = mlp(x)
-        second = out._node.parents[0]  # the last linear's input
-        first = second.parents[0]
-        for k, node, inp in ((1, second, first), (0, first, x._node)):
-            norm = mlp.norms[k]
-            assert node.parents == (inp, mlp.layers[k].weight._node,
-                                    norm.gamma._node, norm.beta._node)
+        out = net([x, (rng.standard_normal((5, 3)), pair_weight)])
+        assert out._node.parents == tuple(
+            t._node for t in [x, pair_weight] + params)
 
 
 def test_batch_norm_rejects_empty():

@@ -12,8 +12,7 @@ from ncgn.tensor import (
     Tensor,
     _unbroadcast,
     concat,
-    hidden_layer,
-    linear,
+    mlp,
     no_grad,
     segment_softmax,
     segment_sum,
@@ -201,9 +200,16 @@ def test_backward_releases_each_node_of_the_graph():
     assert out._node.parents == () and a._node.parents == ()
 
 
+def linear(x, weight, bias):
+    """``x @ weight + bias`` as ``mlp`` runs it for an MLP with no hidden
+    layers (``nn.Linear``)."""
+    return mlp([x], [], weight, bias, 1e-5)[0]
+
+
 def _hidden(x, weight):
-    gamma, beta = (Tensor(v, requires_grad=True) for v in (np.ones(3), np.zeros(3)))
-    return hidden_layer(x, weight, gamma, beta, 1e-5)[0]
+    gamma, beta, out_weight = (Tensor(v, requires_grad=True)
+                               for v in (np.ones(3), np.zeros(3), np.eye(3)))
+    return mlp([x], [(weight, gamma, beta)], out_weight, None, 1e-5)[0]
 
 
 # op name -> (op on two 3 x 3 leaves, whether it keeps the first one's array)
@@ -237,6 +243,49 @@ def test_op_keeps_an_input_array_only_for_its_backward(name):
     root.backward()
     assert value() is None
     assert leaf.grad.shape == (3, 3)
+
+
+@pytest.mark.parametrize("n_hidden", [1, 2])
+def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
+    # after the forward the pair encodings, the concatenated input and every
+    # hidden output are freed; each layer's xhat and Gaussian CDF live until
+    # backward
+    rng = np.random.default_rng(11)
+    n, h = 20, 4
+    dropped, kept = [], []
+    forward, concatenate = tensor._hidden_forward, np.concatenate
+
+    def recording_forward(x, *args):
+        out, xhat, std, phi, mean, var = forward(x, *args)
+        dropped.extend([weakref.ref(x), weakref.ref(out)])
+        kept.extend([weakref.ref(xhat), weakref.ref(phi)])
+        return out, xhat, std, phi, mean, var
+
+    def recording_concatenate(arrays, axis=0):
+        out = concatenate(arrays, axis=axis)
+        dropped.extend([weakref.ref(a) for a in arrays[1:]] + [weakref.ref(out)])
+        return out
+
+    monkeypatch.setattr(tensor, "_hidden_forward", recording_forward)
+    monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    block = Tensor(rng.standard_normal((n, h)), requires_grad=True)
+    pair_weights = [Tensor(rng.standard_normal((d, h)), requires_grad=True)
+                    for d in (2, 1)]
+    hidden = [tuple(Tensor(rng.standard_normal(shape), requires_grad=True)
+                    for shape in ((d_in, h), (h,), (h,)))
+              for d_in in (3 * h, h)[:n_hidden]]
+    weight = Tensor(rng.standard_normal((h, 2)), requires_grad=True)
+    out, _ = mlp([block] + [(rng.standard_normal((n, w.data.shape[0])), w)
+                            for w in pair_weights], hidden, weight, None, 1e-5)
+    monkeypatch.undo()
+    # 2 encodings and the concatenation, then each layer's input and output
+    assert len(dropped) == 3 + 2 * n_hidden and len(kept) == 2 * n_hidden
+    assert [ref() for ref in dropped] == [None] * len(dropped)
+    assert all(ref() is not None for ref in kept)
+    out.sum().backward()
+    assert [ref() for ref in kept] == [None] * len(kept)
+    assert block.grad.shape == (n, h)
+    assert all(w.grad.shape == w.data.shape for w in pair_weights)
 
 
 def test_pass_through_gradients_are_copied():
