@@ -1,7 +1,7 @@
 #!/bin/sh
 # Small seeded CLI sequence whose outputs pin the pipeline's numerics:
 # datasets, the GW and attention studies, and train/sample/eval for cfm,
-# ddpm, a masked task, two sampling chunks, a masked run over two chunks, a
+# a masked task, two sampling chunks, a masked run over two chunks, a
 # column mask (gene_knockout), GAT on positions, a non-default schedule
 # kind, every baseline (knn_fixed, fully_connected, long_short) and
 # random_pred. Every file it writes is deterministic, so two
@@ -53,7 +53,6 @@ run() {
 }
 
 run cfm data
-run ddpm data interpolant.kind=ddpm
 run masked data mask_task=temporal_trajectory
 run chunks data n_samples=70
 run masked_chunks data n_samples=70 mask_task=temporal_trajectory

@@ -76,15 +76,17 @@ def _checkpoint_path(config):
 
 def _with_checkpoint(config, args):
     """Read the checkpoint, if there is one, re-resolve ``args`` on top of
-    its record and reject given keys that differ. Returns the config and
-    the checkpoint's arrays and train seed (None without a checkpoint)."""
+    its record and reject given keys that differ; a record this version
+    cannot train with asks for a retrain. Returns the config and the
+    checkpoint's arrays and train seed (None without a checkpoint)."""
     path = _checkpoint_path(config)
     if not os.path.exists(path):
         return config, None
     arrays, record = nn.load_checkpoint(path)
     try:
         record = parse_pairs(record.items(), path)
-    except ConfigError as exc:
+        _train_config(parse_config(record=record))
+    except ValueError as exc:
         raise ConfigError(f"{exc}: {path} was written by another version of "
                           f"ncgn; the model must be retrained") from None
     train_seed = record["seed"]
@@ -230,9 +232,9 @@ def cmd_theory(config):
 
 
 def cmd_attention_study(config):
-    if config["attention.bins"] < 1:
-        raise ConfigError(f"attention.bins must be >= 1, got "
-                          f"{config['attention.bins']}")
+    for key in ("attention.bins", "attention.epochs"):
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
     ds = _require_dataset(config, "train", "test")
     cfg = TrainConfig(task="positions", method="fully_connected",
                       epochs=config["attention.epochs"], batch=32,

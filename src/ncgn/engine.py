@@ -89,9 +89,15 @@ class TrainConfig:
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
         if self.interpolant not in INTERPOLANT_KINDS:
-            raise ValueError(f"unknown interpolant kind {self.interpolant!r}")
-        if min(self.epochs, self.batch, self.hdim, self.layers, self.nfes) < 1:
-            raise ValueError("epochs, batch, hdim, layers, nfes must be positive")
+            raise ValueError(f"unknown interpolant.kind {self.interpolant!r}; "
+                             f"expected one of "
+                             f"{', '.join(map(repr, INTERPOLANT_KINDS))}")
+        for name in ("epochs", "batch", "hdim", "layers", "nfes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.warmup_epochs <= self.epochs:
@@ -214,7 +220,7 @@ def _part(template, z, t, task):
 
 
 def train(graphs, config: TrainConfig, model=None):
-    """Flow-matching / diffusion regression over a graph dataset.
+    """Flow-matching regression over a graph dataset.
 
     Trains ``model`` (any module with a ``forward_core``) in place, or a
     fresh ``build_model`` when it is None. Returns (model, ema, loss_rows)
@@ -246,8 +252,7 @@ def train(graphs, config: TrainConfig, model=None):
                 z1 = _component(g, config.task)
                 z0 = rng.standard_normal(z1.shape)
                 z_t = interpolate(z0, z1, t, config.interpolant, noise_seed)
-                targets.append(regression_target(z0, z1, config.interpolant,
-                                                 seed=noise_seed))
+                targets.append(regression_target(z0, z1, config.interpolant))
                 parts.append(_part(g, z_t, t, config.task))
             pred = merged_forward(model, parts, cache)
             diff = pred - Tensor(np.concatenate(targets))
@@ -302,8 +307,8 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
     one merged N x odim state. ``mask`` is a per-template list of
     ``(known, values)`` array pairs (or None entries), as ``task_mask``
     returns; when any entry is given, each merged state's pairs go to
-    ``generate``, which clamps the known channels onto the cfm path and
-    raises ValueError for any other ``config.interpolant``. The model is in
+    ``generate``, which clamps the known channels onto the cfm path. ``seed``
+    seeds each chunk's prior draw ``z0``. The model is in
     eval mode while sampling and back in train mode afterwards, also when
     sampling raises.
     """
@@ -329,8 +334,10 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
                 with no_grad():
                     return merged_forward(model, parts, cache).data
 
+            # nothing reads this draw; dropping it would change every later
+            # chunk's z0, and so the samples of any run over several chunks
+            rng.integers(2**32)
             z = generate(field, z0, config.interpolant, config.nfes,
-                         seed=int(rng.integers(2**32)),
                          mask=(known, values) if masked else None)
             out.extend(GeometricGraph(*(a.copy() for a in
                                         _fields(g, z[lo:hi], config.task)))

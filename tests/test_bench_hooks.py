@@ -4,6 +4,7 @@ call boundaries. A rename in src/ would only surface when the benchmark
 runs; these tests make it fail here instead."""
 
 import ast
+import dataclasses
 import functools
 import importlib.util
 from pathlib import Path
@@ -66,3 +67,21 @@ def test_workload_patch_targets_exist():
     for owner, attr in patches:
         obj = functools.reduce(getattr, owner.split("."), ncgn)
         assert attr in vars(obj), f"workloads.py patches {owner}.{attr}"
+
+
+def test_train_config_keywords_are_fields():
+    """workloads.py and checks.py build their runs with
+    ``engine.TrainConfig(key=value, ...)``: every keyword must stay a field,
+    and the literal values together must stay a valid config."""
+    names = {f.name for f in dataclasses.fields(engine.TrainConfig)}
+    calls = [(path.name, node.keywords)
+             for path in sorted(PERFBENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "engine.TrainConfig"]
+    assert len(calls) == 4
+    for name, keywords in calls:
+        passed = {kw.arg for kw in keywords}
+        assert passed <= names, f"{name} passes {sorted(passed - names)}"
+        engine.TrainConfig(**{kw.arg: kw.value.value for kw in keywords
+                              if isinstance(kw.value, ast.Constant)})

@@ -103,10 +103,10 @@ def test_resolved_round_trip_idempotent(tmp_path):
 
 def test_dotted_key_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("schedule.kind = exponential\ninterpolant.kind = ddpm\n")
+    cfg.write_text("schedule.kind = linear\nattention.bins = 4\n")
     config = parse_config(str(cfg))
-    assert config["schedule.kind"] == "exponential"
-    assert config["interpolant.kind"] == "ddpm"
+    assert config["schedule.kind"] == "linear"
+    assert config["attention.bins"] == 4
 
 
 # ------------------------------------------------------------------- CLI
@@ -261,15 +261,18 @@ def test_masked_sampling_on_positions_task_exits_one(tmp_path, capsys):
 
 
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
-    # conditioning clamps onto the cfm path, which ddpm does not train on
+    # cfm is the one interpolant: interpolant.kind=ddpm fails by key and
+    # value, before training and before sampling
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
-    assert run(work, "train", f"dataset={data}", "interpolant.kind=ddpm",
-               *TINY_TRAIN) == 0
-    assert run(work, "sample", f"dataset={data}",
-               "mask_task=temporal_trajectory") == 1
-    assert "interpolant 'ddpm' cannot be masked" in capsys.readouterr().err
-    assert not (work / "samples").exists()
+    for command, *keys in (("train", *TINY_TRAIN),
+                           ("sample", "mask_task=temporal_trajectory"),
+                           ("sample",)):
+        assert run(work, command, f"dataset={data}", "interpolant.kind=ddpm",
+                   *keys) == 1
+        err = capsys.readouterr().err
+        assert f"ncgn {command}: unknown interpolant.kind 'ddpm'" in err
+    assert sorted(os.listdir(work)) == ["config.resolved"]
 
 
 @pytest.mark.parametrize("n_samples", ["n_samples=3", "n_samples=0"])
@@ -377,13 +380,15 @@ def test_attention_study_rejects_bins_before_training(tmp_path, capsys,
                "n_points=16") == 0
 
     def no_training(*args, **kwargs):
-        raise AssertionError("attention-study trained before checking bins")
+        raise AssertionError("attention-study trained before checking its keys")
 
     monkeypatch.setattr(cli, "train", no_training)
     work = tmp_path / "work"
-    assert run(work, "attention-study", f"dataset={data}",
-               f"attention.bins={bins}") == 1
-    assert f"attention.bins must be >= 1, got {bins}" in capsys.readouterr().err
+    # attention.epochs takes the same check
+    for key in ("attention.bins", "attention.epochs"):
+        assert run(work, "attention-study", f"dataset={data}",
+                   f"{key}={bins}") == 1
+        assert f"{key} must be >= 1, got {bins}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_train, n_test, split", [
@@ -413,13 +418,13 @@ def test_attention_study_with_an_empty_split_exits_one(tmp_path, capsys,
 
 # ------------------------------------------------- checkpoint config record
 
-MODEL_KEYS = ("method=knn_fixed", "interpolant.kind=ddpm", "mp_kind=gat",
+MODEL_KEYS = ("method=knn_fixed", "knn_k=4", "mp_kind=gat",
               "hdim=8", "layers=1", "epochs=1", "batch=2", "warmup_epochs=0")
 
 
 @pytest.fixture(scope="module")
 def gat_run(tmp_path_factory):
-    """A dataset and a knn_fixed/ddpm/GAT run trained on it."""
+    """A dataset and a knn_fixed (k = 4) GAT run trained on it."""
     root = tmp_path_factory.mktemp("gat_run")
     data, work = root / "data", root / "work"
     assert run(data, "simulate-data", "n_train=3", "n_test=2") == 0
@@ -554,6 +559,21 @@ def test_old_record_keys_exit_one(gat_run, tmp_path, capsys, command):
     assert f"unknown config key 'ema_decay' ({tmp_path}/ema.ckpt)" in err
     assert ("was written by another version of ncgn; the model must be "
             "retrained") in err
+    assert not (tmp_path / "samples").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "eval"])
+def test_ddpm_checkpoint_exits_one(gat_run, tmp_path, capsys, command):
+    # a record written while ddpm was an interpolant kind
+    data, work = gat_run
+    arrays, record = nn.load_checkpoint(work / "ema.ckpt")
+    nn.save_checkpoint(tmp_path / "ema.ckpt", arrays,
+                       {**record, "interpolant.kind": "ddpm"})
+    assert run(tmp_path, command, f"dataset={data}", "nfes=2") == 1
+    err = capsys.readouterr().err
+    assert (f"ncgn {command}: unknown interpolant.kind 'ddpm'; expected one "
+            f"of 'cfm': {tmp_path}/ema.ckpt was written by another version of "
+            f"ncgn; the model must be retrained") in err
     assert not (tmp_path / "samples").exists()
 
 

@@ -80,6 +80,18 @@ def test_config_validation():
             TrainConfig(method="knn_fixed", knn_k=k)
 
 
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("epochs", "batch", "hdim", "layers", "nfes")
+      for value in (0, -2)),
+    ("seed", -1),
+])
+def test_config_names_a_bad_count_or_seed(key, value):
+    # a negative seed is caught here, not by numpy's generator in train
+    bound = "non-negative" if key == "seed" else "positive"
+    with pytest.raises(ValueError, match=f"^{key} must be {bound}, got {value}$"):
+        TrainConfig(**{key: value})
+
+
 def test_training_loss_decreases_on_tiny_dataset():
     graphs = rd_graphs(8)
     config = overfit_config()
@@ -339,14 +351,13 @@ def test_condition_mask_validation():
 
 
 def test_masked_sampling_requires_cfm():
-    # the clamp follows the cfm path, which ddpm's noising does not match
+    # the clamp follows the cfm path, and cfm is the one kind a config takes
+    with pytest.raises(ValueError, match="unknown interpolant.kind 'ddpm'"):
+        TrainConfig(interpolant="ddpm")
     graphs = rd_graphs(1)
-    config = TrainConfig(interpolant="ddpm", epochs=1, batch=1,
-                         warmup_epochs=0, hdim=8, layers=1, nfes=2)
+    config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1,
+                         nfes=2)
     model, _, _ = train(graphs, config)
-    mask = [task_mask(graphs[0], "temporal_trajectory")]
-    with pytest.raises(ValueError, match="interpolant 'ddpm' cannot be masked"):
-        sample(model, graphs, config, mask=mask)
     # an all-None mask conditions nothing, so it samples as no mask does
     for a, b in zip(sample(model, graphs, config, mask=[None], seed=2),
                     sample(model, graphs, config, seed=2)):
