@@ -383,6 +383,9 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
     subsample are used whole, flagged via ``warned``. Replicates run on
     ``min(n_workers(), replicates)`` threads; the values do not depend on it.
     """
+    for name, value in (("replicates", replicates), ("subsample", subsample)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     gen, ref = _pool(generated, task), _pool(reference, task)
     m = min(subsample, len(gen), len(ref))
     warned = m < subsample

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _scatter_add
-
 
 @dataclass
 class GeometricGraph:
@@ -104,6 +102,10 @@ def voxel_coarsen(positions: np.ndarray, s: int):
     half-open bins (last bin closed); empty voxels are dropped. So s' is at
     most min(N, p^d), which can exceed ``s`` when s is not a d-th power: for
     s = 32 in 3-D, p = 4 and s' can reach 64.
+
+    Each coordinate's cluster sums are one ``np.bincount`` that adds the
+    members in index order from 0.0, the additions of
+    ``tensor._scatter_add``, so the means are its bytes without scipy.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -122,7 +124,9 @@ def voxel_coarsen(positions: np.ndarray, s: int):
     uniq, cluster_of = np.unique(flat, return_inverse=True)
     sprime = uniq.size
     counts = np.bincount(cluster_of, minlength=sprime).astype(np.float64)
-    return cluster_of, _scatter_add(cluster_of, sprime, pos) / counts[:, None]
+    sums = np.stack([np.bincount(cluster_of, weights=pos[:, j], minlength=sprime)
+                     for j in range(d)], axis=1)
+    return cluster_of, sums / counts[:, None]
 
 
 # ----------------------------------------------------------------------

@@ -34,8 +34,8 @@ The first ``backward`` of a process also asks glibc to keep freed pages
 (``_keep_freed_pages``): arrays up to 32 MiB come from the heap instead of
 fresh mappings, and the heap is never trimmed. Otherwise every step would
 return its released graph to the kernel and fault the same pages back in
-on the next forward. Processes that take no gradient keep the default
-allocator.
+on the next forward. Threads started afterwards share that heap (one
+arena). Processes that take no gradient keep the default allocator.
 
 Two fused ops stand in for the node-level layers, one node each.
 ``batch_norm`` is a standalone batch normalization; its forward repeats
@@ -115,8 +115,9 @@ def _scatter_add(ids, n, values):
 
 
 # glibc mallopt parameters: serve arrays up to 32 MiB from the heap, never
-# trim it. 32 MiB is the largest mmap threshold glibc accepts on 64-bit.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# trim it, and give every thread that one heap. 32 MiB is the largest mmap
+# threshold glibc accepts on 64-bit.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _pages_kept = False
 
@@ -124,7 +125,11 @@ _pages_kept = False
 def _keep_freed_pages():
     """Once per process, ask glibc to keep the pages a released graph
     frees, so the next forward reuses them instead of faulting fresh ones
-    in. Does nothing without a libc that has ``mallopt``."""
+    in, and to serve later threads (``engine.evaluate_w2``'s pool) from
+    that same heap instead of new arenas that are never trimmed either.
+    glibc applies the arena limit when a thread picks its arena, so it
+    covers threads started after this call, not those already running.
+    Does nothing without a libc that has ``mallopt``."""
     global _pages_kept
     if _pages_kept:
         return
@@ -136,6 +141,7 @@ def _keep_freed_pages():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _released(g):

@@ -4,25 +4,56 @@ entropic Gromov-Wasserstein between clouds of any sizes and dimensions.
 
 Each GW step solves an entropic transport problem with Sinkhorn iterations
 in the scaling domain (matrix-vector products on a row-stabilised kernel);
-the log-domain loop is kept as the fallback for kernels that underflow."""
+the log-domain loop is kept as the fallback for kernels that underflow.
+
+Only ``w2_exact`` uses scipy (linear assignment and the squared-distance
+matrix), and it imports it when it runs; the GW solver is numpy alone, so
+a process that never calls ``w2_exact`` never loads scipy.optimize or
+scipy.spatial."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 SINKHORN_TOL = 1e-9  # row-marginal error at which a Sinkhorn solve stops
+
+
+def _check_clouds(a, b):
+    """Raise ValueError unless ``a`` and ``b`` are non-empty m x q arrays."""
+    for name, x in (("a", a), ("b", b)):
+        if x.ndim != 2:
+            raise ValueError(f"{name} must be a 2-dimensional m x q array, "
+                             f"got shape {x.shape}")
+        if x.shape[0] == 0:
+            raise ValueError(f"{name} is an empty cloud: it needs at least "
+                             "one point")
+
+
+def _euclidean_distances(x):
+    """``x``'s m x m Euclidean distance matrix: the squared coordinate
+    differences summed in coordinate order from 0.0, then the square root.
+    These are the float operations of ``scipy.spatial.distance.cdist(x, x)``,
+    so the result is its bytes."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros((x.shape[0], x.shape[0]))
+    for j in range(x.shape[1]):
+        diff = x[:, j, None] - x[None, :, j]
+        out += diff * diff
+    return np.sqrt(out)
 
 
 def w2_exact(a, b) -> float:
     """Exact 2-Wasserstein distance between two equal-size m x q point
     clouds of uniform weight, via linear assignment on the squared-distance
     cost matrix."""
+    _check_clouds(a, b)
     if a.shape[0] != b.shape[0]:
         raise ValueError("clouds must have equal sizes")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     m = a.shape[0]
     cost = cdist(a, b, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
@@ -123,6 +154,7 @@ def gw_entropic(a, b, eps=0.05, iters=50, return_details=False):
     The initial coupling carries a tiny fixed perturbation to break exactly
     symmetric stationary points.
     """
+    _check_clouds(a, b)
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if iters < 1:
@@ -131,8 +163,8 @@ def gw_entropic(a, b, eps=0.05, iters=50, return_details=False):
     if max(m, n) > 512:
         raise ValueError("cloud too large for the entropic solver")
     p, q = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-    c1_raw = cdist(a, a)
-    c2_raw = cdist(b, b)
+    c1_raw = _euclidean_distances(a)
+    c2_raw = _euclidean_distances(b)
     scale = max(c1_raw.max(), c2_raw.max(), 1e-12)
     c1, c2 = c1_raw / scale, c2_raw / scale
     rng = np.random.default_rng(0)

@@ -183,8 +183,9 @@ def test_freed_pages_kept_once_and_only_by_gradient_processes(monkeypatch):
     assert calls == [] and not tensor._pages_kept
     _, _, rows = train(graphs, config)
     assert len(rows) == 2
-    # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off: once per process
-    assert calls == [(-3, 32 << 20), (-1, -1)]
+    # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off, M_ARENA_MAX 1: once
+    # per process
+    assert calls == [(-3, 32 << 20), (-1, -1), (-8, 1)]
 
 
 def test_sample_shapes_and_determinism():
@@ -453,6 +454,17 @@ def test_evaluate_w2_threaded_matches_serial(monkeypatch):
     monkeypatch.setenv("NCGN_THREADS", "4")
     threaded = evaluate_w2(gen, ref, "features", replicates=4, subsample=32)
     assert serial["values"] == threaded["values"]
+
+
+@pytest.mark.parametrize("key", ["replicates", "subsample"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_evaluate_w2_names_a_non_positive_count(monkeypatch, key, value):
+    pooled = []
+    monkeypatch.setattr(engine, "_pool", lambda *args: pooled.append(args))
+    graphs = rd_graphs(1)
+    with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
+        evaluate_w2(graphs, graphs, "features", **{key: value})
+    assert pooled == []  # rejected before any pooling or subsampling
 
 
 @pytest.mark.parametrize("value", ["abc", "-4", "0", ""])

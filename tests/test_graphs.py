@@ -14,6 +14,7 @@ from ncgn.graphs import (
     save_graph,
     voxel_coarsen,
 )
+from ncgn.tensor import _scatter_add
 
 
 def random_graph(n, d=3, f=2, seed=0):
@@ -196,6 +197,19 @@ def test_voxel_properties(n, s, seed):
     assert 1 <= len(coarse) <= max(1, min(s, n) * 4)  # p^d can overshoot s
     assert cluster_of.shape == (n,)
     assert set(cluster_of) == set(range(len(coarse)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 3), s=st.integers(1, 70),
+       scale_exp=st.integers(-3, 3), seed=st.integers(0, 2**16))
+def test_voxel_means_are_scatter_add_bytes(n, d, s, scale_exp, seed):
+    pos = np.random.default_rng(seed).standard_normal((n, d)) * 10.0**scale_exp
+    cluster_of, coarse = voxel_coarsen(pos, s)
+    # the composed reference: CSR scatter of the members over their counts
+    sprime = coarse.shape[0]
+    counts = np.bincount(cluster_of, minlength=sprime).astype(np.float64)
+    reference = _scatter_add(cluster_of, sprime, pos) / counts[:, None]
+    assert coarse.tobytes() == reference.tobytes()
 
 
 def test_load_row_count_checked_both_ways(tmp_path):

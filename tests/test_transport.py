@@ -1,7 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from ncgn import dataset, transport
 from ncgn.transport import GwResult, gw_entropic, w2_exact
@@ -66,6 +73,61 @@ def test_points_must_be_m_by_q():
             w2_exact(a, b)
         with pytest.raises(ValueError, match="2-dimensional"):
             gw_entropic(a, b)
+
+
+def test_empty_clouds_named_before_any_work():
+    empty, ok = np.zeros((0, 2)), np.zeros((3, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^a is an empty cloud"):
+            w2_exact(empty, empty)
+        for a, b, name in ((empty, ok, "a"), (ok, empty, "b")):
+            with pytest.raises(ValueError, match=f"^{name} is an empty cloud"):
+                gw_entropic(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), m=st.integers(1, 20),
+       kind=st.sampled_from(["normal", "grid", "duplicates"]),
+       scale_exp=st.integers(-3, 3), seed=st.integers(0, 2**16))
+def test_distance_matrix_is_cdist_bytes(d, m, kind, scale_exp, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        x = rng.standard_normal((m, d))
+    elif kind == "grid":
+        x = rng.integers(-4, 5, size=(m, d)) * 0.25
+    else:  # every point drawn from three distinct ones
+        x = rng.standard_normal((3, d))[rng.integers(0, 3, size=m)]
+    x = x * 10.0**scale_exp
+    assert transport._euclidean_distances(x).tobytes() == cdist(x, x).tobytes()
+
+
+def test_gw_study_and_theory_load_no_scipy_submodule():
+    # a fresh process: theory, both datasets and the GW study run on numpy
+    # alone; scipy.optimize arrives with the first evaluate_w2
+    code = """
+import sys
+import ncgn, ncgn.dataset, ncgn.cli
+from ncgn import engine, theory
+ncgn.dataset.generate_rd_dataset(n_train=1, n_test=1)
+shapes = ncgn.dataset.generate_shape_dataset(n_train=1, n_test=1, n_points=16)
+engine.gw_study(shapes.train, noise_grid=(0.5,), cluster_grid=(4, 16),
+                n_shapes=1, n_seeds=1, iters=3)
+theory.radius_sweep((1.0,))
+theory.mc_sq_distance(0.5, 1.0, 0.0, n_draws=10**4)
+heavy = ("scipy.optimize", "scipy.spatial", "scipy.sparse", "scipy.special")
+print(*[name for name in heavy if name in sys.modules])
+engine.evaluate_w2(shapes.train, shapes.test, "positions", replicates=1,
+                   subsample=8)
+print("scipy.optimize" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(transport.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["", "True"]
 
 
 def test_gw_self_distance_near_zero():
