@@ -47,8 +47,8 @@ def rd_shape(steps, seed):
                                      sign_convention="damped")
     graphs = ds.train * (-(-batch * steps // len(ds.train)))
     config = engine.TrainConfig(task="features", method="dmp", mp_kind="gcn",
-                                interpolant="cfm", epochs=1, warmup_epochs=1,
-                                batch=batch, hdim=32, layers=3, seed=seed)
+                                epochs=1, warmup_epochs=1, batch=batch,
+                                hdim=32, layers=3, seed=seed)
     return graphs[:batch * steps], config
 
 
@@ -58,8 +58,8 @@ def shapes_shape(steps, seed):
     ds = dataset.generate_shape_dataset(n_train=batch * steps, n_test=1,
                                         n_points=256, seed=seed)
     config = engine.TrainConfig(task="positions", method="dmp", mp_kind="gat",
-                                interpolant="cfm", epochs=1, warmup_epochs=1,
-                                batch=batch, hdim=32, layers=3, seed=seed)
+                                epochs=1, warmup_epochs=1, batch=batch,
+                                hdim=32, layers=3, seed=seed)
     return ds.train, config
 
 

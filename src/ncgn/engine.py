@@ -98,8 +98,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("need 0 <= warmup_epochs <= epochs")
 
@@ -386,6 +386,9 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
     for name, value in (("replicates", replicates), ("subsample", subsample)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, graphs in (("generated", generated), ("reference", reference)):
+        if not len(graphs):
+            raise ValueError(f"{name} holds no graphs")
     gen, ref = _pool(generated, task), _pool(reference, task)
     m = min(subsample, len(gen), len(ref))
     warned = m < subsample

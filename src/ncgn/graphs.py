@@ -29,7 +29,11 @@ class GeometricGraph:
         n = self.positions.shape[0]
         if self.features is None:
             self.features = np.zeros((n, 0))
-        self.features = np.asarray(self.features, dtype=np.float64).reshape(n, -1)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or self.features.shape[0] != n:
+            raise ValueError(f"features must be N x f with the N rows of "
+                             f"positions {self.positions.shape}, got "
+                             f"{self.features.shape}")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
         if not np.all(np.isfinite(self.features)):

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 
-from .tensor import Tensor, batch_norm, mlp
+from .tensor import Tensor, mlp
 
 BN_EPS = 1e-5  # variance floor of every batch norm
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
@@ -88,7 +88,10 @@ class Linear(Module):
 
 
 class BatchNorm(Module):
-    """Per-channel batch normalization over node rows.
+    """The parameters and running statistics of one per-channel batch
+    normalization over node rows, which ``tensor.mlp`` runs for an
+    ``MLP``'s hidden layer: the scale ``gamma``, the shift ``beta``, and the
+    running mean and variance.
 
     The first training batch seeds the running statistics directly, so a
     single train step followed by eval reproduces that batch's stats;
@@ -103,14 +106,6 @@ class BatchNorm(Module):
         self.running_var = Tensor(np.ones(channels))
         self._initialized = False
         self.training = True
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2:
-            raise ValueError("batch norm expects nodes x channels")
-        out, mean, var = batch_norm(x, self.gamma, self.beta, BN_EPS, self.stats())
-        if self.training:
-            self.fold(mean, var)
-        return out
 
     def stats(self):
         """None in train mode (normalize over the batch's rows), else the

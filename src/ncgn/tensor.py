@@ -37,19 +37,17 @@ return its released graph to the kernel and fault the same pages back in
 on the next forward. Threads started afterwards share that heap (one
 arena). Processes that take no gradient keep the default allocator.
 
-Two fused ops stand in for the node-level layers, one node each.
-``batch_norm`` is a standalone batch normalization; its forward repeats
-the composed form's operations, so its output is the same bytes, and over
-batch statistics its backward is the closed form of Ioffe & Szegedy
-(2015). ``mlp`` runs a whole MLP: every hidden layer
-``gelu(batch_norm(x @ w))``, then the output linear ``x @ weight + bias``;
-an MLP with no hidden layer is a linear map. It runs the float operations
-of that per-layer chain in order, forward and backward, so every result
-is the chain's bytes. It keeps the input blocks' arrays and each hidden
-layer's normalized input and Gaussian CDF; its backward rebuilds the
-concatenated input, the pair encodings and every hidden output (recompute
-as in Chen et al. 2016, from what batch norm keeps anyway as in Rota Bulò
-et al. 2018).
+One fused op, ``mlp``, runs a whole MLP as one node: every hidden layer
+is the matmul ``x @ w``, batch normalization and GELU, then the output
+linear ``x @ weight + bias``; an MLP with no hidden layer is a linear map.
+It runs the float operations of that per-layer chain in order, forward
+and backward, so every result is the chain's bytes; over batch statistics
+the normalization's backward is the closed form of Ioffe & Szegedy
+(2015). It keeps the input blocks' arrays and each hidden layer's
+normalized input and Gaussian CDF; its backward rebuilds the concatenated
+input, the pair encodings and every hidden output (recompute as in Chen
+et al. 2016, from what batch norm keeps anyway as in Rota Bulò et al.
+2018).
 
 Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
 sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
@@ -474,23 +472,20 @@ def _normalize(h, eps, stats):
 
 
 def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
-                        batch_stats, wants_input, out=None):
+                        batch_stats):
     """Push the gradient ``g`` of ``xhat * gamma + beta`` onto the nodes of
-    ``gamma`` (the array) and ``beta`` (None for no grad); return the
-    gradient of the normalized input when ``wants_input``, else None. Over
-    batch statistics it is the closed form ``(gg - mean(gg) - xhat *
-    mean(gg * xhat)) / std`` with ``gg = g * gamma``; with fixed statistics
-    it is ``gg / std``. The result is written into ``out`` when given (it
-    may be ``g`` itself), else into a new array."""
+    ``gamma`` (the array) and ``beta`` (None for no grad) and return the
+    gradient of the normalized input, written into ``g``. Over batch
+    statistics it is the closed form ``(gg - mean(gg) - xhat * mean(gg *
+    xhat)) / std`` with ``gg = g * gamma``; with fixed statistics it is
+    ``gg / std``."""
     prod = None
     if gamma_node is not None:
         prod = g * xhat
         gamma_node.accum(prod.sum(axis=0), fresh=True)
     if beta_node is not None:
         beta_node.accum(g.sum(axis=0), fresh=True)
-    if not wants_input:
-        return None
-    gg = np.multiply(g, gamma, out=out)
+    gg = np.multiply(g, gamma, out=g)
     if batch_stats:
         inv_n = 1.0 / g.shape[0]
         mean_gg = gg.sum(axis=0) * inv_n
@@ -500,30 +495,6 @@ def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
         gg -= prod
     gg /= std
     return gg
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
-    """Batch normalization ``(x - mean) / (var + eps) ** 0.5 * gamma + beta``
-    of the N x C ``x`` as one node. The statistics are those of ``x``'s rows
-    (train mode), or ``stats``, a ``(mean, var)`` pair of length-C arrays
-    (eval mode with running statistics). Returns (output, mean, var), the
-    last two as length-C arrays.
-
-    The forward is the composed form operation for operation. Over batch
-    statistics the backward is the closed form of ``_normalize_backward``.
-    """
-    xhat, std, mean, var = _normalize(x.data, eps, stats)
-    out_data = xhat * gamma.data + beta.data
-    xn, gn, bn = x._node, gamma._node, beta._node
-    gd, batch_stats = gamma.data, stats is None
-
-    def bwd(g):
-        dx = _normalize_backward(g, xhat, std, gd, gn, bn, batch_stats,
-                                 xn is not None)
-        if dx is not None:
-            xn.accum(dx, fresh=True)
-
-    return _result(out_data, (xn, gn, bn), bwd), mean, var
 
 
 def _mlp_input(parts):
@@ -565,13 +536,14 @@ def _hidden_backward(g, pre, xhat, std, phi, batch_stats, gamma, gamma_node,
     dpre += phi
     dpre *= g
     return _normalize_backward(dpre, xhat, std, gamma, gamma_node, beta_node,
-                               batch_stats, True, out=dpre)
+                               batch_stats)
 
 
 def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
         stats=None):
-    """A whole MLP as one node: one hidden layer ``gelu(batch_norm(x @ w))``
-    per ``(w, gamma, beta)`` triple of ``hidden``, then the output linear
+    """A whole MLP as one node: one hidden layer per ``(w, gamma, beta)``
+    triple of ``hidden``, the GELU of the batch normalization ``(x @ w -
+    mean) / (var + eps) ** 0.5 * gamma + beta``, then the output linear
     ``x @ weight + bias`` (``x @ weight`` for ``bias=None``). Returns
     ``(out, moments)``, ``moments`` holding each hidden layer's ``(mean,
     var)`` as length-C arrays.
@@ -584,8 +556,8 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     (eval mode with running statistics).
 
     Forward and backward run the float operations of the composed chain
-    (``concat`` of the blocks, then per hidden layer the matmul,
-    ``batch_norm`` and ``Tensor.gelu``, then the matmul and bias add) in the
+    (``concat`` of the blocks, then per hidden layer the matmul, batch
+    normalization and ``Tensor.gelu``, then the matmul and bias add) in the
     same order, so every result is that chain's bytes. The node keeps the
     blocks' arrays and each hidden layer's ``xhat``, ``std`` and Gaussian
     CDF; its backward rebuilds the concatenated input, the pair products

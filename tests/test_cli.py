@@ -193,6 +193,16 @@ def test_training_writes_loss_csv(tmp_path, capsys):
     assert float(rows[0][3]) == pytest.approx(DEFAULTS["lr"] / 1)
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_a_non_finite_lr(tmp_path, capsys, lr):
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=4", "n_test=1") == 0
+    assert run(work, "train", f"dataset={data}", f"lr={lr}") == 1
+    assert f"lr must be positive and finite, got {lr}" in capsys.readouterr().err
+    assert not (work / "ema.ckpt").exists()
+    assert not (work / "model.ckpt").exists()
+
+
 def test_sample_random_pred_needs_no_checkpoint(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0

@@ -65,6 +65,10 @@ def test_config_validation():
         TrainConfig(epochs=2, warmup_epochs=5)
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"lr must be positive and finite, "
+                                             f"got {lr}"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError, match="'ve'"):
         TrainConfig(interpolant="ve")  # not a kind that trains and samples
     # every setting the structure cache reads is checked up front, so a
@@ -465,6 +469,16 @@ def test_evaluate_w2_names_a_non_positive_count(monkeypatch, key, value):
     with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
         evaluate_w2(graphs, graphs, "features", **{key: value})
     assert pooled == []  # rejected before any pooling or subsampling
+
+
+@pytest.mark.parametrize("side", ["generated", "reference"])
+def test_evaluate_w2_names_an_empty_side(monkeypatch, side):
+    pooled = []
+    monkeypatch.setattr(engine, "_pool", lambda *args: pooled.append(args))
+    sides = {"generated": rd_graphs(1), "reference": rd_graphs(1), side: []}
+    with pytest.raises(ValueError, match=f"^{side} holds no graphs$"):
+        evaluate_w2(sides["generated"], sides["reference"], "features")
+    assert pooled == []
 
 
 @pytest.mark.parametrize("value", ["abc", "-4", "0", ""])

@@ -137,6 +137,9 @@ def test_voxel_degenerate_dimension():
 def test_graph_validation():
     with pytest.raises(ValueError):
         GeometricGraph(np.zeros((3, 1)), np.zeros((2, 2)))
+    # 12 values would fill 4 x 3, moving them onto other nodes
+    with pytest.raises(ValueError, match=r"positions \(4, 2\), got \(2, 6\)"):
+        GeometricGraph(np.zeros((2, 6)), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="positions must be finite"):
         GeometricGraph(np.zeros((2, 1)), np.array([[0.0, np.nan], [0.0, 0.0]]))
     for bad in (np.nan, np.inf, -np.inf):

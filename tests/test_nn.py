@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import Tensor, batch_norm, concat, mlp
+from ncgn.tensor import (Tensor, _normalize, _normalize_backward, _result,
+                         concat, mlp)
 
 
 def assert_close_to_max(actual, reference, rtol=1e-12):
@@ -42,32 +43,61 @@ def test_mlp_finite_difference():
             assert abs(gflat[i] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
+def normalizing_mlp():
+    """An ``nn.MLP([1, 2, 1])`` whose output is its hidden batch norm's
+    output: the hidden Linear makes the channels ``x`` and ``-x``, whose
+    normalized values are ``a`` and ``-a``, and the output Linear takes
+    ``gelu(a) - gelu(-a)``, which is ``a``."""
+    net = nn.MLP([1, 2, 1], np.random.default_rng(0))
+    net.layers[0].weight.data[:] = [[1.0, -1.0]]
+    net.layers[1].weight.data[:] = [[1.0], [-1.0]]
+    return net
+
+
 def test_batch_norm_constant_channel():
-    bn = nn.BatchNorm(1)
-    out = bn(Tensor(np.array([[2.0], [2.0], [2.0]])))
+    out = normalizing_mlp()(Tensor(np.array([[2.0], [2.0], [2.0]])))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
 
 def test_batch_norm_two_values():
-    bn = nn.BatchNorm(1)
-    out = bn(Tensor(np.array([[0.0], [2.0]])))
+    out = normalizing_mlp()(Tensor(np.array([[0.0], [2.0]])))
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-5)
 
 
 def test_batch_norm_eval_after_one_step():
-    bn = nn.BatchNorm(1)
-    bn(Tensor(np.array([[0.0], [2.0]])))  # seeds running stats
-    bn.eval()
-    out = bn(Tensor(np.array([[1.0]])))
+    net = normalizing_mlp()
+    net(Tensor(np.array([[0.0], [2.0]])))  # seeds running stats
+    net.eval()
+    out = net(Tensor(np.array([[1.0]])))
     np.testing.assert_allclose(out.data, [[0.0]], atol=1e-5)
 
 
 def test_batch_norm_running_stats_momentum():
-    bn = nn.BatchNorm(1)
-    bn(Tensor(np.array([[0.0], [2.0]])))  # first batch: stats seeded directly
+    net = normalizing_mlp()
+    bn = net.norms[0]
+    net(Tensor(np.array([[0.0], [2.0]])))  # first batch: stats seeded directly
     assert bn.running_mean.data[0] == 1.0
-    bn(Tensor(np.array([[4.0], [4.0]])))
-    np.testing.assert_allclose(bn.running_mean.data, [0.9 * 1.0 + 0.1 * 4.0])
+    net(Tensor(np.array([[4.0], [4.0]])))
+    np.testing.assert_allclose(bn.running_mean.data, [0.9 * 1.0 + 0.1 * 4.0,
+                                                      0.9 * -1.0 + 0.1 * -4.0])
+
+
+def batch_norm(x, gamma, beta, eps, stats=None):
+    """Batch normalization ``(x - mean) / (var + eps) ** 0.5 * gamma + beta``
+    of the N x C ``x`` as one node, with the float operations of
+    ``tensor.mlp``'s hidden layers: the reference ``chain`` uses. The
+    statistics are those of ``x``'s rows, or ``stats``, a ``(mean, var)``
+    pair of length-C arrays. Returns (output, mean, var)."""
+    xhat, std, mean, var = _normalize(x.data, eps, stats)
+    xn, gn, bn = x._node, gamma._node, beta._node
+
+    def bwd(g):
+        dx = _normalize_backward(g.copy(), xhat, std, gamma.data, gn, bn,
+                                 stats is None)
+        if xn is not None:
+            xn.accum(dx, fresh=True)
+
+    return _result(xhat * gamma.data + beta.data, (xn, gn, bn), bwd), mean, var
 
 
 def composed_batch_norm(x, gamma, beta, eps):
@@ -88,7 +118,8 @@ def test_fused_batch_norm_matches_composed():
         bn = nn.BatchNorm(32)
         bn.gamma.data[:], bn.beta.data[:] = gamma0, beta0
         x = Tensor(x0.copy(), requires_grad=True)
-        out = bn(x) if fused else composed_batch_norm(x, bn.gamma, bn.beta, nn.BN_EPS)
+        out = (batch_norm(x, bn.gamma, bn.beta, nn.BN_EPS)[0] if fused
+               else composed_batch_norm(x, bn.gamma, bn.beta, nn.BN_EPS))
         (out * upstream).sum().backward()
         results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad))
     (out, dx, dgamma, dbeta), (ref, ref_dx, ref_dgamma, ref_dbeta) = results
@@ -107,7 +138,11 @@ def test_fused_batch_norm_finite_difference_with_constant_channel():
     bn.gamma.data[:] = [1.5, -0.5, 2.0]
     bn.beta.data[:] = [0.1, 0.2, -0.3]
     x = Tensor(x0.copy(), requires_grad=True)
-    (bn(x) * upstream).sum().backward()
+
+    def loss(x):
+        return (batch_norm(x, bn.gamma, bn.beta, nn.BN_EPS)[0] * upstream).sum()
+
+    loss(x).backward()
     h = 1e-6
     for t in (x, bn.gamma, bn.beta):
         flat = t.data.ravel()
@@ -115,9 +150,9 @@ def test_fused_batch_norm_finite_difference_with_constant_channel():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = float((bn(Tensor(x.data)) * upstream).sum().data)
+            hi = float(loss(Tensor(x.data)).data)
             flat[i] = orig - h
-            lo = float((bn(Tensor(x.data)) * upstream).sum().data)
+            lo = float(loss(Tensor(x.data)).data)
             flat[i] = orig
             fd = (hi - lo) / (2 * h)
             assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
@@ -283,9 +318,8 @@ def test_mlp_runs_as_one_node():
 
 
 def test_batch_norm_rejects_empty():
-    bn = nn.BatchNorm(2)
-    with pytest.raises(ValueError):
-        bn(Tensor(np.zeros((0, 2))))
+    with pytest.raises(ValueError, match="at least one row"):
+        normalizing_mlp()(Tensor(np.zeros((0, 1))))
 
 
 def test_adam_matches_reference_step():
