@@ -19,8 +19,9 @@ resource usage is read.
 After the timed steps it reports the autodiff tape of one more step (a
 fresh one-step ``train`` on the first batch) run under ``tracemalloc``:
 the MB allocated in that step and still live when ``backward`` starts,
-which is the forward's graph with the arrays it saved, and the peak MB
-during ``backward``. Both count only what the step allocated (MB are
+which is the forward's graph with the arrays it saved; the peak MB up to
+then, which adds the forward's temporaries to it; and the peak MB during
+``backward``. All three count only what the step allocated (MB are
 2**20 bytes), and ``tracemalloc`` slows the step, so it is not timed.
 Then it lists the 8 source lines that allocated the most of what is live
 when ``backward`` starts (``tracemalloc`` statistics by line).
@@ -69,13 +70,13 @@ def usage():
 
 
 def tape_report(graphs, config):
-    """(MB live when ``backward`` starts, peak MB during it, the top
-    allocating lines of what is live then) for one train step on
-    ``graphs``, counting what the step allocated."""
+    """(MB live when ``backward`` starts, peak MB before it, peak MB during
+    it, the top allocating lines of what is live when it starts) for one
+    train step on ``graphs``, counting what the step allocated."""
     backward, marks, top = Tensor.backward, [], []
 
     def measuring(root):
-        marks.append(tracemalloc.get_traced_memory()[0])
+        marks.extend(tracemalloc.get_traced_memory())
         top.extend(tracemalloc.take_snapshot().statistics("lineno")[:TOP_LINES])
         tracemalloc.reset_peak()
         backward(root)
@@ -88,7 +89,8 @@ def tape_report(graphs, config):
     finally:
         tracemalloc.stop()
         Tensor.backward = backward
-    return marks[0] / 2**20, marks[1] / 2**20, top
+    live, forward_peak, backward_peak = (m / 2**20 for m in marks)
+    return live, forward_peak, backward_peak, top
 
 
 def main(shape="rd", steps=8, seed=0):
@@ -109,8 +111,10 @@ def main(shape="rd", steps=8, seed=0):
     for k, ((t0, f0, _), (t1, f1, rss)) in enumerate(zip(marks, marks[1:])):
         print(f"{k}  {1e3 * (t1 - t0):.1f}  {f1 - f0}  {rss:.1f}")
     print(f"last loss {float(rows[-1][2]).hex()}")
-    live, peak, top = tape_report(graphs[:config.batch], config)
-    print(f"tape live after forward {live:.1f} MB, backward peak {peak:.1f} MB")
+    live, forward_peak, backward_peak, top = tape_report(graphs[:config.batch],
+                                                         config)
+    print(f"tape live after forward {live:.1f} MB, forward peak "
+          f"{forward_peak:.1f} MB, backward peak {backward_peak:.1f} MB")
     print(f"top {TOP_LINES} allocating lines live after forward (MB, blocks, line):")
     for stat in top:
         frame = stat.traceback[0]

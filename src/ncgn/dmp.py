@@ -5,7 +5,8 @@
 here, with one ``bincount`` per forward), then for each layer coarsen node
 vectors onto their clusters, message pass over the coarse edges, and gate
 the result back onto the nodes; a final projection gives the per-node
-output.
+output. The coarse edges' aggregation plan (``tensor.edge_plan``) is built
+once per forward and shared by every layer's message pass and backward.
 
 ``Structure`` is the one coarse-structure type: ``engine.StructureCache``
 builds one per graph and ``engine.merged_forward``, the package's one
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .tensor import Tensor, concat, no_grad, segment_softmax, segment_sum
+from .tensor import (SparsePlan, Tensor, concat, edge_plan, no_grad,
+                     segment_softmax, segment_sum, spmm)
 
 MP_KINDS = ("gcn", "gat")
 
@@ -55,22 +57,37 @@ class Structure:
 class GcnConv(nn.Module):
     """Mean aggregation over in-neighbors followed by a shared bias-free
     linear map (its output reaches a batch norm only through linear maps);
-    a node with no in-neighbors gets zeros."""
+    a node with no in-neighbors gets zeros.
+
+    The aggregation is one sparse product (``tensor.spmm``) with unit
+    weights over the plan ``GcnConv.plan`` builds: each target's row adds
+    its in-neighbors' vectors in edge order, the float additions of
+    ``segment_sum(h.gather_rows(src), tgt)``, and the degree is the row's
+    entry count. The node keeps no per-edge array."""
 
     def __init__(self, hdim, rng):
         self.lin = nn.Linear(hdim, hdim, rng, bias=False)
 
-    def __call__(self, h: Tensor, edges: np.ndarray) -> Tensor:
-        nseg = h.data.shape[0]
-        src, tgt = edges[:, 0], edges[:, 1]
-        summed = segment_sum(h.gather_rows(src), tgt, nseg)
-        deg = np.bincount(tgt, minlength=nseg).astype(np.float64)
+    @staticmethod
+    def plan(edges: np.ndarray, n: int) -> SparsePlan:
+        """The aggregation plan of ``edges`` over ``n`` nodes."""
+        return edge_plan(edges, n)
+
+    def __call__(self, h: Tensor, plan: SparsePlan) -> Tensor:
+        deg = np.diff(plan.indptr).astype(np.float64)
         inv = 1.0 / np.maximum(deg, 1.0)
-        return self.lin(summed * inv[:, None])
+        return self.lin(spmm(plan, h) * inv[:, None])
 
 
 class GatConv(nn.Module):
-    """Attention over each target's {self} + in-neighbors."""
+    """Attention over each target's {self} + in-neighbors.
+
+    The per-entry logits and their segment softmax α are 1-D composed ops.
+    The aggregation is one sparse product (``tensor.spmm``) with data α over
+    the stack ``[lin_t(h); lin_s(h)]``: each target's row adds its
+    in-neighbors' ``lin_t`` rows in edge order, then its own ``lin_s`` row,
+    the float operations of ``segment_sum(concat([vals_t[src], vals_s]) *
+    α, seg)``. The node keeps N x h arrays and α, no (E + N) x h array."""
 
     def __init__(self, hdim, rng):
         self.lin_s = nn.Linear(hdim, hdim, rng)
@@ -80,7 +97,15 @@ class GatConv(nn.Module):
         self.att_t = Tensor(rng.normal(0.0, 1.0 / np.sqrt(hdim), size=(hdim, 1)),
                             requires_grad=True)
 
-    def _logits_and_values(self, h: Tensor, edges: np.ndarray):
+    @staticmethod
+    def plan(edges: np.ndarray, n: int) -> SparsePlan:
+        """The aggregation plan of ``edges`` over ``n`` nodes, each
+        target's self entry last in its row."""
+        return edge_plan(edges, n, self_loops=True)
+
+    def _alpha(self, h: Tensor, plan: SparsePlan):
+        """``(alpha, vals_s, vals_t)``: the attention weights in plan entry
+        order (the edges, then each node's self entry) and the two maps."""
         n = h.data.shape[0]
         vals_s = self.lin_s(h)
         vals_t = self.lin_t(h)
@@ -88,25 +113,20 @@ class GatConv(nn.Module):
         # depends on the row's offset in a merged batch
         score_s = (vals_s * self.att_s.reshape(1, -1)).sum(axis=1)
         score_t = (vals_t * self.att_t.reshape(1, -1)).sum(axis=1)
-        src, tgt = edges[:, 0], edges[:, 1]
-        self_ids = np.arange(n, dtype=np.intp)
-        seg = np.concatenate([tgt, self_ids])
+        nedges = plan.rows.size - n
+        src, tgt = plan.cols[:nedges], plan.rows[:nedges]
         logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),
                          score_s + score_t], axis=0).leaky_relu()
-        values = concat([vals_t.gather_rows(src), vals_s], axis=0)
-        return logits, values, seg
+        return segment_softmax(logits, plan.rows), vals_s, vals_t
 
-    def __call__(self, h: Tensor, edges: np.ndarray) -> Tensor:
-        n = h.data.shape[0]
-        logits, values, seg = self._logits_and_values(h, edges)
-        alpha = segment_softmax(logits, seg)
-        return segment_sum(values * alpha.reshape(-1, 1), seg, n)
+    def __call__(self, h: Tensor, plan: SparsePlan) -> Tensor:
+        alpha, vals_s, vals_t = self._alpha(h, plan)
+        return spmm(plan, concat([vals_t, vals_s], axis=0), alpha)
 
-    def attention(self, h: Tensor, edges: np.ndarray) -> np.ndarray:
-        """Edge attention weights (same order as ``edges``), no grad."""
-        logits, _, seg = self._logits_and_values(h, edges)
-        alpha = segment_softmax(logits, seg)
-        return alpha.data[: edges.shape[0]].copy()
+    def attention(self, h: Tensor, plan: SparsePlan) -> np.ndarray:
+        """Edge attention weights (in edge order), no grad."""
+        alpha, _, _ = self._alpha(h, plan)
+        return alpha.data[: plan.rows.size - h.data.shape[0]].copy()
 
 
 class _PointMessage(nn.Module):
@@ -200,6 +220,8 @@ class DmpModel(nn.Module):
                             1.0)[:, None]
         rel = structure.coarse_positions[cluster_of] - positions
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
+        # one aggregation plan, shared by every layer's message pass
+        plan = self.blocks[0].mp.plan(structure.edges, nclusters)
         h = self.lift(Tensor(inputs))
         # layer 0 lifts the member means of the inputs; later layers re-seed
         # coarse vectors from the current node state
@@ -209,7 +231,7 @@ class DmpModel(nn.Module):
             if k > 0:
                 h_coarse = segment_sum(h, cluster_of, nclusters) * (1.0 / counts)
             h_coarse = block.coarsen(h, h_coarse, rel, dist, cluster_of, nclusters)
-            h_coarse = block.mp(h_coarse, structure.edges)
+            h_coarse = block.mp(h_coarse, plan)
             h = block.uncoarsen(h, h_coarse, rel, dist, cluster_of)
         return self.project(h)
 
@@ -229,9 +251,10 @@ class FlatGat(nn.Module):
                      structure: Structure) -> Tensor:
         """Lift, attend over ``structure.edges`` (node ids under one-to-one
         clusters), project; ``positions`` is unused."""
-        return self.project(self.conv(self.lift(Tensor(inputs)),
-                                      structure.edges))
+        plan = self.conv.plan(structure.edges, inputs.shape[0])
+        return self.project(self.conv(self.lift(Tensor(inputs)), plan))
 
     def attention(self, inputs: np.ndarray, edges: np.ndarray) -> np.ndarray:
         with no_grad():
-            return self.conv.attention(self.lift(Tensor(inputs)), edges)
+            return self.conv.attention(self.lift(Tensor(inputs)),
+                                       self.conv.plan(edges, inputs.shape[0]))

@@ -13,11 +13,12 @@ back over broadcast axes. Inside ``with no_grad():`` ops build no nodes,
 so inference builds no graph.
 
 Each closure captures only the arrays and shapes its backward reads, never
-a ``Tensor``: ``*``, ``/`` and ``@`` keep only the operands their
-gradients read, while ``+``, ``-``, ``concat``, ``gather_rows``,
-``segment_sum``, ``reshape`` and ``sum`` keep no input array. So an
-interior value is freed as soon as the forward code drops its tensor,
-unless a later op's backward reads it; the graph holds nodes, not values.
+a ``Tensor``: ``*``, ``/``, ``@`` and ``spmm`` keep only the operands the
+other side's gradient reads, while ``+``, ``-``, ``concat``,
+``gather_rows``, ``segment_sum``, ``reshape`` and ``sum`` keep no input
+array. So an interior value is freed as soon as the forward code drops its
+tensor, unless a later op's backward reads it; the graph holds nodes, not
+values.
 
 ``backward`` releases the graph as it walks it. Once a node's closure has
 run, the node drops its gradient (unless it is the root), its closure (and
@@ -55,6 +56,17 @@ per segment and unit weights. Each row adds its entries in index order from
 0.0: the same float additions as ``numpy.add.at``, in a fraction of its
 time, so results are byte-identical to the ``numpy.add.at`` form. Ids
 outside ``[0, n)`` raise ValueError instead of wrapping around.
+
+A message pass aggregates with ``spmm``, one node per call: the product of
+a ``SparsePlan``, a sparse matrix given by its (row, column) entries, with
+the rows of ``x``, each entry scaled by its weight or not. ``edge_plan``
+builds the plan of an edge list (one row per target, optionally a self
+entry last), once per forward; every product and backward that uses it
+shares its CSR layout and that of its transpose, each built once. Rows and
+columns add their entries in entry order from 0.0, so the product and its
+gradients are the bytes of the gather, scale and ``segment_sum`` chain it
+replaces, without that chain's arrays of one row per entry (Fey & Lenssen
+2019 aggregate by a sparse-dense product in the same way).
 """
 
 from __future__ import annotations
@@ -94,6 +106,15 @@ def _check_ids(ids, n):
         raise ValueError(f"id {bad} outside [0, {n})")
 
 
+def _csr_layout(ids, n):
+    """``(indptr, order)`` of the CSR matrix with one row per id in ``[0,
+    n)``: row i holds the positions j with ``ids[j] == i``, in index order
+    (the stable argsort)."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    return indptr, np.argsort(ids, kind="stable")
+
+
 def _scatter_add(ids, n, values):
     """``out[i]`` = sum of ``values[j]`` over ``ids[j] == i``, for ``n`` rows.
 
@@ -103,13 +124,92 @@ def _scatter_add(ids, n, values):
     """
     from scipy import sparse
 
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-    incidence = sparse.csr_array(
-        (np.ones(ids.size), np.argsort(ids, kind="stable"), indptr),
-        shape=(n, ids.size))
+    indptr, order = _csr_layout(ids, n)
+    incidence = sparse.csr_array((np.ones(ids.size), order, indptr),
+                                 shape=(n, ids.size))
     tail = values.shape[1:]
     return (incidence @ values.reshape(ids.size, math.prod(tail))).reshape((n,) + tail)
+
+
+class SparsePlan:
+    """The sparse matrix A of ``spmm``, given by its entries: entry j puts a
+    weight at ``(rows[j], cols[j])`` of the ``shape[0] x shape[1]`` matrix.
+    Ids outside the shape raise ValueError naming the first one.
+
+    Built once, a plan serves any number of products, with unit weights or
+    per-entry weights. It builds A's CSR layout (``indptr``, each row's
+    entries in entry order, and their column ids) on first use and keeps
+    it, and its unit-weight matrix once built. ``T`` is the plan of A's
+    transpose (each column's entries in entry order); ``spmm``'s backward
+    holds ``T`` alone, so A's layout goes with the plan once the forward
+    drops it, and the first backward builds ``T``'s.
+    """
+
+    __slots__ = ("rows", "cols", "shape", "_layout", "_unit", "_transpose")
+
+    def __init__(self, rows, cols, shape):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        if self.rows.ndim != 1 or self.rows.shape != self.cols.shape:
+            raise ValueError(f"rows and cols must be 1-D of one length, got "
+                             f"shapes {self.rows.shape} and {self.cols.shape}")
+        self.shape = (int(shape[0]), int(shape[1]))
+        _check_ids(self.rows, self.shape[0])
+        _check_ids(self.cols, self.shape[1])
+        self._layout = self._unit = self._transpose = None
+
+    def _csr(self):
+        """``(indptr, order, column ids)`` of A's CSR form."""
+        if self._layout is None:
+            indptr, order = _csr_layout(self.rows, self.shape[0])
+            self._layout = (indptr, order, self.cols[order])
+        return self._layout
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr()[0]
+
+    @property
+    def T(self) -> SparsePlan:
+        if self._transpose is None:
+            self._transpose = SparsePlan(self.cols, self.rows, self.shape[::-1])
+        return self._transpose
+
+    def matrix(self, weights=None):
+        """A as a scipy CSR array whose entry j holds ``weights[j]``, 1.0
+        for ``weights=None``."""
+        from scipy import sparse
+
+        indptr, order, indices = self._csr()
+        if weights is not None:
+            return sparse.csr_array((weights[order], indices, indptr),
+                                    shape=self.shape)
+        if self._unit is None:
+            self._unit = sparse.csr_array((np.ones(order.size), indices, indptr),
+                                          shape=self.shape)
+        return self._unit
+
+
+def edge_plan(edges, n, self_loops=False) -> SparsePlan:
+    """The plan that sums messages along ``edges``, an E x 2 array of
+    (source, target) ids in ``[0, n)``: one row per target, holding its
+    in-edges in edge order, each the column of its source. With
+    ``self_loops`` the columns span ``2n`` rows, a stack of the sources'
+    rows and the targets' own, and each target's row ends with itself,
+    column ``n + target``. Names a malformed ``edges`` or the first id
+    outside ``[0, n)``."""
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edges must be an E x 2 array of (source, target) "
+                         f"ids, got shape {edges.shape}")
+    edges = edges.astype(np.intp, copy=False)
+    _check_ids(edges, n)
+    src, tgt = edges[:, 0], edges[:, 1]
+    if not self_loops:
+        return SparsePlan(tgt, src, (n, n))
+    self_ids = np.arange(n, dtype=np.intp)
+    return SparsePlan(np.concatenate([tgt, self_ids]),
+                      np.concatenate([src, n + self_ids]), (n, 2 * n))
 
 
 # glibc mallopt parameters: serve arrays up to 32 MiB from the heap, never
@@ -641,6 +741,56 @@ def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:
         a.accum(g[seg], fresh=True)
 
     return _result(_scatter_add(seg, num_segments, values.data), (a,), bwd)
+
+
+_ENTRY_CHUNK = 4096  # plan entries per temporary in spmm's weight gradient
+
+
+def spmm(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> Tensor:
+    """The sparse product ``A @ x`` of ``plan``'s matrix A and the rows of
+    the 2-D ``x``: ``out[i]`` adds ``weights[j] * x[cols[j]]`` (``x[cols[j]]``
+    for ``weights=None``) over the plan's entries j in row i, in entry
+    order from 0.0. These are the float operations of ``segment_sum(
+    x.gather_rows(cols) * weights.reshape(-1, 1), rows, shape[0])``, so the
+    output and both gradients are that chain's bytes.
+
+    The node keeps ``weights`` for x's gradient, the transposed product,
+    and ``x`` for the weights' gradient, ``(g[rows] * x[cols]).sum(axis=1)``,
+    which it forms a few thousand entries at a time: no array of one row
+    per entry outlives the call or its backward.
+    """
+    x = Tensor._lift(x)
+    if x.data.ndim != 2 or x.data.shape[0] != plan.shape[1]:
+        raise ValueError(f"spmm of a {plan.shape[0]} x {plan.shape[1]} plan "
+                         f"needs {plan.shape[1]} rows of x, got shape "
+                         f"{x.data.shape}")
+    w, b = None, None
+    if weights is not None:
+        weights = Tensor._lift(weights)
+        w, b = weights.data, weights._node
+        if w.shape != plan.rows.shape:
+            raise ValueError(f"spmm needs one weight per plan entry "
+                             f"({plan.rows.size}), got shape {w.shape}")
+    a = x._node
+    # each side is kept only for the other side's gradient
+    kept_x = x.data if b is not None else None
+    kept_w = w if a is not None else None
+    rows, cols = plan.rows, plan.cols
+    transposed = plan.T if a is not None else None
+
+    def bwd(g):
+        if a is not None:
+            a.accum(transposed.matrix(kept_w) @ g, fresh=True)
+        if b is not None:
+            gw = np.empty(rows.size)
+            for start in range(0, gw.size, _ENTRY_CHUNK):
+                part = slice(start, start + _ENTRY_CHUNK)
+                prod = g[rows[part]]
+                prod *= kept_x[cols[part]]
+                prod.sum(axis=1, out=gw[part])
+            b.accum(gw, fresh=True)
+
+    return _result(plan.matrix(w) @ x.data, (a, b), bwd)
 
 
 def segment_softmax(logits: Tensor, segment_ids) -> Tensor:

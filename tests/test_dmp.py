@@ -1,16 +1,19 @@
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from ncgn import dmp
+from ncgn import dmp, tensor
 from ncgn.dmp import (DmpModel, FlatGat, GatConv, GcnConv, Structure,
                       _PointMessage, node_input)
 from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
                          random_generations)
-from ncgn.graphs import GeometricGraph, build_fully_connected_edges
-from ncgn.tensor import Tensor, concat
+from ncgn.graphs import (GeometricGraph, build_fully_connected_edges,
+                         build_knn_edges, build_long_short_edges)
+from ncgn.tensor import (Tensor, concat, no_grad, segment_softmax, segment_sum,
+                         spmm)
 from structure_helpers import (RecordingCache, SingletonCache, forward,
                                random_graph)
 
@@ -35,7 +38,7 @@ def test_gcn_hand_example():
     conv = GcnConv(2, rng)
     assert conv.lin.bias is None
     h = Tensor(np.array([[1.0, 2.0], [5.0, 5.0]]))
-    out = conv(h, np.array([[0, 1]]))
+    out = conv(h, conv.plan(np.array([[0, 1]]), 2))
     np.testing.assert_array_equal(out.data[0], 0.0)
     np.testing.assert_allclose(out.data[1], h.data[0] @ conv.lin.weight.data,
                                atol=1e-12)
@@ -45,7 +48,7 @@ def test_gcn_mean_aggregation():
     rng = np.random.default_rng(1)
     conv = GcnConv(2, rng)
     h = Tensor(np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]]))
-    out = conv(h, np.array([[0, 2], [1, 2]]))
+    out = conv(h, conv.plan(np.array([[0, 2], [1, 2]]), 3))
     np.testing.assert_array_equal(out.data[:2], 0.0)
     np.testing.assert_allclose(out.data[2],
                                np.array([1.0, 2.0]) @ conv.lin.weight.data,
@@ -57,7 +60,7 @@ def test_gat_weights_sum_to_one():
     conv = GatConv(4, rng)
     h = Tensor(rng.standard_normal((5, 4)))
     edges = build_fully_connected_edges(5)
-    alpha = conv.attention(h, edges)
+    alpha = conv.attention(h, conv.plan(edges, 5))
     assert alpha.shape == (20,)
     # each target's weights plus its self weight sum to 1
     for tgt in range(5):
@@ -69,7 +72,7 @@ def test_gat_single_node_self_attention():
     rng = np.random.default_rng(3)
     conv = GatConv(3, rng)
     h = Tensor(rng.standard_normal((1, 3)))
-    out = conv(h, np.zeros((0, 2), dtype=np.intp))
+    out = conv(h, conv.plan(np.zeros((0, 2), dtype=np.intp), 1))
     # softmax over only the self term: output is lin_s(h)
     np.testing.assert_allclose(out.data, conv.lin_s(h).data, atol=1e-12)
 
@@ -81,7 +84,7 @@ def test_gcn_no_edges_forward_and_backward():
     conv = GcnConv(3, rng)
     assert [k for k, _ in conv.named_parameters()] == ["lin.weight"]
     h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    out = conv(h, np.zeros((0, 2), dtype=np.intp))
+    out = conv(h, conv.plan(np.zeros((0, 2), dtype=np.intp), 4))
     np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
     out.sum().backward()
     np.testing.assert_array_equal(h.grad, np.zeros((4, 3)))
@@ -331,3 +334,206 @@ def test_model_validation():
         DmpModel(d_in=4, d=2, odim=1, layers=0)
     with pytest.raises(ValueError):
         DmpModel(d_in=4, d=2, odim=1, mp_kind="sage")
+
+
+def composed_gcn(conv, h, edges):
+    """``GcnConv`` as the gather/scatter chain its sparse product replaced."""
+    n = h.data.shape[0]
+    src, tgt = edges[:, 0], edges[:, 1]
+    summed = segment_sum(h.gather_rows(src), tgt, n)
+    deg = np.bincount(tgt, minlength=n).astype(np.float64)
+    return conv.lin(summed * (1.0 / np.maximum(deg, 1.0))[:, None])
+
+
+def composed_gat_product(vals_t, vals_s, alpha, edges):
+    """``GatConv``'s aggregation as the chain its sparse product replaced:
+    the (E + N) x h values, scaled by alpha, summed onto the targets."""
+    n = vals_s.data.shape[0]
+    seg = np.concatenate([edges[:, 1], np.arange(n)])
+    values = concat([vals_t.gather_rows(edges[:, 0]), vals_s], axis=0)
+    return segment_sum(values * alpha.reshape(-1, 1), seg, n)
+
+
+def composed_gat(conv, h, edges):
+    """``(out, alpha)`` of ``GatConv`` as the composed chain."""
+    n = h.data.shape[0]
+    vals_s, vals_t = conv.lin_s(h), conv.lin_t(h)
+    score_s = (vals_s * conv.att_s.reshape(1, -1)).sum(axis=1)
+    score_t = (vals_t * conv.att_t.reshape(1, -1)).sum(axis=1)
+    src, tgt = edges[:, 0], edges[:, 1]
+    logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),
+                     score_s + score_t], axis=0).leaky_relu()
+    alpha = segment_softmax(logits, np.concatenate([tgt, np.arange(n)]))
+    return composed_gat_product(vals_t, vals_s, alpha, edges), alpha
+
+
+def conv_structure(name):
+    """``(n, edges)`` of a message-passing test structure."""
+    rng = np.random.default_rng(5)
+    if name == "knn_duplicates":
+        positions = rng.standard_normal((14, 2))
+        positions[7:11] = positions[0]
+        positions[12] = positions[3]
+        return 14, build_knn_edges(positions, 4)
+    if name == "shuffled":  # neither source- nor target-major
+        edges = build_knn_edges(rng.standard_normal((12, 2)), 3)
+        return 12, edges[rng.permutation(edges.shape[0])]
+    if name == "fully_connected":  # source-major edge order
+        return 9, build_fully_connected_edges(9)
+    if name == "no_edges":
+        return 5, np.zeros((0, 2), dtype=np.intp)
+    if name == "one_node":
+        return 1, build_knn_edges(rng.standard_normal((1, 2)), 4)
+    # two graphs merged with offset ids, as merged_forward builds them
+    first = build_knn_edges(rng.standard_normal((10, 2)), 3)
+    second = build_long_short_edges(rng.standard_normal((7, 2)), 3, seed=1)
+    return 17, np.concatenate([first, second + 10])
+
+
+STRUCTURES = ["knn_duplicates", "shuffled", "fully_connected", "no_edges",
+              "one_node", "merged"]
+
+
+def assert_same_bytes(actual, expect):
+    assert actual.shape == expect.shape
+    assert actual.tobytes() == expect.tobytes()
+
+
+def scaled_normal(rng, shape):
+    """Normal draws over many magnitudes, so that any change of summation
+    order shows in the bytes."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
+def test_conv_matches_the_composed_chain_bytes(mp_kind, structure):
+    # output, input gradient and every parameter gradient (the shared
+    # lin_s / lin_t ones included) are the composed chain's bytes
+    n, edges = conv_structure(structure)
+    rng = np.random.default_rng(8)
+    conv = (GcnConv if mp_kind == "gcn" else GatConv)(16, rng)
+    h0 = scaled_normal(rng, (n, 16))
+    upstream = scaled_normal(rng, (n, 16))
+    composed = composed_gcn if mp_kind == "gcn" else \
+        (lambda c, h, e: composed_gat(c, h, e)[0])
+    results = []
+    for run in (lambda h: conv(h, conv.plan(edges, n)),
+                lambda h: composed(conv, h, edges)):
+        h = Tensor(h0.copy(), requires_grad=True)
+        for p in conv.parameters():
+            p.grad = None
+        out = run(h)
+        (out * upstream).sum().backward()
+        results.append([out.data, h.grad] + [p.grad for p in conv.parameters()])
+    for actual, expect in zip(*results):
+        assert_same_bytes(actual, expect)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_gat_product_matches_the_composed_chain_bytes(structure):
+    # the attention-weighted sum alone, with alpha a leaf: its gradient
+    # (formed per entry in chunks) is the composed chain's bytes too
+    n, edges = conv_structure(structure)
+    rng = np.random.default_rng(9)
+    leaves = [scaled_normal(rng, (n, 16)), scaled_normal(rng, (n, 16)),
+              rng.uniform(0.0, 1.0, edges.shape[0] + n)]
+    upstream = scaled_normal(rng, (n, 16))
+    plan = GatConv.plan(edges, n)
+    results = []
+    for run in (lambda vt, vs, a: spmm(plan, concat([vt, vs], axis=0), a),
+                lambda vt, vs, a: composed_gat_product(vt, vs, a, edges)):
+        vals_t, vals_s, alpha = (Tensor(v.copy(), requires_grad=True) for v in leaves)
+        out = run(vals_t, vals_s, alpha)
+        (out * upstream).sum().backward()
+        results.append([out.data, vals_t.grad, vals_s.grad, alpha.grad])
+    for actual, expect in zip(*results):
+        assert_same_bytes(actual, expect)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_attention_weights_are_the_composed_bytes(structure):
+    n, edges = conv_structure(structure)
+    rng = np.random.default_rng(10)
+    conv = GatConv(8, rng)
+    h = Tensor(rng.standard_normal((n, 8)))
+    _, alpha = composed_gat(conv, h, edges)
+    assert_same_bytes(conv.attention(h, conv.plan(edges, n)),
+                      alpha.data[:edges.shape[0]])
+
+
+def test_flat_gat_attention_is_the_composed_bytes():
+    # the attention study reads FlatGat.attention on fully connected edges
+    rng = np.random.default_rng(12)
+    inputs = rng.standard_normal((11, 5))
+    edges = build_fully_connected_edges(11)
+    net = FlatGat(d_in=5, odim=2, hdim=8, seed=3)
+    with no_grad():
+        _, alpha = composed_gat(net.conv, net.lift(Tensor(inputs)), edges)
+    assert_same_bytes(net.attention(inputs, edges), alpha.data[:edges.shape[0]])
+
+
+@pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
+def test_conv_forward_allocates_no_per_entry_rows(mp_kind):
+    # one row per plan entry (E + N of them) at width h would be the largest
+    # array of the old gather/scatter chain: the sparse product allocates
+    # none in the forward, and the tape it leaves holds N x h arrays and
+    # per-entry scalars only
+    n, hdim = 48, 32
+    edges = build_fully_connected_edges(n)
+    entry_rows = (edges.shape[0] + n) * hdim * 8
+    rng = np.random.default_rng(13)
+    conv = (GcnConv if mp_kind == "gcn" else GatConv)(hdim, rng)
+    h = Tensor(rng.standard_normal((n, hdim)), requires_grad=True)
+    plan = conv.plan(edges, n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = conv(h, plan)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < entry_rows / 2
+    assert live - start < entry_rows / 2
+    out.sum().backward()
+    assert h.grad.shape == (n, hdim)
+
+
+@pytest.mark.parametrize("mp_kind", ["gcn", "gat", "flat_gat"])
+def test_forward_builds_one_plan(monkeypatch, mp_kind):
+    # every layer's message pass and the whole backward share one plan and
+    # its transpose
+    built = []
+    init = tensor.SparsePlan.__init__
+
+    def counting(plan, *args):
+        built.append(args[-1])
+        init(plan, *args)
+
+    graph = random_graph(30, seed=4)
+    if mp_kind == "flat_gat":
+        model, method = FlatGat(d_in=6, odim=2, hdim=8, seed=0), "fully_connected"
+    else:
+        model, method = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=3,
+                                 mp_kind=mp_kind, seed=0), "dmp"
+    cache = StructureCache(TrainConfig(method=method))
+    forward(model, graph, 0.4, cache=cache)  # builds the cached structure
+    monkeypatch.setattr(tensor.SparsePlan, "__init__", counting)
+    forward(model, graph, 0.4, cache=cache).sum().backward()
+    assert len(built) == 2
+    assert built[0] == built[1][::-1]
+
+
+@pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
+def test_forward_names_bad_structure_edges(mp_kind):
+    graph = random_graph(6, seed=2)
+    model = DmpModel(d_in=6, d=2, odim=2, hdim=4, layers=1, mp_kind=mp_kind)
+    inputs = node_input(graph.features, graph.positions, 0.5)
+    clusters = np.array([0, 0, 1, 1, 2, 2])
+    coarse = graph.positions[::2]
+    for edges, match in ((np.array([[0, 1], [3, 2]]), r"id 3 outside \[0, 3\)"),
+                         (np.array([[0, 1, 2]]), r"got shape \(1, 3\)"),
+                         (np.array([0, 1]), r"got shape \(2,\)")):
+        with pytest.raises(ValueError, match=match):
+            model.forward_core(inputs, graph.positions,
+                               Structure(clusters, coarse, edges))

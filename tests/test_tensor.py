@@ -1,5 +1,6 @@
 import ctypes
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 
 from ncgn import tensor
 from ncgn.tensor import (
+    SparsePlan,
     Tensor,
     _unbroadcast,
     concat,
+    edge_plan,
     mlp,
     no_grad,
     segment_softmax,
     segment_sum,
+    spmm,
 )
 
 
@@ -219,6 +223,10 @@ SAVED_INPUTS = {
     "concat": (lambda a, b: concat([a, b]), False),
     "gather_rows": (lambda a, b: a.gather_rows([2, 0, 2]), False),
     "segment_sum": (lambda a, b: segment_sum(a, [1, 0, 1], 2), False),
+    "spmm": (lambda a, b: spmm(SparsePlan([1, 0, 1], [2, 0, 2], (2, 3)), a),
+             False),
+    "spmm_weighted": (lambda a, b: spmm(SparsePlan([1, 0, 1], [2, 0, 2], (2, 3)),
+                                        a, b.sum(axis=1)), True),
     "reshape": (lambda a, b: a.reshape(-1), False),
     "sum": (lambda a, b: a.sum(axis=0), False),
     "*": (lambda a, b: a * b, True),
@@ -456,3 +464,143 @@ def test_out_of_range_ids_rejected(bad):
         Tensor(np.ones((3, 2))).gather_rows(ids)
     with pytest.raises(ValueError, match=r"id -1 outside \[0, 3\)"):
         segment_softmax(Tensor(np.ones(4)), np.array([0, 2, -1, 1]))
+
+
+def composed_spmm(plan, x, weights=None):
+    """``spmm`` as the chain it replaces: gather each entry's row, scale it
+    by its weight, sum the entries into their rows."""
+    rows = x.gather_rows(plan.cols)
+    if weights is not None:
+        rows = rows * weights.reshape(-1, 1)
+    return segment_sum(rows, plan.rows, plan.shape[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_entries=st.integers(0, 40), n_rows=st.integers(1, 8),
+    n_cols=st.integers(1, 8), width=st.integers(1, 40),
+    weighted=st.booleans(), chunk=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spmm_matches_the_composed_chain_bytes(n_entries, n_rows, n_cols, width,
+                                               weighted, chunk, seed):
+    # unsorted rows and columns with repeats, values over many magnitudes,
+    # widths past numpy's 8-way unrolled sums and weight gradients formed a
+    # few entries at a time: every change of summation order shows in the
+    # bytes
+    rng = np.random.default_rng(seed)
+    plan = SparsePlan(rng.integers(0, n_rows, n_entries),
+                      rng.integers(0, n_cols, n_entries), (n_rows, n_cols))
+    x0 = rng.standard_normal((n_cols, width)) * 10.0 ** rng.integers(-8, 8, (n_cols, width))
+    w0 = rng.standard_normal(n_entries) * 10.0 ** rng.integers(-3, 3, n_entries)
+    upstream = rng.standard_normal((n_rows, width)) * 10.0 ** rng.integers(-8, 8, (n_rows, width))
+    results = []
+    default_chunk = tensor._ENTRY_CHUNK
+    tensor._ENTRY_CHUNK = chunk
+    try:
+        for op in (spmm, composed_spmm):
+            x = Tensor(x0.copy(), requires_grad=True)
+            w = Tensor(w0.copy(), requires_grad=True) if weighted else None
+            out = op(plan, x, w)
+            (out * upstream).sum().backward()
+            results.append([out.data, x.grad] + ([w.grad] if weighted else []))
+    finally:
+        tensor._ENTRY_CHUNK = default_chunk
+    for actual, expect in zip(*results):
+        assert actual.shape == expect.shape
+        assert actual.tobytes() == expect.tobytes()
+
+
+def test_spmm_finite_differences():
+    rng = np.random.default_rng(11)
+    plan = SparsePlan([2, 0, 2, 1, 0, 2], [0, 3, 1, 1, 0, 3], (3, 4))
+    x0 = rng.standard_normal((4, 3))
+    w0 = rng.standard_normal(6)
+    upstream = rng.standard_normal((3, 3))
+
+    def loss(x, w):
+        return (spmm(plan, x, w) * upstream).sum()
+
+    x = Tensor(x0.copy(), requires_grad=True)
+    w = Tensor(w0.copy(), requires_grad=True)
+    loss(x, w).backward()
+    fd_x = finite_diff(lambda arr: float(loss(Tensor(arr), Tensor(w0)).data), x0.copy())
+    fd_w = finite_diff(lambda arr: float(loss(Tensor(x0), Tensor(arr)).data), w0.copy())
+    np.testing.assert_allclose(x.grad, fd_x, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(w.grad, fd_w, rtol=1e-6, atol=1e-8)
+    # unit weights: the gradient of x alone
+    x = Tensor(x0.copy(), requires_grad=True)
+    (spmm(plan, x) * upstream).sum().backward()
+    fd_x = finite_diff(lambda arr: float((spmm(plan, Tensor(arr)) * upstream).sum().data),
+                       x0.copy())
+    np.testing.assert_allclose(x.grad, fd_x, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_spmm_backward_keeps_only_the_transposed_plan(weighted):
+    # the forward's CSR layout goes with the plan when the forward drops
+    # it; the graph holds the transpose, which the backward builds
+    rng = np.random.default_rng(12)
+    plan = SparsePlan([2, 0, 2, 1], [0, 3, 1, 1], (3, 4))
+    x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    w = Tensor(rng.standard_normal(4), requires_grad=True) if weighted else None
+    out = spmm(plan, x, w)
+    layout = weakref.ref(plan.indptr)
+    del plan
+    assert layout() is None
+    out.sum().backward()
+    assert x.grad.shape == (4, 2)
+
+
+def test_spmm_checks_its_operands():
+    plan = SparsePlan([0, 1], [2, 0], (2, 3))
+    with pytest.raises(ValueError, match=r"needs 3 rows of x, got shape \(2, 4\)"):
+        spmm(plan, Tensor(np.ones((2, 4))))
+    with pytest.raises(ValueError, match=r"one weight per plan entry \(2\), got shape \(3,\)"):
+        spmm(plan, Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_sparse_plan_rejects_ids_outside_its_shape(bad):
+    with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 3\)"):
+        SparsePlan([0, bad], [0, 1], (3, 2))
+    with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 3\)"):
+        SparsePlan([0, 1], [bad, 1], (2, 3))
+    with pytest.raises(ValueError, match=r"got shapes \(2,\) and \(3,\)"):
+        SparsePlan([0, 1], [0, 1, 1], (2, 2))
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("bad", [-1, 4, 5])
+def test_edge_plan_names_an_id_outside_the_nodes(self_loops, bad):
+    # with self loops the plan's columns span 2n, yet a source id must
+    # still lie in [0, n)
+    edges = np.array([[0, 1], [bad, 2], [3, 0]])
+    with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 4\)"):
+        edge_plan(edges, 4, self_loops)
+    with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 4\)"):
+        edge_plan(edges[:, ::-1], 4, self_loops)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 2), (0,)])
+def test_edge_plan_names_edges_that_are_not_e_by_2(shape):
+    edges = np.zeros(shape, dtype=np.intp)
+    with pytest.raises(ValueError, match=rf"E x 2 .* got shape {re.escape(str(shape))}"):
+        edge_plan(edges, 4)
+
+
+def test_edge_plan_rows_are_targets_in_edge_order_then_self():
+    edges = np.array([[2, 1], [0, 1], [1, 0], [2, 0], [0, 2]])
+    plan = edge_plan(edges, 3, self_loops=True)
+    dense = plan.matrix(np.arange(1.0, 9.0)).toarray()
+    np.testing.assert_array_equal(plan.indptr, [0, 3, 6, 8])
+    expect = np.zeros((3, 6))
+    for j, (src, tgt) in enumerate(edges):
+        expect[tgt, src] = j + 1.0
+    expect[[0, 1, 2], [3, 4, 5]] = [6.0, 7.0, 8.0]
+    np.testing.assert_array_equal(dense, expect)
+    # each row's entries in entry order, its self entry last; each column's
+    # (a source's) entries in entry order in the transpose
+    unit = plan.matrix()
+    np.testing.assert_array_equal(unit.indices, [1, 2, 3, 2, 0, 4, 0, 5])
+    np.testing.assert_array_equal(plan.T.matrix().indices, [1, 2, 0, 1, 0, 0, 1, 2])
