@@ -1,12 +1,14 @@
 """Dynamic message passing (DMP) network layers.
 
 ``DmpModel.forward_core`` runs one pass over a prebuilt coarse
-``Structure``: lift node inputs and their cluster member means (pooled
-here, with one ``bincount`` per forward), then for each layer coarsen node
-vectors onto their clusters, message pass over the coarse edges, and gate
-the result back onto the nodes; a final projection gives the per-node
-output. The coarse edges' aggregation plan (``tensor.edge_plan``) is built
-once per forward and shared by every layer's message pass and backward.
+``Structure``: lift node inputs and their cluster member means, then for
+each layer coarsen node vectors onto their clusters, message pass over the
+coarse edges, and gate the result back onto the nodes; a final projection
+gives the per-node output. Two ``tensor.SparsePlan``s are built once per
+forward: the cluster incidence ``members`` (one row per cluster, its
+members in node order), whose ``tensor.segment_sum`` gives every member
+sum and mean, and the coarse edges' aggregation plan
+(``tensor.edge_plan``). Every layer and the backward share both.
 
 ``Structure`` is the one coarse-structure type: ``engine.StructureCache``
 builds one per graph and ``engine.merged_forward``, the package's one
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import nn
 from .tensor import (SparsePlan, Tensor, concat, edge_plan, no_grad,
-                     segment_softmax, segment_sum, spmm)
+                     segment_softmax, segment_sum)
 
 MP_KINDS = ("gcn", "gat")
 
@@ -59,11 +61,11 @@ class GcnConv(nn.Module):
     linear map (its output reaches a batch norm only through linear maps);
     a node with no in-neighbors gets zeros.
 
-    The aggregation is one sparse product (``tensor.spmm``) with unit
-    weights over the plan ``GcnConv.plan`` builds: each target's row adds
-    its in-neighbors' vectors in edge order, the float additions of
-    ``segment_sum(h.gather_rows(src), tgt)``, and the degree is the row's
-    entry count. The node keeps no per-edge array."""
+    The aggregation is one ``tensor.segment_sum`` with unit weights over
+    the plan ``GcnConv.plan`` builds: each target's row adds its
+    in-neighbors' vectors in edge order, the float additions of summing
+    ``h.gather_rows(src)`` by target, and the degree is the row's entry
+    count. The node keeps no per-edge array."""
 
     def __init__(self, hdim, rng):
         self.lin = nn.Linear(hdim, hdim, rng, bias=False)
@@ -76,18 +78,19 @@ class GcnConv(nn.Module):
     def __call__(self, h: Tensor, plan: SparsePlan) -> Tensor:
         deg = np.diff(plan.indptr).astype(np.float64)
         inv = 1.0 / np.maximum(deg, 1.0)
-        return self.lin(spmm(plan, h) * inv[:, None])
+        return self.lin(segment_sum(plan, h) * inv[:, None])
 
 
 class GatConv(nn.Module):
     """Attention over each target's {self} + in-neighbors.
 
-    The per-entry logits and their segment softmax α are 1-D composed ops.
-    The aggregation is one sparse product (``tensor.spmm``) with data α over
-    the stack ``[lin_t(h); lin_s(h)]``: each target's row adds its
-    in-neighbors' ``lin_t`` rows in edge order, then its own ``lin_s`` row,
-    the float operations of ``segment_sum(concat([vals_t[src], vals_s]) *
-    α, seg)``. The node keeps N x h arrays and α, no (E + N) x h array."""
+    The per-entry logits are 1-D composed ops; their softmax α over each
+    row of the plan is ``tensor.segment_softmax``. The aggregation is one
+    ``tensor.segment_sum`` with weights α over the stack ``[lin_t(h);
+    lin_s(h)]``: each target's row adds its in-neighbors' ``lin_t`` rows in
+    edge order, then its own ``lin_s`` row, the float operations of summing
+    ``concat([vals_t[src], vals_s]) * α`` by target. The node keeps N x h
+    arrays and α, no (E + N) x h array."""
 
     def __init__(self, hdim, rng):
         self.lin_s = nn.Linear(hdim, hdim, rng)
@@ -117,11 +120,11 @@ class GatConv(nn.Module):
         src, tgt = plan.cols[:nedges], plan.rows[:nedges]
         logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),
                          score_s + score_t], axis=0).leaky_relu()
-        return segment_softmax(logits, plan.rows), vals_s, vals_t
+        return segment_softmax(logits, plan), vals_s, vals_t
 
     def __call__(self, h: Tensor, plan: SparsePlan) -> Tensor:
         alpha, vals_s, vals_t = self._alpha(h, plan)
-        return spmm(plan, concat([vals_t, vals_s], axis=0), alpha)
+        return segment_sum(plan, concat([vals_t, vals_s], axis=0), alpha)
 
     def attention(self, h: Tensor, plan: SparsePlan) -> np.ndarray:
         """Edge attention weights (in edge order), no grad."""
@@ -181,12 +184,14 @@ class DmpLayer(nn.Module):
         self.gate = nn.Linear(2 * hdim, hdim, rng)
         self.combine = nn.MLP([hdim, hdim, hdim], rng, bias=out_bias)
 
-    def coarsen(self, h: Tensor, h_coarse: Tensor, rel, dist, cluster_of, nclusters) -> Tensor:
-        msg = self.coarsen_msg(h, h_coarse, cluster_of, True, rel, dist)
-        return segment_sum(msg, cluster_of, nclusters)
+    def coarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
+                members: SparsePlan) -> Tensor:
+        msg = self.coarsen_msg(h, h_coarse, members.rows, True, rel, dist)
+        return segment_sum(members, msg)
 
-    def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist, cluster_of) -> Tensor:
-        spread = self.uncoarsen_msg(h, h_coarse, cluster_of, False, -rel, dist)
+    def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
+                  members: SparsePlan) -> Tensor:
+        spread = self.uncoarsen_msg(h, h_coarse, members.rows, False, -rel, dist)
         lam = self.gate([h, spread]).sigmoid()
         return self.combine(lam * h + (1.0 - lam) * spread)
 
@@ -215,24 +220,24 @@ class DmpModel(nn.Module):
                      structure: Structure) -> Tensor:
         """Shared forward over a prebuilt coarse structure."""
         cluster_of = structure.cluster_of
-        nclusters = structure.coarse_positions.shape[0]
-        counts = np.maximum(np.bincount(cluster_of, minlength=nclusters),
-                            1.0)[:, None]
+        nclusters, n = structure.coarse_positions.shape[0], cluster_of.size
+        # one cluster incidence and one aggregation plan, shared by every
+        # layer and the backward
+        members = SparsePlan(cluster_of, np.arange(n), (nclusters, n))
+        plan = self.blocks[0].mp.plan(structure.edges, nclusters)
+        counts = np.maximum(np.diff(members.indptr), 1.0)[:, None]
         rel = structure.coarse_positions[cluster_of] - positions
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
-        # one aggregation plan, shared by every layer's message pass
-        plan = self.blocks[0].mp.plan(structure.edges, nclusters)
         h = self.lift(Tensor(inputs))
         # layer 0 lifts the member means of the inputs; later layers re-seed
         # coarse vectors from the current node state
-        h_coarse = self.lift_coarse(
-            segment_sum(Tensor(inputs), cluster_of, nclusters) / counts)
+        h_coarse = self.lift_coarse(segment_sum(members, inputs) / counts)
         for k, block in enumerate(self.blocks):
             if k > 0:
-                h_coarse = segment_sum(h, cluster_of, nclusters) * (1.0 / counts)
-            h_coarse = block.coarsen(h, h_coarse, rel, dist, cluster_of, nclusters)
+                h_coarse = segment_sum(members, h) * (1.0 / counts)
+            h_coarse = block.coarsen(h, h_coarse, rel, dist, members)
             h_coarse = block.mp(h_coarse, plan)
-            h = block.uncoarsen(h, h_coarse, rel, dist, cluster_of)
+            h = block.uncoarsen(h, h_coarse, rel, dist, members)
         return self.project(h)
 
 

@@ -16,16 +16,17 @@ import numpy as np
 
 @dataclass
 class GeometricGraph:
-    """Node features (N x f, f may be 0) and positions (N x d), both
-    finite."""
+    """Node features (N x f, f may be 0) and positions (N x d, d >= 1),
+    both finite."""
 
     features: np.ndarray
     positions: np.ndarray
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
-        if self.positions.ndim != 2:
-            raise ValueError("positions must be N x d")
+        if self.positions.ndim != 2 or self.positions.shape[1] < 1:
+            raise ValueError(f"positions must be N x d with d >= 1, got "
+                             f"shape {self.positions.shape}")
         n = self.positions.shape[0]
         if self.features is None:
             self.features = np.zeros((n, 0))
@@ -108,8 +109,9 @@ def voxel_coarsen(positions: np.ndarray, s: int):
     s = 32 in 3-D, p = 4 and s' can reach 64.
 
     Each coordinate's cluster sums are one ``np.bincount`` that adds the
-    members in index order from 0.0, the additions of
-    ``tensor._scatter_add``, so the means are its bytes without scipy.
+    members in index order from 0.0, the additions of ``numpy.add.at`` and
+    of ``tensor.segment_sum`` over the cluster incidence, so the means are
+    their bytes without scipy.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -161,6 +163,9 @@ def load_graph(path) -> GeometricGraph:
         raise ValueError(f"{path} line {header_no}: expected header 'N d f' of "
                          f"three counts, got {header_line!r}")
     n, d, f = (int(x) for x in header)
+    if d == 0:
+        raise ValueError(f"{path} line {header_no}: header {header_line!r} "
+                         f"declares 0-dimensional positions, expected d >= 1")
     if len(lines) - 1 < n:
         raise ValueError(f"{path}: header declares {n} node rows, found "
                          f"{len(lines) - 1}")

@@ -13,12 +13,11 @@ back over broadcast axes. Inside ``with no_grad():`` ops build no nodes,
 so inference builds no graph.
 
 Each closure captures only the arrays and shapes its backward reads, never
-a ``Tensor``: ``*``, ``/``, ``@`` and ``spmm`` keep only the operands the
-other side's gradient reads, while ``+``, ``-``, ``concat``,
-``gather_rows``, ``segment_sum``, ``reshape`` and ``sum`` keep no input
-array. So an interior value is freed as soon as the forward code drops its
-tensor, unless a later op's backward reads it; the graph holds nodes, not
-values.
+a ``Tensor``: ``*``, ``/``, ``@`` and ``segment_sum`` keep only the operands
+the other side's gradient reads, while ``+``, ``-``, ``concat``,
+``gather_rows``, ``reshape`` and ``sum`` keep no input array. So an
+interior value is freed as soon as the forward code drops its tensor,
+unless a later op's backward reads it; the graph holds nodes, not values.
 
 ``backward`` releases the graph as it walks it. Once a node's closure has
 run, the node drops its gradient (unless it is the root), its closure (and
@@ -50,23 +49,22 @@ input, the pair encodings and every hidden output (recompute as in Chen
 et al. 2016, from what batch norm keeps anyway as in Rota Bulò et al.
 2018).
 
-Scatters (the ``segment_sum`` forward, the ``gather_rows`` backward and the
-sums in ``segment_softmax``) multiply by a CSR incidence matrix with one row
-per segment and unit weights. Each row adds its entries in index order from
-0.0: the same float additions as ``numpy.add.at``, in a fraction of its
-time, so results are byte-identical to the ``numpy.add.at`` form. Ids
-outside ``[0, n)`` raise ValueError instead of wrapping around.
-
-A message pass aggregates with ``spmm``, one node per call: the product of
-a ``SparsePlan``, a sparse matrix given by its (row, column) entries, with
-the rows of ``x``, each entry scaled by its weight or not. ``edge_plan``
-builds the plan of an edge list (one row per target, optionally a self
-entry last), once per forward; every product and backward that uses it
-shares its CSR layout and that of its transpose, each built once. Rows and
-columns add their entries in entry order from 0.0, so the product and its
-gradients are the bytes of the gather, scale and ``segment_sum`` chain it
+Every scatter is a product with a ``SparsePlan``, a sparse matrix given by
+its (row, column) entries that builds its CSR layout once and keeps it.
+``segment_sum``, one node per call, sums the rows of ``x`` into the plan's
+rows, each entry scaled by its weight or not; the ``gather_rows`` backward
+and the two sums of ``segment_softmax`` multiply by a plan's matrix too.
+``edge_plan`` builds the plan of an edge list (one row per target,
+optionally a self entry last) and ``dmp`` the cluster incidence (one row
+per cluster), each once per forward; every product and backward that uses
+a plan shares its layout and that of its transpose, each built once. Rows
+add their entries in entry order from 0.0, the float additions of
+``numpy.add.at``, so every sum is its bytes, and a weighted product and its
+gradients are the bytes of the gather, scale and ``numpy.add.at`` chain it
 replaces, without that chain's arrays of one row per entry (Fey & Lenssen
-2019 aggregate by a sparse-dense product in the same way).
+2019 aggregate by a sparse-dense product in the same way). Ids outside a
+plan's shape, or outside the rows ``gather_rows`` selects from, raise
+ValueError instead of wrapping around.
 """
 
 from __future__ import annotations
@@ -106,43 +104,19 @@ def _check_ids(ids, n):
         raise ValueError(f"id {bad} outside [0, {n})")
 
 
-def _csr_layout(ids, n):
-    """``(indptr, order)`` of the CSR matrix with one row per id in ``[0,
-    n)``: row i holds the positions j with ``ids[j] == i``, in index order
-    (the stable argsort)."""
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
-    return indptr, np.argsort(ids, kind="stable")
-
-
-def _scatter_add(ids, n, values):
-    """``out[i]`` = sum of ``values[j]`` over ``ids[j] == i``, for ``n`` rows.
-
-    ``ids`` is 1-D with one entry per leading row of ``values``. The stable
-    argsort keeps each segment's entries in index order, which makes the
-    sums equal ``numpy.add.at``'s bit for bit.
-    """
-    from scipy import sparse
-
-    indptr, order = _csr_layout(ids, n)
-    incidence = sparse.csr_array((np.ones(ids.size), order, indptr),
-                                 shape=(n, ids.size))
-    tail = values.shape[1:]
-    return (incidence @ values.reshape(ids.size, math.prod(tail))).reshape((n,) + tail)
-
-
 class SparsePlan:
-    """The sparse matrix A of ``spmm``, given by its entries: entry j puts a
-    weight at ``(rows[j], cols[j])`` of the ``shape[0] x shape[1]`` matrix.
-    Ids outside the shape raise ValueError naming the first one.
+    """The sparse matrix A of ``segment_sum``, given by its entries: entry
+    j puts a weight at ``(rows[j], cols[j])`` of the ``shape[0] x
+    shape[1]`` matrix. Ids outside the shape raise ValueError naming the
+    first one.
 
     Built once, a plan serves any number of products, with unit weights or
     per-entry weights. It builds A's CSR layout (``indptr``, each row's
     entries in entry order, and their column ids) on first use and keeps
     it, and its unit-weight matrix once built. ``T`` is the plan of A's
-    transpose (each column's entries in entry order); ``spmm``'s backward
-    holds ``T`` alone, so A's layout goes with the plan once the forward
-    drops it, and the first backward builds ``T``'s.
+    transpose (each column's entries in entry order); ``segment_sum``'s
+    backward holds ``T`` alone, so A's layout goes with the plan once the
+    forward drops it, and the first backward builds ``T``'s.
     """
 
     __slots__ = ("rows", "cols", "shape", "_layout", "_unit", "_transpose")
@@ -161,7 +135,10 @@ class SparsePlan:
     def _csr(self):
         """``(indptr, order, column ids)`` of A's CSR form."""
         if self._layout is None:
-            indptr, order = _csr_layout(self.rows, self.shape[0])
+            indptr = np.zeros(self.shape[0] + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.rows, minlength=self.shape[0]),
+                      out=indptr[1:])
+            order = np.argsort(self.rows, kind="stable")
             self._layout = (indptr, order, self.cols[order])
         return self._layout
 
@@ -499,8 +476,9 @@ class Tensor:
         _check_ids(idx, n)
 
         def bwd(g):
-            a.accum(_scatter_add(idx.ravel(), n, g.reshape((idx.size,) + tail)),
-                    fresh=True)
+            scatter = SparsePlan(idx.ravel(), np.arange(idx.size), (n, idx.size))
+            g = g.reshape(idx.size, math.prod(tail))
+            a.accum((scatter.matrix() @ g).reshape((n,) + tail), fresh=True)
 
         return _result(self.data[idx], (a,), bwd)
 
@@ -728,31 +706,18 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     return _result(out_data, parents + [weight._node, bias_node], bwd), moments
 
 
-def segment_sum(values: Tensor, segment_ids, num_segments) -> Tensor:
-    """Sum rows of ``values`` into ``num_segments`` buckets."""
-    values = Tensor._lift(values)
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.ndim != 1 or seg.shape[0] != values.data.shape[0]:
-        raise ValueError("segment_ids must be 1-D with one entry per row")
-    _check_ids(seg, num_segments)
-    a = values._node
-
-    def bwd(g):
-        a.accum(g[seg], fresh=True)
-
-    return _result(_scatter_add(seg, num_segments, values.data), (a,), bwd)
+_ENTRY_CHUNK = 4096  # plan entries per temporary in the weight gradient
 
 
-_ENTRY_CHUNK = 4096  # plan entries per temporary in spmm's weight gradient
-
-
-def spmm(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> Tensor:
+def segment_sum(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> Tensor:
     """The sparse product ``A @ x`` of ``plan``'s matrix A and the rows of
-    the 2-D ``x``: ``out[i]`` adds ``weights[j] * x[cols[j]]`` (``x[cols[j]]``
-    for ``weights=None``) over the plan's entries j in row i, in entry
-    order from 0.0. These are the float operations of ``segment_sum(
-    x.gather_rows(cols) * weights.reshape(-1, 1), rows, shape[0])``, so the
-    output and both gradients are that chain's bytes.
+    ``x``, which has one row per column of A and any trailing shape:
+    ``out[i]`` adds ``weights[j] * x[cols[j]]`` (``x[cols[j]]`` for
+    ``weights=None``) over the plan's entries j in row i, in entry order
+    from 0.0. So over the plan ``(ids, arange(len(ids)))`` it sums each
+    segment's rows as ``numpy.add.at`` does, and in general it runs the
+    float operations of gathering ``x[cols]``, scaling by the weights and
+    that sum: the output and both gradients are that chain's bytes.
 
     The node keeps ``weights`` for x's gradient, the transposed product,
     and ``x`` for the weights' gradient, ``(g[rows] * x[cols]).sum(axis=1)``,
@@ -760,27 +725,31 @@ def spmm(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> Tensor:
     per entry outlives the call or its backward.
     """
     x = Tensor._lift(x)
-    if x.data.ndim != 2 or x.data.shape[0] != plan.shape[1]:
-        raise ValueError(f"spmm of a {plan.shape[0]} x {plan.shape[1]} plan "
-                         f"needs {plan.shape[1]} rows of x, got shape "
-                         f"{x.data.shape}")
+    m, n = plan.shape
+    if x.data.ndim < 1 or x.data.shape[0] != n:
+        raise ValueError(f"segment_sum over a {m} x {n} plan needs {n} rows "
+                         f"of x, got shape {x.data.shape}")
+    tail = x.data.shape[1:]
+    width = math.prod(tail)
     w, b = None, None
     if weights is not None:
         weights = Tensor._lift(weights)
         w, b = weights.data, weights._node
         if w.shape != plan.rows.shape:
-            raise ValueError(f"spmm needs one weight per plan entry "
+            raise ValueError(f"segment_sum needs one weight per plan entry "
                              f"({plan.rows.size}), got shape {w.shape}")
     a = x._node
     # each side is kept only for the other side's gradient
-    kept_x = x.data if b is not None else None
+    kept_x = x.data.reshape(n, width) if b is not None else None
     kept_w = w if a is not None else None
     rows, cols = plan.rows, plan.cols
     transposed = plan.T if a is not None else None
 
     def bwd(g):
+        g = g.reshape(m, width)
         if a is not None:
-            a.accum(transposed.matrix(kept_w) @ g, fresh=True)
+            a.accum((transposed.matrix(kept_w) @ g).reshape((n,) + tail),
+                    fresh=True)
         if b is not None:
             gw = np.empty(rows.size)
             for start in range(0, gw.size, _ENTRY_CHUNK):
@@ -790,36 +759,33 @@ def spmm(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> Tensor:
                 prod.sum(axis=1, out=gw[part])
             b.accum(gw, fresh=True)
 
-    return _result(plan.matrix(w) @ x.data, (a, b), bwd)
+    out = plan.matrix(w) @ x.data.reshape(n, width)
+    return _result(out.reshape((m,) + tail), (a, b), bwd)
 
 
-def segment_softmax(logits: Tensor, segment_ids) -> Tensor:
-    """Softmax normalized independently within each segment.
-
-    ``logits`` is 1-D; segment ids need not be sorted. An id that appears
-    once yields weight 1. Ids present in ``segment_ids`` define the segments;
-    empty segments cannot arise by construction.
-    """
+def segment_softmax(logits: Tensor, plan: SparsePlan) -> Tensor:
+    """Softmax of the 1-D ``logits``, one per entry of ``plan``, normalized
+    within each of the plan's rows: an entry alone in its row gets weight
+    1. Each row's sums (the normalizer, and in the backward the gradient's
+    dot product) are products with ``plan.matrix(values)`` over the plan's
+    layout, which add the row's entries in entry order from 0.0."""
     logits = Tensor._lift(logits)
     if logits.data.ndim != 1:
         raise ValueError("segment_softmax expects 1-D logits")
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape != logits.data.shape:
-        raise ValueError("logits and segment_ids must have the same length")
-    if seg.size == 0:
-        raise ValueError("empty segment list")
-    nseg = int(seg.max()) + 1
-    _check_ids(seg, nseg)
-    # stabilize with a per-segment max
-    seg_max = np.full(nseg, -np.inf)
+    if logits.data.size != plan.rows.size:
+        raise ValueError(f"segment_softmax needs one logit per plan entry "
+                         f"({plan.rows.size}), got {logits.data.size}")
+    seg = plan.rows
+    # stabilize with a per-row max
+    seg_max = np.full(plan.shape[0], -np.inf)
     np.maximum.at(seg_max, seg, logits.data)
     shifted = np.exp(logits.data - seg_max[seg])
-    denom = _scatter_add(seg, nseg, shifted)
+    denom = plan.matrix(shifted) @ np.ones(plan.shape[1])
     out_data = shifted / denom[seg]
     a = logits._node
 
     def bwd(g):
-        dot = _scatter_add(seg, nseg, g * out_data)
+        dot = plan.matrix(g * out_data) @ np.ones(plan.shape[1])
         a.accum(out_data * (g - dot[seg]), fresh=True)
 
     return _result(out_data, (a,), bwd)

@@ -1,17 +1,32 @@
-"""Graphs, a batch-of-one forward and ``StructureCache`` subclasses shared
-by the DMP, engine and acceptance tests."""
+"""Graphs, a batch-of-one forward, ``StructureCache`` subclasses and the
+id-based segment sum of the reference chains, shared by the DMP, engine,
+tensor and acceptance tests."""
 
 import numpy as np
 
 from ncgn.dmp import Structure, node_input
 from ncgn.engine import StructureCache, TrainConfig, merged_forward
 from ncgn.graphs import GeometricGraph
+from ncgn.tensor import SparsePlan, segment_sum
 
 
 def random_graph(n, d=2, f=3, seed=0):
     rng = np.random.default_rng(seed)
     return GeometricGraph(rng.standard_normal((n, f)),
                           rng.standard_normal((n, d)))
+
+
+def segments(ids, n):
+    """The plan that puts entry j in row ``ids[j]`` of ``n`` rows, column j:
+    ``segment_sum`` over it sums values by id, ``segment_softmax``
+    normalizes logits by id."""
+    ids = np.asarray(ids)
+    return SparsePlan(ids, np.arange(ids.size), (n, ids.size))
+
+
+def segment_sum_by_ids(values, ids, n):
+    """Sum the rows of ``values`` into ``n`` segments by ``ids``."""
+    return segment_sum(segments(ids, n), values)
 
 
 def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):

@@ -9,6 +9,9 @@ import functools
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ncgn
 # every module the tracer and the workloads reach by attribute name; the
 # tests look them up as attributes of the ncgn package
@@ -85,3 +88,32 @@ def test_train_config_keywords_are_fields():
         assert passed <= names, f"{name} passes {sorted(passed - names)}"
         engine.TrainConfig(**{kw.arg: kw.value.value for kw in keywords
                               if isinstance(kw.value, ast.Constant)})
+
+
+@pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
+def test_tracer_times_every_aggregation(mp_kind):
+    # every sum over cluster members or coarse in-edges is a segment_sum,
+    # so the tracer's tensor.segment_sum row times each conv's product (a
+    # span inside its dmp.mp span) and every backward product
+    rng = np.random.default_rng(0)
+    positions = rng.standard_normal((24, 2))
+    inputs = dmp.node_input(rng.standard_normal((24, 3)), positions, 0.4)
+    layers = 2
+    model = dmp.DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=layers,
+                         mp_kind=mp_kind, seed=0)
+    cache = engine.StructureCache(engine.TrainConfig(method="dmp"))
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        engine.merged_forward(model, [(positions, inputs, 0.4)], cache).sum().backward()
+    finally:
+        tracer.uninstall()
+    names = {sid: name for sid, name, _, _, _ in tracer.spans}
+    mp_spans = {sid for sid, name in names.items() if name == "dmp.mp"}
+    sums = [parent for _, name, _, _, parent in tracer.spans
+            if name == "tensor.segment_sum"]
+    assert len(mp_spans) == layers
+    assert mp_spans <= set(sums)
+    # all but the input member means (which need no gradient) run backward
+    backward = [name for name in names.values() if name == "tensor.segment_sum.bwd"]
+    assert len(backward) == len(sums) - 1

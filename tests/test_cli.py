@@ -203,6 +203,19 @@ def test_train_rejects_a_non_finite_lr(tmp_path, capsys, lr):
     assert not (work / "model.ckpt").exists()
 
 
+def test_train_on_zero_dimensional_positions_exits_one(tmp_path, capsys):
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
+    flat = data / "train" / "00000.graph"
+    flat.write_text("3 0 2\n1.0 2.0\n3.0 4.0\n5.0 6.0\n")
+    capsys.readouterr()
+    assert run(work, "train", f"dataset={data}", *TINY_TRAIN) == 1
+    err = capsys.readouterr().err
+    assert f"{flat} line 1: header '3 0 2' declares 0-dimensional positions" in err
+    assert "Traceback" not in err
+    assert not (work / "model.ckpt").exists()
+
+
 def test_sample_random_pred_needs_no_checkpoint(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0

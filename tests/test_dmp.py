@@ -12,10 +12,9 @@ from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
                          random_generations)
 from ncgn.graphs import (GeometricGraph, build_fully_connected_edges,
                          build_knn_edges, build_long_short_edges)
-from ncgn.tensor import (Tensor, concat, no_grad, segment_softmax, segment_sum,
-                         spmm)
+from ncgn.tensor import Tensor, concat, no_grad, segment_softmax, segment_sum
 from structure_helpers import (RecordingCache, SingletonCache, forward,
-                               random_graph)
+                               random_graph, segment_sum_by_ids, segments)
 
 
 def test_node_input_width_and_t_column():
@@ -340,7 +339,7 @@ def composed_gcn(conv, h, edges):
     """``GcnConv`` as the gather/scatter chain its sparse product replaced."""
     n = h.data.shape[0]
     src, tgt = edges[:, 0], edges[:, 1]
-    summed = segment_sum(h.gather_rows(src), tgt, n)
+    summed = segment_sum_by_ids(h.gather_rows(src), tgt, n)
     deg = np.bincount(tgt, minlength=n).astype(np.float64)
     return conv.lin(summed * (1.0 / np.maximum(deg, 1.0))[:, None])
 
@@ -351,7 +350,7 @@ def composed_gat_product(vals_t, vals_s, alpha, edges):
     n = vals_s.data.shape[0]
     seg = np.concatenate([edges[:, 1], np.arange(n)])
     values = concat([vals_t.gather_rows(edges[:, 0]), vals_s], axis=0)
-    return segment_sum(values * alpha.reshape(-1, 1), seg, n)
+    return segment_sum_by_ids(values * alpha.reshape(-1, 1), seg, n)
 
 
 def composed_gat(conv, h, edges):
@@ -363,7 +362,7 @@ def composed_gat(conv, h, edges):
     src, tgt = edges[:, 0], edges[:, 1]
     logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),
                      score_s + score_t], axis=0).leaky_relu()
-    alpha = segment_softmax(logits, np.concatenate([tgt, np.arange(n)]))
+    alpha = segment_softmax(logits, segments(np.concatenate([tgt, np.arange(n)]), n))
     return composed_gat_product(vals_t, vals_s, alpha, edges), alpha
 
 
@@ -441,7 +440,7 @@ def test_gat_product_matches_the_composed_chain_bytes(structure):
     upstream = scaled_normal(rng, (n, 16))
     plan = GatConv.plan(edges, n)
     results = []
-    for run in (lambda vt, vs, a: spmm(plan, concat([vt, vs], axis=0), a),
+    for run in (lambda vt, vs, a: segment_sum(plan, concat([vt, vs], axis=0), a),
                 lambda vt, vs, a: composed_gat_product(vt, vs, a, edges)):
         vals_t, vals_s, alpha = (Tensor(v.copy(), requires_grad=True) for v in leaves)
         out = run(vals_t, vals_s, alpha)
@@ -501,14 +500,15 @@ def test_conv_forward_allocates_no_per_entry_rows(mp_kind):
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat", "flat_gat"])
 def test_forward_builds_one_plan(monkeypatch, mp_kind):
-    # every layer's message pass and the whole backward share one plan and
-    # its transpose
+    # every layer and the whole backward share one cluster incidence and one
+    # edge plan, each transposed once; the backward builds nothing but the
+    # throwaway (ids, arange) plans of gather_rows scatters
     built = []
     init = tensor.SparsePlan.__init__
 
-    def counting(plan, *args):
-        built.append(args[-1])
-        init(plan, *args)
+    def counting(plan, rows, cols, shape):
+        built.append((phase, tuple(shape), np.array_equal(cols, np.arange(len(cols)))))
+        init(plan, rows, cols, shape)
 
     graph = random_graph(30, seed=4)
     if mp_kind == "flat_gat":
@@ -518,10 +518,23 @@ def test_forward_builds_one_plan(monkeypatch, mp_kind):
                                  mp_kind=mp_kind, seed=0), "dmp"
     cache = StructureCache(TrainConfig(method=method))
     forward(model, graph, 0.4, cache=cache)  # builds the cached structure
+    structure = cache(graph.positions, 0.4)
+    n, nclusters = 30, structure.coarse_positions.shape[0]
+    edge_shape = (nclusters, nclusters if mp_kind == "gcn" else 2 * nclusters)
     monkeypatch.setattr(tensor.SparsePlan, "__init__", counting)
-    forward(model, graph, 0.4, cache=cache).sum().backward()
-    assert len(built) == 2
-    assert built[0] == built[1][::-1]
+    phase = "forward"
+    out = forward(model, graph, 0.4, cache=cache)
+    phase = "backward"
+    out.sum().backward()
+    # the plans and their transposes come from the forward, counted by
+    # shape; the backward's scatters may share a shape with them
+    expect = [edge_shape, edge_shape[::-1]]
+    if mp_kind != "flat_gat":
+        assert nclusters < n
+        expect += [(nclusters, n), (n, nclusters)]
+    assert sorted(shape for p, shape, _ in built if p == "forward") == sorted(expect)
+    backward = [scatter for p, _, scatter in built if p == "backward"]
+    assert backward and all(backward)
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])

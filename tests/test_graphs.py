@@ -14,7 +14,6 @@ from ncgn.graphs import (
     save_graph,
     voxel_coarsen,
 )
-from ncgn.tensor import _scatter_add
 
 
 def random_graph(n, d=3, f=2, seed=0):
@@ -147,6 +146,17 @@ def test_graph_validation():
             GeometricGraph(np.array([[0.0], [bad]]), np.zeros((2, 2)))
 
 
+def test_zero_dimensional_positions_rejected(tmp_path):
+    # voxel coarsening bins each of d axes into s**(1/d) parts: d must be >= 1
+    with pytest.raises(ValueError, match=r"d >= 1, got shape \(3, 0\)"):
+        GeometricGraph(np.zeros((3, 2)), np.zeros((3, 0)))
+    path = tmp_path / "flat.graph"
+    path.write_text("3 0 2\n1.0 2.0\n3.0 4.0\n5.0 6.0\n")
+    with raises_naming(path, " line 1: header '3 0 2' declares 0-dimensional "
+                             "positions"):
+        load_graph(path)
+
+
 def test_save_load_roundtrip(tmp_path):
     g = random_graph(7, seed=9)
     path = tmp_path / "g.graph"
@@ -208,10 +218,13 @@ def test_voxel_properties(n, s, seed):
 def test_voxel_means_are_scatter_add_bytes(n, d, s, scale_exp, seed):
     pos = np.random.default_rng(seed).standard_normal((n, d)) * 10.0**scale_exp
     cluster_of, coarse = voxel_coarsen(pos, s)
-    # the composed reference: CSR scatter of the members over their counts
+    # the composed reference: the members added in index order from 0.0,
+    # over their counts
     sprime = coarse.shape[0]
     counts = np.bincount(cluster_of, minlength=sprime).astype(np.float64)
-    reference = _scatter_add(cluster_of, sprime, pos) / counts[:, None]
+    sums = np.zeros((sprime, d))
+    np.add.at(sums, cluster_of, pos)
+    reference = sums / counts[:, None]
     assert coarse.tobytes() == reference.tobytes()
 
 

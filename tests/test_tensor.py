@@ -19,8 +19,8 @@ from ncgn.tensor import (
     no_grad,
     segment_softmax,
     segment_sum,
-    spmm,
 )
+from structure_helpers import segment_sum_by_ids, segments
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -124,7 +124,7 @@ def test_concat_grad():
 def test_segment_sum_values_and_grad():
     v = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]), requires_grad=True)
     seg = np.array([0, 1, 0, 1])
-    out = segment_sum(v, seg, 2)
+    out = segment_sum_by_ids(v, seg, 2)
     np.testing.assert_array_equal(out.data, [[4.0], [6.0]])
     (out * np.array([[2.0], [3.0]])).sum().backward()
     np.testing.assert_array_equal(v.grad, [[2.0], [3.0], [2.0], [3.0]])
@@ -134,7 +134,7 @@ def test_segment_softmax_normalizes():
     rng = np.random.default_rng(3)
     logits = Tensor(rng.standard_normal(10), requires_grad=True)
     seg = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 3])
-    out = segment_softmax(logits, seg)
+    out = segment_softmax(logits, segments(seg, 4))
     sums = np.zeros(4)
     np.add.at(sums, seg, out.data)
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -149,17 +149,17 @@ def test_segment_softmax_grad():
     w = rng.standard_normal(8)
 
     def fn(arr):
-        return float((segment_softmax(Tensor(arr), seg) * w).sum().data)
+        return float((segment_softmax(Tensor(arr), segments(seg, 3)) * w).sum().data)
 
     t = Tensor(x.copy(), requires_grad=True)
-    (segment_softmax(t, seg) * w).sum().backward()
+    (segment_softmax(t, segments(seg, 3)) * w).sum().backward()
     fd = finite_diff(fn, x.copy())
     np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_segment_softmax_large_logits_stable():
     out = segment_softmax(Tensor(np.array([1000.0, 1000.0, -1000.0])),
-                          np.array([0, 0, 0]))
+                          segments([0, 0, 0], 1))
     np.testing.assert_allclose(out.data, [0.5, 0.5, 0.0], atol=1e-12)
 
 
@@ -222,11 +222,14 @@ SAVED_INPUTS = {
     "-": (lambda a, b: a - b, False),
     "concat": (lambda a, b: concat([a, b]), False),
     "gather_rows": (lambda a, b: a.gather_rows([2, 0, 2]), False),
-    "segment_sum": (lambda a, b: segment_sum(a, [1, 0, 1], 2), False),
-    "spmm": (lambda a, b: spmm(SparsePlan([1, 0, 1], [2, 0, 2], (2, 3)), a),
-             False),
-    "spmm_weighted": (lambda a, b: spmm(SparsePlan([1, 0, 1], [2, 0, 2], (2, 3)),
-                                        a, b.sum(axis=1)), True),
+    # segment_sum over a plan of one entry per row of a, summing rows by id
+    "segment_sum": (lambda a, b: segment_sum_by_ids(a, [1, 0, 1], 2), False),
+    # segment_sum over a plan that gathers a row more than once: the sparse
+    # matrix product A @ a
+    "spmm": (lambda a, b: segment_sum(SparsePlan([1, 0, 1], [2, 0, 2], (2, 3)),
+                                      a), False),
+    "segment_sum_weighted": (lambda a, b: segment_sum(
+        SparsePlan([1, 0, 1], [2, 0, 2], (2, 3)), a, b.sum(axis=1)), True),
     "reshape": (lambda a, b: a.reshape(-1), False),
     "sum": (lambda a, b: a.sum(axis=0), False),
     "*": (lambda a, b: a * b, True),
@@ -401,7 +404,7 @@ def test_unbroadcast_matches_shape(rows, cols, r_one, c_one):
 def test_segment_sum_matches_bincount(ids):
     seg = np.asarray(ids)
     vals = np.arange(float(len(ids)))[:, None]
-    out = segment_sum(Tensor(vals), seg, 4)
+    out = segment_sum_by_ids(Tensor(vals), seg, 4)
     expect = np.zeros(4)
     np.add.at(expect, seg, vals.ravel())
     np.testing.assert_allclose(out.data.ravel(), expect)
@@ -426,29 +429,26 @@ def test_scatters_match_add_at_bytes(n_ids, n_seg, width, seed):
     vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
     expect = np.zeros((n_seg,) + shape[1:])
     np.add.at(expect, ids, vals)
-    assert_same_bytes(segment_sum(Tensor(vals), ids, n_seg).data, expect)
+    assert_same_bytes(segment_sum_by_ids(Tensor(vals), ids, n_seg).data, expect)
 
     src = Tensor(rng.standard_normal((n_seg,) + shape[1:]), requires_grad=True)
     out = src.gather_rows(ids)
     (out * vals).sum().backward()
     assert_same_bytes(src.grad, expect)
 
-    if n_ids == 0:
-        return  # segment_softmax rejects an empty segment list
     # segment_softmax forward and backward, with its sums done by add.at
     x = rng.standard_normal(n_ids) * 10.0 ** rng.integers(-3, 3, n_ids)
     upstream = rng.standard_normal(n_ids) * 10.0 ** rng.integers(-8, 8, n_ids)
-    nseg = ids.max() + 1
-    seg_max = np.full(nseg, -np.inf)
+    seg_max = np.full(n_seg, -np.inf)
     np.maximum.at(seg_max, ids, x)
     shifted = np.exp(x - seg_max[ids])
-    denom = np.zeros(nseg)
+    denom = np.zeros(n_seg)
     np.add.at(denom, ids, shifted)
     weights = shifted / denom[ids]
-    dot = np.zeros(nseg)
+    dot = np.zeros(n_seg)
     np.add.at(dot, ids, upstream * weights)
     logits = Tensor(x.copy(), requires_grad=True)
-    out = segment_softmax(logits, ids)
+    out = segment_softmax(logits, segments(ids, n_seg))
     (out * upstream).sum().backward()
     assert_same_bytes(out.data, weights)
     assert_same_bytes(logits.grad, weights * (upstream - dot[ids]))
@@ -456,23 +456,45 @@ def test_scatters_match_add_at_bytes(n_ids, n_seg, width, seed):
 
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_out_of_range_ids_rejected(bad):
+    # segment sums and softmaxes take plans, which check their ids when built
     ids = np.array([0, 2, bad, -2])
     match = rf"id {bad} outside \[0, 3\)"
     with pytest.raises(ValueError, match=match):
-        segment_sum(Tensor(np.ones((4, 2))), ids, 3)
+        segments(ids, 3)
     with pytest.raises(ValueError, match=match):
         Tensor(np.ones((3, 2))).gather_rows(ids)
-    with pytest.raises(ValueError, match=r"id -1 outside \[0, 3\)"):
-        segment_softmax(Tensor(np.ones(4)), np.array([0, 2, -1, 1]))
 
 
-def composed_spmm(plan, x, weights=None):
-    """``spmm`` as the chain it replaces: gather each entry's row, scale it
-    by its weight, sum the entries into their rows."""
+def test_segment_softmax_needs_one_logit_per_plan_entry():
+    plan = segments([0, 1, 1, 0], 2)
+    with pytest.raises(ValueError, match=r"one logit per plan entry \(4\), got 3"):
+        segment_softmax(Tensor(np.ones(3)), plan)
+    with pytest.raises(ValueError, match="1-D"):
+        segment_softmax(Tensor(np.ones((4, 1))), plan)
+
+
+def test_segment_softmax_leaves_an_empty_row_alone():
+    # row 1 has no entry: every other row still sums to 1, and nothing is NaN
+    rng = np.random.default_rng(5)
+    ids = np.array([2, 0, 2, 3, 0, 2])
+    logits = Tensor(rng.standard_normal(ids.size), requires_grad=True)
+    out = segment_softmax(logits, segments(ids, 4))
+    (out * rng.standard_normal(ids.size)).sum().backward()
+    sums = np.zeros(4)
+    np.add.at(sums, ids, out.data)
+    np.testing.assert_allclose(sums, [1.0, 0.0, 1.0, 1.0], atol=1e-12)
+    assert out.data[3] == 1.0
+    assert np.isfinite(out.data).all() and np.isfinite(logits.grad).all()
+
+
+def composed_segment_sum(plan, x, weights=None):
+    """A weighted ``segment_sum`` as the chain it replaces: gather each
+    entry's row, scale it by its weight, sum the entries into their rows
+    with unit weights."""
     rows = x.gather_rows(plan.cols)
     if weights is not None:
         rows = rows * weights.reshape(-1, 1)
-    return segment_sum(rows, plan.rows, plan.shape[0])
+    return segment_sum_by_ids(rows, plan.rows, plan.shape[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -482,8 +504,8 @@ def composed_spmm(plan, x, weights=None):
     weighted=st.booleans(), chunk=st.integers(1, 50),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_spmm_matches_the_composed_chain_bytes(n_entries, n_rows, n_cols, width,
-                                               weighted, chunk, seed):
+def test_segment_sum_matches_the_composed_chain_bytes(n_entries, n_rows, n_cols,
+                                                      width, weighted, chunk, seed):
     # unsorted rows and columns with repeats, values over many magnitudes,
     # widths past numpy's 8-way unrolled sums and weight gradients formed a
     # few entries at a time: every change of summation order shows in the
@@ -498,7 +520,7 @@ def test_spmm_matches_the_composed_chain_bytes(n_entries, n_rows, n_cols, width,
     default_chunk = tensor._ENTRY_CHUNK
     tensor._ENTRY_CHUNK = chunk
     try:
-        for op in (spmm, composed_spmm):
+        for op in (segment_sum, composed_segment_sum):
             x = Tensor(x0.copy(), requires_grad=True)
             w = Tensor(w0.copy(), requires_grad=True) if weighted else None
             out = op(plan, x, w)
@@ -511,7 +533,7 @@ def test_spmm_matches_the_composed_chain_bytes(n_entries, n_rows, n_cols, width,
         assert actual.tobytes() == expect.tobytes()
 
 
-def test_spmm_finite_differences():
+def test_segment_sum_finite_differences():
     rng = np.random.default_rng(11)
     plan = SparsePlan([2, 0, 2, 1, 0, 2], [0, 3, 1, 1, 0, 3], (3, 4))
     x0 = rng.standard_normal((4, 3))
@@ -519,7 +541,7 @@ def test_spmm_finite_differences():
     upstream = rng.standard_normal((3, 3))
 
     def loss(x, w):
-        return (spmm(plan, x, w) * upstream).sum()
+        return (segment_sum(plan, x, w) * upstream).sum()
 
     x = Tensor(x0.copy(), requires_grad=True)
     w = Tensor(w0.copy(), requires_grad=True)
@@ -530,21 +552,21 @@ def test_spmm_finite_differences():
     np.testing.assert_allclose(w.grad, fd_w, rtol=1e-6, atol=1e-8)
     # unit weights: the gradient of x alone
     x = Tensor(x0.copy(), requires_grad=True)
-    (spmm(plan, x) * upstream).sum().backward()
-    fd_x = finite_diff(lambda arr: float((spmm(plan, Tensor(arr)) * upstream).sum().data),
+    (segment_sum(plan, x) * upstream).sum().backward()
+    fd_x = finite_diff(lambda arr: float((segment_sum(plan, Tensor(arr)) * upstream).sum().data),
                        x0.copy())
     np.testing.assert_allclose(x.grad, fd_x, rtol=1e-6, atol=1e-8)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-def test_spmm_backward_keeps_only_the_transposed_plan(weighted):
+def test_segment_sum_backward_keeps_only_the_transposed_plan(weighted):
     # the forward's CSR layout goes with the plan when the forward drops
     # it; the graph holds the transpose, which the backward builds
     rng = np.random.default_rng(12)
     plan = SparsePlan([2, 0, 2, 1], [0, 3, 1, 1], (3, 4))
     x = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     w = Tensor(rng.standard_normal(4), requires_grad=True) if weighted else None
-    out = spmm(plan, x, w)
+    out = segment_sum(plan, x, w)
     layout = weakref.ref(plan.indptr)
     del plan
     assert layout() is None
@@ -552,12 +574,14 @@ def test_spmm_backward_keeps_only_the_transposed_plan(weighted):
     assert x.grad.shape == (4, 2)
 
 
-def test_spmm_checks_its_operands():
+def test_segment_sum_checks_its_operands():
     plan = SparsePlan([0, 1], [2, 0], (2, 3))
     with pytest.raises(ValueError, match=r"needs 3 rows of x, got shape \(2, 4\)"):
-        spmm(plan, Tensor(np.ones((2, 4))))
+        segment_sum(plan, Tensor(np.ones((2, 4))))
+    with pytest.raises(ValueError, match=r"needs 3 rows of x, got shape \(\)"):
+        segment_sum(plan, Tensor(1.0))
     with pytest.raises(ValueError, match=r"one weight per plan entry \(2\), got shape \(3,\)"):
-        spmm(plan, Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+        segment_sum(plan, Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
