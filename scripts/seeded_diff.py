@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two output trees of scripts/seeded_outputs.sh by value.
+"""Compare two output trees of scripts/seeded_outputs.sh by value, or one
+tree with a digest record.
 
 Usage: python3 scripts/seeded_diff.py OLD NEW
+       python3 scripts/seeded_diff.py --digests OUT > RECORD
+       python3 scripts/seeded_diff.py --check RECORD OUT
 
 Prints a line per difference of each file that differs: for numeric files
 (``.csv``, ``.graph``, ``.ckpt`` and dataset ``manifest`` files) the largest
@@ -21,12 +24,24 @@ when a file exists on one side only, a non-numeric file, a word or an
 integer token differs, the two sides of a numeric file differ in layout
 (token count, checkpoint names, shapes or order) or two checkpoint records
 differ; exits 0 when every difference is in float values.
+
+``--digests`` prints the digest record of a tree, the format of
+``scripts/seeded_outputs.sha256``: a header line naming the environment
+(the Python, numpy and scipy versions and numpy's BLAS), then one
+``sha256sum`` line per file in path order, ``config.resolved`` skipped.
+``--check`` compares a tree with a record. It prints each file that
+differs, is missing or is extra, and exits 1 if there is one. A header
+that differs from this environment's is printed as that, naming the
+differing entries, and is not an output change.
 """
 
 from __future__ import annotations
 
+import hashlib
+import platform
 import re
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -135,14 +150,68 @@ def compare(old, new):
             f"{dev / scale if scale else 0.0:.3e}{shared}"), notes
 
 
+def output_files(root):
+    """The relative paths of the files under ``root``, ``SKIP`` excluded."""
+    return {p.relative_to(root) for p in root.rglob("*")
+            if p.is_file() and p.name not in SKIP}
+
+
+def environment():
+    """The header line of a digest record: ``key=value`` per entry."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# python={platform.python_version()} numpy={np.__version__} "
+            f"scipy={metadata.version('scipy')} "
+            f"blas={blas['name']}-{blas['version']}")
+
+
+def digests(root):
+    """The digest record of the tree ``root``, as text."""
+    rows = [f"{hashlib.sha256((root / rel).read_bytes()).hexdigest()}  "
+            f"{rel.as_posix()}" for rel in sorted(output_files(root))]
+    return "\n".join([environment()] + rows) + "\n"
+
+
+def parse_record(text):
+    """``(environment entries, {path: digest})`` of a digest record."""
+    header, *rows = text.splitlines()
+    entries = dict(item.split("=", 1) for item in header.lstrip("# ").split())
+    return entries, {path: digest for digest, path in
+                     (row.split("  ", 1) for row in rows)}
+
+
+def check(record, root):
+    """Print how the tree ``root`` differs from the digest record text
+    ``record``; 1 if some file differs, is missing or is extra, else 0."""
+    (env_old, old), (env_new, new) = parse_record(record), parse_record(digests(root))
+    moved = {key for key in env_old.keys() | env_new.keys()
+             if env_old.get(key) != env_new.get(key)}
+    for key in sorted(moved):
+        print(f"environment differs: {key} {env_old.get(key)} in the record, "
+              f"{env_new.get(key)} here")
+    bad = 0
+    for path in sorted(old.keys() | new.keys()):
+        state = ("missing" if path not in new else "extra" if path not in old
+                 else "differs" if old[path] != new[path] else None)
+        if state:
+            print(f"{path}: {state}")
+            bad += 1
+    print(f"{bad} of {len(old.keys() | new.keys())} files differ from the record"
+          + (", which was made in another environment" if moved else ""))
+    return 1 if bad else 0
+
+
 def main(argv):
+    if len(argv) == 3 and argv[1] == "--digests":
+        print(digests(Path(argv[2])), end="")
+        return 0
+    if len(argv) == 4 and argv[1] == "--check":
+        return check(Path(argv[2]).read_text(), Path(argv[3]))
     if len(argv) != 3:
-        print(f"usage: {argv[0]} OLD NEW", file=sys.stderr)
+        print(f"usage: {argv[0]} OLD NEW | --digests OUT | --check RECORD OUT",
+              file=sys.stderr)
         return 2
     old_root, new_root = Path(argv[1]), Path(argv[2])
-    files = [{p.relative_to(root) for p in root.rglob("*")
-              if p.is_file() and p.name not in SKIP}
-             for root in (old_root, new_root)]
+    files = [output_files(root) for root in (old_root, new_root)]
     both = files[0] & files[1]
     failed = False
     same = 0

@@ -9,7 +9,15 @@
 # directories.
 #
 # Usage: scripts/seeded_outputs.sh SRC_DIR OUT_DIR
+#        scripts/seeded_outputs.sh --check SRC_DIR
 # SRC_DIR is the directory holding the ncgn package (a checkout's src/).
+# --check writes into a temporary directory and compares it with the
+# checked-in record scripts/seeded_outputs.sha256, naming each file that
+# differs, is missing or is extra (exit 1), and an environment that
+# differs from the record's. A change that moves outputs rewrites the
+# record in the same commit:
+#   scripts/seeded_outputs.sh src /tmp/new
+#   python3 scripts/seeded_diff.py --digests /tmp/new > scripts/seeded_outputs.sha256
 # Compare two trees with
 #   scripts/seeded_outputs.sh old/src /tmp/old
 #   scripts/seeded_outputs.sh new/src /tmp/new
@@ -21,13 +29,19 @@
 # difference is numeric.
 set -e
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 SRC_DIR OUT_DIR" >&2
+HERE=$(cd "$(dirname "$0")" && pwd)
+if [ $# -eq 2 ] && [ "$1" = --check ]; then
+    SRC=$(cd "$2" && pwd)
+    OUT=$(mktemp -d)
+    trap 'rm -rf "$OUT"' EXIT
+elif [ $# -eq 2 ]; then
+    SRC=$(cd "$1" && pwd)
+    OUT=$2
+    mkdir -p "$OUT"
+else
+    echo "usage: $0 SRC_DIR OUT_DIR | --check SRC_DIR" >&2
     exit 2
 fi
-SRC=$(cd "$1" && pwd)
-OUT=$2
-mkdir -p "$OUT"
 
 ncgn() {
     PYTHONPATH="$SRC" "${PYTHON:-python3}" -m ncgn.cli "$@" >/dev/null
@@ -66,3 +80,7 @@ run long_short data method=long_short
 # random_pred is model-free: no train step
 ncgn sample out_dir="$OUT/random_pred" dataset="$OUT/data" method=random_pred seed=3
 ncgn eval out_dir="$OUT/random_pred" dataset="$OUT/data" method=random_pred seed=3
+
+if [ "$1" = --check ]; then
+    "${PYTHON:-python3}" "$HERE/seeded_diff.py" --check "$HERE/seeded_outputs.sha256" "$OUT"
+fi

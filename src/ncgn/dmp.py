@@ -4,11 +4,11 @@
 ``Structure``: lift node inputs and their cluster member means, then for
 each layer coarsen node vectors onto their clusters, message pass over the
 coarse edges, and gate the result back onto the nodes; a final projection
-gives the per-node output. Two ``tensor.SparsePlan``s are built once per
-forward: the cluster incidence ``members`` (one row per cluster, its
-members in node order), whose ``tensor.segment_sum`` gives every member
-sum and mean, and the coarse edges' aggregation plan
-(``tensor.edge_plan``). Every layer and the backward share both.
+gives the per-node output. The ``Structure`` builds each
+``tensor.SparsePlan`` of the pass once: the cluster incidence ``members``
+(one row per cluster, its members in node order), which sums, averages
+and gathers over clusters, and each conv's edge plan. Every layer, the
+backward and any later pass over it share them; no op builds a plan.
 
 ``Structure`` is the one coarse-structure type: ``engine.StructureCache``
 builds one per graph and ``engine.merged_forward``, the package's one
@@ -26,11 +26,12 @@ through ``engine.train``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import nn
-from .tensor import (SparsePlan, Tensor, concat, edge_plan, no_grad,
+from .tensor import (SparsePlan, Tensor, _check_ids, concat, no_grad,
                      segment_softmax, segment_sum)
 
 MP_KINDS = ("gcn", "gat")
@@ -49,11 +50,41 @@ def node_input(features: np.ndarray, positions: np.ndarray,
 @dataclass
 class Structure:
     """Coarse structure of one graph, or of a merged batch of disjoint
-    graphs with offset cluster ids."""
+    graphs with offset cluster ids, and its plans, each built on first use
+    and kept. ``edges`` must be E x 2 with ids in ``[0, s')``: the
+    ValueError names its shape or the first bad id."""
 
     cluster_of: np.ndarray        # node -> coarse node
     coarse_positions: np.ndarray  # s' x d
     edges: np.ndarray             # coarse (source, target) pairs
+
+    def __post_init__(self):
+        if self.edges.ndim != 2 or self.edges.shape[1] != 2:
+            raise ValueError(f"edges must be an E x 2 array of (source, target) "
+                             f"ids, got shape {self.edges.shape}")
+        _check_ids(self.edges, self.coarse_positions.shape[0])
+
+    @cached_property
+    def members(self) -> SparsePlan:
+        """One row per coarse node: its members, in node order."""
+        n = self.cluster_of.size
+        return SparsePlan(self.cluster_of, np.arange(n),
+                          (self.coarse_positions.shape[0], n))
+
+    @cached_property
+    def gcn_plan(self) -> SparsePlan:
+        """One row per coarse node: its in-edges' sources, in edge order."""
+        n = self.coarse_positions.shape[0]
+        return SparsePlan(self.edges[:, 1], self.edges[:, 0], (n, n))
+
+    @cached_property
+    def gat_plan(self) -> SparsePlan:
+        """``gcn_plan``'s rows, each ending with its node's own entry, column
+        ``s' + node``: the columns stack the sources' rows and the nodes'."""
+        n = self.coarse_positions.shape[0]
+        own = np.arange(n, dtype=np.intp)
+        return SparsePlan(np.concatenate([self.edges[:, 1], own]),
+                          np.concatenate([self.edges[:, 0], n + own]), (n, 2 * n))
 
 
 class GcnConv(nn.Module):
@@ -62,20 +93,16 @@ class GcnConv(nn.Module):
     a node with no in-neighbors gets zeros.
 
     The aggregation is one ``tensor.segment_sum`` with unit weights over
-    the plan ``GcnConv.plan`` builds: each target's row adds its
-    in-neighbors' vectors in edge order, the float additions of summing
-    ``h.gather_rows(src)`` by target, and the degree is the row's entry
-    count. The node keeps no per-edge array."""
+    the structure's ``gcn_plan``: each target's row adds its in-neighbors'
+    vectors in edge order, the float additions of summing ``h[src]`` by
+    target, and the degree is the row's entry count. The node keeps no
+    per-edge array."""
 
     def __init__(self, hdim, rng):
         self.lin = nn.Linear(hdim, hdim, rng, bias=False)
 
-    @staticmethod
-    def plan(edges: np.ndarray, n: int) -> SparsePlan:
-        """The aggregation plan of ``edges`` over ``n`` nodes."""
-        return edge_plan(edges, n)
-
-    def __call__(self, h: Tensor, plan: SparsePlan) -> Tensor:
+    def __call__(self, h: Tensor, structure: Structure) -> Tensor:
+        plan = structure.gcn_plan
         deg = np.diff(plan.indptr).astype(np.float64)
         inv = 1.0 / np.maximum(deg, 1.0)
         return self.lin(segment_sum(plan, h) * inv[:, None])
@@ -84,13 +111,14 @@ class GcnConv(nn.Module):
 class GatConv(nn.Module):
     """Attention over each target's {self} + in-neighbors.
 
-    The per-entry logits are 1-D composed ops; their softmax α over each
-    row of the plan is ``tensor.segment_softmax``. The aggregation is one
-    ``tensor.segment_sum`` with weights α over the stack ``[lin_t(h);
-    lin_s(h)]``: each target's row adds its in-neighbors' ``lin_t`` rows in
-    edge order, then its own ``lin_s`` row, the float operations of summing
-    ``concat([vals_t[src], vals_s]) * α`` by target. The node keeps N x h
-    arrays and α, no (E + N) x h array."""
+    The per-entry logits of the structure's ``gat_plan`` gather by the
+    plan and its transpose; their softmax α over each row is
+    ``tensor.segment_softmax``. The aggregation is one ``tensor.segment_sum``
+    with weights α over the stack ``[lin_t(h); lin_s(h)]``: each target's
+    row adds its in-neighbors' ``lin_t`` rows in edge order, then its own
+    ``lin_s`` row, the float operations of summing ``concat([vals_t[src],
+    vals_s]) * α`` by target. The node keeps N x h arrays and α, no (E + N)
+    x h array."""
 
     def __init__(self, hdim, rng):
         self.lin_s = nn.Linear(hdim, hdim, rng)
@@ -100,36 +128,29 @@ class GatConv(nn.Module):
         self.att_t = Tensor(rng.normal(0.0, 1.0 / np.sqrt(hdim), size=(hdim, 1)),
                             requires_grad=True)
 
-    @staticmethod
-    def plan(edges: np.ndarray, n: int) -> SparsePlan:
-        """The aggregation plan of ``edges`` over ``n`` nodes, each
-        target's self entry last in its row."""
-        return edge_plan(edges, n, self_loops=True)
-
     def _alpha(self, h: Tensor, plan: SparsePlan):
         """``(alpha, vals_s, vals_t)``: the attention weights in plan entry
         order (the edges, then each node's self entry) and the two maps."""
-        n = h.data.shape[0]
         vals_s = self.lin_s(h)
         vals_t = self.lin_t(h)
         # row-wise sums rather than an N x 1 matmul, whose BLAS rounding
         # depends on the row's offset in a merged batch
         score_s = (vals_s * self.att_s.reshape(1, -1)).sum(axis=1)
         score_t = (vals_t * self.att_t.reshape(1, -1)).sum(axis=1)
-        nedges = plan.rows.size - n
-        src, tgt = plan.cols[:nedges], plan.rows[:nedges]
-        logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),
-                         score_s + score_t], axis=0).leaky_relu()
-        return segment_softmax(logits, plan), vals_s, vals_t
+        # a self entry's column s' + i reads score_t[i] from the stack
+        logits = (score_s.gather_rows(plan)
+                  + concat([score_t, score_t], axis=0).gather_rows(plan.T))
+        return segment_softmax(logits.leaky_relu(), plan), vals_s, vals_t
 
-    def __call__(self, h: Tensor, plan: SparsePlan) -> Tensor:
+    def __call__(self, h: Tensor, structure: Structure) -> Tensor:
+        plan = structure.gat_plan
         alpha, vals_s, vals_t = self._alpha(h, plan)
         return segment_sum(plan, concat([vals_t, vals_s], axis=0), alpha)
 
-    def attention(self, h: Tensor, plan: SparsePlan) -> np.ndarray:
+    def attention(self, h: Tensor, structure: Structure) -> np.ndarray:
         """Edge attention weights (in edge order), no grad."""
-        alpha, _, _ = self._alpha(h, plan)
-        return alpha.data[: plan.rows.size - h.data.shape[0]].copy()
+        alpha, _, _ = self._alpha(h, structure.gat_plan)
+        return alpha.data[: structure.edges.shape[0]].copy()
 
 
 class _PointMessage(nn.Module):
@@ -140,8 +161,9 @@ class _PointMessage(nn.Module):
 
     ``lin_pair`` maps the 2h-wide pair [coarse || node] (``coarse_first``)
     or [node || coarse]. Its coarse half runs on the coarse rows and is
-    gathered onto the nodes afterwards, which equals gathering first and
-    multiplying the concatenated pair up to summation order.
+    gathered by ``members`` afterwards, which equals gathering first and
+    multiplying the concatenated pair up to summation order. Its weight's
+    halves are gathers by the plans ``halves``.
 
     The encodings are the MLP's input blocks, so the MLP runs as one graph
     node (``tensor.mlp``): the pair encoding is a tensor block, and the
@@ -157,15 +179,17 @@ class _PointMessage(nn.Module):
         self.lin_rel = nn.Linear(d, hdim, rng, bias=False)
         self.lin_dist = nn.Linear(1, hdim, rng, bias=False)
         self.mlp = nn.MLP([3 * hdim, hdim, hdim], rng)
+        half = np.arange(hdim)
+        self.halves = tuple(SparsePlan(rows, half, (2 * hdim, hdim))
+                            for rows in (half, hdim + half))
 
-    def __call__(self, h: Tensor, h_coarse: Tensor, cluster_of: np.ndarray,
+    def __call__(self, h: Tensor, h_coarse: Tensor, members: SparsePlan,
                  coarse_first: bool, rel: np.ndarray, dist: np.ndarray) -> Tensor:
-        hdim = h.data.shape[1]
-        first, second = np.arange(hdim), np.arange(hdim, 2 * hdim)
-        coarse_rows, node_rows = (first, second) if coarse_first else (second, first)
+        first, second = self.halves
+        coarse_half, node_half = (first, second) if coarse_first else (second, first)
         weight = self.lin_pair.weight
-        pair = (h @ weight.gather_rows(node_rows)
-                + (h_coarse @ weight.gather_rows(coarse_rows)).gather_rows(cluster_of))
+        pair = (h @ weight.gather_rows(node_half)
+                + (h_coarse @ weight.gather_rows(coarse_half)).gather_rows(members))
         return self.mlp([pair, (rel, self.lin_rel.weight),
                          (dist, self.lin_dist.weight)])
 
@@ -186,12 +210,12 @@ class DmpLayer(nn.Module):
 
     def coarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
                 members: SparsePlan) -> Tensor:
-        msg = self.coarsen_msg(h, h_coarse, members.rows, True, rel, dist)
+        msg = self.coarsen_msg(h, h_coarse, members, True, rel, dist)
         return segment_sum(members, msg)
 
     def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
                   members: SparsePlan) -> Tensor:
-        spread = self.uncoarsen_msg(h, h_coarse, members.rows, False, -rel, dist)
+        spread = self.uncoarsen_msg(h, h_coarse, members, False, -rel, dist)
         lam = self.gate([h, spread]).sigmoid()
         return self.combine(lam * h + (1.0 - lam) * spread)
 
@@ -218,15 +242,11 @@ class DmpModel(nn.Module):
 
     def forward_core(self, inputs: np.ndarray, positions: np.ndarray,
                      structure: Structure) -> Tensor:
-        """Shared forward over a prebuilt coarse structure."""
-        cluster_of = structure.cluster_of
-        nclusters, n = structure.coarse_positions.shape[0], cluster_of.size
-        # one cluster incidence and one aggregation plan, shared by every
-        # layer and the backward
-        members = SparsePlan(cluster_of, np.arange(n), (nclusters, n))
-        plan = self.blocks[0].mp.plan(structure.edges, nclusters)
+        """Shared forward over a prebuilt coarse structure, whose plans
+        every layer and the backward share."""
+        members = structure.members
         counts = np.maximum(np.diff(members.indptr), 1.0)[:, None]
-        rel = structure.coarse_positions[cluster_of] - positions
+        rel = structure.coarse_positions[structure.cluster_of] - positions
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
         h = self.lift(Tensor(inputs))
         # layer 0 lifts the member means of the inputs; later layers re-seed
@@ -236,7 +256,7 @@ class DmpModel(nn.Module):
             if k > 0:
                 h_coarse = segment_sum(members, h) * (1.0 / counts)
             h_coarse = block.coarsen(h, h_coarse, rel, dist, members)
-            h_coarse = block.mp(h_coarse, plan)
+            h_coarse = block.mp(h_coarse, structure)
             h = block.uncoarsen(h, h_coarse, rel, dist, members)
         return self.project(h)
 
@@ -256,10 +276,8 @@ class FlatGat(nn.Module):
                      structure: Structure) -> Tensor:
         """Lift, attend over ``structure.edges`` (node ids under one-to-one
         clusters), project; ``positions`` is unused."""
-        plan = self.conv.plan(structure.edges, inputs.shape[0])
-        return self.project(self.conv(self.lift(Tensor(inputs)), plan))
+        return self.project(self.conv(self.lift(Tensor(inputs)), structure))
 
-    def attention(self, inputs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    def attention(self, inputs: np.ndarray, structure: Structure) -> np.ndarray:
         with no_grad():
-            return self.conv.attention(self.lift(Tensor(inputs)),
-                                       self.conv.plan(edges, inputs.shape[0]))
+            return self.conv.attention(self.lift(Tensor(inputs)), structure)

@@ -461,7 +461,7 @@ def attention_study(model: FlatGat, graphs, bins=10,
             z_t = interpolate(z0, g.positions, t, "cfm", int(rng.integers(2**32)))
             edges = build_fully_connected_edges(g.n_nodes)
             _, inputs, _ = _part(g, z_t, t, "positions")
-            alpha = model.attention(inputs, edges)
+            alpha = model.attention(inputs, Structure(np.arange(g.n_nodes), z_t, edges))
             rel = z_t[edges[:, 0]] - z_t[edges[:, 1]]
             dists = np.sqrt(np.einsum("ij,ij->i", rel, rel))
             collected[t][0].append(dists)

@@ -49,22 +49,22 @@ input, the pair encodings and every hidden output (recompute as in Chen
 et al. 2016, from what batch norm keeps anyway as in Rota Bulò et al.
 2018).
 
-Every scatter is a product with a ``SparsePlan``, a sparse matrix given by
-its (row, column) entries that builds its CSR layout once and keeps it.
-``segment_sum``, one node per call, sums the rows of ``x`` into the plan's
-rows, each entry scaled by its weight or not; the ``gather_rows`` backward
-and the two sums of ``segment_softmax`` multiply by a plan's matrix too.
-``edge_plan`` builds the plan of an edge list (one row per target,
-optionally a self entry last) and ``dmp`` the cluster incidence (one row
-per cluster), each once per forward; every product and backward that uses
-a plan shares its layout and that of its transpose, each built once. Rows
-add their entries in entry order from 0.0, the float additions of
-``numpy.add.at``, so every sum is its bytes, and a weighted product and its
-gradients are the bytes of the gather, scale and ``numpy.add.at`` chain it
-replaces, without that chain's arrays of one row per entry (Fey & Lenssen
-2019 aggregate by a sparse-dense product in the same way). Ids outside a
-plan's shape, or outside the rows ``gather_rows`` selects from, raise
-ValueError instead of wrapping around.
+Every gather and scatter goes through a ``SparsePlan``, a sparse matrix
+given by its (row, column) entries that builds its CSR layout once and
+keeps it. ``segment_sum``, one node per call, sums the rows of ``x`` into
+the plan's rows, each entry scaled by its weight or not; ``gather_rows``
+picks row ``rows[j]`` for entry j and adds its gradient back by the plan's
+scatter matrix; the two sums of ``segment_softmax`` multiply by a plan's
+matrix too. No op builds a plan: the plans' owner builds each once
+(``dmp.Structure`` those of a forward pass), and every product and
+backward that uses a plan shares its layout and that of its transpose,
+each built once. Rows add their entries in entry order from 0.0, the
+float additions of ``numpy.add.at``, so every sum is its bytes, and a
+weighted product and its gradients are the bytes of the gather, scale and
+``numpy.add.at`` chain it replaces, without that chain's arrays of one row
+per entry (Fey & Lenssen 2019 aggregate by a sparse-dense product in the
+same way). Ids outside a plan's shape raise ValueError instead of wrapping
+around.
 """
 
 from __future__ import annotations
@@ -105,21 +105,21 @@ def _check_ids(ids, n):
 
 
 class SparsePlan:
-    """The sparse matrix A of ``segment_sum``, given by its entries: entry
-    j puts a weight at ``(rows[j], cols[j])`` of the ``shape[0] x
-    shape[1]`` matrix. Ids outside the shape raise ValueError naming the
-    first one.
+    """The sparse matrix A of ``segment_sum`` and ``gather_rows``, given by
+    its entries: entry j puts a weight at ``(rows[j], cols[j])`` of the
+    ``shape[0] x shape[1]`` matrix. Ids outside the shape raise ValueError
+    naming the first one.
 
-    Built once, a plan serves any number of products, with unit weights or
-    per-entry weights. It builds A's CSR layout (``indptr``, each row's
-    entries in entry order, and their column ids) on first use and keeps
-    it, and its unit-weight matrix once built. ``T`` is the plan of A's
-    transpose (each column's entries in entry order); ``segment_sum``'s
-    backward holds ``T`` alone, so A's layout goes with the plan once the
-    forward drops it, and the first backward builds ``T``'s.
+    Built once, a plan serves any number of products and gathers. It
+    builds A's CSR layout (``indptr``, each row's entries in entry order,
+    and their column ids) on first use and keeps it, and its unit-weight
+    and scatter matrices once built. ``T`` is the plan of A's transpose
+    (each column's entries in entry order); ``segment_sum``'s backward
+    holds ``T`` alone, so A's layout goes with the plan once the forward
+    drops it, and the first backward builds ``T``'s.
     """
 
-    __slots__ = ("rows", "cols", "shape", "_layout", "_unit", "_transpose")
+    __slots__ = ("rows", "cols", "shape", "_layout", "_unit", "_scatter", "_transpose")
 
     def __init__(self, rows, cols, shape):
         self.rows = np.asarray(rows, dtype=np.intp)
@@ -130,7 +130,7 @@ class SparsePlan:
         self.shape = (int(shape[0]), int(shape[1]))
         _check_ids(self.rows, self.shape[0])
         _check_ids(self.cols, self.shape[1])
-        self._layout = self._unit = self._transpose = None
+        self._layout = self._unit = self._scatter = self._transpose = None
 
     def _csr(self):
         """``(indptr, order, column ids)`` of A's CSR form."""
@@ -166,27 +166,16 @@ class SparsePlan:
                                           shape=self.shape)
         return self._unit
 
+    def scatter(self):
+        """The unit CSR matrix with entry j at ``(rows[j], j)``: it adds a
+        gather's gradient rows onto rows ``rows``, in entry order."""
+        if self._scatter is None:
+            from scipy import sparse
 
-def edge_plan(edges, n, self_loops=False) -> SparsePlan:
-    """The plan that sums messages along ``edges``, an E x 2 array of
-    (source, target) ids in ``[0, n)``: one row per target, holding its
-    in-edges in edge order, each the column of its source. With
-    ``self_loops`` the columns span ``2n`` rows, a stack of the sources'
-    rows and the targets' own, and each target's row ends with itself,
-    column ``n + target``. Names a malformed ``edges`` or the first id
-    outside ``[0, n)``."""
-    edges = np.asarray(edges)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"edges must be an E x 2 array of (source, target) "
-                         f"ids, got shape {edges.shape}")
-    edges = edges.astype(np.intp, copy=False)
-    _check_ids(edges, n)
-    src, tgt = edges[:, 0], edges[:, 1]
-    if not self_loops:
-        return SparsePlan(tgt, src, (n, n))
-    self_ids = np.arange(n, dtype=np.intp)
-    return SparsePlan(np.concatenate([tgt, self_ids]),
-                      np.concatenate([src, n + self_ids]), (n, 2 * n))
+            indptr, order, _ = self._csr()
+            self._scatter = sparse.csr_array((np.ones(order.size), order, indptr),
+                                             shape=(self.shape[0], order.size))
+        return self._scatter
 
 
 # glibc mallopt parameters: serve arrays up to 32 MiB from the heap, never
@@ -420,16 +409,6 @@ class Tensor:
 
         return _result(self.data / other.data, (a, b), bwd)
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents supported")
-        a, x = self._node, self.data
-
-        def bwd(g):
-            a.accum(g * p * x ** (p - 1), fresh=True)
-
-        return _result(x**p, (a,), bwd)
-
     def __matmul__(self, other):
         other = Tensor._lift(other)
         a, b = self._node, other._node
@@ -468,19 +447,21 @@ class Tensor:
 
         return _result(self.data.reshape(*shape), (a,), bwd)
 
-    def gather_rows(self, idx):
-        """Select rows by integer index; duplicates scatter-add on backward."""
-        idx = np.asarray(idx, dtype=np.intp)
-        a = self._node
-        n, tail = self.data.shape[0], self.data.shape[1:]
-        _check_ids(idx, n)
+    def gather_rows(self, plan: SparsePlan):
+        """Row j of the output is row ``plan.rows[j]``, of ``plan.shape[0]``
+        rows; the backward adds the gradient back by ``plan.scatter()``, so
+        duplicates sum in entry order."""
+        a, shape = self._node, self.data.shape
+        if shape[:1] != plan.shape[:1]:
+            raise ValueError(f"gather_rows over a plan of {plan.shape[0]} rows "
+                             f"needs {plan.shape[0]} rows, got shape {shape}")
+        width = math.prod(shape[1:])
 
         def bwd(g):
-            scatter = SparsePlan(idx.ravel(), np.arange(idx.size), (n, idx.size))
-            g = g.reshape(idx.size, math.prod(tail))
-            a.accum((scatter.matrix() @ g).reshape((n,) + tail), fresh=True)
+            g = g.reshape(plan.rows.size, width)
+            a.accum((plan.scatter() @ g).reshape(shape), fresh=True)
 
-        return _result(self.data[idx], (a,), bwd)
+        return _result(self.data[plan.rows], (a,), bwd)
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities

@@ -1,6 +1,6 @@
-"""Graphs, a batch-of-one forward, ``StructureCache`` subclasses and the
-id-based segment sum of the reference chains, shared by the DMP, engine,
-tensor and acceptance tests."""
+"""Graphs, structures, a batch-of-one forward, ``StructureCache``
+subclasses and the id-based gathers and segment sums of the reference
+chains, shared by the DMP, engine, tensor and acceptance tests."""
 
 import numpy as np
 
@@ -19,7 +19,7 @@ def random_graph(n, d=2, f=3, seed=0):
 def segments(ids, n):
     """The plan that puts entry j in row ``ids[j]`` of ``n`` rows, column j:
     ``segment_sum`` over it sums values by id, ``segment_softmax``
-    normalizes logits by id."""
+    normalizes logits by id, and ``x.gather_rows`` over it is ``x[ids]``."""
     ids = np.asarray(ids)
     return SparsePlan(ids, np.arange(ids.size), (n, ids.size))
 
@@ -27,6 +27,12 @@ def segments(ids, n):
 def segment_sum_by_ids(values, ids, n):
     """Sum the rows of ``values`` into ``n`` segments by ``ids``."""
     return segment_sum(segments(ids, n), values)
+
+
+def one_to_one(edges, n):
+    """The ``Structure`` of ``n`` one-to-one clusters at the origin, joined
+    by ``edges``: the plans a conv reads."""
+    return Structure(np.arange(n), np.zeros((n, 1)), edges)
 
 
 def forward(model, g, t, method="dmp", k=8, seed=0, cache=None):

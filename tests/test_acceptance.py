@@ -82,7 +82,8 @@ def test_full_gradient_suite(mp_kind):
 
     def loss_value():
         out = forward(model, g, 0.5, cache=cache)
-        return ((out - target) ** 2).mean()
+        diff = out - target
+        return (diff * diff).mean()
 
     params = model.parameters()
     loss_value().backward()

@@ -14,7 +14,8 @@ from ncgn.graphs import (GeometricGraph, build_fully_connected_edges,
                          build_knn_edges, build_long_short_edges)
 from ncgn.tensor import Tensor, concat, no_grad, segment_softmax, segment_sum
 from structure_helpers import (RecordingCache, SingletonCache, forward,
-                               random_graph, segment_sum_by_ids, segments)
+                               one_to_one, random_graph, segment_sum_by_ids,
+                               segments)
 
 
 def test_node_input_width_and_t_column():
@@ -37,7 +38,7 @@ def test_gcn_hand_example():
     conv = GcnConv(2, rng)
     assert conv.lin.bias is None
     h = Tensor(np.array([[1.0, 2.0], [5.0, 5.0]]))
-    out = conv(h, conv.plan(np.array([[0, 1]]), 2))
+    out = conv(h, one_to_one(np.array([[0, 1]]), 2))
     np.testing.assert_array_equal(out.data[0], 0.0)
     np.testing.assert_allclose(out.data[1], h.data[0] @ conv.lin.weight.data,
                                atol=1e-12)
@@ -47,7 +48,7 @@ def test_gcn_mean_aggregation():
     rng = np.random.default_rng(1)
     conv = GcnConv(2, rng)
     h = Tensor(np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]]))
-    out = conv(h, conv.plan(np.array([[0, 2], [1, 2]]), 3))
+    out = conv(h, one_to_one(np.array([[0, 2], [1, 2]]), 3))
     np.testing.assert_array_equal(out.data[:2], 0.0)
     np.testing.assert_allclose(out.data[2],
                                np.array([1.0, 2.0]) @ conv.lin.weight.data,
@@ -59,7 +60,7 @@ def test_gat_weights_sum_to_one():
     conv = GatConv(4, rng)
     h = Tensor(rng.standard_normal((5, 4)))
     edges = build_fully_connected_edges(5)
-    alpha = conv.attention(h, conv.plan(edges, 5))
+    alpha = conv.attention(h, one_to_one(edges, 5))
     assert alpha.shape == (20,)
     # each target's weights plus its self weight sum to 1
     for tgt in range(5):
@@ -71,7 +72,7 @@ def test_gat_single_node_self_attention():
     rng = np.random.default_rng(3)
     conv = GatConv(3, rng)
     h = Tensor(rng.standard_normal((1, 3)))
-    out = conv(h, conv.plan(np.zeros((0, 2), dtype=np.intp), 1))
+    out = conv(h, one_to_one(np.zeros((0, 2), dtype=np.intp), 1))
     # softmax over only the self term: output is lin_s(h)
     np.testing.assert_allclose(out.data, conv.lin_s(h).data, atol=1e-12)
 
@@ -83,7 +84,7 @@ def test_gcn_no_edges_forward_and_backward():
     conv = GcnConv(3, rng)
     assert [k for k, _ in conv.named_parameters()] == ["lin.weight"]
     h = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    out = conv(h, conv.plan(np.zeros((0, 2), dtype=np.intp), 4))
+    out = conv(h, one_to_one(np.zeros((0, 2), dtype=np.intp), 4))
     np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
     out.sum().backward()
     np.testing.assert_array_equal(h.grad, np.zeros((4, 3)))
@@ -210,10 +211,10 @@ def test_dmp_stats_follow_schedule():
     assert hi["s_t"] == 64
 
 
-def concat_message(msg, h, h_coarse, cluster_of, coarse_first, rel, dist):
+def concat_message(msg, h, h_coarse, members, coarse_first, rel, dist):
     """The point message with ``lin_pair`` applied to the gathered,
     concatenated pair: the reference for the coarse-row split."""
-    gathered = h_coarse.gather_rows(cluster_of)
+    gathered = h_coarse.gather_rows(members)
     pair = msg.lin_pair(concat([gathered, h] if coarse_first else [h, gathered],
                                axis=1))
     enc = concat([pair, msg.lin_rel(Tensor(rel)), msg.lin_dist(Tensor(dist))],
@@ -228,7 +229,7 @@ def test_split_lin_pair_matches_concat(coarse_first):
     msg = _PointMessage(hdim, 2, rng)
     h0 = rng.standard_normal((n, hdim))
     coarse0 = rng.standard_normal((nclusters, hdim))
-    cluster_of = rng.integers(0, nclusters, n)
+    members = segments(rng.integers(0, nclusters, n), nclusters)
     rel = rng.standard_normal((n, 2))
     dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
     upstream = rng.standard_normal((n, hdim))
@@ -236,7 +237,7 @@ def test_split_lin_pair_matches_concat(coarse_first):
     for build in (msg, lambda *args: concat_message(msg, *args)):
         h = Tensor(h0.copy(), requires_grad=True)
         h_coarse = Tensor(coarse0.copy(), requires_grad=True)
-        out = build(h, h_coarse, cluster_of, coarse_first, rel, dist)
+        out = build(h, h_coarse, members, coarse_first, rel, dist)
         params = [h, h_coarse] + msg.parameters()
         for p in params:
             p.grad = None
@@ -276,10 +277,10 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
     h_coarse = Tensor(rng.standard_normal((nclusters, hdim)), requires_grad=True)
     rel = rng.standard_normal((n, 2))
     dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
-    cluster_of = rng.integers(0, nclusters, n)
+    members = segments(rng.integers(0, nclusters, n), nclusters)
     monkeypatch.setattr(Tensor, "__matmul__", recording_matmul)
     monkeypatch.setattr(np, "concatenate", recording_concatenate)
-    out = msg(h, h_coarse, cluster_of, coarse_first, rel, dist)
+    out = msg(h, h_coarse, members, coarse_first, rel, dist)
     monkeypatch.undo()
     assert len(values) == 5 and len(pairs) == 1
     assert [value() for value in values] == [None] * 5
@@ -308,7 +309,8 @@ def test_every_parameter_gets_a_gradient(name):
     out = merged_forward(model, parts, StructureCache(config))
     target = rng.standard_normal(out.data.shape)
     named = model.named_parameters()
-    ((out - target) ** 2).mean().backward()
+    diff = out - target
+    (diff * diff).mean().backward()
     peak = {k: np.abs(p.grad).max() for k, p in named}
     largest = max(peak.values())
     assert [k for k, v in peak.items() if v <= 1e-8 * largest] == []
@@ -323,7 +325,7 @@ def test_flat_gat_shapes_and_attention():
     structure = Structure(np.arange(6), positions, edges)
     out = net.forward_core(inputs, positions, structure)
     assert out.data.shape == (6, 2)
-    alpha = net.attention(inputs, edges)
+    alpha = net.attention(inputs, structure)
     assert alpha.shape == (edges.shape[0],)
     assert (alpha > 0).all() and (alpha < 1).all()
 
@@ -339,7 +341,7 @@ def composed_gcn(conv, h, edges):
     """``GcnConv`` as the gather/scatter chain its sparse product replaced."""
     n = h.data.shape[0]
     src, tgt = edges[:, 0], edges[:, 1]
-    summed = segment_sum_by_ids(h.gather_rows(src), tgt, n)
+    summed = segment_sum_by_ids(h.gather_rows(segments(src, n)), tgt, n)
     deg = np.bincount(tgt, minlength=n).astype(np.float64)
     return conv.lin(summed * (1.0 / np.maximum(deg, 1.0))[:, None])
 
@@ -349,7 +351,7 @@ def composed_gat_product(vals_t, vals_s, alpha, edges):
     the (E + N) x h values, scaled by alpha, summed onto the targets."""
     n = vals_s.data.shape[0]
     seg = np.concatenate([edges[:, 1], np.arange(n)])
-    values = concat([vals_t.gather_rows(edges[:, 0]), vals_s], axis=0)
+    values = concat([vals_t.gather_rows(segments(edges[:, 0], n)), vals_s], axis=0)
     return segment_sum_by_ids(values * alpha.reshape(-1, 1), seg, n)
 
 
@@ -360,7 +362,8 @@ def composed_gat(conv, h, edges):
     score_s = (vals_s * conv.att_s.reshape(1, -1)).sum(axis=1)
     score_t = (vals_t * conv.att_t.reshape(1, -1)).sum(axis=1)
     src, tgt = edges[:, 0], edges[:, 1]
-    logits = concat([score_s.gather_rows(tgt) + score_t.gather_rows(src),
+    logits = concat([score_s.gather_rows(segments(tgt, n))
+                     + score_t.gather_rows(segments(src, n)),
                      score_s + score_t], axis=0).leaky_relu()
     alpha = segment_softmax(logits, segments(np.concatenate([tgt, np.arange(n)]), n))
     return composed_gat_product(vals_t, vals_s, alpha, edges), alpha
@@ -417,7 +420,7 @@ def test_conv_matches_the_composed_chain_bytes(mp_kind, structure):
     composed = composed_gcn if mp_kind == "gcn" else \
         (lambda c, h, e: composed_gat(c, h, e)[0])
     results = []
-    for run in (lambda h: conv(h, conv.plan(edges, n)),
+    for run in (lambda h: conv(h, one_to_one(edges, n)),
                 lambda h: composed(conv, h, edges)):
         h = Tensor(h0.copy(), requires_grad=True)
         for p in conv.parameters():
@@ -438,7 +441,7 @@ def test_gat_product_matches_the_composed_chain_bytes(structure):
     leaves = [scaled_normal(rng, (n, 16)), scaled_normal(rng, (n, 16)),
               rng.uniform(0.0, 1.0, edges.shape[0] + n)]
     upstream = scaled_normal(rng, (n, 16))
-    plan = GatConv.plan(edges, n)
+    plan = one_to_one(edges, n).gat_plan
     results = []
     for run in (lambda vt, vs, a: segment_sum(plan, concat([vt, vs], axis=0), a),
                 lambda vt, vs, a: composed_gat_product(vt, vs, a, edges)):
@@ -457,7 +460,7 @@ def test_attention_weights_are_the_composed_bytes(structure):
     conv = GatConv(8, rng)
     h = Tensor(rng.standard_normal((n, 8)))
     _, alpha = composed_gat(conv, h, edges)
-    assert_same_bytes(conv.attention(h, conv.plan(edges, n)),
+    assert_same_bytes(conv.attention(h, one_to_one(edges, n)),
                       alpha.data[:edges.shape[0]])
 
 
@@ -469,7 +472,8 @@ def test_flat_gat_attention_is_the_composed_bytes():
     net = FlatGat(d_in=5, odim=2, hdim=8, seed=3)
     with no_grad():
         _, alpha = composed_gat(net.conv, net.lift(Tensor(inputs)), edges)
-    assert_same_bytes(net.attention(inputs, edges), alpha.data[:edges.shape[0]])
+    assert_same_bytes(net.attention(inputs, one_to_one(edges, 11)),
+                      alpha.data[:edges.shape[0]])
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])
@@ -484,11 +488,12 @@ def test_conv_forward_allocates_no_per_entry_rows(mp_kind):
     rng = np.random.default_rng(13)
     conv = (GcnConv if mp_kind == "gcn" else GatConv)(hdim, rng)
     h = Tensor(rng.standard_normal((n, hdim)), requires_grad=True)
-    plan = conv.plan(edges, n)
+    structure = one_to_one(edges, n)
+    getattr(structure, f"{mp_kind}_plan")  # the owner's, built before
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = conv(h, plan)
+        out = conv(h, structure)
         live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -500,14 +505,14 @@ def test_conv_forward_allocates_no_per_entry_rows(mp_kind):
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat", "flat_gat"])
 def test_forward_builds_one_plan(monkeypatch, mp_kind):
-    # every layer and the whole backward share one cluster incidence and one
-    # edge plan, each transposed once; the backward builds nothing but the
-    # throwaway (ids, arange) plans of gather_rows scatters
+    # a forward over a fresh structure builds its cluster incidence and its
+    # edge plan, each transposed once; every layer and the backward share
+    # them, and a second pass over the same structure builds none
     built = []
     init = tensor.SparsePlan.__init__
 
     def counting(plan, rows, cols, shape):
-        built.append((phase, tuple(shape), np.array_equal(cols, np.arange(len(cols)))))
+        built.append((phase, tuple(shape)))
         init(plan, rows, cols, shape)
 
     graph = random_graph(30, seed=4)
@@ -516,25 +521,21 @@ def test_forward_builds_one_plan(monkeypatch, mp_kind):
     else:
         model, method = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=3,
                                  mp_kind=mp_kind, seed=0), "dmp"
-    cache = StructureCache(TrainConfig(method=method))
-    forward(model, graph, 0.4, cache=cache)  # builds the cached structure
-    structure = cache(graph.positions, 0.4)
+    structure = StructureCache(TrainConfig(method=method))(graph.positions, 0.4)
+    inputs = node_input(graph.features, graph.positions, 0.4)
     n, nclusters = 30, structure.coarse_positions.shape[0]
     edge_shape = (nclusters, nclusters if mp_kind == "gcn" else 2 * nclusters)
     monkeypatch.setattr(tensor.SparsePlan, "__init__", counting)
-    phase = "forward"
-    out = forward(model, graph, 0.4, cache=cache)
-    phase = "backward"
-    out.sum().backward()
-    # the plans and their transposes come from the forward, counted by
-    # shape; the backward's scatters may share a shape with them
+    for phase in ("forward", "again"):
+        out = model.forward_core(inputs, graph.positions, structure)
+        phase += " backward"
+        out.sum().backward()
     expect = [edge_shape, edge_shape[::-1]]
     if mp_kind != "flat_gat":
         assert nclusters < n
         expect += [(nclusters, n), (n, nclusters)]
-    assert sorted(shape for p, shape, _ in built if p == "forward") == sorted(expect)
-    backward = [scatter for p, _, scatter in built if p == "backward"]
-    assert backward and all(backward)
+    assert sorted(shape for p, shape in built if p == "forward") == sorted(expect)
+    assert [p for p, _ in built if p != "forward"] == []
 
 
 @pytest.mark.parametrize("mp_kind", ["gcn", "gat"])

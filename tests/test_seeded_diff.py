@@ -151,3 +151,44 @@ def test_scale_and_integers_come_from_the_tokens_not_the_counts(tmp_path, capsys
     assert capsys.readouterr().out.splitlines() == [
         "g.graph: layout differs: integers differ at 1 token(s), first 100 in "
         "OLD, 101 in NEW", "0 of 1 files byte-identical"]
+
+
+def test_digest_check_names_moved_missing_and_extra_files(tmp_path, capsys):
+    script = load_script()
+    write_tree(tmp_path / "old", 1.0, 1.0)
+    record = script.digests(tmp_path / "old")
+    header, *rows = record.splitlines()
+    assert header == script.environment()
+    assert [row.split("  ")[1] for row in rows] == [
+        "run/a.graph", "run/loss.csv", "run/model.ckpt", "run/notes.txt"]
+    assert script.check(record, tmp_path / "old") == 0
+    assert capsys.readouterr().out == "0 of 4 files differ from the record\n"
+    # one bit of one value, a dropped file and a new one; config.resolved
+    # records the output paths and is no output
+    write_tree(tmp_path / "new", float(np.nextafter(1.0, 2.0)), 1.0)
+    (tmp_path / "new" / "run" / "notes.txt").unlink()
+    (tmp_path / "new" / "run" / "extra.csv").write_text("x\n1\n")
+    (tmp_path / "new" / "run" / "config.resolved").write_text("out_dir=elsewhere\n")
+    assert script.check(record, tmp_path / "new") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "run/extra.csv: extra", "run/loss.csv: differs", "run/notes.txt: missing",
+        "3 of 5 files differ from the record"]
+
+
+def test_digest_check_reports_another_environment_as_such(tmp_path, capsys):
+    script = load_script()
+    write_tree(tmp_path / "old", 1.0, 1.0)
+    record = script.digests(tmp_path / "old")
+    ours = script.environment()
+    theirs = ours.replace(f"numpy={np.__version__}", "numpy=0.0.1")
+    assert script.check(record.replace(ours, theirs), tmp_path / "old") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"environment differs: numpy 0.0.1 in the record, {np.__version__} here",
+        "0 of 4 files differ from the record, which was made in another "
+        "environment"]
+    write_tree(tmp_path / "new", 2.0, 1.0)
+    assert script.check(record.replace(ours, theirs), tmp_path / "new") == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "run/loss.csv: differs",
+        "1 of 4 files differ from the record, which was made in another "
+        "environment"]

@@ -14,13 +14,12 @@ from ncgn.tensor import (
     Tensor,
     _unbroadcast,
     concat,
-    edge_plan,
     mlp,
     no_grad,
     segment_softmax,
     segment_sum,
 )
-from structure_helpers import segment_sum_by_ids, segments
+from structure_helpers import one_to_one, segment_sum_by_ids, segments
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -54,7 +53,7 @@ def check_op(build, shape, seed=0, tol=1e-6):
     lambda t: (t + 2.0).mean(),
     lambda t: (t - 0.3).sum(),
     lambda t: (t / 2.5).sum(),
-    lambda t: (t**3).sum(),
+    lambda t: (t * t * t).sum(),
     lambda t: t.sigmoid().sum(),
     lambda t: t.gelu().sum(),
     lambda t: t.reshape(-1).sum(),
@@ -78,13 +77,15 @@ def test_matmul_grad():
     rng = np.random.default_rng(1)
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    ((a @ b) ** 2).sum().backward()
+    prod = a @ b
+    (prod * prod).sum().backward()
     for t in (a, b):
         other = b if t is a else a
         def fn(arr):
             lhs = Tensor(arr) if t is a else Tensor(a.data)
             rhs = Tensor(b.data) if t is a else Tensor(arr)
-            return float(((lhs @ rhs) ** 2).sum().data)
+            prod = lhs @ rhs
+            return float((prod * prod).sum().data)
         fd = finite_diff(fn, t.data.copy())
         np.testing.assert_allclose(t.grad, fd, rtol=1e-5, atol=1e-8)
 
@@ -105,7 +106,7 @@ def test_broadcast_grads():
 def test_gather_rows_scatter_add():
     t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     idx = np.array([0, 2, 0, 1])
-    out = t.gather_rows(idx)
+    out = t.gather_rows(segments(idx, 3))
     np.testing.assert_array_equal(out.data, t.data[idx])
     out.sum().backward()
     np.testing.assert_array_equal(t.grad, [[2.0, 2.0], [1.0, 1.0], [1.0, 1.0]])
@@ -221,7 +222,7 @@ SAVED_INPUTS = {
     "+": (lambda a, b: a + b, False),
     "-": (lambda a, b: a - b, False),
     "concat": (lambda a, b: concat([a, b]), False),
-    "gather_rows": (lambda a, b: a.gather_rows([2, 0, 2]), False),
+    "gather_rows": (lambda a, b: a.gather_rows(segments([2, 0, 2], 3)), False),
     # segment_sum over a plan of one entry per row of a, summing rows by id
     "segment_sum": (lambda a, b: segment_sum_by_ids(a, [1, 0, 1], 2), False),
     # segment_sum over a plan that gathers a row more than once: the sparse
@@ -432,7 +433,7 @@ def test_scatters_match_add_at_bytes(n_ids, n_seg, width, seed):
     assert_same_bytes(segment_sum_by_ids(Tensor(vals), ids, n_seg).data, expect)
 
     src = Tensor(rng.standard_normal((n_seg,) + shape[1:]), requires_grad=True)
-    out = src.gather_rows(ids)
+    out = src.gather_rows(segments(ids, n_seg))
     (out * vals).sum().backward()
     assert_same_bytes(src.grad, expect)
 
@@ -453,16 +454,35 @@ def test_scatters_match_add_at_bytes(n_ids, n_seg, width, seed):
     assert_same_bytes(out.data, weights)
     assert_same_bytes(logits.grad, weights * (upstream - dot[ids]))
 
+    # gathers over plans whose columns are not arange: a GAT plan (edges
+    # with repeats, each row ending with its self entry) and its transpose,
+    # whose source rows may be empty; the forward keeps -0.0
+    plan = one_to_one(rng.integers(0, n_seg, (n_ids, 2)), n_seg).gat_plan
+    for gather in (plan, plan.T):
+        rows = gather.rows
+        src0 = rng.standard_normal((gather.shape[0],) + shape[1:])
+        src0[::2] = -0.0
+        upstream = rng.standard_normal((rows.size,) + shape[1:]) \
+            * 10.0 ** rng.integers(-8, 8, (rows.size,) + shape[1:])
+        expect = np.zeros(src0.shape)
+        np.add.at(expect, rows, upstream)
+        src = Tensor(src0, requires_grad=True)
+        out = src.gather_rows(gather)
+        (out * upstream).sum().backward()
+        assert_same_bytes(out.data, src0[rows])
+        assert_same_bytes(src.grad, expect)
+
 
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_out_of_range_ids_rejected(bad):
-    # segment sums and softmaxes take plans, which check their ids when built
+    # gathers, segment sums and softmaxes take plans, which check their ids
+    # when built; a gather over a plan of other rows than the tensor's
+    # names both counts
     ids = np.array([0, 2, bad, -2])
-    match = rf"id {bad} outside \[0, 3\)"
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 3\)"):
         segments(ids, 3)
-    with pytest.raises(ValueError, match=match):
-        Tensor(np.ones((3, 2))).gather_rows(ids)
+    with pytest.raises(ValueError, match=r"plan of 4 rows needs 4 rows, got shape \(3, 2\)"):
+        Tensor(np.ones((3, 2))).gather_rows(segments([0, 2, 3], 4))
 
 
 def test_segment_softmax_needs_one_logit_per_plan_entry():
@@ -491,7 +511,7 @@ def composed_segment_sum(plan, x, weights=None):
     """A weighted ``segment_sum`` as the chain it replaces: gather each
     entry's row, scale it by its weight, sum the entries into their rows
     with unit weights."""
-    rows = x.gather_rows(plan.cols)
+    rows = x.gather_rows(segments(plan.cols, plan.shape[1]))
     if weights is not None:
         rows = rows * weights.reshape(-1, 1)
     return segment_sum_by_ids(rows, plan.rows, plan.shape[0])
@@ -594,28 +614,28 @@ def test_sparse_plan_rejects_ids_outside_its_shape(bad):
         SparsePlan([0, 1], [0, 1, 1], (2, 2))
 
 
-@pytest.mark.parametrize("self_loops", [False, True])
+@pytest.mark.parametrize("as_target", [False, True])
 @pytest.mark.parametrize("bad", [-1, 4, 5])
-def test_edge_plan_names_an_id_outside_the_nodes(self_loops, bad):
-    # with self loops the plan's columns span 2n, yet a source id must
-    # still lie in [0, n)
+def test_edge_plan_names_an_id_outside_the_nodes(as_target, bad):
+    # a Structure checks its edges once, when built: the GAT plan's columns
+    # span 2 s', yet a source id must still lie in [0, s')
     edges = np.array([[0, 1], [bad, 2], [3, 0]])
     with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 4\)"):
-        edge_plan(edges, 4, self_loops)
-    with pytest.raises(ValueError, match=rf"id {bad} outside \[0, 4\)"):
-        edge_plan(edges[:, ::-1], 4, self_loops)
+        one_to_one(edges[:, ::-1] if as_target else edges, 4)
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 2), (0,)])
 def test_edge_plan_names_edges_that_are_not_e_by_2(shape):
     edges = np.zeros(shape, dtype=np.intp)
     with pytest.raises(ValueError, match=rf"E x 2 .* got shape {re.escape(str(shape))}"):
-        edge_plan(edges, 4)
+        one_to_one(edges, 4)
 
 
 def test_edge_plan_rows_are_targets_in_edge_order_then_self():
     edges = np.array([[2, 1], [0, 1], [1, 0], [2, 0], [0, 2]])
-    plan = edge_plan(edges, 3, self_loops=True)
+    structure = one_to_one(edges, 3)
+    np.testing.assert_array_equal(structure.gcn_plan.indptr, [0, 2, 4, 5])
+    plan = structure.gat_plan
     dense = plan.matrix(np.arange(1.0, 9.0)).toarray()
     np.testing.assert_array_equal(plan.indptr, [0, 3, 6, 8])
     expect = np.zeros((3, 6))
