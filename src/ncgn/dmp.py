@@ -168,10 +168,11 @@ class _PointMessage(nn.Module):
     The encodings are the MLP's input blocks, so the MLP runs as one graph
     node (``tensor.mlp``): the pair encoding is a tensor block, and the
     position and distance encodings are ``(rel, lin_rel.weight)`` and
-    ``(dist, lin_dist.weight)`` pairs. The node keeps the pair encoding,
-    ``rel`` and ``dist``, not the two position encodings or the N x 3h
-    concatenation; its backward rebuilds those. ``lin_rel`` and
-    ``lin_dist`` only hold their weights.
+    ``(dist, lin_dist.weight)`` pairs. The MLP's first weight W multiplies
+    them block by block, ``pair @ W[:h] + rel @ (lin_rel.weight @ W[h:2h])
+    + dist @ (lin_dist.weight @ W[2h:])``, whose bytes the results are: no
+    position encoding or N x 3h concatenation is formed, forward or
+    backward. ``lin_rel`` and ``lin_dist`` only hold their weights.
     """
 
     def __init__(self, hdim, d, rng):

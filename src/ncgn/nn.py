@@ -68,7 +68,8 @@ class Module:
 
 def _blocks(x):
     """``x`` as a list of ``tensor.mlp`` input blocks: a list is the blocks
-    whose column concatenation is the input, a Tensor is the one block."""
+    whose column concatenation is the input (never formed: results are the
+    bytes of the block-wise product), a Tensor is the one block."""
     return x if isinstance(x, list) else [x]
 
 

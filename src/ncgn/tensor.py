@@ -40,14 +40,16 @@ arena). Processes that take no gradient keep the default allocator.
 One fused op, ``mlp``, runs a whole MLP as one node: every hidden layer
 is the matmul ``x @ w``, batch normalization and GELU, then the output
 linear ``x @ weight + bias``; an MLP with no hidden layer is a linear map.
-It runs the float operations of that per-layer chain in order, forward
-and backward, so every result is the chain's bytes; over batch statistics
-the normalization's backward is the closed form of Ioffe & Szegedy
-(2015). It keeps the input blocks' arrays and each hidden layer's
-normalized input and Gaussian CDF; its backward rebuilds the concatenated
-input, the pair encodings and every hidden output (recompute as in Chen
-et al. 2016, from what batch norm keeps anyway as in Rota Bulò et al.
-2018).
+Its input is given as blocks, and the first weight multiplies them block
+by block, summed in block order, so the concatenated input and the pair
+encodings are never formed. It runs the float operations of that
+block-wise per-layer chain in order, forward and backward, so every result
+is that chain's bytes, not those of concatenating the blocks first; over
+batch statistics the normalization's backward is the closed form of Ioffe
+& Szegedy (2015). It keeps the input blocks' arrays and each hidden
+layer's normalized input and Gaussian CDF; its backward rebuilds every
+hidden output (recompute as in Chen et al. 2016, from what batch norm
+keeps anyway as in Rota Bulò et al. 2018).
 
 Every gather and scatter goes through a ``SparsePlan``, a sparse matrix
 given by its (row, column) entries that builds its CSR layout once and
@@ -556,22 +558,26 @@ def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
     return gg
 
 
-def _mlp_input(parts):
-    """The column concatenation of ``parts``, ``(array, weight)`` pairs that
-    stand for ``array @ weight``, or for ``array`` when ``weight`` is None.
-    A lone array is returned as it is."""
-    arrays = [a if w is None else a @ w for a, w in parts]
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
+def _blocks_product(parts, w):
+    """A layer's input blocks times its weight ``w``: the sum, in order, of
+    ``array @ w[rows]`` over the ``(array, v, rows)`` triples of ``parts``,
+    or of ``array @ (v @ w[rows])`` for a pair (``v`` not None)."""
+    prods = (a @ w[rows] if v is None else a @ (v @ w[rows]) for a, v, rows in parts)
+    out = next(prods)
+    for prod in prods:
+        out += prod
+    return out
 
 
-def _hidden_forward(x, w, gamma, beta, eps, stats):
-    """One MLP hidden layer on arrays: ``(out, xhat, std, phi, mean, var)``,
-    where ``xhat, std, mean, var = _normalize(x @ w, eps, stats)``, ``phi``
-    is the Gaussian CDF of the pre-activation ``xhat * gamma + beta`` and
-    ``out`` is its GELU, the pre-activation times ``phi``."""
+def _hidden_forward(parts, w, gamma, beta, eps, stats):
+    """One MLP hidden layer on arrays, over the input blocks ``parts``:
+    ``(out, xhat, std, phi, mean, var)``, where ``xhat, std, mean, var =
+    _normalize(_blocks_product(parts, w), eps, stats)``, ``phi`` is the
+    Gaussian CDF of the pre-activation ``xhat * gamma + beta`` and ``out``
+    is its GELU, the pre-activation times ``phi``."""
     from scipy.special import erf
 
-    xhat, std, mean, var = _normalize(x @ w, eps, stats)
+    xhat, std, mean, var = _normalize(_blocks_product(parts, w), eps, stats)
     pre = xhat * gamma
     pre += beta
     phi = pre / SQRT2
@@ -607,45 +613,55 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     ``(out, moments)``, ``moments`` holding each hidden layer's ``(mean,
     var)`` as length-C arrays.
 
-    The input is the column concatenation of ``blocks``. A block is a
+    The input is the column concatenation of ``blocks``, whose widths must
+    add up to the first weight's rows (ValueError otherwise). A block is a
     Tensor, or an ``(array, w)`` pair of a constant array and a Tensor that
     stands for ``array @ w``. ``stats`` gives each hidden layer's
     normalization statistics: None (or a None entry) normalizes over the
     batch's rows, a ``(mean, var)`` pair of length-C arrays uses those
     (eval mode with running statistics).
 
-    Forward and backward run the float operations of the composed chain
-    (``concat`` of the blocks, then per hidden layer the matmul, batch
-    normalization and ``Tensor.gelu``, then the matmul and bias add) in the
-    same order, so every result is that chain's bytes. The node keeps the
-    blocks' arrays and each hidden layer's ``xhat``, ``std`` and Gaussian
-    CDF; its backward rebuilds the concatenated input, the pair products
-    and each hidden output (from its pre-activation ``xhat * gamma +
-    beta``, which that layer's backward reads anyway).
+    The first weight W (the first hidden layer's, or ``weight`` with no
+    hidden layer) multiplies the input block by block: ``x @ W[rows]`` for
+    a Tensor block, ``array @ (w @ W[rows])`` for a pair, summed in block
+    order. So neither the concatenation nor a pair's ``array @ w`` is
+    formed, forward or backward. Forward and backward run the float
+    operations of that chain of primitive ops (then per hidden layer batch
+    normalization, ``Tensor.gelu`` and the next matmul, then the bias add)
+    in the same order, so every result is that chain's bytes, not those of
+    concatenating first. The node keeps the blocks' arrays and each hidden
+    layer's ``xhat``, ``std`` and Gaussian CDF; its backward rebuilds each
+    hidden output (from its pre-activation ``xhat * gamma + beta``, which
+    that layer's backward reads anyway).
     """
-    parts = [(b.data, None) if isinstance(b, Tensor)
-             else (np.asarray(b[0], dtype=np.float64), b[1].data) for b in blocks]
-    block_nodes = [b._node if isinstance(b, Tensor) else b[1]._node for b in blocks]
-    x = _mlp_input(parts)
-    saved, moments = [], []
+    parts, block_nodes, start = [], [], 0
+    for b in blocks:
+        a, v = ((b.data, None) if isinstance(b, Tensor)
+                else (np.asarray(b[0], dtype=np.float64), b[1].data))
+        stop = start + (a if v is None else v).shape[1]
+        parts.append((a, v, slice(start, stop)))
+        block_nodes.append(b._node if isinstance(b, Tensor) else b[1]._node)
+        start = stop
+    first = hidden[0][0] if hidden else weight
+    if start != first.data.shape[0]:
+        raise ValueError(f"mlp input blocks are {start} columns wide, the "
+                         f"first weight has {first.data.shape[0]} rows")
+    inputs, saved, moments = parts, [], []
     for k, (w, gamma, beta) in enumerate(hidden):
         layer_stats = None if stats is None else stats[k]
         x, xhat, std, phi, mean, var = _hidden_forward(
-            x, w.data, gamma.data, beta.data, eps, layer_stats)
+            inputs, w.data, gamma.data, beta.data, eps, layer_stats)
+        inputs = [(x, None, slice(None))]
         saved.append((xhat, std, phi, layer_stats is None))
         moments.append((mean, var))
-    out_data = x @ weight.data
+    out_data = _blocks_product(inputs, weight.data)
     if bias is not None:
         out_data += bias.data
-    del x
 
     layers = [(w.data, w._node) for w, _, _ in hidden] + [(weight.data, weight._node)]
     norms = [(gamma.data, beta.data, gamma._node, beta._node)
              for _, gamma, beta in hidden]
     bias_node = None if bias is None else bias._node
-    blocks_want_grad = any(n is not None for n in block_nodes)
-    splits = np.cumsum([a.shape[1] if w is None else w.shape[1]
-                        for a, w in parts])[:-1]
 
     def bwd(g):
         if bias_node is not None:
@@ -657,31 +673,30 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
                 gamma, _, gamma_node, beta_node = norms[j]
                 dh = _hidden_backward(dh, pre, *saved[j], gamma, gamma_node,
                                       beta_node)
+            if not j:
+                break
             # the layer's input: the hidden output below, rebuilt from its
-            # pre-activation (which that layer's backward reads next), or
-            # the concatenated blocks
-            if j:
-                xhat, _, phi, _ = saved[j - 1]
-                gamma, beta = norms[j - 1][:2]
-                pre = xhat * gamma
-                pre += beta
-                x = pre * phi
-            else:
-                x = _mlp_input(parts)
+            # pre-activation, which that layer's backward reads next
+            xhat, _, phi, _ = saved[j - 1]
+            gamma, beta = norms[j - 1][:2]
+            pre = xhat * gamma
+            pre += beta
+            x = pre * phi
             if w_node is not None:
                 w_node.accum(x.T @ dh, fresh=True)
             del x
-            if not (j or blocks_want_grad):
-                return
             dh = dh @ w.T
-        pieces = np.split(dh, splits, axis=1) if len(parts) > 1 else [dh]
-        for node, (a, w), piece in zip(block_nodes, parts, pieces):
-            if node is None:
-                continue
-            if w is None:
-                node.accum(piece, fresh=len(parts) == 1)
-            else:
-                node.accum(a.T @ piece, fresh=True)
+        # the input blocks: a pair reads dh only through s = array.T @ dh,
+        # so the only N-row arrays built are the Tensor blocks' gradients
+        dw = None if w_node is None else np.empty_like(w)
+        for (a, v, rows), node in zip(parts, block_nodes):
+            x, s = (a, dh) if v is None else (v, a.T @ dh)
+            if dw is not None:
+                dw[rows] = x.T @ s
+            if node is not None:
+                node.accum(s @ w[rows].T, fresh=True)
+        if w_node is not None:
+            w_node.accum(dw, fresh=True)
 
     parents = block_nodes + [t._node for triple in hidden for t in triple]
     return _result(out_data, parents + [weight._node, bias_node], bwd), moments

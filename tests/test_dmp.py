@@ -253,39 +253,53 @@ def test_split_lin_pair_matches_concat(coarse_first):
 
 @pytest.mark.parametrize("coarse_first", [True, False])  # coarsen, uncoarsen
 def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
-    # no backward reads the two matmul products, the two position encodings
-    # or the MLP's concatenated input, so their arrays are gone when the call
-    # returns; the pair sum lives on as the MLP's first block until backward
+    # no backward reads the two matmul products, and the MLP forms neither a
+    # position encoding nor a concatenated input, forward or backward: of
+    # the call's N-row arrays only the pair sum (the MLP's first block), its
+    # hidden layer's xhat and Gaussian CDF and the output live on
     rng = np.random.default_rng(19)
-    n, nclusters, hdim = 30, 6, 4
+    n, nclusters, hdim = 3000, 60, 8
     msg = _PointMessage(hdim, 2, rng)
-    values, pairs = [], []
-    matmul, concatenate = Tensor.__matmul__, np.concatenate
+    values, pairs, concatenated = [], [], []
+    matmul, concatenate, message_mlp = Tensor.__matmul__, np.concatenate, msg.mlp
 
     def recording_matmul(a, b):
         out = matmul(a, b)
         values.append(weakref.ref(out.data))
         return out
 
-    def recording_concatenate(arrays, axis=0):
-        out = concatenate(arrays, axis=axis)
-        pairs.append(weakref.ref(arrays[0]))
-        values.extend([weakref.ref(a) for a in arrays[1:]] + [weakref.ref(out)])
-        return out
+    def recording_concatenate(arrays, *args, **kwargs):
+        concatenated.append(len(arrays))
+        return concatenate(arrays, *args, **kwargs)
+
+    def recording_mlp(blocks):
+        pairs.append(weakref.ref(blocks[0].data))
+        return message_mlp(blocks)
 
     h = Tensor(rng.standard_normal((n, hdim)), requires_grad=True)
     h_coarse = Tensor(rng.standard_normal((nclusters, hdim)), requires_grad=True)
     rel = rng.standard_normal((n, 2))
     dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
     members = segments(rng.integers(0, nclusters, n), nclusters)
+    msg(h, h_coarse, members, coarse_first, rel, dist)  # imports scipy.special
     monkeypatch.setattr(Tensor, "__matmul__", recording_matmul)
     monkeypatch.setattr(np, "concatenate", recording_concatenate)
-    out = msg(h, h_coarse, members, coarse_first, rel, dist)
-    monkeypatch.undo()
-    assert len(values) == 5 and len(pairs) == 1
-    assert [value() for value in values] == [None] * 5
+    monkeypatch.setattr(msg, "mlp", recording_mlp)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = msg(h, h_coarse, members, coarse_first, rel, dist)
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 2 and len(pairs) == 1
+    assert [value() for value in values] == [None] * 2
     assert pairs[0]() is not None
+    extra = live - 4 * n * hdim * 8
+    assert 0 <= extra < n * hdim * 4
     out.sum().backward()
+    monkeypatch.undo()
+    assert concatenated == []
     assert pairs[0]() is None
     assert h.grad.shape == (n, hdim) and h_coarse.grad.shape == (nclusters, hdim)
 

@@ -7,6 +7,7 @@ import pytest
 from ncgn import nn
 from ncgn.tensor import (Tensor, _normalize, _normalize_backward, _result,
                          concat, mlp)
+from structure_helpers import segments
 
 
 def assert_close_to_max(actual, reference, rtol=1e-12):
@@ -249,36 +250,67 @@ def test_hidden_layer_eval_mode_matches_composed_bytes():
             lambda *args: chain(*args, stats=stats), *arrays, upstream)
 
 
+def blockwise(blocks, weight):
+    """The product of ``blocks`` with ``weight`` as primitive ops, block by
+    block: ``x @ W[rows]`` for a Tensor block, ``Tensor(a) @ (w @ W[rows])``
+    for an ``(a, w)`` pair, each block's rows of W a gather, summed in
+    block order: the reference for ``mlp``'s first product."""
+    total, start, out = weight.data.shape[0], 0, None
+    for block in blocks:
+        width = (block if isinstance(block, Tensor) else block[1]).data.shape[1]
+        rows = weight.gather_rows(segments(np.arange(start, start + width), total))
+        prod = (block @ rows if isinstance(block, Tensor)
+                else Tensor(block[0]) @ (block[1] @ rows))
+        out = prod if out is None else out + prod
+        start += width
+    return out
+
+
 @pytest.mark.parametrize("eval_mode", [False, True])
 def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
-    # [pair, (rel, w_rel), (dist, w_dist)] runs as concat([pair, rel @ w_rel,
-    # dist @ w_dist]) byte for byte, forward and every gradient
+    # [pair, (rel, w_rel), (dist, w_dist)] runs as the blockwise chain byte
+    # for byte, forward and every gradient, with two hidden layers and with
+    # none (the output linear's product is then the blockwise one); the
+    # concat([pair, rel @ w_rel, dist @ w_dist]) chain sums in another order
+    # and agrees to rounding
     rng = np.random.default_rng(12)
     n, h = 300, 8
     rel, dist = rng.standard_normal((n, 2)), rng.uniform(size=(n, 1))
     pair0, w_rel0, w_dist0 = (rng.standard_normal(shape)
                               for shape in ((n, h), (2, h), (1, h)))
-    _, hidden0, weight0, bias0, upstream = _mlp_inputs(rng, n, [3 * h, h, h, h])
-    stats = [(rng.standard_normal(h), rng.uniform(0.5, 2.0, h))
-             for _ in hidden0] if eval_mode else None
-    results = []
-    for fused in (True, False):
-        pair, w_rel, w_dist, weight, bias = (
-            Tensor(a.copy(), requires_grad=True)
-            for a in (pair0, w_rel0, w_dist0, weight0, bias0))
-        hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
-                  for triple in hidden0]
-        if fused:
-            out = mlp([pair, (rel, w_rel), (dist, w_dist)], hidden, weight, bias,
-                      nn.BN_EPS, stats)[0]
-        else:
-            out = chain(concat([pair, Tensor(rel) @ w_rel, Tensor(dist) @ w_dist]),
-                        hidden, weight, bias, stats)
-        (out * upstream).sum().backward()
-        tensors = [pair, w_rel, w_dist, weight, bias] + [t for triple in hidden
-                                                         for t in triple]
-        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
-    assert results[0] == results[1]
+    for widths in ([3 * h, h, h, h], [3 * h, h]):
+        _, hidden0, weight0, bias0, upstream = _mlp_inputs(rng, n, widths)
+        stats = [(rng.standard_normal(h), rng.uniform(0.5, 2.0, h))
+                 for _ in hidden0] if eval_mode else None
+        results = []
+        for build in ("fused", "blockwise", "concat"):
+            pair, w_rel, w_dist, weight, bias = (
+                Tensor(a.copy(), requires_grad=True)
+                for a in (pair0, w_rel0, w_dist0, weight0, bias0))
+            hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
+                      for triple in hidden0]
+            blocks = [pair, (rel, w_rel), (dist, w_dist)]
+            if build == "fused":
+                out = mlp(blocks, hidden, weight, bias, nn.BN_EPS, stats)[0]
+            elif build == "concat":
+                out = chain(concat([pair, Tensor(rel) @ w_rel, Tensor(dist) @ w_dist]),
+                            hidden, weight, bias, stats)
+            elif hidden:
+                first = batch_norm(blockwise(blocks, hidden[0][0]), *hidden[0][1:],
+                                   nn.BN_EPS, None if stats is None else stats[0])
+                out = chain(first[0].gelu(), hidden[1:], weight, bias,
+                            None if stats is None else stats[1:])
+            else:
+                out = blockwise(blocks, weight) + bias
+            (out * upstream).sum().backward()
+            tensors = [pair, w_rel, w_dist, weight, bias] + [t for triple in hidden
+                                                             for t in triple]
+            results.append([out.data] + [t.grad for t in tensors])
+        fused, reference, concatenated = results
+        assert ([a.tobytes() for a in fused]
+                == [a.tobytes() for a in reference])
+        for actual, old in zip(fused, concatenated):
+            assert_close_to_max(actual, old)
 
 
 def test_hidden_layer_finite_difference_with_constant_channel():
@@ -314,6 +346,47 @@ def test_hidden_layer_finite_difference_with_constant_channel():
             flat[i] = orig
             fd = (hi - lo) / (2 * h)
             assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_output_linear_blocks_finite_difference_with_constant_channel():
+    # the gate's form, nn.Linear([h, spread]): no hidden layer, so the output
+    # linear's product runs block by block; a pair block rides along
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((6, 3))
+    x0[:, 0] = 1.0  # a constant input column
+    pair = rng.standard_normal((6, 2))
+    upstream = rng.standard_normal((6, 2))
+    lin = nn.Linear(3 + 2 + 4, 2, rng)
+    lin.bias.data[:] = rng.standard_normal(2)
+    x, spread, pair_weight = (Tensor(a, requires_grad=True) for a in (
+        x0, rng.standard_normal((6, 2)), rng.standard_normal((2, 4))))
+
+    def loss():
+        return (lin([x, spread, (pair, pair_weight)]) * upstream).sum()
+
+    loss().backward()
+    h = 1e-6
+    for t in (x, spread, pair_weight, lin.weight, lin.bias):
+        flat, gflat = t.data.ravel(), t.grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = float(loss().data)
+            flat[i] = orig - h
+            lo = float(loss().data)
+            flat[i] = orig
+            fd = (hi - lo) / (2 * h)
+            assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def test_mlp_blocks_must_span_the_first_weight():
+    rng = np.random.default_rng(14)
+    lin = nn.Linear(5, 2, rng)
+    x = Tensor(rng.standard_normal((4, 3)))
+    with pytest.raises(ValueError, match="3 columns wide, the first weight has 5 rows"):
+        lin(x)
+    with pytest.raises(ValueError, match="6 columns wide"):
+        lin([x, (rng.standard_normal((4, 1)), Tensor(rng.standard_normal((1, 3))))])
 
 
 def test_mlp_runs_as_one_node():

@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -259,42 +260,51 @@ def test_op_keeps_an_input_array_only_for_its_backward(name):
 
 @pytest.mark.parametrize("n_hidden", [1, 2])
 def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
-    # after the forward the pair encodings, the concatenated input and every
-    # hidden output are freed; each layer's xhat and Gaussian CDF live until
-    # backward
+    # of the N-row arrays the forward makes, only each layer's xhat and
+    # Gaussian CDF outlive it, until backward: not the block products, their
+    # sum or any hidden output; neither pass concatenates the blocks
     rng = np.random.default_rng(11)
-    n, h = 20, 4
-    dropped, kept = [], []
+    n, h = 4000, 8
+    kept, concatenated = [], []
     forward, concatenate = tensor._hidden_forward, np.concatenate
 
-    def recording_forward(x, *args):
-        out, xhat, std, phi, mean, var = forward(x, *args)
-        dropped.extend([weakref.ref(x), weakref.ref(out)])
-        kept.extend([weakref.ref(xhat), weakref.ref(phi)])
-        return out, xhat, std, phi, mean, var
-
-    def recording_concatenate(arrays, axis=0):
-        out = concatenate(arrays, axis=axis)
-        dropped.extend([weakref.ref(a) for a in arrays[1:]] + [weakref.ref(out)])
+    def recording_forward(*args):
+        out = forward(*args)
+        kept.extend([weakref.ref(out[1]), weakref.ref(out[3])])
         return out
 
-    monkeypatch.setattr(tensor, "_hidden_forward", recording_forward)
-    monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    def recording_concatenate(arrays, *args, **kwargs):
+        concatenated.append(len(arrays))
+        return concatenate(arrays, *args, **kwargs)
+
     block = Tensor(rng.standard_normal((n, h)), requires_grad=True)
     pair_weights = [Tensor(rng.standard_normal((d, h)), requires_grad=True)
                     for d in (2, 1)]
+    pairs = [(rng.standard_normal((n, w.data.shape[0])), w) for w in pair_weights]
     hidden = [tuple(Tensor(rng.standard_normal(shape), requires_grad=True)
                     for shape in ((d_in, h), (h,), (h,)))
               for d_in in (3 * h, h)[:n_hidden]]
     weight = Tensor(rng.standard_normal((h, 2)), requires_grad=True)
-    out, _ = mlp([block] + [(rng.standard_normal((n, w.data.shape[0])), w)
-                            for w in pair_weights], hidden, weight, None, 1e-5)
-    monkeypatch.undo()
-    # 2 encodings and the concatenation, then each layer's input and output
-    assert len(dropped) == 3 + 2 * n_hidden and len(kept) == 2 * n_hidden
-    assert [ref() for ref in dropped] == [None] * len(dropped)
+    mlp([block] + pairs, hidden, weight, None, 1e-5)  # imports scipy.special
+    monkeypatch.setattr(tensor, "_hidden_forward", recording_forward)
+    monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out, _ = mlp([block] + pairs, hidden, weight, None, 1e-5)
+        live = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    layer_bytes = n * h * 8
+    assert len(kept) == 2 * n_hidden
     assert all(ref() is not None for ref in kept)
+    # xhat and the CDF per layer, the n x 2 output, and less than half an
+    # N x h array of small parts (statistics, the node)
+    extra = live - out.data.nbytes - 2 * n_hidden * layer_bytes
+    assert 0 <= extra < layer_bytes // 2
     out.sum().backward()
+    monkeypatch.undo()
+    assert concatenated == []
     assert [ref() for ref in kept] == [None] * len(kept)
     assert block.grad.shape == (n, h)
     assert all(w.grad.shape == w.data.shape for w in pair_weights)
