@@ -8,13 +8,15 @@ With ``rd`` (the default) it trains a GCN DMP on features (cfm, batch
 shape of the benchmark's ``rd_features`` workload. With ``shapes`` it trains a GAT DMP
 on positions (cfm, batch 32 of 256-point shapes, hdim 32, 3 layers), the
 train shape of ``shapes_positions``. It runs STEPS steps (default 8,
-seed 0). Per step it prints the wall time in milliseconds, the minor page
-faults the step took (the ``ru_minflt`` delta) and the process's peak
-resident set so far (``ru_maxrss``), then the last loss as ``float.hex``,
-so two source trees that compute the same numbers print the same last
-line. A step runs from the end of the previous step's EMA update (or the
-call to ``train``) to the end of its own. Only this process's own
-resource usage is read.
+seed 0). Per step it prints the wall time in milliseconds, split into
+``fwd_ms`` (until ``Tensor.backward`` is entered) and ``bwd_ms`` (inside
+it), the minor page faults the step took (the ``ru_minflt`` delta) and the
+process's peak resident set so far (``ru_maxrss``), then the last loss as
+``float.hex``, so two source trees that compute the same numbers print the
+same last line. A step runs from the end of the previous step's EMA update
+(or the call to ``train``) to the end of its own, so its time less
+``fwd_ms`` and ``bwd_ms`` is the optimizer and EMA updates. Only this
+process's own resource usage is read.
 
 After the timed steps it reports the autodiff tape of one more step (a
 fresh one-step ``train`` on the first batch) run under ``tracemalloc``:
@@ -95,21 +97,28 @@ def tape_report(graphs, config):
 
 def main(shape="rd", steps=8, seed=0):
     graphs, config = (shapes_shape if shape == "shapes" else rd_shape)(steps, seed)
-    marks = [usage()]
-    update = nn.EMA.update
+    marks, backward_spans = [usage()], []
+    update, backward = nn.EMA.update, Tensor.backward
 
     def marking(ema, module):
         update(ema, module)
         marks.append(usage())
 
-    nn.EMA.update = marking
+    def timing(root):
+        start = perf_counter()
+        backward(root)
+        backward_spans.append((start, perf_counter()))
+
+    nn.EMA.update, Tensor.backward = marking, timing
     try:
         _, _, rows = engine.train(graphs, config)
     finally:
-        nn.EMA.update = update
-    print("step  ms  minflt  maxrss_mb")
-    for k, ((t0, f0, _), (t1, f1, rss)) in enumerate(zip(marks, marks[1:])):
-        print(f"{k}  {1e3 * (t1 - t0):.1f}  {f1 - f0}  {rss:.1f}")
+        nn.EMA.update, Tensor.backward = update, backward
+    print("step  ms  fwd_ms  bwd_ms  minflt  maxrss_mb")
+    for k, ((t0, f0, _), (t1, f1, rss), (b0, b1)) in enumerate(
+            zip(marks, marks[1:], backward_spans)):
+        print(f"{k}  {1e3 * (t1 - t0):.1f}  {1e3 * (b0 - t0):.1f}  "
+              f"{1e3 * (b1 - b0):.1f}  {f1 - f0}  {rss:.1f}")
     print(f"last loss {float(rows[-1][2]).hex()}")
     live, forward_peak, backward_peak, top = tape_report(graphs[:config.batch],
                                                          config)

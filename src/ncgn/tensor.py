@@ -49,7 +49,13 @@ batch statistics the normalization's backward is the closed form of Ioffe
 & Szegedy (2015). It keeps the input blocks' arrays and each hidden
 layer's normalized input and Gaussian CDF; its backward rebuilds every
 hidden output (recompute as in Chen et al. 2016, from what batch norm
-keeps anyway as in Rota Bulò et al. 2018).
+keeps anyway as in Rota Bulò et al. 2018). A hidden layer's elementwise
+steps, forward and backward, run over row blocks of 1,024 to 2,047 rows
+(loop tiling, Wolf & Lam 1991), so a chain of them reads each block from
+a core's L2 instead of streaming the whole N x C array once per step; its
+column sums are ``np.einsum``, which adds the rows in order as
+``sum(axis=0)`` does without the strided walk or a product array. Both
+leave every byte as the whole-array chain computes it.
 
 Every gather and scatter goes through a ``SparsePlan``, a sparse matrix
 given by its (row, column) entries that builds its CSR layout once and
@@ -514,22 +520,43 @@ def concat(tensors, axis=1):
                    nodes, bwd)
 
 
-def _normalize(h, eps, stats):
-    """``(xhat, std, mean, var)`` for the N x C array ``h``: normalized over
-    its rows with their mean and biased variance, or with ``stats``, a
-    ``(mean, var)`` pair of length-C arrays, when given. ``std`` is 1 x C."""
-    if stats is not None:
-        mean, var = stats
-        std = np.sqrt(var[None, :] + eps)
-        return (h - mean[None, :]) / std, std, mean, var
-    if h.shape[0] < 1:
-        raise ValueError("batch norm needs at least one row in train mode")
-    inv_n = 1.0 / h.shape[0]
-    mu = h.sum(axis=0, keepdims=True) * inv_n
-    centered = h - mu
-    var = (centered**2).sum(axis=0, keepdims=True) * inv_n
-    std = (var + eps) ** 0.5
-    return centered / std, std, mu.ravel(), var.ravel()
+_ROW_BLOCK = 1024  # rows per block of an elementwise pass over an N-row array
+
+
+def _row_blocks(n):
+    """The row slices of ``k = max(1, n // _ROW_BLOCK)`` near-equal blocks
+    covering ``[0, n)`` in order, the last one the longest: one block below
+    ``2 * _ROW_BLOCK`` rows, else blocks of ``_ROW_BLOCK`` to ``2 *
+    _ROW_BLOCK - 1`` rows. A hidden layer's arrays at 32 columns then take
+    a few hundred KB per block, so a chain of elementwise steps reads each
+    block from a core's L2. Splitting near-equally leaves no short
+    remainder block to pay a whole chain's per-call cost for a few rows:
+    the sampler's 1,024- and 1,056-row arrays run as one block."""
+    k = max(1, n // _ROW_BLOCK)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _block_scratch(blocks, c, count):
+    """``count`` uninitialized arrays of the longest of ``blocks``' rows by
+    ``c`` columns, stacked: the temporaries of a blocked pass, written
+    again for every block so they stay in cache."""
+    return np.empty((count, blocks[-1].stop - blocks[-1].start, c))
+
+
+def _column_sum(a, b=None):
+    """The column sums of the N x C array ``a`` (of ``a * b``), adding the
+    rows in order from 0.0: the bytes of ``a.sum(axis=0)`` (``(a *
+    b).sum(axis=0)``). ``np.einsum`` adds them in that order without the
+    product array and reads each row once, where numpy's reduction walks
+    the columns with a stride. Numpy adds one column, or columns laid out
+    along the rows (a transpose, a broadcast), in another order, so those
+    take numpy's own form."""
+    operands = (a,) if b is None else (a, b)
+    if a.shape[1] > 1 and all(x.strides[1] == x.itemsize
+                              and abs(x.strides[0]) >= x.shape[1] * x.itemsize
+                              for x in operands):
+        return np.einsum("ij,ij->j" if b is not None else "ij->j", *operands)
+    return a.sum(axis=0) if b is None else (a * b).sum(axis=0)
 
 
 def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
@@ -538,24 +565,27 @@ def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
     ``gamma`` (the array) and ``beta`` (None for no grad) and return the
     gradient of the normalized input, written into ``g``. Over batch
     statistics it is the closed form ``(gg - mean(gg) - xhat * mean(gg *
-    xhat)) / std`` with ``gg = g * gamma``; with fixed statistics it is
-    ``gg / std``."""
-    prod = None
+    xhat)) / std`` with ``gg = g * gamma``, its last steps one row block at
+    a time; with fixed statistics it is ``gg / std``."""
     if gamma_node is not None:
-        prod = g * xhat
-        gamma_node.accum(prod.sum(axis=0), fresh=True)
+        gamma_node.accum(_column_sum(g, xhat), fresh=True)
     if beta_node is not None:
-        beta_node.accum(g.sum(axis=0), fresh=True)
-    gg = np.multiply(g, gamma, out=g)
-    if batch_stats:
-        inv_n = 1.0 / g.shape[0]
-        mean_gg = gg.sum(axis=0) * inv_n
-        prod = np.multiply(gg, xhat, out=prod)
-        np.multiply(xhat, prod.sum(axis=0) * inv_n, out=prod)
+        beta_node.accum(_column_sum(g), fresh=True)
+    g *= gamma
+    if not batch_stats:
+        g /= std
+        return g
+    inv_n = 1.0 / g.shape[0]
+    mean_gg = _column_sum(g) * inv_n
+    mean_prod = _column_sum(g, xhat) * inv_n
+    blocks = _row_blocks(g.shape[0])
+    scratch, = _block_scratch(blocks, g.shape[1], 1)
+    for rows in blocks:
+        gg, prod = g[rows], scratch[:rows.stop - rows.start]
         gg -= mean_gg
-        gg -= prod
-    gg /= std
-    return gg
+        gg -= np.multiply(xhat[rows], mean_prod, out=prod)
+        gg /= std
+    return g
 
 
 def _blocks_product(parts, w):
@@ -571,37 +601,66 @@ def _blocks_product(parts, w):
 
 def _hidden_forward(parts, w, gamma, beta, eps, stats):
     """One MLP hidden layer on arrays, over the input blocks ``parts``:
-    ``(out, xhat, std, phi, mean, var)``, where ``xhat, std, mean, var =
-    _normalize(_blocks_product(parts, w), eps, stats)``, ``phi`` is the
-    Gaussian CDF of the pre-activation ``xhat * gamma + beta`` and ``out``
-    is its GELU, the pre-activation times ``phi``."""
+    ``(out, xhat, std, phi, mean, var)``. ``xhat`` is ``h =
+    _blocks_product(parts, w)`` normalized, ``(h - mean) / std``, over its
+    rows with their mean and biased variance, or with ``stats``, a ``(mean,
+    var)`` pair of length-C arrays, when given; ``std`` has length C.
+    ``phi`` is the Gaussian CDF of the pre-activation ``xhat * gamma +
+    beta`` and ``out`` is its GELU, the pre-activation times ``phi``. The
+    statistics are whole-array column sums; the elementwise steps run one
+    row block at a time, ``xhat`` in ``h``'s array."""
     from scipy.special import erf
 
-    xhat, std, mean, var = _normalize(_blocks_product(parts, w), eps, stats)
-    pre = xhat * gamma
-    pre += beta
-    phi = pre / SQRT2
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    return np.multiply(pre, phi, out=pre), xhat, std, phi, mean, var
+    h = _blocks_product(parts, w)
+    if stats is not None:
+        mean, var = stats
+        h -= mean
+        std = np.sqrt(var + eps)
+    else:
+        if h.shape[0] < 1:
+            raise ValueError("batch norm needs at least one row in train mode")
+        inv_n = 1.0 / h.shape[0]
+        mean = _column_sum(h) * inv_n
+        h -= mean
+        var = _column_sum(h, h) * inv_n
+        std = (var + eps) ** 0.5
+    out, phi = np.empty_like(h), np.empty_like(h)
+    for rows in _row_blocks(h.shape[0]):
+        xhat, pre, cdf = h[rows], out[rows], phi[rows]
+        xhat /= std
+        np.multiply(xhat, gamma, out=pre)
+        pre += beta
+        np.divide(pre, SQRT2, out=cdf)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        pre *= cdf
+    return out, h, std, phi, mean, var
 
 
-def _hidden_backward(g, pre, xhat, std, phi, batch_stats, gamma, gamma_node,
-                     beta_node):
-    """Push the gradient ``g`` of a hidden layer's output onto the nodes of
-    ``gamma`` and ``beta`` and return that of its ``x @ w``: GELU's
-    derivative ``phi + pre * pdf`` at the pre-activation ``pre``, then
-    ``_normalize_backward``. The elementwise steps share one array."""
-    dpre = np.square(pre)
-    dpre *= -0.5
-    np.exp(dpre, out=dpre)
-    dpre *= INV_SQRT_2PI
-    dpre *= pre
-    dpre += phi
-    dpre *= g
-    return _normalize_backward(dpre, xhat, std, gamma, gamma_node, beta_node,
-                               batch_stats)
+def _gelu_backward(g, xhat, phi, gamma, beta, keep_output):
+    """Multiply ``g``, the gradient of a hidden layer's output, in place by
+    GELU's derivative ``phi + pre * pdf`` at the pre-activation ``pre =
+    xhat * gamma + beta``, rebuilt one row block at a time; return the
+    output ``pre * phi`` it rebuilds on the way, or None for
+    ``keep_output=False``."""
+    out = np.empty_like(g) if keep_output else None
+    blocks = _row_blocks(g.shape[0])
+    pre_scratch, dpre_scratch = _block_scratch(blocks, g.shape[1], 2)
+    for rows in blocks:
+        cdf, m = phi[rows], rows.stop - rows.start
+        pre = np.multiply(xhat[rows], gamma, out=pre_scratch[:m])
+        pre += beta
+        if out is not None:
+            np.multiply(pre, cdf, out=out[rows])
+        dpre = np.square(pre, out=dpre_scratch[:m])
+        dpre *= -0.5
+        np.exp(dpre, out=dpre)
+        dpre *= INV_SQRT_2PI
+        dpre *= pre
+        dpre += cdf
+        g[rows] *= dpre
+    return out
 
 
 def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
@@ -630,9 +689,12 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     normalization, ``Tensor.gelu`` and the next matmul, then the bias add)
     in the same order, so every result is that chain's bytes, not those of
     concatenating first. The node keeps the blocks' arrays and each hidden
-    layer's ``xhat``, ``std`` and Gaussian CDF; its backward rebuilds each
-    hidden output (from its pre-activation ``xhat * gamma + beta``, which
-    that layer's backward reads anyway).
+    layer's ``xhat``, ``std`` and Gaussian CDF. Its backward rebuilds each
+    hidden layer's pre-activation ``xhat * gamma + beta`` and output one
+    row block at a time, in the pass that applies GELU's derivative, so no
+    whole pre-activation is built. Every elementwise step runs over row
+    blocks (``_row_blocks``) and every column sum is ``_column_sum``, rows
+    added in order: neither moves a byte of the results.
     """
     parts, block_nodes, start = [], [], 0
     for b in blocks:
@@ -665,27 +727,23 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
 
     def bwd(g):
         if bias_node is not None:
-            bias_node.accum(g.sum(axis=0), fresh=True)
-        dh, pre = g, None
-        for j in range(len(norms), -1, -1):
+            bias_node.accum(_column_sum(g), fresh=True)
+        dh = g
+        for j in range(len(norms), 0, -1):
+            # through the weight onto hidden output j - 1, then through that
+            # layer's GELU, which rebuilds the output for the weight's
+            # gradient, and its batch norm
             w, w_node = layers[j]
-            if j < len(norms):
-                gamma, _, gamma_node, beta_node = norms[j]
-                dh = _hidden_backward(dh, pre, *saved[j], gamma, gamma_node,
-                                      beta_node)
-            if not j:
-                break
-            # the layer's input: the hidden output below, rebuilt from its
-            # pre-activation, which that layer's backward reads next
-            xhat, _, phi, _ = saved[j - 1]
-            gamma, beta = norms[j - 1][:2]
-            pre = xhat * gamma
-            pre += beta
-            x = pre * phi
+            xhat, std, phi, batch_stats = saved[j - 1]
+            gamma, beta, gamma_node, beta_node = norms[j - 1]
+            d = dh @ w.T
+            x = _gelu_backward(d, xhat, phi, gamma, beta, w_node is not None)
             if w_node is not None:
                 w_node.accum(x.T @ dh, fresh=True)
             del x
-            dh = dh @ w.T
+            dh = _normalize_backward(d, xhat, std, gamma, gamma_node, beta_node,
+                                     batch_stats)
+        w, w_node = layers[0]
         # the input blocks: a pair reads dh only through s = array.T @ dh,
         # so the only N-row arrays built are the Tensor blocks' gradients
         dw = None if w_node is None else np.empty_like(w)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import struct
 
@@ -5,8 +6,7 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import (Tensor, _normalize, _normalize_backward, _result,
-                         concat, mlp)
+from ncgn.tensor import Tensor, _result, concat, mlp
 from structure_helpers import segments
 
 
@@ -88,22 +88,58 @@ def test_batch_norm_running_stats_momentum():
                                                       0.9 * -1.0 + 0.1 * -4.0])
 
 
+def normalize(h, eps, stats):
+    """``(xhat, std, mean, var)`` of the N x C array ``h`` as whole-array
+    numpy ops: normalized over its rows with their mean and biased
+    variance, or with ``stats``, a ``(mean, var)`` pair of length-C arrays.
+    The float operations ``tensor.mlp``'s hidden layers run, in one pass
+    per step and with numpy's column sums: the byte reference for its
+    row-blocked passes and ``np.einsum`` sums."""
+    if stats is not None:
+        mean, var = stats
+        std = np.sqrt(var[None, :] + eps)
+        return (h - mean[None, :]) / std, std, mean, var
+    inv_n = 1.0 / h.shape[0]
+    mu = h.sum(axis=0, keepdims=True) * inv_n
+    centered = h - mu
+    var = (centered**2).sum(axis=0, keepdims=True) * inv_n
+    std = (var + eps) ** 0.5
+    return centered / std, std, mu.ravel(), var.ravel()
+
+
+def normalize_backward(g, xhat, std, gamma, batch_stats):
+    """``(dx, dgamma, dbeta)`` for the gradient ``g`` of ``xhat * gamma +
+    beta``, as whole-array numpy ops: over batch statistics the closed form
+    ``(gg - mean(gg) - xhat * mean(gg * xhat)) / std`` with ``gg = g *
+    gamma``, with fixed statistics ``gg / std``."""
+    dgamma, dbeta = (g * xhat).sum(axis=0), g.sum(axis=0)
+    gg = g * gamma
+    if batch_stats:
+        inv_n = 1.0 / g.shape[0]
+        mean_gg = gg.sum(axis=0) * inv_n
+        prod = xhat * ((gg * xhat).sum(axis=0) * inv_n)
+        gg -= mean_gg
+        gg -= prod
+    gg /= std
+    return gg, dgamma, dbeta
+
+
 def batch_norm(x, gamma, beta, eps, stats=None):
     """Batch normalization ``(x - mean) / (var + eps) ** 0.5 * gamma + beta``
     of the N x C ``x`` as one node, with the float operations of
     ``tensor.mlp``'s hidden layers: the reference ``chain`` uses. The
     statistics are those of ``x``'s rows, or ``stats``, a ``(mean, var)``
     pair of length-C arrays. Returns (output, mean, var)."""
-    xhat, std, mean, var = _normalize(x.data, eps, stats)
-    xn, gn, bn = x._node, gamma._node, beta._node
+    xhat, std, mean, var = normalize(x.data, eps, stats)
+    nodes = (x._node, gamma._node, beta._node)
 
     def bwd(g):
-        dx = _normalize_backward(g.copy(), xhat, std, gamma.data, gn, bn,
-                                 stats is None)
-        if xn is not None:
-            xn.accum(dx, fresh=True)
+        for node, grad in zip(nodes, normalize_backward(g, xhat, std, gamma.data,
+                                                        stats is None)):
+            if node is not None:
+                node.accum(grad, fresh=True)
 
-    return _result(xhat * gamma.data + beta.data, (xn, gn, bn), bwd), mean, var
+    return _result(xhat * gamma.data + beta.data, nodes, bwd), mean, var
 
 
 def sqrt(x):
@@ -233,8 +269,9 @@ def test_hidden_layer_train_mode_matches_chain_bytes():
 
 def test_hidden_layer_eval_mode_matches_composed_bytes():
     rng = np.random.default_rng(8)
-    for widths in ([16, 32, 8], [16, 32, 24, 8]):
-        *arrays, upstream = _mlp_inputs(rng, 500, widths)
+    # one row block, two uneven ones
+    for n, widths in itertools.product((500, 3001), ([16, 32, 8], [16, 32, 24, 8])):
+        *arrays, upstream = _mlp_inputs(rng, n, widths)
         stats = [(rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
                  for c in widths[1:-1]]
 
@@ -274,11 +311,12 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
     # concat([pair, rel @ w_rel, dist @ w_dist]) chain sums in another order
     # and agrees to rounding
     rng = np.random.default_rng(12)
-    n, h = 300, 8
-    rel, dist = rng.standard_normal((n, 2)), rng.uniform(size=(n, 1))
-    pair0, w_rel0, w_dist0 = (rng.standard_normal(shape)
-                              for shape in ((n, h), (2, h), (1, h)))
-    for widths in ([3 * h, h, h, h], [3 * h, h]):
+    h = 8
+    # one row block, two uneven ones
+    for n, widths in itertools.product((300, 3001), ([3 * h, h, h, h], [3 * h, h])):
+        rel, dist = rng.standard_normal((n, 2)), rng.uniform(size=(n, 1))
+        pair0, w_rel0, w_dist0 = (rng.standard_normal(shape)
+                                  for shape in ((n, h), (2, h), (1, h)))
         _, hidden0, weight0, bias0, upstream = _mlp_inputs(rng, n, widths)
         stats = [(rng.standard_normal(h), rng.uniform(0.5, 2.0, h))
                  for _ in hidden0] if eval_mode else None

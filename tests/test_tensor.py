@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgn import tensor
@@ -264,7 +264,7 @@ def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
     # Gaussian CDF outlive it, until backward: not the block products, their
     # sum or any hidden output; neither pass concatenates the blocks
     rng = np.random.default_rng(11)
-    n, h = 4000, 8
+    n, h = 16000, 8  # 15 row blocks
     kept, concatenated = [], []
     forward, concatenate = tensor._hidden_forward, np.concatenate
 
@@ -302,12 +302,90 @@ def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
     # N x h array of small parts (statistics, the node)
     extra = live - out.data.nbytes - 2 * n_hidden * layer_bytes
     assert 0 <= extra < layer_bytes // 2
-    out.sum().backward()
+    root = out.sum()
+    tracemalloc.start()
+    try:
+        root.backward()
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the tape, the backward holds at most the copy of the output's
+    # gradient, three N x h arrays at once (the gradient reaching a layer,
+    # the one it passes down and the hidden output rebuilt for the weight's
+    # gradient) and less than a quarter of one in row-block temporaries: no
+    # whole pre-activation and no whole product array
+    assert backward_peak < out.data.nbytes + 3 * layer_bytes + layer_bytes // 4
     monkeypatch.undo()
     assert concatenated == []
     assert [ref() for ref in kept] == [None] * len(kept)
     assert block.grad.shape == (n, h)
     assert all(w.grad.shape == w.data.shape for w in pair_weights)
+
+
+_LAYOUTS = ("contiguous", "row_stride", "column_stride", "reversed",
+            "column_slice", "transpose", "broadcast_rows", "broadcast_columns")
+
+
+def _laid_out(rng, n, c, layout):
+    """An n x c array in ``layout`` (a view of a larger one, or not), of
+    values spanning 16 decades, of either sign, one in 20 an exact zero."""
+    size = 2 * max(n, 1) * (c + 3)
+    values = (rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+              * (rng.uniform(size=size) > 0.05))
+    if layout == "row_stride":
+        return values[:2 * n * c].reshape(2 * n, c)[::2]
+    if layout == "column_stride":
+        return values[:2 * n * c].reshape(n, 2 * c)[:, ::2]
+    if layout == "reversed":
+        return values[:n * c].reshape(n, c)[::-1, ::-1]
+    if layout == "column_slice":
+        return values[:n * (c + 3)].reshape(n, c + 3)[:, 1:c + 1]
+    if layout == "transpose":
+        return values[:n * c].reshape(c, n).T
+    if layout == "broadcast_rows":
+        return np.broadcast_to(values[:c], (n, c))
+    if layout == "broadcast_columns":
+        return np.broadcast_to(values[:n, None], (n, c))
+    return values[:n * c].reshape(n, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2, 7, 100, 1024, 3001]) | st.integers(0, 2500),
+       c=st.sampled_from([1, 2, 3, 8, 32]), seed=st.integers(0, 2**32 - 1),
+       layouts=st.tuples(st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS)))
+@example(n=12800, c=32, seed=0, layouts=("contiguous", "contiguous"))
+@example(n=12800, c=32, seed=1, layouts=("row_stride", "column_slice"))
+@example(n=12800, c=1, seed=2, layouts=("contiguous", "contiguous"))
+def test_column_sum_is_numpy_sum_bytes(n, c, seed, layouts):
+    # rows in order, as numpy's column sums add them, whatever the layout:
+    # the same bytes as a.sum(axis=0) and (a * b).sum(axis=0)
+    rng = np.random.default_rng(seed)
+    a, b = (_laid_out(rng, n, c, layout) for layout in layouts)
+    assert tensor._column_sum(a).tobytes() == a.sum(axis=0).tobytes()
+    assert tensor._column_sum(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 200_000))
+@example(0)
+@example(1)
+@example(1056)
+@example(2047)
+@example(2048)
+@example(12800)
+def test_row_blocks_cover_rows_in_order(n):
+    # in order, without gaps, the last block the longest (the scratch
+    # arrays' length)
+    blocks = tensor._row_blocks(n)
+    assert [b.step for b in blocks] == [None] * len(blocks)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(b.stop == after.start for b, after in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) == sizes[-1]
+    if n < 2 * tensor._ROW_BLOCK:
+        assert len(blocks) == 1
+    else:
+        assert tensor._ROW_BLOCK <= min(sizes) <= max(sizes) < 2 * tensor._ROW_BLOCK
 
 
 def test_pass_through_gradients_are_copied():
