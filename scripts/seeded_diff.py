@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two output trees of scripts/seeded_outputs.sh by value, or one
+"""Compare two output trees of scripts/seeded_outputs.py by value, or one
 tree with a digest record.
 
 Usage: python3 scripts/seeded_diff.py OLD NEW
@@ -179,13 +179,19 @@ def parse_record(text):
                      (row.split("  ", 1) for row in rows)}
 
 
+def moved_entries(env_old, env_new):
+    """The environment entries, in order, whose values differ between two
+    records' headers (as ``parse_record`` gives them)."""
+    return sorted(key for key in env_old.keys() | env_new.keys()
+                  if env_old.get(key) != env_new.get(key))
+
+
 def check(record, root):
     """Print how the tree ``root`` differs from the digest record text
     ``record``; 1 if some file differs, is missing or is extra, else 0."""
     (env_old, old), (env_new, new) = parse_record(record), parse_record(digests(root))
-    moved = {key for key in env_old.keys() | env_new.keys()
-             if env_old.get(key) != env_new.get(key)}
-    for key in sorted(moved):
+    moved = moved_entries(env_old, env_new)
+    for key in moved:
         print(f"environment differs: {key} {env_old.get(key)} in the record, "
               f"{env_new.get(key)} here")
     bad = 0

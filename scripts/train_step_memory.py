@@ -25,8 +25,12 @@ which is the forward's graph with the arrays it saved; the peak MB up to
 then, which adds the forward's temporaries to it; and the peak MB during
 ``backward``. All three count only what the step allocated (MB are
 2**20 bytes), and ``tracemalloc`` slows the step, so it is not timed.
-Then it lists the 8 source lines that allocated the most of what is live
-when ``backward`` starts (``tracemalloc`` statistics by line).
+Then it lists the 8 call sites that allocated the most of what is live
+when ``backward`` starts (``tracemalloc`` statistics by traceback): each is
+the allocating line and the two lines that called it, innermost first, so
+a helper that allocates for several callers gets one row per caller.
+``tensor._blocks_product`` allocates in a generator that its own body
+drives, so its callers show only in the third frame.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from time import perf_counter
 from ncgn import dataset, engine, nn
 from ncgn.tensor import Tensor
 
-TOP_LINES = 8  # allocating lines listed in the tape report
+TOP_SITES = 8  # allocating call sites listed in the tape report
+SITE_FRAMES = 3  # frames per call site
 
 
 def rd_shape(steps, seed):
@@ -73,19 +78,19 @@ def usage():
 
 def tape_report(graphs, config):
     """(MB live when ``backward`` starts, peak MB before it, peak MB during
-    it, the top allocating lines of what is live when it starts) for one
+    it, the top allocating call sites of what is live when it starts) for one
     train step on ``graphs``, counting what the step allocated."""
     backward, marks, top = Tensor.backward, [], []
 
     def measuring(root):
         marks.extend(tracemalloc.get_traced_memory())
-        top.extend(tracemalloc.take_snapshot().statistics("lineno")[:TOP_LINES])
+        top.extend(tracemalloc.take_snapshot().statistics("traceback")[:TOP_SITES])
         tracemalloc.reset_peak()
         backward(root)
         marks.append(tracemalloc.get_traced_memory()[1])
 
     Tensor.backward = measuring
-    tracemalloc.start()
+    tracemalloc.start(SITE_FRAMES)
     try:
         engine.train(graphs, config)
     finally:
@@ -124,10 +129,11 @@ def main(shape="rd", steps=8, seed=0):
                                                          config)
     print(f"tape live after forward {live:.1f} MB, forward peak "
           f"{forward_peak:.1f} MB, backward peak {backward_peak:.1f} MB")
-    print(f"top {TOP_LINES} allocating lines live after forward (MB, blocks, line):")
+    print(f"top {TOP_SITES} allocating call sites live after forward "
+          "(MB, blocks, line < calling lines):")
     for stat in top:
-        frame = stat.traceback[0]
-        where = f"{os.path.relpath(frame.filename)}:{frame.lineno}"
+        where = " < ".join(f"{os.path.relpath(frame.filename)}:{frame.lineno}"
+                           for frame in reversed(stat.traceback))
         print(f"  {stat.size / 2**20:.1f}  {stat.count}  {where}")
 
 

@@ -293,8 +293,7 @@ def main(argv=None):
         handler = HANDLERS[args.command]
         summary = (handler(config, checkpoint) if args.command == "sample"
                    else handler(config))
-    except (ConfigError, FileNotFoundError, KeyError, ValueError,
-            RuntimeError) as exc:
+    except (ConfigError, OSError, KeyError, ValueError, RuntimeError) as exc:
         # str() of a KeyError quotes its message; print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"ncgn {args.command}: {message}", file=sys.stderr)

@@ -11,6 +11,7 @@ import itertools
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,43 +223,30 @@ def test_reaction_diffusion_validity():
     assert changes >= 2
 
 
-# criterion 12: byte-identical CSVs for seeded CLI runs
+# criterion 12: byte-identical outputs for seeded CLI runs
 def test_cli_reproducibility(tmp_path):
-    # the subprocess imports the same ncgn package as this process
-    src = os.path.dirname(os.path.dirname(theory.__file__))
+    # two fresh interpreters run scripts/seeded_outputs.py's sequence on the
+    # ncgn package this process imports, and a third the module entry point
+    src = Path(theory.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "seeded_outputs.py"
+    runs = {run: subprocess.Popen([sys.executable, script, src, tmp_path / run],
+                                  stderr=subprocess.PIPE, text=True)
+            for run in ("a", "b")}
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-    def cli(*args):
-        out = subprocess.run([sys.executable, "-m", "ncgn.cli", *args],
-                             capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        return out.stdout
-
-    shapes = tmp_path / "shapes"
-    cli("make-shapes", f"out_dir={shapes}", "n_train=4", "n_test=2",
-        "n_points=16", "seed=0")
-    data = tmp_path / "data"
-    cli("simulate-data", f"out_dir={data}", "n_train=2", "n_test=2", "seed=0")
-
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    module = subprocess.run([sys.executable, "-m", "ncgn.cli", "theory",
+                             f"out_dir={tmp_path / 'module'}", "seed=3"],
+                            capture_output=True, text=True, env=env)
     outputs = {}
-    for run in ("a", "b"):
-        root = tmp_path / run
-        cli("theory", f"out_dir={root / 'theory'}", "seed=3")
-        cli("gw-study", f"out_dir={root / 'gw'}", f"dataset={shapes}",
-            "n_shapes=2", "n_seeds=1", "gw.iters=5", "seed=3")
-        cli("attention-study", f"out_dir={root / 'att'}", f"dataset={shapes}",
-            "attention.epochs=1", "attention.bins=4", "seed=3")
-        cli("train", f"out_dir={root / 'run'}", f"dataset={data}", "epochs=1",
-            "batch=2", "warmup_epochs=0", "hdim=8", "layers=1", "seed=3")
-        cli("sample", f"out_dir={root / 'run'}", f"dataset={data}", "epochs=1",
-            "batch=2", "warmup_epochs=0", "hdim=8", "layers=1", "nfes=2",
-            "seed=3")
-        cli("eval", f"out_dir={root / 'run'}", f"dataset={data}", "seed=3")
-        outputs[run] = {
-            rel: (root / rel).read_bytes()
-            for rel in ("theory/theory.csv", "theory/prop1.csv", "gw/gw.csv",
-                        "gw/gw_argmin.csv", "att/attention.csv",
-                        "run/loss.csv", "run/metrics.csv")
-        }
+    for run, proc in runs.items():
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        outputs[run] = {p.relative_to(tmp_path / run).as_posix(): p.read_bytes()
+                        for p in (tmp_path / run).rglob("*")
+                        if p.is_file() and p.name != "config.resolved"}
     assert outputs["a"] == outputs["b"]
+    assert {"theory/theory.csv", "theory/prop1.csv", "gw/gw.csv",
+            "att/attention.csv", "cfm/loss.csv", "cfm/metrics.csv"} <= set(outputs["a"])
+    assert module.returncode == 0, module.stderr
+    for name in ("theory.csv", "prop1.csv"):
+        assert (tmp_path / "module" / name).read_bytes() == outputs["a"][f"theory/{name}"]

@@ -264,6 +264,24 @@ def test_sample_without_checkpoint_exits_one(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, make", [
+    ("sample", "checkpoint", Path.mkdir),  # a directory as the checkpoint
+    ("train", "out_dir", Path.touch),  # a file as the output directory
+])
+def test_os_error_exits_one_naming_the_path(tmp_path, capsys, command, key,
+                                            make):
+    data = tmp_path / "data"
+    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
+    capsys.readouterr()
+    target = tmp_path / "target"
+    make(target)
+    paths = {"out_dir": tmp_path / "work", key: target}
+    assert main([command, f"dataset={data}", "hdim=8", "layers=1",
+                 *(f"{k}={v}" for k, v in paths.items())]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ncgn {command}: ") and str(target) in err
+
+
 TINY_TRAIN = ("epochs=1", "batch=2", "warmup_epochs=0", "hdim=8", "layers=1",
               "nfes=2")
 

@@ -1,15 +1,20 @@
 import importlib.util
+import re
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import ncgn
 from ncgn import nn
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "seeded_diff.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("seeded_diff", SCRIPT)
+def load_script(name="seeded_diff"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -192,3 +197,61 @@ def test_digest_check_reports_another_environment_as_such(tmp_path, capsys):
         "run/loss.csv: differs",
         "1 of 4 files differ from the record, which was made in another "
         "environment"]
+
+
+def test_seeded_sequence_matches_the_record(tmp_path):
+    # the sequence runs in this process, on the ncgn package under test; a
+    # change that moves outputs regenerates the record in the same commit
+    diff = load_script()
+    load_script("seeded_outputs").run(tmp_path)
+    env_record, record = diff.parse_record((SCRIPTS / "seeded_outputs.sha256")
+                                           .read_text())
+    env_here, here = diff.parse_record(diff.digests(tmp_path))
+    assert sorted(here) == sorted(record)
+    moved = diff.moved_entries(env_record, env_here)
+    if moved:
+        warnings.warn("seeded outputs not compared by digest: the record was "
+                      "made in another environment, " + ", ".join(
+                          f"{key} {env_record.get(key)} there, "
+                          f"{env_here.get(key)} here" for key in moved))
+        return
+    differ = [path for path in sorted(record) if here[path] != record[path]]
+    assert not differ, f"{len(differ)} files differ from the record: {differ}"
+
+
+@pytest.mark.parametrize("bad", [
+    ["theory", "out_dir={out}/bad", "seed=-1"],  # the command returns 1
+    ["no-such-command", "out_dir={out}/bad"],  # argparse exits 2
+])
+def test_seeded_run_stops_at_a_failing_command_and_names_it(tmp_path,
+                                                            monkeypatch, bad):
+    script = load_script("seeded_outputs")
+    monkeypatch.setattr(script, "SEQUENCE",
+                        [bad, ["theory", "out_dir={out}/after", "seed=3"]])
+    argv = " ".join(["ncgn"] + [arg.format(out=tmp_path) for arg in bad])
+    with pytest.raises(RuntimeError, match=f"^{re.escape(argv)} exited [12]$"):
+        script.run(tmp_path)
+    assert not (tmp_path / "after").exists()
+
+
+def test_seeded_run_refuses_a_non_empty_out_dir(tmp_path, capsys):
+    # a file left by an earlier run would be counted as an output
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.csv").write_text("x\n1\n")
+    src = Path(ncgn.__file__).resolve().parent.parent
+    assert load_script("seeded_outputs").main(["seeded_outputs", str(src),
+                                               str(out)]) == 2
+    assert f"{out} exists and is not an empty directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["stale.csv"]
+
+
+def test_seeded_run_refuses_a_package_from_another_source(tmp_path, capsys,
+                                                          monkeypatch):
+    # this process already holds ncgn from its own source, not from tmp_path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert load_script("seeded_outputs").main(["seeded_outputs", str(tmp_path),
+                                               str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(Path(ncgn.__file__).resolve()) in err and str(tmp_path) in err
+    assert not (tmp_path / "out").exists()
