@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating parent/change pairs and write the result
+as ``BENCH_<pr>.json``.
+
+Usage: python3 scripts/bench_pairs.py PARENT CHANGE --pr N
+           [--pairs 3] [--workloads gw_study:10 rd_features ...]
+           [--first-seed 1000] [--out DIR]
+
+PARENT and CHANGE are git revisions of this repository. Each is extracted
+with ``git archive`` into a temporary tree, so the working tree and the
+index are left alone. Per workload, ``--pairs`` pairs (``NAME:N`` sets one
+workload's count) run each tree's own ``perfbench/run.py --trace 0`` for
+the ``run_seconds`` of the change tree's BENCHMARK.json, the parent first in
+even pairs and the change first in odd ones; pair i of a workload runs both
+trees on seed ``--first-seed + i``.
+
+The JSON holds, per workload and end-to-end metric of the change tree's
+BENCHMARK.json, both trees' values run by run, their medians and
+interquartile ranges, and the number of pairs the change won (strictly
+better; a tie is no win). Values are the host-normalized ones the gate
+reads; each run's ``raw`` line (the same metrics, not normalized), its
+``environment`` line and the ``correct`` field of its result are kept beside
+them. A metric whose change median is more than 10% worse than the
+parent's and that wins fewer than half its pairs is listed under
+``flags``; flags do not gate, BENCHMARK.json's bounds do.
+``seeded_identical`` is the outcome of ``scripts/seeded_outputs.py --check``
+on the change tree. The traced per-layer rows and the tape totals of
+``scripts/train_step_memory.py`` are not measured (``left_out`` says why).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("rd_features", "shapes_positions", "gw_study")
+FLAG_WORSE = 0.10  # relative median loss above which a metric may be flagged
+LEFT_OUT = {
+    "traced_rows": "the per-layer rows of --trace 1 runs wait for the tracer "
+                   "to time every layer (ROADMAP item 3a)",
+    "tape_totals": "scripts/train_step_memory.py is not run: its tape "
+                   "totals and last-loss bytes are not compared here",
+}
+
+
+def parse_run(stdout):
+    """The ``environment`` and ``raw`` lines and the last-line result of
+    one ``perfbench/run.py`` output."""
+    out = {"environment": None, "raw": None}
+    lines = stdout.strip().splitlines()
+    for line in lines[:-1]:
+        key, _, rest = line.partition(" ")
+        if key in out:
+            out[key] = json.loads(rest)
+    out["result"] = json.loads(lines[-1])
+    return out
+
+
+def iqr(values):
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize_metric(parent, change, better):
+    """Medians, IQRs and the change's wins over paired run values."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    worse = sign * (c_med - p_med) / abs(p_med) if p_med else 0.0
+    return {
+        "better": better,
+        "parent": parent,
+        "change": change,
+        "parent_median": p_med,
+        "change_median": c_med,
+        "parent_iqr": iqr(parent),
+        "change_iqr": iqr(change),
+        "change_wins": wins,
+        "pairs": len(parent),
+        "flagged": worse > FLAG_WORSE and wins < len(parent) / 2,
+    }
+
+
+def summarize_workload(pairs, better):
+    """``pairs``: (seed, parent run, change run) per pair, runs as
+    ``parse_run`` returns them; ``better``: metric name -> lower/higher."""
+    runs = {side: [run[i] for run in pairs] for i, side in
+            ((1, "parent"), (2, "change"))}
+    return {
+        "seeds": [seed for seed, _, _ in pairs],
+        "correct": {side: [r["result"]["correct"] for r in rs]
+                    for side, rs in runs.items()},
+        "environment": {side: [r["environment"] for r in rs]
+                        for side, rs in runs.items()},
+        "raw": {side: [r["raw"] for r in rs] for side, rs in runs.items()},
+        "metrics": {name: summarize_metric(
+            *[[r["result"]["metrics"][name]["value"] for r in runs[side]]
+              for side in ("parent", "change")], direction)
+            for name, direction in better.items()},
+    }
+
+
+def report(parent, change, workloads, seeded_identical, command):
+    """The BENCH document: revisions, per-workload summaries, flags."""
+    flags = [f"{w}.{name}: change median {m['change_median']:.6g} against "
+             f"{m['parent_median']:.6g}, {m['change_wins']} of {m['pairs']} "
+             "pairs won"
+             for w, summary in workloads.items()
+             for name, m in summary["metrics"].items() if m["flagged"]]
+    return {"parent": parent, "change": change, "command": command,
+            "workloads": workloads, "flags": flags,
+            "seeded_identical": seeded_identical, "left_out": LEFT_OUT}
+
+
+def extract(rev, dest):
+    """Write the tree of git revision ``rev`` into ``dest``; return its full
+    commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            cwd=ROOT, capture_output=True, text=True, check=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             capture_output=True, check=True)
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit.stdout.strip()
+
+
+def run_bench(tree, workload, seed, seconds):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd[1:])} in {tree} exited "
+                           f"{out.returncode}: {out.stderr.strip()}")
+    return parse_run(out.stdout)
+
+
+def seeded_identical(tree):
+    """Whether the tree's seeded sequence reproduces its record."""
+    out = subprocess.run([sys.executable, "scripts/seeded_outputs.py",
+                          "--check", str(tree / "src")], cwd=tree,
+                         capture_output=True)
+    return out.returncode == 0
+
+
+def benchmark_spec(tree):
+    """The run length and each end-to-end metric's better direction."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return spec["run_seconds"], {m["name"]: m["better"]
+                                 for m in spec["end_to_end"]}
+
+
+def parse_workloads(items, default_pairs):
+    counts = {}
+    for item in items:
+        name, _, pairs = item.partition(":")
+        if name not in WORKLOADS:
+            raise ValueError(f"unknown workload {name!r}; known: {WORKLOADS}")
+        counts[name] = int(pairs) if pairs else default_pairs
+        if counts[name] < 1:
+            raise ValueError(f"{item}: a workload needs at least one pair")
+    return counts
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--pr", type=int, required=True,
+                        help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
+                        metavar="NAME[:PAIRS]")
+    parser.add_argument("--first-seed", type=int, default=1000)
+    parser.add_argument("--out", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    try:
+        counts = parse_workloads(args.workloads, args.pairs)
+    except ValueError as exc:
+        parser.error(str(exc))
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        revs = {side: {"rev": rev, "commit": extract(rev, trees[side])}
+                for side, rev in (("parent", args.parent),
+                                  ("change", args.change))}
+        seconds, better = benchmark_spec(trees["change"])
+        summaries = {}
+        for workload, n in counts.items():
+            pairs = []
+            for i in range(n):
+                seed = args.first_seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                runs = {side: run_bench(trees[side], workload, seed, seconds)
+                        for side in order}
+                pairs.append((seed, runs["parent"], runs["change"]))
+                print(f"{workload} pair {i + 1}/{n} done", file=sys.stderr)
+            summaries[workload] = summarize_workload(pairs, better)
+        identical = seeded_identical(trees["change"])
+    command = f"perfbench/run.py --trace 0 --seconds {seconds}"
+    doc = report(revs["parent"], revs["change"], summaries, identical, command)
+    path = args.out / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    for flag in doc["flags"]:
+        print(f"flag: {flag}", file=sys.stderr)
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,8 +3,9 @@
 Files are line-oriented ``key = value`` text with ``#`` comments; dotted keys
 namespace modules (``schedule.kind``, ``interpolant.kind``). Precedence:
 command-line overrides > file > defaults. Unknown keys are rejected by name,
-as is a negative ``seed``, and the resolved configuration is echoed to
-``out_dir/config.resolved`` so a run can be reproduced from its own artifact.
+as are a negative ``seed`` and a GW-study count (``POSITIVE_KEYS``) below 1,
+and the resolved configuration is echoed to ``out_dir/config.resolved`` so a
+run can be reproduced from its own artifact.
 
 The train keys and their defaults are the fields of ``engine.TrainConfig``;
 ``TRAIN_KEYS`` maps each field to its key. Training records those keys in
@@ -45,6 +46,10 @@ DEFAULTS = {
 }
 
 
+# counts of the GW study; config names the key before anything is written
+POSITIVE_KEYS = ("gw.iters", "n_seeds", "n_shapes")
+
+
 class ConfigError(ValueError):
     pass
 
@@ -59,6 +64,9 @@ def _convert(key, raw):
         if key == "seed" and value < 0:
             raise ConfigError(f"key 'seed': expected a non-negative integer "
                               f"(it seeds numpy), got {raw!r}")
+        if key in POSITIVE_KEYS and value < 1:
+            raise ConfigError(f"key {key!r}: expected an integer of at least 1, "
+                              f"got {raw!r}")
         return value
     if isinstance(default, float):
         try:

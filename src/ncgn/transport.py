@@ -3,8 +3,10 @@ each point of weight 1/m: exact 2-Wasserstein between equal-size clouds and
 entropic Gromov-Wasserstein between clouds of any sizes and dimensions.
 
 Each GW step solves an entropic transport problem with Sinkhorn iterations
-in the scaling domain (matrix-vector products on a row-stabilised kernel);
-the log-domain loop is kept as the fallback for kernels that underflow.
+in the scaling domain (matrix-vector products on a row-stabilised kernel,
+written into buffers allocated once per solve; the convergence check reuses
+the iteration's K v); the log-domain loop is kept as the fallback for
+kernels that underflow.
 
 Only ``w2_exact`` uses scipy (linear assignment and the squared-distance
 matrix), and it imports it when it runs; the GW solver is numpy alone, so
@@ -96,7 +98,8 @@ def _sinkhorn_log_domain(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL,
 
 
 def _positive_finite(x):
-    return bool(np.all((x > 0) & (x < np.inf)))
+    # min and max propagate NaN, so a NaN fails the first comparison
+    return bool(x.min() > 0 and x.max() < np.inf)
 
 
 def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
@@ -108,8 +111,10 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     The warm-start potentials and each row's maximum are absorbed into the
     kernel K = exp((f + g - cost) / eps - shift), so every row of K holds a 1
     and the iterations u = p / Kv, v = q / K'u are two matrix-vector
-    products (Cuturi 2013; absorption as in Schmitzer 2019). The row
-    marginal is tested every 10th iteration. If a scaling turns zero or
+    products (Cuturi 2013; absorption as in Schmitzer 2019), written into
+    buffers allocated once per call. Each iteration ends with the K v of its
+    new v, which the next iteration divides by; every 10th iteration the
+    row-marginal test u * Kv reuses it. If a scaling turns zero or
     non-finite (a column of K underflowed), the log-domain loop reruns from
     the same warm start.
     """
@@ -119,16 +124,18 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     shift = log_k.max(axis=1)
     k = np.exp(log_k - shift[:, None])
     k_t = np.ascontiguousarray(k.T)
-    v = np.ones(len(q))
+    u, v = np.empty(len(p)), np.ones(len(q))
+    kv, ktu = k @ v, np.empty(len(q))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            u = p / (k @ v)
-            v = q / (k_t @ u)
+            np.divide(p, kv, out=u)
+            np.divide(q, np.dot(k_t, u, out=ktu), out=v)
+            np.dot(k, v, out=kv)
             if it % 10 == 0 or it == max_iter:
                 if not (_positive_finite(u) and _positive_finite(v)):
                     return _sinkhorn_log_domain(cost, p, q, eps, max_iter, tol,
                                                 f=f, g=g)
-                if np.abs(u * (k @ v) - p).max() < tol:
+                if np.abs(u * kv - p).max() < tol:
                     break
     f_new = f0 + eps * (np.log(u) - shift)
     g_new = g0 + eps * np.log(v)
@@ -136,9 +143,11 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     return log_t, f_new, g_new
 
 
-def _gw_cost_gradient(c1, c2, coupling, p, q):
+def _gw_gradient(c1, c2, p, q):
+    """The squared-loss GW gradient as a function of the coupling T:
+    (c1² p)_i + (c2² q)_j - 2 (c1 T c2)_ij, its constant term computed once."""
     const = (c1**2 @ p)[:, None] + (c2**2 @ q)[None, :]
-    return const - 2.0 * c1 @ coupling @ c2
+    return lambda coupling: const - 2.0 * c1 @ coupling @ c2
 
 
 def gw_entropic(a, b, eps=0.05, iters=50, return_details=False):
@@ -173,8 +182,9 @@ def gw_entropic(a, b, eps=0.05, iters=50, return_details=False):
     converged = False
     inner_converged = True
     f = g = None
+    gradient = _gw_gradient(c1, c2, p, q)
     for _ in range(iters):
-        grad = _gw_cost_gradient(c1, c2, coupling, p, q)
+        grad = gradient(coupling)
         log_t, f, g = _sinkhorn_log(grad - eps * log_t, p, q, eps, f=f, g=g)
         new = np.exp(log_t)
         # a solve that stopped at max_iter leaves the row marginal off
@@ -184,7 +194,7 @@ def gw_entropic(a, b, eps=0.05, iters=50, return_details=False):
             converged = inner_converged
             break
         coupling = new
-    grad_raw = _gw_cost_gradient(c1_raw, c2_raw, coupling, p, q)
+    grad_raw = _gw_gradient(c1_raw, c2_raw, p, q)(coupling)
     value = float(np.sum(grad_raw * coupling))
     value = max(value, 0.0)  # clip fp noise around the zero objective
     if return_details:

@@ -1,0 +1,155 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BETTER = {"pipeline_s": "lower", "step_items_per_s": "higher",
+          "ops_ok_ratio": "higher"}
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned(seed, pipeline_s, items_per_s, ops_ok=1.0, correct=True):
+    """A ``perfbench/run.py --trace 0`` output in its line format."""
+    metrics = {"pipeline_s": {"value": pipeline_s, "unit": "s"},
+               "step_items_per_s": {"value": items_per_s, "unit": "1/s"},
+               "ops_ok_ratio": {"value": ops_ok, "unit": "ratio"}}
+    return "\n".join([
+        "environment " + json.dumps({"commit": "unknown", "seed": seed}),
+        'stages {"gw": 3.0}',
+        "raw " + json.dumps({"pipeline_s": 2 * pipeline_s}),
+        "calibration 12 bursts, median 5.0 ms",
+        json.dumps({"correct": correct, "attempted": 3, "failed": 0,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+# (parent, change) per pair: pipeline_s, step_items_per_s
+PAIRS = [((3.0, 10.0), (2.0, 9.0)),
+         ((4.0, 10.0), (3.5, 8.0)),
+         ((3.5, 12.0), (3.6, 8.0)),
+         ((3.2, 11.0), (2.5, 13.0))]
+
+
+def canned_pairs(script):
+    return [(seed, script.parse_run(canned(seed, *p)),
+             script.parse_run(canned(seed, *c)))
+            for seed, (p, c) in enumerate(PAIRS, start=7)]
+
+
+def test_parse_run_reads_environment_raw_and_result():
+    run = load_bench_pairs().parse_run(canned(7, 3.0, 10.0))
+    assert run["environment"] == {"commit": "unknown", "seed": 7}
+    assert run["raw"] == {"pipeline_s": 6.0}
+    assert run["result"]["metrics"]["pipeline_s"]["value"] == 3.0
+
+
+def test_summary_gives_medians_iqr_wins_and_flags():
+    script = load_bench_pairs()
+    summary = script.summarize_workload(canned_pairs(script), BETTER)
+    assert summary["seeds"] == [7, 8, 9, 10]
+    assert summary["correct"] == {"parent": [True] * 4, "change": [True] * 4}
+    assert [e["seed"] for e in summary["environment"]["change"]] == [7, 8, 9, 10]
+    assert summary["raw"]["parent"][0] == {"pipeline_s": 6.0}
+
+    pipeline = summary["metrics"]["pipeline_s"]
+    assert pipeline["parent"] == [3.0, 4.0, 3.5, 3.2]
+    assert pipeline["change"] == [2.0, 3.5, 3.6, 2.5]
+    assert pipeline["parent_median"] == pytest.approx(3.35)
+    assert pipeline["change_median"] == pytest.approx(3.0)
+    # inclusive quartiles of 3.0, 3.2, 3.5, 4.0: 3.15 and 3.625
+    assert pipeline["parent_iqr"] == pytest.approx(0.475)
+    assert pipeline["change_wins"] == 3 and pipeline["pairs"] == 4
+    assert not pipeline["flagged"]
+
+    # higher is better: medians 10.5 -> 8.5 (19% worse), 1 win of 4
+    items = summary["metrics"]["step_items_per_s"]
+    assert items["change_wins"] == 1 and items["flagged"]
+
+    # equal values are no win, and no loss either
+    ops = summary["metrics"]["ops_ok_ratio"]
+    assert ops["change_wins"] == 0 and not ops["flagged"]
+
+    doc = script.report({"rev": "a"}, {"rev": "b"}, {"gw_study": summary},
+                        True, "perfbench/run.py --trace 0 --seconds 25")
+    assert doc["flags"] == ["gw_study.step_items_per_s: change median 8.5 "
+                            "against 10.5, 1 of 4 pairs won"]
+    assert doc["seeded_identical"] is True
+    assert set(doc["left_out"]) == {"traced_rows", "tape_totals"}
+
+
+@pytest.mark.parametrize("parent, change, flagged", [
+    ([10.0, 10.0], [11.1, 11.1], True),    # 11% worse, no win
+    ([10.0, 10.0], [10.9, 10.9], False),   # 9% worse: under the 10% line
+    ([10.0, 10.0, 10.0], [9.0, 12.0, 12.0], True),   # 1 win of 3
+    ([10.0, 10.0], [9.0, 12.0], False),    # median 10.5, 5% worse
+    ([10.0, 10.0, 10.0, 10.0], [9.0, 9.0, 12.0, 12.0], False),  # 2 of 4 won
+])
+def test_flag_needs_a_worse_median_and_under_half_the_wins(parent, change,
+                                                           flagged):
+    metric = load_bench_pairs().summarize_metric(parent, change, "lower")
+    assert metric["flagged"] is flagged
+
+
+def test_main_alternates_the_order_and_writes_bench_json(tmp_path,
+                                                         monkeypatch):
+    script = load_bench_pairs()
+    spec = {"run_seconds": 5,
+            "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}
+    commits = {"parent": "1" * 40, "change": "2" * 40}
+    calls = []
+
+    def extract(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec))
+        return commits[rev]
+
+    def run_bench(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        index = seed - 100
+        values = PAIRS[index][0 if tree.name == "parent" else 1]
+        return script.parse_run(canned(seed, *values))
+
+    monkeypatch.setattr(script, "extract", extract)
+    monkeypatch.setattr(script, "run_bench", run_bench)
+    monkeypatch.setattr(script, "seeded_identical", lambda tree: False)
+    assert script.main(["parent", "change", "--pr", "99", "--pairs", "2",
+                        "--workloads", "gw_study:4", "rd_features",
+                        "--first-seed", "100", "--out", str(tmp_path)]) == 0
+    assert calls == [
+        ("parent", "gw_study", 100, 5), ("change", "gw_study", 100, 5),
+        ("change", "gw_study", 101, 5), ("parent", "gw_study", 101, 5),
+        ("parent", "gw_study", 102, 5), ("change", "gw_study", 102, 5),
+        ("change", "gw_study", 103, 5), ("parent", "gw_study", 103, 5),
+        ("parent", "rd_features", 100, 5), ("change", "rd_features", 100, 5),
+        ("change", "rd_features", 101, 5), ("parent", "rd_features", 101, 5)]
+    doc = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert doc["parent"] == {"rev": "parent", "commit": "1" * 40}
+    assert doc["change"] == {"rev": "change", "commit": "2" * 40}
+    assert doc["seeded_identical"] is False
+    assert doc["command"] == "perfbench/run.py --trace 0 --seconds 5"
+    assert list(doc["workloads"]) == ["gw_study", "rd_features"]
+    assert doc["workloads"]["rd_features"]["metrics"]["pipeline_s"]["pairs"] == 2
+    assert doc["flags"] == [
+        "gw_study.step_items_per_s: change median 8.5 against 10.5, 1 of 4 "
+        "pairs won",
+        "rd_features.step_items_per_s: change median 8.5 against 10, 0 of 2 "
+        "pairs won"]
+
+
+def test_unknown_workload_or_empty_count_rejected():
+    script = load_bench_pairs()
+    assert script.parse_workloads(["gw_study:10", "rd_features"], 3) == {
+        "gw_study": 10, "rd_features": 3}
+    with pytest.raises(ValueError, match="unknown workload 'gw'"):
+        script.parse_workloads(["gw"], 3)
+    with pytest.raises(ValueError, match="at least one pair"):
+        script.parse_workloads(["gw_study:0"], 3)

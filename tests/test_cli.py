@@ -378,14 +378,25 @@ def test_make_shapes_and_gw_study(tmp_path):
     assert len(argmin) == 6
 
 
+@pytest.mark.parametrize("key", ["gw.iters", "n_seeds", "n_shapes"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_gw_study_count_below_one_exits_one_naming_the_key(tmp_path, capsys,
+                                                          key, value):
+    # the solver's and the study's own messages do not name the key
+    assert run(tmp_path, "gw-study", f"{key}={value}") == 1
+    assert (f"key {key!r}: expected an integer of at least 1, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "config.resolved").exists()
+
+
+# counts below 1 are rejected by config (above); gw_study's own check for
+# them is tested in test_engine.py
 @pytest.mark.parametrize("n_train, n_shapes, n_seeds, shapes", [
-    (4, 0, 1, 0), (4, -1, 1, 0), (4, 2, 0, 2),
     (0, 2, 1, 0),  # an empty train split
 ])
 def test_gw_study_with_nothing_to_solve_exits_one(tmp_path, capsys, n_train,
                                                   n_shapes, n_seeds, shapes):
-    # no (shape, seed) pair: there is no GW mean to write or minimize, and a
-    # negative n_shapes must not drop shapes from the end of the split
+    # no (shape, seed) pair: there is no GW mean to write or minimize
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", f"n_train={n_train}", "n_test=2",
                "n_points=16") == 0

@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import re
 import types
 import weakref
 
@@ -505,6 +506,18 @@ def test_attention_rows_normalized():
         weights = [w for tb, lo, hi, w in rows if tb == t]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
         assert all(w >= 0 for w in weights)
+
+
+@pytest.mark.parametrize("n_shapes, n_seeds, shapes", [
+    (0, 1, 0), (-1, 1, 0), (2, 0, 2),
+])
+def test_gw_study_needs_a_shape_seed_pair(n_shapes, n_seeds, shapes):
+    # no (shape, seed) pair: there is no GW mean to write or minimize, and a
+    # negative n_shapes must not drop shapes from the end of the split
+    graphs = generate_shape_dataset(n_train=4, n_test=0, n_points=16).train
+    with pytest.raises(ValueError, match=re.escape(
+            f"got {shapes} shapes (n_shapes={n_shapes}) and n_seeds={n_seeds}")):
+        gw_study(graphs, n_shapes=n_shapes, n_seeds=n_seeds)
 
 
 def test_gw_study_zero_noise_anchor():

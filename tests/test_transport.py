@@ -310,3 +310,127 @@ def test_sinkhorn_falls_back_where_kernel_underflows(monkeypatch):
     ref = reference_sinkhorn(*args, **kwargs)
     for got, want in zip(out, ref):
         np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------- equivalence with the old loop
+
+
+def positive_finite_reference(x):
+    return bool(np.all((x > 0) & (x < np.inf)))
+
+
+def sinkhorn_reference(cost, p, q, eps, max_iter=2000,
+                       tol=transport.SINKHORN_TOL, f=None, g=None):
+    """``_sinkhorn_log`` before its loop ran in preallocated buffers: fresh
+    arrays each iteration, and a check that computes its own K v."""
+    f0 = np.zeros(len(p)) if f is None else f
+    g0 = np.zeros(len(q)) if g is None else g
+    log_k = (f0[:, None] + g0[None, :] - cost) / eps
+    shift = log_k.max(axis=1)
+    k = np.exp(log_k - shift[:, None])
+    k_t = np.ascontiguousarray(k.T)
+    v = np.ones(len(q))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            u = p / (k @ v)
+            v = q / (k_t @ u)
+            if it % 10 == 0 or it == max_iter:
+                if not (positive_finite_reference(u)
+                        and positive_finite_reference(v)):
+                    return transport._sinkhorn_log_domain(
+                        cost, p, q, eps, max_iter, tol, f=f, g=g)
+                if np.abs(u * (k @ v) - p).max() < tol:
+                    break
+    f_new = f0 + eps * (np.log(u) - shift)
+    g_new = g0 + eps * np.log(v)
+    log_t = (f_new[:, None] + g_new[None, :] - cost) / eps
+    return log_t, f_new, g_new
+
+
+def gw_cost_gradient_reference(c1, c2, coupling, p, q):
+    """The GW gradient before its constant term was computed once per
+    solve."""
+    const = (c1**2 @ p)[:, None] + (c2**2 @ q)[None, :]
+    return const - 2.0 * c1 @ coupling @ c2
+
+
+def gw_entropic_reference(*args, **kwargs):
+    """``gw_entropic`` on the reference loop and gradient."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_sinkhorn_log", sinkhorn_reference)
+        patch.setattr(transport, "_gw_gradient", lambda c1, c2, p, q: (
+            lambda coupling: gw_cost_gradient_reference(c1, c2, coupling, p, q)))
+        return gw_entropic(*args, **kwargs)
+
+
+def warm_cost():
+    # a normal cost with random warm-start potentials
+    (cost, p, q, eps), kwargs = normal_cost(0.01)
+    rng = np.random.default_rng(2)
+    return (cost, p, q, eps), dict(kwargs, f=0.01 * rng.standard_normal(30),
+                                   g=0.01 * rng.standard_normal(40))
+
+
+def capped(calls, max_iter):
+    return [(args, dict(kwargs, max_iter=max_iter)) for args, kwargs in calls]
+
+
+SINKHORN_CASES = {
+    "study": study_sinkhorn_calls,
+    "normal": lambda: [normal_cost(0.01)],
+    "offset": lambda: [normal_cost(0.01, offset=-10.0)],
+    "warm": lambda: [warm_cost()],
+    "underflow": lambda: [normal_cost(1e-3)],
+    # the underflow cost falls back at every cap; at 9 and 11 only the
+    # check at it == max_iter sees it
+    **{f"max_iter={n}": (lambda n=n: capped(
+        study_sinkhorn_calls() + [normal_cost(0.01), warm_cost(),
+                                  normal_cost(1e-3)], n))
+       for n in (1, 9, 10, 11)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
+def test_sinkhorn_loop_matches_the_reference_bytes(case, monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    for args, kwargs in SINKHORN_CASES[case]():
+        got = transport._sinkhorn_log(*args, **kwargs)
+        want = sinkhorn_reference(*args, **kwargs)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    # the underflow solve falls back once in each loop; no other solve does
+    underflows = case == "underflow" or case.startswith("max_iter")
+    assert len(fallbacks) == (2 if underflows else 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), d=st.integers(1, 3),
+       eps=st.sampled_from([0.005, 0.05, 0.5]), iters=st.integers(1, 60),
+       seed=st.integers(0, 2**16))
+def test_gw_entropic_matches_the_reference(m, n, d, eps, iters, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+    want = gw_entropic_reference(a, b, eps=eps, iters=iters,
+                                 return_details=True)
+    got = gw_entropic(a, b, eps=eps, iters=iters, return_details=True)
+    assert got.value == want.value
+    assert got.coupling.tobytes() == want.coupling.tobytes()
+    assert got.converged == want.converged
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2e-308, 1.0, -1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                       min_size=1, max_size=12))
+def test_positive_finite_matches_the_reference(values):
+    x = np.array(values, dtype=np.float64)
+    assert transport._positive_finite(x) == positive_finite_reference(x)
+
+
+@pytest.mark.parametrize("value", SPECIAL_FLOATS)
+def test_positive_finite_on_one_special_value(value):
+    x = np.array([value])
+    assert transport._positive_finite(x) == positive_finite_reference(x)
+    assert transport._positive_finite(x) == (value in (5e-324, 2.2e-308, 1.0))
