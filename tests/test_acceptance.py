@@ -3,7 +3,8 @@
 Fast criteria run inline. The three long studies (GW coarsening, attention
 vs distance, transcriptomics benchmark) assert on the CSV artifacts checked
 in under artifacts/, which scripts/run_studies.sh and
-scripts/run_transcriptomics.sh regenerate from scratch with fixed seeds.
+scripts/run_transcriptomics.sh write with fixed seeds (README says which of
+them still regenerate byte for byte).
 """
 
 import csv
