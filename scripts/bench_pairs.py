@@ -20,12 +20,19 @@ interquartile ranges, and the number of pairs the change won (strictly
 better; a tie is no win). Values are the host-normalized ones the gate
 reads; each run's ``raw`` line (the same metrics, not normalized), its
 ``environment`` line and the ``correct`` field of its result are kept beside
-them. A metric whose change median is more than 10% worse than the
-parent's and that wins fewer than half its pairs is listed under
-``flags``; flags do not gate, BENCHMARK.json's bounds do.
-``seeded_identical`` is the outcome of ``scripts/seeded_outputs.py --check``
-on the change tree. The traced per-layer rows and the tape totals of
-``scripts/train_step_memory.py`` are not measured (``left_out`` says why).
+them, and each metric also gives both sides' raw medians
+(``parent_raw_median``, ``change_raw_median``), since a normalized value
+can move against the raw one. A metric whose change median is more than
+10% worse than the parent's and that wins fewer than half its pairs is
+listed under ``flags``; flags do not gate, BENCHMARK.json's bounds do.
+``seeded_identical`` holds two outcomes of ``scripts/seeded_outputs.py
+--check`` on the change tree's ``src``: ``change_record``, the change
+tree's script against its own record, and ``parent_record``, the parent
+tree's script against the parent's record (null if the parent has no such
+script). Only the second shows that outputs did not move, since a change
+that moves them also rewrites its own record. The traced per-layer rows and
+the tape totals of ``scripts/train_step_memory.py`` are not measured
+(``left_out`` says why).
 """
 
 from __future__ import annotations
@@ -96,6 +103,14 @@ def summarize_workload(pairs, better):
     ``parse_run`` returns them; ``better``: metric name -> lower/higher."""
     runs = {side: [run[i] for run in pairs] for i, side in
             ((1, "parent"), (2, "change"))}
+    metrics = {}
+    for name, direction in better.items():
+        metrics[name] = summarize_metric(
+            *[[r["result"]["metrics"][name]["value"] for r in runs[side]]
+              for side in ("parent", "change")], direction)
+        for side, rs in runs.items():
+            metrics[name][f"{side}_raw_median"] = statistics.median(
+                r["raw"][name] for r in rs)
     return {
         "seeds": [seed for seed, _, _ in pairs],
         "correct": {side: [r["result"]["correct"] for r in rs]
@@ -103,10 +118,7 @@ def summarize_workload(pairs, better):
         "environment": {side: [r["environment"] for r in rs]
                         for side, rs in runs.items()},
         "raw": {side: [r["raw"] for r in rs] for side, rs in runs.items()},
-        "metrics": {name: summarize_metric(
-            *[[r["result"]["metrics"][name]["value"] for r in runs[side]]
-              for side in ("parent", "change")], direction)
-            for name, direction in better.items()},
+        "metrics": metrics,
     }
 
 
@@ -145,10 +157,14 @@ def run_bench(tree, workload, seed, seconds):
     return parse_run(out.stdout)
 
 
-def seeded_identical(tree):
-    """Whether the tree's seeded sequence reproduces its record."""
-    out = subprocess.run([sys.executable, "scripts/seeded_outputs.py",
-                          "--check", str(tree / "src")], cwd=tree,
+def seeded_identical(script_tree, src_tree):
+    """Whether ``src_tree``'s package reproduces the seeded-output record of
+    ``script_tree``, by that tree's own script; None if it has none."""
+    script = script_tree / "scripts" / "seeded_outputs.py"
+    if not script.exists():
+        return None
+    out = subprocess.run([sys.executable, str(script), "--check",
+                          str(src_tree / "src")], cwd=script_tree,
                          capture_output=True)
     return out.returncode == 0
 
@@ -206,7 +222,9 @@ def main(argv=None):
                 pairs.append((seed, runs["parent"], runs["change"]))
                 print(f"{workload} pair {i + 1}/{n} done", file=sys.stderr)
             summaries[workload] = summarize_workload(pairs, better)
-        identical = seeded_identical(trees["change"])
+        identical = {
+            "change_record": seeded_identical(trees["change"], trees["change"]),
+            "parent_record": seeded_identical(trees["parent"], trees["change"])}
     command = f"perfbench/run.py --trace 0 --seconds {seconds}"
     doc = report(revs["parent"], revs["change"], summaries, identical, command)
     path = args.out / f"BENCH_{args.pr}.json"

@@ -25,7 +25,10 @@ def canned(seed, pipeline_s, items_per_s, ops_ok=1.0, correct=True):
     return "\n".join([
         "environment " + json.dumps({"commit": "unknown", "seed": seed}),
         'stages {"gw": 3.0}',
-        "raw " + json.dumps({"pipeline_s": 2 * pipeline_s}),
+        # raw pipeline_s moves against the normalized one
+        "raw " + json.dumps({"pipeline_s": 10.0 - pipeline_s,
+                             "step_items_per_s": 2 * items_per_s,
+                             "ops_ok_ratio": ops_ok}),
         "calibration 12 bursts, median 5.0 ms",
         json.dumps({"correct": correct, "attempted": 3, "failed": 0,
                     "metrics": metrics}),
@@ -48,7 +51,8 @@ def canned_pairs(script):
 def test_parse_run_reads_environment_raw_and_result():
     run = load_bench_pairs().parse_run(canned(7, 3.0, 10.0))
     assert run["environment"] == {"commit": "unknown", "seed": 7}
-    assert run["raw"] == {"pipeline_s": 6.0}
+    assert run["raw"] == {"pipeline_s": 7.0, "step_items_per_s": 20.0,
+                          "ops_ok_ratio": 1.0}
     assert run["result"]["metrics"]["pipeline_s"]["value"] == 3.0
 
 
@@ -58,7 +62,7 @@ def test_summary_gives_medians_iqr_wins_and_flags():
     assert summary["seeds"] == [7, 8, 9, 10]
     assert summary["correct"] == {"parent": [True] * 4, "change": [True] * 4}
     assert [e["seed"] for e in summary["environment"]["change"]] == [7, 8, 9, 10]
-    assert summary["raw"]["parent"][0] == {"pipeline_s": 6.0}
+    assert summary["raw"]["parent"][0]["pipeline_s"] == 7.0
 
     pipeline = summary["metrics"]["pipeline_s"]
     assert pipeline["parent"] == [3.0, 4.0, 3.5, 3.2]
@@ -69,10 +73,14 @@ def test_summary_gives_medians_iqr_wins_and_flags():
     assert pipeline["parent_iqr"] == pytest.approx(0.475)
     assert pipeline["change_wins"] == 3 and pipeline["pairs"] == 4
     assert not pipeline["flagged"]
+    # raw medians of 10 - value: normalized down, raw up
+    assert pipeline["parent_raw_median"] == pytest.approx(6.65)
+    assert pipeline["change_raw_median"] == pytest.approx(7.0)
 
     # higher is better: medians 10.5 -> 8.5 (19% worse), 1 win of 4
     items = summary["metrics"]["step_items_per_s"]
     assert items["change_wins"] == 1 and items["flagged"]
+    assert (items["parent_raw_median"], items["change_raw_median"]) == (21.0, 17.0)
 
     # equal values are no win, and no loss either
     ops = summary["metrics"]["ops_ok_ratio"]
@@ -120,7 +128,8 @@ def test_main_alternates_the_order_and_writes_bench_json(tmp_path,
 
     monkeypatch.setattr(script, "extract", extract)
     monkeypatch.setattr(script, "run_bench", run_bench)
-    monkeypatch.setattr(script, "seeded_identical", lambda tree: False)
+    monkeypatch.setattr(script, "seeded_identical",
+                        lambda script_tree, src_tree: script_tree.name == "parent")
     assert script.main(["parent", "change", "--pr", "99", "--pairs", "2",
                         "--workloads", "gw_study:4", "rd_features",
                         "--first-seed", "100", "--out", str(tmp_path)]) == 0
@@ -134,7 +143,8 @@ def test_main_alternates_the_order_and_writes_bench_json(tmp_path,
     doc = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert doc["parent"] == {"rev": "parent", "commit": "1" * 40}
     assert doc["change"] == {"rev": "change", "commit": "2" * 40}
-    assert doc["seeded_identical"] is False
+    assert doc["seeded_identical"] == {"change_record": False,
+                                       "parent_record": True}
     assert doc["command"] == "perfbench/run.py --trace 0 --seconds 5"
     assert list(doc["workloads"]) == ["gw_study", "rd_features"]
     assert doc["workloads"]["rd_features"]["metrics"]["pipeline_s"]["pairs"] == 2
@@ -153,3 +163,35 @@ def test_unknown_workload_or_empty_count_rejected():
         script.parse_workloads(["gw"], 3)
     with pytest.raises(ValueError, match="at least one pair"):
         script.parse_workloads(["gw_study:0"], 3)
+
+
+def test_seeded_identical_runs_a_tree_script_on_the_change_src(tmp_path,
+                                                               monkeypatch):
+    script = load_bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "scripts").mkdir(parents=True)
+        (tree / "scripts" / "seeded_outputs.py").write_text("")
+    calls = []
+
+    class Done:
+        def __init__(self, returncode):
+            self.returncode = returncode
+
+    def run(cmd, cwd, capture_output):
+        calls.append((cmd[1:], cwd))
+        # the parent's record no longer matches the change's outputs
+        return Done(1 if cwd == parent else 0)
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.seeded_identical(change, change) is True
+    assert script.seeded_identical(parent, change) is False
+    assert calls == [
+        ([str(change / "scripts" / "seeded_outputs.py"), "--check",
+          str(change / "src")], change),
+        ([str(parent / "scripts" / "seeded_outputs.py"), "--check",
+          str(change / "src")], parent)]
+    # a parent from before the seeded record has no script to run
+    (parent / "scripts" / "seeded_outputs.py").unlink()
+    assert script.seeded_identical(parent, change) is None
+    assert len(calls) == 2

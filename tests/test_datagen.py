@@ -1,9 +1,12 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncgn import dataset
+from ncgn import dataset, shapes
 from ncgn.dataset import (
     TEST_SHAPE,
     TRAIN_SHAPE,
@@ -19,7 +22,7 @@ from ncgn.reaction_diffusion import (
     laplacian_1d,
     simulate_rd,
 )
-from ncgn.shapes import SHAPE_KINDS, make_shape
+from ncgn.shapes import SHAPE_KINDS, TORUS_MAJOR, TORUS_MINOR, make_shape
 
 
 # ---------------------------------------------------------------- shapes
@@ -47,12 +50,158 @@ def test_cube_points_on_faces():
 
 
 def test_torus_on_surface():
-    from ncgn.shapes import TORUS_MAJOR, TORUS_MINOR
-
     g = make_shape("torus", 100, seed=4)
     ring = np.hypot(g.positions[:, 0], g.positions[:, 1])
     tube = np.hypot(ring - TORUS_MAJOR, g.positions[:, 2])
     np.testing.assert_allclose(tube, TORUS_MINOR, atol=1e-10)
+
+
+def test_prism_points_on_caps_or_sides():
+    pts = make_shape("prism", 300, seed=8).positions
+    verts = shapes._triangle_vertices()
+    # barycentric coordinates of xy in the triangle
+    edges = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
+    lam = np.linalg.solve(edges, (pts[:, :2] - verts[0]).T).T
+    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    on_cap = (np.abs(pts[:, 2]) == 0.5) & (bary >= -1e-12).all(axis=1)
+    # distance of xy from each edge's segment
+    a, b = verts, np.roll(verts, -1, axis=0)
+    t = np.clip(np.einsum("eij,ej->ei", pts[None, :, :2] - a[:, None], b - a)
+                / ((b - a) ** 2).sum(axis=1)[:, None], 0.0, 1.0)
+    foot = a[:, None] + t[..., None] * (b - a)[:, None]
+    gap = np.linalg.norm(pts[None, :, :2] - foot, axis=2).min(axis=0)
+    on_side = (gap < 1e-12) & (np.abs(pts[:, 2]) <= 0.5)
+    assert (on_cap | on_side).all()
+    assert on_cap.any() and (on_side & ~on_cap).any()
+
+
+def test_cylinder_points_on_side_or_caps():
+    pts = make_shape("cylinder", 300, seed=9).positions
+    radius = np.hypot(pts[:, 0], pts[:, 1])
+    on_side = np.isclose(radius, 0.5, rtol=0.0, atol=1e-12) & (np.abs(pts[:, 2]) <= 0.5)
+    on_cap = (np.abs(pts[:, 2]) == 0.5) & (radius <= 0.5)
+    assert (on_side | on_cap).all()
+    assert on_cap.any() and (on_side & ~on_cap).any()
+
+
+# The per-point loops the whole-array samplers replaced, as the references
+# they must match byte for byte from the same generator.
+
+def loop_cube(n, rng):
+    face = rng.integers(0, 6, size=n)
+    uv = rng.uniform(-0.5, 0.5, size=(n, 2))
+    pts = np.empty((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, -0.5, 0.5)
+    for i in range(n):
+        others = [a for a in range(3) if a != axis[i]]
+        pts[i, axis[i]] = sign[i]
+        pts[i, others] = uv[i]
+    return pts
+
+
+def loop_prism(n, rng):
+    verts = shapes._triangle_vertices()
+    side = np.linalg.norm(verts[0] - verts[1])
+    tri_area = np.sqrt(3.0) / 4.0 * side**2
+    areas = np.array([tri_area, tri_area, side, side, side])
+    which = rng.choice(5, size=n, p=areas / areas.sum())
+    pts = np.empty((n, 3))
+    for i, w in enumerate(which):
+        if w < 2:
+            u, v = rng.uniform(size=2)
+            if u + v > 1.0:
+                u, v = 1.0 - u, 1.0 - v
+            xy = verts[0] + u * (verts[1] - verts[0]) + v * (verts[2] - verts[0])
+            pts[i] = [xy[0], xy[1], -0.5 if w == 0 else 0.5]
+        else:
+            a, b = verts[w - 2], verts[(w - 1) % 3]
+            u = rng.uniform()
+            xy = a + u * (b - a)
+            pts[i] = [xy[0], xy[1], rng.uniform(-0.5, 0.5)]
+    return pts
+
+
+def loop_cylinder(n, rng):
+    r = 0.5
+    lateral, cap = 2.0 * np.pi * r, np.pi * r**2
+    which = rng.choice(3, size=n, p=np.array([lateral, cap, cap]) / (lateral + 2 * cap))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    pts = np.empty((n, 3))
+    for i, w in enumerate(which):
+        if w == 0:
+            pts[i] = [r * np.cos(theta[i]), r * np.sin(theta[i]),
+                      rng.uniform(-0.5, 0.5)]
+        else:
+            rad = r * np.sqrt(rng.uniform())
+            pts[i] = [rad * np.cos(theta[i]), rad * np.sin(theta[i]),
+                      -0.5 if w == 1 else 0.5]
+    return pts
+
+
+def loop_torus(n, rng):
+    big, small = TORUS_MAJOR, TORUS_MINOR
+    pts = np.empty((n, 3))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    for i in range(n):
+        while True:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            if rng.uniform() <= (big + small * np.cos(phi)) / (big + small):
+                break
+        rad = big + small * np.cos(phi)
+        pts[i] = [rad * np.cos(theta[i]), rad * np.sin(theta[i]),
+                  small * np.sin(phi)]
+    return pts
+
+
+LOOPS = {"cube": loop_cube, "prism": loop_prism, "cylinder": loop_cylinder,
+         "torus": loop_torus}
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(LOOPS)), n=st.integers(4, 1000),
+       seed=st.integers(0, 2**32 - 1))
+def test_samplers_match_the_per_point_loops(kind, n, seed):
+    got = make_shape(kind, n, seed=seed).positions
+    assert got.tobytes() == LOOPS[kind](n, np.random.default_rng(seed)).tobytes()
+
+
+class CountingGenerator:
+    """A generator that counts its ``uniform`` calls."""
+
+    def __init__(self, seed):
+        self.rng, self.uniform_calls = np.random.default_rng(seed), 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def test_torus_refill_matches_the_loop():
+    # n = 4 draws 8 pairs first, which accept fewer than 4 for a few
+    # percent of seeds; those draw a second batch
+    refilled = 0
+    for seed in range(200):
+        rng = CountingGenerator(seed)
+        got = shapes._torus(4, rng)
+        refilled += rng.uniform_calls > 2  # ring angles, then one batch
+        assert got.tobytes() == loop_torus(4, np.random.default_rng(seed)).tobytes()
+    assert refilled > 0
+
+
+def positions_digest(ds):
+    return hashlib.sha256(b"".join(g.positions.tobytes()
+                                   for g in ds.train + ds.test)).hexdigest()
+
+
+def test_workload_shape_dataset_matches_the_loops(monkeypatch):
+    # the shapes_positions benchmark's corpus for a 25 s run at seed 7:
+    # 384 training and 4 sampling shapes of 256 points
+    digest = positions_digest(generate_shape_dataset(384, 4, 256, seed=70000))
+    for kind, loop in LOOPS.items():
+        monkeypatch.setitem(shapes._SAMPLERS, kind, loop)
+    assert digest == positions_digest(
+        generate_shape_dataset(384, 4, 256, seed=70000))
 
 
 def test_shape_determinism_and_seed_variation():
