@@ -11,7 +11,8 @@ non-default schedule kind, every baseline and random_pred. Every file it
 writes is deterministic, so two source trees that compute the same numbers
 give byte-identical output directories. The commands run in this process
 through ``ncgn.cli.main``, their standard output discarded; the first that
-exits non-zero stops the run and is named (exit 1).
+exits non-zero stops the run and is named (exit 1). ``run`` and
+``use_source`` also run scripts/artifacts.py's full-size sequences.
 
 SRC_DIR holds the ncgn package (a checkout's src/); the run exits 2 if
 ``ncgn`` is imported from anywhere else, or if OUT_DIR holds files, which
@@ -70,13 +71,13 @@ SEQUENCE = [
 ]
 
 
-def run(out_dir):
-    """Run ``SEQUENCE`` into ``out_dir`` with the ``ncgn`` package this
-    process imports. Raises RuntimeError naming the argv of the first
-    command that exits non-zero."""
+def run(sequence, out_dir):
+    """Run ``sequence``, argv lists of ``ncgn`` with ``{out}`` standing for
+    ``out_dir``, with the ``ncgn`` package this process imports. Raises
+    RuntimeError naming the argv of the first command that exits non-zero."""
     from ncgn import cli
 
-    for template in SEQUENCE:
+    for template in sequence:
         argv = [arg.format(out=out_dir) for arg in template]
         try:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -120,10 +121,10 @@ def main(argv):
         return 2
     try:
         if out is not None:
-            run(out)
+            run(SEQUENCE, out)
             return 0
         with tempfile.TemporaryDirectory() as tmp:
-            run(Path(tmp))
+            run(SEQUENCE, Path(tmp))
             import seeded_diff
 
             return seeded_diff.check(RECORD.read_text(), Path(tmp))

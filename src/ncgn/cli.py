@@ -163,8 +163,6 @@ def cmd_train(config):
 def cmd_sample(config, checkpoint):
     ds = _require_dataset(config, "test")
     templates = ds.test
-    if config["n_samples"] < 0:
-        raise ConfigError(f"n_samples must be >= 0, got {config['n_samples']}")
     if config["mask_task"] and config["task"] == "positions":
         raise ConfigError(f"mask_task={config['mask_task']!r} conditions "
                           f"features; it cannot be used with task=positions")
@@ -232,9 +230,6 @@ def cmd_theory(config):
 
 
 def cmd_attention_study(config):
-    for key in ("attention.bins", "attention.epochs"):
-        if config[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
     ds = _require_dataset(config, "train", "test")
     cfg = TrainConfig(task="positions", method="fully_connected",
                       epochs=config["attention.epochs"], batch=32,

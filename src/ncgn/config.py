@@ -3,9 +3,9 @@
 Files are line-oriented ``key = value`` text with ``#`` comments; dotted keys
 namespace modules (``schedule.kind``, ``interpolant.kind``). Precedence:
 command-line overrides > file > defaults. Unknown keys are rejected by name,
-as are a negative ``seed`` and a GW-study count (``POSITIVE_KEYS``) below 1,
-and the resolved configuration is echoed to ``out_dir/config.resolved`` so a
-run can be reproduced from its own artifact.
+as are a negative ``seed`` or ``n_samples`` and a study count
+(``POSITIVE_KEYS``) below 1, and the resolved configuration is echoed to
+``out_dir/config.resolved`` so a run can be reproduced from its own artifact.
 
 The train keys and their defaults are the fields of ``engine.TrainConfig``;
 ``TRAIN_KEYS`` maps each field to its key. Training records those keys in
@@ -46,8 +46,12 @@ DEFAULTS = {
 }
 
 
-# counts of the GW study; config names the key before anything is written
-POSITIVE_KEYS = ("gw.iters", "n_seeds", "n_shapes")
+# integers config rejects by name before anything is written: the studies'
+# sizes below 1, and a negative seed (numpy's message names no key) or
+# n_samples (0 samples each test graph once)
+POSITIVE_KEYS = ("attention.bins", "attention.epochs", "gw.iters", "n_seeds",
+                 "n_shapes")
+NON_NEGATIVE_KEYS = ("n_samples", "seed")
 
 
 class ConfigError(ValueError):
@@ -61,9 +65,9 @@ def _convert(key, raw):
             value = int(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected integer, got {raw!r}") from None
-        if key == "seed" and value < 0:
-            raise ConfigError(f"key 'seed': expected a non-negative integer "
-                              f"(it seeds numpy), got {raw!r}")
+        if key in NON_NEGATIVE_KEYS and value < 0:
+            raise ConfigError(f"key {key!r}: expected a non-negative integer, "
+                              f"got {raw!r}")
         if key in POSITIVE_KEYS and value < 1:
             raise ConfigError(f"key {key!r}: expected an integer of at least 1, "
                               f"got {raw!r}")

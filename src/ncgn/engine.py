@@ -367,10 +367,17 @@ def random_generations(templates, task, seed=0, mask=None):
 # evaluation
 
 
-def _pool(graphs, task):
-    """Each node's positions, then its generated features, as one row."""
-    fields = [_fields(g, _component(g, task), task) for g in graphs]
-    return np.concatenate([np.concatenate([p, f], axis=1) for f, p in fields])
+def _pool(graphs, task, name):
+    """Each node's positions, then its generated features, as one row;
+    graphs whose rows differ in width raise ValueError naming ``name``."""
+    rows = [np.concatenate([p, f], axis=1)
+            for f, p in (_fields(g, _component(g, task), task) for g in graphs)]
+    widths = sorted({r.shape[1] for r in rows})
+    if len(widths) > 1:
+        raise ValueError(f"{name} graphs have rows of widths "
+                         f"{' and '.join(map(str, widths))}; every row of a "
+                         f"pool must have one width")
+    return np.concatenate(rows)
 
 
 def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
@@ -382,6 +389,8 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
     mean and standard deviation of w2_exact. Pools smaller than the
     subsample are used whole, flagged via ``warned``. Replicates run on
     ``min(n_workers(), replicates)`` threads; the values do not depend on it.
+    Rows of different widths, on one side or between the two, raise
+    ValueError naming the side(s) and the widths.
     """
     for name, value in (("replicates", replicates), ("subsample", subsample)):
         if value < 1:
@@ -389,7 +398,11 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
     for name, graphs in (("generated", generated), ("reference", reference)):
         if not len(graphs):
             raise ValueError(f"{name} holds no graphs")
-    gen, ref = _pool(generated, task), _pool(reference, task)
+    gen = _pool(generated, task, "generated")
+    ref = _pool(reference, task, "reference")
+    if gen.shape[1] != ref.shape[1]:
+        raise ValueError(f"generated rows have width {gen.shape[1]}, reference "
+                         f"rows width {ref.shape[1]}")
     m = min(subsample, len(gen), len(ref))
     warned = m < subsample
 

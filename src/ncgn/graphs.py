@@ -141,12 +141,13 @@ def voxel_coarsen(positions: np.ndarray, s: int):
 
 
 def save_graph(path, graph: GeometricGraph):
+    """Write a header ``N d f``, then one row per node: its positions, then
+    its features, each value as ``repr`` of a Python float."""
+    rows = np.hstack([graph.positions, graph.features]).tolist()
+    lines = [f"{graph.n_nodes} {graph.dim} {graph.n_features}"]
+    lines += [" ".join(map(repr, row)) for row in rows]
     with open(path, "w") as fh:
-        n, d, f = graph.n_nodes, graph.dim, graph.n_features
-        fh.write(f"{n} {d} {f}\n")
-        for i in range(n):
-            vals = list(graph.positions[i]) + list(graph.features[i])
-            fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_graph(path) -> GeometricGraph:

@@ -2,9 +2,10 @@
 
 Fast criteria run inline. The three long studies (GW coarsening, attention
 vs distance, transcriptomics benchmark) assert on the CSV artifacts checked
-in under artifacts/, which scripts/run_studies.sh and
-scripts/run_transcriptomics.sh write with fixed seeds (README says which of
-them still regenerate byte for byte).
+in under artifacts/, which ``python3 scripts/artifacts.py studies`` and
+``python3 scripts/artifacts.py transcriptomics`` write with fixed seeds and
+record in scripts/artifacts.sha256 (README says which commit wrote each
+group).
 """
 
 import csv
@@ -34,7 +35,7 @@ def read_rows(relpath):
     if not os.path.exists(path):
         pytest.fail(
             f"missing artifact {relpath}; regenerate with "
-            "scripts/run_studies.sh / scripts/run_transcriptomics.sh"
+            "python3 scripts/artifacts.py studies|transcriptomics"
         )
     with open(path) as fh:
         return list(csv.DictReader(fh))

@@ -18,7 +18,12 @@ from ncgn.config import (
     write_resolved,
 )
 from ncgn.dataset import load_dataset
-from ncgn.graphs import build_long_short_edges, load_graph, save_graph
+from ncgn.graphs import (
+    GeometricGraph,
+    build_long_short_edges,
+    load_graph,
+    save_graph,
+)
 
 
 def run(tmp_path, command, *overrides, config=None):
@@ -363,6 +368,14 @@ def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
     assert not (tmp_path / "config.resolved").exists()
 
 
+def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
+    # n_samples=0 samples each test graph once; below 0 means nothing
+    assert run(tmp_path, "sample", "n_samples=-1") == 1
+    assert ("key 'n_samples': expected a non-negative integer, got '-1'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "config.resolved").exists()
+
+
 def test_make_shapes_and_gw_study(tmp_path):
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", "n_train=4", "n_test=2",
@@ -425,22 +438,14 @@ def test_attention_study_command(tmp_path):
 
 
 @pytest.mark.parametrize("bins", ["0", "-3"])
-def test_attention_study_rejects_bins_before_training(tmp_path, capsys,
-                                                      monkeypatch, bins):
-    data = tmp_path / "shapes"
-    assert run(data, "make-shapes", "n_train=4", "n_test=2",
-               "n_points=16") == 0
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("attention-study trained before checking its keys")
-
-    monkeypatch.setattr(cli, "train", no_training)
-    work = tmp_path / "work"
-    # attention.epochs takes the same check
+def test_attention_study_rejects_bins_before_training(tmp_path, capsys, bins):
+    # config names the key before anything is written, config.resolved
+    # included; attention.epochs takes the same check
     for key in ("attention.bins", "attention.epochs"):
-        assert run(work, "attention-study", f"dataset={data}",
-                   f"{key}={bins}") == 1
-        assert f"{key} must be >= 1, got {bins}" in capsys.readouterr().err
+        assert run(tmp_path, "attention-study", f"{key}={bins}") == 1
+        assert (f"key {key!r}: expected an integer of at least 1, got {bins!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "config.resolved").exists()
 
 
 @pytest.mark.parametrize("n_train, n_test, split", [
@@ -649,6 +654,21 @@ def test_eval_of_a_non_finite_sample_names_its_file(gat_run, tmp_path, capsys):
     assert run(work, "eval", f"dataset={data}", "method=random_pred") == 1
     err = capsys.readouterr().err
     assert f"ncgn eval: {path} line 3: expected finite values, got 'nan " in err
+
+
+def test_eval_of_samples_of_another_width_names_both(tmp_path, capsys):
+    # samples without the test split's 3 genes: rows of 2 values against 5
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
+    (work / "samples").mkdir(parents=True)
+    template = load_dataset(str(data)).test[0]
+    save_graph(str(work / "samples" / "00000.graph"),
+               GeometricGraph(None, template.positions))
+    capsys.readouterr()
+    assert run(work, "eval", f"dataset={data}") == 1
+    assert ("ncgn eval: generated rows have width 2, reference rows width 5"
+            in capsys.readouterr().err)
+    assert not (work / "metrics.csv").exists()
 
 
 def test_long_short_samples_on_its_train_seed_edges(tmp_path, monkeypatch):

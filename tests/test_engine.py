@@ -482,6 +482,30 @@ def test_evaluate_w2_names_an_empty_side(monkeypatch, side):
     assert pooled == []
 
 
+def features_graphs(*widths):
+    rng = np.random.default_rng(0)
+    return [GeometricGraph(rng.standard_normal((4, f)),
+                           rng.standard_normal((4, 2))) for f in widths]
+
+
+def test_evaluate_w2_names_pools_of_other_widths():
+    # scipy's cdist would say only "XA and XB must have the same number of
+    # columns"
+    with pytest.raises(ValueError, match="^generated rows have width 2, "
+                                         "reference rows width 5$"):
+        evaluate_w2(features_graphs(0, 0), features_graphs(3), "features")
+
+
+@pytest.mark.parametrize("side", ["generated", "reference"])
+def test_evaluate_w2_names_a_side_of_mixed_widths(side):
+    # numpy's concatenate would name neither the side nor the graphs
+    sides = {"generated": features_graphs(3), "reference": features_graphs(3),
+             side: features_graphs(3, 0, 3)}
+    with pytest.raises(ValueError, match=f"^{side} graphs have rows of widths "
+                                         f"2 and 5; "):
+        evaluate_w2(sides["generated"], sides["reference"], "features")
+
+
 @pytest.mark.parametrize("value", ["abc", "-4", "0", ""])
 def test_bad_thread_count_rejected(monkeypatch, value):
     monkeypatch.setenv("NCGN_THREADS", value)

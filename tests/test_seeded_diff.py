@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ncgn
-from ncgn import nn
+from ncgn import cli, config, nn
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -202,8 +202,8 @@ def test_digest_check_reports_another_environment_as_such(tmp_path, capsys):
 def test_seeded_sequence_matches_the_record(tmp_path):
     # the sequence runs in this process, on the ncgn package under test; a
     # change that moves outputs regenerates the record in the same commit
-    diff = load_script()
-    load_script("seeded_outputs").run(tmp_path)
+    diff, script = load_script(), load_script("seeded_outputs")
+    script.run(script.SEQUENCE, tmp_path)
     env_record, record = diff.parse_record((SCRIPTS / "seeded_outputs.sha256")
                                            .read_text())
     env_here, here = diff.parse_record(diff.digests(tmp_path))
@@ -223,14 +223,11 @@ def test_seeded_sequence_matches_the_record(tmp_path):
     ["theory", "out_dir={out}/bad", "seed=-1"],  # the command returns 1
     ["no-such-command", "out_dir={out}/bad"],  # argparse exits 2
 ])
-def test_seeded_run_stops_at_a_failing_command_and_names_it(tmp_path,
-                                                            monkeypatch, bad):
-    script = load_script("seeded_outputs")
-    monkeypatch.setattr(script, "SEQUENCE",
-                        [bad, ["theory", "out_dir={out}/after", "seed=3"]])
+def test_seeded_run_stops_at_a_failing_command_and_names_it(tmp_path, bad):
+    sequence = [bad, ["theory", "out_dir={out}/after", "seed=3"]]
     argv = " ".join(["ncgn"] + [arg.format(out=tmp_path) for arg in bad])
     with pytest.raises(RuntimeError, match=f"^{re.escape(argv)} exited [12]$"):
-        script.run(tmp_path)
+        load_script("seeded_outputs").run(sequence, tmp_path)
     assert not (tmp_path / "after").exists()
 
 
@@ -255,3 +252,65 @@ def test_seeded_run_refuses_a_package_from_another_source(tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(Path(ncgn.__file__).resolve()) in err and str(tmp_path) in err
     assert not (tmp_path / "out").exists()
+
+
+# scripts/artifacts.py: the full-size sequences run for minutes (studies) to
+# an hour (transcriptomics), so tier-1 checks the record and the sequences
+# without running them
+
+
+def load_artifacts(monkeypatch):
+    # the script imports seeded_outputs by name, as when run from scripts/
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return load_script("artifacts")
+
+
+def test_artifacts_match_their_record(monkeypatch, capsys):
+    # a hand-edited, dropped or unrecorded artifact fails here
+    script = load_artifacts(monkeypatch)
+    record = (SCRIPTS / "artifacts.sha256").read_text()
+    diff = load_script()
+    assert diff.check(record, script.ARTIFACTS) == 0, capsys.readouterr().out
+    _, digests = diff.parse_record(record)
+    assert sorted(digests) == sorted(artifact
+                                     for _, copies in script.GROUPS.values()
+                                     for artifact in copies.values())
+
+
+@pytest.mark.parametrize("group", ["studies", "transcriptomics"])
+def test_artifact_sequences_name_commands_and_keys(tmp_path, monkeypatch, group):
+    # a renamed command or config key fails here, not in a full-size run
+    sequence, copies = load_artifacts(monkeypatch).GROUPS[group]
+    written = set()
+    for template in sequence:
+        command, *overrides = (arg.format(out=tmp_path) for arg in template)
+        assert command in cli.HANDLERS
+        written.add(Path(config.parse_config(overrides=overrides)["out_dir"]))
+    assert {(tmp_path / output).parent for output in copies} <= written
+
+
+def test_artifacts_copies_the_outputs_and_rewrites_the_record(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    script = load_artifacts(monkeypatch)
+    artifacts, record = tmp_path / "artifacts", tmp_path / "artifacts.sha256"
+    monkeypatch.setattr(script, "ARTIFACTS", artifacts)
+    monkeypatch.setattr(script, "RECORD", record)
+    theory = ["theory", "out_dir={out}/theory", "seed=3"]
+    monkeypatch.setattr(script, "GROUPS", {
+        "studies": ([theory], {"theory/prop1.csv": "theory/prop1.csv"}),
+        "transcriptomics": ([theory, ["theory", "out_dir={out}/x", "seed=-1"]],
+                            {"theory/theory.csv": "theory/theory.csv"})})
+    assert script.main(["artifacts", "studies"]) == 0
+    assert [p.name for p in artifacts.rglob("*") if p.is_file()] == ["prop1.csv"]
+    assert load_script().check(record.read_text(), artifacts) == 0
+    # a failing command leaves the artifacts and the record as they were
+    before = record.read_text()
+    assert script.main(["artifacts", "transcriptomics"]) == 1
+    assert "/x seed=-1 exited 1" in capsys.readouterr().err
+    assert not (artifacts / "theory" / "theory.csv").exists()
+    assert record.read_text() == before
+    # the group is the only argument
+    for argv in (["artifacts"], ["artifacts", "gw"], ["artifacts", "studies", "x"]):
+        assert script.main(argv) == 2
+        assert "usage: artifacts studies|transcriptomics" in capsys.readouterr().err
