@@ -163,19 +163,15 @@ def cmd_train(config):
 def cmd_sample(config, checkpoint):
     ds = _require_dataset(config, "test")
     templates = ds.test
-    if config["mask_task"] and config["task"] == "positions":
-        raise ConfigError(f"mask_task={config['mask_task']!r} conditions "
-                          f"features; it cannot be used with task=positions")
     if config["n_samples"]:
         reps = -(-config["n_samples"] // len(templates))
         templates = (templates * reps)[: config["n_samples"]]
     out = config["out_dir"]
-    cfg = _train_config(config)
     mask = None
     if config["mask_task"]:
         mask = [task_mask(g, config["mask_task"]) for g in templates]
     if config["method"] == "random_pred":
-        generated = random_generations(templates, cfg.task, mask=mask,
+        generated = random_generations(templates, config["task"], mask=mask,
                                        seed=config["seed"])
     else:
         model, cfg = _load_model(config, ds.train[0], checkpoint)
@@ -284,6 +280,13 @@ def main(argv=None):
         config, checkpoint = parse_config(args.config, args.overrides), None
         if args.command in ("sample", "eval"):
             config, checkpoint = _with_checkpoint(config, args)
+        # checks whose failure must leave no config.resolved behind
+        if args.command in ("train", "sample"):
+            _train_config(config)
+        if (args.command == "sample" and config["mask_task"]
+                and config["task"] == "positions"):
+            raise ConfigError(f"mask_task={config['mask_task']!r} conditions "
+                              f"features; it cannot be used with task=positions")
         write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
         handler = HANDLERS[args.command]
         summary = (handler(config, checkpoint) if args.command == "sample"

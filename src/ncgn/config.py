@@ -1,11 +1,12 @@
 """Key=value run configuration.
 
 Files are line-oriented ``key = value`` text with ``#`` comments; dotted keys
-namespace modules (``schedule.kind``, ``interpolant.kind``). Precedence:
+namespace modules (``schedule.kind``, ``gw.iters``). Precedence:
 command-line overrides > file > defaults. Unknown keys are rejected by name,
-as are a negative ``seed`` or ``n_samples`` and a study count
-(``POSITIVE_KEYS``) below 1, and the resolved configuration is echoed to
-``out_dir/config.resolved`` so a run can be reproduced from its own artifact.
+as are a negative ``seed`` or ``n_samples``, a study count (``POSITIVE_KEYS``)
+below 1 and a ``mask_task`` outside ``engine.MASK_TASKS``, and the resolved
+configuration is echoed to ``out_dir/config.resolved`` (after ``ncgn train``
+and ``sample`` check the train keys) so a run can be reproduced from it.
 
 The train keys and their defaults are the fields of ``engine.TrainConfig``;
 ``TRAIN_KEYS`` maps each field to its key. Training records those keys in
@@ -19,12 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 
-from .engine import TrainConfig
+from .engine import MASK_TASKS, TrainConfig
 
-_NAMESPACED = {
-    "interpolant": "interpolant.kind",
-    "schedule_kind": "schedule.kind",
-}
+_NAMESPACED = {"schedule_kind": "schedule.kind"}
 TRAIN_KEYS = {f.name: _NAMESPACED.get(f.name, f.name) for f in fields(TrainConfig)}
 
 DEFAULTS = {
@@ -77,6 +75,9 @@ def _convert(key, raw):
             return float(raw)
         except ValueError:
             raise ConfigError(f"key {key!r}: expected number, got {raw!r}") from None
+    if key == "mask_task" and raw not in ("",) + MASK_TASKS:
+        raise ConfigError(f"key 'mask_task': unknown task name {raw!r}; "
+                          f"expected one of {', '.join(MASK_TASKS)}")
     return raw
 
 

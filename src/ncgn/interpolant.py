@@ -1,30 +1,21 @@
 """The noising process: what gets interpolated, regressed against, and how
 samples are drawn back out.
 
-One kind, passed to every function as a string in KINDS (any other kind
-raises ValueError): cfm, straight-path conditional flow matching with a
-constant noise floor SIGMA_MIN, sampled with explicit Euler from t=0 to
-t=1. t=1 is the data end, t=0 the noise end.
+One process, cfm: straight-path conditional flow matching with a constant
+noise floor SIGMA_MIN, sampled with explicit Euler from t=0 to t=1. t=1 is
+the data end, t=0 the noise end.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-KINDS = ("cfm",)
 SIGMA_MIN = 1e-3  # cfm's noise scale along the whole path
 
 
-def _check_kind(kind):
-    if kind not in KINDS:
-        raise ValueError(f"unknown interpolant kind {kind!r}; expected one of "
-                         f"{', '.join(map(repr, KINDS))}")
-
-
-def interpolate(z0, z1, t, kind, seed):
+def interpolate(z0, z1, t, seed):
     """Draw the noised sample z_t between prior draw z0 and data z1; ``seed``
     seeds the SIGMA_MIN noise."""
-    _check_kind(kind)
     z0 = np.asarray(z0, dtype=np.float64)
     z1 = np.asarray(z1, dtype=np.float64)
     if z0.shape != z1.shape:
@@ -35,14 +26,13 @@ def interpolate(z0, z1, t, kind, seed):
     return (1.0 - t) * z0 + t * z1 + SIGMA_MIN * eps
 
 
-def regression_target(z0, z1, kind):
+def regression_target(z0, z1):
     """The vector the network regresses against for prior draw z0 and data
     z1: the path's velocity z1 - z0, the same at every noise level."""
-    _check_kind(kind)
     return np.asarray(z1, dtype=np.float64) - np.asarray(z0, dtype=np.float64)
 
 
-def generate(field, z0, kind, nfes: int, mask=None):
+def generate(field, z0, nfes: int, mask=None):
     """Integrate the learned field from prior to data with explicit Euler,
     step 1/nfes from ``z0``; returns the N x odim state at t = 1.
 
@@ -53,7 +43,6 @@ def generate(field, z0, kind, nfes: int, mask=None):
     lands exactly on ``values``. A non-finite state after any step raises
     RuntimeError naming the step and the t it reached.
     """
-    _check_kind(kind)
     if nfes < 1:
         raise ValueError("nfes must be >= 1")
     z0 = np.asarray(z0, dtype=np.float64)

@@ -198,14 +198,13 @@ def test_training_writes_loss_csv(tmp_path, capsys):
     assert float(rows[0][3]) == pytest.approx(DEFAULTS["lr"] / 1)
 
 
-@pytest.mark.parametrize("lr", ["nan", "inf"])
+@pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
 def test_train_rejects_a_non_finite_lr(tmp_path, capsys, lr):
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=4", "n_test=1") == 0
     assert run(work, "train", f"dataset={data}", f"lr={lr}") == 1
     assert f"lr must be positive and finite, got {lr}" in capsys.readouterr().err
-    assert not (work / "ema.ckpt").exists()
-    assert not (work / "model.ckpt").exists()
+    assert not work.exists()
 
 
 def test_train_on_zero_dimensional_positions_exits_one(tmp_path, capsys):
@@ -257,8 +256,8 @@ def test_unknown_schedule_kind_exits_one(tmp_path, capsys):
         assert run(work, "train", f"dataset={data}", f"method={method}",
                    "schedule.kind=quadratic", "epochs=1", "hdim=8",
                    "layers=1") == 1
-        assert "'quadratic'" in capsys.readouterr().err
-    assert not (work / "ema.ckpt").exists()
+        assert "unknown schedule.kind 'quadratic'" in capsys.readouterr().err
+    assert not work.exists()
 
 
 def test_sample_without_checkpoint_exits_one(tmp_path, capsys):
@@ -299,16 +298,25 @@ def test_masked_sampling_on_positions_task_exits_one(tmp_path, capsys):
                "n_points=16") == 0
     assert run(work, "train", f"dataset={data}", "task=positions",
                *TINY_TRAIN) == 0
-    assert run(work, "sample", f"dataset={data}",
+    out = tmp_path / "sampled"
+    assert run(out, "sample", f"dataset={data}", f"checkpoint={work}/ema.ckpt",
                "mask_task=temporal_trajectory") == 1
     err = capsys.readouterr().err
     assert "mask_task" in err and "task=positions" in err
-    assert not (work / "samples").exists()
+    assert not out.exists()
+
+
+def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
+    assert run(tmp_path, "sample", "method=random_pred",
+               "mask_task=bogus") == 1
+    assert ("ncgn sample: key 'mask_task': unknown task name 'bogus'; expected "
+            "one of " + ", ".join(engine.MASK_TASKS)) in capsys.readouterr().err
+    assert not (tmp_path / "config.resolved").exists()
 
 
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
-    # cfm is the one interpolant: interpolant.kind=ddpm fails by key and
-    # value, before training and before sampling
+    # cfm is the one noising process and no key names it: interpolant.kind
+    # is unknown, before training and before sampling
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
     for command, *keys in (("train", *TINY_TRAIN),
@@ -317,8 +325,17 @@ def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
         assert run(work, command, f"dataset={data}", "interpolant.kind=ddpm",
                    *keys) == 1
         err = capsys.readouterr().err
-        assert f"ncgn {command}: unknown interpolant.kind 'ddpm'" in err
-    assert sorted(os.listdir(work)) == ["config.resolved"]
+        assert (f"ncgn {command}: unknown config key 'interpolant.kind' "
+                f"(command line)") in err
+    assert not work.exists()
+
+
+def test_interpolant_kind_cfm_is_an_unknown_key(tmp_path, capsys):
+    assert "interpolant.kind" not in DEFAULTS
+    assert run(tmp_path, "train", "interpolant.kind=cfm") == 1
+    assert ("ncgn train: unknown config key 'interpolant.kind' (command line)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "config.resolved").exists()
 
 
 @pytest.mark.parametrize("n_samples", ["n_samples=3", "n_samples=0"])
@@ -373,6 +390,21 @@ def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
     assert run(tmp_path, "sample", "n_samples=-1") == 1
     assert ("key 'n_samples': expected a non-negative integer, got '-1'"
             in capsys.readouterr().err)
+    assert not (tmp_path / "config.resolved").exists()
+
+
+@pytest.mark.parametrize("command, keys, message", [
+    ("train", ["epochs=0"], "epochs must be positive, got 0"),
+    ("train", ["method=bogus"], "unknown method 'bogus'"),
+    # the default warmup_epochs is 10
+    ("train", ["epochs=5"], "need 0 <= warmup_epochs <= epochs, got "
+                            "warmup_epochs=10 and epochs=5"),
+    ("sample", ["method=random_pred", "nfes=0"], "nfes must be positive, got 0"),
+])
+def test_bad_train_key_exits_one_before_writing(tmp_path, capsys, command,
+                                                keys, message):
+    assert run(tmp_path, command, *keys) == 1
+    assert f"ncgn {command}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "config.resolved").exists()
 
 
@@ -621,17 +653,19 @@ def test_old_record_keys_exit_one(gat_run, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["sample", "eval"])
 def test_ddpm_checkpoint_exits_one(gat_run, tmp_path, capsys, command):
-    # a record written while ddpm was an interpolant kind
+    # records written while interpolant.kind was a key, with either of the
+    # values it took
     data, work = gat_run
     arrays, record = nn.load_checkpoint(work / "ema.ckpt")
-    nn.save_checkpoint(tmp_path / "ema.ckpt", arrays,
-                       {**record, "interpolant.kind": "ddpm"})
-    assert run(tmp_path, command, f"dataset={data}", "nfes=2") == 1
-    err = capsys.readouterr().err
-    assert (f"ncgn {command}: unknown interpolant.kind 'ddpm'; expected one "
-            f"of 'cfm': {tmp_path}/ema.ckpt was written by another version of "
-            f"ncgn; the model must be retrained") in err
-    assert not (tmp_path / "samples").exists()
+    for kind in ("cfm", "ddpm"):
+        nn.save_checkpoint(tmp_path / "ema.ckpt", arrays,
+                           {**record, "interpolant.kind": kind})
+        assert run(tmp_path, command, f"dataset={data}", "nfes=2") == 1
+        err = capsys.readouterr().err
+        assert (f"ncgn {command}: unknown config key 'interpolant.kind' "
+                f"({tmp_path}/ema.ckpt): {tmp_path}/ema.ckpt was written by "
+                f"another version of ncgn; the model must be retrained") in err
+        assert not (tmp_path / "samples").exists()
 
 
 def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):

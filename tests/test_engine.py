@@ -1,5 +1,6 @@
 import contextlib
 import ctypes
+import dataclasses
 import re
 import types
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ncgn import engine, nn, tensor
+from ncgn.config import ConfigError, parse_config
 from ncgn.dataset import generate_shape_dataset
 from ncgn.dmp import FlatGat, node_input
 from ncgn.engine import (
@@ -62,7 +64,7 @@ def test_config_validation():
         TrainConfig(task="edges")
     with pytest.raises(ValueError):
         TrainConfig(method="transformer")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="warmup_epochs=5 and epochs=2"):
         TrainConfig(epochs=2, warmup_epochs=5)
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
@@ -70,8 +72,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"lr must be positive and finite, "
                                              f"got {lr}"):
             TrainConfig(lr=lr)
-    with pytest.raises(ValueError, match="'ve'"):
-        TrainConfig(interpolant="ve")  # not a kind that trains and samples
     # every setting the structure cache reads is checked up front, so a
     # bad one can neither train on zero edges nor reach a checkpoint
     with pytest.raises(ValueError, match="'quadratic'"):
@@ -356,10 +356,22 @@ def test_condition_mask_validation():
         random_generations([g], "features", mask=[(known, values)])
 
 
+def test_train_config_rejects_any_other_interpolant():
+    # a constructor keyword, not a field: no config key, config.resolved or
+    # checkpoint record carries it
+    assert "interpolant" not in {f.name for f in dataclasses.fields(TrainConfig)}
+    TrainConfig(interpolant="cfm")
+    for kind in ("ddpm", "ve"):
+        with pytest.raises(ValueError, match=f"unknown interpolant '{kind}'"):
+            TrainConfig(interpolant=kind)
+
+
 def test_masked_sampling_requires_cfm():
-    # the clamp follows the cfm path, and cfm is the one kind a config takes
-    with pytest.raises(ValueError, match="unknown interpolant.kind 'ddpm'"):
-        TrainConfig(interpolant="ddpm")
+    # the clamp follows the cfm path, the one noising process, and no
+    # config key names another
+    with pytest.raises(ConfigError,
+                       match="unknown config key 'interpolant.kind'"):
+        parse_config(overrides=["interpolant.kind=ddpm"])
     graphs = rd_graphs(1)
     config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1,
                          nfes=2)
@@ -388,8 +400,10 @@ def test_task_mask_patterns():
     assert known[:, 0].all() and not known[:, 1:].any()
     np.testing.assert_array_equal(values[:, 0], -0.5)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown task name 'extrapolation'"):
         task_mask(g, "extrapolation")
+    for name in engine.MASK_TASKS:  # the names task_mask dispatches on
+        task_mask(g, name)
 
 
 def test_random_generations_contract():
@@ -576,7 +590,7 @@ def test_flat_gat_merged_loss_equals_per_graph_mean():
         t = float(rng.uniform())
         noise_seed = int(rng.integers(2**32))
         z0 = rng.standard_normal(z1.shape)
-        z_t = interpolate(z0, z1, t, config.interpolant, noise_seed)
+        z_t = interpolate(z0, z1, t, noise_seed)
         part = (z_t, node_input(np.zeros((len(z1), 0)), z_t, t), t)
         pred = merged_forward(reference, [part], StructureCache(config)).data
         losses.append(np.mean((pred - (z1 - z0)) ** 2))
