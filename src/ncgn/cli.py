@@ -49,7 +49,6 @@ from .engine import (
     model_dims,
     random_generations,
     sample,
-    task_mask,
     train,
 )
 from .graphs import load_graph, save_graph
@@ -167,16 +166,14 @@ def cmd_sample(config, checkpoint):
         reps = -(-config["n_samples"] // len(templates))
         templates = (templates * reps)[: config["n_samples"]]
     out = config["out_dir"]
-    mask = None
-    if config["mask_task"]:
-        mask = [task_mask(g, config["mask_task"]) for g in templates]
     if config["method"] == "random_pred":
-        generated = random_generations(templates, config["task"], mask=mask,
-                                       seed=config["seed"])
+        generated = random_generations(templates, config["task"],
+                                       seed=config["seed"],
+                                       mask_task=config["mask_task"])
     else:
         model, cfg = _load_model(config, ds.train[0], checkpoint)
-        generated = sample(model, templates, cfg, mask=mask,
-                           seed=config["seed"])
+        generated = sample(model, templates, cfg,
+                           mask_task=config["mask_task"], seed=config["seed"])
     sample_dir = os.path.join(out, "samples")
     os.makedirs(sample_dir, exist_ok=True)
     for i, g in enumerate(generated):
@@ -281,7 +278,7 @@ def main(argv=None):
         if args.command in ("sample", "eval"):
             config, checkpoint = _with_checkpoint(config, args)
         # checks whose failure must leave no config.resolved behind
-        if args.command in ("train", "sample"):
+        if args.command in ("train", "sample", "eval"):
             _train_config(config)
         if (args.command == "sample" and config["mask_task"]
                 and config["task"] == "positions"):

@@ -5,8 +5,8 @@ namespace modules (``schedule.kind``, ``gw.iters``). Precedence:
 command-line overrides > file > defaults. Unknown keys are rejected by name,
 as are a negative ``seed`` or ``n_samples``, a study count (``POSITIVE_KEYS``)
 below 1 and a ``mask_task`` outside ``engine.MASK_TASKS``, and the resolved
-configuration is echoed to ``out_dir/config.resolved`` (after ``ncgn train``
-and ``sample`` check the train keys) so a run can be reproduced from it.
+configuration is echoed to ``out_dir/config.resolved`` (after ``ncgn train``,
+``sample`` and ``eval`` check the train keys) so a run can be reproduced.
 
 The train keys and their defaults are the fields of ``engine.TrainConfig``;
 ``TRAIN_KEYS`` maps each field to its key. Training records those keys in

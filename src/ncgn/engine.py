@@ -47,6 +47,10 @@ METHODS = ("dmp",) + BASELINES + ("random_pred",)
 SAMPLE_BATCH = 64  # templates integrated together as one merged state
 MASK_TASKS = ("temporal_trajectory", "temporal_interpolation",
               "gene_imputation", "spatial_imputation", "gene_knockout")
+MASK_GENE = 1  # the gene gene_imputation withholds and gene_knockout clamps
+KNOCKOUT_VALUE = -0.5  # gene_knockout's clamped expression
+ATTENTION_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)  # noise t
+ATTENTION_GRAPHS = 20  # test graphs the attention study reads
 
 
 def n_workers():
@@ -273,51 +277,19 @@ def train(graphs, config: TrainConfig, model=None):
     return model, ema, rows
 
 
-def _masks(mask, shapes):
-    """One ``(known, values)`` pair per template from a per-template mask
-    list (or None) and the templates' generated-component shapes. An entry
-    is None (nothing known) or a pair of arrays of its template's shape with
-    finite known values. Errors name the template index."""
-    if mask is None:
-        mask = [None] * len(shapes)
-    if len(mask) != len(shapes):
-        raise ValueError(f"need one mask entry per template: got {len(mask)} "
-                         f"for {len(shapes)} templates")
-    pairs = []
-    for i, (m, shape) in enumerate(zip(mask, shapes)):
-        if m is None:
-            pairs.append((np.zeros(shape, dtype=bool), np.zeros(shape)))
-            continue
-        known = np.asarray(m[0], dtype=bool)
-        values = np.asarray(m[1], dtype=float)
-        if known.shape != shape:
-            raise ValueError(f"mask for template {i}: expected shape {shape}, "
-                             f"got {known.shape}")
-        if values.shape != shape:
-            raise ValueError(f"mask for template {i}: values have shape "
-                             f"{values.shape}, known has {shape}")
-        if not np.isfinite(values[known]).all():
-            raise ValueError(f"mask for template {i}: known values must be "
-                             f"finite")
-        pairs.append((known, values))
-    return pairs
-
-
-def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
+def sample(model: DmpModel, templates, config: TrainConfig, mask_task="",
+           seed=0):
     """Generate one graph per template with ``config.nfes`` integration steps.
 
     Templates provide node counts and the fixed component (positions for the
     feature task). Up to SAMPLE_BATCH templates are integrated together as
-    one merged N x odim state. ``mask`` is a per-template list of
-    ``(known, values)`` array pairs (or None entries), as ``task_mask``
-    returns; when any entry is given, each merged state's pairs go to
-    ``generate``, which clamps the known channels onto the cfm path. ``seed``
-    seeds each chunk's prior draw ``z0``. The model is in
-    eval mode while sampling and back in train mode afterwards, also when
-    sampling raises.
+    one merged N x odim state. ``mask_task`` names one of MASK_TASKS (or is
+    empty for none): each template's ``task_mask`` pairs are merged with the
+    state and go to ``generate``, which clamps the known channels onto the
+    cfm path. Masks condition the features task only. ``seed`` seeds each
+    chunk's prior draw ``z0``. The model is in eval mode while sampling and
+    back in train mode afterwards, also when sampling raises.
     """
-    pairs = _masks(mask, [(g.n_nodes, model.odim) for g in templates])
-    masked = any(m is not None for m in mask or ())
     cache = StructureCache(config)
     rng = np.random.default_rng(seed)
     odim = model.odim
@@ -329,8 +301,9 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
             bounds = np.cumsum([0] + [g.n_nodes for g in chunk])
             spans = list(zip(bounds[:-1], bounds[1:]))
             z0 = rng.standard_normal((bounds[-1], odim))
-            known, values = map(np.concatenate,
-                                zip(*pairs[start:start + SAMPLE_BATCH]))
+            clamp = (tuple(map(np.concatenate,
+                               zip(*(task_mask(g, mask_task) for g in chunk))))
+                     if mask_task else None)
 
             def field(z, t):
                 parts = [_part(g, z[lo:hi], t, config.task)
@@ -341,8 +314,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
             # nothing reads this draw; dropping it would change every later
             # chunk's z0, and so the samples of any run over several chunks
             rng.integers(2**32)
-            z = generate(field, z0, config.nfes,
-                         mask=(known, values) if masked else None)
+            z = generate(field, z0, config.nfes, mask=clamp)
             out.extend(GeometricGraph(*(a.copy() for a in
                                         _fields(g, z[lo:hi], config.task)))
                        for g, (lo, hi) in zip(chunk, spans))
@@ -351,18 +323,19 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask=None, seed=0):
     return out
 
 
-def random_generations(templates, task, seed=0, mask=None):
+def random_generations(templates, task, seed=0, mask_task=""):
     """Standard-normal predictions in place of the generated component.
 
-    ``mask`` is a per-template list of ``(known, values)`` array pairs (or
-    None entries), as for ``sample``; known channels take their
-    conditioning values.
+    ``mask_task`` names one of MASK_TASKS (or is empty for none), as for
+    ``sample``; the known channels of each template's ``task_mask`` take
+    their conditioning values.
     """
-    pairs = _masks(mask, [_component(g, task).shape for g in templates])
     rng = np.random.default_rng(seed)
     out = []
-    for g, (known, values) in zip(templates, pairs):
-        z = np.where(known, values, rng.standard_normal(known.shape))
+    for g in templates:
+        z = rng.standard_normal(_component(g, task).shape)
+        if mask_task:
+            z = np.where(*task_mask(g, mask_task), z)
         out.append(GeometricGraph(*(a.copy() for a in _fields(g, z, task))))
     return out
 
@@ -426,13 +399,13 @@ def evaluate_w2(generated, reference, task, replicates=5, subsample=1024,
 # conditional task masks (features task; positions are always observed)
 
 
-def task_mask(graph: GeometricGraph, name, gene=1, knockout_value=-0.5):
-    """Conditioning pattern for the named transcriptomics task: a
-    ``(known, values)`` pair of N x F arrays, ``known`` boolean.
+def task_mask(graph: GeometricGraph, name):
+    """Conditioning pattern for ``graph`` under ``name``, one of MASK_TASKS:
+    a ``(known, values)`` pair of N x F arrays, ``known`` boolean.
 
     Positions are (time, space); the first coordinate orders timepoints.
-    gene_knockout clamps one gene to ``knockout_value`` everywhere and
-    generates the rest; gene_imputation observes all but one gene.
+    gene_knockout clamps gene MASK_GENE to KNOCKOUT_VALUE everywhere and
+    generates the rest; gene_imputation observes all but gene MASK_GENE.
     """
     n, f = graph.n_nodes, graph.n_features
     known = np.zeros((n, f), dtype=bool)
@@ -444,14 +417,14 @@ def task_mask(graph: GeometricGraph, name, gene=1, knockout_value=-0.5):
         known[(times == times.min()) | (times == times.max())] = True
     elif name == "gene_imputation":
         known[:, :] = True
-        known[:, gene] = False
+        known[:, MASK_GENE] = False
     elif name == "spatial_imputation":
         space = graph.positions[:, 1]
         lo, hi = np.quantile(space, [1.0 / 3.0, 2.0 / 3.0])
         known[(space < lo) | (space > hi)] = True
     elif name == "gene_knockout":
-        known[:, gene] = True
-        values[:, gene] = knockout_value
+        known[:, MASK_GENE] = True
+        values[:, MASK_GENE] = KNOCKOUT_VALUE
     else:
         raise ValueError(f"unknown task name {name!r}")
     return known, values
@@ -461,18 +434,17 @@ def task_mask(graph: GeometricGraph, name, gene=1, knockout_value=-0.5):
 # studies
 
 
-def attention_study(model: FlatGat, graphs, bins=10,
-                    t_buckets=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-                    seed=0, max_graphs=20):
-    """Attention mass vs pair distance per noise bucket.
+def attention_study(model: FlatGat, graphs, bins=10, seed=0):
+    """Attention mass vs pair distance per noise bucket of
+    ATTENTION_BUCKETS, over the first ATTENTION_GRAPHS graphs.
 
     Rows (t_bucket, bin_lo, bin_hi, weight) with each bucket's weights
     normalized to sum 1; bin edges are global across buckets.
     """
-    graphs = graphs[:max_graphs]
+    graphs = graphs[:ATTENTION_GRAPHS]
     rng = np.random.default_rng(seed)
-    collected = {t: ([], []) for t in t_buckets}
-    for t in t_buckets:
+    collected = {t: ([], []) for t in ATTENTION_BUCKETS}
+    for t in ATTENTION_BUCKETS:
         for g in graphs:
             z0 = rng.standard_normal(g.positions.shape)
             z_t = interpolate(z0, g.positions, t, int(rng.integers(2**32)))
@@ -486,7 +458,7 @@ def attention_study(model: FlatGat, graphs, bins=10,
     max_dist = max(d.max() for pair in collected.values() for d in pair[0])
     edges_out = np.linspace(0.0, max_dist, bins + 1)
     rows = []
-    for t in t_buckets:
+    for t in ATTENTION_BUCKETS:
         dists = np.concatenate(collected[t][0])
         alpha = np.concatenate(collected[t][1])
         idx = np.clip(np.digitize(dists, edges_out) - 1, 0, bins - 1)
@@ -500,14 +472,14 @@ def attention_study(model: FlatGat, graphs, bins=10,
 
 def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
              cluster_grid=(4, 8, 16, 32, 64), n_shapes=20,
-             n_seeds=3, eps=0.05, iters=50, seed=0):
+             n_seeds=3, iters=50, seed=0):
     """Gromov-Wasserstein between coarse-grained noised shapes and originals.
 
     For every noise level t (Gaussian noise of scale 1 - t on the
     positions) and cluster count, voxel-coarsens the noised cloud to its
-    cluster means and averages gw_entropic against the clean cloud over
-    shapes and noise seeds. Returns (rows, argmin_rows) with rows
-    (t, clusters, gw_mean) and argmin_rows (t, argmin_clusters).
+    cluster means and averages gw_entropic (at its default eps) against the
+    clean cloud over shapes and noise seeds. Returns (rows, argmin_rows) with
+    rows (t, clusters, gw_mean) and argmin_rows (t, argmin_clusters).
     """
     graphs = graphs[:max(n_shapes, 0)]
     if not graphs or n_seeds < 1:
@@ -525,8 +497,7 @@ def gw_study(graphs, noise_grid=(0.9, 0.7, 0.5, 0.3, 0.1),
                     noised = g.positions + (1.0 - t) * np.random.default_rng(
                         noise_seed).standard_normal(g.positions.shape)
                     _, coarse = voxel_coarsen(noised, c)
-                    vals.append(gw_entropic(coarse, g.positions,
-                                            eps=eps, iters=iters))
+                    vals.append(gw_entropic(coarse, g.positions, iters=iters))
             mean = float(np.mean(vals))
             means.append(mean)
             rows.append((float(t), int(c), mean))

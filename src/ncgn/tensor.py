@@ -497,13 +497,14 @@ class Tensor:
 
         return _result(x * phi, (a,), bwd)
 
-    def leaky_relu(self, slope=LEAKY_SLOPE):
+    def leaky_relu(self):
         a, pos = self._node, self.data >= 0
 
         def bwd(g):
-            a.accum(g * np.where(pos, 1.0, slope), fresh=True)
+            a.accum(g * np.where(pos, 1.0, LEAKY_SLOPE), fresh=True)
 
-        return _result(np.where(pos, self.data, slope * self.data), (a,), bwd)
+        return _result(np.where(pos, self.data, LEAKY_SLOPE * self.data), (a,),
+                       bwd)
 
 
 def concat(tensors, axis=1):

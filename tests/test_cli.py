@@ -408,6 +408,25 @@ def test_bad_train_key_exits_one_before_writing(tmp_path, capsys, command,
     assert not (tmp_path / "config.resolved").exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    (["method=bogus", "mp_kind=nope"], "unknown method 'bogus'"),
+    (["epochs=0"], "epochs must be positive, got 0"),
+])
+def test_eval_without_checkpoint_checks_the_train_keys(tmp_path, capsys, keys,
+                                                       message):
+    # the random_pred pipeline evaluates with no checkpoint, and metrics.csv
+    # records its method and mp_kind, so a bad key exits before any write
+    data, work = tmp_path / "data", tmp_path / "work"
+    assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
+    assert run(work, "sample", f"dataset={data}", "method=random_pred") == 0
+    resolved = (work / "config.resolved").read_text()
+    capsys.readouterr()
+    assert run(work, "eval", f"dataset={data}", *keys) == 1
+    assert f"ncgn eval: {message}" in capsys.readouterr().err
+    assert (work / "config.resolved").read_text() == resolved
+    assert not (work / "metrics.csv").exists()
+
+
 def test_make_shapes_and_gw_study(tmp_path):
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", "n_train=4", "n_test=2",

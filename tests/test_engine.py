@@ -282,78 +282,16 @@ def test_positions_task_ignores_template_features():
         assert got.positions.shape == g.positions.shape
 
 
-def test_full_mask_returns_exact_values():
-    graphs = rd_graphs(2)
-    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1,
-                         nfes=4)
-    model, _, _ = train(graphs, config)
-    masks = [(np.ones_like(g.features, dtype=bool), g.features.copy())
-             for g in graphs]
-    out = sample(model, graphs, config, mask=masks, seed=0)
-    for got, g in zip(out, graphs):
-        np.testing.assert_array_equal(got.features, g.features)
-
-
 def test_temporal_trajectory_mask_clamps_first_timepoint():
     graphs = rd_graphs(1)
     g = graphs[0]
     config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1,
                          nfes=4)
     model, _, _ = train(graphs, config)
-    m = task_mask(g, "temporal_trajectory")
-    out = sample(model, [g], config, mask=[m], seed=1)[0]
+    out = sample(model, [g], config, mask_task="temporal_trajectory", seed=1)[0]
     first = g.positions[:, 0] == g.positions[:, 0].min()
     np.testing.assert_array_equal(out.features[first], g.features[first])
     assert not np.allclose(out.features[~first], g.features[~first])
-
-
-def test_mask_shape_mismatch_rejected():
-    # sample and random_generations check masks the same way, before any
-    # sampling, and each error names the template
-    graphs = rd_graphs(2)
-    config = TrainConfig(epochs=1, batch=2, warmup_epochs=0, hdim=8, layers=1,
-                         nfes=2)
-    model, _, _ = train(graphs, config)
-    known = np.ones((36, 3), dtype=bool)
-    nan_values = np.zeros((36, 3))
-    nan_values[4, 1] = np.nan
-    cases = [
-        ((np.ones((2, 3), dtype=bool), np.zeros((2, 3))),
-         r"mask for template 1: expected shape \(36, 3\), got \(2, 3\)"),
-        ((known, np.zeros((3, 2))),
-         r"mask for template 1: values have shape \(3, 2\), known has "
-         r"\(36, 3\)"),
-        ((known, nan_values),
-         "mask for template 1: known values must be finite"),
-    ]
-    runs = (lambda mask: sample(model, graphs, config, mask=mask),
-            lambda mask: random_generations(graphs, "features", mask=mask))
-    for run in runs:
-        for bad, message in cases:
-            with pytest.raises(ValueError, match=message):
-                run([None, bad])
-        with pytest.raises(ValueError, match="got 1 for 2 templates"):
-            run([None])
-    # an unknown channel may hold anything; only known values are checked
-    nan_values[...] = np.nan
-    known[...] = False
-    out = random_generations(graphs, "features", mask=[None, (known, nan_values)])
-    assert np.isfinite(out[1].features).all()
-
-
-def test_condition_mask_validation():
-    # a (known, values) pair needs values of known's shape and finite values
-    # wherever known is set; checked without a model
-    g = rd_graphs(1)[0]
-    shape = g.features.shape
-    known = np.ones(shape, dtype=bool)
-    with pytest.raises(ValueError, match="values have shape"):
-        random_generations([g], "features",
-                           mask=[(known, np.zeros((shape[0] + 1, shape[1])))])
-    values = np.zeros(shape)
-    values[0, 0] = np.nan
-    with pytest.raises(ValueError, match="known values must be finite"):
-        random_generations([g], "features", mask=[(known, values)])
 
 
 def test_train_config_rejects_any_other_interpolant():
@@ -376,8 +314,8 @@ def test_masked_sampling_requires_cfm():
     config = TrainConfig(epochs=1, batch=1, warmup_epochs=0, hdim=8, layers=1,
                          nfes=2)
     model, _, _ = train(graphs, config)
-    # an all-None mask conditions nothing, so it samples as no mask does
-    for a, b in zip(sample(model, graphs, config, mask=[None], seed=2),
+    # an empty mask task conditions nothing, so it samples as no mask does
+    for a, b in zip(sample(model, graphs, config, mask_task="", seed=2),
                     sample(model, graphs, config, seed=2)):
         np.testing.assert_array_equal(a.features, b.features)
 
@@ -389,16 +327,18 @@ def test_task_mask_patterns():
     expect = (times == times.min()) | (times == times.max())
     np.testing.assert_array_equal(known.any(axis=1), expect)
 
-    known, _ = task_mask(g, "gene_imputation", gene=2)
-    assert known[:, [0, 1]].all() and not known[:, 2].any()
+    gene = engine.MASK_GENE
+    others = np.arange(g.n_features) != gene
+    known, _ = task_mask(g, "gene_imputation")
+    assert known[:, others].all() and not known[:, gene].any()
 
     known, _ = task_mask(g, "spatial_imputation")
     frac_unknown = 1.0 - known.any(axis=1).mean()
     assert 0.2 < frac_unknown < 0.5  # middle third of space withheld
 
-    known, values = task_mask(g, "gene_knockout", gene=0, knockout_value=-0.5)
-    assert known[:, 0].all() and not known[:, 1:].any()
-    np.testing.assert_array_equal(values[:, 0], -0.5)
+    known, values = task_mask(g, "gene_knockout")
+    assert known[:, gene].all() and not known[:, others].any()
+    np.testing.assert_array_equal(values[:, gene], engine.KNOCKOUT_VALUE)
 
     with pytest.raises(ValueError, match="unknown task name 'extrapolation'"):
         task_mask(g, "extrapolation")
@@ -537,10 +477,9 @@ def test_attention_rows_normalized():
                          hdim=32, seed=0)
     d_in, odim = model_dims(shapes[0], "positions")
     model, _, _ = train(shapes, config, model=FlatGat(d_in, odim, seed=0))
-    rows = attention_study(model, shapes, bins=5, t_buckets=(0.2, 0.8),
-                           max_graphs=4)
-    assert len(rows) == 10
-    for t in (0.2, 0.8):
+    rows = attention_study(model, shapes, bins=5)
+    assert len(rows) == 5 * len(engine.ATTENTION_BUCKETS)
+    for t in engine.ATTENTION_BUCKETS:
         weights = [w for tb, lo, hi, w in rows if tb == t]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
         assert all(w >= 0 for w in weights)
@@ -563,7 +502,7 @@ def test_gw_study_zero_noise_anchor():
                                     seed=1).train
     rows, argmin_rows = gw_study(
         shapes, noise_grid=(1.0,), cluster_grid=(8, 48**3), n_shapes=2,
-        n_seeds=1, eps=0.02, iters=200, seed=0)
+        n_seeds=1, iters=200, seed=0)
     assert argmin_rows == [(1.0, 48**3)]
     # coarsening to singletons reproduces the clean cloud up to entropic blur
     full_res = [gw for t, c, gw in rows if c == 48**3]
