@@ -30,9 +30,14 @@ listed under ``flags``; flags do not gate, BENCHMARK.json's bounds do.
 tree's script against its own record, and ``parent_record``, the parent
 tree's script against the parent's record (null if the parent has no such
 script). Only the second shows that outputs did not move, since a change
-that moves them also rewrites its own record. The traced per-layer rows and
-the tape totals of ``scripts/train_step_memory.py`` are not measured
-(``left_out`` says why).
+that moves them also rewrites its own record. ``tape`` holds, per train
+shape (``rd``, ``shapes``), one run of each tree's
+``scripts/train_step_memory.py SHAPE 4``: its tape totals in MB (live after
+the forward, forward peak, backward peak) and its last-loss hex, null for a
+tree without the script, and whether the two last losses are the same
+bytes. The traced per-layer rows are not measured (``left_out`` says why).
+``--out`` is created if missing; a missing parent directory is refused
+before any pair runs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -53,9 +60,11 @@ FLAG_WORSE = 0.10  # relative median loss above which a metric may be flagged
 LEFT_OUT = {
     "traced_rows": "the per-layer rows of --trace 1 runs wait for the tracer "
                    "to time every layer (ROADMAP item 3a)",
-    "tape_totals": "scripts/train_step_memory.py is not run: its tape "
-                   "totals and last-loss bytes are not compared here",
 }
+TAPE_SHAPES = ("rd", "shapes")
+TAPE_STEPS = 4  # train steps of each train_step_memory.py run
+TAPE_LINE = re.compile(r"tape live after forward ([\d.]+) MB, forward peak "
+                       r"([\d.]+) MB, backward peak ([\d.]+) MB")
 
 
 def parse_run(stdout):
@@ -122,8 +131,49 @@ def summarize_workload(pairs, better):
     }
 
 
-def report(parent, change, workloads, seeded_identical, command):
-    """The BENCH document: revisions, per-workload summaries, flags."""
+def parse_tape(stdout):
+    """The tape totals in MB and the last-loss hex of one
+    ``scripts/train_step_memory.py`` output."""
+    totals = TAPE_LINE.search(stdout)
+    loss = re.search(r"^last loss (\S+)$", stdout, re.MULTILINE)
+    if totals is None or loss is None:
+        raise ValueError("train_step_memory.py printed no tape totals or "
+                         "last loss")
+    live, forward_peak, backward_peak = (float(v) for v in totals.groups())
+    return {"live_mb": live, "forward_peak_mb": forward_peak,
+            "backward_peak_mb": backward_peak, "last_loss": loss.group(1)}
+
+
+def run_tape(tree, shape):
+    """``parse_tape`` of one run of ``tree``'s own train_step_memory.py on
+    ``shape``, None if the tree has no such script."""
+    script = tree / "scripts" / "train_step_memory.py"
+    if not script.exists():
+        return None
+    cmd = [sys.executable, str(script), shape, str(TAPE_STEPS)]
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
+    if out.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd[1:])} in {tree} exited "
+                           f"{out.returncode}: {out.stderr.strip()}")
+    return parse_tape(out.stdout)
+
+
+def tape_totals(trees):
+    """Per train shape, both trees' ``run_tape`` and whether their last
+    losses are the same bytes (None if a tree has no script)."""
+    tape = {}
+    for shape in TAPE_SHAPES:
+        runs = {side: run_tape(tree, shape) for side, tree in trees.items()}
+        same = (None if None in runs.values() else
+                runs["parent"]["last_loss"] == runs["change"]["last_loss"])
+        tape[shape] = dict(runs, same_last_loss=same)
+    return tape
+
+
+def report(parent, change, workloads, seeded_identical, command, tape=None):
+    """The BENCH document: revisions, per-workload summaries, flags and the
+    ``tape_totals`` (None if not run)."""
     flags = [f"{w}.{name}: change median {m['change_median']:.6g} against "
              f"{m['parent_median']:.6g}, {m['change_wins']} of {m['pairs']} "
              "pairs won"
@@ -131,7 +181,8 @@ def report(parent, change, workloads, seeded_identical, command):
              for name, m in summary["metrics"].items() if m["flagged"]]
     return {"parent": parent, "change": change, "command": command,
             "workloads": workloads, "flags": flags,
-            "seeded_identical": seeded_identical, "left_out": LEFT_OUT}
+            "seeded_identical": seeded_identical, "tape": tape,
+            "left_out": LEFT_OUT}
 
 
 def extract(rev, dest):
@@ -205,6 +256,10 @@ def main(argv=None):
         counts = parse_workloads(args.workloads, args.pairs)
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        args.out.mkdir(exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc.strerror}")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         revs = {side: {"rev": rev, "commit": extract(rev, trees[side])}
@@ -225,8 +280,10 @@ def main(argv=None):
         identical = {
             "change_record": seeded_identical(trees["change"], trees["change"]),
             "parent_record": seeded_identical(trees["parent"], trees["change"])}
+        tape = tape_totals(trees)
     command = f"perfbench/run.py --trace 0 --seconds {seconds}"
-    doc = report(revs["parent"], revs["change"], summaries, identical, command)
+    doc = report(revs["parent"], revs["change"], summaries, identical, command,
+                 tape)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for flag in doc["flags"]:

@@ -44,6 +44,7 @@ from .engine import (
     TrainConfig,
     attention_study,
     build_model,
+    check_mask_task,
     evaluate_w2,
     gw_study,
     model_dims,
@@ -280,10 +281,8 @@ def main(argv=None):
         # checks whose failure must leave no config.resolved behind
         if args.command in ("train", "sample", "eval"):
             _train_config(config)
-        if (args.command == "sample" and config["mask_task"]
-                and config["task"] == "positions"):
-            raise ConfigError(f"mask_task={config['mask_task']!r} conditions "
-                              f"features; it cannot be used with task=positions")
+        if args.command == "sample":
+            check_mask_task(config["task"], config["mask_task"])
         write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
         handler = HANDLERS[args.command]
         summary = (handler(config, checkpoint) if args.command == "sample"

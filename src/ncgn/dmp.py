@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import nn
-from .tensor import (SparsePlan, Tensor, _check_ids, concat, no_grad,
-                     segment_softmax, segment_sum)
+from .tensor import (SparsePlan, Tensor, _check_ids, concat, gated_blend,
+                     no_grad, segment_softmax, segment_sum)
 
 MP_KINDS = ("gcn", "gat")
 
@@ -217,8 +217,7 @@ class DmpLayer(nn.Module):
     def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
                   members: SparsePlan) -> Tensor:
         spread = self.uncoarsen_msg(h, h_coarse, members, False, -rel, dist)
-        lam = self.gate([h, spread]).sigmoid()
-        return self.combine(lam * h + (1.0 - lam) * spread)
+        return self.combine(gated_blend(self.gate([h, spread]), h, spread))
 
 
 class DmpModel(nn.Module):

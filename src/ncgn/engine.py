@@ -277,6 +277,14 @@ def train(graphs, config: TrainConfig, model=None):
     return model, ema, rows
 
 
+def check_mask_task(task, mask_task):
+    """Raise ValueError, naming both, when ``mask_task`` is given with a
+    task other than ``features``: masks clamp feature channels."""
+    if mask_task and task != "features":
+        raise ValueError(f"mask_task={mask_task!r} conditions features; it "
+                         f"cannot be used with task={task}")
+
+
 def sample(model: DmpModel, templates, config: TrainConfig, mask_task="",
            seed=0):
     """Generate one graph per template with ``config.nfes`` integration steps.
@@ -286,10 +294,12 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask_task="",
     one merged N x odim state. ``mask_task`` names one of MASK_TASKS (or is
     empty for none): each template's ``task_mask`` pairs are merged with the
     state and go to ``generate``, which clamps the known channels onto the
-    cfm path. Masks condition the features task only. ``seed`` seeds each
-    chunk's prior draw ``z0``. The model is in eval mode while sampling and
-    back in train mode afterwards, also when sampling raises.
+    cfm path. Masks condition the features task only: ``check_mask_task``
+    raises for another task. ``seed`` seeds each chunk's prior draw ``z0``.
+    The model is in eval mode while sampling and back in train mode
+    afterwards, also when sampling raises.
     """
+    check_mask_task(config.task, mask_task)
     cache = StructureCache(config)
     rng = np.random.default_rng(seed)
     odim = model.odim
@@ -328,8 +338,10 @@ def random_generations(templates, task, seed=0, mask_task=""):
 
     ``mask_task`` names one of MASK_TASKS (or is empty for none), as for
     ``sample``; the known channels of each template's ``task_mask`` take
-    their conditioning values.
+    their conditioning values. A mask with a task other than ``features``
+    raises ValueError (``check_mask_task``).
     """
+    check_mask_task(task, mask_task)
     rng = np.random.default_rng(seed)
     out = []
     for g in templates:

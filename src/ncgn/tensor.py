@@ -474,16 +474,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # elementwise nonlinearities
 
-    def sigmoid(self):
-        from scipy.special import expit
-
-        a, out_data = self._node, expit(self.data)
-
-        def bwd(g):
-            a.accum(g * out_data * (1.0 - out_data), fresh=True)
-
-        return _result(out_data, (a,), bwd)
-
     def gelu(self):
         # exact Gaussian-CDF form; derivative at 0 is exactly 0.5
         from scipy.special import erf
@@ -544,20 +534,26 @@ def _block_scratch(blocks, c, count):
     return np.empty((count, blocks[-1].stop - blocks[-1].start, c))
 
 
-def _column_sum(a, b=None):
+def _column_sum(a, b=None, scale=None):
     """The column sums of the N x C array ``a`` (of ``a * b``), adding the
     rows in order from 0.0: the bytes of ``a.sum(axis=0)`` (``(a *
-    b).sum(axis=0)``). ``np.einsum`` adds them in that order without the
-    product array and reads each row once, where numpy's reduction walks
-    the columns with a stride. Numpy adds one column, or columns laid out
-    along the rows (a transpose, a broadcast), in another order, so those
-    take numpy's own form."""
+    b).sum(axis=0)``). With ``scale``, a length-C array, they are those of
+    ``a * scale`` (``a * scale * b``), multiplied in that order.
+    ``np.einsum`` adds them in that order without the product array and
+    reads each row once, where numpy's reduction walks the columns with a
+    stride. Numpy adds one column, or columns laid out along the rows (a
+    transpose, a broadcast), in another order, so those take numpy's own
+    form."""
     operands = (a,) if b is None else (a, b)
     if a.shape[1] > 1 and all(x.strides[1] == x.itemsize
                               and abs(x.strides[0]) >= x.shape[1] * x.itemsize
                               for x in operands):
-        return np.einsum("ij,ij->j" if b is not None else "ij->j", *operands)
-    return a.sum(axis=0) if b is None else (a * b).sum(axis=0)
+        if scale is None:
+            return np.einsum("ij,ij->j" if b is not None else "ij->j", *operands)
+        return np.einsum("ij,j,ij->j" if b is not None else "ij,j->j",
+                         a, scale, *operands[1:])
+    prod = a if scale is None else a * scale
+    return prod.sum(axis=0) if b is None else (prod * b).sum(axis=0)
 
 
 def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
@@ -566,25 +562,26 @@ def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
     ``gamma`` (the array) and ``beta`` (None for no grad) and return the
     gradient of the normalized input, written into ``g``. Over batch
     statistics it is the closed form ``(gg - mean(gg) - xhat * mean(gg *
-    xhat)) / std`` with ``gg = g * gamma``, its last steps one row block at
-    a time; with fixed statistics it is ``gg / std``."""
+    xhat)) / std`` with ``gg = g * gamma``, whose means scale ``g`` by
+    ``gamma`` as they sum it; with fixed statistics it is ``gg / std``. Its
+    elementwise steps run one row block at a time."""
     if gamma_node is not None:
         gamma_node.accum(_column_sum(g, xhat), fresh=True)
     if beta_node is not None:
         beta_node.accum(_column_sum(g), fresh=True)
-    g *= gamma
-    if not batch_stats:
-        g /= std
-        return g
-    inv_n = 1.0 / g.shape[0]
-    mean_gg = _column_sum(g) * inv_n
-    mean_prod = _column_sum(g, xhat) * inv_n
+    if batch_stats:
+        inv_n = 1.0 / g.shape[0]
+        mean_gg = _column_sum(g, scale=gamma) * inv_n
+        mean_prod = _column_sum(g, xhat, gamma) * inv_n
     blocks = _row_blocks(g.shape[0])
     scratch, = _block_scratch(blocks, g.shape[1], 1)
     for rows in blocks:
-        gg, prod = g[rows], scratch[:rows.stop - rows.start]
-        gg -= mean_gg
-        gg -= np.multiply(xhat[rows], mean_prod, out=prod)
+        gg = g[rows]
+        gg *= gamma
+        if batch_stats:
+            gg -= mean_gg
+            gg -= np.multiply(xhat[rows], mean_prod,
+                              out=scratch[:rows.stop - rows.start])
         gg /= std
     return g
 
@@ -592,29 +589,36 @@ def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
 def _blocks_product(parts, w):
     """A layer's input blocks times its weight ``w``: the sum, in order, of
     ``array @ w[rows]`` over the ``(array, v, rows)`` triples of ``parts``,
-    or of ``array @ (v @ w[rows])`` for a pair (``v`` not None)."""
-    prods = (a @ w[rows] if v is None else a @ (v @ w[rows]) for a, v, rows in parts)
-    out = next(prods)
-    for prod in prods:
-        out += prod
+    or of ``array @ (v @ w[rows])`` for a pair (``v`` not None). The
+    products after the first share one scratch array."""
+    out = scratch = None
+    for a, v, rows in parts:
+        u = w[rows] if v is None else v @ w[rows]
+        if out is None:
+            out = a @ u
+            continue
+        if scratch is None:
+            scratch = np.empty_like(out)
+        out += np.matmul(a, u, out=scratch)
     return out
 
 
 def _hidden_forward(parts, w, gamma, beta, eps, stats):
     """One MLP hidden layer on arrays, over the input blocks ``parts``:
-    ``(out, xhat, std, phi, mean, var)``. ``xhat`` is ``h =
-    _blocks_product(parts, w)`` normalized, ``(h - mean) / std``, over its
-    rows with their mean and biased variance, or with ``stats``, a ``(mean,
-    var)`` pair of length-C arrays, when given; ``std`` has length C.
-    ``phi`` is the Gaussian CDF of the pre-activation ``xhat * gamma +
-    beta`` and ``out`` is its GELU, the pre-activation times ``phi``. The
-    statistics are whole-array column sums; the elementwise steps run one
-    row block at a time, ``xhat`` in ``h``'s array."""
+    ``(out, std, phi, mean, var)``. The product ``h = _blocks_product(parts,
+    w)`` is normalized, ``xhat = (h - mean) / std``, over its rows with
+    their mean and biased variance, or with ``stats``, a ``(mean, var)``
+    pair of length-C arrays, when given (``mean`` is then a copy, as running
+    statistics change in place); ``std`` has length C. ``phi`` is the
+    Gaussian CDF of the pre-activation ``xhat * gamma + beta`` and ``out`` is
+    its GELU, the pre-activation times ``phi``. The statistics are
+    whole-array column sums; the elementwise steps run one row block at a
+    time, in ``h``'s array, which ends up holding ``out``."""
     from scipy.special import erf
 
     h = _blocks_product(parts, w)
     if stats is not None:
-        mean, var = stats
+        mean, var = np.array(stats[0], dtype=np.float64), stats[1]
         h -= mean
         std = np.sqrt(var + eps)
     else:
@@ -625,32 +629,53 @@ def _hidden_forward(parts, w, gamma, beta, eps, stats):
         h -= mean
         var = _column_sum(h, h) * inv_n
         std = (var + eps) ** 0.5
-    out, phi = np.empty_like(h), np.empty_like(h)
+    phi = np.empty_like(h)
     for rows in _row_blocks(h.shape[0]):
-        xhat, pre, cdf = h[rows], out[rows], phi[rows]
-        xhat /= std
-        np.multiply(xhat, gamma, out=pre)
+        pre, cdf = h[rows], phi[rows]
+        pre /= std
+        pre *= gamma
         pre += beta
         np.divide(pre, SQRT2, out=cdf)
         erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
         pre *= cdf
-    return out, h, std, phi, mean, var
+    return h, std, phi, mean, var
 
 
-def _gelu_backward(g, xhat, phi, gamma, beta, keep_output):
+def _hidden_output(h, mean, std, phi, gamma, beta):
+    """The output ``(xhat * gamma + beta) * phi`` of a hidden layer whose
+    product is ``h``, rebuilt from ``h`` and the kept ``phi`` with the
+    forward's float operations one row block at a time; ``h`` holds ``xhat
+    = (h - mean) / std`` afterwards."""
+    out = np.empty_like(h)
+    for rows in _row_blocks(h.shape[0]):
+        xhat = h[rows]
+        xhat -= mean
+        xhat /= std
+        pre = np.multiply(xhat, gamma, out=out[rows])
+        pre += beta
+        pre *= phi[rows]
+    return out
+
+
+def _gelu_backward(g, xhat, phi, gamma, beta, keep_output, stats=None):
     """Multiply ``g``, the gradient of a hidden layer's output, in place by
     GELU's derivative ``phi + pre * pdf`` at the pre-activation ``pre =
     xhat * gamma + beta``, rebuilt one row block at a time; return the
     output ``pre * phi`` it rebuilds on the way, or None for
-    ``keep_output=False``."""
+    ``keep_output=False``. With ``stats``, a ``(mean, std)`` pair, ``xhat``
+    is the layer's product, which each block first normalizes in place,
+    ``(xhat - mean) / std``."""
     out = np.empty_like(g) if keep_output else None
     blocks = _row_blocks(g.shape[0])
     pre_scratch, dpre_scratch = _block_scratch(blocks, g.shape[1], 2)
     for rows in blocks:
-        cdf, m = phi[rows], rows.stop - rows.start
-        pre = np.multiply(xhat[rows], gamma, out=pre_scratch[:m])
+        x, cdf, m = xhat[rows], phi[rows], rows.stop - rows.start
+        if stats is not None:
+            x -= stats[0]
+            x /= stats[1]
+        pre = np.multiply(x, gamma, out=pre_scratch[:m])
         pre += beta
         if out is not None:
             np.multiply(pre, cdf, out=out[rows])
@@ -689,13 +714,21 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     operations of that chain of primitive ops (then per hidden layer batch
     normalization, ``Tensor.gelu`` and the next matmul, then the bias add)
     in the same order, so every result is that chain's bytes, not those of
-    concatenating first. The node keeps the blocks' arrays and each hidden
-    layer's ``xhat``, ``std`` and Gaussian CDF. Its backward rebuilds each
-    hidden layer's pre-activation ``xhat * gamma + beta`` and output one
-    row block at a time, in the pass that applies GELU's derivative, so no
-    whole pre-activation is built. Every elementwise step runs over row
-    blocks (``_row_blocks``) and every column sum is ``_column_sum``, rows
-    added in order: neither moves a byte of the results.
+    concatenating first.
+
+    The node keeps the blocks' arrays and, per hidden layer, only its
+    Gaussian CDF and its length-C ``mean`` and ``std``: no ``xhat`` and no
+    hidden output. Its backward rebuilds them from the blocks with the
+    forward's float operations (recompute as in Chen et al. 2016), so they
+    are the forward's bytes. It first re-runs each hidden layer's product,
+    bottom-up; a layer below the top also rebuilds its output, the next
+    product's input, and keeps it for the next weight's gradient. Then, top
+    down, the pass that applies GELU's derivative normalizes the product
+    into ``xhat`` and rebuilds the pre-activation ``xhat * gamma + beta``
+    (and the top layer's output) one row block at a time, so no whole
+    pre-activation is built. Every elementwise step runs over row blocks
+    (``_row_blocks``) and every column sum is ``_column_sum``, rows added in
+    order: neither moves a byte of the results.
     """
     parts, block_nodes, start = [], [], 0
     for b in blocks:
@@ -712,10 +745,10 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     inputs, saved, moments = parts, [], []
     for k, (w, gamma, beta) in enumerate(hidden):
         layer_stats = None if stats is None else stats[k]
-        x, xhat, std, phi, mean, var = _hidden_forward(
+        x, std, phi, mean, var = _hidden_forward(
             inputs, w.data, gamma.data, beta.data, eps, layer_stats)
         inputs = [(x, None, slice(None))]
-        saved.append((xhat, std, phi, layer_stats is None))
+        saved.append((mean, std, phi, layer_stats is None))
         moments.append((mean, var))
     out_data = _blocks_product(inputs, weight.data)
     if bias is not None:
@@ -729,21 +762,41 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     def bwd(g):
         if bias_node is not None:
             bias_node.accum(_column_sum(g), fresh=True)
+        # each hidden layer's product, bottom-up; below the top layer,
+        # _hidden_output normalizes it into xhat and rebuilds the output,
+        # the next product's input and, below, the next weight's gradient's
+        products, outputs, below = [], [], parts
+        for k, (mean, std, phi, _) in enumerate(saved):
+            products.append(_blocks_product(below, layers[k][0]))
+            if k + 1 < len(saved):
+                gamma, beta = norms[k][:2]
+                outputs.append(_hidden_output(products[k], mean, std, phi,
+                                              gamma, beta))
+                below = [(outputs[k], None, slice(None))]
+        del below
         dh = g
         for j in range(len(norms), 0, -1):
             # through the weight onto hidden output j - 1, then through that
-            # layer's GELU, which rebuilds the output for the weight's
-            # gradient, and its batch norm
+            # layer's GELU (whose pass normalizes the top layer's product
+            # into xhat and rebuilds its output for the weight's gradient)
+            # and its batch norm
             w, w_node = layers[j]
-            xhat, std, phi, batch_stats = saved[j - 1]
+            mean, std, phi, batch_stats = saved[j - 1]
             gamma, beta, gamma_node, beta_node = norms[j - 1]
+            xhat = products.pop()
             d = dh @ w.T
-            x = _gelu_backward(d, xhat, phi, gamma, beta, w_node is not None)
+            top = j == len(norms)
+            x = _gelu_backward(d, xhat, phi, gamma, beta,
+                               top and w_node is not None,
+                               (mean, std) if top else None)
+            if not top:
+                x = outputs.pop()
             if w_node is not None:
                 w_node.accum(x.T @ dh, fresh=True)
             del x
             dh = _normalize_backward(d, xhat, std, gamma, gamma_node, beta_node,
                                      batch_stats)
+            del xhat
         w, w_node = layers[0]
         # the input blocks: a pair reads dh only through s = array.T @ dh,
         # so the only N-row arrays built are the Tensor blocks' gradients
@@ -759,6 +812,59 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
 
     parents = block_nodes + [t._node for triple in hidden for t in triple]
     return _result(out_data, parents + [weight._node, bias_node], bwd), moments
+
+
+def gated_blend(logits: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """The gated blend ``lam * a + (1.0 - lam) * b`` of three N x C tensors
+    of one shape, ``lam`` the logistic sigmoid of ``logits``, as one node
+    that keeps ``lam`` (and reads ``a`` and ``b``, which the caller keeps)
+    but no ``1.0 - lam`` or product. Forward and backward run the float
+    operations of the chain ``sigmoid``, ``*``, ``-``, ``*``, ``+`` it
+    replaces, one row block at a time, so every result is that chain's
+    bytes: ``a``'s gradient is ``g * lam``, ``b``'s ``g * (1.0 - lam)`` and
+    the logits' ``(g * a + -(g * b)) * lam * (1.0 - lam)``, whose sum is
+    that subtraction."""
+    from scipy.special import expit
+
+    logits, a, b = (Tensor._lift(t) for t in (logits, a, b))
+    shape = logits.data.shape
+    if len(shape) != 2 or not shape == a.data.shape == b.data.shape:
+        raise ValueError(f"gated_blend needs three N x C tensors of one shape, "
+                         f"got {shape}, {a.data.shape} and {b.data.shape}")
+    nz, na, nb = logits._node, a._node, b._node
+    # a and b are read only for the logits' gradient
+    x, y = (a.data, b.data) if nz is not None else (None, None)
+    lam, out = np.empty(shape), np.empty(shape)
+    blocks = _row_blocks(shape[0])
+    rest_scratch, = _block_scratch(blocks, shape[1], 1)
+    for rows in blocks:
+        lr = expit(logits.data[rows], out=lam[rows])
+        rest = np.subtract(1.0, lr, out=rest_scratch[:rows.stop - rows.start])
+        rest *= b.data[rows]
+        np.multiply(lr, a.data[rows], out=out[rows])
+        out[rows] += rest
+
+    def bwd(g):
+        grads = [None if node is None else np.empty(shape) for node in (nz, na, nb)]
+        gz, ga, gb = grads
+        rest_scratch, prod_scratch = _block_scratch(blocks, shape[1], 2)
+        for rows in blocks:
+            m, lr, gr = rows.stop - rows.start, lam[rows], g[rows]
+            rest = np.subtract(1.0, lr, out=rest_scratch[:m])
+            if ga is not None:
+                np.multiply(gr, lr, out=ga[rows])
+            if gb is not None:
+                np.multiply(gr, rest, out=gb[rows])
+            if gz is not None:
+                dlam = np.multiply(gr, x[rows], out=gz[rows])
+                dlam -= np.multiply(gr, y[rows], out=prod_scratch[:m])
+                dlam *= lr
+                dlam *= rest
+        for node, grad in zip((nz, na, nb), grads):
+            if node is not None:
+                node.accum(grad, fresh=True)
+
+    return _result(out, (nz, na, nb), bwd)
 
 
 _ENTRY_CHUNK = 4096  # plan entries per temporary in the weight gradient

@@ -91,7 +91,8 @@ def test_summary_gives_medians_iqr_wins_and_flags():
     assert doc["flags"] == ["gw_study.step_items_per_s: change median 8.5 "
                             "against 10.5, 1 of 4 pairs won"]
     assert doc["seeded_identical"] is True
-    assert set(doc["left_out"]) == {"traced_rows", "tape_totals"}
+    assert set(doc["left_out"]) == {"traced_rows"}
+    assert doc["tape"] is None
 
 
 @pytest.mark.parametrize("parent, change, flagged", [
@@ -146,6 +147,11 @@ def test_main_alternates_the_order_and_writes_bench_json(tmp_path,
     assert doc["seeded_identical"] == {"change_record": False,
                                        "parent_record": True}
     assert doc["command"] == "perfbench/run.py --trace 0 --seconds 5"
+    # the fake trees have no train_step_memory.py to run
+    assert doc["tape"] == {shape: {"parent": None, "change": None,
+                                   "same_last_loss": None}
+                           for shape in ("rd", "shapes")}
+    assert list(doc["left_out"]) == ["traced_rows"]
     assert list(doc["workloads"]) == ["gw_study", "rd_features"]
     assert doc["workloads"]["rd_features"]["metrics"]["pipeline_s"]["pairs"] == 2
     assert doc["flags"] == [
@@ -195,3 +201,66 @@ def test_seeded_identical_runs_a_tree_script_on_the_change_src(tmp_path,
     (parent / "scripts" / "seeded_outputs.py").unlink()
     assert script.seeded_identical(parent, change) is None
     assert len(calls) == 2
+
+
+def test_out_is_created_and_a_missing_parent_refused_before_any_pair(
+        tmp_path, monkeypatch, capsys):
+    script = load_bench_pairs()
+    calls = []
+    monkeypatch.setattr(script, "extract",
+                        lambda rev, dest: calls.append(rev) or "0" * 40)
+    missing = tmp_path / "no_such_dir" / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["parent", "change", "--pr", "99", "--out", str(missing)])
+    assert exit_info.value.code == 2
+    assert f"--out {missing}: No such file or directory" in capsys.readouterr().err
+    assert calls == [] and not missing.parent.exists()
+    # a new directory under an existing one is made before the pairs run
+    made = tmp_path / "new"
+    monkeypatch.setattr(script, "extract", lambda rev, dest: calls.append(
+        made.is_dir()) or (_ for _ in ()).throw(RuntimeError("stop")))
+    with pytest.raises(RuntimeError, match="stop"):
+        script.main(["parent", "change", "--pr", "99", "--out", str(made)])
+    assert calls == [True]
+
+
+TAPE_OUTPUT = """step  ms  fwd_ms  bwd_ms  minflt  maxrss_mb
+0  1417.5  1155.5  258.5  43925  207.1
+last loss 0x1.415c676155436p+0
+tape live after forward 122.7 MB, forward peak 131.7 MB, backward peak 139.3 MB
+top 8 allocating call sites live after forward (MB, blocks, line < calling lines):
+  43.3  30  src/ncgn/tensor.py:657 < src/ncgn/tensor.py:770 < src/ncgn/nn.py:154
+"""
+
+
+def test_parse_tape_reads_totals_and_last_loss():
+    script = load_bench_pairs()
+    assert script.parse_tape(TAPE_OUTPUT) == {
+        "live_mb": 122.7, "forward_peak_mb": 131.7, "backward_peak_mb": 139.3,
+        "last_loss": "0x1.415c676155436p+0"}
+    with pytest.raises(ValueError, match="no tape totals"):
+        script.parse_tape("step  ms\n")
+
+
+def test_tape_totals_run_each_tree_per_shape_and_compare_losses(tmp_path,
+                                                                monkeypatch):
+    script = load_bench_pairs()
+    trees = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    calls, run_script = [], script.run_tape
+
+    def run_tape(tree, shape):
+        calls.append((tree.name, shape))
+        tape = script.parse_tape(TAPE_OUTPUT)
+        if shape == "shapes" and tree.name == "change":
+            tape["last_loss"] = "0x1.0p+0"
+        return tape
+
+    monkeypatch.setattr(script, "run_tape", run_tape)
+    tape = script.tape_totals(trees)
+    assert calls == [("parent", "rd"), ("change", "rd"),
+                     ("parent", "shapes"), ("change", "shapes")]
+    assert tape["rd"]["same_last_loss"] is True
+    assert tape["shapes"]["same_last_loss"] is False
+    assert tape["rd"]["change"]["backward_peak_mb"] == 139.3
+    # a tree without the script runs nothing
+    assert run_script(tmp_path / "empty", "rd") is None
