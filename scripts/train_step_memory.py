@@ -29,8 +29,6 @@ Then it lists the 8 call sites that allocated the most of what is live
 when ``backward`` starts (``tracemalloc`` statistics by traceback): each is
 the allocating line and the two lines that called it, innermost first, so
 a helper that allocates for several callers gets one row per caller.
-``tensor._blocks_product`` allocates in a generator that its own body
-drives, so its callers show only in the third frame.
 """
 
 from __future__ import annotations

@@ -198,7 +198,12 @@ class _PointMessage(nn.Module):
 class DmpLayer(nn.Module):
     """One coarsen / message pass / uncoarsen block. ``out_bias=False``
     drops the bias of ``combine``'s last layer, for the final block, whose
-    output feeds the projection's batch norm through a linear map."""
+    output feeds the projection's batch norm through a linear map.
+
+    The uncoarsen step gates the spread coarse message into the node state,
+    ``lam * h + (1 - lam) * spread`` with ``lam`` the sigmoid of
+    ``gate([h, spread])``, as one ``tensor.gated_blend`` node that keeps
+    only ``lam``; each MLP node keeps one Gaussian CDF per hidden layer."""
 
     def __init__(self, hdim, d, mp_kind, rng, out_bias):
         self.coarsen_msg = _PointMessage(hdim, d, rng)

@@ -46,10 +46,14 @@ encodings are never formed. It runs the float operations of that
 block-wise per-layer chain in order, forward and backward, so every result
 is that chain's bytes, not those of concatenating the blocks first; over
 batch statistics the normalization's backward is the closed form of Ioffe
-& Szegedy (2015). It keeps the input blocks' arrays and each hidden
-layer's normalized input and Gaussian CDF; its backward rebuilds every
-hidden output (recompute as in Chen et al. 2016, from what batch norm
-keeps anyway as in Rota Bulò et al. 2018). A hidden layer's elementwise
+& Szegedy (2015). It keeps the input blocks' arrays and, per hidden layer,
+only its Gaussian CDF and its length-C mean and std; its backward re-runs
+each layer's product from the blocks and rebuilds the normalized input and
+every hidden output from them (recompute as in Chen et al. 2016, from what
+batch norm keeps anyway as in Rota Bulò et al. 2018). A second fused op,
+``gated_blend``, is DMP's gate ``lam * a + (1 - lam) * b`` with ``lam`` the
+sigmoid of its logits: one node that keeps only ``lam``, with the bytes of
+the chain of primitive ops it replaces. A hidden layer's elementwise
 steps, forward and backward, run over row blocks of 1,024 to 2,047 rows
 (loop tiling, Wolf & Lam 1991), so a chain of them reads each block from
 a core's L2 instead of streaming the whole N x C array once per step; its

@@ -256,7 +256,7 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
     # no backward reads the two matmul products, and the MLP forms neither a
     # position encoding nor a concatenated input, forward or backward: of
     # the call's N-row arrays only the pair sum (the MLP's first block), its
-    # hidden layer's xhat and Gaussian CDF and the output live on
+    # hidden layer's Gaussian CDF and the output live on
     rng = np.random.default_rng(19)
     n, nclusters, hdim = 3000, 60, 8
     msg = _PointMessage(hdim, 2, rng)
@@ -295,7 +295,7 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
     assert len(values) == 2 and len(pairs) == 1
     assert [value() for value in values] == [None] * 2
     assert pairs[0]() is not None
-    extra = live - 4 * n * hdim * 8
+    extra = live - 3 * n * hdim * 8
     assert 0 <= extra < n * hdim * 4
     out.sum().backward()
     monkeypatch.undo()

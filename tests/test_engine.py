@@ -295,6 +295,23 @@ def test_temporal_trajectory_mask_clamps_first_timepoint():
     assert not np.allclose(out.features[~first], g.features[~first])
 
 
+def test_mask_task_with_positions_raises_naming_both():
+    # on 16-point shapes, gene_knockout once returned positions whose second
+    # column was the knockout value -0.5 on every node
+    shapes = generate_shape_dataset(n_train=2, n_test=1, n_points=16, seed=0).train
+    with pytest.raises(ValueError, match=r"mask_task='gene_knockout' conditions "
+                       r"features; it cannot be used with task=positions"):
+        random_generations(shapes, "positions", mask_task="gene_knockout")
+    config = TrainConfig(task="positions", hdim=8, layers=1, nfes=2)
+    model = build_model(shapes[0], config)
+    with pytest.raises(ValueError, match="mask_task='temporal_trajectory'.*"
+                       "task=positions"):
+        sample(model, shapes, config, mask_task="temporal_trajectory")
+    assert model.lift.norms[0].training  # raised before eval mode
+    out = random_generations(shapes, "positions", mask_task="")
+    assert all(g.positions.shape == (16, 3) for g in out)
+
+
 def test_train_config_rejects_any_other_interpolant():
     # a constructor keyword, not a field: no config key, config.resolved or
     # checkpoint record carries it

@@ -14,7 +14,9 @@ from ncgn.tensor import (
     SparsePlan,
     Tensor,
     _unbroadcast,
+    _result,
     concat,
+    gated_blend,
     mlp,
     no_grad,
     segment_softmax,
@@ -55,7 +57,7 @@ def check_op(build, shape, seed=0, tol=1e-6):
     lambda t: (t - 0.3).sum(),
     lambda t: (t / 2.5).sum(),
     lambda t: (t * t * t).sum(),
-    lambda t: t.sigmoid().sum(),
+    lambda t: gated_blend(t, t * t, t + 1.0).sum(),
     lambda t: t.gelu().sum(),
     lambda t: t.reshape(-1).sum(),
     lambda t: t.mean(axis=0).sum(),
@@ -195,10 +197,10 @@ def test_second_backward_through_a_released_graph_raises():
 
 
 def test_backward_releases_each_node_of_the_graph():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     h = a * 3.0
     interior = weakref.ref(h._node)
-    out = (h.sigmoid() * h).sum()
+    out = (gated_blend(h, h * h, a) * h).sum()
     del h
     assert interior() is not None  # the root's graph holds it
     out.backward()
@@ -259,18 +261,19 @@ def test_op_keeps_an_input_array_only_for_its_backward(name):
 
 
 @pytest.mark.parametrize("n_hidden", [1, 2])
-def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
-    # of the N-row arrays the forward makes, only each layer's xhat and
-    # Gaussian CDF outlive it, until backward: not the block products, their
-    # sum or any hidden output; neither pass concatenates the blocks
+def test_mlp_keeps_only_phi_per_hidden_layer(monkeypatch, n_hidden):
+    # of the N-row arrays the forward makes, only each layer's Gaussian CDF
+    # outlives it, until backward: not xhat, the block products, their sum
+    # or any hidden output; neither pass concatenates the blocks
     rng = np.random.default_rng(11)
     n, h = 16000, 8  # 15 row blocks
-    kept, concatenated = [], []
+    kept, dropped, concatenated = [], [], []
     forward, concatenate = tensor._hidden_forward, np.concatenate
 
     def recording_forward(*args):
         out = forward(*args)
-        kept.extend([weakref.ref(out[1]), weakref.ref(out[3])])
+        dropped.append(weakref.ref(out[0]))  # xhat's array, then the output
+        kept.append(weakref.ref(out[2]))
         return out
 
     def recording_concatenate(arrays, *args, **kwargs):
@@ -296,11 +299,12 @@ def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
     finally:
         tracemalloc.stop()
     layer_bytes = n * h * 8
-    assert len(kept) == 2 * n_hidden
+    assert len(kept) == len(dropped) == n_hidden
     assert all(ref() is not None for ref in kept)
-    # xhat and the CDF per layer, the n x 2 output, and less than half an
-    # N x h array of small parts (statistics, the node)
-    extra = live - out.data.nbytes - 2 * n_hidden * layer_bytes
+    assert [ref() for ref in dropped] == [None] * n_hidden
+    # the CDF per layer, the n x 2 output, and less than half an N x h
+    # array of small parts (statistics, the node)
+    extra = live - out.data.nbytes - n_hidden * layer_bytes
     assert 0 <= extra < layer_bytes // 2
     root = out.sum()
     tracemalloc.start()
@@ -310,16 +314,94 @@ def test_mlp_keeps_xhat_and_phi_but_no_hidden_output(monkeypatch, n_hidden):
     finally:
         tracemalloc.stop()
     # beyond the tape, the backward holds at most the copy of the output's
-    # gradient, three N x h arrays at once (the gradient reaching a layer,
-    # the one it passes down and the hidden output rebuilt for the weight's
-    # gradient) and less than a quarter of one in row-block temporaries: no
-    # whole pre-activation and no whole product array
-    assert backward_peak < out.data.nbytes + 3 * layer_bytes + layer_bytes // 4
+    # gradient, 2 * n_hidden + 1 N x h arrays at once (each layer's rebuilt
+    # product, which becomes its xhat, a lower layer's rebuilt output, the
+    # top layer's output rebuilt for the weight's gradient and the gradient
+    # reaching a layer) and less than a quarter of one in row-block
+    # temporaries: no whole pre-activation
+    assert backward_peak < (out.data.nbytes + (2 * n_hidden + 1) * layer_bytes
+                            + layer_bytes // 4)
     monkeypatch.undo()
     assert concatenated == []
-    assert [ref() for ref in kept] == [None] * len(kept)
+    assert [ref() for ref in kept] == [None] * n_hidden
     assert block.grad.shape == (n, h)
     assert all(w.grad.shape == w.data.shape for w in pair_weights)
+
+
+def test_mlp_with_fixed_statistics_keeps_its_own_mean():
+    # eval-mode statistics are running arrays that change in place; the
+    # backward rebuilds xhat from the mean the forward used
+    rng = np.random.default_rng(13)
+    n, h = 3001, 8
+    x0, w0, gamma0, beta0, out_w0 = (rng.standard_normal(shape) for shape in
+                                     ((n, 4), (4, h), (h,), (h,), (h, 3)))
+    upstream = rng.standard_normal((n, 3))
+    mean0, var0 = rng.standard_normal(h), rng.uniform(0.5, 2.0, h)
+    grads = []
+    for moved in (False, True):
+        stats = [(mean0.copy(), var0.copy())]
+        x, w, gamma, beta, out_w = (Tensor(a.copy(), requires_grad=True)
+                                    for a in (x0, w0, gamma0, beta0, out_w0))
+        out, _ = mlp([x], [(w, gamma, beta)], out_w, None, 1e-5, stats)
+        if moved:
+            stats[0][0][:] += 1.0
+        (out * upstream).sum().backward()
+        grads.append([t.grad.tobytes() for t in (x, w, gamma, beta, out_w)])
+    assert grads[0] == grads[1]
+
+
+def sigmoid(x):
+    """The logistic sigmoid as one node, ``scipy.special.expit`` forward:
+    the first op of the chain ``gated_blend`` replaces."""
+    from scipy.special import expit
+
+    node, out = x._node, expit(x.data)
+
+    def bwd(g):
+        node.accum(g * out * (1.0 - out), fresh=True)
+
+    return _result(out, (node,), bwd)
+
+
+@pytest.mark.parametrize("n", [5, 3001])  # one row block, two uneven ones
+def test_gated_blend_matches_the_chain_bytes(n):
+    # the sigmoid, *, -, *, + chain's output and every gradient, byte for
+    # byte; the node keeps lam alone
+    rng = np.random.default_rng(14)
+    arrays = [3.0 * rng.standard_normal((n, 8)) for _ in range(3)]
+    upstream = rng.standard_normal((n, 8))
+    results = []
+    for fused in (True, False):
+        z, a, b = (Tensor(v.copy(), requires_grad=True) for v in arrays)
+        if fused:
+            out = gated_blend(z, a, b)
+        else:
+            lam = sigmoid(z)
+            out = lam * a + (1.0 - lam) * b
+        (out * upstream).sum().backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (z, a, b)])
+    assert results[0] == results[1]
+    z, a, b = (Tensor(v.copy(), requires_grad=True) for v in arrays)
+    value = weakref.ref(a.data)
+    out = gated_blend(z, a, b)
+    del a
+    assert value() is not None  # read, not copied, for the logits' gradient
+    with pytest.raises(ValueError, match="three N x C tensors of one shape"):
+        gated_blend(z, b, Tensor(np.ones((n, 7))))
+
+
+def test_gated_blend_finite_difference():
+    rng = np.random.default_rng(15)
+    arrays = [rng.standard_normal((4, 3)) for _ in range(3)]
+    upstream = rng.standard_normal((4, 3))
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in arrays]
+    (gated_blend(*leaves) * upstream).sum().backward()
+    for k, leaf in enumerate(leaves):
+        def loss(arr, k=k):
+            args = [Tensor(arr if i == k else v) for i, v in enumerate(arrays)]
+            return float((gated_blend(*args) * upstream).sum().data)
+        np.testing.assert_allclose(leaf.grad, finite_diff(loss, arrays[k].copy()),
+                                   rtol=1e-6, atol=1e-8)
 
 
 _LAYOUTS = ("contiguous", "row_stride", "column_stride", "reversed",
@@ -358,11 +440,17 @@ def _laid_out(rng, n, c, layout):
 @example(n=12800, c=1, seed=2, layouts=("contiguous", "contiguous"))
 def test_column_sum_is_numpy_sum_bytes(n, c, seed, layouts):
     # rows in order, as numpy's column sums add them, whatever the layout:
-    # the same bytes as a.sum(axis=0) and (a * b).sum(axis=0)
+    # the same bytes as a.sum(axis=0) and (a * b).sum(axis=0), and with a
+    # length-C scale as (a * scale).sum(axis=0) and (a * scale * b).sum(axis=0)
     rng = np.random.default_rng(seed)
     a, b = (_laid_out(rng, n, c, layout) for layout in layouts)
+    scale = _laid_out(rng, 1, c, "contiguous")[0]
     assert tensor._column_sum(a).tobytes() == a.sum(axis=0).tobytes()
     assert tensor._column_sum(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
+    assert (tensor._column_sum(a, scale=scale).tobytes()
+            == (a * scale).sum(axis=0).tobytes())
+    assert (tensor._column_sum(a, b, scale).tobytes()
+            == (a * scale * b).sum(axis=0).tobytes())
 
 
 @settings(max_examples=200, deadline=None)
