@@ -725,12 +725,13 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     hidden output. Its backward rebuilds them from the blocks with the
     forward's float operations (recompute as in Chen et al. 2016), so they
     are the forward's bytes. It first re-runs each hidden layer's product,
-    bottom-up; a layer below the top also rebuilds its output, the next
-    product's input, and keeps it for the next weight's gradient. Then, top
-    down, the pass that applies GELU's derivative normalizes the product
-    into ``xhat`` and rebuilds the pre-activation ``xhat * gamma + beta``
-    (and the top layer's output) one row block at a time, so no whole
-    pre-activation is built. Every elementwise step runs over row blocks
+    bottom-up; a layer below the top also normalizes its product into
+    ``xhat`` and rebuilds its output, the next product's input, and keeps
+    it for the next weight's gradient. Then, top down, the pass that
+    applies GELU's derivative rebuilds the pre-activation ``xhat * gamma +
+    beta`` one row block at a time, so no whole pre-activation is built;
+    for the top layer that pass also normalizes the product and rebuilds
+    the output. Every elementwise step runs over row blocks
     (``_row_blocks``) and every column sum is ``_column_sum``, rows added in
     order: neither moves a byte of the results.
     """
@@ -768,7 +769,7 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
             bias_node.accum(_column_sum(g), fresh=True)
         # each hidden layer's product, bottom-up; below the top layer,
         # _hidden_output normalizes it into xhat and rebuilds the output,
-        # the next product's input and, below, the next weight's gradient's
+        # the next product's input, kept for the next weight's gradient
         products, outputs, below = [], [], parts
         for k, (mean, std, phi, _) in enumerate(saved):
             products.append(_blocks_product(below, layers[k][0]))
