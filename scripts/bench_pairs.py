@@ -35,7 +35,13 @@ shape (``rd``, ``shapes``), one run of each tree's
 ``scripts/train_step_memory.py SHAPE 4``: its tape totals in MB (live after
 the forward, forward peak, backward peak) and its last-loss hex, null for a
 tree without the script, and whether the two last losses are the same
-bytes. The traced per-layer rows are not measured (``left_out`` says why).
+bytes. ``tier1`` holds, per tree, one run of its tier-1 suite, ``python
+-m pytest -q --continue-on-collection-errors --durations=10`` in the tree,
+after the pairs and the tape runs: the total seconds pytest
+reports, its summary (``507 passed``), its exit code and its 10 slowest
+test phases, null for a tree without ``tests/``; a failing suite is
+recorded, not raised, and nothing gates on it. The traced per-layer rows
+are not measured (``left_out`` says why).
 ``--out`` is created if missing; a missing parent directory is refused
 before any pair runs.
 """
@@ -65,6 +71,10 @@ TAPE_SHAPES = ("rd", "shapes")
 TAPE_STEPS = 4  # train steps of each train_step_memory.py run
 TAPE_LINE = re.compile(r"tape live after forward ([\d.]+) MB, forward peak "
                        r"([\d.]+) MB, backward peak ([\d.]+) MB")
+TIER1_SLOWEST = 10  # --durations of the tier-1 run
+TIER1_SUMMARY = re.compile(r"^=* ?(.*?) in ([\d.]+)s\b.*$", re.MULTILINE)
+TIER1_DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$",
+                            re.MULTILINE)
 
 
 def parse_run(stdout):
@@ -171,9 +181,35 @@ def tape_totals(trees):
     return tape
 
 
-def report(parent, change, workloads, seeded_identical, command, tape=None):
-    """The BENCH document: revisions, per-workload summaries, flags and the
-    ``tape_totals`` (None if not run)."""
+def parse_tier1(stdout, returncode):
+    """Total seconds, summary, exit code and slowest phases of one
+    ``pytest -q --durations`` output."""
+    summary = TIER1_SUMMARY.findall(stdout)
+    if not summary:
+        raise ValueError("pytest printed no summary line")
+    outcome, seconds = summary[-1]
+    slowest = [{"seconds": float(secs), "when": when, "test": test}
+               for secs, when, test in TIER1_DURATION.findall(stdout)]
+    return {"seconds": float(seconds), "summary": outcome,
+            "returncode": returncode, "slowest": slowest}
+
+
+def run_tier1(tree):
+    """``parse_tier1`` of one tier-1 run in ``tree``, None if the tree has no
+    tests."""
+    if not (tree / "tests").is_dir():
+        return None
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           f"--durations={TIER1_SLOWEST}"]
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
+    return parse_tier1(out.stdout, out.returncode)
+
+
+def report(parent, change, workloads, seeded_identical, command, tape=None,
+           tier1=None):
+    """The BENCH document: revisions, per-workload summaries, flags, the
+    ``tape_totals`` and the per-tree ``run_tier1`` (None if not run)."""
     flags = [f"{w}.{name}: change median {m['change_median']:.6g} against "
              f"{m['parent_median']:.6g}, {m['change_wins']} of {m['pairs']} "
              "pairs won"
@@ -182,7 +218,7 @@ def report(parent, change, workloads, seeded_identical, command, tape=None):
     return {"parent": parent, "change": change, "command": command,
             "workloads": workloads, "flags": flags,
             "seeded_identical": seeded_identical, "tape": tape,
-            "left_out": LEFT_OUT}
+            "tier1": tier1, "left_out": LEFT_OUT}
 
 
 def extract(rev, dest):
@@ -281,9 +317,10 @@ def main(argv=None):
             "change_record": seeded_identical(trees["change"], trees["change"]),
             "parent_record": seeded_identical(trees["parent"], trees["change"])}
         tape = tape_totals(trees)
+        tier1 = {side: run_tier1(tree) for side, tree in trees.items()}
     command = f"perfbench/run.py --trace 0 --seconds {seconds}"
     doc = report(revs["parent"], revs["change"], summaries, identical, command,
-                 tape)
+                 tape, tier1)
     path = args.out / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for flag in doc["flags"]:

@@ -16,7 +16,9 @@ process's peak resident set so far (``ru_maxrss``), then the last loss as
 same last line. A step runs from the end of the previous step's EMA update
 (or the call to ``train``) to the end of its own, so its time less
 ``fwd_ms`` and ``bwd_ms`` is the optimizer and EMA updates. Only this
-process's own resource usage is read.
+process's own resource usage is read. Unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set, it sets it to 1 before numpy loads, as the
+benchmark's workers run, so the last loss does not depend on the shell.
 
 After the timed steps it reports the autodiff tape of one more step (a
 fresh one-step ``train`` on the first batch) run under ``tracemalloc``:
@@ -25,7 +27,9 @@ which is the forward's graph with the arrays it saved; the peak MB up to
 then, which adds the forward's temporaries to it; and the peak MB during
 ``backward``. All three count only what the step allocated (MB are
 2**20 bytes), and ``tracemalloc`` slows the step, so it is not timed.
-Then it lists the 8 call sites that allocated the most of what is live
+It names the backward closure that holds the backward peak (the last to
+raise it), its place in the order the closures run and the MB live just
+before it ran. Then it lists the 8 call sites that allocated the most of what is live
 when ``backward`` starts (``tracemalloc`` statistics by traceback): each is
 the allocating line and the two lines that called it, innermost first, so
 a helper that allocates for several callers gets one row per caller.
@@ -39,8 +43,11 @@ import sys
 import tracemalloc
 from time import perf_counter
 
-from ncgn import dataset, engine, nn
-from ncgn.tensor import Tensor
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")  # read once, when numpy loads
+
+from ncgn import dataset, engine, nn  # noqa: E402
+from ncgn.tensor import Tensor  # noqa: E402
 
 TOP_SITES = 8  # allocating call sites listed in the tape report
 SITE_FRAMES = 3  # frames per call site
@@ -74,15 +81,54 @@ def usage():
     return perf_counter(), ru.ru_minflt, ru.ru_maxrss / 1024.0
 
 
+def watch_closures(root, runs):
+    """Wrap the backward closure of every node of ``root``'s graph so that
+    each run appends ``(closure name, MB live before it, peak MB so far
+    after it)`` to ``runs``; no closure outlives its run."""
+    stack, seen = [root._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        if node.backward is not None:
+            node.backward = watching(node.backward, runs)
+
+
+def watching(closure, runs):
+    code = closure.__code__
+    name = (f"{closure.__qualname__} "
+            f"({os.path.relpath(code.co_filename)}:{code.co_firstlineno})")
+
+    def run(g):
+        live = tracemalloc.get_traced_memory()[0]
+        closure(g)
+        runs.append((name, live, tracemalloc.get_traced_memory()[1]))
+    return run
+
+
+def peak_closure(runs):
+    """``(place from 1, closure name, MB live before it)`` of the last
+    closure in ``runs`` to raise the peak."""
+    holder, peak = None, -1
+    for place, (name, live, peak_after) in enumerate(runs, start=1):
+        if peak_after > peak:
+            holder, peak = (place, name, live / 2**20), peak_after
+    return holder
+
+
 def tape_report(graphs, config):
     """(MB live when ``backward`` starts, peak MB before it, peak MB during
-    it, the top allocating call sites of what is live when it starts) for one
-    train step on ``graphs``, counting what the step allocated."""
-    backward, marks, top = Tensor.backward, [], []
+    it, the top allocating call sites of what is live when it starts, the
+    closure runs of ``watch_closures``) for one train step on ``graphs``,
+    counting what the step allocated."""
+    backward, marks, top, runs = Tensor.backward, [], [], []
 
     def measuring(root):
         marks.extend(tracemalloc.get_traced_memory())
         top.extend(tracemalloc.take_snapshot().statistics("traceback")[:TOP_SITES])
+        watch_closures(root, runs)
         tracemalloc.reset_peak()
         backward(root)
         marks.append(tracemalloc.get_traced_memory()[1])
@@ -95,7 +141,7 @@ def tape_report(graphs, config):
         tracemalloc.stop()
         Tensor.backward = backward
     live, forward_peak, backward_peak = (m / 2**20 for m in marks)
-    return live, forward_peak, backward_peak, top
+    return live, forward_peak, backward_peak, top, runs
 
 
 def main(shape="rd", steps=8, seed=0):
@@ -123,10 +169,13 @@ def main(shape="rd", steps=8, seed=0):
         print(f"{k}  {1e3 * (t1 - t0):.1f}  {1e3 * (b0 - t0):.1f}  "
               f"{1e3 * (b1 - b0):.1f}  {f1 - f0}  {rss:.1f}")
     print(f"last loss {float(rows[-1][2]).hex()}")
-    live, forward_peak, backward_peak, top = tape_report(graphs[:config.batch],
-                                                         config)
+    live, forward_peak, backward_peak, top, runs = tape_report(
+        graphs[:config.batch], config)
     print(f"tape live after forward {live:.1f} MB, forward peak "
           f"{forward_peak:.1f} MB, backward peak {backward_peak:.1f} MB")
+    place, name, live_before = peak_closure(runs)
+    print(f"backward peak in closure {place} of {len(runs)}: {name}, "
+          f"{live_before:.1f} MB live before it")
     print(f"top {TOP_SITES} allocating call sites live after forward "
           "(MB, blocks, line < calling lines):")
     for stat in top:

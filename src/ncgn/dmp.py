@@ -172,7 +172,11 @@ class _PointMessage(nn.Module):
     them block by block, ``pair @ W[:h] + rel @ (lin_rel.weight @ W[h:2h])
     + dist @ (lin_dist.weight @ W[2h:])``, whose bytes the results are: no
     position encoding or N x 3h concatenation is formed, forward or
-    backward. ``lin_rel`` and ``lin_dist`` only hold their weights.
+    backward. ``lin_rel`` and ``lin_dist`` only hold their weights. The
+    MLP node does not keep the pair sum either: its backward rebuilds it,
+    ``h @ W_node + (h_coarse @ W_coarse)[members.rows]`` with the forward's
+    float operations, from ``h``, ``h_coarse`` and the two halves of
+    ``lin_pair``'s weight, which the products' nodes keep anyway.
     """
 
     def __init__(self, hdim, d, rng):
@@ -189,9 +193,15 @@ class _PointMessage(nn.Module):
         first, second = self.halves
         coarse_half, node_half = (first, second) if coarse_first else (second, first)
         weight = self.lin_pair.weight
-        pair = (h @ weight.gather_rows(node_half)
-                + (h_coarse @ weight.gather_rows(coarse_half)).gather_rows(members))
-        return self.mlp([pair, (rel, self.lin_rel.weight),
+        w_node, w_coarse = (weight.gather_rows(half) for half in (node_half, coarse_half))
+        pair = h @ w_node + (h_coarse @ w_coarse).gather_rows(members)
+        # the products' nodes keep these arrays for the weight's gradient
+        x, x_coarse, u, u_coarse = h.data, h_coarse.data, w_node.data, w_coarse.data
+
+        def rebuild():
+            return x @ u + (x_coarse @ u_coarse)[members.rows]
+
+        return self.mlp([(pair, rebuild), (rel, self.lin_rel.weight),
                          (dist, self.lin_dist.weight)])
 
 
@@ -203,7 +213,10 @@ class DmpLayer(nn.Module):
     The uncoarsen step gates the spread coarse message into the node state,
     ``lam * h + (1 - lam) * spread`` with ``lam`` the sigmoid of
     ``gate([h, spread])``, as one ``tensor.gated_blend`` node that keeps
-    only ``lam``; each MLP node keeps one Gaussian CDF per hidden layer."""
+    only ``lam``. ``combine`` takes the blend as a rebuilt block, so its
+    node keeps no blend output: its backward blends again from ``lam``,
+    ``h`` and ``spread``, which the gate's node keeps. Each MLP node keeps
+    one Gaussian CDF per hidden layer."""
 
     def __init__(self, hdim, d, mp_kind, rng, out_bias):
         self.coarsen_msg = _PointMessage(hdim, d, rng)
@@ -222,7 +235,7 @@ class DmpLayer(nn.Module):
     def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
                   members: SparsePlan) -> Tensor:
         spread = self.uncoarsen_msg(h, h_coarse, members, False, -rel, dist)
-        return self.combine(gated_blend(self.gate([h, spread]), h, spread))
+        return self.combine([gated_blend(self.gate([h, spread]), h, spread)])
 
 
 class DmpModel(nn.Module):

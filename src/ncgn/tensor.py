@@ -25,10 +25,13 @@ with it the arrays it saved) and its parents: a train step never holds two
 graphs at once. A graph runs backward once; a second ``backward`` through
 it raises RuntimeError. Afterwards only leaves and the root hold a
 ``grad``. A node keeps the first gradient it receives without a copy when
-the closure built that array for it alone (a product, matmul, scatter,
-gather or reduction); a gradient passed through unchanged (``+``, the left
-side of ``-``, ``reshape``, ``sum``, ``concat``) is copied, since other
-nodes may hold the same array.
+no other node holds that array: one the closure built for it alone (a
+product, matmul, scatter, gather or reduction), or the upstream gradient
+that ``+`` and the left side of ``-`` pass on unchanged, which the first of
+their parents to take a gradient keeps, since the closure's node drops it
+right after. The second parent of ``+`` gets a copy, as does a node that
+``reshape``, ``sum`` or ``concat`` hands a view of the gradient. The root
+keeps its gradient: its closure gets a copy.
 
 The first ``backward`` of a process also asks glibc to keep freed pages
 (``_keep_freed_pages``): arrays up to 32 MiB come from the heap instead of
@@ -46,19 +49,21 @@ encodings are never formed. It runs the float operations of that
 block-wise per-layer chain in order, forward and backward, so every result
 is that chain's bytes, not those of concatenating the blocks first; over
 batch statistics the normalization's backward is the closed form of Ioffe
-& Szegedy (2015). It keeps the input blocks' arrays and, per hidden layer,
-only its Gaussian CDF and its length-C mean and std; its backward re-runs
-each layer's product from the blocks and rebuilds the normalized input and
-every hidden output from them (recompute as in Chen et al. 2016, from what
-batch norm keeps anyway as in Rota Bulò et al. 2018). A second fused op,
-``gated_blend``, is DMP's gate ``lam * a + (1 - lam) * b`` with ``lam`` the
-sigmoid of its logits: one node that keeps only ``lam``, with the bytes of
-the chain of primitive ops it replaces. A hidden layer's elementwise
-steps, forward and backward, run over row blocks of 1,024 to 2,047 rows
-(loop tiling, Wolf & Lam 1991), so a chain of them reads each block from
-a core's L2 instead of streaming the whole N x C array once per step; its
-column sums are ``np.einsum``, which adds the rows in order as
-``sum(axis=0)`` does without the strided walk or a product array. Both
+& Szegedy (2015). It keeps the input blocks' arrays, except a block given
+with a function that rebuilds it, and per hidden layer only its Gaussian
+CDF and its length-C mean and std; its backward rebuilds such a block,
+re-runs each layer's product from the blocks and rebuilds the normalized
+input and every hidden output from them (recompute as in Chen et al. 2016,
+from what batch norm keeps anyway as in Rota Bulò et al. 2018). A second
+fused op, ``gated_blend``, is DMP's gate ``lam * a + (1 - lam) * b`` with
+``lam`` the sigmoid of its logits: one node that keeps only ``lam``, with
+the bytes of the chain of primitive ops it replaces, and a function that
+blends its output again, so a consumer need not keep it. A hidden layer's
+elementwise steps, forward and backward, run over row blocks of 1,024 to
+2,047 rows (loop tiling, Wolf & Lam 1991), so a chain of them reads each
+block from a core's L2 instead of streaming the whole N x C array once
+per step; its column sums are ``np.einsum``, which adds the rows in order
+as ``sum(axis=0)`` does without the strided walk or a product array. Both
 leave every byte as the whole-array chain computes it.
 
 Every gather and scatter goes through a ``SparsePlan``, a sparse matrix
@@ -266,10 +271,13 @@ class _Node:
         else:
             self.grad += g
 
-    def pass_through(self, g, shape):
-        """Accumulate the upstream ``g``, summed down to ``shape``."""
+    def pass_through(self, g, shape, owned):
+        """Accumulate the upstream ``g``, summed down to ``shape``.
+        ``owned`` says no other node holds ``g``, so a first gradient takes
+        it without a copy. Returns whether ``g`` is still unheld."""
         summed = _unbroadcast(g, shape)
-        self.accum(summed, fresh=summed is not g)
+        self.accum(summed, fresh=owned or summed is not g)
+        return owned and self.grad is not g
 
 
 def _result(data, parents, backward):
@@ -346,7 +354,9 @@ class Tensor:
         while topo:
             node = topo.pop()
             if node.backward is not None:
-                node.backward(node.grad)
+                # a closure may hand its gradient on: the root's, which it
+                # keeps, goes as a copy
+                node.backward(node.grad.copy() if node is root else node.grad)
                 node.backward, node.parents = _released, ()
                 if node is not root:
                     node.grad = None
@@ -364,10 +374,13 @@ class Tensor:
         sa, sb = self.data.shape, other.data.shape
 
         def bwd(g):
+            # g is this node's own array: the first parent to take a
+            # gradient keeps it, the second gets a copy
+            owned = True
             if a is not None:
-                a.pass_through(g, sa)
+                owned = a.pass_through(g, sa, owned)
             if b is not None:
-                b.pass_through(g, sb)
+                b.pass_through(g, sb, owned)
 
         return _result(self.data + other.data, (a, b), bwd)
 
@@ -380,7 +393,7 @@ class Tensor:
 
         def bwd(g):
             if a is not None:
-                a.pass_through(g, sa)
+                a.pass_through(g, sa, True)
             if b is not None:
                 b.accum(_unbroadcast(-g, sb), fresh=True)
 
@@ -704,11 +717,16 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
 
     The input is the column concatenation of ``blocks``, whose widths must
     add up to the first weight's rows (ValueError otherwise). A block is a
-    Tensor, or an ``(array, w)`` pair of a constant array and a Tensor that
-    stands for ``array @ w``. ``stats`` gives each hidden layer's
-    normalization statistics: None (or a None entry) normalizes over the
-    batch's rows, a ``(mean, var)`` pair of length-C arrays uses those
-    (eval mode with running statistics).
+    Tensor, an ``(array, w)`` pair of a constant array and a Tensor that
+    stands for ``array @ w``, or a ``(tensor, rebuild)`` pair: a Tensor whose
+    array the node does not keep, and a function of no arguments that
+    returns a new array of that array's bytes. The backward calls
+    ``rebuild`` once, before it re-runs the first product, and drops the
+    array when it is done; the Tensor's node is a parent as for a Tensor
+    block, so gradients reach the graph in the same order. ``stats`` gives
+    each hidden layer's normalization statistics: None (or a None entry)
+    normalizes over the batch's rows, a ``(mean, var)`` pair of length-C
+    arrays uses those (eval mode with running statistics).
 
     The first weight W (the first hidden layer's, or ``weight`` with no
     hidden layer) multiplies the input block by block: ``x @ W[rows]`` for
@@ -720,11 +738,12 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     in the same order, so every result is that chain's bytes, not those of
     concatenating first.
 
-    The node keeps the blocks' arrays and, per hidden layer, only its
-    Gaussian CDF and its length-C ``mean`` and ``std``: no ``xhat`` and no
-    hidden output. Its backward rebuilds them from the blocks with the
-    forward's float operations (recompute as in Chen et al. 2016), so they
-    are the forward's bytes. It first re-runs each hidden layer's product,
+    The node keeps the blocks' arrays (a rebuilt block's only as its
+    ``rebuild``) and, per hidden layer, only its Gaussian CDF and its
+    length-C ``mean`` and ``std``: no ``xhat`` and no hidden output. Its
+    backward rebuilds them from the blocks with the forward's float
+    operations (recompute as in Chen et al. 2016), so they are the
+    forward's bytes. It first re-runs each hidden layer's product,
     bottom-up; a layer below the top also normalizes its product into
     ``xhat`` and rebuilds its output, the next product's input, and keeps
     it for the next weight's gradient. Then, top down, the pass that
@@ -735,13 +754,19 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     (``_row_blocks``) and every column sum is ``_column_sum``, rows added in
     order: neither moves a byte of the results.
     """
-    parts, block_nodes, start = [], [], 0
+    parts, block_nodes, rebuilds, start = [], [], [], 0
     for b in blocks:
-        a, v = ((b.data, None) if isinstance(b, Tensor)
-                else (np.asarray(b[0], dtype=np.float64), b[1].data))
+        rebuild = None
+        if isinstance(b, Tensor):
+            a, v, node = b.data, None, b._node
+        elif isinstance(b[0], Tensor):
+            (a, v, node), rebuild = (b[0].data, None, b[0]._node), b[1]
+        else:
+            a, v, node = np.asarray(b[0], dtype=np.float64), b[1].data, b[1]._node
         stop = start + (a if v is None else v).shape[1]
         parts.append((a, v, slice(start, stop)))
-        block_nodes.append(b._node if isinstance(b, Tensor) else b[1]._node)
+        block_nodes.append(node)
+        rebuilds.append(rebuild)
         start = stop
     first = hidden[0][0] if hidden else weight
     if start != first.data.shape[0]:
@@ -763,10 +788,15 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     norms = [(gamma.data, beta.data, gamma._node, beta._node)
              for _, gamma, beta in hidden]
     bias_node = None if bias is None else bias._node
+    # a rebuilt block's array is not kept
+    kept = [(a if rebuild is None else None, v, rows)
+            for (a, v, rows), rebuild in zip(parts, rebuilds)]
 
     def bwd(g):
         if bias_node is not None:
             bias_node.accum(_column_sum(g), fresh=True)
+        parts = [(a if rebuild is None else rebuild(), v, rows)
+                 for (a, v, rows), rebuild in zip(kept, rebuilds)]
         # each hidden layer's product, bottom-up; below the top layer,
         # _hidden_output normalizes it into xhat and rebuilds the output,
         # the next product's input, kept for the next weight's gradient
@@ -819,16 +849,21 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     return _result(out_data, parents + [weight._node, bias_node], bwd), moments
 
 
-def gated_blend(logits: Tensor, a: Tensor, b: Tensor) -> Tensor:
+def gated_blend(logits: Tensor, a: Tensor, b: Tensor):
     """The gated blend ``lam * a + (1.0 - lam) * b`` of three N x C tensors
     of one shape, ``lam`` the logistic sigmoid of ``logits``, as one node
     that keeps ``lam`` (and reads ``a`` and ``b``, which the caller keeps)
-    but no ``1.0 - lam`` or product. Forward and backward run the float
-    operations of the chain ``sigmoid``, ``*``, ``-``, ``*``, ``+`` it
+    but no ``1.0 - lam``, product or output. Forward and backward run the
+    float operations of the chain ``sigmoid``, ``*``, ``-``, ``*``, ``+`` it
     replaces, one row block at a time, so every result is that chain's
     bytes: ``a``'s gradient is ``g * lam``, ``b``'s ``g * (1.0 - lam)`` and
     the logits' ``(g * a + -(g * b)) * lam * (1.0 - lam)``, whose sum is
-    that subtraction."""
+    that subtraction.
+
+    Returns ``(out, rebuild)``, an ``mlp`` input block: ``rebuild()``
+    returns a new array of ``out``'s bytes, blended again from ``lam``, ``a``
+    and ``b`` by the same row blocks and float operations, so a consumer
+    need not keep ``out``."""
     from scipy.special import expit
 
     logits, a, b = (Tensor._lift(t) for t in (logits, a, b))
@@ -837,17 +872,26 @@ def gated_blend(logits: Tensor, a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"gated_blend needs three N x C tensors of one shape, "
                          f"got {shape}, {a.data.shape} and {b.data.shape}")
     nz, na, nb = logits._node, a._node, b._node
+    av, bv = a.data, b.data
     # a and b are read only for the logits' gradient
-    x, y = (a.data, b.data) if nz is not None else (None, None)
-    lam, out = np.empty(shape), np.empty(shape)
+    x, y = (av, bv) if nz is not None else (None, None)
+    lam = np.empty(shape)
     blocks = _row_blocks(shape[0])
-    rest_scratch, = _block_scratch(blocks, shape[1], 1)
-    for rows in blocks:
-        lr = expit(logits.data[rows], out=lam[rows])
-        rest = np.subtract(1.0, lr, out=rest_scratch[:rows.stop - rows.start])
-        rest *= b.data[rows]
-        np.multiply(lr, a.data[rows], out=out[rows])
-        out[rows] += rest
+
+    def blend(z=None):
+        """The output, each row block's ``lam`` first written as
+        ``expit(z)`` when given the logits ``z``."""
+        out = np.empty(shape)
+        rest_scratch, = _block_scratch(blocks, shape[1], 1)
+        for rows in blocks:
+            lr = lam[rows] if z is None else expit(z[rows], out=lam[rows])
+            rest = np.subtract(1.0, lr, out=rest_scratch[:rows.stop - rows.start])
+            rest *= bv[rows]
+            np.multiply(lr, av[rows], out=out[rows])
+            out[rows] += rest
+        return out
+
+    out = blend(logits.data)
 
     def bwd(g):
         grads = [None if node is None else np.empty(shape) for node in (nz, na, nb)]
@@ -869,7 +913,7 @@ def gated_blend(logits: Tensor, a: Tensor, b: Tensor) -> Tensor:
             if node is not None:
                 node.accum(grad, fresh=True)
 
-    return _result(out, (nz, na, nb), bwd)
+    return _result(out, (nz, na, nb), bwd), blend
 
 
 _ENTRY_CHUNK = 4096  # plan entries per temporary in the weight gradient

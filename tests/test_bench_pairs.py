@@ -92,7 +92,7 @@ def test_summary_gives_medians_iqr_wins_and_flags():
                             "against 10.5, 1 of 4 pairs won"]
     assert doc["seeded_identical"] is True
     assert set(doc["left_out"]) == {"traced_rows"}
-    assert doc["tape"] is None
+    assert doc["tape"] is None and doc["tier1"] is None
 
 
 @pytest.mark.parametrize("parent, change, flagged", [
@@ -151,6 +151,8 @@ def test_main_alternates_the_order_and_writes_bench_json(tmp_path,
     assert doc["tape"] == {shape: {"parent": None, "change": None,
                                    "same_last_loss": None}
                            for shape in ("rd", "shapes")}
+    # nor tests to time
+    assert doc["tier1"] == {"parent": None, "change": None}
     assert list(doc["left_out"]) == ["traced_rows"]
     assert list(doc["workloads"]) == ["gw_study", "rd_features"]
     assert doc["workloads"]["rd_features"]["metrics"]["pipeline_s"]["pairs"] == 2
@@ -264,3 +266,46 @@ def test_tape_totals_run_each_tree_per_shape_and_compare_losses(tmp_path,
     assert tape["rd"]["change"]["backward_peak_mb"] == 139.3
     # a tree without the script runs nothing
     assert run_script(tmp_path / "empty", "rd") is None
+
+
+TIER1_OUTPUT = """....F...                                                 [100%]
+=================================== FAILURES ===================================
+E   assert 2 in (1, 3)
+============================= slowest 10 durations =============================
+9.53s call     tests/test_acceptance.py::test_full_gradient_suite[gat]
+0.51s setup    tests/test_cli.py::test_train_writes_a_checkpoint
+=========================== short test summary info ============================
+FAILED tests/test_dmp.py::test_gcn_hand_example - assert 2 in (1, 3)
+1 failed, 506 passed in 62.31s (0:01:02)
+"""
+
+
+def test_tier1_runs_pytest_in_each_tree_and_records_without_gating(
+        tmp_path, monkeypatch):
+    script = load_bench_pairs()
+    tree = tmp_path / "change"
+    (tree / "tests").mkdir(parents=True)
+    calls = []
+
+    class Done:
+        stdout, returncode = TIER1_OUTPUT, 1
+
+    def run(cmd, cwd, capture_output, text, env):
+        calls.append((cmd[1:], cwd, env["PYTHONPATH"]))
+        return Done()
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.run_tier1(tree) == {
+        "seconds": 62.31, "summary": "1 failed, 506 passed", "returncode": 1,
+        "slowest": [
+            {"seconds": 9.53, "when": "call",
+             "test": "tests/test_acceptance.py::test_full_gradient_suite[gat]"},
+            {"seconds": 0.51, "when": "setup",
+             "test": "tests/test_cli.py::test_train_writes_a_checkpoint"}]}
+    assert calls == [(["-m", "pytest", "-q", "--continue-on-collection-errors",
+                       "--durations=10"], tree, "src")]
+    # a tree without tests runs nothing
+    assert script.run_tier1(tmp_path / "empty") is None
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="no summary line"):
+        script.parse_tier1("....\n", 0)

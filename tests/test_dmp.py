@@ -253,10 +253,10 @@ def test_split_lin_pair_matches_concat(coarse_first):
 
 @pytest.mark.parametrize("coarse_first", [True, False])  # coarsen, uncoarsen
 def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
-    # no backward reads the two matmul products, and the MLP forms neither a
-    # position encoding nor a concatenated input, forward or backward: of
-    # the call's N-row arrays only the pair sum (the MLP's first block), its
-    # hidden layer's Gaussian CDF and the output live on
+    # no backward reads the two matmul products, the MLP rebuilds the pair
+    # sum (its first block) in its backward, and it forms neither a position
+    # encoding nor a concatenated input, forward or backward: of the call's
+    # N-row arrays only the hidden layer's Gaussian CDF and the output live on
     rng = np.random.default_rng(19)
     n, nclusters, hdim = 3000, 60, 8
     msg = _PointMessage(hdim, 2, rng)
@@ -273,7 +273,9 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
         return concatenate(arrays, *args, **kwargs)
 
     def recording_mlp(blocks):
-        pairs.append(weakref.ref(blocks[0].data))
+        pair, rebuild = blocks[0]
+        pairs.append(weakref.ref(pair.data))
+        assert rebuild().tobytes() == pair.data.tobytes()
         return message_mlp(blocks)
 
     h = Tensor(rng.standard_normal((n, hdim)), requires_grad=True)
@@ -294,14 +296,51 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
         tracemalloc.stop()
     assert len(values) == 2 and len(pairs) == 1
     assert [value() for value in values] == [None] * 2
-    assert pairs[0]() is not None
-    extra = live - 3 * n * hdim * 8
+    assert pairs[0]() is None
+    extra = live - 2 * n * hdim * 8
     assert 0 <= extra < n * hdim * 4
     out.sum().backward()
     monkeypatch.undo()
     assert concatenated == []
-    assert pairs[0]() is None
     assert h.grad.shape == (n, hdim) and h_coarse.grad.shape == (nclusters, hdim)
+
+
+def test_uncoarsen_keeps_no_blend_output(monkeypatch):
+    # combine rebuilds the gate's blend in its backward: the blend's output
+    # dies with the forward, and the output and every gradient are those of
+    # combine keeping the blend as a plain tensor block, byte for byte
+    rng = np.random.default_rng(20)
+    n, nclusters, hdim = 3000, 60, 8
+    layer = dmp.DmpLayer(hdim, 2, "gcn", rng, out_bias=True)
+    h0 = rng.standard_normal((n, hdim))
+    coarse0 = rng.standard_normal((nclusters, hdim))
+    rel = rng.standard_normal((n, 2))
+    dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
+    members = segments(rng.integers(0, nclusters, n), nclusters)
+    upstream = rng.standard_normal((n, hdim))
+    blend = tensor.gated_blend
+    results = []
+    for kept in (False, True):
+        blends = []
+
+        def recording_blend(*args):
+            out, rebuild = blend(*args)
+            blends.append(weakref.ref(out.data))
+            return out if kept else (out, rebuild)
+
+        h = Tensor(h0.copy(), requires_grad=True)
+        h_coarse = Tensor(coarse0.copy(), requires_grad=True)
+        params = [h, h_coarse] + [p for m in (layer.uncoarsen_msg, layer.gate,
+                                               layer.combine)
+                                  for p in m.parameters()]
+        for p in params:
+            p.grad = None
+        monkeypatch.setattr(dmp, "gated_blend", recording_blend)
+        out = layer.uncoarsen(h, h_coarse, rel, dist, members)
+        assert len(blends) == 1 and (blends[0]() is None) == (not kept)
+        (out * upstream).sum().backward()
+        results.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("name", ["gcn", "gat", "flat_gat"])

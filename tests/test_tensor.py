@@ -57,7 +57,7 @@ def check_op(build, shape, seed=0, tol=1e-6):
     lambda t: (t - 0.3).sum(),
     lambda t: (t / 2.5).sum(),
     lambda t: (t * t * t).sum(),
-    lambda t: gated_blend(t, t * t, t + 1.0).sum(),
+    lambda t: gated_blend(t, t * t, t + 1.0)[0].sum(),
     lambda t: t.gelu().sum(),
     lambda t: t.reshape(-1).sum(),
     lambda t: t.mean(axis=0).sum(),
@@ -200,7 +200,7 @@ def test_backward_releases_each_node_of_the_graph():
     a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     h = a * 3.0
     interior = weakref.ref(h._node)
-    out = (gated_blend(h, h * h, a) * h).sum()
+    out = (gated_blend(h, h * h, a)[0] * h).sum()
     del h
     assert interior() is not None  # the root's graph holds it
     out.backward()
@@ -350,6 +350,123 @@ def test_mlp_with_fixed_statistics_keeps_its_own_mean():
     assert grads[0] == grads[1]
 
 
+@pytest.mark.parametrize("n, n_hidden, eval_mode",
+                         itertools.product((300, 3001), (1, 2), (False, True)))
+def test_mlp_rebuilt_block_matches_the_tensor_block_bytes(n, n_hidden, eval_mode):
+    # a (tensor, rebuild) block gives the output and every gradient of the
+    # same block given as the tensor, byte for byte, and the node keeps no
+    # array of it: the block's array dies with the forward
+    rng = np.random.default_rng(16)
+    h = 8
+    base0, pair_weight0 = rng.standard_normal((n, h)), rng.standard_normal((2, h))
+    pair = rng.standard_normal((n, 2))
+    hidden0 = [tuple(rng.standard_normal(shape) for shape in ((d_in, h), (h,), (h,)))
+               for d_in in (2 * h, h)[:n_hidden]]
+    weight0, bias0 = rng.standard_normal((h, 3)), rng.standard_normal(3)
+    upstream = rng.standard_normal((n, 3))
+    stats = ([(rng.standard_normal(h), rng.uniform(0.5, 2.0, h)) for _ in hidden0]
+             if eval_mode else None)
+    results = []
+    for rebuilt in (False, True):
+        base, pair_weight, weight, bias = (
+            Tensor(a.copy(), requires_grad=True)
+            for a in (base0, pair_weight0, weight0, bias0))
+        hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
+                  for triple in hidden0]
+        x = base * 2.0  # an interior tensor, whose array only x holds
+        block = (x, lambda: base.data * 2.0) if rebuilt else x
+        value = weakref.ref(x.data)
+        out, _ = mlp([block, (pair, pair_weight)], hidden, weight, bias, 1e-5,
+                     stats)
+        del x, block
+        assert (value() is None) == rebuilt
+        (out * upstream).sum().backward()
+        tensors = [base, pair_weight, weight, bias] + [t for triple in hidden
+                                                       for t in triple]
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+    assert results[0] == results[1]
+
+
+def test_rebuild_runs_once_per_backward_and_never_without_grad():
+    rng = np.random.default_rng(17)
+    x0 = rng.standard_normal((50, 4))
+    calls = []
+
+    def rebuild():
+        calls.append(len(calls))
+        return x0.copy()
+
+    x = Tensor(x0, requires_grad=True)
+    hidden = [tuple(Tensor(a, requires_grad=True) for a in (
+        rng.standard_normal((4, 6)), np.ones(6), np.zeros(6)))]
+    weight = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
+    with no_grad():
+        out, _ = mlp([(x, rebuild)], hidden, weight, None, 1e-5)
+    assert out._node is None and calls == []
+    for step in range(2):
+        x.grad = None
+        out, _ = mlp([(x, rebuild)], hidden, weight, None, 1e-5)
+        assert len(calls) == step
+        out.sum().backward()
+        assert len(calls) == step + 1
+        assert x.grad.shape == x0.shape
+
+
+def test_first_parent_of_a_sum_takes_its_gradient():
+    # + hands its own gradient array to the first parent that keeps one and
+    # copies it for the second; the left side of - takes it as well
+    a, b, e, f = (Tensor(np.full((2, 3), v), requires_grad=True)
+                  for v in (1.0, 2.0, 3.0, 4.0))
+    seen = []
+    total, diff = a + b, e - f
+    for t in (total, diff):
+        closure = t._backward
+        t._backward = lambda g, closure=closure: (seen.append(g), closure(g))
+    ((total * 4.0).sum() + (diff * 3.0).sum()).backward()
+    assert len(seen) == 2
+    by_first_parent = {id(g): g for g in seen}
+    assert by_first_parent[id(a.grad)] is a.grad
+    assert by_first_parent[id(e.grad)] is e.grad
+    assert not np.shares_memory(a.grad, b.grad)
+    for t, expect in ((a, 4.0), (b, 4.0), (e, 3.0), (f, -3.0)):
+        np.testing.assert_array_equal(t.grad, np.full((2, 3), expect))
+
+
+def test_sum_of_a_tensor_with_itself_gets_twice_the_gradient():
+    rng = np.random.default_rng(18)
+    upstream = rng.standard_normal((3, 2))
+    x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    ((x + x) * upstream).sum().backward()
+    assert x.grad.tobytes() == (upstream + upstream).tobytes()
+    # an interior x, which takes the + node's array, then adds it to itself
+    leaf = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    y = leaf * 3.0
+    ((y + y) * upstream).sum().backward()
+    assert leaf.grad.tobytes() == ((upstream + upstream) * 3.0).tobytes()
+    leaf.grad = None
+    y = leaf * 3.0
+    ((y - y) * upstream).sum().backward()
+    np.testing.assert_array_equal(leaf.grad, np.zeros((3, 2)))
+
+
+def test_scalar_root_of_a_sum_keeps_its_ones():
+    # the root's gradient is never handed to a parent, which would add onto
+    # it: s + s would leave the root's gradient at 2
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    s = (a * a).sum()
+    root = s + s
+    root.backward()
+    np.testing.assert_array_equal(root.grad, 1.0)
+    np.testing.assert_array_equal(a.grad, 4.0 * a.data)
+    b = Tensor(np.array([3.0]), requires_grad=True)
+    root = a.sum() + b.sum()
+    a.grad = None
+    root.backward()
+    np.testing.assert_array_equal(root.grad, 1.0)
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(b.grad, [1.0])
+
+
 def sigmoid(x):
     """The logistic sigmoid as one node, ``scipy.special.expit`` forward:
     the first op of the chain ``gated_blend`` replaces."""
@@ -366,7 +483,8 @@ def sigmoid(x):
 @pytest.mark.parametrize("n", [5, 3001])  # one row block, two uneven ones
 def test_gated_blend_matches_the_chain_bytes(n):
     # the sigmoid, *, -, *, + chain's output and every gradient, byte for
-    # byte; the node keeps lam alone
+    # byte, and the rebuild a new array of the output's bytes; the node
+    # keeps lam alone
     rng = np.random.default_rng(14)
     arrays = [3.0 * rng.standard_normal((n, 8)) for _ in range(3)]
     upstream = rng.standard_normal((n, 8))
@@ -374,7 +492,10 @@ def test_gated_blend_matches_the_chain_bytes(n):
     for fused in (True, False):
         z, a, b = (Tensor(v.copy(), requires_grad=True) for v in arrays)
         if fused:
-            out = gated_blend(z, a, b)
+            out, rebuild = gated_blend(z, a, b)
+            rebuilt = rebuild()
+            assert rebuilt.tobytes() == out.data.tobytes()
+            assert not np.shares_memory(rebuilt, out.data)
         else:
             lam = sigmoid(z)
             out = lam * a + (1.0 - lam) * b
@@ -383,7 +504,7 @@ def test_gated_blend_matches_the_chain_bytes(n):
     assert results[0] == results[1]
     z, a, b = (Tensor(v.copy(), requires_grad=True) for v in arrays)
     value = weakref.ref(a.data)
-    out = gated_blend(z, a, b)
+    out, _ = gated_blend(z, a, b)
     del a
     assert value() is not None  # read, not copied, for the logits' gradient
     with pytest.raises(ValueError, match="three N x C tensors of one shape"):
@@ -395,11 +516,11 @@ def test_gated_blend_finite_difference():
     arrays = [rng.standard_normal((4, 3)) for _ in range(3)]
     upstream = rng.standard_normal((4, 3))
     leaves = [Tensor(v.copy(), requires_grad=True) for v in arrays]
-    (gated_blend(*leaves) * upstream).sum().backward()
+    (gated_blend(*leaves)[0] * upstream).sum().backward()
     for k, leaf in enumerate(leaves):
         def loss(arr, k=k):
             args = [Tensor(arr if i == k else v) for i, v in enumerate(arrays)]
-            return float((gated_blend(*args) * upstream).sum().data)
+            return float((gated_blend(*args)[0] * upstream).sum().data)
         np.testing.assert_allclose(leaf.grad, finite_diff(loss, arrays[k].copy()),
                                    rtol=1e-6, atol=1e-8)
 
@@ -478,7 +599,7 @@ def test_row_blocks_cover_rows_in_order(n):
 
 def test_pass_through_gradients_are_copied():
     # +, -, reshape, sum and concat pass the upstream array or views of it
-    # on: each leaf gets its own writable copy
+    # on: each leaf gets its own writable array
     a, b, e, d = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(4))
     c = Tensor(np.ones(6), requires_grad=True)
     root = concat([a + b - e, c.reshape(2, 3), d.sum(axis=0, keepdims=True)],
