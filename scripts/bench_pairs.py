@@ -32,10 +32,10 @@ tree's script against the parent's record (null if the parent has no such
 script). Only the second shows that outputs did not move, since a change
 that moves them also rewrites its own record. ``tape`` holds, per train
 shape (``rd``, ``shapes``), one run of each tree's
-``scripts/train_step_memory.py SHAPE 4``: its tape totals in MB (live after
-the forward, forward peak, backward peak) and its last-loss hex, null for a
-tree without the script, and whether the two last losses are the same
-bytes. ``tier1`` holds, per tree, one run of its tier-1 suite, ``python
+``scripts/train_step_memory.py SHAPE 4`` with one BLAS thread, as the
+benchmark's workers run: its tape totals in MB (live after the forward,
+forward peak, backward peak) and its last-loss hex, null for a tree without
+the script, and whether the two last losses are the same bytes. ``tier1`` holds, per tree, one run of its tier-1 suite, ``python
 -m pytest -q --continue-on-collection-errors --durations=10`` in the tree,
 after the pairs and the tape runs: the total seconds pytest
 reports, its summary (``507 passed``), its exit code and its 10 slowest
@@ -69,6 +69,8 @@ LEFT_OUT = {
 }
 TAPE_SHAPES = ("rd", "shapes")
 TAPE_STEPS = 4  # train steps of each train_step_memory.py run
+# the last loss depends on the BLAS thread count
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 TAPE_LINE = re.compile(r"tape live after forward ([\d.]+) MB, forward peak "
                        r"([\d.]+) MB, backward peak ([\d.]+) MB")
 TIER1_SLOWEST = 10  # --durations of the tier-1 run
@@ -161,7 +163,7 @@ def run_tape(tree, shape):
     if not script.exists():
         return None
     cmd = [sys.executable, str(script), shape, str(TAPE_STEPS)]
-    env = dict(os.environ, PYTHONPATH="src")
+    env = dict(os.environ, PYTHONPATH="src", **ONE_BLAS_THREAD)
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd[1:])} in {tree} exited "

@@ -244,6 +244,30 @@ def test_parse_tape_reads_totals_and_last_loss():
         script.parse_tape("step  ms\n")
 
 
+def test_run_tape_runs_the_tree_script_with_one_blas_thread(tmp_path,
+                                                            monkeypatch):
+    script = load_bench_pairs()
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "train_step_memory.py").write_text("")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    calls = []
+
+    class Done:
+        stdout, returncode = TAPE_OUTPUT, 0
+
+    def run(cmd, cwd, capture_output, text, env):
+        calls.append((cmd[1:], cwd, {k: env[k] for k in (
+            "PYTHONPATH", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}))
+        return Done()
+
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.run_tape(tmp_path, "shapes")["live_mb"] == 122.7
+    assert calls == [([str(tmp_path / "scripts" / "train_step_memory.py"),
+                       "shapes", "4"], tmp_path,
+                      {"PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1",
+                       "OMP_NUM_THREADS": "1"})]
+
+
 def test_tape_totals_run_each_tree_per_shape_and_compare_losses(tmp_path,
                                                                 monkeypatch):
     script = load_bench_pairs()
