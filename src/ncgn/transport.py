@@ -3,10 +3,12 @@ each point of weight 1/m: exact 2-Wasserstein between equal-size clouds and
 entropic Gromov-Wasserstein between clouds of any sizes and dimensions.
 
 Each GW step solves an entropic transport problem with Sinkhorn iterations
-in the scaling domain (matrix-vector products on a row-stabilised kernel,
-written into buffers allocated once per solve; the convergence check reuses
-the iteration's K v); the log-domain loop is kept as the fallback for
-kernels that underflow.
+in the scaling domain: matrix-vector products on a row-stabilised kernel,
+written into buffers allocated once per solve. One iteration is three
+statements of four C calls (two divisions, two products) and no other
+Python work; the convergence check runs after every 10th iteration and at
+the iteration cap, and reuses the iteration's K v. The log-domain loop is
+kept as the fallback for kernels that underflow.
 
 Only ``w2_exact`` uses scipy (linear assignment and the squared-distance
 matrix), and it imports it when it runs; the GW solver is numpy alone, so
@@ -97,9 +99,13 @@ def _sinkhorn_log_domain(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL,
     return log_t, f, g
 
 
+_min, _max = np.minimum.reduce, np.maximum.reduce
+
+
 def _positive_finite(x):
-    # min and max propagate NaN, so a NaN fails the first comparison
-    return bool(x.min() > 0 and x.max() < np.inf)
+    # minimum and maximum propagate NaN, so a NaN fails the first comparison;
+    # the ufunc reductions skip ndarray.min/max's Python wrapper
+    return bool(_min(x) > 0 and _max(x) < np.inf)
 
 
 def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
@@ -111,32 +117,44 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     The warm-start potentials and each row's maximum are absorbed into the
     kernel K = exp((f + g - cost) / eps - shift), so every row of K holds a 1
     and the iterations u = p / Kv, v = q / K'u are two matrix-vector
-    products (Cuturi 2013; absorption as in Schmitzer 2019), written into
-    buffers allocated once per call. Each iteration ends with the K v of its
-    new v, which the next iteration divides by; every 10th iteration the
-    row-marginal test u * Kv reuses it. If a scaling turns zero or
-    non-finite (a column of K underflowed), the log-domain loop reruns from
-    the same warm start.
+    products (Cuturi 2013; absorption as in Schmitzer 2019). One iteration
+    is three statements of four C calls, each writing into a buffer
+    allocated once per call: ``np.divide`` for u, ``K'.dot`` and
+    ``np.divide`` for v, ``K.dot`` for the K v of the new v, which the next
+    iteration divides by. The ufunc and the bound ``dot`` methods are local
+    names and take ``out`` positionally, so no Python wrapper runs. After
+    every 10th iteration and at ``max_iter`` (an inner loop of at most 10,
+    so no iteration tests its index) the check runs: u and v are views of
+    one buffer, so their positivity is one min and one max over it, and the
+    row-marginal test |u * Kv - p| < tol reuses the last K v and a buffer of
+    its own. If a scaling turns zero or non-finite (a column of K
+    underflowed), the log-domain loop reruns from the same warm start.
     """
-    f0 = np.zeros(len(p)) if f is None else f
-    g0 = np.zeros(len(q)) if g is None else g
+    m, n = len(p), len(q)
+    f0 = np.zeros(m) if f is None else f
+    g0 = np.zeros(n) if g is None else g
     log_k = (f0[:, None] + g0[None, :] - cost) / eps
     shift = log_k.max(axis=1)
     k = np.exp(log_k - shift[:, None])
     k_t = np.ascontiguousarray(k.T)
-    u, v = np.empty(len(p)), np.ones(len(q))
-    kv, ktu = k @ v, np.empty(len(q))
+    uv = np.empty(m + n)
+    u, v = uv[:m], uv[m:]
+    v[:] = 1.0
+    kv, ktu, residual = k @ v, np.empty(n), np.empty(m)
+    divide, k_dot, k_t_dot = np.divide, k.dot, k_t.dot
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            np.divide(p, kv, out=u)
-            np.divide(q, np.dot(k_t, u, out=ktu), out=v)
-            np.dot(k, v, out=kv)
-            if it % 10 == 0 or it == max_iter:
-                if not (_positive_finite(u) and _positive_finite(v)):
-                    return _sinkhorn_log_domain(cost, p, q, eps, max_iter, tol,
-                                                f=f, g=g)
-                if np.abs(u * kv - p).max() < tol:
-                    break
+        for start in range(0, max_iter, 10):
+            for _ in range(min(10, max_iter - start)):
+                divide(p, kv, u)
+                divide(q, k_t_dot(u, ktu), v)
+                k_dot(v, kv)
+            if not _positive_finite(uv):
+                return _sinkhorn_log_domain(cost, p, q, eps, max_iter, tol,
+                                            f=f, g=g)
+            np.multiply(u, kv, residual)
+            np.subtract(residual, p, residual)
+            if _max(np.abs(residual, residual)) < tol:
+                break
     f_new = f0 + eps * (np.log(u) - shift)
     g_new = g0 + eps * np.log(v)
     log_t = (f_new[:, None] + g_new[None, :] - cost) / eps

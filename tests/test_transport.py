@@ -381,12 +381,13 @@ SINKHORN_CASES = {
     "offset": lambda: [normal_cost(0.01, offset=-10.0)],
     "warm": lambda: [warm_cost()],
     "underflow": lambda: [normal_cost(1e-3)],
-    # the underflow cost falls back at every cap; at 9 and 11 only the
-    # check at it == max_iter sees it
+    # both edges of the first two 10-iteration blocks; the underflow cost
+    # falls back at its first check at every cap, which at 1 and 9 is the
+    # check at it == max_iter
     **{f"max_iter={n}": (lambda n=n: capped(
         study_sinkhorn_calls() + [normal_cost(0.01), warm_cost(),
                                   normal_cost(1e-3)], n))
-       for n in (1, 9, 10, 11)},
+       for n in (1, 9, 10, 11, 19, 20, 21)},
 }
 
 
