@@ -25,6 +25,11 @@ them, and each metric also gives both sides' raw medians
 can move against the raw one. A metric whose change median is more than
 10% worse than the parent's and that wins fewer than half its pairs is
 listed under ``flags``; flags do not gate, BENCHMARK.json's bounds do.
+Each metric also records two booleans: ``gain_resolved``, the change won
+at least 9 in 10 of the pairs and its median is better than the parent's
+by more than the parent's IQR; and ``within_bound``, the change's median
+is no worse than the parent's by more than the metric's ``bound`` in the
+change tree's BENCHMARK.json (a fraction of the parent's median).
 ``seeded_identical`` holds two outcomes of ``scripts/seeded_outputs.py
 --check`` on the change tree's ``src``: ``change_record``, the change
 tree's script against its own record, and ``parent_record``, the parent
@@ -63,6 +68,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rd_features", "shapes_positions", "gw_study")
 FLAG_WORSE = 0.10  # relative median loss above which a metric may be flagged
+RESOLVED_WINS = 0.9  # share of the pairs a resolved gain must win
 LEFT_OUT = {
     "traced_rows": "the per-layer rows of --trace 1 runs wait for the tracer "
                    "to time every layer (ROADMAP item 3a)",
@@ -99,36 +105,43 @@ def iqr(values):
     return q3 - q1
 
 
-def summarize_metric(parent, change, better):
-    """Medians, IQRs and the change's wins over paired run values."""
+def summarize_metric(parent, change, better, bound):
+    """Medians, IQRs and the change's wins over paired run values; whether
+    the gain is resolved and the median loss within ``bound``, a fraction
+    of the parent's median."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    p_iqr = iqr(parent)
     worse = sign * (c_med - p_med) / abs(p_med) if p_med else 0.0
     return {
         "better": better,
+        "bound": bound,
         "parent": parent,
         "change": change,
         "parent_median": p_med,
         "change_median": c_med,
-        "parent_iqr": iqr(parent),
+        "parent_iqr": p_iqr,
         "change_iqr": iqr(change),
         "change_wins": wins,
         "pairs": len(parent),
         "flagged": worse > FLAG_WORSE and wins < len(parent) / 2,
+        "gain_resolved": (wins >= RESOLVED_WINS * len(parent)
+                          and sign * (p_med - c_med) > p_iqr),
+        "within_bound": worse <= bound,
     }
 
 
-def summarize_workload(pairs, better):
+def summarize_workload(pairs, spec):
     """``pairs``: (seed, parent run, change run) per pair, runs as
-    ``parse_run`` returns them; ``better``: metric name -> lower/higher."""
+    ``parse_run`` returns them; ``spec``: metric name -> (better, bound)."""
     runs = {side: [run[i] for run in pairs] for i, side in
             ((1, "parent"), (2, "change"))}
     metrics = {}
-    for name, direction in better.items():
+    for name, (better, bound) in spec.items():
         metrics[name] = summarize_metric(
             *[[r["result"]["metrics"][name]["value"] for r in runs[side]]
-              for side in ("parent", "change")], direction)
+              for side in ("parent", "change")], better, bound)
         for side, rs in runs.items():
             metrics[name][f"{side}_raw_median"] = statistics.median(
                 r["raw"][name] for r in rs)
@@ -259,9 +272,10 @@ def seeded_identical(script_tree, src_tree):
 
 
 def benchmark_spec(tree):
-    """The run length and each end-to-end metric's better direction."""
+    """The run length and each end-to-end metric's better direction and
+    bound."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return spec["run_seconds"], {m["name"]: m["better"]
+    return spec["run_seconds"], {m["name"]: (m["better"], m["bound"])
                                  for m in spec["end_to_end"]}
 
 
@@ -303,7 +317,7 @@ def main(argv=None):
         revs = {side: {"rev": rev, "commit": extract(rev, trees[side])}
                 for side, rev in (("parent", args.parent),
                                   ("change", args.change))}
-        seconds, better = benchmark_spec(trees["change"])
+        seconds, spec = benchmark_spec(trees["change"])
         summaries = {}
         for workload, n in counts.items():
             pairs = []
@@ -314,7 +328,7 @@ def main(argv=None):
                         for side in order}
                 pairs.append((seed, runs["parent"], runs["change"]))
                 print(f"{workload} pair {i + 1}/{n} done", file=sys.stderr)
-            summaries[workload] = summarize_workload(pairs, better)
+            summaries[workload] = summarize_workload(pairs, spec)
         identical = {
             "change_record": seeded_identical(trees["change"], trees["change"]),
             "parent_record": seeded_identical(trees["parent"], trees["change"])}

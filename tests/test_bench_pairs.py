@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-BETTER = {"pipeline_s": "lower", "step_items_per_s": "higher",
-          "ops_ok_ratio": "higher"}
+# metric -> (better, bound), as BENCHMARK.json's end_to_end gives them
+SPEC = {"pipeline_s": ("lower", 0.2), "step_items_per_s": ("higher", 0.2),
+        "ops_ok_ratio": ("higher", 0.01)}
 
 
 def load_bench_pairs():
@@ -58,7 +59,7 @@ def test_parse_run_reads_environment_raw_and_result():
 
 def test_summary_gives_medians_iqr_wins_and_flags():
     script = load_bench_pairs()
-    summary = script.summarize_workload(canned_pairs(script), BETTER)
+    summary = script.summarize_workload(canned_pairs(script), SPEC)
     assert summary["seeds"] == [7, 8, 9, 10]
     assert summary["correct"] == {"parent": [True] * 4, "change": [True] * 4}
     assert [e["seed"] for e in summary["environment"]["change"]] == [7, 8, 9, 10]
@@ -73,6 +74,8 @@ def test_summary_gives_medians_iqr_wins_and_flags():
     assert pipeline["parent_iqr"] == pytest.approx(0.475)
     assert pipeline["change_wins"] == 3 and pipeline["pairs"] == 4
     assert not pipeline["flagged"]
+    # 3 of 4 won is under 9 in 10
+    assert not pipeline["gain_resolved"] and pipeline["within_bound"]
     # raw medians of 10 - value: normalized down, raw up
     assert pipeline["parent_raw_median"] == pytest.approx(6.65)
     assert pipeline["change_raw_median"] == pytest.approx(7.0)
@@ -80,6 +83,8 @@ def test_summary_gives_medians_iqr_wins_and_flags():
     # higher is better: medians 10.5 -> 8.5 (19% worse), 1 win of 4
     items = summary["metrics"]["step_items_per_s"]
     assert items["change_wins"] == 1 and items["flagged"]
+    # 19% worse: flagged, but within the 20% bound
+    assert items["within_bound"] and not items["gain_resolved"]
     assert (items["parent_raw_median"], items["change_raw_median"]) == (21.0, 17.0)
 
     # equal values are no win, and no loss either
@@ -104,15 +109,45 @@ def test_summary_gives_medians_iqr_wins_and_flags():
 ])
 def test_flag_needs_a_worse_median_and_under_half_the_wins(parent, change,
                                                            flagged):
-    metric = load_bench_pairs().summarize_metric(parent, change, "lower")
+    metric = load_bench_pairs().summarize_metric(parent, change, "lower", 0.2)
     assert metric["flagged"] is flagged
+
+
+TEN = [20.0, 21.0, 19.0, 22.0, 20.5, 21.5, 19.5, 20.0, 21.0, 20.5]
+
+
+@pytest.mark.parametrize("change, better, resolved, within", [
+    # 10 of 10 won, but the median gap of 0.5 is inside the parent's IQR
+    ([v - 0.5 for v in TEN], "lower", False, True),
+    # gap 4.0, over the IQR, but only 8 of 10 pairs won
+    ([v - 4.0 for v in TEN[:8]] + [v + 1.0 for v in TEN[8:]], "lower",
+     False, True),
+    # 9 of 10 won and the gap is over the IQR: resolved
+    ([v - 4.0 for v in TEN[:9]] + [v + 1.0 for v in TEN[9:]], "lower",
+     True, True),
+    # higher is better: every value 5 down is a regression of 24% > 20%
+    ([v - 5.0 for v in TEN], "higher", False, False),
+    # the same values with lower better: a resolved gain
+    ([v - 5.0 for v in TEN], "lower", True, True),
+    # lower is better: 19% worse is within the 20% bound, 25% is not
+    ([v * 1.19 for v in TEN], "lower", False, True),
+    ([v * 1.25 for v in TEN], "lower", False, False),
+])
+def test_gain_resolved_and_within_bound(change, better, resolved, within):
+    # TEN: median 20.5, inclusive quartiles 20.0 and 21.0, IQR 1.0
+    metric = load_bench_pairs().summarize_metric(TEN, change, better, 0.2)
+    assert metric["parent_iqr"] == pytest.approx(1.0)
+    assert metric["bound"] == 0.2
+    assert metric["gain_resolved"] is resolved
+    assert metric["within_bound"] is within
 
 
 def test_main_alternates_the_order_and_writes_bench_json(tmp_path,
                                                          monkeypatch):
     script = load_bench_pairs()
     spec = {"run_seconds": 5,
-            "end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}
+            "end_to_end": [{"name": n, "better": b, "bound": bound}
+                           for n, (b, bound) in SPEC.items()]}
     commits = {"parent": "1" * 40, "change": "2" * 40}
     calls = []
 
