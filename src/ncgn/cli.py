@@ -29,11 +29,13 @@ from . import nn, theory
 from .config import (
     TRAIN_KEYS,
     ConfigError,
+    TrainConfig,
     parse_config,
     parse_pairs,
     write_resolved,
 )
 from .dataset import (
+    check_counts,
     generate_rd_dataset,
     generate_shape_dataset,
     load_dataset,
@@ -41,7 +43,6 @@ from .dataset import (
 )
 from .dmp import FlatGat
 from .engine import (
-    TrainConfig,
     attention_study,
     build_model,
     check_mask_task,
@@ -278,11 +279,13 @@ def main(argv=None):
         config, checkpoint = parse_config(args.config, args.overrides), None
         if args.command in ("sample", "eval"):
             config, checkpoint = _with_checkpoint(config, args)
-        # checks whose failure must leave no config.resolved behind
+        # cross-key checks whose failure must leave no config.resolved behind
         if args.command in ("train", "sample", "eval"):
             _train_config(config)
         if args.command == "sample":
             check_mask_task(config["task"], config["mask_task"])
+        if args.command in ("simulate-data", "make-shapes"):
+            check_counts(config["n_train"], config["n_test"])
         write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
         handler = HANDLERS[args.command]
         summary = (handler(config, checkpoint) if args.command == "sample"

@@ -78,7 +78,7 @@ def load_dataset(path) -> Dataset:
     return Dataset(splits[0], splits[1], manifest)
 
 
-def _check_counts(n_train, n_test):
+def check_counts(n_train, n_test):
     if min(n_train, n_test) < 0 or n_train + n_test == 0:
         raise ValueError(f"need n_train >= 0 and n_test >= 0 with at least one "
                          f"graph, got n_train={n_train}, n_test={n_test}")
@@ -98,7 +98,7 @@ def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
     min and max over every subsampled node of both splits (a constant gene
     divides by 1 instead). The manifest records lo and hi.
     """
-    _check_counts(n_train, n_test)
+    check_counts(n_train, n_test)
     if params is None:
         params = RdParams(sign_convention=sign_convention)
     total = n_train + n_test
@@ -131,7 +131,7 @@ def generate_rd_dataset(n_train=10000, n_test=2000, seed=0,
 def generate_shape_dataset(n_train=500, n_test=100, n_points=64,
                            seed=0) -> Dataset:
     """Surface point clouds cycling through the five shape kinds."""
-    _check_counts(n_train, n_test)
+    check_counts(n_train, n_test)
 
     def build(count, offset):
         graphs = []

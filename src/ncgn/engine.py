@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from . import nn
-from .dmp import MP_KINDS, DmpModel, FlatGat, Structure, node_input
+from .config import BASELINES, MASK_TASKS, TrainConfig  # noqa: F401
+from .dmp import DmpModel, FlatGat, Structure, node_input
 from .graphs import (
     GeometricGraph,
     build_fully_connected_edges,
@@ -38,15 +38,11 @@ from .graphs import (
     voxel_coarsen,
 )
 from .interpolant import generate, interpolate, regression_target
-from .schedule import SCHEDULE_KINDS, eval_schedule
+from .schedule import eval_schedule
 from .tensor import Tensor, no_grad
 from .transport import gw_entropic, w2_exact
 
-BASELINES = ("knn_fixed", "fully_connected", "long_short")
-METHODS = ("dmp",) + BASELINES + ("random_pred",)
 SAMPLE_BATCH = 64  # templates integrated together as one merged state
-MASK_TASKS = ("temporal_trajectory", "temporal_interpolation",
-              "gene_imputation", "spatial_imputation", "gene_knockout")
 MASK_GENE = 1  # the gene gene_imputation withholds and gene_knockout clamps
 KNOCKOUT_VALUE = -0.5  # gene_knockout's clamped expression
 ATTENTION_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)  # noise t
@@ -63,53 +59,6 @@ def n_workers():
     if value < 1:
         raise ValueError(f"NCGN_THREADS must be a positive integer, got {raw!r}")
     return value
-
-
-@dataclass
-class TrainConfig:
-    task: str = "features"
-    method: str = "dmp"
-    mp_kind: str = "gcn"
-    schedule_kind: str = "exponential"
-    epochs: int = 300
-    batch: int = 128
-    lr: float = 1e-3
-    warmup_epochs: int = 10
-    hdim: int = 32
-    layers: int = 3
-    knn_k: int = 8
-    nfes: int = 200
-    seed: int = 0
-    # constructor-only, for the benchmark harness's interpolant="cfm"; not a
-    # field, so no config key or checkpoint record carries it
-    interpolant: InitVar[str] = "cfm"
-
-    def __post_init__(self, interpolant):
-        if interpolant != "cfm":
-            raise ValueError(f"unknown interpolant {interpolant!r}; cfm is the "
-                             f"one noising process")
-        if self.task not in ("features", "positions"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.mp_kind not in MP_KINDS:
-            raise ValueError(f"unknown mp_kind {self.mp_kind!r}")
-        if self.schedule_kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule.kind {self.schedule_kind!r}")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
-        for name in ("epochs", "batch", "hdim", "layers", "nfes"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0 <= self.warmup_epochs <= self.epochs:
-            raise ValueError(f"need 0 <= warmup_epochs <= epochs, got "
-                             f"warmup_epochs={self.warmup_epochs} and "
-                             f"epochs={self.epochs}")
 
 
 def model_dims(graph: GeometricGraph, task):

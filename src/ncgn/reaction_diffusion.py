@@ -26,6 +26,7 @@ import numpy as np
 from .graphs import GeometricGraph
 
 GENES = ("bmp", "sox", "wnt")
+SIGN_CONVENTIONS = ("printed", "damped")
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -48,7 +49,7 @@ class RdParams:
     sign_convention: str = "printed"
 
     def __post_init__(self):
-        if self.sign_convention not in ("printed", "damped"):
+        if self.sign_convention not in SIGN_CONVENTIONS:
             raise ValueError(f"unknown sign convention {self.sign_convention!r}")
         if self.l < 3:
             raise ValueError("need at least 3 spatial points")

@@ -30,6 +30,7 @@ import numpy as np
 from .graphs import GeometricGraph
 
 SHAPE_KINDS = ("sphere", "cube", "prism", "cylinder", "torus")
+MIN_POINTS = 4
 
 TORUS_MAJOR = 0.35
 TORUS_MINOR = 0.15
@@ -128,14 +129,14 @@ _SAMPLERS = {
 
 
 def make_shape(kind, n_points, seed=0) -> GeometricGraph:
-    """Sample ``n_points`` >= 4 points of the surface ``kind`` (one of
+    """Sample ``n_points`` >= MIN_POINTS points of the surface ``kind`` (one of
     SHAPE_KINDS); features are displacements from the empirical centroid of
     the sample. The generator is local and the positions are its last use,
     so a sampler may draw past what it needs (see the module docstring)."""
     if kind not in SHAPE_KINDS:
         raise ValueError(f"unknown shape kind {kind!r}")
-    if n_points < 4:
-        raise ValueError("need at least 4 points")
+    if n_points < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} points")
     rng = np.random.default_rng(seed)
     positions = _SAMPLERS[kind](n_points, rng)
     features = positions - positions.mean(axis=0)

@@ -1,18 +1,24 @@
 import ast
 import os
+import string
 import struct
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncgn import cli, engine, interpolant, nn
 from ncgn.cli import main
 from ncgn.config import (
+    DOMAINS,
     TRAIN_KEYS,
     ConfigError,
     DEFAULTS,
+    check,
     parse_config,
     read_config_file,
     write_resolved,
@@ -71,6 +77,11 @@ def test_every_config_key_is_read():
                   and getattr(node.value, "id", None) == "config"
                   and isinstance(node.slice, ast.Constant)}
     assert set(DEFAULTS) - set(TRAIN_KEYS.values()) - subscripts == set()
+    # every key has a domain in the one table, or is named free text here
+    free_text = {"out_dir", "dataset", "checkpoint"}
+    assert set(DOMAINS) == set(DEFAULTS) - free_text
+    for key, value in DEFAULTS.items():
+        assert check(key, value) == value
 
 
 def test_precedence_override_beats_file(tmp_path):
@@ -112,6 +123,70 @@ def test_dotted_key_round_trip(tmp_path):
     config = parse_config(str(cfg))
     assert config["schedule.kind"] == "linear"
     assert config["attention.bins"] == 4
+
+
+# ----------------------------------------------------------- key domains
+
+def outside(domain):
+    """Raw strings whose values lie outside ``domain``."""
+    if isinstance(domain, tuple):
+        return st.text(string.ascii_lowercase + "_", max_size=16).filter(
+            lambda raw: raw not in domain)
+    if domain is float:
+        return st.sampled_from(["nan", "inf"]) | st.floats(max_value=0.0).map(repr)
+    return st.integers(max_value=domain - 1).map(str)
+
+
+def inside_edges(domain):
+    """The values of ``domain`` at its edge: every choice, the smallest and
+    largest positive finite float, or the integer minimum."""
+    if isinstance(domain, tuple):
+        return domain
+    if domain is float:
+        return 5e-324, sys.float_info.max
+    return (domain,)
+
+
+@pytest.mark.parametrize("key", sorted(DOMAINS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_rejects_a_value_outside_the_key_domain(tmp_path, capsys,
+                                                              key, data):
+    # every given key is checked for every command, whether or not the
+    # command reads it, while the config is parsed: nothing is written,
+    # out_dir included
+    domain = DOMAINS[key]
+    for edge in inside_edges(domain):
+        assert check(key, edge) == edge
+        assert parse_config(overrides=[f"{key}={edge}"])[key] == edge
+    raw = data.draw(outside(domain), label="raw")
+    value = type(DEFAULTS[key])(raw)
+    with pytest.raises(ConfigError):
+        check(key, value)
+    out = tmp_path / "out"
+    for command in sorted(cli.HANDLERS):
+        assert main([command, f"out_dir={out}", f"{key}={raw}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ncgn {command}: key {key!r}: expected ")
+        assert err.endswith(f", got {value!r}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, raw", [
+    ("theory", "hdim", "0"),  # a key theory does not read
+    # values the dataset builders used to reject after config.resolved
+    ("make-shapes", "n_points", "0"),
+    ("make-shapes", "n_points", "-2"),
+    ("make-shapes", "n_points", "3"),  # one below shapes.MIN_POINTS
+    ("simulate-data", "convention", "bogus"),
+    ("simulate-data", "n_train", "-3"),
+])
+def test_a_value_outside_its_domain_leaves_no_config_resolved(tmp_path, capsys,
+                                                              command, key, raw):
+    assert run(tmp_path, command, f"{key}={raw}") == 1
+    assert f"ncgn {command}: key {key!r}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "config.resolved").exists()
 
 
 # ------------------------------------------------------------------- CLI
@@ -203,7 +278,8 @@ def test_train_rejects_a_non_finite_lr(tmp_path, capsys, lr):
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=4", "n_test=1") == 0
     assert run(work, "train", f"dataset={data}", f"lr={lr}") == 1
-    assert f"lr must be positive and finite, got {lr}" in capsys.readouterr().err
+    assert (f"key 'lr': expected a positive finite number, got {float(lr)!r}"
+            in capsys.readouterr().err)
     assert not work.exists()
 
 
@@ -256,7 +332,8 @@ def test_unknown_schedule_kind_exits_one(tmp_path, capsys):
         assert run(work, "train", f"dataset={data}", f"method={method}",
                    "schedule.kind=quadratic", "epochs=1", "hdim=8",
                    "layers=1") == 1
-        assert "unknown schedule.kind 'quadratic'" in capsys.readouterr().err
+        assert ("key 'schedule.kind': expected one of 'linear', 'exponential', "
+                "'logarithm', 'relu', got 'quadratic'") in capsys.readouterr().err
     assert not work.exists()
 
 
@@ -309,8 +386,9 @@ def test_masked_sampling_on_positions_task_exits_one(tmp_path, capsys):
 def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
     assert run(tmp_path, "sample", "method=random_pred",
                "mask_task=bogus") == 1
-    assert ("ncgn sample: key 'mask_task': unknown task name 'bogus'; expected "
-            "one of " + ", ".join(engine.MASK_TASKS)) in capsys.readouterr().err
+    assert ("ncgn sample: key 'mask_task': expected one of "
+            + ", ".join(map(repr, ("",) + engine.MASK_TASKS))
+            + ", got 'bogus'") in capsys.readouterr().err
     assert not (tmp_path / "config.resolved").exists()
 
 
@@ -368,12 +446,18 @@ def test_eval_empty_test_split_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("counts", [("0", "0"), ("-1", "2")])
 def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
     # an empty dataset has nothing to normalize, and a negative count would
-    # silently shorten a split while the manifest records it as given
+    # silently shorten a split while the manifest records it as given; a
+    # negative count lies outside n_train's domain, and no graph at all breaks
+    # the cross-key rule that config names both keys of
     n_train, n_test = counts
     assert run(tmp_path, command, f"n_train={n_train}", f"n_test={n_test}") == 1
     err = capsys.readouterr().err
-    assert f"n_train={n_train}, n_test={n_test}" in err
+    if n_train == "-1":
+        assert "key 'n_train': expected an integer of at least 0, got -1" in err
+    else:
+        assert f"n_train={n_train}, n_test={n_test}" in err
     assert not (tmp_path / "manifest").exists()
+    assert not (tmp_path / "config.resolved").exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
@@ -381,25 +465,32 @@ def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
     # numpy rejects a negative seed without naming the key; config names it
     # before anything is written
     assert run(tmp_path, command, "seed=-1") == 1
-    assert "key 'seed': expected a non-negative integer" in capsys.readouterr().err
+    assert ("key 'seed': expected an integer of at least 0, got -1"
+            in capsys.readouterr().err)
     assert not (tmp_path / "config.resolved").exists()
 
 
 def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
     # n_samples=0 samples each test graph once; below 0 means nothing
     assert run(tmp_path, "sample", "n_samples=-1") == 1
-    assert ("key 'n_samples': expected a non-negative integer, got '-1'"
+    assert ("key 'n_samples': expected an integer of at least 0, got -1"
             in capsys.readouterr().err)
     assert not (tmp_path / "config.resolved").exists()
 
 
+METHOD_BOGUS = ("key 'method': expected one of 'dmp', 'knn_fixed', "
+                "'fully_connected', 'long_short', 'random_pred', got 'bogus'")
+
+
 @pytest.mark.parametrize("command, keys, message", [
-    ("train", ["epochs=0"], "epochs must be positive, got 0"),
-    ("train", ["method=bogus"], "unknown method 'bogus'"),
+    ("train", ["epochs=0"], "key 'epochs': expected an integer of at least 1, "
+                            "got 0"),
+    ("train", ["method=bogus"], METHOD_BOGUS),
     # the default warmup_epochs is 10
     ("train", ["epochs=5"], "need 0 <= warmup_epochs <= epochs, got "
                             "warmup_epochs=10 and epochs=5"),
-    ("sample", ["method=random_pred", "nfes=0"], "nfes must be positive, got 0"),
+    ("sample", ["method=random_pred", "nfes=0"], "key 'nfes': expected an "
+                                                 "integer of at least 1, got 0"),
 ])
 def test_bad_train_key_exits_one_before_writing(tmp_path, capsys, command,
                                                 keys, message):
@@ -409,8 +500,8 @@ def test_bad_train_key_exits_one_before_writing(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("keys, message", [
-    (["method=bogus", "mp_kind=nope"], "unknown method 'bogus'"),
-    (["epochs=0"], "epochs must be positive, got 0"),
+    (["method=bogus", "mp_kind=nope"], METHOD_BOGUS),
+    (["epochs=0"], "key 'epochs': expected an integer of at least 1, got 0"),
 ])
 def test_eval_without_checkpoint_checks_the_train_keys(tmp_path, capsys, keys,
                                                        message):
@@ -448,7 +539,7 @@ def test_gw_study_count_below_one_exits_one_naming_the_key(tmp_path, capsys,
                                                           key, value):
     # the solver's and the study's own messages do not name the key
     assert run(tmp_path, "gw-study", f"{key}={value}") == 1
-    assert (f"key {key!r}: expected an integer of at least 1, got {value!r}"
+    assert (f"key {key!r}: expected an integer of at least 1, got {value}"
             in capsys.readouterr().err)
     assert not (tmp_path / "config.resolved").exists()
 
@@ -494,7 +585,7 @@ def test_attention_study_rejects_bins_before_training(tmp_path, capsys, bins):
     # included; attention.epochs takes the same check
     for key in ("attention.bins", "attention.epochs"):
         assert run(tmp_path, "attention-study", f"{key}={bins}") == 1
-        assert (f"key {key!r}: expected an integer of at least 1, got {bins!r}"
+        assert (f"key {key!r}: expected an integer of at least 1, got {bins}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "config.resolved").exists()
 

@@ -60,28 +60,30 @@ def overfit_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^key 'task': expected one of "
+                                         "'features', 'positions', got 'edges'$"):
         TrainConfig(task="edges")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^key 'method': expected one of .*, "
+                                         "got 'transformer'$"):
         TrainConfig(method="transformer")
     with pytest.raises(ValueError, match="warmup_epochs=5 and epochs=2"):
         TrainConfig(epochs=2, warmup_epochs=5)
-    with pytest.raises(ValueError, match="lr"):
-        TrainConfig(lr=0.0)
-    for lr in (np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"lr must be positive and finite, "
-                                             f"got {lr}"):
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^key 'lr': expected a positive "
+                                             f"finite number, got {lr}$"):
             TrainConfig(lr=lr)
     # every setting the structure cache reads is checked up front, so a
     # bad one can neither train on zero edges nor reach a checkpoint
-    with pytest.raises(ValueError, match="'quadratic'"):
-        TrainConfig(schedule_kind="quadratic")
-    with pytest.raises(ValueError, match="'quadratic'"):
-        TrainConfig(method="knn_fixed", schedule_kind="quadratic")
-    with pytest.raises(ValueError, match="'mlp'"):
+    for method in ("dmp", "knn_fixed"):
+        with pytest.raises(ValueError, match="^key 'schedule.kind': expected one "
+                                             "of .*, got 'quadratic'$"):
+            TrainConfig(method=method, schedule_kind="quadratic")
+    with pytest.raises(ValueError, match="^key 'mp_kind': expected one of "
+                                         "'gcn', 'gat', got 'mlp'$"):
         TrainConfig(mp_kind="mlp")
     for k in (0, -3):
-        with pytest.raises(ValueError, match=f"knn_k must be >= 1, got {k}"):
+        with pytest.raises(ValueError, match=f"^key 'knn_k': expected an integer "
+                                             f"of at least 1, got {k}$"):
             TrainConfig(method="knn_fixed", knn_k=k)
 
 
@@ -92,8 +94,9 @@ def test_config_validation():
 ])
 def test_config_names_a_bad_count_or_seed(key, value):
     # a negative seed is caught here, not by numpy's generator in train
-    bound = "non-negative" if key == "seed" else "positive"
-    with pytest.raises(ValueError, match=f"^{key} must be {bound}, got {value}$"):
+    minimum = 0 if key == "seed" else 1
+    with pytest.raises(ValueError, match=f"^key '{key}': expected an integer of "
+                                         f"at least {minimum}, got {value}$"):
         TrainConfig(**{key: value})
 
 
