@@ -175,7 +175,8 @@ def test_every_command_rejects_a_value_outside_the_key_domain(tmp_path, capsys,
 
 @pytest.mark.parametrize("command, key, raw", [
     ("theory", "hdim", "0"),  # a key theory does not read
-    # values the dataset builders used to reject after config.resolved
+    # values the dataset builders also reject, which they see only after
+    # config.resolved would be written
     ("make-shapes", "n_points", "0"),
     ("make-shapes", "n_points", "-2"),
     ("make-shapes", "n_points", "3"),  # one below shapes.MIN_POINTS
