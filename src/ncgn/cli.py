@@ -3,9 +3,10 @@
     ncgn <command> [--config FILE] [key=value ...]
 
 Commands: simulate-data, make-shapes, train, sample, eval, theory,
-attention-study, gw-study. Every numeric artifact is CSV under ``out_dir``;
-each run echoes its resolved configuration to ``out_dir/config.resolved``.
-NCGN_THREADS caps worker counts.
+attention-study, gw-study. Every numeric artifact is CSV under ``out_dir``.
+``out_dir`` and its resolved configuration ``config.resolved`` appear once a
+command's inputs pass their checks; the graph directories ``train/``,
+``test/`` and ``samples/`` are replaced whole. NCGN_THREADS caps workers.
 
 ``train`` writes ``model.ckpt`` and ``ema.ckpt``, each holding its arrays
 and the train keys as its record. ``sample`` and ``eval`` read the checkpoint
@@ -53,7 +54,7 @@ from .engine import (
     sample,
     train,
 )
-from .graphs import load_graph, save_graph
+from .graphs import load_graphs, save_graphs
 
 SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
 THEORY_SNRS = np.logspace(np.log10(0.25), np.log10(16.0), 12)  # radius sweep
@@ -69,6 +70,12 @@ def write_csv(path, header, rows):
 
 def _train_config(config):
     return TrainConfig(**{field: config[key] for field, key in TRAIN_KEYS.items()})
+
+
+def _start_run(config):
+    """Make ``out_dir`` and its ``config.resolved``, once inputs are checked."""
+    write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
+    return config["out_dir"]
 
 
 def _checkpoint_path(config):
@@ -129,28 +136,34 @@ def _load_model(config, template, checkpoint):
     return model, cfg
 
 
-def cmd_simulate_data(config):
+def cmd_simulate_data(config, args):
+    check_counts(config["n_train"], config["n_test"])
+    out = _start_run(config)
     ds = generate_rd_dataset(
         n_train=config["n_train"], n_test=config["n_test"],
         seed=config["seed"], sign_convention=config["convention"],
     )
-    save_dataset(config["out_dir"], ds)
+    save_dataset(out, ds)
     return f"wrote {len(ds.train)} train / {len(ds.test)} test graphs"
 
 
-def cmd_make_shapes(config):
+def cmd_make_shapes(config, args):
+    check_counts(config["n_train"], config["n_test"])
+    out = _start_run(config)
     ds = generate_shape_dataset(
         n_train=config["n_train"], n_test=config["n_test"],
         n_points=config["n_points"], seed=config["seed"],
     )
-    save_dataset(config["out_dir"], ds)
+    save_dataset(out, ds)
     return f"wrote {len(ds.train)} train / {len(ds.test)} test shapes"
 
 
-def cmd_train(config):
-    ds = _require_dataset(config)
+def cmd_train(config, args):
     cfg = _train_config(config)
-    out = config["out_dir"]
+    if cfg.method == "random_pred":
+        raise ConfigError("method 'random_pred' is model-free: nothing to train")
+    ds = _require_dataset(config, "train")
+    out = _start_run(config)
     model, ema, rows = train(ds.train, cfg)
     write_csv(os.path.join(out, "loss.csv"), ("epoch", "step", "loss", "lr"),
               rows)
@@ -161,52 +174,53 @@ def cmd_train(config):
     return f"final loss {rows[-1][2]:.6f} over {len(rows)} steps"
 
 
-def cmd_sample(config, checkpoint):
+def cmd_sample(config, args):
+    config, checkpoint = _with_checkpoint(config, args)
+    _train_config(config)
+    check_mask_task(config["task"], config["mask_task"])
     ds = _require_dataset(config, "test")
+    if config["method"] != "random_pred":
+        model, cfg = _load_model(config, ds.test[0], checkpoint)
+    out = _start_run(config)
     templates = ds.test
     if config["n_samples"]:
         reps = -(-config["n_samples"] // len(templates))
         templates = (templates * reps)[: config["n_samples"]]
-    out = config["out_dir"]
     if config["method"] == "random_pred":
         generated = random_generations(templates, config["task"],
                                        seed=config["seed"],
                                        mask_task=config["mask_task"])
     else:
-        model, cfg = _load_model(config, ds.train[0], checkpoint)
         generated = sample(model, templates, cfg,
                            mask_task=config["mask_task"], seed=config["seed"])
     sample_dir = os.path.join(out, "samples")
-    os.makedirs(sample_dir, exist_ok=True)
-    for i, g in enumerate(generated):
-        save_graph(os.path.join(sample_dir, f"{i:05d}.graph"), g)
+    save_graphs(sample_dir, generated)
     return f"wrote {len(generated)} samples to {sample_dir}"
 
 
-def cmd_eval(config):
+def cmd_eval(config, args):
+    config, _ = _with_checkpoint(config, args)
+    _train_config(config)
     ds = _require_dataset(config, "test")
     sample_dir = os.path.join(config["out_dir"], "samples")
-    if not os.path.isdir(sample_dir):
-        raise FileNotFoundError(f"samples directory not found: {sample_dir}")
-    names = sorted(n for n in os.listdir(sample_dir) if n.endswith(".graph"))
-    if not names:
-        raise FileNotFoundError(f"samples directory holds no .graph files: "
-                                f"{sample_dir}")
-    generated = [load_graph(os.path.join(sample_dir, n)) for n in names]
+    generated = load_graphs(sample_dir) if os.path.isdir(sample_dir) else []
+    if not generated:
+        raise FileNotFoundError(f"no .graph samples found in {sample_dir}")
+    out = _start_run(config)
     result = evaluate_w2(generated, ds.test, config["task"],
                          seed=config["seed"])
     row = (config["task"], config["method"], config["mp_kind"],
            result["mean"], result["std"], config["seed"])
-    write_csv(os.path.join(config["out_dir"], "metrics.csv"),
+    write_csv(os.path.join(out, "metrics.csv"),
               ("task", "method", "mp_kind", "w2_mean", "w2_std", "seed"),
               [row])
     flag = " (pool smaller than subsample)" if result["warned"] else ""
     return f"w2 {result['mean']:.6f} +/- {result['std']:.6f}{flag}"
 
 
-def cmd_theory(config):
+def cmd_theory(config, args):
+    out = _start_run(config)
     rows = theory.radius_sweep(THEORY_SNRS)
-    out = config["out_dir"]
     write_csv(os.path.join(out, "theory.csv"), ("snr", "r_star", "mi"), rows)
     grid = [0.0, 0.25, 0.5, 0.75, 0.99]
     prop_rows = []
@@ -224,8 +238,9 @@ def cmd_theory(config):
             f"[{min(r[1] for r in rows):.3f}, {max(r[1] for r in rows):.3f}]")
 
 
-def cmd_attention_study(config):
+def cmd_attention_study(config, args):
     ds = _require_dataset(config, "train", "test")
+    out = _start_run(config)
     cfg = TrainConfig(task="positions", method="fully_connected",
                       epochs=config["attention.epochs"], batch=32,
                       lr=config["lr"], warmup_epochs=0, hdim=config["hdim"],
@@ -235,18 +250,18 @@ def cmd_attention_study(config):
                         model=FlatGat(d_in, odim, hdim=cfg.hdim, seed=cfg.seed))
     rows = attention_study(model, ds.test, bins=config["attention.bins"],
                            seed=config["seed"])
-    write_csv(os.path.join(config["out_dir"], "attention.csv"),
+    write_csv(os.path.join(out, "attention.csv"),
               ("t_bucket", "bin_lo", "bin_hi", "weight"), rows)
     return f"{len(rows)} attention rows"
 
 
-def cmd_gw_study(config):
-    ds = _require_dataset(config)
+def cmd_gw_study(config, args):
+    ds = _require_dataset(config, "train")
+    out = _start_run(config)
     rows, argmin_rows = gw_study(
         ds.train, n_shapes=config["n_shapes"], n_seeds=config["n_seeds"],
         iters=config["gw.iters"], seed=config["seed"],
     )
-    out = config["out_dir"]
     write_csv(os.path.join(out, "gw.csv"), ("t", "clusters", "gw_mean"), rows)
     write_csv(os.path.join(out, "gw_argmin.csv"), ("t", "argmin_clusters"),
               argmin_rows)
@@ -276,20 +291,8 @@ def main(argv=None):
     parser.add_argument("overrides", nargs="*", help="key=value overrides")
     args = parser.parse_args(argv)
     try:
-        config, checkpoint = parse_config(args.config, args.overrides), None
-        if args.command in ("sample", "eval"):
-            config, checkpoint = _with_checkpoint(config, args)
-        # cross-key checks whose failure must leave no config.resolved behind
-        if args.command in ("train", "sample", "eval"):
-            _train_config(config)
-        if args.command == "sample":
-            check_mask_task(config["task"], config["mask_task"])
-        if args.command in ("simulate-data", "make-shapes"):
-            check_counts(config["n_train"], config["n_test"])
-        write_resolved(config, os.path.join(config["out_dir"], "config.resolved"))
-        handler = HANDLERS[args.command]
-        summary = (handler(config, checkpoint) if args.command == "sample"
-                   else handler(config))
+        config = parse_config(args.config, args.overrides)
+        summary = HANDLERS[args.command](config, args)
     except (ConfigError, OSError, KeyError, ValueError, RuntimeError) as exc:
         # str() of a KeyError quotes its message; print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) else exc

@@ -1,7 +1,8 @@
 """Dataset generation and on-disk layout.
 
-A dataset directory holds `train/*.graph`, `test/*.graph`, and a plain-text
-`manifest` of `key: value` lines recording counts and the seed. Only
+A dataset directory holds a plain-text `manifest` of `key: value` lines
+recording counts and the seed, and the `train/` and `test/` directories of
+`graphs.save_graphs`, read back by `graphs.load_graphs`. Only
 reaction-diffusion data records feature bounds: the raw per-gene min and max
 its features were scaled with, next to the grid shapes and the sign
 convention. Shape features are unscaled centroid offsets and record none.
@@ -13,7 +14,7 @@ import os
 
 import numpy as np
 
-from .graphs import load_graph, save_graph
+from .graphs import load_graphs, save_graphs
 from .reaction_diffusion import (
     RdParams,
     build_spatiotemporal_graph,
@@ -61,21 +62,15 @@ def _read_manifest(path):
 
 
 def save_dataset(path, dataset: Dataset):
-    for split, graphs in (("train", dataset.train), ("test", dataset.test)):
-        os.makedirs(os.path.join(path, split), exist_ok=True)
-        for i, g in enumerate(graphs):
-            save_graph(os.path.join(path, split, f"{i:05d}.graph"), g)
+    save_graphs(os.path.join(path, "train"), dataset.train)
+    save_graphs(os.path.join(path, "test"), dataset.test)
     _write_manifest(os.path.join(path, "manifest"), dataset.manifest)
 
 
 def load_dataset(path) -> Dataset:
     manifest = _read_manifest(os.path.join(path, "manifest"))
-    splits = []
-    for split in ("train", "test"):
-        directory = os.path.join(path, split)
-        names = sorted(n for n in os.listdir(directory) if n.endswith(".graph"))
-        splits.append([load_graph(os.path.join(directory, n)) for n in names])
-    return Dataset(splits[0], splits[1], manifest)
+    return Dataset(load_graphs(os.path.join(path, "train")),
+                   load_graphs(os.path.join(path, "test")), manifest)
 
 
 def check_counts(n_train, n_test):

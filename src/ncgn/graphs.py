@@ -9,6 +9,8 @@ positions); ``engine.StructureCache`` pairs them with coarse edges into a
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +139,7 @@ def voxel_coarsen(positions: np.ndarray, s: int):
 
 # ----------------------------------------------------------------------
 # text format: header "N d f", then exactly N lines of d positions + f
-# features.
+# features; a directory of graphs holds them as 00000.graph onwards.
 
 
 def save_graph(path, graph: GeometricGraph):
@@ -191,3 +193,25 @@ def load_graph(path) -> GeometricGraph:
         pos[i] = vals[:d]
         feat[i] = vals[d:]
     return GeometricGraph(feat, pos)
+
+
+def save_graphs(directory, graphs):
+    """Replace ``directory`` whole with ``graphs`` as ``00000.graph`` onwards,
+    written into ``<directory>.partial`` and renamed over it after the last;
+    a failed run leaves the old directory and no ``.partial`` behind."""
+    partial = f"{directory}.partial"
+    shutil.rmtree(partial, ignore_errors=True)  # left by a killed run
+    os.makedirs(partial)
+    try:
+        for i, g in enumerate(graphs):
+            save_graph(os.path.join(partial, f"{i:05d}.graph"), g)
+        shutil.rmtree(directory, ignore_errors=True)
+        os.rename(partial, directory)
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
+
+
+def load_graphs(directory):
+    """The graphs of a ``save_graphs`` directory, in file-name order."""
+    names = sorted(n for n in os.listdir(directory) if n.endswith(".graph"))
+    return [load_graph(os.path.join(directory, n)) for n in names]

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgn import cli, engine, interpolant, nn
+from ncgn import cli, engine, graphs, interpolant, nn
 from ncgn.cli import main
 from ncgn.config import (
     DOMAINS,
@@ -28,7 +28,7 @@ from ncgn.graphs import (
     GeometricGraph,
     build_long_short_edges,
     load_graph,
-    save_graph,
+    save_graphs,
 )
 
 
@@ -147,12 +147,27 @@ def inside_edges(domain):
     return (domain,)
 
 
+def wording(domain):
+    """How a rejection names ``domain``."""
+    if isinstance(domain, tuple):
+        return "one of " + ", ".join(map(repr, domain))
+    if domain is float:
+        return "a positive finite number"
+    return f"an integer of at least {domain}"
+
+
+# outside values that per-key CLI tests checked, each run before the draws
+OUTSIDE = {"seed": ["-1"], "n_samples": ["-1"], "mask_task": ["bogus"],
+           "lr": ["nan", "inf", "-1"], "epochs": ["0"], "method": ["bogus"],
+           "nfes": ["0"],
+           **dict.fromkeys(("gw.iters", "n_seeds", "n_shapes"), ["0", "-2"]),
+           **dict.fromkeys(("attention.bins", "attention.epochs"),
+                           ["0", "-3"])}
+
+
 @pytest.mark.parametrize("key", sorted(DOMAINS))
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
 def test_every_command_rejects_a_value_outside_the_key_domain(tmp_path, capsys,
-                                                              key, data):
+                                                              key):
     # every given key is checked for every command, whether or not the
     # command reads it, while the config is parsed: nothing is written,
     # out_dir included
@@ -160,17 +175,21 @@ def test_every_command_rejects_a_value_outside_the_key_domain(tmp_path, capsys,
     for edge in inside_edges(domain):
         assert check(key, edge) == edge
         assert parse_config(overrides=[f"{key}={edge}"])[key] == edge
-    raw = data.draw(outside(domain), label="raw")
-    value = type(DEFAULTS[key])(raw)
-    with pytest.raises(ConfigError):
-        check(key, value)
     out = tmp_path / "out"
-    for command in sorted(cli.HANDLERS):
-        assert main([command, f"out_dir={out}", f"{key}={raw}"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"ncgn {command}: key {key!r}: expected ")
-        assert err.endswith(f", got {value!r}\n")
-        assert not out.exists()
+
+    def rejected_by_every_command(raw):
+        value = type(DEFAULTS[key])(raw)
+        for command in sorted(cli.HANDLERS):
+            assert main([command, f"out_dir={out}", f"{key}={raw}"]) == 1
+            assert capsys.readouterr().err == (
+                f"ncgn {command}: key {key!r}: expected {wording(domain)}, "
+                f"got {value!r}\n")
+            assert not out.exists()
+
+    for raw in OUTSIDE.get(key, ()):
+        rejected_by_every_command(raw)
+    settings(max_examples=25, deadline=None)(
+        given(outside(domain))(rejected_by_every_command))()
 
 
 @pytest.mark.parametrize("command, key, raw", [
@@ -338,14 +357,6 @@ def test_unknown_schedule_kind_exits_one(tmp_path, capsys):
     assert not work.exists()
 
 
-def test_sample_without_checkpoint_exits_one(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
-    work = tmp_path / "work"
-    assert run(work, "sample", f"dataset={data}", "hdim=8", "layers=1") == 1
-    assert "checkpoint" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command, key, make", [
     ("sample", "checkpoint", Path.mkdir),  # a directory as the checkpoint
     ("train", "out_dir", Path.touch),  # a file as the output directory
@@ -368,29 +379,58 @@ TINY_TRAIN = ("epochs=1", "batch=2", "warmup_epochs=0", "hdim=8", "layers=1",
               "nfes=2")
 
 
-def test_masked_sampling_on_positions_task_exits_one(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The inputs precondition rows name under {root}: a features dataset
+    data, shapes datasets shapes and empty (no train graph), and a
+    positions model trained on shapes."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run(root / "data", "simulate-data", "n_train=2", "n_test=1") == 0
+    for name, n_train in (("shapes", 2), ("empty", 0)):
+        assert run(root / name, "make-shapes", f"n_train={n_train}",
+                   "n_test=1", "n_points=16") == 0
+    assert run(root / "positions", "train", f"dataset={root}/shapes",
+               "task=positions", *TINY_TRAIN) == 0
+    return root
+
+
+@pytest.mark.parametrize("command, keys, message", [
+    ("train", [], "this command needs dataset=<path>"),
+    ("train", ["dataset={root}/nope"],
+     "dataset directory not found: {root}/nope"),
+    ("train", ["dataset={root}/empty"], "{root}/empty: the train split is empty"),
+    ("train", ["dataset={root}/data", "method=random_pred"],
+     "method 'random_pred' is model-free"),
+    ("sample", ["dataset={root}/data"], "checkpoint not found: {out}/ema.ckpt"),
     # task masks describe the features task; on positions they would clamp
     # rows onto the template's features
-    data, work = tmp_path / "shapes", tmp_path / "work"
-    assert run(data, "make-shapes", "n_train=2", "n_test=1",
-               "n_points=16") == 0
-    assert run(work, "train", f"dataset={data}", "task=positions",
-               *TINY_TRAIN) == 0
-    out = tmp_path / "sampled"
-    assert run(out, "sample", f"dataset={data}", f"checkpoint={work}/ema.ckpt",
-               "mask_task=temporal_trajectory") == 1
-    err = capsys.readouterr().err
-    assert "mask_task" in err and "task=positions" in err
+    ("sample", ["dataset={root}/shapes", "checkpoint={root}/positions/ema.ckpt",
+                "mask_task=temporal_trajectory"],
+     "mask_task='temporal_trajectory' conditions features; it cannot be used "
+     "with task=positions"),
+    ("sample", ["dataset={root}/data", "method=random_pred",
+                "warmup_epochs=5", "epochs=2"],
+     "need 0 <= warmup_epochs <= epochs, got warmup_epochs=5 and epochs=2"),
+    ("eval", ["dataset={root}/data"], "no .graph samples found in {out}/samples"),
+    ("attention-study", ["dataset={root}/nope"],
+     "dataset directory not found: {root}/nope"),
+    ("gw-study", ["dataset={root}/empty"],
+     "{root}/empty: the train split is empty"),
+], ids=["train-no-dataset", "train-missing-dataset", "train-empty-train",
+        "train-random_pred", "sample-no-checkpoint", "sample-mask-positions",
+        "sample-warmup", "eval-no-samples", "attention-missing-dataset",
+        "gw-empty-train"])
+def test_a_failed_precondition_exits_one_before_out_dir_is_made(
+        inputs, tmp_path, capsys, command, keys, message):
+    out = tmp_path / "out"
+
+    def fill(text):
+        return text.format(root=inputs, out=out)
+
+    capsys.readouterr()
+    assert main([command, f"out_dir={out}", *map(fill, keys)]) == 1
+    assert capsys.readouterr().err.startswith(f"ncgn {command}: {fill(message)}")
     assert not out.exists()
-
-
-def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
-    assert run(tmp_path, "sample", "method=random_pred",
-               "mask_task=bogus") == 1
-    assert ("ncgn sample: key 'mask_task': expected one of "
-            + ", ".join(map(repr, ("",) + engine.MASK_TASKS))
-            + ", got 'bogus'") in capsys.readouterr().err
-    assert not (tmp_path / "config.resolved").exists()
 
 
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
@@ -433,9 +473,7 @@ def test_eval_empty_test_split_exits_one(tmp_path, capsys):
     # an empty reference pool has nothing to compare the samples with
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=3", "n_test=0") == 0
-    (work / "samples").mkdir(parents=True)
-    save_graph(str(work / "samples" / "00000.graph"),
-               load_dataset(str(data)).train[0])
+    save_graphs(str(work / "samples"), load_dataset(str(data)).train[:1])
     capsys.readouterr()
     assert run(work, "eval", f"dataset={data}") == 1
     err = capsys.readouterr().err
@@ -467,14 +505,6 @@ def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
     # before anything is written
     assert run(tmp_path, command, "seed=-1") == 1
     assert ("key 'seed': expected an integer of at least 0, got -1"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "config.resolved").exists()
-
-
-def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
-    # n_samples=0 samples each test graph once; below 0 means nothing
-    assert run(tmp_path, "sample", "n_samples=-1") == 1
-    assert ("key 'n_samples': expected an integer of at least 0, got -1"
             in capsys.readouterr().err)
     assert not (tmp_path / "config.resolved").exists()
 
@@ -543,25 +573,6 @@ def test_gw_study_count_below_one_exits_one_naming_the_key(tmp_path, capsys,
     assert (f"key {key!r}: expected an integer of at least 1, got {value}"
             in capsys.readouterr().err)
     assert not (tmp_path / "config.resolved").exists()
-
-
-# counts below 1 are rejected by config (above); gw_study's own check for
-# them is tested in test_engine.py
-@pytest.mark.parametrize("n_train, n_shapes, n_seeds, shapes", [
-    (0, 2, 1, 0),  # an empty train split
-])
-def test_gw_study_with_nothing_to_solve_exits_one(tmp_path, capsys, n_train,
-                                                  n_shapes, n_seeds, shapes):
-    # no (shape, seed) pair: there is no GW mean to write or minimize
-    data = tmp_path / "shapes"
-    assert run(data, "make-shapes", f"n_train={n_train}", "n_test=2",
-               "n_points=16") == 0
-    work = tmp_path / "work"
-    assert run(work, "gw-study", f"dataset={data}", f"n_shapes={n_shapes}",
-               f"n_seeds={n_seeds}") == 1
-    assert (f"got {shapes} shapes (n_shapes={n_shapes}) and n_seeds={n_seeds}"
-            in capsys.readouterr().err)
-    assert not (work / "gw.csv").exists()
 
 
 def test_attention_study_command(tmp_path):
@@ -788,6 +799,54 @@ def test_eval_empty_samples_dir_exits_one(gat_run, tmp_path, capsys):
     assert str(work / "samples") in err and ".graph" in err
 
 
+def test_a_failed_sample_leaves_the_earlier_samples_whole(gat_run, tmp_path,
+                                                         capsys, monkeypatch):
+    # the model is built from a test graph, so a dataset with no train graph
+    # samples; a run that fails midway leaves the last samples/ as it was
+    _, work = gat_run
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert run(data, "simulate-data", "n_train=0", "n_test=2") == 0
+    argv = ["sample", f"out_dir={out}", f"dataset={data}",
+            f"checkpoint={work}/ema.ckpt", "nfes=2"]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in (out / "samples").iterdir()}
+    saved, save = [], graphs.save_graph
+
+    def failing_second(path, graph):
+        saved.append(path)
+        if len(saved) == 2:
+            raise OSError("disk full")
+        save(path, graph)
+
+    monkeypatch.setattr(graphs, "save_graph", failing_second)
+    assert main(argv + ["seed=1"]) == 1
+    assert "ncgn sample: disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "samples").iterdir()} == before
+    assert not (out / "samples.partial").exists()
+
+
+def test_a_second_run_replaces_the_graph_directories_whole(tmp_path,
+                                                          monkeypatch):
+    # a smaller second run leaves none of the first run's graphs for
+    # load_dataset or eval to read
+    data, work = tmp_path / "shapes", tmp_path / "work"
+    pools, evaluate = [], engine.evaluate_w2
+
+    def recording(generated, *args, **kwargs):
+        pools.append(len(generated))
+        return evaluate(generated, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_w2", recording)
+    for n in (3, 1):
+        assert run(data, "make-shapes", f"n_train={n}", "n_test=1",
+                   "n_points=16") == 0
+        assert len(load_dataset(str(data)).train) == n
+        for command in ("sample", "eval"):
+            assert run(work, command, f"dataset={data}", "task=positions",
+                       "method=random_pred", f"n_samples={n}") == 0
+    assert pools == [3, 1]
+
+
 def test_eval_of_a_non_finite_sample_names_its_file(gat_run, tmp_path, capsys):
     data, _ = gat_run
     work = tmp_path / "work"
@@ -805,10 +864,8 @@ def test_eval_of_samples_of_another_width_names_both(tmp_path, capsys):
     # samples without the test split's 3 genes: rows of 2 values against 5
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=2", "n_test=2") == 0
-    (work / "samples").mkdir(parents=True)
     template = load_dataset(str(data)).test[0]
-    save_graph(str(work / "samples" / "00000.graph"),
-               GeometricGraph(None, template.positions))
+    save_graphs(str(work / "samples"), [GeometricGraph(None, template.positions)])
     capsys.readouterr()
     assert run(work, "eval", f"dataset={data}") == 1
     assert ("ncgn eval: generated rows have width 2, reference rows width 5"
