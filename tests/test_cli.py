@@ -433,6 +433,15 @@ def test_a_failed_precondition_exits_one_before_out_dir_is_made(
     assert not out.exists()
 
 
+def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
+    assert run(tmp_path, "sample", "method=random_pred",
+               "mask_task=bogus") == 1
+    assert ("ncgn sample: key 'mask_task': expected one of "
+            + ", ".join(map(repr, ("",) + engine.MASK_TASKS))
+            + ", got 'bogus'") in capsys.readouterr().err
+    assert not (tmp_path / "config.resolved").exists()
+
+
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
     # cfm is the one noising process and no key names it: interpolant.kind
     # is unknown, before training and before sampling
@@ -505,6 +514,14 @@ def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
     # before anything is written
     assert run(tmp_path, command, "seed=-1") == 1
     assert ("key 'seed': expected an integer of at least 0, got -1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "config.resolved").exists()
+
+
+def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
+    # n_samples=0 samples each test graph once; below 0 means nothing
+    assert run(tmp_path, "sample", "n_samples=-1") == 1
+    assert ("key 'n_samples': expected an integer of at least 0, got -1"
             in capsys.readouterr().err)
     assert not (tmp_path / "config.resolved").exists()
 
