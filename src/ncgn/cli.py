@@ -3,10 +3,9 @@
     ncgn <command> [--config FILE] [key=value ...]
 
 Commands: simulate-data, make-shapes, train, sample, eval, theory,
-attention-study, gw-study. Every numeric artifact is CSV under ``out_dir``.
-``out_dir`` and its resolved configuration ``config.resolved`` appear once a
-command's inputs pass their checks; the graph directories ``train/``,
-``test/`` and ``samples/`` are replaced whole. NCGN_THREADS caps workers.
+attention-study, gw-study. NCGN_THREADS caps workers. ``out_dir`` and its
+``config.resolved`` appear once a command's inputs pass their checks; its CSV
+artifacts follow, and ``train/``, ``test/``, ``samples/`` are replaced whole.
 
 ``train`` writes ``model.ckpt`` and ``ema.ckpt``, each holding its arrays
 and the train keys as its record. ``sample`` and ``eval`` read the checkpoint
@@ -85,10 +84,11 @@ def _checkpoint_path(config):
 def _with_checkpoint(config, args):
     """Read the checkpoint, if there is one, re-resolve ``args`` on top of
     its record and reject given keys that differ; a record this version
-    cannot train with asks for a retrain. Returns the config and the
-    checkpoint's arrays and train seed (None without a checkpoint)."""
+    cannot train with asks for a retrain. Returns the config, a valid train
+    config, and the checkpoint's arrays and train seed (None without one)."""
     path = _checkpoint_path(config)
     if not os.path.exists(path):
+        _train_config(config)
         return config, None
     arrays, record = nn.load_checkpoint(path)
     try:
@@ -136,35 +136,31 @@ def _load_model(config, template, checkpoint):
     return model, cfg
 
 
-def cmd_simulate_data(config, args):
+def _make_dataset(config, generate, noun, **params):
     check_counts(config["n_train"], config["n_test"])
     out = _start_run(config)
-    ds = generate_rd_dataset(
-        n_train=config["n_train"], n_test=config["n_test"],
-        seed=config["seed"], sign_convention=config["convention"],
-    )
+    ds = generate(n_train=config["n_train"], n_test=config["n_test"],
+                  seed=config["seed"], **params)
     save_dataset(out, ds)
-    return f"wrote {len(ds.train)} train / {len(ds.test)} test graphs"
+    return f"wrote {len(ds.train)} train / {len(ds.test)} test {noun}"
+
+
+def cmd_simulate_data(config, args):
+    return _make_dataset(config, generate_rd_dataset, "graphs",
+                         sign_convention=config["convention"])
 
 
 def cmd_make_shapes(config, args):
-    check_counts(config["n_train"], config["n_test"])
-    out = _start_run(config)
-    ds = generate_shape_dataset(
-        n_train=config["n_train"], n_test=config["n_test"],
-        n_points=config["n_points"], seed=config["seed"],
-    )
-    save_dataset(out, ds)
-    return f"wrote {len(ds.train)} train / {len(ds.test)} test shapes"
+    return _make_dataset(config, generate_shape_dataset, "shapes",
+                         n_points=config["n_points"])
 
 
 def cmd_train(config, args):
     cfg = _train_config(config)
-    if cfg.method == "random_pred":
-        raise ConfigError("method 'random_pred' is model-free: nothing to train")
     ds = _require_dataset(config, "train")
+    model = build_model(ds.train[0], cfg)
     out = _start_run(config)
-    model, ema, rows = train(ds.train, cfg)
+    model, ema, rows = train(ds.train, cfg, model=model)
     write_csv(os.path.join(out, "loss.csv"), ("epoch", "step", "loss", "lr"),
               rows)
     record = {key: config[key] for key in TRAIN_KEYS.values()}
@@ -176,23 +172,18 @@ def cmd_train(config, args):
 
 def cmd_sample(config, args):
     config, checkpoint = _with_checkpoint(config, args)
-    _train_config(config)
     check_mask_task(config["task"], config["mask_task"])
     ds = _require_dataset(config, "test")
     if config["method"] != "random_pred":
         model, cfg = _load_model(config, ds.test[0], checkpoint)
     out = _start_run(config)
-    templates = ds.test
-    if config["n_samples"]:
-        reps = -(-config["n_samples"] // len(templates))
-        templates = (templates * reps)[: config["n_samples"]]
+    n = config["n_samples"] or len(ds.test)  # cycling through the test split
+    templates = [ds.test[i % len(ds.test)] for i in range(n)]
+    draw = {"seed": config["seed"], "mask_task": config["mask_task"]}
     if config["method"] == "random_pred":
-        generated = random_generations(templates, config["task"],
-                                       seed=config["seed"],
-                                       mask_task=config["mask_task"])
+        generated = random_generations(templates, config["task"], **draw)
     else:
-        generated = sample(model, templates, cfg,
-                           mask_task=config["mask_task"], seed=config["seed"])
+        generated = sample(model, templates, cfg, **draw)
     sample_dir = os.path.join(out, "samples")
     save_graphs(sample_dir, generated)
     return f"wrote {len(generated)} samples to {sample_dir}"
@@ -200,7 +191,6 @@ def cmd_sample(config, args):
 
 def cmd_eval(config, args):
     config, _ = _with_checkpoint(config, args)
-    _train_config(config)
     ds = _require_dataset(config, "test")
     sample_dir = os.path.join(config["out_dir"], "samples")
     generated = load_graphs(sample_dir) if os.path.isdir(sample_dir) else []

@@ -1,11 +1,11 @@
 """Dataset generation and on-disk layout.
 
-A dataset directory holds a plain-text `manifest` of `key: value` lines
-recording counts and the seed, and the `train/` and `test/` directories of
-`graphs.save_graphs`, read back by `graphs.load_graphs`. Only
-reaction-diffusion data records feature bounds: the raw per-gene min and max
-its features were scaled with, next to the grid shapes and the sign
-convention. Shape features are unscaled centroid offsets and record none.
+A dataset directory holds `train/` and `test/` (`graphs.save_graphs` and
+`load_graphs`) and a plain-text `manifest` of `key: value` lines recording
+counts and the seed. Only reaction-diffusion data records feature bounds: the
+raw per-gene min and max its features were scaled with, next to the grid
+shapes and the sign convention. Shape features are unscaled centroid offsets
+and record none.
 """
 
 from __future__ import annotations

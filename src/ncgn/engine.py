@@ -70,6 +70,9 @@ def model_dims(graph: GeometricGraph, task):
 
 
 def build_model(graph: GeometricGraph, config: TrainConfig) -> DmpModel:
+    if config.method == "random_pred":
+        raise ValueError("method 'random_pred' is model-free: draw its samples "
+                         "with random_generations instead of training")
     d_in, odim = model_dims(graph, config.task)
     return DmpModel(d_in, graph.dim, odim,
                     hdim=config.hdim, layers=config.layers,
@@ -185,9 +188,6 @@ def train(graphs, config: TrainConfig, model=None):
     """
     if not graphs:
         raise ValueError("empty dataset")
-    if config.method == "random_pred":
-        raise ValueError("method 'random_pred' is model-free: draw its samples "
-                         "with random_generations instead of training")
     if model is None:
         model = build_model(graphs[0], config)
     opt = nn.Adam(model.parameters(), lr=config.lr)

@@ -197,18 +197,26 @@ def load_graph(path) -> GeometricGraph:
 
 def save_graphs(directory, graphs):
     """Replace ``directory`` whole with ``graphs`` as ``00000.graph`` onwards,
-    written into ``<directory>.partial`` and renamed over it after the last;
-    a failed run leaves the old directory and no ``.partial`` behind."""
-    partial = f"{directory}.partial"
-    shutil.rmtree(partial, ignore_errors=True)  # left by a killed run
+    via ``<directory>.partial``; the old directory, refused unless it holds
+    only ``.graph`` files, goes to ``<directory>.old`` and is then removed."""
+    partial, old = f"{directory}.partial", f"{directory}.old"
+    for path in (directory, partial, old):
+        if os.path.lexists(path) and not all(
+                n.endswith(".graph") for n in os.listdir(path)):
+            raise FileExistsError(f"{path} holds more than .graph files")
+    for path in (partial, old):  # left by a killed run
+        shutil.rmtree(path, ignore_errors=True)
     os.makedirs(partial)
     try:
         for i, g in enumerate(graphs):
             save_graph(os.path.join(partial, f"{i:05d}.graph"), g)
-        shutil.rmtree(directory, ignore_errors=True)
+        if os.path.lexists(directory):
+            os.rename(directory, old)
         os.rename(partial, directory)
     finally:
         shutil.rmtree(partial, ignore_errors=True)
+    if os.path.lexists(old):
+        shutil.rmtree(old)
 
 
 def load_graphs(directory):

@@ -156,6 +156,16 @@ def wording(domain):
     return f"an integer of at least {domain}"
 
 
+def assert_rejected(out, capsys, command, key, raw):
+    """``command`` with ``key=raw`` exits 1 naming the key, its domain and
+    the value, before ``out`` is made."""
+    assert main([command, f"out_dir={out}", f"{key}={raw}"]) == 1
+    assert capsys.readouterr().err == (
+        f"ncgn {command}: key {key!r}: expected {wording(DOMAINS[key])}, "
+        f"got {type(DEFAULTS[key])(raw)!r}\n")
+    assert not out.exists()
+
+
 # outside values that per-key CLI tests checked, each run before the draws
 OUTSIDE = {"seed": ["-1"], "n_samples": ["-1"], "mask_task": ["bogus"],
            "lr": ["nan", "inf", "-1"], "epochs": ["0"], "method": ["bogus"],
@@ -175,16 +185,10 @@ def test_every_command_rejects_a_value_outside_the_key_domain(tmp_path, capsys,
     for edge in inside_edges(domain):
         assert check(key, edge) == edge
         assert parse_config(overrides=[f"{key}={edge}"])[key] == edge
-    out = tmp_path / "out"
 
     def rejected_by_every_command(raw):
-        value = type(DEFAULTS[key])(raw)
         for command in sorted(cli.HANDLERS):
-            assert main([command, f"out_dir={out}", f"{key}={raw}"]) == 1
-            assert capsys.readouterr().err == (
-                f"ncgn {command}: key {key!r}: expected {wording(domain)}, "
-                f"got {value!r}\n")
-            assert not out.exists()
+            assert_rejected(tmp_path / "out", capsys, command, key, raw)
 
     for raw in OUTSIDE.get(key, ()):
         rejected_by_every_command(raw)
@@ -295,12 +299,7 @@ def test_training_writes_loss_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
 def test_train_rejects_a_non_finite_lr(tmp_path, capsys, lr):
-    data, work = tmp_path / "data", tmp_path / "work"
-    assert run(data, "simulate-data", "n_train=4", "n_test=1") == 0
-    assert run(work, "train", f"dataset={data}", f"lr={lr}") == 1
-    assert (f"key 'lr': expected a positive finite number, got {float(lr)!r}"
-            in capsys.readouterr().err)
-    assert not work.exists()
+    assert_rejected(tmp_path / "out", capsys, "train", "lr", lr)
 
 
 def test_train_on_zero_dimensional_positions_exits_one(tmp_path, capsys):
@@ -434,12 +433,8 @@ def test_a_failed_precondition_exits_one_before_out_dir_is_made(
 
 
 def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
-    assert run(tmp_path, "sample", "method=random_pred",
-               "mask_task=bogus") == 1
-    assert ("ncgn sample: key 'mask_task': expected one of "
-            + ", ".join(map(repr, ("",) + engine.MASK_TASKS))
-            + ", got 'bogus'") in capsys.readouterr().err
-    assert not (tmp_path / "config.resolved").exists()
+    assert DOMAINS["mask_task"] == ("",) + engine.MASK_TASKS
+    assert_rejected(tmp_path / "out", capsys, "sample", "mask_task", "bogus")
 
 
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
@@ -510,20 +505,13 @@ def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
 
 @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
 def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
-    # numpy rejects a negative seed without naming the key; config names it
-    # before anything is written
-    assert run(tmp_path, command, "seed=-1") == 1
-    assert ("key 'seed': expected an integer of at least 0, got -1"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "config.resolved").exists()
+    # numpy rejects a negative seed without naming the key
+    assert_rejected(tmp_path / "out", capsys, command, "seed", "-1")
 
 
 def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
     # n_samples=0 samples each test graph once; below 0 means nothing
-    assert run(tmp_path, "sample", "n_samples=-1") == 1
-    assert ("key 'n_samples': expected an integer of at least 0, got -1"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "config.resolved").exists()
+    assert_rejected(tmp_path / "out", capsys, "sample", "n_samples", "-1")
 
 
 METHOD_BOGUS = ("key 'method': expected one of 'dmp', 'knn_fixed', "
@@ -586,10 +574,7 @@ def test_make_shapes_and_gw_study(tmp_path):
 def test_gw_study_count_below_one_exits_one_naming_the_key(tmp_path, capsys,
                                                           key, value):
     # the solver's and the study's own messages do not name the key
-    assert run(tmp_path, "gw-study", f"{key}={value}") == 1
-    assert (f"key {key!r}: expected an integer of at least 1, got {value}"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "config.resolved").exists()
+    assert_rejected(tmp_path / "out", capsys, "gw-study", key, value)
 
 
 def test_attention_study_command(tmp_path):
@@ -610,13 +595,9 @@ def test_attention_study_command(tmp_path):
 
 @pytest.mark.parametrize("bins", ["0", "-3"])
 def test_attention_study_rejects_bins_before_training(tmp_path, capsys, bins):
-    # config names the key before anything is written, config.resolved
-    # included; attention.epochs takes the same check
+    # attention.epochs takes the same check
     for key in ("attention.bins", "attention.epochs"):
-        assert run(tmp_path, "attention-study", f"{key}={bins}") == 1
-        assert (f"key {key!r}: expected an integer of at least 1, got {bins}"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "config.resolved").exists()
+        assert_rejected(tmp_path / "out", capsys, "attention-study", key, bins)
 
 
 @pytest.mark.parametrize("n_train, n_test, split", [
@@ -840,6 +821,25 @@ def test_a_failed_sample_leaves_the_earlier_samples_whole(gat_run, tmp_path,
     assert "ncgn sample: disk full" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (out / "samples").iterdir()} == before
     assert not (out / "samples.partial").exists()
+    assert not (out / "samples.old").exists()
+
+
+def test_a_graph_directory_holding_other_files_is_not_replaced(tmp_path,
+                                                               capsys):
+    # a test/ that ncgn did not write stays as it is; the .partial and .old
+    # a killed run leaves behind hold only graphs and are cleared
+    (tmp_path / "test").mkdir()
+    (tmp_path / "test" / "notes.txt").write_text("mine")
+    for name in ("train.partial", "train.old"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "00000.graph").write_text("")
+    assert run(tmp_path, "make-shapes", "n_train=2", "n_test=1") == 1
+    assert (capsys.readouterr().err ==
+            f"ncgn make-shapes: {tmp_path}/test holds more than .graph files\n")
+    assert os.listdir(tmp_path / "test") == ["notes.txt"]
+    assert (tmp_path / "test" / "notes.txt").read_text() == "mine"
+    assert not (tmp_path / "train.partial").exists()
+    assert not (tmp_path / "train.old").exists()
 
 
 def test_a_second_run_replaces_the_graph_directories_whole(tmp_path,
@@ -862,6 +862,8 @@ def test_a_second_run_replaces_the_graph_directories_whole(tmp_path,
             assert run(work, command, f"dataset={data}", "task=positions",
                        "method=random_pred", f"n_samples={n}") == 0
     assert pools == [3, 1]
+    assert sorted(os.listdir(data)) == ["config.resolved", "manifest", "test",
+                                        "train"]
 
 
 def test_eval_of_a_non_finite_sample_names_its_file(gat_run, tmp_path, capsys):
