@@ -53,7 +53,7 @@ from .engine import (
     sample,
     train,
 )
-from .graphs import load_graphs, save_graphs
+from .graphs import check_replaceable, load_graphs, save_graphs
 
 SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
 THEORY_SNRS = np.logspace(np.log10(0.25), np.log10(16.0), 12)  # radius sweep
@@ -138,6 +138,8 @@ def _load_model(config, template, checkpoint):
 
 def _make_dataset(config, generate, noun, **params):
     check_counts(config["n_train"], config["n_test"])
+    for split in ("train", "test"):
+        check_replaceable(os.path.join(config["out_dir"], split))
     out = _start_run(config)
     ds = generate(n_train=config["n_train"], n_test=config["n_test"],
                   seed=config["seed"], **params)
@@ -176,7 +178,9 @@ def cmd_sample(config, args):
     ds = _require_dataset(config, "test")
     if config["method"] != "random_pred":
         model, cfg = _load_model(config, ds.test[0], checkpoint)
-    out = _start_run(config)
+    sample_dir = os.path.join(config["out_dir"], "samples")
+    check_replaceable(sample_dir)
+    _start_run(config)
     n = config["n_samples"] or len(ds.test)  # cycling through the test split
     templates = [ds.test[i % len(ds.test)] for i in range(n)]
     draw = {"seed": config["seed"], "mask_task": config["mask_task"]}
@@ -184,7 +188,6 @@ def cmd_sample(config, args):
         generated = random_generations(templates, config["task"], **draw)
     else:
         generated = sample(model, templates, cfg, **draw)
-    sample_dir = os.path.join(out, "samples")
     save_graphs(sample_dir, generated)
     return f"wrote {len(generated)} samples to {sample_dir}"
 

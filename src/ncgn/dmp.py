@@ -269,7 +269,7 @@ class DmpModel(nn.Module):
         h = self.lift(Tensor(inputs))
         # layer 0 lifts the member means of the inputs; later layers re-seed
         # coarse vectors from the current node state
-        h_coarse = self.lift_coarse(segment_sum(members, inputs) / counts)
+        h_coarse = self.lift_coarse(Tensor(segment_sum(members, inputs).data / counts))
         for k, block in enumerate(self.blocks):
             if k > 0:
                 h_coarse = segment_sum(members, h) * (1.0 / counts)

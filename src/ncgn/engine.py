@@ -93,9 +93,6 @@ class StructureCache:
         self.config = config
         self._store = {}
 
-    def __len__(self):
-        return len(self._store)
-
     def __call__(self, positions, t):
         config = self.config
         if config.method != "dmp":

@@ -195,15 +195,20 @@ def load_graph(path) -> GeometricGraph:
     return GeometricGraph(feat, pos)
 
 
-def save_graphs(directory, graphs):
-    """Replace ``directory`` whole with ``graphs`` as ``00000.graph`` onwards,
-    via ``<directory>.partial``; the old directory, refused unless it holds
-    only ``.graph`` files, goes to ``<directory>.old`` and is then removed."""
-    partial, old = f"{directory}.partial", f"{directory}.old"
-    for path in (directory, partial, old):
+def check_replaceable(directory):
+    """Refuse ``directory``, or a ``.partial`` or ``.old`` left beside it by a
+    killed run, if it holds more than ``.graph`` files."""
+    for path in (directory, f"{directory}.partial", f"{directory}.old"):
         if os.path.lexists(path) and not all(
                 n.endswith(".graph") for n in os.listdir(path)):
             raise FileExistsError(f"{path} holds more than .graph files")
+
+
+def save_graphs(directory, graphs):
+    """Replace ``directory`` whole with ``graphs`` as ``00000.graph`` onwards,
+    via ``<directory>.partial``; the old one goes to ``.old``, then away."""
+    check_replaceable(directory)
+    partial, old = f"{directory}.partial", f"{directory}.old"
     for path in (partial, old):  # left by a killed run
         shutil.rmtree(path, ignore_errors=True)
     os.makedirs(partial)

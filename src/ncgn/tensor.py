@@ -13,8 +13,8 @@ back over broadcast axes. Inside ``with no_grad():`` ops build no nodes,
 so inference builds no graph.
 
 Each closure captures only the arrays and shapes its backward reads, never
-a ``Tensor``: ``*``, ``/``, ``@`` and ``segment_sum`` keep only the operands
-the other side's gradient reads, while ``+``, ``-``, ``concat``,
+a ``Tensor``: ``*``, ``@`` and ``segment_sum`` keep only the operands the
+other side's gradient reads, while ``+``, ``-``, ``concat``,
 ``gather_rows``, ``reshape`` and ``sum`` keep no input array. So an
 interior value is freed as soon as the forward code drops its tensor,
 unless a later op's backward reads it; the graph holds nodes, not values.
@@ -299,9 +299,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self._node = _Node() if requires_grad else None
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     @property
     def requires_grad(self):
         return self._node is not None
@@ -399,9 +396,6 @@ class Tensor:
 
         return _result(self.data - other.data, (a, b), bwd)
 
-    def __rsub__(self, other):
-        return Tensor._lift(other) - self
-
     def __mul__(self, other):
         other = Tensor._lift(other)
         a, b = self._node, other._node
@@ -419,20 +413,6 @@ class Tensor:
         return _result(self.data * other.data, (a, b), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._lift(other)
-        a, b = self._node, other._node
-        sa, sb = self.data.shape, other.data.shape
-        x, y = (self.data if b is not None else None), other.data
-
-        def bwd(g):
-            if a is not None:
-                a.accum(_unbroadcast(g / y, sa), fresh=True)
-            if b is not None:
-                b.accum(_unbroadcast(-g * x / y**2, sb), fresh=True)
-
-        return _result(self.data / other.data, (a, b), bwd)
 
     def __matmul__(self, other):
         other = Tensor._lift(other)

@@ -80,6 +80,7 @@ def test_every_config_key_is_read():
     # every key has a domain in the one table, or is named free text here
     free_text = {"out_dir", "dataset", "checkpoint"}
     assert set(DOMAINS) == set(DEFAULTS) - free_text
+    assert DOMAINS["mask_task"] == ("",) + engine.MASK_TASKS
     for key, value in DEFAULTS.items():
         assert check(key, value) == value
 
@@ -432,11 +433,6 @@ def test_a_failed_precondition_exits_one_before_out_dir_is_made(
     assert not out.exists()
 
 
-def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
-    assert DOMAINS["mask_task"] == ("",) + engine.MASK_TASKS
-    assert_rejected(tmp_path / "out", capsys, "sample", "mask_task", "bogus")
-
-
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
     # cfm is the one noising process and no key names it: interpolant.kind
     # is unknown, before training and before sampling
@@ -507,11 +503,6 @@ def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
 def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
     # numpy rejects a negative seed without naming the key
     assert_rejected(tmp_path / "out", capsys, command, "seed", "-1")
-
-
-def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
-    # n_samples=0 samples each test graph once; below 0 means nothing
-    assert_rejected(tmp_path / "out", capsys, "sample", "n_samples", "-1")
 
 
 METHOD_BOGUS = ("key 'method': expected one of 'dmp', 'knn_fixed', "
@@ -826,20 +817,31 @@ def test_a_failed_sample_leaves_the_earlier_samples_whole(gat_run, tmp_path,
 
 def test_a_graph_directory_holding_other_files_is_not_replaced(tmp_path,
                                                                capsys):
-    # a test/ that ncgn did not write stays as it is; the .partial and .old
-    # a killed run leaves behind hold only graphs and are cleared
-    (tmp_path / "test").mkdir()
-    (tmp_path / "test" / "notes.txt").write_text("mine")
+    # a test/ or samples/ that ncgn did not write stays as it is, refused
+    # before anything is written; the .partial and .old a killed run leaves
+    # behind hold only graphs and are cleared
+    data, work = tmp_path / "data", tmp_path / "work"
+    for directory in (data / "test", work / "samples"):
+        directory.mkdir(parents=True)
+        (directory / "notes.txt").write_text("mine")
     for name in ("train.partial", "train.old"):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / "00000.graph").write_text("")
-    assert run(tmp_path, "make-shapes", "n_train=2", "n_test=1") == 1
+        (data / name).mkdir()
+        (data / name / "00000.graph").write_text("")
+    assert run(data, "make-shapes", "n_train=2", "n_test=1") == 1
     assert (capsys.readouterr().err ==
-            f"ncgn make-shapes: {tmp_path}/test holds more than .graph files\n")
-    assert os.listdir(tmp_path / "test") == ["notes.txt"]
-    assert (tmp_path / "test" / "notes.txt").read_text() == "mine"
-    assert not (tmp_path / "train.partial").exists()
-    assert not (tmp_path / "train.old").exists()
+            f"ncgn make-shapes: {data}/test holds more than .graph files\n")
+    assert sorted(os.listdir(data)) == ["test", "train.old", "train.partial"]
+    assert os.listdir(data / "test") == ["notes.txt"]
+    assert (data / "test" / "notes.txt").read_text() == "mine"
+    (data / "test" / "notes.txt").unlink()
+    assert run(data, "make-shapes", "n_train=2", "n_test=1") == 0
+    assert sorted(os.listdir(data)) == ["config.resolved", "manifest", "test",
+                                        "train"]
+    assert run(work, "sample", f"dataset={data}", "method=random_pred") == 1
+    assert (capsys.readouterr().err ==
+            f"ncgn sample: {work}/samples holds more than .graph files\n")
+    assert os.listdir(work) == ["samples"]
+    assert os.listdir(work / "samples") == ["notes.txt"]
 
 
 def test_a_second_run_replaces_the_graph_directories_whole(tmp_path,

@@ -263,7 +263,7 @@ def test_positions_task_train_and_sample(monkeypatch):
         assert np.abs(a.positions - g.positions).max() > 0.1
     # noised positions never recur, so no structure is stored
     assert len(made) == 4
-    assert all(c.config is config and c.stats and len(c) == 0 for c in made)
+    assert all(c.config is config and c.stats and len(c._store) == 0 for c in made)
 
 
 def test_positions_task_ignores_template_features():
@@ -564,10 +564,10 @@ def test_structure_cache_reuses_entries():
     for method in ("dmp", "knn_fixed"):
         cache = StructureCache(TrainConfig(method=method, knn_k=4))
         a = cache(g.positions, 0.3)
-        assert cache(g.positions, 0.3) is a and len(cache) == 1
+        assert cache(g.positions, 0.3) is a and len(cache._store) == 1
         fresh = StructureCache(TrainConfig(task="positions", method=method))
         b = fresh(g.positions, 0.3)
-        assert fresh(g.positions, 0.3) is not b and len(fresh) == 0
+        assert fresh(g.positions, 0.3) is not b and len(fresh._store) == 0
         np.testing.assert_array_equal(b.edges, fresh(g.positions, 0.3).edges)
 
 

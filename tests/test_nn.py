@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import Tensor, _result, concat, mlp
+from ncgn.tensor import Tensor, _result, _unbroadcast, concat, mlp
 from structure_helpers import segments
 
 
@@ -153,13 +153,29 @@ def sqrt(x):
     return _result(out, (node,), bwd)
 
 
+def divide(a, b):
+    """``a / b`` as one node, with the float operations of the quotient op
+    ``Tensor`` once had: the other elementary op the composed batch norms
+    need."""
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    na, nb, x, y = a._node, b._node, a.data, b.data
+
+    def bwd(g):
+        if na is not None:
+            na.accum(_unbroadcast(g / y, x.shape), fresh=True)
+        if nb is not None:
+            nb.accum(_unbroadcast(-g * x / y**2, y.shape), fresh=True)
+
+    return _result(x / y, (na, nb), bwd)
+
+
 def composed_batch_norm(x, gamma, beta, eps):
     """Train-mode batch norm built from elementary ops: the reference the
     fused op is checked against."""
     mu = x.mean(axis=0, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=0, keepdims=True)
-    return centered / sqrt(var + eps) * gamma + beta
+    return divide(centered, sqrt(var + eps)) * gamma + beta
 
 
 def test_fused_batch_norm_matches_composed():
@@ -277,8 +293,9 @@ def test_hidden_layer_eval_mode_matches_composed_bytes():
 
         def composed(x, hidden, weight, bias):
             for (w, gamma, beta), (mean, var) in zip(hidden, stats):
-                x = ((x @ w - mean[None, :]) / np.sqrt(var[None, :] + nn.BN_EPS)
-                     * gamma + beta).gelu()
+                x = (divide(x @ w - mean[None, :],
+                            np.sqrt(var[None, :] + nn.BN_EPS)) * gamma
+                     + beta).gelu()
             return x @ weight + bias
 
         fused = _mlp_results(_fused(stats), *arrays, upstream)

@@ -1,6 +1,9 @@
 import importlib.util
+import inspect
 import re
 import sys
+import threading
+import types
 import warnings
 from pathlib import Path
 
@@ -199,14 +202,35 @@ def test_digest_check_reports_another_environment_as_such(tmp_path, capsys):
         "environment"]
 
 
-def test_seeded_sequence_matches_the_record(tmp_path):
-    # the sequence runs in this process, on the ncgn package under test; a
-    # change that moves outputs regenerates the record in the same commit
-    diff, script = load_script(), load_script("seeded_outputs")
-    script.run(script.SEQUENCE, tmp_path)
+@pytest.fixture(scope="module")
+def seeded_run(tmp_path_factory):
+    """The seeded sequence, run once in this process on the ncgn package
+    under test: its output directory and the code objects of every
+    function it calls, in any thread (``evaluate_w2`` runs in a pool)."""
+    out, called = tmp_path_factory.mktemp("seeded"), set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile(), threading.getprofile()
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        script = load_script("seeded_outputs")
+        script.run(script.SEQUENCE, out)
+    finally:
+        sys.setprofile(previous[0])
+        threading.setprofile(previous[1])
+    return out, called
+
+
+def test_seeded_sequence_matches_the_record(seeded_run):
+    # a change that moves outputs regenerates the record in the same commit
+    diff, (out, _) = load_script(), seeded_run
     env_record, record = diff.parse_record((SCRIPTS / "seeded_outputs.sha256")
                                            .read_text())
-    env_here, here = diff.parse_record(diff.digests(tmp_path))
+    env_here, here = diff.parse_record(diff.digests(out))
     assert sorted(here) == sorted(record)
     moved = diff.moved_entries(env_record, env_here)
     if moved:
@@ -217,6 +241,55 @@ def test_seeded_sequence_matches_the_record(tmp_path):
         return
     differ = [path for path in sorted(record) if here[path] != record[path]]
     assert not differ, f"{len(differ)} files differ from the record: {differ}"
+
+
+# src/ncgn functions the seeded sequence never calls, as "module.qualname",
+# each with the reason it stays; any other such function is dead code
+UNREACHED = {
+    "config.read_config_file": "the --config option",
+    "nn.EMA.copy_to": "called only by perfbench",
+    "tensor.Tensor._backward": "the closure property perfbench's tracer wraps",
+    "tensor.Tensor.gelu": "perfbench's tracer wraps it by name (ROADMAP item 3a)",
+    "tensor.Tensor.gelu.<locals>.bwd": "the backward of Tensor.gelu (item 3a)",
+    "shapes._torus": "a shape kind the sequence's 4 + 2 shapes do not draw",
+    "tensor._released": "raises on a second backward through a freed graph",
+    "transport._logsumexp": "the log-domain Sinkhorn fallback's reduction",
+    "transport._sinkhorn_log_domain": "the fallback for an underflowing kernel",
+    "theory.mutual_information_numeric": "the numeric MI oracle of "
+                                         "kappa_closed (ROADMAP item 9)",
+    "theory.correlation_integrals": "the oracle's integrals (item 9)",
+    "theory._simpson_weights": "the oracle's quadrature (item 9)",
+    "theory.default_correlation": "the oracle's default correlation (item 9)",
+}
+
+
+def functions(code):
+    """The functions defined in ``code``, at any depth; class bodies,
+    comprehensions and lambdas are no functions."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if (const.co_flags & inspect.CO_OPTIMIZED
+                    and not const.co_name.startswith("<")):
+                yield const
+            yield from functions(const)
+
+
+def test_every_src_function_is_called_by_the_seeded_sequence(seeded_run):
+    # a function defined twice under one name (a property's getter and
+    # setter) is told apart by its first line
+    _, called = seeded_run
+    reached = {(code.co_filename, code.co_firstlineno, code.co_qualname)
+               for code in called}
+    unreached = set()
+    for path in sorted(Path(ncgn.__file__).parent.glob("*.py")):
+        for code in functions(compile(path.read_text(), str(path), "exec")):
+            if (str(path), code.co_firstlineno, code.co_qualname) not in reached:
+                unreached.add(f"{path.stem}.{code.co_qualname}")
+    dead = sorted(unreached - UNREACHED.keys())
+    assert not dead, (f"never called by the seeded sequence: {dead}; delete "
+                      "them, or list each in UNREACHED with its reason")
+    stale = sorted(UNREACHED.keys() - unreached)
+    assert not stale, f"listed in UNREACHED but called or not defined: {stale}"
 
 
 @pytest.mark.parametrize("bad", [
