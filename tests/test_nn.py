@@ -154,9 +154,9 @@ def sqrt(x):
 
 
 def divide(a, b):
-    """``a / b`` as one node, with the float operations of the quotient op
-    ``Tensor`` once had: the other elementary op the composed batch norms
-    need."""
+    """``a / b`` as one node, backward ``g / b`` and ``-g * a / b**2``: the
+    other elementary op the composed batch norms need and ``Tensor`` does
+    not have."""
     b = b if isinstance(b, Tensor) else Tensor(b)
     na, nb, x, y = a._node, b._node, a.data, b.data
 
