@@ -263,28 +263,31 @@ UNREACHED = {
 }
 
 
-def functions(code):
-    """The functions defined in ``code``, at any depth; class bodies,
-    comprehensions and lambdas are no functions."""
+def functions(code, prefix=""):
+    """(qualified name, code) of each function defined in ``code``, at any
+    depth; class bodies, comprehensions and lambdas are no functions."""
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
-            if (const.co_flags & inspect.CO_OPTIMIZED
-                    and not const.co_name.startswith("<")):
-                yield const
-            yield from functions(const)
+            name = prefix + const.co_name
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                if not const.co_name.startswith("<"):
+                    yield name, const
+                name += ".<locals>"
+            yield from functions(const, name + ".")
 
 
 def test_every_src_function_is_called_by_the_seeded_sequence(seeded_run):
     # a function defined twice under one name (a property's getter and
     # setter) is told apart by its first line
     _, called = seeded_run
-    reached = {(code.co_filename, code.co_firstlineno, code.co_qualname)
+    reached = {(code.co_filename, code.co_firstlineno, code.co_name)
                for code in called}
     unreached = set()
     for path in sorted(Path(ncgn.__file__).parent.glob("*.py")):
-        for code in functions(compile(path.read_text(), str(path), "exec")):
-            if (str(path), code.co_firstlineno, code.co_qualname) not in reached:
-                unreached.add(f"{path.stem}.{code.co_qualname}")
+        source = compile(path.read_text(), str(path), "exec")
+        for name, code in functions(source):
+            if (str(path), code.co_firstlineno, code.co_name) not in reached:
+                unreached.add(f"{path.stem}.{name}")
     dead = sorted(unreached - UNREACHED.keys())
     assert not dead, (f"never called by the seeded sequence: {dead}; delete "
                       "them, or list each in UNREACHED with its reason")
