@@ -80,7 +80,6 @@ def test_every_config_key_is_read():
     # every key has a domain in the one table, or is named free text here
     free_text = {"out_dir", "dataset", "checkpoint"}
     assert set(DOMAINS) == set(DEFAULTS) - free_text
-    assert DOMAINS["mask_task"] == ("",) + engine.MASK_TASKS
     for key, value in DEFAULTS.items():
         assert check(key, value) == value
 
@@ -433,6 +432,11 @@ def test_a_failed_precondition_exits_one_before_out_dir_is_made(
     assert not out.exists()
 
 
+def test_unknown_mask_task_exits_one_naming_the_choices(tmp_path, capsys):
+    assert DOMAINS["mask_task"] == ("",) + engine.MASK_TASKS
+    assert_rejected(tmp_path / "out", capsys, "sample", "mask_task", "bogus")
+
+
 def test_masked_ddpm_sampling_exits_one(tmp_path, capsys):
     # cfm is the one noising process and no key names it: interpolant.kind
     # is unknown, before training and before sampling
@@ -503,6 +507,11 @@ def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
 def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
     # numpy rejects a negative seed without naming the key
     assert_rejected(tmp_path / "out", capsys, command, "seed", "-1")
+
+
+def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
+    # n_samples=0 samples each test graph once; below 0 means nothing
+    assert_rejected(tmp_path / "out", capsys, "sample", "n_samples", "-1")
 
 
 METHOD_BOGUS = ("key 'method': expected one of 'dmp', 'knn_fixed', "
