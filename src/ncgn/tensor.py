@@ -24,14 +24,12 @@ run, the node drops its gradient (unless it is the root), its closure (and
 with it the arrays it saved) and its parents: a train step never holds two
 graphs at once. A graph runs backward once; a second ``backward`` through
 it raises RuntimeError. Afterwards only leaves and the root hold a
-``grad``. A node keeps the first gradient it receives without a copy when
-no other node holds that array: one the closure built for it alone (a
-product, matmul, scatter, gather or reduction), or the upstream gradient
-that ``+`` and the left side of ``-`` pass on unchanged, which the first of
-their parents to take a gradient keeps, since the closure's node drops it
-right after. The second parent of ``+`` gets a copy, as does a node that
-``reshape``, ``sum`` or ``concat`` hands a view of the gradient. The root
-keeps its gradient: its closure gets a copy.
+``grad``. Gradients are read-only values, shared and never copied: a node
+keeps the first gradient it receives as it is, even when its closure's
+node or a sibling holds the same array (``+`` and ``-`` hand the upstream
+gradient on, ``reshape``, ``sum`` and ``concat`` views of it), and a later
+one replaces it by the sum. A write into a gradient raises ValueError
+instead of changing another node's array.
 
 The first ``backward`` of a process also asks glibc to keep freed pages
 (``_keep_freed_pages``): arrays up to 32 MiB come from the heap instead of
@@ -262,22 +260,14 @@ class _Node:
         self.parents = parents
         self.backward = backward
 
-    def accum(self, g, fresh=False):
-        """Add ``g`` onto the gradient. ``fresh`` says the caller built
-        ``g`` for this node alone, so a first gradient is kept as it is;
-        otherwise it is copied, as other nodes may hold ``g`` too."""
-        if self.grad is None:
-            self.grad = g if fresh else g.copy()
-        else:
-            self.grad += g
-
-    def pass_through(self, g, shape, owned):
-        """Accumulate the upstream ``g``, summed down to ``shape``.
-        ``owned`` says no other node holds ``g``, so a first gradient takes
-        it without a copy. Returns whether ``g`` is still unheld."""
-        summed = _unbroadcast(g, shape)
-        self.accum(summed, fresh=owned or summed is not g)
-        return owned and self.grad is not g
+    def accum(self, g):
+        """Take ``g`` as the first gradient, or replace the gradient by
+        ``self.grad + g`` for a later one. The gradient is stored
+        read-only: other nodes may share its array, so a write into it
+        raises ValueError."""
+        g = np.asarray(g if self.grad is None else self.grad + g)
+        g.flags.writeable = False
+        self.grad = g
 
 
 def _result(data, parents, backward):
@@ -346,14 +336,13 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         _keep_freed_pages()
-        root.grad = np.ones_like(self.data)
+        root.grad = None  # a leaf root takes ones, not ones plus its last grad
+        root.accum(np.ones_like(self.data))
         # consume the list so a released node has no reference left
         while topo:
             node = topo.pop()
             if node.backward is not None:
-                # a closure may hand its gradient on: the root's, which it
-                # keeps, goes as a copy
-                node.backward(node.grad.copy() if node is root else node.grad)
+                node.backward(node.grad)
                 node.backward, node.parents = _released, ()
                 if node is not root:
                     node.grad = None
@@ -371,13 +360,10 @@ class Tensor:
         sa, sb = self.data.shape, other.data.shape
 
         def bwd(g):
-            # g is this node's own array: the first parent to take a
-            # gradient keeps it, the second gets a copy
-            owned = True
             if a is not None:
-                owned = a.pass_through(g, sa, owned)
+                a.accum(_unbroadcast(g, sa))
             if b is not None:
-                b.pass_through(g, sb, owned)
+                b.accum(_unbroadcast(g, sb))
 
         return _result(self.data + other.data, (a, b), bwd)
 
@@ -390,9 +376,9 @@ class Tensor:
 
         def bwd(g):
             if a is not None:
-                a.pass_through(g, sa, True)
+                a.accum(_unbroadcast(g, sa))
             if b is not None:
-                b.accum(_unbroadcast(-g, sb), fresh=True)
+                b.accum(_unbroadcast(-g, sb))
 
         return _result(self.data - other.data, (a, b), bwd)
 
@@ -406,9 +392,9 @@ class Tensor:
 
         def bwd(g):
             if a is not None:
-                a.accum(_unbroadcast(g * y, sa), fresh=True)
+                a.accum(_unbroadcast(g * y, sa))
             if b is not None:
-                b.accum(_unbroadcast(g * x, sb), fresh=True)
+                b.accum(_unbroadcast(g * x, sb))
 
         return _result(self.data * other.data, (a, b), bwd)
 
@@ -422,9 +408,9 @@ class Tensor:
 
         def bwd(g):
             if a is not None:
-                a.accum(g @ y.T, fresh=True)
+                a.accum(g @ y.T)
             if b is not None:
-                b.accum(x.T @ g, fresh=True)
+                b.accum(x.T @ g)
 
         return _result(self.data @ other.data, (a, b), bwd)
 
@@ -464,7 +450,7 @@ class Tensor:
 
         def bwd(g):
             g = g.reshape(plan.rows.size, width)
-            a.accum((plan.scatter() @ g).reshape(shape), fresh=True)
+            a.accum((plan.scatter() @ g).reshape(shape))
 
         return _result(self.data[plan.rows], (a,), bwd)
 
@@ -480,7 +466,7 @@ class Tensor:
 
         def bwd(g):
             pdf = INV_SQRT_2PI * np.exp(-0.5 * x**2)
-            a.accum(g * (phi + x * pdf), fresh=True)
+            a.accum(g * (phi + x * pdf))
 
         return _result(x * phi, (a,), bwd)
 
@@ -488,7 +474,7 @@ class Tensor:
         a, pos = self._node, self.data >= 0
 
         def bwd(g):
-            a.accum(g * np.where(pos, 1.0, LEAKY_SLOPE), fresh=True)
+            a.accum(g * np.where(pos, 1.0, LEAKY_SLOPE))
 
         return _result(np.where(pos, self.data, LEAKY_SLOPE * self.data), (a,),
                        bwd)
@@ -563,9 +549,9 @@ def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
     ``gamma`` as they sum it; with fixed statistics it is ``gg / std``. Its
     elementwise steps run one row block at a time."""
     if gamma_node is not None:
-        gamma_node.accum(_column_sum(g, xhat), fresh=True)
+        gamma_node.accum(_column_sum(g, xhat))
     if beta_node is not None:
-        beta_node.accum(_column_sum(g), fresh=True)
+        beta_node.accum(_column_sum(g))
     if batch_stats:
         inv_n = 1.0 / g.shape[0]
         mean_gg = _column_sum(g, scale=gamma) * inv_n
@@ -774,7 +760,7 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
 
     def bwd(g):
         if bias_node is not None:
-            bias_node.accum(_column_sum(g), fresh=True)
+            bias_node.accum(_column_sum(g))
         parts = [(a if rebuild is None else rebuild(), v, rows)
                  for (a, v, rows), rebuild in zip(kept, rebuilds)]
         # each hidden layer's product, bottom-up; below the top layer,
@@ -807,7 +793,7 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
             if not top:
                 x = outputs.pop()
             if w_node is not None:
-                w_node.accum(x.T @ dh, fresh=True)
+                w_node.accum(x.T @ dh)
             del x
             dh = _normalize_backward(d, xhat, std, gamma, gamma_node, beta_node,
                                      batch_stats)
@@ -821,9 +807,9 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
             if dw is not None:
                 dw[rows] = x.T @ s
             if node is not None:
-                node.accum(s @ w[rows].T, fresh=True)
+                node.accum(s @ w[rows].T)
         if w_node is not None:
-            w_node.accum(dw, fresh=True)
+            w_node.accum(dw)
 
     parents = block_nodes + [t._node for triple in hidden for t in triple]
     return _result(out_data, parents + [weight._node, bias_node], bwd), moments
@@ -891,7 +877,7 @@ def gated_blend(logits: Tensor, a: Tensor, b: Tensor):
                 dlam *= rest
         for node, grad in zip((nz, na, nb), grads):
             if node is not None:
-                node.accum(grad, fresh=True)
+                node.accum(grad)
 
     return _result(out, (nz, na, nb), bwd), blend
 
@@ -938,8 +924,7 @@ def segment_sum(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> T
     def bwd(g):
         g = g.reshape(m, width)
         if a is not None:
-            a.accum((transposed.matrix(kept_w) @ g).reshape((n,) + tail),
-                    fresh=True)
+            a.accum((transposed.matrix(kept_w) @ g).reshape((n,) + tail))
         if b is not None:
             gw = np.empty(rows.size)
             for start in range(0, gw.size, _ENTRY_CHUNK):
@@ -947,7 +932,7 @@ def segment_sum(plan: SparsePlan, x: Tensor, weights: Tensor | None = None) -> T
                 prod = g[rows[part]]
                 prod *= kept_x[cols[part]]
                 prod.sum(axis=1, out=gw[part])
-            b.accum(gw, fresh=True)
+            b.accum(gw)
 
     out = plan.matrix(w) @ x.data.reshape(n, width)
     return _result(out.reshape((m,) + tail), (a, b), bwd)
@@ -976,6 +961,6 @@ def segment_softmax(logits: Tensor, plan: SparsePlan) -> Tensor:
 
     def bwd(g):
         dot = plan.matrix(g * out_data) @ np.ones(plan.shape[1])
-        a.accum(out_data * (g - dot[seg]), fresh=True)
+        a.accum(out_data * (g - dot[seg]))
 
     return _result(out_data, (a,), bwd)

@@ -117,7 +117,9 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     The warm-start potentials and each row's maximum are absorbed into the
     kernel K = exp((f + g - cost) / eps - shift), so every row of K holds a 1
     and the iterations u = p / Kv, v = q / K'u are two matrix-vector
-    products (Cuturi 2013; absorption as in Schmitzer 2019). One iteration
+    products (Cuturi 2013; absorption as in Schmitzer 2019). Entries of K
+    below the smallest normal float are zero (truncation as in Schmitzer
+    2019, section 3), so no product runs on subnormal operands. One iteration
     is three statements of four C calls, each writing into a buffer
     allocated once per call: ``np.divide`` for u, ``K'.dot`` and
     ``np.divide`` for v, ``K.dot`` for the K v of the new v, which the next
@@ -128,7 +130,8 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     one buffer, so their positivity is one min and one max over it, and the
     row-marginal test |u * Kv - p| < tol reuses the last K v and a buffer of
     its own. If a scaling turns zero or non-finite (a column of K
-    underflowed), the log-domain loop reruns from the same warm start.
+    underflowed, or held only subnormal entries), the log-domain loop reruns
+    from the same warm start.
     """
     m, n = len(p), len(q)
     f0 = np.zeros(m) if f is None else f
@@ -136,6 +139,10 @@ def _sinkhorn_log(cost, p, q, eps, max_iter=2000, tol=SINKHORN_TOL, f=None,
     log_k = (f0[:, None] + g0[None, :] - cost) / eps
     shift = log_k.max(axis=1)
     k = np.exp(log_k - shift[:, None])
+    # a product on subnormal operands costs several times a normal one, and
+    # each row of K holds a 1: a subnormal entry's term in K v falls below
+    # half an ulp of the row's sum unless v spans some 2^969
+    k[k < np.finfo(np.float64).tiny] = 0.0
     k_t = np.ascontiguousarray(k.T)
     uv = np.empty(m + n)
     u, v = uv[:m], uv[m:]

@@ -297,11 +297,6 @@ def test_training_writes_loss_csv(tmp_path, capsys):
     assert float(rows[0][3]) == pytest.approx(DEFAULTS["lr"] / 1)
 
 
-@pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
-def test_train_rejects_a_non_finite_lr(tmp_path, capsys, lr):
-    assert_rejected(tmp_path / "out", capsys, "train", "lr", lr)
-
-
 def test_train_on_zero_dimensional_positions_exits_one(tmp_path, capsys):
     data, work = tmp_path / "data", tmp_path / "work"
     assert run(data, "simulate-data", "n_train=2", "n_test=1") == 0
@@ -569,14 +564,6 @@ def test_make_shapes_and_gw_study(tmp_path):
     assert len(argmin) == 6
 
 
-@pytest.mark.parametrize("key", ["gw.iters", "n_seeds", "n_shapes"])
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_gw_study_count_below_one_exits_one_naming_the_key(tmp_path, capsys,
-                                                          key, value):
-    # the solver's and the study's own messages do not name the key
-    assert_rejected(tmp_path / "out", capsys, "gw-study", key, value)
-
-
 def test_attention_study_command(tmp_path):
     data = tmp_path / "shapes"
     assert run(data, "make-shapes", "n_train=4", "n_test=2",
@@ -591,13 +578,6 @@ def test_attention_study_command(tmp_path):
         weights = [float(l.split(",")[3]) for l in lines[1:]
                    if l.split(",")[0] == t]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("bins", ["0", "-3"])
-def test_attention_study_rejects_bins_before_training(tmp_path, capsys, bins):
-    # attention.epochs takes the same check
-    for key in ("attention.bins", "attention.epochs"):
-        assert_rejected(tmp_path / "out", capsys, "attention-study", key, bins)
 
 
 @pytest.mark.parametrize("n_train, n_test, split", [

@@ -137,7 +137,7 @@ def batch_norm(x, gamma, beta, eps, stats=None):
         for node, grad in zip(nodes, normalize_backward(g, xhat, std, gamma.data,
                                                         stats is None)):
             if node is not None:
-                node.accum(grad, fresh=True)
+                node.accum(grad)
 
     return _result(xhat * gamma.data + beta.data, nodes, bwd), mean, var
 
@@ -148,7 +148,7 @@ def sqrt(x):
     node, out = x._node, np.sqrt(x.data)
 
     def bwd(g):
-        node.accum(g * 0.5 * x.data ** -0.5, fresh=True)
+        node.accum(g * 0.5 * x.data ** -0.5)
 
     return _result(out, (node,), bwd)
 
@@ -162,9 +162,9 @@ def divide(a, b):
 
     def bwd(g):
         if na is not None:
-            na.accum(_unbroadcast(g / y, x.shape), fresh=True)
+            na.accum(_unbroadcast(g / y, x.shape))
         if nb is not None:
-            nb.accum(_unbroadcast(-g * x / y**2, y.shape), fresh=True)
+            nb.accum(_unbroadcast(-g * x / y**2, y.shape))
 
     return _result(x / y, (na, nb), bwd)
 

@@ -411,24 +411,75 @@ def test_rebuild_runs_once_per_backward_and_never_without_grad():
         assert x.grad.shape == x0.shape
 
 
-def test_first_parent_of_a_sum_takes_its_gradient():
-    # + hands its own gradient array to the first parent that keeps one and
-    # copies it for the second; the left side of - takes it as well
-    a, b, e, f = (Tensor(np.full((2, 3), v), requires_grad=True)
-                  for v in (1.0, 2.0, 3.0, 4.0))
-    seen = []
-    total, diff = a + b, e - f
-    for t in (total, diff):
-        closure = t._backward
-        t._backward = lambda g, closure=closure: (seen.append(g), closure(g))
-    ((total * 4.0).sum() + (diff * 3.0).sum()).backward()
-    assert len(seen) == 2
-    by_first_parent = {id(g): g for g in seen}
-    assert by_first_parent[id(a.grad)] is a.grad
-    assert by_first_parent[id(e.grad)] is e.grad
-    assert not np.shares_memory(a.grad, b.grad)
-    for t, expect in ((a, 4.0), (b, 4.0), (e, 3.0), (f, -3.0)):
-        np.testing.assert_array_equal(t.grad, np.full((2, 3), expect))
+def _shared_gradient_graph():
+    """Leaves ``(a, b, c, d, e)``, the ``a + b`` tensor and the root of a
+    graph whose ``+``, ``-``, ``reshape``, ``sum`` and ``concat`` hand the
+    upstream gradient, or views of it, on."""
+    a, b, e, d = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(4))
+    c = Tensor(np.ones(6), requires_grad=True)
+    total = a + b
+    root = concat([total - e, c.reshape(2, 3), d.sum(axis=0, keepdims=True)],
+                  axis=0).sum()
+    return (a, b, c, d, e), total, root
+
+
+def test_gradients_are_read_only_and_shared():
+    # nothing is copied, so no gradient may be written: a write into one
+    # would change every node that shares its array
+    (a, b, c, d, e), _, root = _shared_gradient_graph()
+    root.backward()
+    for t, expect in ((a, 1.0), (b, 1.0), (c, 1.0), (d, 1.0), (e, -1.0)):
+        np.testing.assert_array_equal(t.grad, np.full(t.data.shape, expect))
+        with pytest.raises(ValueError, match="read-only"):
+            t.grad[...] = 0.0
+    assert np.shares_memory(a.grad, b.grad)
+    # a closure that writes into the gradient it is handed raises
+    _, total, root = _shared_gradient_graph()
+    closure = total._backward
+
+    def scaled(g):
+        g *= 2.0
+        closure(g)
+
+    total._backward = scaled
+    with pytest.raises(ValueError, match="read-only"):
+        root.backward()
+
+
+def _op_leaves_and_output(name, rng):
+    """Leaves and output of op ``name`` on random inputs of 3,001 rows (two
+    row blocks)."""
+    n = 3001
+    if name == "mlp":
+        leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((n, 4), (4, 8), (8,), (8,), (8, 3), (3,))]
+        x, w, gamma, beta, weight, bias = leaves
+        return leaves, mlp([x], [(w, gamma, beta)], weight, bias, 1e-5)[0]
+    if name == "gated_blend":
+        leaves = [Tensor(rng.standard_normal((n, 5)), requires_grad=True)
+                  for _ in range(3)]
+        return leaves, gated_blend(*leaves)[0]
+    plan = SparsePlan(rng.integers(0, 40, n), rng.integers(0, 50, n), (40, 50))
+    if name == "segment_sum":
+        leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((50, 4), (n,))]
+        return leaves, segment_sum(plan, *leaves)
+    x = Tensor(rng.standard_normal((40, 4)), requires_grad=True)
+    return [x], x.gather_rows(plan)
+
+
+@pytest.mark.parametrize("name", ["mlp", "gated_blend", "segment_sum",
+                                  "gather_rows"])
+def test_a_broadcast_upstream_gradient_gives_the_same_bytes(name):
+    # out.sum() hands the op a broadcast view of its ones, read-only and
+    # with a zero row stride; a product hands it a contiguous array
+    grads = []
+    for broadcast in (True, False):
+        leaves, out = _op_leaves_and_output(name, np.random.default_rng(7))
+        loss = out.sum() if broadcast else (out * np.ones_like(out.data)).sum()
+        loss.backward()
+        grads.append([t.grad.tobytes() for t in leaves])
+    assert grads[0] == grads[1]
 
 
 def test_sum_of_a_tensor_with_itself_gets_twice_the_gradient():
@@ -474,7 +525,7 @@ def sigmoid(x):
     node, out = x._node, expit(x.data)
 
     def bwd(g):
-        node.accum(g * out * (1.0 - out), fresh=True)
+        node.accum(g * out * (1.0 - out))
 
     return _result(out, (node,), bwd)
 
@@ -594,22 +645,6 @@ def test_row_blocks_cover_rows_in_order(n):
         assert len(blocks) == 1
     else:
         assert tensor._ROW_BLOCK <= min(sizes) <= max(sizes) < 2 * tensor._ROW_BLOCK
-
-
-def test_pass_through_gradients_are_copied():
-    # +, -, reshape, sum and concat pass the upstream array or views of it
-    # on: each leaf gets its own writable array
-    a, b, e, d = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(4))
-    c = Tensor(np.ones(6), requires_grad=True)
-    root = concat([a + b - e, c.reshape(2, 3), d.sum(axis=0, keepdims=True)],
-                  axis=0).sum()
-    root.backward()
-    grads = [root.grad] + [t.grad for t in (a, b, c, d, e)]
-    for t, expect in ((a, 1.0), (b, 1.0), (c, 1.0), (d, 1.0), (e, -1.0)):
-        np.testing.assert_array_equal(t.grad, np.full(t.data.shape, expect))
-        assert t.grad.flags.writeable
-    for g, other in itertools.combinations(grads, 2):
-        assert not np.shares_memory(g, other)
 
 
 def test_backward_of_a_tensor_without_grad_raises():

@@ -312,6 +312,31 @@ def test_sinkhorn_falls_back_where_kernel_underflows(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+def subnormal_column_cost():
+    # every entry of column 2 of the kernel is e^-709.5, about 7.4e-309:
+    # subnormal, yet K'u there is large enough for a finite v
+    rng = np.random.default_rng(0)
+    cost = rng.uniform(0.0, 5.0, (6, 5))
+    cost[:, 2] = cost.min(axis=1) + 709.5
+    return (cost, np.full(6, 1 / 6), np.full(5, 1 / 5), 1.0), {}
+
+
+def test_sinkhorn_falls_back_where_a_kernel_column_is_subnormal(monkeypatch):
+    # the flushed column is zero, so its v turns infinite and the solve
+    # reruns in the log domain; the scaling loop on the subnormal column
+    # was 2e-10 off the log-domain coupling
+    fallbacks = count_fallbacks(monkeypatch)
+    args, kwargs = subnormal_column_cost()
+    cost, p, q, eps = args
+    k = np.exp(-cost / eps + (cost / eps).min(axis=1)[:, None])
+    assert (k[:, 2] < np.finfo(np.float64).tiny).all() and (k[:, 2] > 0).all()
+    log_t, _, _ = transport._sinkhorn_log(*args, **kwargs)
+    assert len(fallbacks) == 1
+    ref, _, _ = reference_sinkhorn(*args, **kwargs)
+    np.testing.assert_allclose(np.exp(log_t), np.exp(ref), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.exp(log_t).sum(axis=0), q, rtol=0, atol=1e-9)
+
+
 # ------------------------------------------- equivalence with the old loop
 
 
@@ -401,6 +426,36 @@ def test_sinkhorn_loop_matches_the_reference_bytes(case, monkeypatch):
     # the underflow solve falls back once in each loop; no other solve does
     underflows = case == "underflow" or case.startswith("max_iter")
     assert len(fallbacks) == (2 if underflows else 0)
+
+
+def scattered_subnormal_cost(seed):
+    """A cost whose kernel holds subnormal entries in about a third of each
+    row's places, every row and column keeping normal ones."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(5, 40, 2)
+    cost = rng.uniform(0.0, 50.0, (m, n))
+    scattered = rng.random((m, n)) < 0.3
+    scattered[np.arange(n) % m, np.arange(n)] = False
+    scattered[np.arange(m), np.arange(m) % n] = False
+    row_min = np.broadcast_to(cost.min(axis=1, keepdims=True), cost.shape)
+    cost[scattered] = row_min[scattered] + rng.uniform(709.0, 744.0,
+                                                       scattered.sum())
+    return (cost, np.full(m, 1 / m), np.full(n, 1 / n), 1.0), {}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flushing_scattered_subnormals_keeps_the_bytes(seed, monkeypatch):
+    # the loop without the flush (sinkhorn_reference) reads the subnormal
+    # entries; every output keeps its bytes
+    fallbacks = count_fallbacks(monkeypatch)
+    args, kwargs = scattered_subnormal_cost(seed)
+    cost, _, _, eps = args
+    k = np.exp(-cost / eps + (cost / eps).min(axis=1)[:, None])
+    assert ((k > 0) & (k < np.finfo(np.float64).tiny)).sum() > k.size // 5
+    got = transport._sinkhorn_log(*args, **kwargs)
+    want = sinkhorn_reference(*args, **kwargs)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert fallbacks == []
 
 
 @settings(max_examples=25, deadline=None)
