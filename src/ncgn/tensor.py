@@ -586,19 +586,35 @@ def _blocks_product(parts, w):
     return out
 
 
+def _gaussian_cdf(pre, out):
+    """Write the Gaussian CDF ``0.5 * (1.0 + erf(pre / SQRT2))`` of ``pre``
+    into ``out``, an array of its shape, and return ``out``. erf is odd, so
+    it runs on ``|pre / SQRT2|`` and takes ``pre``'s sign back: the same
+    bytes as the signed call (``tests/test_tensor.py`` checks them), without
+    the sign branch inside erf that a half-negative input mispredicts."""
+    from scipy.special import erf
+
+    np.divide(pre, SQRT2, out=out)
+    np.abs(out, out=out)
+    erf(out, out=out)
+    np.copysign(out, pre, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def _hidden_forward(parts, w, gamma, beta, eps, stats):
     """One MLP hidden layer on arrays, over the input blocks ``parts``:
-    ``(out, std, phi, mean, var)``. The product ``h = _blocks_product(parts,
+    ``(out, std, mean, var)``. The product ``h = _blocks_product(parts,
     w)`` is normalized, ``xhat = (h - mean) / std``, over its rows with
     their mean and biased variance, or with ``stats``, a ``(mean, var)``
     pair of length-C arrays, when given (``mean`` is then a copy, as running
-    statistics change in place); ``std`` has length C. ``phi`` is the
-    Gaussian CDF of the pre-activation ``xhat * gamma + beta`` and ``out`` is
-    its GELU, the pre-activation times ``phi``. The statistics are
+    statistics change in place); ``std`` has length C. ``out`` is the GELU
+    of the pre-activation ``xhat * gamma + beta``, the pre-activation times
+    its Gaussian CDF, which each row block writes into one block of scratch
+    (``_gaussian_cdf``), so no N-row CDF is made. The statistics are
     whole-array column sums; the elementwise steps run one row block at a
     time, in ``h``'s array, which ends up holding ``out``."""
-    from scipy.special import erf
-
     h = _blocks_product(parts, w)
     if stats is not None:
         mean, var = np.array(stats[0], dtype=np.float64), stats[1]
@@ -612,34 +628,32 @@ def _hidden_forward(parts, w, gamma, beta, eps, stats):
         h -= mean
         var = _column_sum(h, h) * inv_n
         std = (var + eps) ** 0.5
-    phi = np.empty_like(h)
-    for rows in _row_blocks(h.shape[0]):
-        pre, cdf = h[rows], phi[rows]
+    blocks = _row_blocks(h.shape[0])
+    cdf_scratch, = _block_scratch(blocks, h.shape[1], 1)
+    for rows in blocks:
+        pre = h[rows]
         pre /= std
         pre *= gamma
         pre += beta
-        np.divide(pre, SQRT2, out=cdf)
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        pre *= cdf
-    return h, std, phi, mean, var
+        pre *= _gaussian_cdf(pre, cdf_scratch[:rows.stop - rows.start])
+    return h, std, mean, var
 
 
-def _hidden_output(h, mean, std, phi, gamma, beta):
-    """The output ``(xhat * gamma + beta) * phi`` of a hidden layer whose
-    product is ``h``, rebuilt from ``h`` and the kept ``phi`` with the
-    forward's float operations one row block at a time; ``h`` holds ``xhat
-    = (h - mean) / std`` afterwards."""
-    out = np.empty_like(h)
+def _hidden_output(h, mean, std, gamma, beta):
+    """``(out, phi)``: the output ``(xhat * gamma + beta) * phi`` of a hidden
+    layer whose product is ``h``, and ``phi``, the Gaussian CDF of its
+    pre-activation, rebuilt from ``h`` with the forward's float operations
+    one row block at a time; ``h`` holds ``xhat = (h - mean) / std``
+    afterwards."""
+    out, phi = np.empty_like(h), np.empty_like(h)
     for rows in _row_blocks(h.shape[0]):
         xhat = h[rows]
         xhat -= mean
         xhat /= std
         pre = np.multiply(xhat, gamma, out=out[rows])
         pre += beta
-        pre *= phi[rows]
-    return out
+        pre *= _gaussian_cdf(pre, phi[rows])
+    return out, phi
 
 
 def _gelu_backward(g, xhat, phi, gamma, beta, keep_output, stats=None):
@@ -647,19 +661,21 @@ def _gelu_backward(g, xhat, phi, gamma, beta, keep_output, stats=None):
     GELU's derivative ``phi + pre * pdf`` at the pre-activation ``pre =
     xhat * gamma + beta``, rebuilt one row block at a time; return the
     output ``pre * phi`` it rebuilds on the way, or None for
-    ``keep_output=False``. With ``stats``, a ``(mean, std)`` pair, ``xhat``
-    is the layer's product, which each block first normalizes in place,
-    ``(xhat - mean) / std``."""
+    ``keep_output=False``. ``phi`` is the pre-activation's Gaussian CDF, or
+    None to rebuild it block by block from ``pre`` (``_gaussian_cdf``). With
+    ``stats``, a ``(mean, std)`` pair, ``xhat`` is the layer's product,
+    which each block first normalizes in place, ``(xhat - mean) / std``."""
     out = np.empty_like(g) if keep_output else None
     blocks = _row_blocks(g.shape[0])
-    pre_scratch, dpre_scratch = _block_scratch(blocks, g.shape[1], 2)
+    pre_scratch, dpre_scratch, cdf_scratch = _block_scratch(blocks, g.shape[1], 3)
     for rows in blocks:
-        x, cdf, m = xhat[rows], phi[rows], rows.stop - rows.start
+        x, m = xhat[rows], rows.stop - rows.start
         if stats is not None:
             x -= stats[0]
             x /= stats[1]
         pre = np.multiply(x, gamma, out=pre_scratch[:m])
         pre += beta
+        cdf = _gaussian_cdf(pre, cdf_scratch[:m]) if phi is None else phi[rows]
         if out is not None:
             np.multiply(pre, cdf, out=out[rows])
         dpre = np.square(pre, out=dpre_scratch[:m])
@@ -741,10 +757,10 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     inputs, saved, moments = parts, [], []
     for k, (w, gamma, beta) in enumerate(hidden):
         layer_stats = None if stats is None else stats[k]
-        x, std, phi, mean, var = _hidden_forward(
+        x, std, mean, var = _hidden_forward(
             inputs, w.data, gamma.data, beta.data, eps, layer_stats)
         inputs = [(x, None, slice(None))]
-        saved.append((mean, std, phi, layer_stats is None))
+        saved.append((mean, std, layer_stats is None))
         moments.append((mean, var))
     out_data = _blocks_product(inputs, weight.data)
     if bias is not None:
@@ -765,30 +781,34 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
                  for (a, v, rows), rebuild in zip(kept, rebuilds)]
         # each hidden layer's product, bottom-up; below the top layer,
         # _hidden_output normalizes it into xhat and rebuilds the output,
-        # the next product's input, kept for the next weight's gradient
-        products, outputs, below = [], [], parts
-        for k, (mean, std, phi, _) in enumerate(saved):
+        # the next product's input, kept for the next weight's gradient,
+        # and the CDF, kept for the layer's GELU derivative
+        products, outputs, cdfs, below = [], [], [], parts
+        for k, (mean, std, _) in enumerate(saved):
             products.append(_blocks_product(below, layers[k][0]))
             if k + 1 < len(saved):
                 gamma, beta = norms[k][:2]
-                outputs.append(_hidden_output(products[k], mean, std, phi,
-                                              gamma, beta))
-                below = [(outputs[k], None, slice(None))]
+                output, cdf = _hidden_output(products[k], mean, std, gamma,
+                                             beta)
+                outputs.append(output)
+                cdfs.append(cdf)
+                below = [(output, None, slice(None))]
+                del output, cdf
         del below
         dh = g
         for j in range(len(norms), 0, -1):
             # through the weight onto hidden output j - 1, then through that
             # layer's GELU (whose pass normalizes the top layer's product
-            # into xhat and rebuilds its output for the weight's gradient)
-            # and its batch norm
+            # into xhat and rebuilds its CDF, and its output for the
+            # weight's gradient) and its batch norm
             w, w_node = layers[j]
-            mean, std, phi, batch_stats = saved[j - 1]
+            mean, std, batch_stats = saved[j - 1]
             gamma, beta, gamma_node, beta_node = norms[j - 1]
             xhat = products.pop()
             d = dh @ w.T
             top = j == len(norms)
-            x = _gelu_backward(d, xhat, phi, gamma, beta,
-                               top and w_node is not None,
+            x = _gelu_backward(d, xhat, None if top else cdfs.pop(), gamma,
+                               beta, top and w_node is not None,
                                (mean, std) if top else None)
             if not top:
                 x = outputs.pop()
