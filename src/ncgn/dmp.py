@@ -215,8 +215,9 @@ class DmpLayer(nn.Module):
     ``gate([h, spread])``, as one ``tensor.gated_blend`` node that keeps
     only ``lam``. ``combine`` takes the blend as a rebuilt block, so its
     node keeps no blend output: its backward blends again from ``lam``,
-    ``h`` and ``spread``, which the gate's node keeps. Each MLP node keeps
-    one Gaussian CDF per hidden layer."""
+    ``h`` and ``spread``, which the gate's node keeps. An MLP node keeps
+    no N-row array per hidden layer: its backward rebuilds each layer's
+    Gaussian CDF."""
 
     def __init__(self, hdim, d, mp_kind, rng, out_bias):
         self.coarsen_msg = _PointMessage(hdim, d, rng)

@@ -48,10 +48,10 @@ block-wise per-layer chain in order, forward and backward, so every result
 is that chain's bytes, not those of concatenating the blocks first; over
 batch statistics the normalization's backward is the closed form of Ioffe
 & Szegedy (2015). It keeps the input blocks' arrays, except a block given
-with a function that rebuilds it, and per hidden layer only its Gaussian
-CDF and its length-C mean and std; its backward rebuilds such a block,
-re-runs each layer's product from the blocks and rebuilds the normalized
-input and every hidden output from them (recompute as in Chen et al. 2016,
+with a function that rebuilds it, and per hidden layer only its length-C
+mean and std; its backward rebuilds such a block, re-runs each layer's
+product from the blocks and rebuilds the normalized input, the Gaussian
+CDF and every hidden output from them (recompute as in Chen et al. 2016,
 from what batch norm keeps anyway as in Rota Bulò et al. 2018). A second
 fused op, ``gated_blend``, is DMP's gate ``lam * a + (1 - lam) * b`` with
 ``lam`` the sigmoid of its logits: one node that keeps only ``lam``, with
@@ -667,7 +667,8 @@ def _gelu_backward(g, xhat, phi, gamma, beta, keep_output, stats=None):
     which each block first normalizes in place, ``(xhat - mean) / std``."""
     out = np.empty_like(g) if keep_output else None
     blocks = _row_blocks(g.shape[0])
-    pre_scratch, dpre_scratch, cdf_scratch = _block_scratch(blocks, g.shape[1], 3)
+    pre_scratch, dpre_scratch, cdf_scratch = _block_scratch(
+        blocks, g.shape[1], 3)
     for rows in blocks:
         x, m = xhat[rows], rows.stop - rows.start
         if stats is not None:
@@ -718,23 +719,26 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     operations of that chain of primitive ops (then per hidden layer batch
     normalization, ``Tensor.gelu`` and the next matmul, then the bias add)
     in the same order, so every result is that chain's bytes, not those of
-    concatenating first.
+    concatenating first; the Gaussian CDF is ``_gaussian_cdf``'s, the
+    bytes of ``Tensor.gelu``'s.
 
     The node keeps the blocks' arrays (a rebuilt block's only as its
-    ``rebuild``) and, per hidden layer, only its Gaussian CDF and its
-    length-C ``mean`` and ``std``: no ``xhat`` and no hidden output. Its
+    ``rebuild``) and, per hidden layer, only its length-C ``mean`` and
+    ``std``: no ``xhat``, no Gaussian CDF and no hidden output. Its
     backward rebuilds them from the blocks with the forward's float
     operations (recompute as in Chen et al. 2016), so they are the
-    forward's bytes. It first re-runs each hidden layer's product,
-    bottom-up; a layer below the top also normalizes its product into
-    ``xhat`` and rebuilds its output, the next product's input, and keeps
-    it for the next weight's gradient. Then, top down, the pass that
+    forward's bytes, and builds each layer's CDF once. It first re-runs
+    each hidden layer's product, bottom-up; a layer below the top also
+    normalizes its product into ``xhat`` and rebuilds its CDF and output,
+    the next product's input, keeping the CDF for its GELU derivative and
+    the output for the next weight's gradient. Then, top down, the pass that
     applies GELU's derivative rebuilds the pre-activation ``xhat * gamma +
     beta`` one row block at a time, so no whole pre-activation is built;
     for the top layer that pass also normalizes the product and rebuilds
-    the output. Every elementwise step runs over row blocks
-    (``_row_blocks``) and every column sum is ``_column_sum``, rows added in
-    order: neither moves a byte of the results.
+    the CDF, a block at a time, and the output. Every elementwise step runs
+    over row blocks (``_row_blocks``) and every column sum is
+    ``_column_sum``, rows added in order: neither moves a byte of the
+    results.
     """
     parts, block_nodes, rebuilds, start = [], [], [], 0
     for b in blocks:

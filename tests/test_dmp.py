@@ -256,7 +256,8 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
     # no backward reads the two matmul products, the MLP rebuilds the pair
     # sum (its first block) in its backward, and it forms neither a position
     # encoding nor a concatenated input, forward or backward: of the call's
-    # N-row arrays only the hidden layer's Gaussian CDF and the output live on
+    # N-row arrays only the output lives on, not the hidden layer's Gaussian
+    # CDF
     rng = np.random.default_rng(19)
     n, nclusters, hdim = 3000, 60, 8
     msg = _PointMessage(hdim, 2, rng)
@@ -297,7 +298,7 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
     assert len(values) == 2 and len(pairs) == 1
     assert [value() for value in values] == [None] * 2
     assert pairs[0]() is None
-    extra = live - 2 * n * hdim * 8
+    extra = live - n * hdim * 8
     assert 0 <= extra < n * hdim * 4
     out.sum().backward()
     monkeypatch.undo()

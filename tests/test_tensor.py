@@ -260,19 +260,18 @@ def test_op_keeps_an_input_array_only_for_its_backward(name):
 
 
 @pytest.mark.parametrize("n_hidden", [1, 2])
-def test_mlp_keeps_only_phi_per_hidden_layer(monkeypatch, n_hidden):
-    # of the N-row arrays the forward makes, only each layer's Gaussian CDF
-    # outlives it, until backward: not xhat, the block products, their sum
-    # or any hidden output; neither pass concatenates the blocks
+def test_mlp_keeps_no_n_row_array_per_hidden_layer(monkeypatch, n_hidden):
+    # of the N-row arrays the forward makes, only the node's output outlives
+    # it: not xhat, the Gaussian CDF, the block products, their sum or any
+    # hidden output; neither pass concatenates the blocks
     rng = np.random.default_rng(11)
     n, h = 16000, 8  # 15 row blocks
-    kept, dropped, concatenated = [], [], []
+    dropped, concatenated = [], []
     forward, concatenate = tensor._hidden_forward, np.concatenate
 
     def recording_forward(*args):
         out = forward(*args)
         dropped.append(weakref.ref(out[0]))  # xhat's array, then the output
-        kept.append(weakref.ref(out[2]))
         return out
 
     def recording_concatenate(arrays, *args, **kwargs):
@@ -290,39 +289,35 @@ def test_mlp_keeps_only_phi_per_hidden_layer(monkeypatch, n_hidden):
     mlp([block] + pairs, hidden, weight, None, 1e-5)  # imports scipy.special
     monkeypatch.setattr(tensor, "_hidden_forward", recording_forward)
     monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    layer_bytes = n * h * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         out, _ = mlp([block] + pairs, hidden, weight, None, 1e-5)
         live = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        tracemalloc.stop()
-    layer_bytes = n * h * 8
-    assert len(kept) == len(dropped) == n_hidden
-    assert all(ref() is not None for ref in kept)
-    assert [ref() for ref in dropped] == [None] * n_hidden
-    # the CDF per layer, the n x 2 output, and less than half an N x h
-    # array of small parts (statistics, the node)
-    extra = live - out.data.nbytes - n_hidden * layer_bytes
-    assert 0 <= extra < layer_bytes // 2
-    root = out.sum()
-    tracemalloc.start()
-    try:
+        assert len(dropped) == n_hidden
+        assert [ref() for ref in dropped] == [None] * n_hidden
+        # the n x 2 output and less than a sixteenth of an N x h array of
+        # small parts (statistics, the node)
+        extra = live - out.data.nbytes
+        assert 0 <= extra < layer_bytes // 16
+        root = out.sum()
+        tracemalloc.reset_peak()
         root.backward()
-        backward_peak = tracemalloc.get_traced_memory()[1]
+        backward_peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # beyond the tape, the backward holds at most the copy of the output's
-    # gradient, 2 * n_hidden + 1 N x h arrays at once (each layer's rebuilt
-    # product, which becomes its xhat, a lower layer's rebuilt output, the
-    # top layer's output rebuilt for the weight's gradient and the gradient
-    # reaching a layer) and less than a quarter of one in row-block
-    # temporaries: no whole pre-activation
-    assert backward_peak < (out.data.nbytes + (2 * n_hidden + 1) * layer_bytes
+    # tape included, the backward holds at most the output and the copy of
+    # its broadcast gradient that matmul makes, 3 * n_hidden N x h arrays at
+    # once (each layer's rebuilt product, which becomes its xhat; a lower
+    # layer's rebuilt output and Gaussian CDF; the top layer's output
+    # rebuilt for the weight's gradient; the gradient reaching a layer) and
+    # less than a quarter of one in row-block temporaries: no whole
+    # pre-activation, and the top layer's CDF only a block at a time
+    assert backward_peak < (2 * out.data.nbytes + 3 * n_hidden * layer_bytes
                             + layer_bytes // 4)
     monkeypatch.undo()
     assert concatenated == []
-    assert [ref() for ref in kept] == [None] * n_hidden
     assert block.grad.shape == (n, h)
     assert all(w.grad.shape == w.data.shape for w in pair_weights)
 
@@ -645,6 +640,56 @@ def test_row_blocks_cover_rows_in_order(n):
         assert len(blocks) == 1
     else:
         assert tensor._ROW_BLOCK <= min(sizes) <= max(sizes) < 2 * tensor._ROW_BLOCK
+
+
+def _smallest_double_whose_erf_is_one():
+    # erf does not fall over the positive doubles, whose bit patterns are
+    # ordered as the values are: bisect the patterns between 1.0 and 10.0
+    from scipy.special import erf
+
+    lo, hi = (int(bits) for bits in np.array([1.0, 10.0]).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if erf(np.int64(mid).view(np.float64)) == 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return np.int64(hi).view(np.float64)
+
+
+def _gaussian_cdf_edges():
+    """Inputs where the branch-free Gaussian CDF could part from the signed
+    one: zeros, subnormals, where erf's ``|x| > 1`` branch starts once the
+    input is divided by sqrt(2), where erf reaches 1.0, and the extremes."""
+    sqrt2, one = tensor.SQRT2, _smallest_double_whose_erf_is_one()
+    edges = [0.0, 5e-324, 1e-300, 1e308, np.inf]
+    for x in (sqrt2, one, one * sqrt2):
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    edges = np.array(edges)
+    return np.concatenate([edges, -edges])
+
+
+def test_branch_free_gaussian_cdf_is_the_signed_erf_bytes():
+    # erf(|x|) with x's sign copied back is erf(x), bit for bit, zeros'
+    # signs included, so the helper writes 0.5 * (1.0 + erf(x / SQRT2))'s
+    # bytes; this fails on a scipy whose erf is not odd
+    from scipy.special import erf
+
+    rng = np.random.default_rng(23)
+    edges = _gaussian_cdf_edges()
+    scaled = [scale * rng.standard_normal(1_000_000)
+              for scale in (1e-8, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 40.0)]
+    for x in [edges] + scaled:
+        want = 0.5 * (1.0 + erf(x / tensor.SQRT2))
+        got = tensor._gaussian_cdf(x, np.empty_like(x))
+        assert got.tobytes() == want.tobytes()
+        odd = np.copysign(erf(np.abs(x)), x)
+        assert odd.tobytes() == erf(x).tobytes()
+    zeros = erf(np.array([0.0, -0.0]))
+    assert zeros.tolist() == [0.0, 0.0]
+    assert np.signbit(zeros).tolist() == [False, True]
+    assert np.signbit(np.copysign(erf(np.abs(zeros)), zeros)).tolist() == [
+        False, True]
 
 
 def test_backward_of_a_tensor_without_grad_raises():
