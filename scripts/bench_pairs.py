@@ -39,11 +39,13 @@ that moves them also rewrites its own record. ``tape`` holds, per train
 shape (``rd``, ``shapes``), one run of each tree's
 ``scripts/train_step_memory.py SHAPE 4`` with one BLAS thread, as the
 benchmark's workers run: its tape totals in MB (live after the forward,
-forward peak, backward peak) and its last-loss hex, null for a tree without
-the script, and whether the two last losses are the same bytes. ``tier1`` holds, per tree, one run of its tier-1 suite, ``python
--m pytest -q --continue-on-collection-errors --durations=10`` in the tree,
-after the pairs and the tape runs: the total seconds pytest
-reports, its summary (``507 passed``), its exit code and its 10 slowest
+forward peak, backward peak), the resident MB it reports once the timed
+``train`` returns (``resident_after_train_mb``, null from a script that does
+not print it) and its last-loss hex, null for a tree without the script,
+and whether the two last losses are the same bytes. ``tier1`` holds, per
+tree, one run of its tier-1 suite, ``python -m pytest -q
+--continue-on-collection-errors --durations=10`` in the tree, after the
+pairs and the tape runs: the total seconds pytest reports, its summary (``507 passed``), its exit code and its 10 slowest
 test phases, null for a tree without ``tests/``; a failing suite is
 recorded, not raised, and nothing gates on it. The traced per-layer rows
 are not measured (``left_out`` says why).
@@ -79,6 +81,7 @@ TAPE_STEPS = 4  # train steps of each train_step_memory.py run
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 TAPE_LINE = re.compile(r"tape live after forward ([\d.]+) MB, forward peak "
                        r"([\d.]+) MB, backward peak ([\d.]+) MB")
+RESIDENT_LINE = re.compile(r"^resident after train ([\d.]+) MB$", re.MULTILINE)
 TIER1_SLOWEST = 10  # --durations of the tier-1 run
 TIER1_SUMMARY = re.compile(r"^=* ?(.*?) in ([\d.]+)s\b.*$", re.MULTILINE)
 TIER1_DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$",
@@ -157,16 +160,21 @@ def summarize_workload(pairs, spec):
 
 
 def parse_tape(stdout):
-    """The tape totals in MB and the last-loss hex of one
+    """The tape totals in MB, the resident MB after ``train`` returns (None
+    from a script that does not print it) and the last-loss hex of one
     ``scripts/train_step_memory.py`` output."""
     totals = TAPE_LINE.search(stdout)
+    resident = RESIDENT_LINE.search(stdout)
     loss = re.search(r"^last loss (\S+)$", stdout, re.MULTILINE)
     if totals is None or loss is None:
         raise ValueError("train_step_memory.py printed no tape totals or "
                          "last loss")
     live, forward_peak, backward_peak = (float(v) for v in totals.groups())
     return {"live_mb": live, "forward_peak_mb": forward_peak,
-            "backward_peak_mb": backward_peak, "last_loss": loss.group(1)}
+            "backward_peak_mb": backward_peak,
+            "resident_after_train_mb":
+                float(resident.group(1)) if resident else None,
+            "last_loss": loss.group(1)}
 
 
 def run_tape(tree, shape):

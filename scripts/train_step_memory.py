@@ -13,7 +13,12 @@ seed 0). Per step it prints the wall time in milliseconds, split into
 it), the minor page faults the step took (the ``ru_minflt`` delta) and the
 process's peak resident set so far (``ru_maxrss``), then the last loss as
 ``float.hex``, so two source trees that compute the same numbers print the
-same last line. A step runs from the end of the previous step's EMA update
+same last line. Before that line it prints ``resident after train N MB``:
+the resident set the moment the timed ``train`` returns, read from the
+second field of ``/proc/self/statm`` (pages times the page size), which is
+the current resident set, not the peak; after ``train`` trims the free
+heap it is about the live model, optimizer and data. It is left out where
+``/proc/self/statm`` cannot be read. A step runs from the end of the previous step's EMA update
 (or the call to ``train``) to the end of its own, so its time less
 ``fwd_ms`` and ``bwd_ms`` is the optimizer and EMA updates. Only this
 process's own resource usage is read. Unless ``OPENBLAS_NUM_THREADS`` or
@@ -79,6 +84,17 @@ def shapes_shape(steps, seed):
 def usage():
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return perf_counter(), ru.ru_minflt, ru.ru_maxrss / 1024.0
+
+
+def resident_mb():
+    """This process's current resident set in MB, None where
+    ``/proc/self/statm`` cannot be read."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return None
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
 def watch_closures(root, runs):
@@ -161,6 +177,7 @@ def main(shape="rd", steps=8, seed=0):
     nn.EMA.update, Tensor.backward = marking, timing
     try:
         _, _, rows = engine.train(graphs, config)
+        resident = resident_mb()
     finally:
         nn.EMA.update, Tensor.backward = update, backward
     print("step  ms  fwd_ms  bwd_ms  minflt  maxrss_mb")
@@ -168,6 +185,8 @@ def main(shape="rd", steps=8, seed=0):
             zip(marks, marks[1:], backward_spans)):
         print(f"{k}  {1e3 * (t1 - t0):.1f}  {1e3 * (b0 - t0):.1f}  "
               f"{1e3 * (b1 - b0):.1f}  {f1 - f0}  {rss:.1f}")
+    if resident is not None:
+        print(f"resident after train {resident:.1f} MB")
     print(f"last loss {float(rows[-1][2]).hex()}")
     live, forward_peak, backward_peak, top, runs = tape_report(
         graphs[:config.batch], config)

@@ -39,7 +39,7 @@ from .graphs import (
 )
 from .interpolant import generate, interpolate, regression_target
 from .schedule import eval_schedule
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, freed_pages_kept, no_grad
 from .transport import gw_entropic, w2_exact
 
 SAMPLE_BATCH = 64  # templates integrated together as one merged state
@@ -181,7 +181,10 @@ def train(graphs, config: TrainConfig, model=None):
 
     Trains ``model`` (any module with a ``forward_core``) in place, or a
     fresh ``build_model`` when it is None. Returns (model, ema, loss_rows)
-    with loss_rows of (epoch, step, loss, lr).
+    with loss_rows of (epoch, step, loss, lr). It is the one caller of
+    ``tensor.freed_pages_kept``: its steps reuse each other's freed pages,
+    and once the loop ends, also by an exception, the free heap goes back
+    to the kernel, so what runs next starts below the loop's peak.
     """
     if not graphs:
         raise ValueError("empty dataset")
@@ -193,33 +196,34 @@ def train(graphs, config: TrainConfig, model=None):
     rng = np.random.default_rng(config.seed)
     rows = []
     step = 0
-    for epoch in range(config.epochs):
-        lr = config.lr * min(1.0, (epoch + 1) / max(config.warmup_epochs, 1))
-        opt.lr = lr
-        order = rng.permutation(len(graphs))
-        for start in range(0, len(order), config.batch):
-            batch = [graphs[i] for i in order[start:start + config.batch]]
-            parts, targets = [], []
-            for g in batch:
-                t = float(rng.uniform())
-                noise_seed = int(rng.integers(2**32))
-                z1 = _component(g, config.task)
-                z0 = rng.standard_normal(z1.shape)
-                z_t = interpolate(z0, z1, t, noise_seed)
-                targets.append(regression_target(z0, z1))
-                parts.append(_part(g, z_t, t, config.task))
-            pred = merged_forward(model, parts, cache)
-            diff = pred - Tensor(np.concatenate(targets))
-            loss = (diff * diff).mean()
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise RuntimeError(f"non-finite loss at step {step}")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            ema.update(model)
-            rows.append((epoch, step, value, lr))
-            step += 1
+    with freed_pages_kept():
+        for epoch in range(config.epochs):
+            lr = config.lr * min(1.0, (epoch + 1) / max(config.warmup_epochs, 1))
+            opt.lr = lr
+            order = rng.permutation(len(graphs))
+            for start in range(0, len(order), config.batch):
+                batch = [graphs[i] for i in order[start:start + config.batch]]
+                parts, targets = [], []
+                for g in batch:
+                    t = float(rng.uniform())
+                    noise_seed = int(rng.integers(2**32))
+                    z1 = _component(g, config.task)
+                    z0 = rng.standard_normal(z1.shape)
+                    z_t = interpolate(z0, z1, t, noise_seed)
+                    targets.append(regression_target(z0, z1))
+                    parts.append(_part(g, z_t, t, config.task))
+                pred = merged_forward(model, parts, cache)
+                diff = pred - Tensor(np.concatenate(targets))
+                loss = (diff * diff).mean()
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise RuntimeError(f"non-finite loss at step {step}")
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                ema.update(model)
+                rows.append((epoch, step, value, lr))
+                step += 1
     return model, ema, rows
 
 

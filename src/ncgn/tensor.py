@@ -31,12 +31,17 @@ gradient on, ``reshape``, ``sum`` and ``concat`` views of it), and a later
 one replaces it by the sum. A write into a gradient raises ValueError
 instead of changing another node's array.
 
-The first ``backward`` of a process also asks glibc to keep freed pages
-(``_keep_freed_pages``): arrays up to 32 MiB come from the heap instead of
-fresh mappings, and the heap is never trimmed. Otherwise every step would
-return its released graph to the kernel and fault the same pages back in
-on the next forward. Threads started afterwards share that heap (one
-arena). Processes that take no gradient keep the default allocator.
+``backward`` calls no allocator function; the allocator policy is one
+context manager, ``freed_pages_kept``, and ``engine.train`` holds it
+around its loop. Inside it glibc keeps freed pages: arrays up to 32 MiB
+come from the heap instead of fresh mappings, and the heap is not trimmed,
+so a step does not return its released graph to the kernel only to fault
+the same pages back in on the next forward. Threads started afterwards
+share that heap (one arena). When the loop ends, also by an exception, the
+free pages go back to the kernel (``malloc_trim(0)``): sampling and
+evaluation then run on the live set, not on top of the loop's free heap,
+whose chunks are too small for a W2 cost matrix. Processes that never
+train keep the default allocator.
 
 One fused op, ``mlp``, runs a whole MLP as one node: every hidden layer
 is the matmul ``x @ w``, batch normalization and GELU, then the output
@@ -198,29 +203,45 @@ class SparsePlan:
 # threshold glibc accepts on 64-bit.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
-_pages_kept = False
+_trim = None  # malloc_trim once looked up, False without it
 
 
-def _keep_freed_pages():
-    """Once per process, ask glibc to keep the pages a released graph
-    frees, so the next forward reuses them instead of faulting fresh ones
-    in, and to serve later threads (``engine.evaluate_w2``'s pool) from
-    that same heap instead of new arenas that are never trimmed either.
-    glibc applies the arena limit when a thread picks its arena, so it
-    covers threads started after this call, not those already running.
-    Does nothing without a libc that has ``mallopt``."""
-    global _pages_kept
-    if _pages_kept:
-        return
-    _pages_kept = True
+@contextlib.contextmanager
+def freed_pages_kept():
+    """Keep the pages a released graph frees while the body runs, and hand
+    the free ones back to the kernel when it ends, also when it raises.
+
+    On the first entry of a process glibc's ``mallopt`` is set to serve
+    arrays up to 32 MiB from the heap and never trim it, so each train step
+    reuses the pages the last one freed instead of faulting fresh ones in;
+    it also serves later threads (``engine.evaluate_w2``'s pool) from that
+    one heap instead of new arenas. glibc applies the arena limit when a
+    thread picks its arena, so it covers threads started after the first
+    entry, not those already running. On every exit ``malloc_trim(0)``
+    returns the heap's free pages, so what runs afterwards starts from the
+    live set, not from the train loop's high-water mark. Does nothing
+    without a libc that has both ``mallopt`` and ``malloc_trim``."""
+    global _trim
+    if _trim is None:
+        _trim = False
+        try:
+            libc = ctypes.CDLL(None)
+            mallopt, trim = libc.mallopt, libc.malloc_trim
+        except (OSError, AttributeError):
+            pass
+        else:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+            mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+            mallopt(_M_TRIM_THRESHOLD, -1)
+            mallopt(_M_ARENA_MAX, 1)
+            _trim = trim
     try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, -1)
-    mallopt(_M_ARENA_MAX, 1)
+        yield
+    finally:
+        if _trim:
+            _trim(0)
 
 
 def _released(g):
@@ -335,7 +356,6 @@ class Tensor:
             for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        _keep_freed_pages()
         root.grad = None  # a leaf root takes ones, not ones plus its last grad
         root.accum(np.ones_like(self.data))
         # consume the list so a released node has no reference left

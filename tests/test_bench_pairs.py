@@ -274,7 +274,13 @@ def test_parse_tape_reads_totals_and_last_loss():
     script = load_bench_pairs()
     assert script.parse_tape(TAPE_OUTPUT) == {
         "live_mb": 122.7, "forward_peak_mb": 131.7, "backward_peak_mb": 139.3,
-        "last_loss": "0x1.415c676155436p+0"}
+        "resident_after_train_mb": None, "last_loss": "0x1.415c676155436p+0"}
+    # a script that prints the resident set after train
+    resident = TAPE_OUTPUT.replace("last loss", "resident after train 64.1 MB\n"
+                                   "last loss")
+    assert script.parse_tape(resident) == {
+        "live_mb": 122.7, "forward_peak_mb": 131.7, "backward_peak_mb": 139.3,
+        "resident_after_train_mb": 64.1, "last_loss": "0x1.415c676155436p+0"}
     with pytest.raises(ValueError, match="no tape totals"):
         script.parse_tape("step  ms\n")
 

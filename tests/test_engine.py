@@ -166,35 +166,90 @@ def test_no_tape_outlives_a_train_step(monkeypatch):
 
 
 def fake_libc(monkeypatch, libc):
-    """Make ``ctypes.CDLL(None)`` return ``libc`` and mark this process as
-    having taken no gradient yet."""
+    """Make ``ctypes.CDLL(None)`` return ``libc`` (or raise it, for an
+    exception class) and mark this process as having trained no model yet."""
     real = ctypes.CDLL
-    monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs:
-                        libc if name is None else real(name, *args, **kwargs))
-    monkeypatch.setattr(tensor, "_pages_kept", False)
+
+    def cdll(name, *args, **kwargs):
+        if name is not None:
+            return real(name, *args, **kwargs)
+        if isinstance(libc, type):
+            raise libc("no libc")
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(tensor, "_trim", None)
 
 
-def test_freed_pages_kept_once_and_only_by_gradient_processes(monkeypatch):
+def recording_libc(calls, trim=True):
+    """A libc whose ``mallopt`` (and ``malloc_trim``, with ``trim``)
+    append their calls to ``calls``."""
+    libc = types.SimpleNamespace(
+        mallopt=lambda param, value: calls.append(("mallopt", param, value)) or 1)
+    if trim:
+        libc.malloc_trim = lambda pad: calls.append(("malloc_trim", pad)) or 1
+    return libc
+
+
+def test_freed_pages_kept_only_while_train_runs(monkeypatch):
     calls = []
+    fake_libc(monkeypatch, recording_libc(calls))
+    backward = tensor.Tensor.backward
 
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
+    def recording_backward(root):
+        calls.append("backward")
+        backward(root)
 
-    fake_libc(monkeypatch, types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(tensor.Tensor, "backward", recording_backward)
     graphs = rd_graphs(2)
     config = TrainConfig(epochs=2, batch=2, warmup_epochs=1, hdim=8, layers=1,
                          nfes=3)
-    sample(build_model(graphs[0], config), graphs, config)
+    generated = sample(build_model(graphs[0], config), graphs, config)
+    evaluate_w2(generated, graphs, "features", replicates=2, subsample=16)
     shapes = generate_shape_dataset(n_train=1, n_test=1, n_points=16, seed=0).train
     gw_study(shapes, noise_grid=(0.5,), cluster_grid=(4,), n_shapes=1, n_seeds=1,
              iters=5)
-    assert calls == [] and not tensor._pages_kept
+    a = tensor.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    (a * a).sum().backward()
+    # sampling, evaluation, the GW study and a bare backward touch no
+    # allocator function
+    assert calls == ["backward"] and tensor._trim is None
+    calls.clear()
+    for _ in range(2):
+        _, _, rows = train(graphs, config)
+        assert len(rows) == 2
+    # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off, M_ARENA_MAX 1 once
+    # per process, before the first step; the free heap trimmed once per
+    # train, after its last step
+    assert calls == [("mallopt", -3, 32 << 20), ("mallopt", -1, -1),
+                     ("mallopt", -8, 1), "backward", "backward",
+                     ("malloc_trim", 0), "backward", "backward",
+                     ("malloc_trim", 0)]
+    calls.clear()
+    sample(build_model(graphs[0], config), graphs, config)
+    assert calls == []
+    # a train that raises trims its heap too
+    monkeypatch.setattr(engine, "merged_forward", lambda model, parts, cache:
+                        tensor.Tensor(np.full((1, 1), np.nan), requires_grad=True))
+    with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
+        train(graphs, config)
+    assert calls == [("malloc_trim", 0)]
+
+
+@pytest.mark.parametrize("libc", ["without_malloc_trim", OSError])
+def test_train_without_malloc_trim_keeps_the_default_allocator(monkeypatch, libc):
+    # a libc with mallopt but not malloc_trim, or none at all: train sets
+    # nothing and computes the same losses
+    graphs = rd_graphs(2)
+    config = TrainConfig(epochs=2, batch=2, warmup_epochs=1, hdim=8, layers=1)
+    _, _, want = train(graphs, config)
+    calls = []
+    fake_libc(monkeypatch, recording_libc(calls, trim=False)
+              if libc == "without_malloc_trim" else libc)
     _, _, rows = train(graphs, config)
-    assert len(rows) == 2
-    # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off, M_ARENA_MAX 1: once
-    # per process
-    assert calls == [(-3, 32 << 20), (-1, -1), (-8, 1)]
+    assert calls == [] and tensor._trim is False
+    assert [float(loss).hex() for _, _, loss, _ in rows] == [
+        float(loss).hex() for _, _, loss, _ in want]
 
 
 def test_sample_shapes_and_determinism():
