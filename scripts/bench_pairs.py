@@ -45,9 +45,10 @@ not print it) and its last-loss hex, null for a tree without the script,
 and whether the two last losses are the same bytes. ``tier1`` holds, per
 tree, one run of its tier-1 suite, ``python -m pytest -q
 --continue-on-collection-errors --durations=10`` in the tree, after the
-pairs and the tape runs: the total seconds pytest reports, its summary (``507 passed``), its exit code and its 10 slowest
-test phases, null for a tree without ``tests/``; a failing suite is
-recorded, not raised, and nothing gates on it. The traced per-layer rows
+pairs and the tape runs: the total seconds pytest reports, its summary
+(``507 passed``), its exit code and its 10 slowest test phases, null for
+a tree without ``tests/``; a failing suite is recorded, not raised, and
+nothing gates on it. The traced per-layer rows
 are not measured (``left_out`` says why).
 ``--out`` is created if missing; a missing parent directory is refused
 before any pair runs.

@@ -18,9 +18,10 @@ the resident set the moment the timed ``train`` returns, read from the
 second field of ``/proc/self/statm`` (pages times the page size), which is
 the current resident set, not the peak; after ``train`` trims the free
 heap it is about the live model, optimizer and data. It is left out where
-``/proc/self/statm`` cannot be read. A step runs from the end of the previous step's EMA update
-(or the call to ``train``) to the end of its own, so its time less
-``fwd_ms`` and ``bwd_ms`` is the optimizer and EMA updates. Only this
+``/proc/self/statm`` cannot be read. A step runs from the end of the
+previous step's EMA update (or the call to ``train``) to the end of its
+own, so its time less ``fwd_ms`` and ``bwd_ms`` is the optimizer and EMA
+updates. Only this
 process's own resource usage is read. Unless ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` is set, it sets it to 1 before numpy loads, as the
 benchmark's workers run, so the last loss does not depend on the shell.
