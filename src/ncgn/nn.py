@@ -7,9 +7,8 @@ import re
 
 import numpy as np
 
-from .tensor import Tensor, mlp
+from .tensor import BN_EPS, Tensor, mlp  # noqa: F401 (BN_EPS is nn.BN_EPS too)
 
-BN_EPS = 1e-5  # variance floor of every batch norm
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
 ADAM_BETAS = (0.9, 0.999)  # Adam's first and second moment decay rates
 ADAM_EPS = 1e-8  # Adam's denominator floor
@@ -85,7 +84,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x) -> Tensor:
-        return mlp(_blocks(x), [], self.weight, self.bias, BN_EPS)[0]
+        return mlp(_blocks(x), [], self.weight, self.bias)[0]
 
 
 class BatchNorm(Module):
@@ -97,7 +96,8 @@ class BatchNorm(Module):
     The first training batch seeds the running statistics directly, so a
     single train step followed by eval reproduces that batch's stats;
     subsequent batches blend with momentum ``BN_MOMENTUM``. Eval mode
-    normalizes with the running statistics.
+    normalizes with the running statistics and is forward-only: a backward
+    through an MLP run in eval mode raises RuntimeError.
     """
 
     def __init__(self, channels):
@@ -151,7 +151,7 @@ class MLP(Module):
         hidden = [(lin.weight, norm.gamma, norm.beta)
                   for lin, norm in zip(self.layers, self.norms)]
         last = self.layers[-1]
-        out, moments = mlp(_blocks(x), hidden, last.weight, last.bias, BN_EPS,
+        out, moments = mlp(_blocks(x), hidden, last.weight, last.bias,
                            [norm.stats() for norm in self.norms])
         for norm, (mean, var) in zip(self.norms, moments):
             if norm.training:

@@ -50,14 +50,18 @@ Its input is given as blocks, and the first weight multiplies them block
 by block, summed in block order, so the concatenated input and the pair
 encodings are never formed. It runs the float operations of that
 block-wise per-layer chain in order, forward and backward, so every result
-is that chain's bytes, not those of concatenating the blocks first; over
-batch statistics the normalization's backward is the closed form of Ioffe
-& Szegedy (2015). It keeps the input blocks' arrays, except a block given
+is that chain's bytes, not those of concatenating the blocks first.
+Gradients are taken over batch statistics only, where the normalization's
+backward is the closed form of Ioffe & Szegedy (2015); eval mode's fixed
+running statistics are for inference, and a backward through them raises
+RuntimeError. It keeps the input blocks' arrays, except a block given
 with a function that rebuilds it, and per hidden layer only its length-C
-mean and std; its backward rebuilds such a block, re-runs each layer's
-product from the blocks and rebuilds the normalized input, the Gaussian
-CDF and every hidden output from them (recompute as in Chen et al. 2016,
-from what batch norm keeps anyway as in Rota Bulò et al. 2018). A second
+mean and std. Its backward takes one route through every hidden layer
+(recompute as in Chen et al. 2016, from what batch norm keeps anyway as
+in Rota Bulò et al. 2018): bottom-up it rebuilds such a block and re-runs
+each layer's product, keeping only the products, and top down it
+rebuilds each layer's normalized input, Gaussian CDF and output from its
+product a row block at a time. A second
 fused op, ``gated_blend``, is DMP's gate ``lam * a + (1 - lam) * b`` with
 ``lam`` the sigmoid of its logits: one node that keeps only ``lam``, with
 the bytes of the chain of primitive ops it replaces, and a function that
@@ -100,6 +104,7 @@ SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LEAKY_SLOPE = 0.2  # conventional GAT negative slope
+BN_EPS = 1e-5  # variance floor of every batch norm
 
 
 def _unbroadcast(grad, shape):
@@ -559,32 +564,29 @@ def _column_sum(a, b=None, scale=None):
     return prod.sum(axis=0) if b is None else (prod * b).sum(axis=0)
 
 
-def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node,
-                        batch_stats):
+def _normalize_backward(g, xhat, std, gamma, gamma_node, beta_node):
     """Push the gradient ``g`` of ``xhat * gamma + beta`` onto the nodes of
     ``gamma`` (the array) and ``beta`` (None for no grad) and return the
-    gradient of the normalized input, written into ``g``. Over batch
-    statistics it is the closed form ``(gg - mean(gg) - xhat * mean(gg *
-    xhat)) / std`` with ``gg = g * gamma``, whose means scale ``g`` by
-    ``gamma`` as they sum it; with fixed statistics it is ``gg / std``. Its
-    elementwise steps run one row block at a time."""
+    gradient of the layer's product, written into ``g``: over the batch
+    statistics ``xhat`` was normalized with, the closed form ``(gg -
+    mean(gg) - xhat * mean(gg * xhat)) / std`` with ``gg = g * gamma``,
+    whose means scale ``g`` by ``gamma`` as they sum it. Its elementwise
+    steps run one row block at a time."""
     if gamma_node is not None:
         gamma_node.accum(_column_sum(g, xhat))
     if beta_node is not None:
         beta_node.accum(_column_sum(g))
-    if batch_stats:
-        inv_n = 1.0 / g.shape[0]
-        mean_gg = _column_sum(g, scale=gamma) * inv_n
-        mean_prod = _column_sum(g, xhat, gamma) * inv_n
+    inv_n = 1.0 / g.shape[0]
+    mean_gg = _column_sum(g, scale=gamma) * inv_n
+    mean_prod = _column_sum(g, xhat, gamma) * inv_n
     blocks = _row_blocks(g.shape[0])
     scratch, = _block_scratch(blocks, g.shape[1], 1)
     for rows in blocks:
         gg = g[rows]
         gg *= gamma
-        if batch_stats:
-            gg -= mean_gg
-            gg -= np.multiply(xhat[rows], mean_prod,
-                              out=scratch[:rows.stop - rows.start])
+        gg -= mean_gg
+        gg -= np.multiply(xhat[rows], mean_prod,
+                          out=scratch[:rows.stop - rows.start])
         gg /= std
     return g
 
@@ -623,23 +625,36 @@ def _gaussian_cdf(pre, out):
     return out
 
 
-def _hidden_forward(parts, w, gamma, beta, eps, stats):
+def _activate(x, std, gamma, beta):
+    """Overwrite ``x``, a hidden layer's product less its mean, with the
+    layer's output and return it: the GELU of the pre-activation ``x / std
+    * gamma + beta``, the pre-activation times its Gaussian CDF
+    (``_gaussian_cdf``). Each row block writes its CDF into one block of
+    scratch, so no N-row pre-activation or CDF is made."""
+    blocks = _row_blocks(x.shape[0])
+    cdf_scratch, = _block_scratch(blocks, x.shape[1], 1)
+    for rows in blocks:
+        pre = x[rows]
+        pre /= std
+        pre *= gamma
+        pre += beta
+        pre *= _gaussian_cdf(pre, cdf_scratch[:rows.stop - rows.start])
+    return x
+
+
+def _hidden_forward(parts, w, gamma, beta, stats):
     """One MLP hidden layer on arrays, over the input blocks ``parts``:
     ``(out, std, mean, var)``. The product ``h = _blocks_product(parts,
-    w)`` is normalized, ``xhat = (h - mean) / std``, over its rows with
-    their mean and biased variance, or with ``stats``, a ``(mean, var)``
-    pair of length-C arrays, when given (``mean`` is then a copy, as running
-    statistics change in place); ``std`` has length C. ``out`` is the GELU
-    of the pre-activation ``xhat * gamma + beta``, the pre-activation times
-    its Gaussian CDF, which each row block writes into one block of scratch
-    (``_gaussian_cdf``), so no N-row CDF is made. The statistics are
-    whole-array column sums; the elementwise steps run one row block at a
-    time, in ``h``'s array, which ends up holding ``out``."""
+    w)`` is normalized, ``xhat = (h - mean) / std`` with ``std = (var +
+    BN_EPS) ** 0.5``, over its rows with their mean and biased variance, or
+    with ``stats``, a ``(mean, var)`` pair of length-C arrays, when given;
+    ``out`` is its GELU (``_activate``). The statistics are whole-array
+    column sums; ``h``'s array, less its mean, ends up holding ``out``."""
     h = _blocks_product(parts, w)
     if stats is not None:
-        mean, var = np.array(stats[0], dtype=np.float64), stats[1]
+        mean, var = stats
         h -= mean
-        std = np.sqrt(var + eps)
+        std = np.sqrt(var + BN_EPS)
     else:
         if h.shape[0] < 1:
             raise ValueError("batch norm needs at least one row in train mode")
@@ -647,58 +662,29 @@ def _hidden_forward(parts, w, gamma, beta, eps, stats):
         mean = _column_sum(h) * inv_n
         h -= mean
         var = _column_sum(h, h) * inv_n
-        std = (var + eps) ** 0.5
-    blocks = _row_blocks(h.shape[0])
-    cdf_scratch, = _block_scratch(blocks, h.shape[1], 1)
+        std = (var + BN_EPS) ** 0.5
+    return _activate(h, std, gamma, beta), std, mean, var
+
+
+def _gelu_backward(g, h, mean, std, gamma, beta):
+    """Multiply ``g``, the gradient of a hidden layer's output, in place by
+    GELU's derivative ``phi + pre * pdf`` and return the output ``pre *
+    phi``. ``h`` is the layer's product: each row block first normalizes it
+    in place into ``xhat = (h - mean) / std``, then rebuilds the
+    pre-activation ``pre = xhat * gamma + beta`` in the output's rows and
+    its Gaussian CDF ``phi`` (``_gaussian_cdf``) in a block of scratch, with
+    the forward's float operations, so no N-row pre-activation or CDF is
+    made."""
+    out = np.empty_like(g)
+    blocks = _row_blocks(g.shape[0])
+    dpre_scratch, cdf_scratch = _block_scratch(blocks, g.shape[1], 2)
     for rows in blocks:
-        pre = h[rows]
-        pre /= std
-        pre *= gamma
-        pre += beta
-        pre *= _gaussian_cdf(pre, cdf_scratch[:rows.stop - rows.start])
-    return h, std, mean, var
-
-
-def _hidden_output(h, mean, std, gamma, beta):
-    """``(out, phi)``: the output ``(xhat * gamma + beta) * phi`` of a hidden
-    layer whose product is ``h``, and ``phi``, the Gaussian CDF of its
-    pre-activation, rebuilt from ``h`` with the forward's float operations
-    one row block at a time; ``h`` holds ``xhat = (h - mean) / std``
-    afterwards."""
-    out, phi = np.empty_like(h), np.empty_like(h)
-    for rows in _row_blocks(h.shape[0]):
-        xhat = h[rows]
+        xhat, m = h[rows], rows.stop - rows.start
         xhat -= mean
         xhat /= std
         pre = np.multiply(xhat, gamma, out=out[rows])
         pre += beta
-        pre *= _gaussian_cdf(pre, phi[rows])
-    return out, phi
-
-
-def _gelu_backward(g, xhat, phi, gamma, beta, keep_output, stats=None):
-    """Multiply ``g``, the gradient of a hidden layer's output, in place by
-    GELU's derivative ``phi + pre * pdf`` at the pre-activation ``pre =
-    xhat * gamma + beta``, rebuilt one row block at a time; return the
-    output ``pre * phi`` it rebuilds on the way, or None for
-    ``keep_output=False``. ``phi`` is the pre-activation's Gaussian CDF, or
-    None to rebuild it block by block from ``pre`` (``_gaussian_cdf``). With
-    ``stats``, a ``(mean, std)`` pair, ``xhat`` is the layer's product,
-    which each block first normalizes in place, ``(xhat - mean) / std``."""
-    out = np.empty_like(g) if keep_output else None
-    blocks = _row_blocks(g.shape[0])
-    pre_scratch, dpre_scratch, cdf_scratch = _block_scratch(
-        blocks, g.shape[1], 3)
-    for rows in blocks:
-        x, m = xhat[rows], rows.stop - rows.start
-        if stats is not None:
-            x -= stats[0]
-            x /= stats[1]
-        pre = np.multiply(x, gamma, out=pre_scratch[:m])
-        pre += beta
-        cdf = _gaussian_cdf(pre, cdf_scratch[:m]) if phi is None else phi[rows]
-        if out is not None:
-            np.multiply(pre, cdf, out=out[rows])
+        cdf = _gaussian_cdf(pre, cdf_scratch[:m])
         dpre = np.square(pre, out=dpre_scratch[:m])
         dpre *= -0.5
         np.exp(dpre, out=dpre)
@@ -706,14 +692,20 @@ def _gelu_backward(g, xhat, phi, gamma, beta, keep_output, stats=None):
         dpre *= pre
         dpre += cdf
         g[rows] *= dpre
+        pre *= cdf
     return out
 
 
-def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
-        stats=None):
+def _eval_mode_backward(g):
+    raise RuntimeError("backward() through an MLP run in eval mode: its batch "
+                       "norms used fixed running statistics, which are for "
+                       "inference only; call train() and run the forward again")
+
+
+def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     """A whole MLP as one node: one hidden layer per ``(w, gamma, beta)``
     triple of ``hidden``, the GELU of the batch normalization ``(x @ w -
-    mean) / (var + eps) ** 0.5 * gamma + beta``, then the output linear
+    mean) / (var + BN_EPS) ** 0.5 * gamma + beta``, then the output linear
     ``x @ weight + bias`` (``x @ weight`` for ``bias=None``). Returns
     ``(out, moments)``, ``moments`` holding each hidden layer's ``(mean,
     var)`` as length-C arrays.
@@ -729,7 +721,10 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     block, so gradients reach the graph in the same order. ``stats`` gives
     each hidden layer's normalization statistics: None (or a None entry)
     normalizes over the batch's rows, a ``(mean, var)`` pair of length-C
-    arrays uses those (eval mode with running statistics).
+    arrays uses those (eval mode with running statistics). Eval mode is
+    forward-only: a backward through a node that used fixed statistics
+    raises RuntimeError, since gradients are taken over batch statistics
+    only (Ioffe & Szegedy 2015).
 
     The first weight W (the first hidden layer's, or ``weight`` with no
     hidden layer) multiplies the input block by block: ``x @ W[rows]`` for
@@ -747,18 +742,17 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     ``std``: no ``xhat``, no Gaussian CDF and no hidden output. Its
     backward rebuilds them from the blocks with the forward's float
     operations (recompute as in Chen et al. 2016), so they are the
-    forward's bytes, and builds each layer's CDF once. It first re-runs
-    each hidden layer's product, bottom-up; a layer below the top also
-    normalizes its product into ``xhat`` and rebuilds its CDF and output,
-    the next product's input, keeping the CDF for its GELU derivative and
-    the output for the next weight's gradient. Then, top down, the pass that
-    applies GELU's derivative rebuilds the pre-activation ``xhat * gamma +
-    beta`` one row block at a time, so no whole pre-activation is built;
-    for the top layer that pass also normalizes the product and rebuilds
-    the CDF, a block at a time, and the output. Every elementwise step runs
-    over row blocks (``_row_blocks``) and every column sum is
-    ``_column_sum``, rows added in order: neither moves a byte of the
-    results.
+    forward's bytes, and every hidden layer takes one route. Bottom-up it
+    re-runs each layer's product and keeps only the product; a lower
+    layer's output, the next product's input, is rebuilt by the forward's
+    kernel (``_activate``) and lives only while that product is made. Then,
+    top down, ``_gelu_backward`` normalizes each product into ``xhat`` and
+    rebuilds the layer's Gaussian CDF and output a row block at a time, for
+    GELU's derivative and the weight above's gradient. So a layer below the
+    top builds its CDF twice in the backward, and no layer keeps one. Every
+    elementwise step runs over row blocks (``_row_blocks``) and every
+    column sum is ``_column_sum``, rows added in order: neither moves a
+    byte of the results.
     """
     parts, block_nodes, rebuilds, start = [], [], [], 0
     for b in blocks:
@@ -778,22 +772,27 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
     if start != first.data.shape[0]:
         raise ValueError(f"mlp input blocks are {start} columns wide, the "
                          f"first weight has {first.data.shape[0]} rows")
-    inputs, saved, moments = parts, [], []
+    inputs, saved, moments, fixed = parts, [], [], False
     for k, (w, gamma, beta) in enumerate(hidden):
         layer_stats = None if stats is None else stats[k]
+        fixed = fixed or layer_stats is not None
         x, std, mean, var = _hidden_forward(
-            inputs, w.data, gamma.data, beta.data, eps, layer_stats)
+            inputs, w.data, gamma.data, beta.data, layer_stats)
         inputs = [(x, None, slice(None))]
-        saved.append((mean, std, layer_stats is None))
+        saved.append((mean, std))
         moments.append((mean, var))
     out_data = _blocks_product(inputs, weight.data)
     if bias is not None:
         out_data += bias.data
+    bias_node = None if bias is None else bias._node
+    parents = block_nodes + [t._node for triple in hidden for t in triple]
+    parents += [weight._node, bias_node]
+    if fixed:
+        return _result(out_data, parents, _eval_mode_backward), moments
 
     layers = [(w.data, w._node) for w, _, _ in hidden] + [(weight.data, weight._node)]
     norms = [(gamma.data, beta.data, gamma._node, beta._node)
              for _, gamma, beta in hidden]
-    bias_node = None if bias is None else bias._node
     # a rebuilt block's array is not kept
     kept = [(a if rebuild is None else None, v, rows)
             for (a, v, rows), rebuild in zip(parts, rebuilds)]
@@ -803,44 +802,30 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
             bias_node.accum(_column_sum(g))
         parts = [(a if rebuild is None else rebuild(), v, rows)
                  for (a, v, rows), rebuild in zip(kept, rebuilds)]
-        # each hidden layer's product, bottom-up; below the top layer,
-        # _hidden_output normalizes it into xhat and rebuilds the output,
-        # the next product's input, kept for the next weight's gradient,
-        # and the CDF, kept for the layer's GELU derivative
-        products, outputs, cdfs, below = [], [], [], parts
-        for k, (mean, std, _) in enumerate(saved):
+        # each hidden layer's product, bottom-up; a lower layer's output is
+        # the next product's input and is dropped once that product is made
+        products, below = [], parts
+        for k, (mean, std) in enumerate(saved):
             products.append(_blocks_product(below, layers[k][0]))
             if k + 1 < len(saved):
-                gamma, beta = norms[k][:2]
-                output, cdf = _hidden_output(products[k], mean, std, gamma,
-                                             beta)
-                outputs.append(output)
-                cdfs.append(cdf)
-                below = [(output, None, slice(None))]
-                del output, cdf
+                below = [(_activate(products[k] - mean, std, *norms[k][:2]),
+                          None, slice(None))]
         del below
         dh = g
         for j in range(len(norms), 0, -1):
             # through the weight onto hidden output j - 1, then through that
-            # layer's GELU (whose pass normalizes the top layer's product
-            # into xhat and rebuilds its CDF, and its output for the
-            # weight's gradient) and its batch norm
+            # layer's GELU (whose pass normalizes the product into xhat and
+            # rebuilds the output for the weight's gradient) and batch norm
             w, w_node = layers[j]
-            mean, std, batch_stats = saved[j - 1]
+            mean, std = saved[j - 1]
             gamma, beta, gamma_node, beta_node = norms[j - 1]
             xhat = products.pop()
             d = dh @ w.T
-            top = j == len(norms)
-            x = _gelu_backward(d, xhat, None if top else cdfs.pop(), gamma,
-                               beta, top and w_node is not None,
-                               (mean, std) if top else None)
-            if not top:
-                x = outputs.pop()
+            x = _gelu_backward(d, xhat, mean, std, gamma, beta)
             if w_node is not None:
                 w_node.accum(x.T @ dh)
             del x
-            dh = _normalize_backward(d, xhat, std, gamma, gamma_node, beta_node,
-                                     batch_stats)
+            dh = _normalize_backward(d, xhat, std, gamma, gamma_node, beta_node)
             del xhat
         w, w_node = layers[0]
         # the input blocks: a pair reads dh only through s = array.T @ dh,
@@ -855,8 +840,7 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, eps: float,
         if w_node is not None:
             w_node.accum(dw)
 
-    parents = block_nodes + [t._node for triple in hidden for t in triple]
-    return _result(out_data, parents + [weight._node, bias_node], bwd), moments
+    return _result(out_data, parents, bwd), moments
 
 
 def gated_blend(logits: Tensor, a: Tensor, b: Tensor):

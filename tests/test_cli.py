@@ -498,12 +498,6 @@ def test_bad_dataset_counts_exit_one(tmp_path, capsys, command, counts):
     assert not (tmp_path / "config.resolved").exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
-def test_negative_seed_exits_one_naming_the_key(tmp_path, capsys, command):
-    # numpy rejects a negative seed without naming the key
-    assert_rejected(tmp_path / "out", capsys, command, "seed", "-1")
-
-
 def test_negative_n_samples_exits_one_naming_the_key(tmp_path, capsys):
     # n_samples=0 samples each test graph once; below 0 means nothing
     assert_rejected(tmp_path / "out", capsys, "sample", "n_samples", "-1")

@@ -107,19 +107,18 @@ def normalize(h, eps, stats):
     return centered / std, std, mu.ravel(), var.ravel()
 
 
-def normalize_backward(g, xhat, std, gamma, batch_stats):
+def normalize_backward(g, xhat, std, gamma):
     """``(dx, dgamma, dbeta)`` for the gradient ``g`` of ``xhat * gamma +
-    beta``, as whole-array numpy ops: over batch statistics the closed form
+    beta`` over batch statistics, as whole-array numpy ops: the closed form
     ``(gg - mean(gg) - xhat * mean(gg * xhat)) / std`` with ``gg = g *
-    gamma``, with fixed statistics ``gg / std``."""
+    gamma``."""
     dgamma, dbeta = (g * xhat).sum(axis=0), g.sum(axis=0)
     gg = g * gamma
-    if batch_stats:
-        inv_n = 1.0 / g.shape[0]
-        mean_gg = gg.sum(axis=0) * inv_n
-        prod = xhat * ((gg * xhat).sum(axis=0) * inv_n)
-        gg -= mean_gg
-        gg -= prod
+    inv_n = 1.0 / g.shape[0]
+    mean_gg = gg.sum(axis=0) * inv_n
+    prod = xhat * ((gg * xhat).sum(axis=0) * inv_n)
+    gg -= mean_gg
+    gg -= prod
     gg /= std
     return gg, dgamma, dbeta
 
@@ -129,13 +128,16 @@ def batch_norm(x, gamma, beta, eps, stats=None):
     of the N x C ``x`` as one node, with the float operations of
     ``tensor.mlp``'s hidden layers: the reference ``chain`` uses. The
     statistics are those of ``x``'s rows, or ``stats``, a ``(mean, var)``
-    pair of length-C arrays. Returns (output, mean, var)."""
+    pair of length-C arrays; with ``stats`` it is forward-only, as eval mode
+    is, and its backward raises. Returns (output, mean, var)."""
     xhat, std, mean, var = normalize(x.data, eps, stats)
     nodes = (x._node, gamma._node, beta._node)
 
     def bwd(g):
-        for node, grad in zip(nodes, normalize_backward(g, xhat, std, gamma.data,
-                                                        stats is None)):
+        if stats is not None:
+            raise RuntimeError("the reference batch norm over fixed "
+                               "statistics is forward-only")
+        for node, grad in zip(nodes, normalize_backward(g, xhat, std, gamma.data)):
             if node is not None:
                 node.accum(grad)
 
@@ -238,13 +240,20 @@ def _mlp_inputs(rng, n, widths):
             rng.standard_normal((n, widths[-1])))
 
 
-def _mlp_results(build, x0, hidden0, weight0, bias0, upstream):
-    """Output and the gradients of ``x`` and every parameter of ``build(x,
-    hidden, weight, bias)`` as bytes."""
+def _mlp_leaves(x0, hidden0, weight0, bias0):
+    """``(x, hidden, weight, bias)`` as leaves that require grad, copied from
+    the arrays."""
     x, weight, bias = (Tensor(a.copy(), requires_grad=True)
                        for a in (x0, weight0, bias0))
     hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
               for triple in hidden0]
+    return x, hidden, weight, bias
+
+
+def _mlp_results(build, x0, hidden0, weight0, bias0, upstream):
+    """Output and the gradients of ``x`` and every parameter of ``build(x,
+    hidden, weight, bias)`` as bytes."""
+    x, hidden, weight, bias = _mlp_leaves(x0, hidden0, weight0, bias0)
     out = build(x, hidden, weight, bias)
     (out * upstream).sum().backward()
     tensors = [x] + [t for triple in hidden for t in triple] + [weight, bias]
@@ -261,7 +270,7 @@ def chain(x, hidden, weight, bias, stats=None):
 
 
 def _fused(stats=None):
-    return lambda x, hidden, w, b: mlp([x], hidden, w, b, nn.BN_EPS, stats)[0]
+    return lambda x, hidden, w, b: mlp([x], hidden, w, b, stats)[0]
 
 
 def test_hidden_layer_train_mode_matches_chain_bytes():
@@ -284,6 +293,8 @@ def test_hidden_layer_train_mode_matches_chain_bytes():
 
 
 def test_hidden_layer_eval_mode_matches_composed_bytes():
+    # eval mode is forward-only: the output's bytes, and a backward that
+    # raises naming eval mode
     rng = np.random.default_rng(8)
     # one row block, two uneven ones
     for n, widths in itertools.product((500, 3001), ([16, 32, 8], [16, 32, 24, 8])):
@@ -298,10 +309,14 @@ def test_hidden_layer_eval_mode_matches_composed_bytes():
                      + beta).gelu()
             return x @ weight + bias
 
-        fused = _mlp_results(_fused(stats), *arrays, upstream)
-        assert fused == _mlp_results(composed, *arrays, upstream)
-        assert fused == _mlp_results(
-            lambda *args: chain(*args, stats=stats), *arrays, upstream)
+        fused, *references = (
+            build(*_mlp_leaves(*arrays))
+            for build in (_fused(stats), composed,
+                          lambda *args: chain(*args, stats=stats)))
+        assert all(ref.data.tobytes() == fused.data.tobytes()
+                   for ref in references)
+        with pytest.raises(RuntimeError, match="eval mode"):
+            (fused * upstream).sum().backward()
 
 
 def blockwise(blocks, weight):
@@ -326,7 +341,9 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
     # for byte, forward and every gradient, with two hidden layers and with
     # none (the output linear's product is then the blockwise one); the
     # concat([pair, rel @ w_rel, dist @ w_dist]) chain sums in another order
-    # and agrees to rounding
+    # and agrees to rounding. Eval mode is forward-only: with hidden layers
+    # the output alone is compared, and the fused backward raises naming
+    # eval mode
     rng = np.random.default_rng(12)
     h = 8
     # one row block, two uneven ones
@@ -346,7 +363,7 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
                       for triple in hidden0]
             blocks = [pair, (rel, w_rel), (dist, w_dist)]
             if build == "fused":
-                out = mlp(blocks, hidden, weight, bias, nn.BN_EPS, stats)[0]
+                out = mlp(blocks, hidden, weight, bias, stats)[0]
             elif build == "concat":
                 out = chain(concat([pair, Tensor(rel) @ w_rel, Tensor(dist) @ w_dist]),
                             hidden, weight, bias, stats)
@@ -357,6 +374,12 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
                             None if stats is None else stats[1:])
             else:
                 out = blockwise(blocks, weight) + bias
+            if eval_mode and hidden:
+                results.append([out.data])
+                if build == "fused":
+                    with pytest.raises(RuntimeError, match="eval mode"):
+                        (out * upstream).sum().backward()
+                continue
             (out * upstream).sum().backward()
             tensors = [pair, w_rel, w_dist, weight, bias] + [t for triple in hidden
                                                              for t in triple]
@@ -385,7 +408,7 @@ def test_hidden_layer_finite_difference_with_constant_channel():
 
     def loss():
         out = mlp([x, (pair, pair_weight)], [(w, gamma, beta), (w1, gamma1, beta1)],
-                  weight, bias, nn.BN_EPS)[0]
+                  weight, bias)[0]
         return (out * upstream).sum()
 
     loss().backward()
@@ -460,6 +483,26 @@ def test_mlp_runs_as_one_node():
         out = net([x, (rng.standard_normal((5, 3)), pair_weight)])
         assert out._node.parents == tuple(
             t._node for t in [x, pair_weight] + params)
+
+
+def test_eval_mode_mlp_is_forward_only():
+    # running statistics are for inference: a backward through them raises
+    # naming eval mode before any leaf takes a gradient, and the same
+    # backward after train() takes one
+    rng = np.random.default_rng(15)
+    net = nn.MLP([4, 8, 8, 2], rng)
+    x = Tensor(rng.standard_normal((20, 4)), requires_grad=True)
+    net(x)  # seeds the running statistics
+    net.eval()
+    out = net(x)
+    assert out.data.shape == (20, 2)
+    with pytest.raises(RuntimeError, match="eval mode"):
+        out.sum().backward()
+    assert x.grad is None and all(p.grad is None for p in net.parameters())
+    net.train()
+    net(x).sum().backward()
+    assert x.grad.shape == x.data.shape
+    assert all(p.grad.shape == p.data.shape for p in net.parameters())
 
 
 def test_batch_norm_rejects_empty():

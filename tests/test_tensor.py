@@ -211,13 +211,13 @@ def test_backward_releases_each_node_of_the_graph():
 def linear(x, weight, bias):
     """``x @ weight + bias`` as ``mlp`` runs it for an MLP with no hidden
     layers (``nn.Linear``)."""
-    return mlp([x], [], weight, bias, 1e-5)[0]
+    return mlp([x], [], weight, bias)[0]
 
 
 def _hidden(x, weight):
     gamma, beta, out_weight = (Tensor(v, requires_grad=True)
                                for v in (np.ones(3), np.zeros(3), np.eye(3)))
-    return mlp([x], [(weight, gamma, beta)], out_weight, None, 1e-5)[0]
+    return mlp([x], [(weight, gamma, beta)], out_weight, None)[0]
 
 
 # op name -> (op on two 3 x 3 leaves, whether it keeps the first one's array)
@@ -286,14 +286,14 @@ def test_mlp_keeps_no_n_row_array_per_hidden_layer(monkeypatch, n_hidden):
                     for shape in ((d_in, h), (h,), (h,)))
               for d_in in (3 * h, h)[:n_hidden]]
     weight = Tensor(rng.standard_normal((h, 2)), requires_grad=True)
-    mlp([block] + pairs, hidden, weight, None, 1e-5)  # imports scipy.special
+    mlp([block] + pairs, hidden, weight, None)  # imports scipy.special
     monkeypatch.setattr(tensor, "_hidden_forward", recording_forward)
     monkeypatch.setattr(np, "concatenate", recording_concatenate)
     layer_bytes = n * h * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out, _ = mlp([block] + pairs, hidden, weight, None, 1e-5)
+        out, _ = mlp([block] + pairs, hidden, weight, None)
         live = tracemalloc.get_traced_memory()[0] - start
         assert len(dropped) == n_hidden
         assert [ref() for ref in dropped] == [None] * n_hidden
@@ -308,13 +308,14 @@ def test_mlp_keeps_no_n_row_array_per_hidden_layer(monkeypatch, n_hidden):
     finally:
         tracemalloc.stop()
     # tape included, the backward holds at most the output and the copy of
-    # its broadcast gradient that matmul makes, 3 * n_hidden N x h arrays at
-    # once (each layer's rebuilt product, which becomes its xhat; a lower
-    # layer's rebuilt output and Gaussian CDF; the top layer's output
-    # rebuilt for the weight's gradient; the gradient reaching a layer) and
-    # less than a quarter of one in row-block temporaries: no whole
-    # pre-activation, and the top layer's CDF only a block at a time
-    assert backward_peak < (2 * out.data.nbytes + 3 * n_hidden * layer_bytes
+    # its broadcast gradient that matmul makes, n_hidden + 2 N x h arrays at
+    # once (each layer's rebuilt product, which becomes its xhat; the
+    # gradient reaching a layer; that layer's output, rebuilt for the
+    # weight's gradient, or on the way up a lower layer's output, the next
+    # product's input) and less than a quarter of one in row-block
+    # temporaries: no whole pre-activation, and every Gaussian CDF only a
+    # block at a time
+    assert backward_peak < (2 * out.data.nbytes + (n_hidden + 2) * layer_bytes
                             + layer_bytes // 4)
     monkeypatch.undo()
     assert concatenated == []
@@ -322,34 +323,14 @@ def test_mlp_keeps_no_n_row_array_per_hidden_layer(monkeypatch, n_hidden):
     assert all(w.grad.shape == w.data.shape for w in pair_weights)
 
 
-def test_mlp_with_fixed_statistics_keeps_its_own_mean():
-    # eval-mode statistics are running arrays that change in place; the
-    # backward rebuilds xhat from the mean the forward used
-    rng = np.random.default_rng(13)
-    n, h = 3001, 8
-    x0, w0, gamma0, beta0, out_w0 = (rng.standard_normal(shape) for shape in
-                                     ((n, 4), (4, h), (h,), (h,), (h, 3)))
-    upstream = rng.standard_normal((n, 3))
-    mean0, var0 = rng.standard_normal(h), rng.uniform(0.5, 2.0, h)
-    grads = []
-    for moved in (False, True):
-        stats = [(mean0.copy(), var0.copy())]
-        x, w, gamma, beta, out_w = (Tensor(a.copy(), requires_grad=True)
-                                    for a in (x0, w0, gamma0, beta0, out_w0))
-        out, _ = mlp([x], [(w, gamma, beta)], out_w, None, 1e-5, stats)
-        if moved:
-            stats[0][0][:] += 1.0
-        (out * upstream).sum().backward()
-        grads.append([t.grad.tobytes() for t in (x, w, gamma, beta, out_w)])
-    assert grads[0] == grads[1]
-
-
 @pytest.mark.parametrize("n, n_hidden, eval_mode",
                          itertools.product((300, 3001), (1, 2), (False, True)))
 def test_mlp_rebuilt_block_matches_the_tensor_block_bytes(n, n_hidden, eval_mode):
     # a (tensor, rebuild) block gives the output and every gradient of the
     # same block given as the tensor, byte for byte, and the node keeps no
-    # array of it: the block's array dies with the forward
+    # array of it: the block's array dies with the forward. Eval mode is
+    # forward-only: its output bytes match, its node keeps no array at all
+    # and its backward raises
     rng = np.random.default_rng(16)
     h = 8
     base0, pair_weight0 = rng.standard_normal((n, h)), rng.standard_normal((2, h))
@@ -370,14 +351,18 @@ def test_mlp_rebuilt_block_matches_the_tensor_block_bytes(n, n_hidden, eval_mode
         x = base * 2.0  # an interior tensor, whose array only x holds
         block = (x, lambda: base.data * 2.0) if rebuilt else x
         value = weakref.ref(x.data)
-        out, _ = mlp([block, (pair, pair_weight)], hidden, weight, bias, 1e-5,
-                     stats)
+        out, _ = mlp([block, (pair, pair_weight)], hidden, weight, bias, stats)
         del x, block
-        assert (value() is None) == rebuilt
+        assert (value() is None) == (rebuilt or eval_mode)
+        results.append([out.data.tobytes()])
+        if eval_mode:
+            with pytest.raises(RuntimeError, match="eval mode"):
+                (out * upstream).sum().backward()
+            continue
         (out * upstream).sum().backward()
         tensors = [base, pair_weight, weight, bias] + [t for triple in hidden
                                                        for t in triple]
-        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in tensors])
+        results[-1] += [t.grad.tobytes() for t in tensors]
     assert results[0] == results[1]
 
 
@@ -395,11 +380,11 @@ def test_rebuild_runs_once_per_backward_and_never_without_grad():
         rng.standard_normal((4, 6)), np.ones(6), np.zeros(6)))]
     weight = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
     with no_grad():
-        out, _ = mlp([(x, rebuild)], hidden, weight, None, 1e-5)
+        out, _ = mlp([(x, rebuild)], hidden, weight, None)
     assert out._node is None and calls == []
     for step in range(2):
         x.grad = None
-        out, _ = mlp([(x, rebuild)], hidden, weight, None, 1e-5)
+        out, _ = mlp([(x, rebuild)], hidden, weight, None)
         assert len(calls) == step
         out.sum().backward()
         assert len(calls) == step + 1
@@ -449,7 +434,7 @@ def _op_leaves_and_output(name, rng):
         leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
                   for shape in ((n, 4), (4, 8), (8,), (8,), (8, 3), (3,))]
         x, w, gamma, beta, weight, bias = leaves
-        return leaves, mlp([x], [(w, gamma, beta)], weight, bias, 1e-5)[0]
+        return leaves, mlp([x], [(w, gamma, beta)], weight, bias)[0]
     if name == "gated_blend":
         leaves = [Tensor(rng.standard_normal((n, 5)), requires_grad=True)
                   for _ in range(3)]
