@@ -85,7 +85,8 @@ DEFAULTS = {
 }
 
 # each key's domain: choices, float (positive, finite) or an integer minimum
-# (n_samples=0 samples each test graph once); free-text keys have none
+# (n_samples=0 samples each test graph once); free-text keys have none, and
+# take any text that config.resolved reads back: none with '#' or a line break
 DOMAINS = {
     "task": ("features", "positions"),
     "method": METHODS,
@@ -108,8 +109,9 @@ def check(key, value):
     ConfigError naming the key, the domain and the value."""
     domain = DOMAINS.get(key)
     if domain is None:
-        return value
-    if isinstance(domain, tuple):
+        ok = not set("#\n\r") & set(value)
+        expected = "text without '#' or a line break"
+    elif isinstance(domain, tuple):
         ok, expected = value in domain, "one of " + ", ".join(map(repr, domain))
     elif domain is float:
         ok, expected = 0 < value < float("inf"), "a positive finite number"

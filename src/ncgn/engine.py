@@ -39,7 +39,7 @@ from .graphs import (
 )
 from .interpolant import generate, interpolate, regression_target
 from .schedule import eval_schedule
-from .tensor import Tensor, freed_pages_kept, no_grad
+from .tensor import Tensor, freed_pages_kept
 from .transport import gw_entropic, w2_exact
 
 SAMPLE_BATCH = 64  # templates integrated together as one merged state
@@ -246,16 +246,15 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask_task="",
     state and go to ``generate``, which clamps the known channels onto the
     cfm path. Masks condition the features task only: ``check_mask_task``
     raises for another task. ``seed`` seeds each chunk's prior draw ``z0``.
-    The model is in eval mode while sampling and back in train mode
-    afterwards, also when sampling raises.
+    The chunks run inside ``nn.inference()``: no graph is recorded, and
+    every MLP normalizes with its running statistics.
     """
     check_mask_task(config.task, mask_task)
     cache = StructureCache(config)
     rng = np.random.default_rng(seed)
     odim = model.odim
     out = []
-    model.eval()
-    try:
+    with nn.inference():
         for start in range(0, len(templates), SAMPLE_BATCH):
             chunk = templates[start:start + SAMPLE_BATCH]
             bounds = np.cumsum([0] + [g.n_nodes for g in chunk])
@@ -268,8 +267,7 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask_task="",
             def field(z, t):
                 parts = [_part(g, z[lo:hi], t, config.task)
                          for g, (lo, hi) in zip(chunk, spans)]
-                with no_grad():
-                    return merged_forward(model, parts, cache).data
+                return merged_forward(model, parts, cache).data
 
             # nothing reads this draw; dropping it would change every later
             # chunk's z0, and so the samples of any run over several chunks
@@ -278,8 +276,6 @@ def sample(model: DmpModel, templates, config: TrainConfig, mask_task="",
             out.extend(GeometricGraph(*(a.copy() for a in
                                         _fields(g, z[lo:hi], config.task)))
                        for g, (lo, hi) in zip(chunk, spans))
-    finally:
-        model.train()
     return out
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
+import threading
 
 import numpy as np
 
-from .tensor import BN_EPS, Tensor, mlp  # noqa: F401 (BN_EPS is nn.BN_EPS too)
+from .tensor import BN_EPS, Tensor, mlp, no_grad  # noqa: F401 (BN_EPS is nn.BN_EPS too)
 
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
 ADAM_BETAS = (0.9, 0.999)  # Adam's first and second moment decay rates
@@ -54,15 +56,26 @@ class Module:
                    and k.rsplit(".", 1)[-1].startswith("running_"))
         return out
 
-    def train(self):
-        for m in self.modules():
-            if hasattr(m, "training"):
-                m.training = True
 
-    def eval(self):
-        for m in self.modules():
-            if hasattr(m, "training"):
-                m.training = False
+class _Inference(threading.local):
+    enabled = False
+
+
+_inference = _Inference()
+
+
+@contextlib.contextmanager
+def inference():
+    """Sampling's scope, this thread only: the body runs under ``no_grad()``,
+    and every ``MLP`` in it normalizes with its running statistics and folds
+    nothing. The previous scope comes back on exit, also by an exception."""
+    previous = _inference.enabled
+    _inference.enabled = True
+    try:
+        with no_grad():
+            yield
+    finally:
+        _inference.enabled = previous
 
 
 def _blocks(x):
@@ -93,11 +106,10 @@ class BatchNorm(Module):
     ``MLP``'s hidden layer: the scale ``gamma``, the shift ``beta``, and the
     running mean and variance.
 
-    The first training batch seeds the running statistics directly, so a
-    single train step followed by eval reproduces that batch's stats;
-    subsequent batches blend with momentum ``BN_MOMENTUM``. Eval mode
-    normalizes with the running statistics and is forward-only: a backward
-    through an MLP run in eval mode raises RuntimeError.
+    The first batch an MLP normalizes outside ``inference()`` seeds the
+    running statistics directly, so one train step followed by sampling
+    reproduces that batch's stats; later batches blend with momentum
+    ``BN_MOMENTUM``.
     """
 
     def __init__(self, channels):
@@ -106,14 +118,6 @@ class BatchNorm(Module):
         self.running_mean = Tensor(np.zeros(channels))
         self.running_var = Tensor(np.ones(channels))
         self._initialized = False
-        self.training = True
-
-    def stats(self):
-        """None in train mode (normalize over the batch's rows), else the
-        running ``(mean, var)`` arrays."""
-        if self.training:
-            return None
-        return self.running_mean.data, self.running_var.data
 
     def fold(self, mean, var):
         """Fold a train batch's ``mean`` and ``var`` into the running
@@ -133,8 +137,9 @@ class MLP(Module):
     """MLP over a list of layer widths, e.g. [d_in, h, h, d_out].
 
     Each hidden layer is Linear -> BatchNorm -> GELU, and the whole MLP
-    runs as one graph node (``tensor.mlp``) in train and eval mode alike;
-    its Linears and BatchNorms only hold parameters and running statistics.
+    runs as one graph node (``tensor.mlp``) normalizing over the batch, whose
+    statistics it folds, or inside ``inference()`` with the running ones; its
+    Linears and BatchNorms only hold parameters and running statistics.
     A hidden Linear has no bias: the norm subtracts the batch mean, which
     would cancel it. The final Linear is bare; ``bias=False`` drops its
     bias too, for an MLP whose output reaches a batch norm only through
@@ -151,10 +156,11 @@ class MLP(Module):
         hidden = [(lin.weight, norm.gamma, norm.beta)
                   for lin, norm in zip(self.layers, self.norms)]
         last = self.layers[-1]
-        out, moments = mlp(_blocks(x), hidden, last.weight, last.bias,
-                           [norm.stats() for norm in self.norms])
-        for norm, (mean, var) in zip(self.norms, moments):
-            if norm.training:
+        stats = ([(norm.running_mean.data, norm.running_var.data)
+                  for norm in self.norms] if _inference.enabled else None)
+        out, moments = mlp(_blocks(x), hidden, last.weight, last.bias, stats)
+        if stats is None:
+            for norm, (mean, var) in zip(self.norms, moments):
                 norm.fold(mean, var)
         return out
 
@@ -299,6 +305,7 @@ def load_into(module: Module, arrays):
 
 __all__ = [
     "Module",
+    "inference",
     "Linear",
     "BatchNorm",
     "MLP",

@@ -52,11 +52,11 @@ encodings are never formed. It runs the float operations of that
 block-wise per-layer chain in order, forward and backward, so every result
 is that chain's bytes, not those of concatenating the blocks first.
 Gradients are taken over batch statistics only, where the normalization's
-backward is the closed form of Ioffe & Szegedy (2015); eval mode's fixed
-running statistics are for inference, and a backward through them raises
-RuntimeError. It keeps the input blocks' arrays, except a block given
-with a function that rebuilds it, and per hidden layer only its length-C
-mean and std. Its backward takes one route through every hidden layer
+backward is the closed form of Ioffe & Szegedy (2015); running statistics
+are for inference only, so ``mlp`` takes them only under ``no_grad()``. It
+keeps the input blocks' arrays, except a block given with a function that
+rebuilds it, and per hidden layer only its length-C mean and std. Its
+backward takes one route through every hidden layer
 (recompute as in Chen et al. 2016, from what batch norm keeps anyway as
 in Rota Bulò et al. 2018): bottom-up it rebuilds such a block and re-runs
 each layer's product, keeping only the products, and top down it
@@ -657,7 +657,7 @@ def _hidden_forward(parts, w, gamma, beta, stats):
         std = np.sqrt(var + BN_EPS)
     else:
         if h.shape[0] < 1:
-            raise ValueError("batch norm needs at least one row in train mode")
+            raise ValueError("batch norm needs at least one row to normalize over")
         inv_n = 1.0 / h.shape[0]
         mean = _column_sum(h) * inv_n
         h -= mean
@@ -696,12 +696,6 @@ def _gelu_backward(g, h, mean, std, gamma, beta):
     return out
 
 
-def _eval_mode_backward(g):
-    raise RuntimeError("backward() through an MLP run in eval mode: its batch "
-                       "norms used fixed running statistics, which are for "
-                       "inference only; call train() and run the forward again")
-
-
 def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     """A whole MLP as one node: one hidden layer per ``(w, gamma, beta)``
     triple of ``hidden``, the GELU of the batch normalization ``(x @ w -
@@ -718,13 +712,12 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     returns a new array of that array's bytes. The backward calls
     ``rebuild`` once, before it re-runs the first product, and drops the
     array when it is done; the Tensor's node is a parent as for a Tensor
-    block, so gradients reach the graph in the same order. ``stats`` gives
-    each hidden layer's normalization statistics: None (or a None entry)
-    normalizes over the batch's rows, a ``(mean, var)`` pair of length-C
-    arrays uses those (eval mode with running statistics). Eval mode is
-    forward-only: a backward through a node that used fixed statistics
-    raises RuntimeError, since gradients are taken over batch statistics
-    only (Ioffe & Szegedy 2015).
+    block, so gradients reach the graph in the same order. Each hidden
+    layer normalizes over the batch's rows, or with its ``(mean, var)``
+    entry of ``stats``, length-C arrays (``nn.inference()``'s running
+    statistics). Gradients are taken over batch statistics only (Ioffe &
+    Szegedy 2015), so ``stats`` with grad mode on raises ValueError, before
+    any node exists.
 
     The first weight W (the first hidden layer's, or ``weight`` with no
     hidden layer) multiplies the input block by block: ``x @ W[rows]`` for
@@ -754,6 +747,9 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     column sum is ``_column_sum``, rows added in order: neither moves a
     byte of the results.
     """
+    if stats is not None and _grad_mode.enabled:
+        raise ValueError("mlp: running statistics (stats) are for inference "
+                         "only; run the forward under no_grad()")
     parts, block_nodes, rebuilds, start = [], [], [], 0
     for b in blocks:
         rebuild = None
@@ -772,12 +768,11 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     if start != first.data.shape[0]:
         raise ValueError(f"mlp input blocks are {start} columns wide, the "
                          f"first weight has {first.data.shape[0]} rows")
-    inputs, saved, moments, fixed = parts, [], [], False
+    inputs, saved, moments = parts, [], []
     for k, (w, gamma, beta) in enumerate(hidden):
-        layer_stats = None if stats is None else stats[k]
-        fixed = fixed or layer_stats is not None
         x, std, mean, var = _hidden_forward(
-            inputs, w.data, gamma.data, beta.data, layer_stats)
+            inputs, w.data, gamma.data, beta.data,
+            None if stats is None else stats[k])
         inputs = [(x, None, slice(None))]
         saved.append((mean, std))
         moments.append((mean, var))
@@ -787,8 +782,6 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     bias_node = None if bias is None else bias._node
     parents = block_nodes + [t._node for triple in hidden for t in triple]
     parents += [weight._node, bias_node]
-    if fixed:
-        return _result(out_data, parents, _eval_mode_backward), moments
 
     layers = [(w.data, w._node) for w, _, _ in hidden] + [(weight.data, weight._node)]
     norms = [(gamma.data, beta.data, gamma._node, beta._node)

@@ -1,19 +1,51 @@
 """Graphs, structures, a batch-of-one forward, ``StructureCache``
-subclasses and the id-based gathers and segment sums of the reference
-chains, shared by the DMP, engine, tensor and acceptance tests."""
+subclasses, the id-based gathers and segment sums of the reference chains
+and the finite-difference gradient check, shared by the DMP, engine, graph,
+nn, tensor and acceptance tests."""
 
 import numpy as np
 
 from ncgn.dmp import Structure, node_input
 from ncgn.engine import StructureCache, TrainConfig, merged_forward
 from ncgn.graphs import GeometricGraph
-from ncgn.tensor import SparsePlan, segment_sum
+from ncgn.tensor import SparsePlan, no_grad, segment_sum
 
 
 def random_graph(n, d=2, f=3, seed=0):
     rng = np.random.default_rng(seed)
     return GeometricGraph(rng.standard_normal((n, f)),
                           rng.standard_normal((n, d)))
+
+
+def finite_diff(fn, x, eps=1e-6):
+    """Central finite differences of a scalar fn at array x."""
+    g = np.zeros_like(x)
+    flat = x.ravel()
+    gf = g.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = fn(x)
+        flat[i] = orig - eps
+        lo = fn(x)
+        flat[i] = orig
+        gf[i] = (hi - lo) / (2.0 * eps)
+    return g
+
+
+def finite_difference_misses(loss, tensors, h, tol):
+    """``(tensor index, entry)`` of each entry of ``tensors`` whose ``grad``
+    (set by a backward of ``loss()`` first) misses the central difference
+    ``fd`` with step ``h`` by more than ``tol * max(1, |fd|)``. Each entry
+    is perturbed in place, and ``loss``, a function of no arguments that
+    returns a scalar Tensor, is evaluated under ``no_grad()``."""
+    misses = []
+    for k, t in enumerate(tensors):
+        with no_grad():
+            fd = finite_diff(lambda _: float(loss().data), t.data, h)
+        miss = np.abs(t.grad - fd) > tol * np.maximum(1.0, np.abs(fd))
+        misses += [(k, int(i)) for i in np.flatnonzero(miss)]
+    return misses
 
 
 def segments(ids, n):

@@ -24,9 +24,8 @@ from ncgn.engine import StructureCache, TrainConfig
 from ncgn.graphs import build_knn_edges, voxel_coarsen
 from ncgn.reaction_diffusion import RdParams, simulate_rd
 from ncgn.schedule import SCHEDULE_KINDS, default_bounds, eval_schedule
-from ncgn.tensor import no_grad
 from ncgn.transport import gw_entropic, w2_exact
-from structure_helpers import forward, random_graph
+from structure_helpers import finite_difference_misses, forward, random_graph
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "artifacts")
 
@@ -91,24 +90,7 @@ def test_full_gradient_suite(mp_kind):
 
     params = model.parameters()
     loss_value().backward()
-    h = 1e-5
-    bad = 0
-    for p in params:
-        flat = p.data.ravel()
-        gflat = p.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            # the differences need values only: no graph
-            with no_grad():
-                flat[i] = orig + h
-                hi = float(loss_value().data)
-                flat[i] = orig - h
-                lo = float(loss_value().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2 * h)
-            if abs(gflat[i] - fd) > 1e-3 * max(1.0, abs(fd)):
-                bad += 1
-    assert bad == 0
+    assert finite_difference_misses(loss_value, params, 1e-5, 1e-3) == []
 
 
 # criterion 4, identity reduction to the fixed baselines, is

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ncgn import dmp, tensor
+from ncgn import dmp, nn, tensor
 from ncgn.dmp import (DmpModel, FlatGat, GatConv, GcnConv, Structure,
                       _PointMessage, node_input)
 from ncgn.engine import (StructureCache, TrainConfig, merged_forward,
@@ -102,15 +102,15 @@ def test_identity_reduction_matches_baselines(mp_kind, kind):
         g = random_graph(n, seed=seed)
         model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2,
                          mp_kind=mp_kind, seed=seed)
-        model.eval()
-        base = forward(model, g, 0.3, kind, k=3, seed=seed).data
         if kind == "knn_fixed":
             edges = build_knn_edges(g.positions, 3)
         elif kind == "fully_connected":
             edges = build_fully_connected_edges(n)
         else:
             edges = build_long_short_edges(g.positions, 3, seed)
-        ours = forward(model, g, 0.3, cache=SingletonCache(edges)).data
+        with nn.inference():
+            base = forward(model, g, 0.3, kind, k=3, seed=seed).data
+            ours = forward(model, g, 0.3, cache=SingletonCache(edges)).data
         np.testing.assert_allclose(ours, base, atol=1e-9)
 
 
@@ -124,22 +124,22 @@ def test_merged_forward_equals_batches_of_one(mp_kind, method):
     config = TrainConfig(method=method, mp_kind=mp_kind, knn_k=3, seed=4)
     model = DmpModel(d_in=6, d=2, odim=3, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=5)
-    model.eval()
     parts = [(g.positions, node_input(g.features, g.positions, t), t)
              for g, t in zip(graphs, ts)]
-    merged = merged_forward(model, parts, StructureCache(config)).data
-    single = np.concatenate([
-        merged_forward(model, [part], StructureCache(config)).data
-        for part in parts])
+    with nn.inference():
+        merged = merged_forward(model, parts, StructureCache(config)).data
+        single = np.concatenate([
+            merged_forward(model, [part], StructureCache(config)).data
+            for part in parts])
     np.testing.assert_array_equal(merged, single)
 
 
 def test_knn_saturated_equals_fully_connected():
     g = random_graph(7, seed=11)
     model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2, seed=1)
-    model.eval()
-    a = forward(model, g, 0.5, "knn_fixed", k=6).data
-    b = forward(model, g, 0.5, "fully_connected").data
+    with nn.inference():
+        a = forward(model, g, 0.5, "knn_fixed", k=6).data
+        b = forward(model, g, 0.5, "fully_connected").data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -175,9 +175,9 @@ def test_permutation_equivariance(mp_kind):
     gp = GeometricGraph(g.features[perm], g.positions[perm])
     model = DmpModel(d_in=6, d=2, odim=2, hdim=8, layers=2,
                      mp_kind=mp_kind, seed=2)
-    model.eval()
-    out = forward(model, g, 0.4).data
-    out_p = forward(model, gp, 0.4).data
+    with nn.inference():
+        out = forward(model, g, 0.4).data
+        out_p = forward(model, gp, 0.4).data
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
@@ -186,11 +186,11 @@ def test_message_count_stays_linear():
     for n in (64, 256):
         g = random_graph(n, seed=n)
         model = DmpModel(d_in=6, d=2, odim=1, hdim=8, layers=1, seed=0)
-        model.eval()
         per_t = []
         for t in (0.0, 0.5, 1.0):
             cache = RecordingCache()
-            forward(model, g, t, cache=cache)
+            with nn.inference():
+                forward(model, g, t, cache=cache)
             stats, = cache.stats
             per_t.append(stats["edges"])
         spec_counts[n] = max(per_t)
@@ -202,10 +202,10 @@ def test_message_count_stays_linear():
 def test_dmp_stats_follow_schedule():
     g = random_graph(64, seed=15)
     model = DmpModel(d_in=6, d=2, odim=1, hdim=8, layers=1, seed=0)
-    model.eval()
     lo_cache, hi_cache = RecordingCache(), RecordingCache()
-    forward(model, g, 0.0, cache=lo_cache)
-    forward(model, g, 1.0, cache=hi_cache)
+    with nn.inference():
+        forward(model, g, 0.0, cache=lo_cache)
+        forward(model, g, 1.0, cache=hi_cache)
     (lo,), (hi,) = lo_cache.stats, hi_cache.stats
     assert lo["s_t"] < hi["s_t"] and lo["r_t"] >= hi["r_t"]
     assert hi["s_t"] == 64

@@ -14,12 +14,7 @@ from ncgn.graphs import (
     save_graph,
     voxel_coarsen,
 )
-
-
-def random_graph(n, d=3, f=2, seed=0):
-    rng = np.random.default_rng(seed)
-    return GeometricGraph(rng.standard_normal((n, f)),
-                          rng.standard_normal((n, d)))
+from structure_helpers import random_graph
 
 
 def edge_set(edges):
@@ -96,7 +91,7 @@ def test_voxel_unit_square_identity():
 
 
 def test_voxel_single_cluster_is_centroid():
-    g = random_graph(17, seed=5)
+    g = random_graph(17, d=3, f=2, seed=5)
     cluster_of, coarse = voxel_coarsen(g.positions, 1)
     assert len(coarse) == 1
     np.testing.assert_allclose(coarse[0],
@@ -111,7 +106,7 @@ def test_voxel_1d_two_bins():
 
 
 def test_voxel_member_means_and_counts():
-    g = random_graph(40, seed=6)
+    g = random_graph(40, d=3, f=2, seed=6)
     cluster_of, coarse = voxel_coarsen(g.positions, 9)
     counts = np.bincount(cluster_of, minlength=len(coarse))
     assert counts.sum() == 40 and (counts > 0).all()
@@ -122,7 +117,7 @@ def test_voxel_member_means_and_counts():
 
 
 def test_voxel_large_s_gives_singletons():
-    g = random_graph(12, seed=7)
+    g = random_graph(12, d=3, f=2, seed=7)
     cluster_of, coarse = voxel_coarsen(g.positions, 12**3)
     assert len(coarse) == 12
 
@@ -158,7 +153,7 @@ def test_zero_dimensional_positions_rejected(tmp_path):
 
 
 def test_save_load_roundtrip(tmp_path):
-    g = random_graph(7, seed=9)
+    g = random_graph(7, d=3, f=2, seed=9)
     path = tmp_path / "g.graph"
     save_graph(path, g)
     back = load_graph(path)
@@ -205,7 +200,7 @@ def test_load_bad_row_reports_line(tmp_path):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 25), s=st.integers(1, 30), seed=st.integers(0, 10))
 def test_voxel_properties(n, s, seed):
-    g = random_graph(n, seed=seed)
+    g = random_graph(n, d=3, f=2, seed=seed)
     cluster_of, coarse = voxel_coarsen(g.positions, s)
     assert 1 <= len(coarse) <= max(1, min(s, n) * 4)  # p^d can overshoot s
     assert cluster_of.shape == (n,)

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import struct
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from ncgn import nn
-from ncgn.tensor import Tensor, _result, _unbroadcast, concat, mlp
-from structure_helpers import segments
+from ncgn.tensor import Tensor, _result, _unbroadcast, concat, mlp, no_grad
+from structure_helpers import finite_difference_misses, segments
 
 
 def assert_close_to_max(actual, reference, rtol=1e-12):
@@ -34,19 +35,7 @@ def test_mlp_finite_difference():
         return (out * out).mean()
 
     loss().backward()
-    h = 1e-4
-    for p in params:
-        flat = p.data.ravel()
-        gflat = p.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(loss().data)
-            flat[i] = orig - h
-            lo = float(loss().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2 * h)
-            assert abs(gflat[i] - fd) <= 1e-4 * max(1.0, abs(fd))
+    assert finite_difference_misses(loss, params, 1e-4, 1e-4) == []
 
 
 def normalizing_mlp():
@@ -73,8 +62,8 @@ def test_batch_norm_two_values():
 def test_batch_norm_eval_after_one_step():
     net = normalizing_mlp()
     net(Tensor(np.array([[0.0], [2.0]])))  # seeds running stats
-    net.eval()
-    out = net(Tensor(np.array([[1.0]])))
+    with nn.inference():
+        out = net(Tensor(np.array([[1.0]])))
     np.testing.assert_allclose(out.data, [[0.0]], atol=1e-5)
 
 
@@ -128,8 +117,9 @@ def batch_norm(x, gamma, beta, eps, stats=None):
     of the N x C ``x`` as one node, with the float operations of
     ``tensor.mlp``'s hidden layers: the reference ``chain`` uses. The
     statistics are those of ``x``'s rows, or ``stats``, a ``(mean, var)``
-    pair of length-C arrays; with ``stats`` it is forward-only, as eval mode
-    is, and its backward raises. Returns (output, mean, var)."""
+    pair of length-C arrays; with ``stats`` it is forward-only, as
+    ``nn.inference()`` is, and its backward raises. Returns (output, mean,
+    var)."""
     xhat, std, mean, var = normalize(x.data, eps, stats)
     nodes = (x._node, gamma._node, beta._node)
 
@@ -211,23 +201,11 @@ def test_fused_batch_norm_finite_difference_with_constant_channel():
     bn.beta.data[:] = [0.1, 0.2, -0.3]
     x = Tensor(x0.copy(), requires_grad=True)
 
-    def loss(x):
+    def loss():
         return (batch_norm(x, bn.gamma, bn.beta, nn.BN_EPS)[0] * upstream).sum()
 
-    loss(x).backward()
-    h = 1e-6
-    for t in (x, bn.gamma, bn.beta):
-        flat = t.data.ravel()
-        gflat = t.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(loss(Tensor(x.data)).data)
-            flat[i] = orig - h
-            lo = float(loss(Tensor(x.data)).data)
-            flat[i] = orig
-            fd = (hi - lo) / (2 * h)
-            assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+    loss().backward()
+    assert finite_difference_misses(loss, (x, bn.gamma, bn.beta), 1e-6, 1e-5) == []
 
 
 def _mlp_inputs(rng, n, widths):
@@ -293,12 +271,12 @@ def test_hidden_layer_train_mode_matches_chain_bytes():
 
 
 def test_hidden_layer_eval_mode_matches_composed_bytes():
-    # eval mode is forward-only: the output's bytes, and a backward that
-    # raises naming eval mode
+    # running statistics are for inference: the output's bytes under
+    # no_grad(), and a forward with grad mode on that raises naming no_grad()
     rng = np.random.default_rng(8)
     # one row block, two uneven ones
     for n, widths in itertools.product((500, 3001), ([16, 32, 8], [16, 32, 24, 8])):
-        *arrays, upstream = _mlp_inputs(rng, n, widths)
+        *arrays, _ = _mlp_inputs(rng, n, widths)
         stats = [(rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
                  for c in widths[1:-1]]
 
@@ -309,14 +287,15 @@ def test_hidden_layer_eval_mode_matches_composed_bytes():
                      + beta).gelu()
             return x @ weight + bias
 
-        fused, *references = (
-            build(*_mlp_leaves(*arrays))
-            for build in (_fused(stats), composed,
-                          lambda *args: chain(*args, stats=stats)))
+        with no_grad():
+            fused, *references = (
+                build(*_mlp_leaves(*arrays))
+                for build in (_fused(stats), composed,
+                              lambda *args: chain(*args, stats=stats)))
         assert all(ref.data.tobytes() == fused.data.tobytes()
                    for ref in references)
-        with pytest.raises(RuntimeError, match="eval mode"):
-            (fused * upstream).sum().backward()
+        with pytest.raises(ValueError, match=r"no_grad\(\)"):
+            _fused(stats)(*_mlp_leaves(*arrays))
 
 
 def blockwise(blocks, weight):
@@ -341,9 +320,9 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
     # for byte, forward and every gradient, with two hidden layers and with
     # none (the output linear's product is then the blockwise one); the
     # concat([pair, rel @ w_rel, dist @ w_dist]) chain sums in another order
-    # and agrees to rounding. Eval mode is forward-only: with hidden layers
-    # the output alone is compared, and the fused backward raises naming
-    # eval mode
+    # and agrees to rounding. Running statistics are for inference: with
+    # hidden layers the output alone is compared, computed under no_grad(),
+    # and the fused forward with grad mode on raises naming no_grad()
     rng = np.random.default_rng(12)
     h = 8
     # one row block, two uneven ones
@@ -353,7 +332,7 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
                                   for shape in ((n, h), (2, h), (1, h)))
         _, hidden0, weight0, bias0, upstream = _mlp_inputs(rng, n, widths)
         stats = [(rng.standard_normal(h), rng.uniform(0.5, 2.0, h))
-                 for _ in hidden0] if eval_mode else None
+                 for _ in hidden0] if eval_mode and hidden0 else None
         results = []
         for build in ("fused", "blockwise", "concat"):
             pair, w_rel, w_dist, weight, bias = (
@@ -362,23 +341,26 @@ def test_mlp_pair_blocks_match_concat_bytes(eval_mode):
             hidden = [tuple(Tensor(a.copy(), requires_grad=True) for a in triple)
                       for triple in hidden0]
             blocks = [pair, (rel, w_rel), (dist, w_dist)]
-            if build == "fused":
-                out = mlp(blocks, hidden, weight, bias, stats)[0]
-            elif build == "concat":
-                out = chain(concat([pair, Tensor(rel) @ w_rel, Tensor(dist) @ w_dist]),
-                            hidden, weight, bias, stats)
-            elif hidden:
-                first = batch_norm(blockwise(blocks, hidden[0][0]), *hidden[0][1:],
-                                   nn.BN_EPS, None if stats is None else stats[0])
-                out = chain(first[0].gelu(), hidden[1:], weight, bias,
-                            None if stats is None else stats[1:])
-            else:
-                out = blockwise(blocks, weight) + bias
-            if eval_mode and hidden:
+            with no_grad() if stats else contextlib.nullcontext():
+                if build == "fused":
+                    out = mlp(blocks, hidden, weight, bias, stats)[0]
+                elif build == "concat":
+                    out = chain(concat([pair, Tensor(rel) @ w_rel,
+                                        Tensor(dist) @ w_dist]),
+                                hidden, weight, bias, stats)
+                elif hidden:
+                    first = batch_norm(blockwise(blocks, hidden[0][0]),
+                                       *hidden[0][1:], nn.BN_EPS,
+                                       None if stats is None else stats[0])
+                    out = chain(first[0].gelu(), hidden[1:], weight, bias,
+                                None if stats is None else stats[1:])
+                else:
+                    out = blockwise(blocks, weight) + bias
+            if stats:
                 results.append([out.data])
                 if build == "fused":
-                    with pytest.raises(RuntimeError, match="eval mode"):
-                        (out * upstream).sum().backward()
+                    with pytest.raises(ValueError, match=r"no_grad\(\)"):
+                        mlp(blocks, hidden, weight, bias, stats)
                 continue
             (out * upstream).sum().backward()
             tensors = [pair, w_rel, w_dist, weight, bias] + [t for triple in hidden
@@ -412,18 +394,7 @@ def test_hidden_layer_finite_difference_with_constant_channel():
         return (out * upstream).sum()
 
     loss().backward()
-    h = 1e-6
-    for t in tensors:
-        flat, gflat = t.data.ravel(), t.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(loss().data)
-            flat[i] = orig - h
-            lo = float(loss().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2 * h)
-            assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+    assert finite_difference_misses(loss, tensors, 1e-6, 1e-5) == []
 
 
 def test_output_linear_blocks_finite_difference_with_constant_channel():
@@ -443,18 +414,8 @@ def test_output_linear_blocks_finite_difference_with_constant_channel():
         return (lin([x, spread, (pair, pair_weight)]) * upstream).sum()
 
     loss().backward()
-    h = 1e-6
-    for t in (x, spread, pair_weight, lin.weight, lin.bias):
-        flat, gflat = t.data.ravel(), t.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = float(loss().data)
-            flat[i] = orig - h
-            lo = float(loss().data)
-            flat[i] = orig
-            fd = (hi - lo) / (2 * h)
-            assert abs(gflat[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+    assert finite_difference_misses(
+        loss, (x, spread, pair_weight, lin.weight, lin.bias), 1e-6, 1e-5) == []
 
 
 def test_mlp_blocks_must_span_the_first_weight():
@@ -478,31 +439,72 @@ def test_mlp_runs_as_one_node():
     params = [t for lin, norm in zip(net.layers, net.norms)
               for t in (lin.weight, norm.gamma, norm.beta)]
     params += [net.layers[-1].weight, net.layers[-1].bias]
-    for mode in (net.train, net.eval):
-        mode()
-        out = net([x, (rng.standard_normal((5, 3)), pair_weight)])
-        assert out._node.parents == tuple(
-            t._node for t in [x, pair_weight] + params)
+    out = net([x, (rng.standard_normal((5, 3)), pair_weight)])
+    assert out._node.parents == tuple(t._node for t in [x, pair_weight] + params)
 
 
 def test_eval_mode_mlp_is_forward_only():
-    # running statistics are for inference: a backward through them raises
-    # naming eval mode before any leaf takes a gradient, and the same
-    # backward after train() takes one
+    # running statistics are for inference: inside nn.inference() the MLP
+    # runs tensor.mlp with them under no_grad(), builds no node and folds
+    # nothing; given them with grad mode on, tensor.mlp raises naming
+    # no_grad() before any leaf takes a gradient, and the same forward
+    # outside the scope takes one
     rng = np.random.default_rng(15)
     net = nn.MLP([4, 8, 8, 2], rng)
     x = Tensor(rng.standard_normal((20, 4)), requires_grad=True)
     net(x)  # seeds the running statistics
-    net.eval()
-    out = net(x)
-    assert out.data.shape == (20, 2)
-    with pytest.raises(RuntimeError, match="eval mode"):
-        out.sum().backward()
+    state = {k: t.data.copy() for k, t in net.state_arrays().items()}
+    hidden = [(lin.weight, norm.gamma, norm.beta)
+              for lin, norm in zip(net.layers, net.norms)]
+    stats = [(norm.running_mean.data, norm.running_var.data)
+             for norm in net.norms]
+    last = net.layers[-1]
+    with nn.inference():
+        out = net(x)
+    assert out.data.shape == (20, 2) and out._node is None
+    with no_grad():
+        fixed = mlp([x], hidden, last.weight, last.bias, stats)[0]
+    assert out.data.tobytes() == fixed.data.tobytes()
+    for k, t in net.state_arrays().items():
+        np.testing.assert_array_equal(t.data, state[k])
+    with pytest.raises(ValueError, match=r"no_grad\(\)"):
+        mlp([x], hidden, last.weight, last.bias, stats)
     assert x.grad is None and all(p.grad is None for p in net.parameters())
-    net.train()
     net(x).sum().backward()
     assert x.grad.shape == x.data.shape
     assert all(p.grad.shape == p.data.shape for p in net.parameters())
+
+
+def test_inference_restores_the_previous_scope_on_exit():
+    # on each exit, also when scopes nest, the body raises or the scope sits
+    # inside no_grad(), an MLP normalizes as before the scope was entered
+    net = normalizing_mlp()
+    net(Tensor(np.array([[0.0], [2.0]])))  # seeds running stats
+    leaf = Tensor(np.array([[0.0], [20.0]]), requires_grad=True)
+
+    def scope():
+        """"batch" when ``net`` normalizes over the batch (output about
+        [-1, 1]), else "running"; and whether it recorded a node."""
+        out = net(leaf)
+        batch = np.allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
+        return "batch" if batch else "running", out._node is not None
+
+    assert scope() == ("batch", True)
+    with nn.inference():
+        assert scope() == ("running", False)
+        with nn.inference():
+            assert scope() == ("running", False)
+        assert scope() == ("running", False)
+    assert scope() == ("batch", True)
+    with pytest.raises(RuntimeError, match="body failed"):
+        with nn.inference():
+            raise RuntimeError("body failed")
+    assert scope() == ("batch", True)
+    with no_grad():
+        with nn.inference():
+            assert scope() == ("running", False)
+        assert scope() == ("batch", False)
+    assert scope() == ("batch", True)
 
 
 def test_batch_norm_rejects_empty():
@@ -549,8 +551,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     other = nn.MLP([3, 4, 2], np.random.default_rng(99))
     nn.load_into(other, loaded)
     x = rng.standard_normal((5, 3))
-    other.eval(), mlp.eval()
-    np.testing.assert_array_equal(other(Tensor(x)).data, mlp(Tensor(x)).data)
+    with nn.inference():
+        np.testing.assert_array_equal(other(Tensor(x)).data, mlp(Tensor(x)).data)
 
 
 def test_checkpoint_is_one_self_describing_file(tmp_path):
@@ -664,10 +666,6 @@ def test_module_walk_order_modes_and_load():
              for k in expected if k.endswith(".running_mean")]
     assert all(isinstance(bn, nn.BatchNorm) for bn in norms)
     assert "blocks.1.uncoarsen_msg.mlp.norms.0.running_mean" in expected
-    model.eval()
-    assert not any(bn.training for bn in norms)
-    model.train()
-    assert all(bn.training for bn in norms)
     fresh = DmpModel(d_in=5, d=2, odim=2, hdim=4, layers=2, mp_kind="gat",
                      seed=1)
     assert not any(bn._initialized for bn in fresh.modules()

@@ -253,8 +253,6 @@ UNREACHED = {
     "tensor.Tensor.gelu.<locals>.bwd": "the backward of Tensor.gelu (item 3a)",
     "shapes._torus": "a shape kind the sequence's 4 + 2 shapes do not draw",
     "tensor._released": "raises on a second backward through a freed graph",
-    "tensor._eval_mode_backward": "raises on a backward through an MLP run "
-                                  "in eval mode",
     "transport._logsumexp": "the log-domain Sinkhorn fallback's reduction",
     "transport._sinkhorn_log_domain": "the fallback for an underflowing kernel",
     "theory.mutual_information_numeric": "the numeric MI oracle of "

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import itertools
 import re
@@ -22,23 +23,7 @@ from ncgn.tensor import (
     segment_softmax,
     segment_sum,
 )
-from structure_helpers import one_to_one, segment_sum_by_ids, segments
-
-
-def finite_diff(fn, x, eps=1e-6):
-    """Central finite differences of a scalar fn at array x."""
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = fn(x)
-        flat[i] = orig - eps
-        lo = fn(x)
-        flat[i] = orig
-        gf[i] = (hi - lo) / (2.0 * eps)
-    return g
+from structure_helpers import finite_diff, one_to_one, segment_sum_by_ids, segments
 
 
 def check_op(build, shape, seed=0, tol=1e-6):
@@ -328,9 +313,10 @@ def test_mlp_keeps_no_n_row_array_per_hidden_layer(monkeypatch, n_hidden):
 def test_mlp_rebuilt_block_matches_the_tensor_block_bytes(n, n_hidden, eval_mode):
     # a (tensor, rebuild) block gives the output and every gradient of the
     # same block given as the tensor, byte for byte, and the node keeps no
-    # array of it: the block's array dies with the forward. Eval mode is
-    # forward-only: its output bytes match, its node keeps no array at all
-    # and its backward raises
+    # array of it: the block's array dies with the forward. Running
+    # statistics are for inference: under no_grad() the output bytes match
+    # and no node keeps the array, and with grad mode on the forward raises
+    # naming no_grad()
     rng = np.random.default_rng(16)
     h = 8
     base0, pair_weight0 = rng.standard_normal((n, h)), rng.standard_normal((2, h))
@@ -351,13 +337,14 @@ def test_mlp_rebuilt_block_matches_the_tensor_block_bytes(n, n_hidden, eval_mode
         x = base * 2.0  # an interior tensor, whose array only x holds
         block = (x, lambda: base.data * 2.0) if rebuilt else x
         value = weakref.ref(x.data)
-        out, _ = mlp([block, (pair, pair_weight)], hidden, weight, bias, stats)
+        with no_grad() if eval_mode else contextlib.nullcontext():
+            out, _ = mlp([block, (pair, pair_weight)], hidden, weight, bias, stats)
         del x, block
         assert (value() is None) == (rebuilt or eval_mode)
         results.append([out.data.tobytes()])
         if eval_mode:
-            with pytest.raises(RuntimeError, match="eval mode"):
-                (out * upstream).sum().backward()
+            with pytest.raises(ValueError, match=r"no_grad\(\)"):
+                mlp([base, (pair, pair_weight)], hidden, weight, bias, stats)
             continue
         (out * upstream).sum().backward()
         tensors = [base, pair_weight, weight, bias] + [t for triple in hidden
