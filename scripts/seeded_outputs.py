@@ -7,7 +7,9 @@ Usage: python3 scripts/seeded_outputs.py SRC_DIR OUT_DIR
 ``SEQUENCE`` writes datasets, the theory, GW and attention studies, and
 train/sample/eval for cfm, a masked task, two sampling chunks, a masked run
 over two chunks, a column mask (gene_knockout), GAT on positions, a
-non-default schedule kind, every baseline and random_pred. Every file it
+non-default schedule kind and every baseline, then sample/eval for
+random_pred, unmasked and under each mask task no model run draws
+(temporal_interpolation, gene_imputation, spatial_imputation). Every file it
 writes is deterministic, so two source trees that compute the same numbers
 give byte-identical output directories. The commands run in this process
 through ``ncgn.cli.main``, their standard output discarded; the first that
@@ -49,6 +51,13 @@ MODEL_RUNS = [
     ("fully_connected", "data", ["method=fully_connected"]),
     ("long_short", "data", ["method=long_short"]),
 ]
+# (name, keys): sample and eval of the model-free random_pred into {out}/name
+RANDOM_RUNS = [
+    ("random_pred", []),
+    *((f"random_pred_{task}", [f"mask_task={task}"])
+      for task in ("temporal_interpolation", "gene_imputation",
+                   "spatial_imputation")),
+]
 # argv lists of ``ncgn``, in order, under the output root {out}
 SEQUENCE = [
     ["make-shapes", "out_dir={out}/shapes", "n_train=4", "n_test=2",
@@ -64,10 +73,10 @@ SEQUENCE = [
       for name, data, keys in MODEL_RUNS
       for command in ("train", "sample", "eval")),
     # random_pred is model-free: no train step
-    ["sample", "out_dir={out}/random_pred", "dataset={out}/data",
-     "method=random_pred", "seed=3"],
-    ["eval", "out_dir={out}/random_pred", "dataset={out}/data",
-     "method=random_pred", "seed=3"],
+    *([command, f"out_dir={{out}}/{name}", "dataset={out}/data",
+       "method=random_pred", "seed=3", *keys]
+      for name, keys in RANDOM_RUNS
+      for command in ("sample", "eval")),
 ]
 
 
