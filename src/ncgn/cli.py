@@ -53,14 +53,14 @@ from .engine import (
     sample,
     train,
 )
-from .graphs import check_replaceable, load_graphs, save_graphs
+from .graphs import check_replaceable, load_graphs, replacing, save_graphs
 
 SAMPLING_KEYS = ("nfes", "seed")  # train keys a checkpoint does not fix
 THEORY_SNRS = np.logspace(np.log10(0.25), np.log10(16.0), 12)  # radius sweep
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)

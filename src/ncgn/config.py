@@ -21,6 +21,7 @@ import os
 from dataclasses import InitVar, dataclass, fields
 
 from . import dmp, reaction_diffusion, schedule, shapes
+from .graphs import replacing
 
 BASELINES = ("knn_fixed", "fully_connected", "long_short")
 METHODS = ("dmp",) + BASELINES + ("random_pred",)
@@ -175,7 +176,7 @@ def write_resolved(config, path):
     """Write ``config`` to ``path`` as sorted ``key = value`` lines, in the
     format ``read_config_file`` reads back."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         for key in sorted(config):
             fh.write(f"{key} = {config[key]}\n")
     return path

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .graphs import load_graphs, save_graphs
+from .graphs import load_graphs, replacing, save_graphs
 from .reaction_diffusion import (
     RdParams,
     build_spatiotemporal_graph,
@@ -42,7 +42,7 @@ class Dataset:
 
 
 def _write_manifest(path, manifest):
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         for key, val in manifest.items():
             fh.write(f"{key}: {val}\n")
 

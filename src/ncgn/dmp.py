@@ -212,12 +212,14 @@ class DmpLayer(nn.Module):
 
     The uncoarsen step gates the spread coarse message into the node state,
     ``lam * h + (1 - lam) * spread`` with ``lam`` the sigmoid of
-    ``gate([h, spread])``, as one ``tensor.gated_blend`` node that keeps
-    only ``lam``. ``combine`` takes the blend as a rebuilt block, so its
-    node keeps no blend output: its backward blends again from ``lam``,
-    ``h`` and ``spread``, which the gate's node keeps. An MLP node keeps
-    no N-row array per hidden layer: its backward rebuilds each layer's
-    Gaussian CDF."""
+    ``gate([h, spread])``, as one ``tensor.gated_blend`` node. It takes the
+    gate's output as a rebuilt block, ``h @ W_h + spread @ W_spread + b``
+    with the gate Linear's float operations, so no node keeps the logits
+    or ``lam``. ``combine`` takes the blend as a rebuilt block, so its
+    node keeps no blend output: its backward blends again from the rebuilt
+    logits, ``h`` and ``spread``, which the gate's node keeps. An MLP node
+    keeps no N-row array per hidden layer: its backward rebuilds each
+    layer's Gaussian CDF."""
 
     def __init__(self, hdim, d, mp_kind, rng, out_bias):
         self.coarsen_msg = _PointMessage(hdim, d, rng)
@@ -236,7 +238,18 @@ class DmpLayer(nn.Module):
     def uncoarsen(self, h: Tensor, h_coarse: Tensor, rel, dist,
                   members: SparsePlan) -> Tensor:
         spread = self.uncoarsen_msg(h, h_coarse, members, False, -rel, dist)
-        return self.combine([gated_blend(self.gate([h, spread]), h, spread)])
+        # the gate's and the blend's nodes keep these arrays anyway
+        x, y = h.data, spread.data
+        w, bias, c = self.gate.weight.data, self.gate.bias.data, x.shape[1]
+
+        def logits():
+            z = x @ w[:c]
+            z += y @ w[c:]
+            z += bias
+            return z
+
+        blend = gated_blend((self.gate([h, spread]), logits), h, spread)
+        return self.combine([blend])
 
 
 class DmpModel(nn.Module):

@@ -4,11 +4,13 @@ Edges are directed (source, target) pairs with target-side aggregation.
 All builders are brute force O(N^2); node counts stay in the thousands.
 ``voxel_coarsen`` returns plain arrays (cluster ids, cluster mean
 positions); ``engine.StructureCache`` pairs them with coarse edges into a
-``dmp.Structure``.
+``dmp.Structure``. Every file ncgn writes goes through ``replacing``, and
+a graph directory is replaced whole by ``save_graphs``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 from dataclasses import dataclass
@@ -142,13 +144,34 @@ def voxel_coarsen(positions: np.ndarray, s: int):
 # features; a directory of graphs holds them as 00000.graph onwards.
 
 
+@contextlib.contextmanager
+def replacing(path, mode="w"):
+    """The file object of ``open(temporary, mode)``, a temporary name beside
+    ``path``, which replaces ``path`` (``os.replace``) once the body
+    returns: a reader sees the old file or the new one, never a part. If
+    the body raises, the temporary is removed and ``path`` stays as it
+    was. The temporary, ``<stem>.partial<ext>``, keeps ``path``'s
+    extension, so a graph one a killed run leaves in a ``save_graphs``
+    directory passes ``check_replaceable``."""
+    stem, ext = os.path.splitext(path)
+    partial = f"{stem}.partial{ext}"
+    try:
+        with open(partial, mode) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def save_graph(path, graph: GeometricGraph):
     """Write a header ``N d f``, then one row per node: its positions, then
     its features, each value as ``repr`` of a Python float."""
     rows = np.hstack([graph.positions, graph.features]).tolist()
     lines = [f"{graph.n_nodes} {graph.dim} {graph.n_features}"]
     lines += [" ".join(map(repr, row)) for row in rows]
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -9,6 +9,7 @@ import threading
 
 import numpy as np
 
+from .graphs import replacing
 from .tensor import BN_EPS, Tensor, mlp, no_grad  # noqa: F401 (BN_EPS is nn.BN_EPS too)
 
 BN_MOMENTUM = 0.1  # weight of each new batch in the running statistics
@@ -229,7 +230,7 @@ def save_checkpoint(path, arrays, record):
     header = [CHECKPOINT_FORMAT]
     header += [f"{key} = {value}" for key, value in record.items()]
     header += [f"{name}: {'x'.join(map(str, a.shape))}" for name, a in data.items()]
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode())
         for a in data.values():
             fh.write(a.tobytes())

@@ -63,9 +63,12 @@ each layer's product, keeping only the products, and top down it
 rebuilds each layer's normalized input, Gaussian CDF and output from its
 product a row block at a time. A second
 fused op, ``gated_blend``, is DMP's gate ``lam * a + (1 - lam) * b`` with
-``lam`` the sigmoid of its logits: one node that keeps only ``lam``, with
-the bytes of the chain of primitive ops it replaces, and a function that
-blends its output again, so a consumer need not keep it. A hidden layer's
+``lam`` the sigmoid of its logits: one node with the bytes of the chain of
+primitive ops it replaces, and a function that blends its output again,
+so a consumer need not keep it. Its logits may come as a rebuilt block,
+as ``mlp``'s input may; the node keeps no ``lam``, and the blend's rebuild
+and the backward each take it from the rebuilt logits a row block at a
+time. A hidden layer's
 elementwise steps, forward and backward, run over row blocks of 1,024 to
 2,047 rows (loop tiling, Wolf & Lam 1991), so a chain of them reads each
 block from a core's L2 instead of streaming the whole N x C array once
@@ -836,24 +839,34 @@ def mlp(blocks, hidden, weight: Tensor, bias: Tensor | None, stats=None):
     return _result(out_data, parents, bwd), moments
 
 
-def gated_blend(logits: Tensor, a: Tensor, b: Tensor):
+def gated_blend(logits, a: Tensor, b: Tensor):
     """The gated blend ``lam * a + (1.0 - lam) * b`` of three N x C tensors
     of one shape, ``lam`` the logistic sigmoid of ``logits``, as one node
-    that keeps ``lam`` (and reads ``a`` and ``b``, which the caller keeps)
-    but no ``1.0 - lam``, product or output. Forward and backward run the
-    float operations of the chain ``sigmoid``, ``*``, ``-``, ``*``, ``+`` it
-    replaces, one row block at a time, so every result is that chain's
-    bytes: ``a``'s gradient is ``g * lam``, ``b``'s ``g * (1.0 - lam)`` and
-    the logits' ``(g * a + -(g * b)) * lam * (1.0 - lam)``, whose sum is
-    that subtraction.
+    that keeps no ``lam``, ``1.0 - lam``, product or output, and reads
+    ``a`` and ``b``, which the caller keeps. ``logits`` is a Tensor, whose
+    array the node keeps, or an ``mlp``-style ``(tensor, rebuild)`` block:
+    a Tensor whose array the node does not keep, and a function of no
+    arguments that returns a new array of that array's bytes. Forward and
+    backward run the float operations of the chain ``sigmoid``, ``*``,
+    ``-``, ``*``, ``+`` it replaces, one row block at a time, so every
+    result is that chain's bytes: ``a``'s gradient is ``g * lam``, ``b``'s
+    ``g * (1.0 - lam)`` and the logits' ``(g * a + -(g * b)) * lam * (1.0 -
+    lam)``, whose sum is that subtraction.
 
     Returns ``(out, rebuild)``, an ``mlp`` input block: ``rebuild()``
-    returns a new array of ``out``'s bytes, blended again from ``lam``, ``a``
-    and ``b`` by the same row blocks and float operations, so a consumer
-    need not keep ``out``."""
+    returns a new array of ``out``'s bytes, so a consumer need not keep
+    ``out``. It and the backward each rebuild the logits (a kept array is
+    copied) and take ``lam`` from them a row block at a time with the
+    forward's ``expit``, so ``lam`` never exists as an N-row array: the
+    blend is written over the rebuilt logits, and so is their gradient."""
     from scipy.special import expit
 
-    logits, a, b = (Tensor._lift(t) for t in (logits, a, b))
+    if isinstance(logits, tuple):
+        logits, rebuild_logits = logits
+    else:
+        logits = Tensor._lift(logits)
+        rebuild_logits = logits.data.copy
+    a, b = Tensor._lift(a), Tensor._lift(b)
     shape = logits.data.shape
     if len(shape) != 2 or not shape == a.data.shape == b.data.shape:
         raise ValueError(f"gated_blend needs three N x C tensors of one shape, "
@@ -862,45 +875,50 @@ def gated_blend(logits: Tensor, a: Tensor, b: Tensor):
     av, bv = a.data, b.data
     # a and b are read only for the logits' gradient
     x, y = (av, bv) if nz is not None else (None, None)
-    lam = np.empty(shape)
     blocks = _row_blocks(shape[0])
 
-    def blend(z=None):
-        """The output, each row block's ``lam`` first written as
-        ``expit(z)`` when given the logits ``z``."""
-        out = np.empty(shape)
-        rest_scratch, = _block_scratch(blocks, shape[1], 1)
+    def blend(z, out):
+        """Write the blend of the logits ``z`` into ``out``, which may be
+        ``z``, and return it."""
+        lam_scratch, rest_scratch = _block_scratch(blocks, shape[1], 2)
         for rows in blocks:
-            lr = lam[rows] if z is None else expit(z[rows], out=lam[rows])
-            rest = np.subtract(1.0, lr, out=rest_scratch[:rows.stop - rows.start])
+            m = rows.stop - rows.start
+            lr = expit(z[rows], out=lam_scratch[:m])
+            rest = np.subtract(1.0, lr, out=rest_scratch[:m])
             rest *= bv[rows]
             np.multiply(lr, av[rows], out=out[rows])
             out[rows] += rest
         return out
 
-    out = blend(logits.data)
+    out = blend(logits.data, np.empty(shape))
+
+    def rebuild():
+        z = rebuild_logits()
+        return blend(z, z)
 
     def bwd(g):
-        grads = [None if node is None else np.empty(shape) for node in (nz, na, nb)]
-        gz, ga, gb = grads
-        rest_scratch, prod_scratch = _block_scratch(blocks, shape[1], 2)
+        # the logits' gradient is written over the rebuilt logits
+        z = rebuild_logits()
+        ga, gb = (None if node is None else np.empty(shape) for node in (na, nb))
+        lam_scratch, rest_scratch, prod_scratch = _block_scratch(blocks, shape[1], 3)
         for rows in blocks:
-            m, lr, gr = rows.stop - rows.start, lam[rows], g[rows]
+            m, gr = rows.stop - rows.start, g[rows]
+            lr = expit(z[rows], out=lam_scratch[:m])
             rest = np.subtract(1.0, lr, out=rest_scratch[:m])
             if ga is not None:
                 np.multiply(gr, lr, out=ga[rows])
             if gb is not None:
                 np.multiply(gr, rest, out=gb[rows])
-            if gz is not None:
-                dlam = np.multiply(gr, x[rows], out=gz[rows])
+            if nz is not None:
+                dlam = np.multiply(gr, x[rows], out=z[rows])
                 dlam -= np.multiply(gr, y[rows], out=prod_scratch[:m])
                 dlam *= lr
                 dlam *= rest
-        for node, grad in zip((nz, na, nb), grads):
+        for node, grad in zip((nz, na, nb), (z, ga, gb)):
             if node is not None:
                 node.accum(grad)
 
-    return _result(out, (nz, na, nb), bwd), blend
+    return _result(out, (nz, na, nb), bwd), rebuild
 
 
 _ENTRY_CHUNK = 4096  # plan entries per temporary in the weight gradient

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgn import cli, engine, graphs, interpolant, nn
+from ncgn import cli, dataset, engine, graphs, interpolant, nn
 from ncgn.cli import main
 from ncgn.config import (
     DOMAINS,
@@ -779,6 +779,54 @@ def test_a_failed_sample_leaves_the_earlier_samples_whole(gat_run, tmp_path,
     assert {p.name: p.read_bytes() for p in (out / "samples").iterdir()} == before
     assert not (out / "samples.partial").exists()
     assert not (out / "samples.old").exists()
+
+
+class _FullDisk:
+    """A file that takes half of its first write, then raises as a full
+    disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+WRITERS = {
+    "write_csv": lambda path: cli.write_csv(path, ("a", "b"), [(1, 2.5)] * 4),
+    "write_resolved": lambda path: write_resolved(dict(DEFAULTS), path),
+    "save_graph": lambda path: graphs.save_graph(
+        path, GeometricGraph(np.ones((4, 2)), np.zeros((4, 2)))),
+    "save_checkpoint": lambda path: nn.save_checkpoint(
+        path, {"w": np.ones((4, 2))}, {"seed": 0}),
+    "manifest": lambda path: dataset._write_manifest(path, {"seed": 0, "n": 4}),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_a_write_that_raises_midway_leaves_the_old_file_whole(name, tmp_path,
+                                                              monkeypatch):
+    # each file is written under a temporary name and replaces the old one
+    # only when complete; a failed write removes its temporary
+    path = tmp_path / "target.graph"
+    path.write_bytes(b"old\n")
+    monkeypatch.setattr(graphs, "open", lambda *args: _FullDisk(open(*args)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[name](path)
+    assert os.listdir(tmp_path) == ["target.graph"]
+    assert path.read_bytes() == b"old\n"
+    monkeypatch.undo()
+    WRITERS[name](path)
+    assert os.listdir(tmp_path) == ["target.graph"]
+    assert path.read_bytes() != b"old\n"
 
 
 def test_a_graph_directory_holding_other_files_is_not_replaced(tmp_path,

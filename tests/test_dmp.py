@@ -307,9 +307,10 @@ def test_point_message_frees_its_intermediates(monkeypatch, coarse_first):
 
 
 def test_uncoarsen_keeps_no_blend_output(monkeypatch):
-    # combine rebuilds the gate's blend in its backward: the blend's output
-    # dies with the forward, and the output and every gradient are those of
-    # combine keeping the blend as a plain tensor block, byte for byte
+    # combine rebuilds the gate's blend in its backward, and the blend its
+    # logits from the gate's inputs: the gate's and the blend's outputs die
+    # with the forward, and the output and every gradient are those of the
+    # blend keeping the gate's output and combine the blend's, byte for byte
     rng = np.random.default_rng(20)
     n, nclusters, hdim = 3000, 60, 8
     layer = dmp.DmpLayer(hdim, 2, "gcn", rng, out_bias=True)
@@ -319,13 +320,15 @@ def test_uncoarsen_keeps_no_blend_output(monkeypatch):
     dist = np.sqrt((rel**2).sum(axis=1, keepdims=True))
     members = segments(rng.integers(0, nclusters, n), nclusters)
     upstream = rng.standard_normal((n, hdim))
+    layer.gate.bias.data[:] = rng.standard_normal(hdim)  # it starts at zero
     blend = tensor.gated_blend
     results = []
     for kept in (False, True):
-        blends = []
+        gates, blends = [], []
 
-        def recording_blend(*args):
-            out, rebuild = blend(*args)
+        def recording_blend(logits, a, b):
+            gates.append(weakref.ref(logits[0].data))
+            out, rebuild = blend(logits[0] if kept else logits, a, b)
             blends.append(weakref.ref(out.data))
             return out if kept else (out, rebuild)
 
@@ -339,6 +342,7 @@ def test_uncoarsen_keeps_no_blend_output(monkeypatch):
         monkeypatch.setattr(dmp, "gated_blend", recording_blend)
         out = layer.uncoarsen(h, h_coarse, rel, dist, members)
         assert len(blends) == 1 and (blends[0]() is None) == (not kept)
+        assert len(gates) == 1 and (gates[0]() is None) == (not kept)
         (out * upstream).sum().backward()
         results.append([out.data.tobytes()] + [p.grad.tobytes() for p in params])
     assert results[0] == results[1]

@@ -422,10 +422,11 @@ def _op_leaves_and_output(name, rng):
                   for shape in ((n, 4), (4, 8), (8,), (8,), (8, 3), (3,))]
         x, w, gamma, beta, weight, bias = leaves
         return leaves, mlp([x], [(w, gamma, beta)], weight, bias)[0]
-    if name == "gated_blend":
+    if name.startswith("gated_blend"):
         leaves = [Tensor(rng.standard_normal((n, 5)), requires_grad=True)
                   for _ in range(3)]
-        return leaves, gated_blend(*leaves)[0]
+        return leaves, gated_blend(_logits(leaves[0], name == "gated_blend_pair"),
+                                   *leaves[1:])[0]
     plan = SparsePlan(rng.integers(0, 40, n), rng.integers(0, 50, n), (40, 50))
     if name == "segment_sum":
         leaves = [Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -435,8 +436,8 @@ def _op_leaves_and_output(name, rng):
     return [x], x.gather_rows(plan)
 
 
-@pytest.mark.parametrize("name", ["mlp", "gated_blend", "segment_sum",
-                                  "gather_rows"])
+@pytest.mark.parametrize("name", ["mlp", "gated_blend", "gated_blend_pair",
+                                  "segment_sum", "gather_rows"])
 def test_a_broadcast_upstream_gradient_gives_the_same_bytes(name):
     # out.sum() hands the op a broadcast view of its ones, read-only and
     # with a zero row stride; a product hands it a contiguous array
@@ -497,28 +498,40 @@ def sigmoid(x):
     return _result(out, (node,), bwd)
 
 
+def _logits(z, pair):
+    """``gated_blend``'s logits for the leaf ``z``: ``z`` itself, or a
+    ``(tensor, rebuild)`` block of ``z * 1.0``, whose array only the caller
+    holds, and a rebuild of its bytes."""
+    return (z * 1.0, lambda: z.data * 1.0) if pair else z
+
+
 @pytest.mark.parametrize("n", [5, 3001])  # one row block, two uneven ones
 def test_gated_blend_matches_the_chain_bytes(n):
     # the sigmoid, *, -, *, + chain's output and every gradient, byte for
-    # byte, and the rebuild a new array of the output's bytes; the node
-    # keeps lam alone
+    # byte, and the rebuild a new array of the output's bytes, with the
+    # logits a tensor or a rebuilt block; the node keeps no lam, and a
+    # rebuilt block's array dies with the forward
     rng = np.random.default_rng(14)
     arrays = [3.0 * rng.standard_normal((n, 8)) for _ in range(3)]
     upstream = rng.standard_normal((n, 8))
     results = []
-    for fused in (True, False):
+    for form in ("tensor", "pair", "chain"):
         z, a, b = (Tensor(v.copy(), requires_grad=True) for v in arrays)
-        if fused:
-            out, rebuild = gated_blend(z, a, b)
+        if form == "chain":
+            lam = sigmoid(z)
+            out = lam * a + (Tensor(1.0) - lam) * b
+        else:
+            logits = _logits(z, form == "pair")
+            value = weakref.ref((logits[0] if form == "pair" else logits).data)
+            out, rebuild = gated_blend(logits, a, b)
+            del logits
+            assert (value() is None) == (form == "pair")
             rebuilt = rebuild()
             assert rebuilt.tobytes() == out.data.tobytes()
             assert not np.shares_memory(rebuilt, out.data)
-        else:
-            lam = sigmoid(z)
-            out = lam * a + (Tensor(1.0) - lam) * b
         (out * upstream).sum().backward()
         results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (z, a, b)])
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     z, a, b = (Tensor(v.copy(), requires_grad=True) for v in arrays)
     value = weakref.ref(a.data)
     out, _ = gated_blend(z, a, b)
@@ -532,14 +545,16 @@ def test_gated_blend_finite_difference():
     rng = np.random.default_rng(15)
     arrays = [rng.standard_normal((4, 3)) for _ in range(3)]
     upstream = rng.standard_normal((4, 3))
-    leaves = [Tensor(v.copy(), requires_grad=True) for v in arrays]
-    (gated_blend(*leaves)[0] * upstream).sum().backward()
-    for k, leaf in enumerate(leaves):
-        def loss(arr, k=k):
-            args = [Tensor(arr if i == k else v) for i, v in enumerate(arrays)]
-            return float((gated_blend(*args)[0] * upstream).sum().data)
-        np.testing.assert_allclose(leaf.grad, finite_diff(loss, arrays[k].copy()),
-                                   rtol=1e-6, atol=1e-8)
+    for pair in (False, True):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in arrays]
+        (gated_blend(_logits(leaves[0], pair), *leaves[1:])[0] * upstream).sum().backward()
+        for k, leaf in enumerate(leaves):
+            def loss(arr, k=k):
+                args = [Tensor(arr if i == k else v) for i, v in enumerate(arrays)]
+                out = gated_blend(_logits(args[0], pair), *args[1:])[0]
+                return float((out * upstream).sum().data)
+            np.testing.assert_allclose(leaf.grad, finite_diff(loss, arrays[k].copy()),
+                                       rtol=1e-6, atol=1e-8)
 
 
 _LAYOUTS = ("contiguous", "row_stride", "column_stride", "reversed",
